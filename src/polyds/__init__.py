@@ -10,9 +10,6 @@ from .geometry import (
     GeometryError,
     Polygon,
     RegularityReport,
-    edge_distance_functions,
-    lambda_pair,
-    shape_regularity,
     signed_distance_line,
 )
 from .quadrature import EdgeRule, QuadRule, edge_rule, polygon_rule, triangle_gauss
@@ -23,7 +20,6 @@ from .serendipity import (
     build_ds_element,
     build_low_order,
     build_low_order_supplement,
-    build_supplement,
     ds_dimension,
     evaluate,
     interpolate,
@@ -31,7 +27,6 @@ from .serendipity import (
 from .mixed import (
     MixedElement,
     build_mixed_element,
-    curl_of,
     mixed_dimension,
     mixed_interpolant,
 )

@@ -234,8 +234,6 @@ class SparseSystem:
     s: int | None = None
     blocks: tuple | None = None  # (n_flux, n_pressure) for mixed
     dof_map: object = None
-    full_matrix: sp.csr_matrix | None = None  # primal, before elimination
-    full_rhs: np.ndarray | None = None
     boundary_values: np.ndarray | None = None
 
     @property
@@ -308,8 +306,6 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None, dirichlet=None,
         quad_degree=quad_degree,
         elements=elements,
         dof_map=dof,
-        full_matrix=A,
-        full_rhs=rhs,
         boundary_values=gvals,
     )
 
@@ -445,11 +441,14 @@ def _equilibrated_lu(A, b):
 def solve(system: SparseSystem, method=None, tol=1e-12) -> SolveReport:
     """Solve an assembled system and verify the residual by multiplication.
 
-    Primal systems use diagonally preconditioned conjugate gradients; mixed
-    saddle systems use a sparse direct factorization (``method="schur"``
-    switches to conjugate gradients on the pressure Schur complement).
+    Primal systems use diagonally preconditioned conjugate gradients and
+    accept no ``method``; mixed saddle systems use a sparse direct
+    factorization (``method="schur"`` switches to conjugate gradients on the
+    pressure Schur complement).
     """
     if system.kind == "primal":
+        if method is not None:
+            raise ValueError(f"primal systems take no solver method, got {method!r}")
         label = "pcg"
         try:
             x, its, res = _pcg(system.matrix, system.rhs, tol, 50 * max(1, system.n))

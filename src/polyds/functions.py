@@ -1,9 +1,10 @@
-"""Composable scalar and vector fields with analytic derivatives.
+"""Composable scalar fields and radial vector fields with analytic derivatives.
 
-Shape functions on polygons mix affine distance functions, rational edge
-ratios, 1D edge polynomials, and bivariate polynomials.  Some factors are
-rational, so expansion into global polynomials is impossible; everything
-stays in composite form and is evaluated on (M, 2) point arrays.
+Shape functions on polygons mix affine distance functions, rational
+one-sided edge ratios, 1D edge polynomials, and bivariate polynomials.
+Some factors are rational, so expansion into global polynomials is
+impossible; everything stays in composite form and is evaluated on (M, 2)
+point arrays.
 
 Scalar fields implement ``value_grad(pts) -> (values (M,), grads (M, 2))``;
 vector fields implement ``value_div(pts) -> (values (M, 2), divs (M,))``.
@@ -20,16 +21,12 @@ __all__ = [
     "Constant",
     "AffineProduct",
     "AffinePower",
-    "EdgeRatio",
     "OneSidedRatio",
     "Polynomial1D",
     "Polynomial2D",
     "ScalarProduct",
     "ScalarCombination",
-    "CurlField",
     "RadialPoly",
-    "VectorOfScalars",
-    "VectorCombination",
     "gradient_fd",
     "divergence_fd",
 ]
@@ -107,33 +104,6 @@ class AffinePower(_Scalar):
         a = self.affine(pts)
         vals = a**self.k
         grads = (self.k * a ** (self.k - 1))[:, None] * self.affine.grad
-        return vals, grads
-
-
-class EdgeRatio(_Scalar):
-    """Rational field (a - b) / (a + b) for affine a, b.
-
-    With a, b the distance functions of two nonadjacent polygon edges, the
-    denominator is strictly positive on the closed polygon, the value is -1
-    on the edge of a and +1 on the edge of b, and |value| <= 1 inside.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: AffineScalar, b: AffineScalar):
-        self.a = a
-        self.b = b
-
-    def value_grad(self, pts):
-        av = self.a(pts)
-        bv = self.b(pts)
-        den = av + bv
-        vals = (av - bv) / den
-        grads = (
-            2.0
-            * (bv[:, None] * self.a.grad - av[:, None] * self.b.grad)
-            / den[:, None] ** 2
-        )
         return vals, grads
 
 
@@ -254,22 +224,6 @@ class _Vector:
         return divs if np.ndim(pts) > 1 else divs[0]
 
 
-class CurlField(_Vector):
-    """Rotated gradient (d phi / dy, -d phi / dx) of a scalar field.
-
-    Divergence is identically zero by construction.
-    """
-
-    __slots__ = ("phi",)
-
-    def __init__(self, phi):
-        self.phi = phi
-
-    def value_div(self, pts):
-        _, g = self.phi.value_grad(pts)
-        return np.column_stack([g[:, 1], -g[:, 0]]), np.zeros(len(pts))
-
-
 class RadialPoly(_Vector):
     """Vector field (x - origin) * p(x) for a scalar polynomial field p.
 
@@ -287,41 +241,6 @@ class RadialPoly(_Vector):
         rel = pts - self.origin
         vals = rel * pv[:, None]
         divs = 2.0 * pv + np.einsum("ij,ij->i", rel, pg)
-        return vals, divs
-
-
-class VectorOfScalars(_Vector):
-    """Vector field from two scalar components (fx, fy)."""
-
-    __slots__ = ("fx", "fy")
-
-    def __init__(self, fx, fy):
-        self.fx = fx
-        self.fy = fy
-
-    def value_div(self, pts):
-        vx, gx = self.fx.value_grad(pts)
-        vy, gy = self.fy.value_grad(pts)
-        return np.column_stack([vx, vy]), gx[:, 0] + gy[:, 1]
-
-
-class VectorCombination(_Vector):
-    __slots__ = ("coeffs", "fields")
-
-    def __init__(self, coeffs, fields):
-        coeffs = np.asarray(coeffs, dtype=float)
-        keep = np.nonzero(coeffs)[0]
-        self.coeffs = coeffs[keep]
-        self.fields = tuple(fields[k] for k in keep)
-
-    def value_div(self, pts):
-        m = len(pts)
-        vals = np.zeros((m, 2))
-        divs = np.zeros(m)
-        for c, f in zip(self.coeffs, self.fields):
-            fv, fd = f.value_div(pts)
-            vals += c * fv
-            divs += c * fd
         return vals, divs
 
 

@@ -22,9 +22,6 @@ __all__ = [
     "Polygon",
     "RegularityReport",
     "signed_distance_line",
-    "edge_distance_functions",
-    "lambda_pair",
-    "shape_regularity",
 ]
 
 # Consecutive-edge cross products below CONVEXITY_RTOL * h**2 mark a polygon
@@ -158,7 +155,10 @@ class Polygon:
         self.centroid = np.array(
             [((x + xn) * piece).sum(), ((y + yn) * piece).sum()]
         ) / (6.0 * self.area)
-        self._edge_fns = None
+        self._edge_fns = tuple(
+            signed_distance_line(v[i], v[(i + 1) % self.n_edges])
+            for i in range(self.n_edges)
+        )
 
     def __repr__(self):
         return f"Polygon({self.n_edges} vertices, h={self.diameter:.3g})"
@@ -169,12 +169,6 @@ class Polygon:
 
     def edge_distances(self):
         """All N edge distance functions, indexed like the edges."""
-        if self._edge_fns is None:
-            v = self.vertices
-            n = self.n_edges
-            self._edge_fns = tuple(
-                signed_distance_line(v[i], v[(i + 1) % n]) for i in range(n)
-            )
         return self._edge_fns
 
     def edge_midpoint(self, i):
@@ -270,17 +264,3 @@ class Polygon:
             about = self.centroid
         about = np.asarray(about, dtype=float)
         return Polygon(about + factor * (self.vertices - about))
-
-
-def edge_distance_functions(polygon: Polygon):
-    """The N affine distance functions lambda_i, one per edge."""
-    return list(polygon.edge_distances())
-
-
-def lambda_pair(polygon: Polygon, i: int, j: int, kind="midpoint") -> AffineScalar:
-    """Pair-line distance function for nonadjacent edges i and j."""
-    return polygon.pair_line(i, j, kind=kind)
-
-
-def shape_regularity(polygon: Polygon) -> RegularityReport:
-    return polygon.shape_regularity()

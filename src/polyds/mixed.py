@@ -24,36 +24,19 @@ import numpy as np
 from numpy.polynomial import legendre as nleg
 from numpy.polynomial import polynomial as npoly
 
-from .functions import (
-    Constant,
-    CurlField,
-    Polynomial2D,
-    RadialPoly,
-    ScalarCombination,
-    VectorCombination,
-    VectorOfScalars,
-    _as_points,
-)
+from .functions import Polynomial2D, RadialPoly, _as_points
 from .geometry import Polygon
 from .quadrature import edge_rule, polygon_rule
-from .serendipity import DSElement, ElementError, _lagrange_1d, build_ds_element
+from .serendipity import DSElement, ElementError, _generator_values, build_ds_element
 
 __all__ = [
     "MixedElement",
     "mixed_dimension",
-    "curl_of",
     "constant_flux_coefficients",
-    "build_bubble_curls",
-    "build_edge_moment_fns",
-    "build_constant_flux_fns",
-    "build_divergence_fns",
     "build_mixed_element",
     "mixed_interpolant",
     "pressure_monomials",
 ]
-
-_CONST_X = VectorOfScalars(Constant(1.0), Constant(0.0))
-_CONST_Y = VectorOfScalars(Constant(0.0), Constant(1.0))
 
 
 def mixed_dimension(N: int, r: int, s: int) -> int:
@@ -68,11 +51,6 @@ def _check_rs(r, s):
         raise ValueError(f"flux index must be >= 0, got r={r}")
     if s not in (r - 1, r) or s < 0:
         raise ValueError(f"divergence index s={s} must be r-1 or r and >= 0")
-
-
-def curl_of(phi):
-    """Divergence-free rotated gradient of a scalar field."""
-    return CurlField(phi)
 
 
 def pressure_monomials(E: Polygon, s: int, include_constant=True):
@@ -178,81 +156,6 @@ def _edge_flux_expansion(E: Polygon, k: int, r: int, p):
     return alphas
 
 
-def _scalar_element(obj, what):
-    if isinstance(obj, MixedElement):
-        return obj.ds
-    if isinstance(obj, DSElement):
-        if obj.r < 1:
-            raise ElementError(f"{what} needs a scalar element of index >= 1")
-        return obj
-    raise TypeError(f"{what} expects a DSElement or MixedElement, got {type(obj)!r}")
-
-
-def build_bubble_curls(elem):
-    """Curls of the interior scalar functions; empty unless r >= N-1."""
-    ds = _scalar_element(elem, "build_bubble_curls")
-    n0 = ds.dim - ds.nodes.n_interior
-    return [CurlField(ds.basis[n0 + i]) for i in range(ds.nodes.n_interior)]
-
-
-def build_edge_moment_fns(elem):
-    """Per-edge lists of the r flux-moment functions (curls of edge
-    functions of the index r+1 scalar element)."""
-    ds = _scalar_element(elem, "build_edge_moment_fns")
-    N = ds.polygon.n_edges
-    return [
-        [
-            CurlField(ds.basis[_scalar_row_index(ds, "edge", k, j)])
-            for j in range(1, ds.r)
-        ]
-        for k in range(N)
-    ]
-
-
-def build_constant_flux_fns(elem):
-    """Per-edge constant-flux functions: integrated flux 1 across the own
-    edge, 0 across every other edge, and constant divergence."""
-    ds = _scalar_element(elem, "build_constant_flux_fns")
-    E = ds.polygon
-    curl_rows, radial, const = _constant_flux_data(ds)
-    ones = Polynomial2D(E.centroid, E.diameter, np.ones((1, 1)))
-    fns = []
-    for k in range(E.n_edges):
-        fields = [CurlField(ScalarCombination(curl_rows[k], ds.generators))]
-        coeffs = [1.0, radial[k], const[k, 0], const[k, 1]]
-        fields += [RadialPoly(E.centroid, ones), _CONST_X, _CONST_Y]
-        fns.append(VectorCombination(coeffs, fields))
-    return fns
-
-
-def build_divergence_fns(elem, s=None):
-    """Interior divergence functions, one per nonconstant pressure mode."""
-    ds = _scalar_element(elem, "build_divergence_fns")
-    if s is None:
-        if not isinstance(elem, MixedElement):
-            raise ValueError("pass the divergence index s when building from a DSElement")
-        s = elem.s
-    E = ds.polygon
-    r = ds.r - 1
-    if s < 1:
-        return []
-    const_fns = build_constant_flux_fns(ds)
-    moment_fns = build_edge_moment_fns(ds)
-    fns = []
-    for p in pressure_monomials(E, s, include_constant=False):
-        fields = [RadialPoly(E.centroid, p)]
-        coeffs = [1.0]
-        for k in range(E.n_edges):
-            alphas = _edge_flux_expansion(E, k, r, p)
-            fields.append(const_fns[k])
-            coeffs.append(-alphas[0])
-            for j in range(1, r + 1):
-                fields.append(moment_fns[k][j - 1])
-                coeffs.append(-alphas[j])
-        fns.append(VectorCombination(coeffs, fields))
-    return fns
-
-
 class MixedElement:
     """Mixed element: ordered vector basis over a shared generator set.
 
@@ -270,23 +173,10 @@ class MixedElement:
         self.rows = np.asarray(rows, dtype=float)
         self._radial_fns = tuple(radial_fns)
         self.dof_layout = tuple(dof_layout)
-        self._basis = None
-        self._interp = None
 
     @property
     def dim(self):
         return len(self.rows)
-
-    @property
-    def basis(self):
-        if self._basis is None:
-            gens = (
-                [CurlField(g) for g in self.ds.generators]
-                + list(self._radial_fns)
-                + [_CONST_X, _CONST_Y]
-            )
-            self._basis = [VectorCombination(row, gens) for row in self.rows]
-        return self._basis
 
     def layout_index(self, key):
         return self.dof_layout.index(key)
@@ -299,10 +189,9 @@ class MixedElement:
         nr = len(self._radial_fns)
         gvals = np.empty((nc + nr + 2, m, 2))
         gdivs = np.zeros((nc + nr + 2, m))
-        for g, fn in enumerate(self.ds.generators):
-            _, grad = fn.value_grad(pts)
-            gvals[g, :, 0] = grad[:, 1]
-            gvals[g, :, 1] = -grad[:, 0]
+        _, grads = _generator_values(self.ds.generators, pts)
+        gvals[:nc, :, 0] = grads[:, :, 1]
+        gvals[:nc, :, 1] = -grads[:, :, 0]
         for i, fn in enumerate(self._radial_fns):
             gvals[nc + i], gdivs[nc + i] = fn.value_div(pts)
         gvals[nc + nr] = [1.0, 0.0]
@@ -310,28 +199,6 @@ class MixedElement:
         vals = np.einsum("dg,gmk->dmk", self.rows, gvals)
         divs = self.rows @ gdivs
         return vals, divs
-
-    def edge_lagrange(self):
-        """Coefficient arrays of the degree r+1 equispaced Lagrange basis
-        on [0, 1] (the flux moment traces are their scaled derivatives)."""
-        return _lagrange_1d(np.arange(self.r + 2) / (self.r + 1))
-
-    def interpolation_system(self, quad_degree=None):
-        """Square DoF matrix of the basis, cached per quadrature degree."""
-        if self._interp is None or self._interp[2] != quad_degree:
-            dofs = _dof_functionals(self, quad_degree)
-            A = np.empty((self.dim, self.dim))
-            cache = {}
-            for d, (kind, pts, w, extra) in enumerate(dofs):
-                if id(pts) not in cache:
-                    cache[id(pts)] = self.eval_all(pts)[0]
-                vals = cache[id(pts)]
-                if kind == "edge":
-                    A[d] = np.einsum("imk,k,m->i", vals, extra, w)
-                else:
-                    A[d] = np.einsum("imk,mk,m->i", vals, extra, w)
-            self._interp = (dofs, A, quad_degree)
-        return self._interp[:2]
 
 
 def build_mixed_element(E: Polygon, r: int, s: int, pair_kind="midpoint") -> MixedElement:
@@ -403,22 +270,12 @@ def _dof_functionals(elem: MixedElement, quad_degree=None):
         for q in pressure_monomials(E, s, include_constant=False):
             _, grad = q.value_grad(rule.points)
             dofs.append(("moment", rule.points, rule.weights, grad))
-    for i, lay in enumerate(elem.dof_layout):
-        if lay[0] == "bubble":
-            bv, _ = elem.basis[i].value_div(rule.points)
-            dofs.append(("moment", rule.points, rule.weights, bv))
+    bubbles = [i for i, lay in enumerate(elem.dof_layout) if lay[0] == "bubble"]
+    if bubbles:
+        vals, _ = elem.eval_all(rule.points)
+        for i in bubbles:
+            dofs.append(("moment", rule.points, rule.weights, vals[i]))
     return dofs
-
-
-def _apply_dofs(dofs, v):
-    out = np.empty(len(dofs))
-    for i, (kind, pts, w, extra) in enumerate(dofs):
-        vals = v.value_div(pts)[0] if hasattr(v, "value_div") else np.asarray(v(pts))
-        if kind == "edge":
-            out[i] = w @ (vals @ extra)
-        else:
-            out[i] = w @ np.einsum("mk,mk->m", vals, extra)
-    return out
 
 
 def mixed_interpolant(elem: MixedElement, v_exact, quad_degree=None):
@@ -430,8 +287,20 @@ def mixed_interpolant(elem: MixedElement, v_exact, quad_degree=None):
     members are reproduced and the divergence of the interpolant is the
     pressure-space projection of the divergence of ``v_exact``.
     """
-    dofs, A = elem.interpolation_system(quad_degree)
-    b = _apply_dofs(dofs, v_exact)
+    dofs = _dof_functionals(elem, quad_degree)
+    A = np.empty((elem.dim, elem.dim))
+    b = np.empty(elem.dim)
+    cache = {}
+    for d, (kind, pts, w, extra) in enumerate(dofs):
+        if id(pts) not in cache:
+            cache[id(pts)] = (elem.eval_all(pts)[0], np.asarray(v_exact(pts)))
+        vals, target = cache[id(pts)]
+        if kind == "edge":
+            A[d] = np.einsum("imk,k,m->i", vals, extra, w)
+            b[d] = w @ (target @ extra)
+        else:
+            A[d] = np.einsum("imk,mk,m->i", vals, extra, w)
+            b[d] = w @ np.einsum("mk,mk->m", target, extra)
     try:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:

@@ -25,7 +25,6 @@ from .functions import (
     AffinePower,
     AffineProduct,
     Constant,
-    EdgeRatio,
     OneSidedRatio,
     Polynomial1D,
     Polynomial2D,
@@ -39,10 +38,6 @@ __all__ = [
     "NodeSet",
     "DSElement",
     "ds_dimension",
-    "build_supplement",
-    "build_cell_basis",
-    "build_edge_basis",
-    "build_vertex_basis",
     "build_low_order",
     "build_low_order_supplement",
     "build_ds_element",
@@ -165,28 +160,6 @@ def _lagrange_2d(nodes, p, center, scale):
         for (a, b), c in zip(monos, col):
             coeffs[a, b] = c
         fns.append(Polynomial2D(center, scale, coeffs))
-    return fns
-
-
-def build_supplement(E: Polygon, r: int, pair_kind="midpoint"):
-    """The N(N-3)/2 supplemental functions for index r >= N-2.
-
-    Each is a product of all edge distance functions except two nonadjacent
-    ones, a power of the pair-line function, and the rational edge ratio
-    that is -1 on the first edge and +1 on the second.
-    """
-    N = E.n_edges
-    if r < N - 2:
-        raise ElementError(f"supplement requires r >= N-2 (r={r}, N={N})")
-    lam = E.edge_distances()
-    power = r - N + 2
-    fns = []
-    for i, j in E.nonadjacent_pairs():
-        factors = [AffineProduct([lam[m] for m in range(N) if m not in (i, j)])]
-        if power > 0:
-            factors.append(AffinePower(E.pair_line(i, j, kind=pair_kind), power))
-        factors.append(EdgeRatio(lam[i], lam[j]))
-        fns.append(ScalarProduct(factors))
     return fns
 
 
@@ -318,10 +291,7 @@ class _HighOrderBuilder:
         if len(gens) != D:
             raise ElementError(f"generator count {len(gens)} != dimension {D}")
 
-        pts = nodes.all_points()
-        gvals = np.empty((D, D))
-        for g, fn in enumerate(gens):
-            gvals[g], _ = fn.value_grad(pts)
+        gvals, _ = _generator_values(gens, nodes.all_points())
 
         n_e = r - 1
         o_edge = N
@@ -347,6 +317,15 @@ class _HighOrderBuilder:
         return DSElement(self.E, r, nodes, gens, C, pair_kind=self.pair_kind)
 
 
+def _generator_values(generators, pts):
+    """Values (G, M) and gradients (G, M, 2) of the generator fields at pts."""
+    gv = np.empty((len(generators), len(pts)))
+    gg = np.empty((len(generators), len(pts), 2))
+    for g, fn in enumerate(generators):
+        gv[g], gg[g] = fn.value_grad(pts)
+    return gv, gg
+
+
 class DSElement:
     """A direct serendipity element: node set plus complete nodal basis.
 
@@ -364,7 +343,6 @@ class DSElement:
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.pair_kind = pair_kind
         self.background = background  # underlying element for the low-order path
-        self._basis = None
 
     @property
     def dim(self):
@@ -378,27 +356,13 @@ class DSElement:
     def background_order(self):
         return self.background.r if self.background is not None else None
 
-    @property
-    def basis(self):
-        """Nodal basis functions as standalone scalar fields."""
-        if self._basis is None:
-            self._basis = [
-                ScalarCombination(row, self.generators) for row in self.coeffs
-            ]
-        return self._basis
-
     def eval_all(self, pts):
         """Values and gradients of every basis function.
 
         Returns ``(vals, grads)`` with shapes (dim, M) and (dim, M, 2).
         """
         pts = _as_points(pts)
-        G = len(self.generators)
-        m = len(pts)
-        gv = np.empty((G, m))
-        gg = np.empty((G, m, 2))
-        for g, fn in enumerate(self.generators):
-            gv[g], gg[g] = fn.value_grad(pts)
+        gv, gg = _generator_values(self.generators, pts)
         vals = self.coeffs @ gv
         grads = np.einsum("dg,gmk->dmk", self.coeffs, gg)
         return vals, grads
@@ -421,34 +385,6 @@ class DSElement:
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
-
-
-def build_cell_basis(E: Polygon, r: int, nodes=None):
-    """Interior nodal functions (empty unless r >= N)."""
-    return _HighOrderBuilder(E, r).cell_generators()
-
-
-def build_edge_basis(E: Polygon, r: int, i: int, j: int, cell_basis=None,
-                     pair_kind="midpoint"):
-    """Nodal basis function for the j-th interior node of edge i (1-based j)."""
-    if not 1 <= j <= r - 1:
-        raise ElementError(f"edge node index must be in [1, {r - 1}], got {j}")
-    b = _HighOrderBuilder(E, r, pair_kind)
-    phi = b.edge_generators(i)[j - 1]
-    cell = cell_basis if cell_basis is not None else b.cell_generators()
-    if not cell:
-        return phi
-    interior = b.nodes.interior
-    vals = phi(interior)
-    return ScalarCombination([1.0, *(-vals)], [phi, *cell])
-
-
-def build_vertex_basis(E: Polygon, r: int, i: int, edge_basis=None, cell_basis=None,
-                       pair_kind="midpoint"):
-    """Nodal basis function for vertex i."""
-    b = _HighOrderBuilder(E, r, pair_kind)
-    elem = b.build()
-    return elem.basis[i]
 
 
 def build_ds_element(E: Polygon, r: int, pair_kind="midpoint") -> DSElement:
@@ -567,8 +503,10 @@ def build_low_order_supplement(E: Polygon, r: int, s=None, pair_kind="midpoint")
     def nodal_fn(key):
         a, j = key
         if j == r:
-            return elem.basis[(a + 1) % N]
-        return elem.basis[N + a * (r - 1) + (j - 1)]
+            row = (a + 1) % N
+        else:
+            row = N + a * (r - 1) + (j - 1)
+        return ScalarCombination(elem.coeffs[row], elem.generators)
 
     supplement = [nodal_fn(key) for key in supp_nodes]
     supp_coords = np.array([_node_coord(E, r, key) for key in supp_nodes]).reshape(-1, 2)

@@ -64,10 +64,13 @@ class TestPrimal:
     def test_symmetry_and_constant_nullspace(self):
         mesh = gen_hex_dominant_mesh(3)
         system = assemble_primal(mesh, 2, manufactured_solution().f)
-        A = system.full_matrix
+        A = system.matrix
         assert abs(A - A.T).max() < 1e-12
-        ones = np.ones(A.shape[0])
-        assert np.abs(A @ ones).max() < 1e-11
+        for c, elem in enumerate(system.elements):
+            rule = polygon_rule(mesh.polygon(c), system.quad_degree)
+            _, grads = elem.eval_all(rule.points)
+            local = np.einsum("imk,jmk,m->ij", grads, grads, rule.weights)
+            assert np.abs(local @ np.ones(elem.dim)).max() < 1e-11
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_patch_reproduction(self, r):
@@ -104,6 +107,12 @@ class TestPrimal:
                 N = len(loop)
                 want += (r - N + 2) * (r - N + 1) // 2 if r >= N else 0
             assert system.dof_map.n_dofs == want
+
+    def test_solver_method_rejected(self):
+        system = assemble_primal(gen_square_mesh(2), 1, ZERO)
+        for method in ("schur", "lu", "bogus"):
+            with pytest.raises(ValueError, match="primal"):
+                solve(system, method=method)
 
     def test_zero_load_gives_zero_solution(self):
         mesh = gen_square_mesh(3)

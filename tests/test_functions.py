@@ -4,21 +4,19 @@ from polyds.functions import (
     AffinePower,
     AffineProduct,
     Constant,
-    CurlField,
-    EdgeRatio,
     OneSidedRatio,
     Polynomial1D,
     Polynomial2D,
     RadialPoly,
     ScalarCombination,
     ScalarProduct,
-    VectorOfScalars,
     divergence_fd,
     gradient_fd,
 )
 from polyds.geometry import AffineScalar
+from polyds.mixed import build_mixed_element
 
-from helpers import random_convex_polygon
+from helpers import interior_points, random_convex_polygon
 
 
 def check_gradient(field, pts, h=1e-6, tol=2e-8):
@@ -46,23 +44,6 @@ def test_empty_product_is_one():
     assert np.allclose(grads, 0.0)
 
 
-def test_edge_ratio_values_and_bounds():
-    rng = np.random.default_rng(0)
-    E = random_convex_polygon(5, rng)
-    lam = E.edge_distances()
-    R = EdgeRatio(lam[0], lam[2])
-    t = np.linspace(0, 1, 9)
-    on_i = E.edge_point(0, t).reshape(-1, 2)
-    on_j = E.edge_point(2, t).reshape(-1, 2)
-    assert np.allclose(R(on_i), -1.0, atol=1e-13)
-    assert np.allclose(R(on_j), 1.0, atol=1e-13)
-    from helpers import interior_points
-
-    pts = interior_points(E, rng, 100)
-    assert np.all(np.abs(R(pts)) <= 1.0 + 1e-12)
-    check_gradient(R, pts)
-
-
 def test_one_sided_ratio():
     rng = np.random.default_rng(1)
     E = random_convex_polygon(6, rng)
@@ -71,8 +52,6 @@ def test_one_sided_ratio():
     t = np.linspace(0, 1, 7)
     assert np.allclose(S(E.edge_point(1, t).reshape(-1, 2)), 1.0, atol=1e-13)
     assert np.allclose(S(E.edge_point(4, t).reshape(-1, 2)), 0.0, atol=1e-13)
-    from helpers import interior_points
-
     check_gradient(S, interior_points(E, rng, 50))
 
 
@@ -96,14 +75,19 @@ def test_combination_drops_zero_coefficients():
 
 
 def test_curl_is_divergence_free_and_fd_consistent():
+    # The curl rows of a mixed element: edge moments and interior bubbles.
     rng = np.random.default_rng(3)
-    p2 = Polynomial2D([0.0, 0.0], 1.0, rng.standard_normal((4, 4)))
-    curl = CurlField(p2)
-    pts = rng.uniform(-1, 1, (30, 2))
-    vals, divs = curl.value_div(pts)
-    assert np.all(divs == 0.0)
-    fd = divergence_fd(curl, pts, 1e-5)
-    assert np.abs(fd).max() < 1e-5 * (np.abs(vals).max() + 1)
+    E = random_convex_polygon(4, rng)
+    elem = build_mixed_element(E, 3, 3)
+    pts = interior_points(E, rng, 30)
+    vals, divs = elem.eval_all(pts)
+    curls = [i for i, lay in enumerate(elem.dof_layout)
+             if lay[0] == "bubble" or (lay[0] == "edge" and lay[2] > 0)]
+    assert any(elem.dof_layout[i][0] == "bubble" for i in curls)
+    for i in curls:
+        assert np.all(divs[i] == 0.0)
+        fd = divergence_fd(lambda p: elem.eval_all(p)[0][i], pts, 1e-5)
+        assert np.abs(fd).max() < 1e-5 * (np.abs(vals[i]).max() + 1)
 
 
 def test_radial_poly_divergence():
@@ -116,14 +100,3 @@ def test_radial_poly_divergence():
     assert np.allclose(vals, pts * pts[:, :1], atol=1e-13)
     fd = divergence_fd(f, pts, 1e-6)
     assert np.abs(fd - divs).max() < 1e-7
-
-
-def test_vector_of_scalars_divergence():
-    rng = np.random.default_rng(5)
-    fx = Polynomial2D([0, 0], 1.0, rng.standard_normal((3, 3)))
-    fy = Polynomial2D([0, 0], 1.0, rng.standard_normal((3, 3)))
-    v = VectorOfScalars(fx, fy)
-    pts = rng.uniform(-1, 1, (20, 2))
-    _, divs = v.value_div(pts)
-    fd = divergence_fd(v, pts, 1e-6)
-    assert np.abs(fd - divs).max() < 1e-6 * (np.abs(divs).max() + 1)

@@ -6,9 +6,6 @@ import pytest
 from polyds.geometry import (
     GeometryError,
     Polygon,
-    edge_distance_functions,
-    lambda_pair,
-    shape_regularity,
     signed_distance_line,
 )
 
@@ -66,14 +63,14 @@ class TestEdgeDistances:
 
     def test_zero_at_edge_endpoints(self):
         E = random_convex_polygon(6, np.random.default_rng(0))
-        for i, lam in enumerate(edge_distance_functions(E)):
+        for i, lam in enumerate(E.edge_distances()):
             assert abs(lam(E.vertices[i])) < 1e-14 * E.diameter
             assert abs(lam(E.vertices[(i + 1) % 6])) < 1e-14 * E.diameter
 
     def test_regular_pentagon_apothem_at_centroid(self):
         E = regular_polygon(5)
         apothem = math.cos(math.pi / 5)
-        for lam in edge_distance_functions(E):
+        for lam in E.edge_distances():
             assert lam(E.centroid) == pytest.approx(apothem, abs=1e-13)
 
     def test_positive_inside_and_at_far_vertices(self):
@@ -81,7 +78,7 @@ class TestEdgeDistances:
         for n in (3, 4, 5, 6, 7, 8):
             E = random_convex_polygon(n, rng)
             pts = interior_points(E, rng, 200)
-            for i, lam in enumerate(edge_distance_functions(E)):
+            for i, lam in enumerate(E.edge_distances()):
                 assert np.all(lam(pts) > 0)
                 for k in range(n):
                     if k not in (i, (i + 1) % n):
@@ -92,7 +89,7 @@ class TestLambdaPair:
     def test_square_opposite_edges_midline(self):
         # The zero line passes through both edge midpoints (x = 1/2 for the
         # bottom/top pair of the unit square) and so crosses both edges.
-        lam = lambda_pair(UNIT_SQUARE, 0, 2)
+        lam = UNIT_SQUARE.pair_line(0, 2)
         assert abs(lam((0.5, 0.0))) < 1e-15
         assert abs(lam((0.5, 1.0))) < 1e-15
         assert abs(abs(lam((0.0, 0.3))) - 0.5) < 1e-15
@@ -102,7 +99,7 @@ class TestLambdaPair:
         for n in (4, 5, 6, 7):
             E = random_convex_polygon(n, rng)
             for i, j in E.nonadjacent_pairs():
-                lam = lambda_pair(E, i, j)
+                lam = E.pair_line(i, j)
                 assert abs(lam(E.edge_midpoint(i))) < 1e-13 * E.diameter
                 assert abs(lam(E.edge_midpoint(j))) < 1e-13 * E.diameter
 
@@ -113,7 +110,7 @@ class TestLambdaPair:
                 E = random_convex_polygon(n, rng)
                 for i, j in E.nonadjacent_pairs():
                     try:
-                        lam = lambda_pair(E, i, j, kind=kind)
+                        lam = E.pair_line(i, j, kind=kind)
                     except GeometryError:
                         assert kind == "simple"  # runtime-checked choice
                         continue
@@ -124,13 +121,13 @@ class TestLambdaPair:
 
     def test_adjacent_edges_rejected(self):
         with pytest.raises(GeometryError):
-            lambda_pair(UNIT_SQUARE, 0, 1)
+            UNIT_SQUARE.pair_line(0, 1)
         with pytest.raises(GeometryError):
-            lambda_pair(UNIT_SQUARE, 0, 3)  # wraps around
+            UNIT_SQUARE.pair_line(0, 3)  # wraps around
 
     def test_pentagon_nonparallel_pair(self):
         E = regular_polygon(5, rot=0.3)
-        lam = lambda_pair(E, 0, 3)
+        lam = E.pair_line(0, 3)
         assert abs(lam(E.edge_midpoint(0))) < 1e-14
         assert abs(lam(E.edge_midpoint(3))) < 1e-14
         assert np.hypot(*lam.grad) == pytest.approx(1.0, abs=1e-14)
@@ -138,7 +135,7 @@ class TestLambdaPair:
 
 class TestShapeRegularity:
     def test_unit_square_exact(self):
-        rep = shape_regularity(UNIT_SQUARE)
+        rep = UNIT_SQUARE.shape_regularity()
         assert rep.h == pytest.approx(math.sqrt(2), abs=1e-14)
         assert rep.rho == pytest.approx(2 * (2 - math.sqrt(2)), abs=1e-14)
         assert rep.sigma == pytest.approx(2 * (2 - math.sqrt(2)) / math.sqrt(2), abs=1e-14)
@@ -147,23 +144,23 @@ class TestShapeRegularity:
         rng = np.random.default_rng(9)
         for _ in range(10):
             E = random_convex_polygon(6, rng)
-            s0 = shape_regularity(E).sigma
+            s0 = E.shape_regularity().sigma
             th = rng.uniform(0, 2 * np.pi)
             R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
             shift = rng.uniform(-5, 5, 2)
             c = rng.uniform(0.1, 10.0)
             moved = Polygon(c * (E.vertices @ R.T) + shift)
-            assert shape_regularity(moved).sigma == pytest.approx(s0, rel=1e-12)
+            assert moved.shape_regularity().sigma == pytest.approx(s0, rel=1e-12)
 
     def test_needle_triangle_degenerates(self):
         for eps in (1e-2, 1e-4, 1e-6):
             tri = Polygon([(0, 0), (1, 0), (0.5, eps)])
-            assert shape_regularity(tri).sigma < 3 * eps
+            assert tri.shape_regularity().sigma < 3 * eps
 
     def test_sigma_positive(self):
         rng = np.random.default_rng(21)
         for n in (3, 5, 8):
-            rep = shape_regularity(random_convex_polygon(n, rng))
+            rep = random_convex_polygon(n, rng).shape_regularity()
             assert 0 < rep.sigma < 1.2
 
 

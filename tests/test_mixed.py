@@ -2,16 +2,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from polyds.functions import Polynomial2D, divergence_fd
+from polyds.functions import divergence_fd
 from polyds.geometry import Polygon
 from polyds.mixed import (
-    build_bubble_curls,
-    build_constant_flux_fns,
-    build_divergence_fns,
-    build_edge_moment_fns,
     build_mixed_element,
     constant_flux_coefficients,
-    curl_of,
     mixed_dimension,
     mixed_interpolant,
     pressure_monomials,
@@ -24,13 +19,26 @@ from helpers import interior_points, random_convex_polygon
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
-def edge_flux_integrals(E, fn, degree=12):
-    out = np.empty(E.n_edges)
+def edge_flux_integrals(elem, degree=12):
+    """Integrated normal flux of every basis function across every edge."""
+    E = elem.polygon
+    out = np.empty((elem.dim, E.n_edges))
     for k in range(E.n_edges):
         rule = edge_rule(E, k, degree)
-        vals = fn(rule.points)
-        out[k] = rule.weights @ (vals @ E.normals[k])
+        vals, _ = elem.eval_all(rule.points)
+        out[:, k] = (vals @ E.normals[k]) @ rule.weights
     return out
+
+
+def rows_of(elem, kind):
+    """Basis indices whose layout entry has this kind."""
+    return [i for i, lay in enumerate(elem.dof_layout) if lay[0] == kind]
+
+
+def moment_rows(elem):
+    """Indices of the flux-moment functions ("edge", k, j) with j >= 1."""
+    return [i for i, lay in enumerate(elem.dof_layout)
+            if lay[0] == "edge" and lay[2] > 0]
 
 
 class TestDimension:
@@ -59,59 +67,45 @@ class TestDimension:
 
 
 class TestCurl:
-    def test_linear(self):
-        phi = Polynomial2D([0, 0], 1.0, np.array([[0.0], [1.0]]))  # x
-        v = curl_of(phi)
-        vals, divs = v.value_div(np.array([[0.3, 0.8]]))
-        assert np.allclose(vals, [[0.0, -1.0]])
-        assert divs[0] == 0.0
-
-    def test_xy(self):
-        phi = Polynomial2D([0, 0], 1.0, np.array([[0.0, 0.0], [0.0, 1.0]]))  # xy
-        v = curl_of(phi)
-        pts = np.random.default_rng(0).uniform(-1, 1, (10, 2))
-        vals, divs = v.value_div(pts)
-        assert np.allclose(vals, np.column_stack([pts[:, 0], -pts[:, 1]]))
-        assert np.all(divs == 0.0)
-
     def test_normal_trace_is_tangential_derivative(self):
         rng = np.random.default_rng(1)
         E = random_convex_polygon(5, rng)
-        elem = build_ds_element(E, 3)
-        phi = elem.basis[7]
-        v = curl_of(phi)
+        elem = build_mixed_element(E, 2, 2)
+        ds = elem.ds  # index 3: two nodes per edge
         for k in range(5):
             rule = edge_rule(E, k, 8)
-            vals, _ = v.value_div(rule.points)
-            _, grads = phi.value_grad(rule.points)
-            lhs = vals @ E.normals[k]
-            rhs = grads @ E.tangents[k]
-            assert np.abs(lhs - rhs).max() < 1e-12 * (np.abs(rhs).max() + 1)
+            vals, _ = elem.eval_all(rule.points)
+            _, grads = ds.eval_all(rule.points)
+            for i in moment_rows(elem):
+                _, e, j = elem.dof_layout[i]
+                lhs = vals[i] @ E.normals[k]
+                rhs = grads[5 + e * (ds.r - 1) + (j - 1)] @ E.tangents[k]
+                assert np.abs(lhs - rhs).max() < 1e-12 * (np.abs(rhs).max() + 1)
 
 
 class TestBubbles:
     def test_empty_below_threshold(self):
         rng = np.random.default_rng(2)
         E = random_convex_polygon(5, rng)
-        assert build_bubble_curls(build_mixed_element(E, 3, 3)) == []
+        assert rows_of(build_mixed_element(E, 3, 3), "bubble") == []
 
     def test_count_and_zero_flux_moments(self):
         rng = np.random.default_rng(3)
         E = random_convex_polygon(4, rng)
         r = 4
         elem = build_mixed_element(E, r, r)
-        bubbles = build_bubble_curls(elem)
+        bubbles = rows_of(elem, "bubble")
         assert len(bubbles) == (r + 3 - 4) * (r + 2 - 4) // 2
-        for b in bubbles:
-            for k in range(4):
-                rule = edge_rule(E, k, 2 * r + 4)
-                vals, _ = b.value_div(rule.points)
-                flux = vals @ E.normals[k]
+        for k in range(4):
+            rule = edge_rule(E, k, 2 * r + 4)
+            vals, _ = elem.eval_all(rule.points)
+            for b in bubbles:
+                flux = vals[b] @ E.normals[k]
                 for m in range(r + 1):
                     mom = rule.weights @ (flux * rule.t**m)
                     assert abs(mom) < 1e-11
-            pts = interior_points(E, rng, 30)
-            assert np.abs(b.value_div(pts)[1]).max() == 0.0
+        _, divs = elem.eval_all(interior_points(E, rng, 30))
+        assert np.abs(divs[bubbles]).max() == 0.0
 
 
 class TestEdgeMoments:
@@ -119,19 +113,18 @@ class TestEdgeMoments:
         rng = np.random.default_rng(4)
         E = random_convex_polygon(6, rng)
         elem = build_mixed_element(E, 2, 2)
-        fams = build_edge_moment_fns(elem)
-        for k, fam in enumerate(fams):
+        fluxes = edge_flux_integrals(elem)
+        t = np.linspace(0.05, 0.95, 12)
+        for k in range(6):
+            fam = [i for i in moment_rows(elem) if elem.dof_layout[i][1] == k]
             assert len(fam) == 2
-            for fn in fam:
-                fluxes = edge_flux_integrals(E, fn)
-                assert np.abs(fluxes).max() < 1e-11  # average flux vanishes
-                t = np.linspace(0.05, 0.95, 12)
-                for m in range(6):
-                    if m == k:
-                        continue
-                    pts = E.edge_point(m, t).reshape(-1, 2)
-                    vals, _ = fn.value_div(pts)
-                    assert np.abs(vals @ E.normals[m]).max() < 1e-11
+            assert np.abs(fluxes[fam]).max() < 1e-11  # average flux vanishes
+            for m in range(6):
+                if m == k:
+                    continue
+                pts = E.edge_point(m, t).reshape(-1, 2)
+                vals, _ = elem.eval_all(pts)
+                assert np.abs(vals[fam] @ E.normals[m]).max() < 1e-11
 
     def test_trace_is_lagrange_derivative(self):
         rng = np.random.default_rng(5)
@@ -139,13 +132,12 @@ class TestEdgeMoments:
         r = 2
         elem = build_mixed_element(E, r, r)
         lag = _lagrange_1d(np.arange(r + 2) / (r + 1))
-        fams = build_edge_moment_fns(elem)
         t = np.linspace(0, 1, 15)
         for k in range(5):
             pts = E.edge_point(k, t).reshape(-1, 2)
-            for j, fn in enumerate(fams[k], start=1):
-                vals, _ = fn.value_div(pts)
-                got = vals @ E.normals[k]
+            vals, _ = elem.eval_all(pts)
+            for j in range(1, r + 1):
+                got = vals[elem.layout_index(("edge", k, j))] @ E.normals[k]
                 want = npoly.polyval(t, npoly.polyder(lag[j])) / E.edge_lengths[k]
                 assert np.abs(got - want).max() < 1e-11 * (np.abs(want).max() + 1)
 
@@ -155,11 +147,12 @@ class TestConstantFlux:
         rng = np.random.default_rng(6)
         for E in (UNIT_SQUARE, random_convex_polygon(5, rng)):
             elem = build_mixed_element(E, 1, 0)
-            for i, fn in enumerate(build_constant_flux_fns(elem)):
-                fluxes = edge_flux_integrals(E, fn)
+            fluxes = edge_flux_integrals(elem)
+            for i in range(E.n_edges):
                 want = np.zeros(E.n_edges)
                 want[i] = 1.0
-                assert np.abs(fluxes - want).max() < 1e-12
+                row = elem.layout_index(("edge", i, 0))
+                assert np.abs(fluxes[row] - want).max() < 1e-12
 
     def test_cancellation_constants_positive(self):
         rng = np.random.default_rng(7)
@@ -174,27 +167,29 @@ class TestConstantFlux:
         E = random_convex_polygon(6, rng)
         elem = build_mixed_element(E, 2, 1)
         pts = interior_points(E, rng, 40)
-        for fn in build_constant_flux_fns(elem):
-            _, divs = fn.value_div(pts)
-            assert np.var(divs) < 1e-20 * (1 + divs.mean() ** 2)
+        _, divs = elem.eval_all(pts)
+        for k in range(6):
+            i = elem.layout_index(("edge", k, 0))
+            assert np.var(divs[i]) < 1e-20 * (1 + divs[i].mean() ** 2)
 
 
 class TestDivergenceFns:
     def test_empty_for_constant_pressure(self):
         rng = np.random.default_rng(9)
         E = random_convex_polygon(4, rng)
-        assert build_divergence_fns(build_mixed_element(E, 0, 0)) == []
+        assert rows_of(build_mixed_element(E, 0, 0), "div") == []
 
     def test_zero_normal_trace(self):
         rng = np.random.default_rng(10)
         E = random_convex_polygon(6, rng)
         elem = build_mixed_element(E, 2, 2)
+        divs = rows_of(elem, "div")
+        assert len(divs) == 5
         t = np.linspace(0, 1, 12)
-        for fn in build_divergence_fns(elem):
-            for k in range(6):
-                pts = E.edge_point(k, t).reshape(-1, 2)
-                vals, _ = fn.value_div(pts)
-                assert np.abs(vals @ E.normals[k]).max() < 1e-10
+        for k in range(6):
+            pts = E.edge_point(k, t).reshape(-1, 2)
+            vals, _ = elem.eval_all(pts)
+            assert np.abs(vals[divs] @ E.normals[k]).max() < 1e-10
 
     def test_divergence_matches_radial_term_up_to_constant(self):
         # div psi_d equals div((x - c) p) minus the unique constant that
@@ -202,27 +197,28 @@ class TestDivergenceFns:
         rng = np.random.default_rng(11)
         E = random_convex_polygon(5, rng)
         elem = build_mixed_element(E, 1, 1)
-        fns = build_divergence_fns(elem)
+        rows = rows_of(elem, "div")
         ps = pressure_monomials(E, 1, include_constant=False)
+        assert len(rows) == len(ps)
         pts = interior_points(E, rng, 50)
         rule = polygon_rule(E, 8)
-        for fn, p in zip(fns, ps):
-            _, divs = fn.value_div(pts)
+        _, divs = elem.eval_all(pts)
+        _, rule_divs = elem.eval_all(rule.points)
+        for i, p in zip(rows, ps):
             pv, pg = p.value_grad(pts)
             radial_div = 2 * pv + np.einsum("mk,mk->m", pts - E.centroid, pg)
-            assert np.var(divs - radial_div) < 1e-24
-            total = rule.weights @ fn.value_div(rule.points)[1]
-            assert abs(total) < 1e-12
+            assert np.var(divs[i] - radial_div) < 1e-24
+            assert abs(rule.weights @ rule_divs[i]) < 1e-12
 
     def test_divergence_fd_consistency(self):
         rng = np.random.default_rng(12)
         E = random_convex_polygon(5, rng)
         elem = build_mixed_element(E, 1, 1)
         pts = interior_points(E, rng, 25)
-        for fn in build_divergence_fns(elem):
-            _, divs = fn.value_div(pts)
-            fd = divergence_fd(fn, pts, 1e-6 * E.diameter)
-            assert np.abs(fd - divs).max() < 1e-5 * (np.abs(divs).max() + 1)
+        _, divs = elem.eval_all(pts)
+        for i in rows_of(elem, "div"):
+            fd = divergence_fd(lambda p: elem.eval_all(p)[0][i], pts, 1e-6 * E.diameter)
+            assert np.abs(fd - divs[i]).max() < 1e-5 * (np.abs(divs[i]).max() + 1)
 
 
 class TestMixedElement:
@@ -328,29 +324,6 @@ class TestMixedElement:
             assert np.abs(total).max() < 1e-10
 
 
-class TestBuildersFromScalarElement:
-    def test_family_builders_accept_scalar_element(self):
-        # The four family builders also run straight off the index r+1
-        # scalar element (flux index r = 2 here).
-        rng = np.random.default_rng(22)
-        E = random_convex_polygon(5, rng)
-        ds = build_ds_element(E, 3)
-        moments = build_edge_moment_fns(ds)
-        assert len(moments) == 5 and all(len(f) == 2 for f in moments)
-        const = build_constant_flux_fns(ds)
-        fluxes = edge_flux_integrals(E, const[1])
-        want = np.zeros(5)
-        want[1] = 1.0
-        assert np.abs(fluxes - want).max() < 1e-12
-        divs = build_divergence_fns(ds, s=1)
-        assert len(divs) == 2
-        assert build_bubble_curls(ds) == []
-        with pytest.raises(ValueError):
-            build_divergence_fns(ds)  # s required without a mixed element
-        with pytest.raises(TypeError):
-            build_constant_flux_fns(E)
-
-
 class TestInterpolant:
     def test_member_reproduction(self):
         rng = np.random.default_rng(19)
@@ -401,3 +374,26 @@ class TestInterpolant:
             hs.append(E.diameter)
         rates = np.log(np.array(errs[:-1]) / errs[1:]) / np.log(np.array(hs[:-1]) / hs[1:])
         assert rates.min() > r + 1 - 0.5
+
+
+class TestImmutability:
+    def test_queries_leave_objects_unchanged(self):
+        # Evaluation and interpolation cache nothing on the objects they read.
+        rng = np.random.default_rng(23)
+        E = random_convex_polygon(5, rng)
+        ds = build_ds_element(random_convex_polygon(5, rng), 3)
+        elem = build_mixed_element(random_convex_polygon(4, rng), 3, 3)
+        objects = (E, ds, elem)
+        before = [dict(vars(obj)) for obj in objects]
+        arrays = [{k: v.copy() for k, v in snap.items() if isinstance(v, np.ndarray)}
+                  for snap in before]
+        E.edge_distances()
+        pts = np.array([[0.0, 0.0], [0.1, -0.2]])
+        ds.eval_all(pts)
+        elem.eval_all(pts)
+        mixed_interpolant(elem, lambda q: q)
+        for obj, snap, arrs in zip(objects, before, arrays):
+            now = vars(obj)
+            assert now.keys() == snap.keys()
+            assert all(now[k] is snap[k] for k in snap)
+            assert all(np.array_equal(now[k], a) for k, a in arrs.items())

@@ -8,13 +8,9 @@ from polyds.functions import gradient_fd
 from polyds.geometry import Polygon
 from polyds.serendipity import (
     ElementError,
-    build_cell_basis,
     build_ds_element,
-    build_edge_basis,
     build_low_order,
     build_low_order_supplement,
-    build_supplement,
-    build_vertex_basis,
     ds_dimension,
     evaluate,
     interpolate,
@@ -58,63 +54,61 @@ class TestDimension:
 
 class TestSupplement:
     def test_count_and_edge_vanishing(self):
-        fns = build_supplement(UNIT_SQUARE, 2)
-        assert len(fns) == 2  # N(N-3)/2
+        elem = build_ds_element(UNIT_SQUARE, 2)
+        assert elem.dim - 6 == 2  # N(N-3)/2 functions beyond dim P_2
         t = np.linspace(0, 1, 9)
-        # First pair is edges (0, 2): the function vanishes on edges 1 and 3.
+        # The nodal functions of the edge-0 and edge-2 midpoints (rows 4
+        # and 6) vanish on edges 1 and 3.
         for k in (1, 3):
             pts = UNIT_SQUARE.edge_point(k, t).reshape(-1, 2)
-            assert np.abs(fns[0](pts)).max() < 1e-14
-
-    def test_ratio_is_pm1_at_midpoints(self):
-        rng = np.random.default_rng(0)
-        E = random_convex_polygon(5, rng)
-        lam = E.edge_distances()
-        from polyds.functions import EdgeRatio
-
-        for i, j in E.nonadjacent_pairs():
-            R = EdgeRatio(lam[i], lam[j])
-            assert R(E.edge_midpoint(i)) == pytest.approx(-1.0, abs=1e-13)
-            assert R(E.edge_midpoint(j)) == pytest.approx(1.0, abs=1e-13)
+            vals, _ = elem.eval_all(pts)
+            assert np.abs(vals[[4, 6]]).max() < 1e-14
 
     def test_lowest_index_is_pair_line_free(self):
         # At r = N-2 the pair-line exponent is zero, so the two pair-line
-        # choices give identical supplements.
+        # choices give identical elements.
         rng = np.random.default_rng(1)
         E = random_convex_polygon(5, rng)
-        a = build_supplement(E, 3, pair_kind="midpoint")
-        b = build_supplement(E, 3, pair_kind="simple")
+        a = build_ds_element(E, 3, pair_kind="midpoint")
+        b = build_ds_element(E, 3, pair_kind="simple")
         pts = interior_points(E, rng, 60)
-        for fa, fb in zip(a, b):
-            assert np.abs(fa(pts) - fb(pts)).max() < 1e-13
+        assert np.abs(a.eval_all(pts)[0] - b.eval_all(pts)[0]).max() < 1e-13
 
     def test_requires_high_index(self):
-        with pytest.raises(ElementError):
-            build_supplement(regular_polygon(6), 2)
+        # Below r = N-2 there is no direct supplement: the element is cut
+        # out of the background element of index N-2.
+        elem = build_ds_element(regular_polygon(6), 2)
+        assert elem.background_order == 4
+        assert elem.dim == 6 * 2
 
 
 class TestCellBasis:
     def test_empty_below_n(self):
-        assert build_cell_basis(UNIT_SQUARE, 3) == []
-        assert build_cell_basis(regular_polygon(5), 4) == []
+        assert build_ds_element(UNIT_SQUARE, 3).nodes.n_interior == 0
+        assert build_ds_element(regular_polygon(5), 4).nodes.n_interior == 0
 
     def test_square_r4_single_bubble(self):
-        fns = build_cell_basis(UNIT_SQUARE, 4)
-        assert len(fns) == 1
+        elem = build_ds_element(UNIT_SQUARE, 4)
+        assert elem.nodes.n_interior == 1
         lam = UNIT_SQUARE.edge_distances()
-        node = build_ds_element(UNIT_SQUARE, 4).nodes.interior[0]
+        node = elem.nodes.interior[0]
         want = np.prod([l(node) for l in lam])
         probe = np.array([[0.3, 0.7]])
-        got = fns[0](probe)[0]
+        got = elem.eval_all(probe)[0][-1, 0]
         ref = np.prod([l(probe)[0] for l in lam]) / want
         assert got == pytest.approx(ref, rel=1e-13)
 
     def test_square_r6_nodal(self):
-        fns = build_cell_basis(UNIT_SQUARE, 6)
-        assert len(fns) == 6  # dim P_2
-        nodes = build_ds_element(UNIT_SQUARE, 6).nodes.interior
-        vals = np.array([[f(n) for n in nodes] for f in fns])
-        assert np.abs(vals - np.eye(6)).max() < 1e-12
+        elem = build_ds_element(UNIT_SQUARE, 6)
+        nodes = elem.nodes.interior
+        assert len(nodes) == 6  # dim P_2
+        vals, _ = elem.eval_all(nodes)
+        assert np.abs(vals[-6:] - np.eye(6)).max() < 1e-12
+
+
+def edge_row(N, r, k, j):
+    """Row of the nodal function at the j-th interior node (1-based) of edge k."""
+    return N + k * (r - 1) + (j - 1)
 
 
 class TestEdgeBasis:
@@ -124,28 +118,28 @@ class TestEdgeBasis:
         r = 4
         elem = build_ds_element(E, r)
         nodes = elem.nodes.all_points()
-        fn = build_edge_basis(E, r, 2, 1)
-        vals = fn(nodes)
+        row = edge_row(5, r, 2, 1)
+        vals = elem.eval_all(nodes)[0][row]
         want = np.zeros(len(nodes))
-        want[5 + 2 * (r - 1)] = 1.0  # edge 2, first interior node
+        want[row] = 1.0
         assert np.abs(vals - want).max() < 1e-10
 
     def test_vanishes_on_other_edges(self):
         rng = np.random.default_rng(3)
         E = random_convex_polygon(6, rng)
-        fn = build_edge_basis(E, 5, 0, 2)
+        elem = build_ds_element(E, 5)
         t = np.linspace(0, 1, 20)
         for m in range(1, 6):
             pts = E.edge_point(m, t).reshape(-1, 2)
-            assert np.abs(fn(pts)).max() < 1e-11
+            assert np.abs(elem.eval_all(pts)[0][edge_row(6, 5, 0, 2)]).max() < 1e-11
 
     def test_pentagon_trace_is_cubic(self):
         E = regular_polygon(5, rot=0.1)
         r = 3
-        fn = build_edge_basis(E, r, 1, 2)
+        elem = build_ds_element(E, r)
         t = np.linspace(0, 1, 25)
         pts = E.edge_point(1, t).reshape(-1, 2)
-        vals = fn(pts)
+        vals = elem.eval_all(pts)[0][edge_row(5, r, 1, 2)]
         coeffs = npoly.polyfit(t, vals, r)
         assert np.abs(npoly.polyval(t, coeffs) - vals).max() < 1e-10
 
@@ -154,8 +148,7 @@ class TestVertexBasis:
     def test_kronecker_at_vertices(self):
         rng = np.random.default_rng(4)
         E = random_convex_polygon(6, rng)
-        fn = build_vertex_basis(E, 4, 2)
-        vals = fn(E.vertices)
+        vals = build_ds_element(E, 4).eval_all(E.vertices)[0][2]
         want = np.zeros(6)
         want[2] = 1.0
         assert np.abs(vals - want).max() < 1e-10
@@ -163,12 +156,12 @@ class TestVertexBasis:
     def test_vanishes_on_far_edges(self):
         rng = np.random.default_rng(5)
         E = random_convex_polygon(5, rng)
-        fn = build_vertex_basis(E, 3, 0)
+        elem = build_ds_element(E, 3)
         t = np.linspace(0, 1, 20)
         # vertex 0 sits on edges N-1 and 0; all other edges see zero trace
         for m in (1, 2, 3):
             pts = E.edge_point(m, t).reshape(-1, 2)
-            assert np.abs(fn(pts)).max() < 1e-11
+            assert np.abs(elem.eval_all(pts)[0][0]).max() < 1e-11
 
     def test_constant_reproduction(self):
         E = regular_polygon(7)
@@ -189,12 +182,12 @@ class TestLowOrder:
         assert elem.dim == 6
         assert elem.background_order == 4
         t = np.linspace(0, 1, 12)
-        for i in range(6):
-            for k in range(6):
-                pts = E.edge_point(k, t).reshape(-1, 2)
-                vals = elem.basis[i](pts)
-                coeffs = npoly.polyfit(t, vals, 1)
-                assert np.abs(npoly.polyval(t, coeffs) - vals).max() < 1e-11
+        for k in range(6):
+            pts = E.edge_point(k, t).reshape(-1, 2)
+            vals, _ = elem.eval_all(pts)
+            for i in range(6):
+                coeffs = npoly.polyfit(t, vals[i], 1)
+                assert np.abs(npoly.polyval(t, coeffs) - vals[i]).max() < 1e-11
 
     def test_duality_at_own_nodes(self):
         rng = np.random.default_rng(7)
@@ -312,8 +305,8 @@ class TestElement:
             pts = interior_points(E, rng, 50)
             _, grads = elem.eval_all(pts)
             h = 1e-6 * E.diameter
-            for i, fn in enumerate(elem.basis):
-                fd = gradient_fd(fn, pts, h)
+            for i in range(elem.dim):
+                fd = gradient_fd(lambda p: elem.eval_all(p)[0][i], pts, h)
                 scale = np.abs(grads[i]).max() + 1.0
                 assert np.abs(fd - grads[i]).max() < 1e-5 * scale
 
