@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
-from .mixed import build_mixed_element, pressure_monomials
+from .mixed import build_mixed_element
 from .quadrature import edge_rule, polygon_rule
 from .serendipity import build_ds_element
 
@@ -225,7 +225,6 @@ class SparseSystem:
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    symmetric: bool
     mesh: Mesh
     r: int
     kind: str  # "primal" | "mixed"
@@ -299,7 +298,6 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None, dirichlet=None,
     return SparseSystem(
         matrix=reduced,
         rhs=reduced_rhs,
-        symmetric=True,
         mesh=mesh,
         r=r,
         kind="primal",
@@ -334,8 +332,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         elements.append(elem)
         rule = polygon_rule(E, quad_degree)
         v, d = elem.eval_all(rule.points)
-        wbasis = pressure_monomials(E, s)
-        wvals = np.array([q(rule.points) for q in wbasis])
+        wvals, _ = elem.pressure.value_grad(rule.points)
         massloc = np.einsum("imk,jmk,m->ij", v, v, rule.weights)
         divloc = wvals * rule.weights @ d.T  # (n_w, n_u)
         gids, signs = dof.cell_flux_dofs(c, elem.dof_layout)
@@ -365,7 +362,6 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     return SparseSystem(
         matrix=K,
         rhs=np.concatenate([rhs_u, rhs_p]),
-        symmetric=True,
         mesh=mesh,
         r=r,
         s=s,
@@ -424,6 +420,13 @@ def _pcg(A, b, tol, maxiter):
 # 1e-12; the direct fallback must still produce a usable residual.
 FALLBACK_RESIDUAL = 1e-8
 
+# Conjugate gradients ends in n steps in exact arithmetic, and the
+# well-posed primal systems need about 2n at most.  A run still going after
+# PCG_ITER_FACTOR * n steps is on a numerically singular system (sliver
+# cells), where its recursive residual may still drop below the tolerance
+# by chance while the true residual does not; the direct fallback takes over.
+PCG_ITER_FACTOR = 10
+
 
 def _equilibrated_lu(A, b):
     """Direct solve with symmetric diagonal scaling and refinement."""
@@ -451,7 +454,8 @@ def solve(system: SparseSystem, method=None, tol=1e-12) -> SolveReport:
             raise ValueError(f"primal systems take no solver method, got {method!r}")
         label = "pcg"
         try:
-            x, its, res = _pcg(system.matrix, system.rhs, tol, 50 * max(1, system.n))
+            x, its, res = _pcg(system.matrix, system.rhs, tol,
+                               PCG_ITER_FACTOR * max(1, system.n))
         except SolveError:
             # Sliver elements can make the system numerically singular; a
             # scaled direct factorization still yields the best available
@@ -553,7 +557,7 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
         uh = np.einsum("d,dmk->mk", ucoef, v)
         dh = ucoef @ d
         pcoef = report.solution_p[dof.cell_pressure_dofs(c)]
-        wvals = np.array([q(rule.points) for q in pressure_monomials(E, system.s)])
+        wvals, _ = elem.pressure.value_grad(rule.points)
         ph = pcoef @ wvals
         dp = rule.weights @ (ph - exact.p(rule.points)) ** 2
         du = rule.weights @ ((uh - exact.u(rule.points)) ** 2).sum(1)

@@ -67,9 +67,6 @@ class AffineScalar:
         grads = np.broadcast_to(self.grad, (len(pts), 2))
         return vals, grads
 
-    def __neg__(self):
-        return AffineScalar(-self.grad, -self.offset)
-
     def __repr__(self):
         return f"AffineScalar(grad={self.grad.tolist()}, offset={self.offset})"
 
@@ -163,12 +160,9 @@ class Polygon:
     def __repr__(self):
         return f"Polygon({self.n_edges} vertices, h={self.diameter:.3g})"
 
-    def edge_distance(self, i) -> AffineScalar:
-        """Unit-gradient affine function vanishing on edge i, positive inside."""
-        return self.edge_distances()[i]
-
     def edge_distances(self):
-        """All N edge distance functions, indexed like the edges."""
+        """All N edge distance functions (unit gradient, vanishing on their
+        edge, positive inside), indexed like the edges."""
         return self._edge_fns
 
     def edge_midpoint(self, i):

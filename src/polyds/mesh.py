@@ -100,14 +100,6 @@ class Mesh:
     def area(self):
         return sum(p.area for p in self.polygons())
 
-    def boundary_vertices(self):
-        out = set()
-        for e in self.edges:
-            if e.boundary:
-                out.add(e.a)
-                out.add(e.b)
-        return out
-
     def edge_length(self, i):
         e = self.edges[i]
         return float(math.dist(self.vertices[e.a], self.vertices[e.b]))
@@ -131,6 +123,10 @@ def build_topology(vertices, cells) -> Mesh:
     in opposite directions; cells must be valid CCW convex polygons.
     """
     vertices = np.asarray(vertices, dtype=float)
+    if vertices.ndim != 2 or vertices.shape[1] != 2:
+        raise MeshError(f"vertices must have shape (M, 2), got {vertices.shape}")
+    if len(cells) == 0:
+        raise MeshError("mesh has no cells")
     nv = len(vertices)
     for ci, loop in enumerate(cells):
         if len(set(loop)) != len(loop):

@@ -24,10 +24,10 @@ import numpy as np
 from numpy.polynomial import legendre as nleg
 from numpy.polynomial import polynomial as npoly
 
-from .functions import Polynomial2D, RadialPoly, _as_points
-from .geometry import Polygon
+from .functions import PowerTable
+from .geometry import Polygon, _as_points
 from .quadrature import edge_rule, polygon_rule
-from .serendipity import DSElement, ElementError, _generator_values, build_ds_element
+from .serendipity import DSElement, ElementError, _centered_coordinates, build_ds_element
 
 __all__ = [
     "MixedElement",
@@ -53,16 +53,11 @@ def _check_rs(r, s):
         raise ValueError(f"divergence index s={s} must be r-1 or r and >= 0")
 
 
-def pressure_monomials(E: Polygon, s: int, include_constant=True):
-    """Centered, scaled monomials up to total degree s on E."""
-    fns = []
-    for deg in range(0 if include_constant else 1, s + 1):
-        for a in range(deg + 1):
-            b = deg - a
-            coeffs = np.zeros((a + 1, b + 1))
-            coeffs[a, b] = 1.0
-            fns.append(Polynomial2D(E.centroid, E.diameter, coeffs))
-    return fns
+def pressure_monomials(E: Polygon, s: int) -> PowerTable:
+    """Centered, scaled monomials u**a v**b up to total degree s on E,
+    ordered by degree; the first is the constant."""
+    powers = [(a, deg - a) for deg in range(s + 1) for a in range(deg + 1)]
+    return PowerTable(_centered_coordinates(E), powers)
 
 
 def constant_flux_coefficients(E: Polygon, k: int):
@@ -137,41 +132,45 @@ def _constant_flux_data(ds: DSElement):
     return curl_rows, radial, const
 
 
-def _edge_flux_expansion(E: Polygon, k: int, r: int, p):
-    """Coefficients alpha_{0..r} expanding the normal flux of (x - c) p on
-    edge k in the edge flux basis (constant 1/|e| plus Lagrange-derivative
-    moments), found by matching antiderivatives at the Lagrange points."""
+def _edge_flux_expansion(E: Polygon, k: int, r: int, pressure: PowerTable):
+    """Coefficients alpha_{0..r} (one row per pressure p) expanding the
+    normal flux of (x - c) p on edge k in the edge flux basis (constant
+    1/|e| plus Lagrange-derivative moments), found by matching
+    antiderivatives at the Lagrange points."""
     c_k = float((E.vertices[k] - E.centroid) @ E.normals[k])
     length = E.edge_lengths[k]
-    deg = (p.coeffs.shape[0] - 1) + (p.coeffs.shape[1] - 1)
+    deg = int(pressure.powers.sum(axis=1).max())
     tfit = np.linspace(0.0, 1.0, deg + 1)
     pts = E.edge_point(k, tfit).reshape(-1, 2)
-    gcoef = npoly.polyfit(tfit, length * c_k * p(pts), deg)
+    gcoef = npoly.polyfit(tfit, length * c_k * pressure.value_grad(pts)[0].T, deg)
     big = npoly.polyint(gcoef)
     t_lag = np.arange(1, r + 2) / (r + 1)
-    big_vals = npoly.polyval(t_lag, big)
-    alphas = np.empty(r + 1)
-    alphas[0] = big_vals[-1]
-    alphas[1:] = big_vals[:-1] - big_vals[-1] * t_lag[:-1]
+    big_vals = npoly.polyval(t_lag, big)  # (P, r+1)
+    alphas = np.empty((len(pressure), r + 1))
+    alphas[:, 0] = big_vals[:, -1]
+    alphas[:, 1:] = big_vals[:, :-1] - big_vals[:, -1:] * t_lag[:-1]
     return alphas
 
 
 class MixedElement:
     """Mixed element: ordered vector basis over a shared generator set.
 
+    The generators are the curls of the scalar element's table terms, the
+    radial fields (x - c) p for the pressure monomials p, and the two
+    constant fields; ``rows`` holds the coefficients of each basis function.
     Basis ordering: per edge (CCW) the constant-flux function followed by
     the r moment functions, then the interior divergence functions, then
     the curl bubbles.  ``dof_layout`` holds matching descriptors
     ``("edge", k, j)``, ``("div", i)``, and ``("bubble", i)``.
     """
 
-    def __init__(self, polygon, r, s, ds, rows, radial_fns, dof_layout):
+    def __init__(self, polygon, r, s, ds, rows, pressure, dof_layout):
         self.polygon = polygon
         self.r = r
         self.s = s
         self.ds = ds
         self.rows = np.asarray(rows, dtype=float)
-        self._radial_fns = tuple(radial_fns)
+        self.pressure = pressure
         self.dof_layout = tuple(dof_layout)
 
     @property
@@ -186,14 +185,17 @@ class MixedElement:
         pts = _as_points(pts)
         m = len(pts)
         nc = self.ds.n_generators
-        nr = len(self._radial_fns)
+        nr = len(self.pressure)
         gvals = np.empty((nc + nr + 2, m, 2))
         gdivs = np.zeros((nc + nr + 2, m))
-        _, grads = _generator_values(self.ds.generators, pts)
+        _, grads = self.ds.table.value_grad(pts)
         gvals[:nc, :, 0] = grads[:, :, 1]
         gvals[:nc, :, 1] = -grads[:, :, 0]
-        for i, fn in enumerate(self._radial_fns):
-            gvals[nc + i], gdivs[nc + i] = fn.value_div(pts)
+        # Radial fields (x - c) p have divergence 2 p + (x - c) . grad p.
+        pv, pg = self.pressure.value_grad(pts)
+        rel = pts - self.polygon.centroid
+        gvals[nc:nc + nr] = rel * pv[:, :, None]
+        gdivs[nc:nc + nr] = 2.0 * pv + np.einsum("mk,gmk->gm", rel, pg)
         gvals[nc + nr] = [1.0, 0.0]
         gvals[nc + nr + 1] = [0.0, 1.0]
         vals = np.einsum("dg,gmk->dmk", self.rows, gvals)
@@ -207,8 +209,8 @@ def build_mixed_element(E: Polygon, r: int, s: int, pair_kind="midpoint") -> Mix
     N = E.n_edges
     ds = build_ds_element(E, r + 1, pair_kind=pair_kind)
     G = ds.n_generators
-    radial_fns = [RadialPoly(E.centroid, p) for p in pressure_monomials(E, s)]
-    n_rad = len(radial_fns)
+    pressure = pressure_monomials(E, s)
+    n_rad = len(pressure)
     width = G + n_rad + 2
 
     curl_rows, radial_c, const_c = _constant_flux_data(ds)
@@ -228,15 +230,15 @@ def build_mixed_element(E: Polygon, r: int, s: int, pair_kind="midpoint") -> Mix
             layout.append(("edge", k, j))
 
     edge_row = {lay[1:]: rows[i] for i, lay in enumerate(layout)}
-    for i, p in enumerate(pressure_monomials(E, s, include_constant=False)):
+    alphas = [_edge_flux_expansion(E, k, r, pressure) for k in range(N)]
+    for i in range(1, n_rad):
         row = np.zeros(width)
-        row[G + 1 + i] = 1.0
+        row[G + i] = 1.0
         for k in range(N):
-            alphas = _edge_flux_expansion(E, k, r, p)
             for j in range(r + 1):
-                row = row - alphas[j] * edge_row[(k, j)]
+                row = row - alphas[k][i, j] * edge_row[(k, j)]
         rows.append(row)
-        layout.append(("div", i))
+        layout.append(("div", i - 1))
 
     if r >= N - 1:
         for i in range(ds.nodes.n_interior):
@@ -248,7 +250,7 @@ def build_mixed_element(E: Polygon, r: int, s: int, pair_kind="midpoint") -> Mix
     expected = mixed_dimension(N, r, s)
     if len(rows) != expected:
         raise ElementError(f"assembled {len(rows)} functions, expected {expected}")
-    return MixedElement(E, r, s, ds, np.array(rows), radial_fns, layout)
+    return MixedElement(E, r, s, ds, np.array(rows), pressure, layout)
 
 
 def _dof_functionals(elem: MixedElement, quad_degree=None):
@@ -266,10 +268,9 @@ def _dof_functionals(elem: MixedElement, quad_degree=None):
             w = rule.weights * npoly.polyval(2.0 * rule.t - 1.0, leg)
             dofs.append(("edge", rule.points, w, E.normals[k]))
     rule = polygon_rule(E, quad_degree)
-    if s >= 1:
-        for q in pressure_monomials(E, s, include_constant=False):
-            _, grad = q.value_grad(rule.points)
-            dofs.append(("moment", rule.points, rule.weights, grad))
+    _, pgrads = elem.pressure.value_grad(rule.points)
+    for grad in pgrads[1:]:
+        dofs.append(("moment", rule.points, rule.weights, grad))
     bubbles = [i for i, lay in enumerate(elem.dof_layout) if lay[0] == "bubble"]
     if bubbles:
         vals, _ = elem.eval_all(rule.points)

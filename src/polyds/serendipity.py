@@ -2,11 +2,11 @@
 
 For an N-gon and index r >= N-2 the local space is the polynomials of
 degree r plus one supplemental (rational) function per pair of nonadjacent
-edges; the nodal basis is assembled from products of edge distance
-functions, powers of pair-line functions, edge ratios, and 1D polynomials
-along edges.  For 1 <= r < N-2 the space is carved out of a higher-order
-space of background index s (default N-2) by restricting edge traces to
-degree r.
+edges; the nodal basis is a coefficient matrix over one ``PowerTable`` of
+products of integer powers of affine functions (edge distance functions,
+pair lines, one-sided edge ratios, edge and centered coordinates).  For
+1 <= r < N-2 the space is carved out of a higher-order space of background
+index s (default N-2) by restricting edge traces to degree r.
 
 Element construction is pure and a built element is immutable, so distinct
 elements can be constructed and evaluated concurrently.
@@ -21,17 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .functions import (
-    AffinePower,
-    AffineProduct,
-    Constant,
-    OneSidedRatio,
-    Polynomial1D,
-    Polynomial2D,
-    ScalarCombination,
-    ScalarProduct,
-)
-from .geometry import Polygon, _as_points, signed_distance_line
+from .functions import PowerTable
+from .geometry import AffineScalar, Polygon, _as_points, signed_distance_line
 
 __all__ = [
     "ElementError",
@@ -144,33 +135,43 @@ def _triangle_lattice(tri, p):
     return np.array(pts)
 
 
+def _monomials(p):
+    """Exponents (a, b) of u**a v**b, total degree at most p."""
+    return [(a, b) for a in range(p + 1) for b in range(p + 1 - a)]
+
+
+def _centered_coordinates(E: Polygon):
+    """Affine u = (x - c_x) / h and v = (y - c_y) / h about the centroid c,
+    scaled by the diameter h."""
+    c, h = E.centroid, E.diameter
+    return AffineScalar([1.0 / h, 0.0], -c[0] / h), AffineScalar([0.0, 1.0 / h], -c[1] / h)
+
+
 def _lagrange_2d(nodes, p, center, scale):
-    """Nodal polynomial basis of total degree p on the given 2D nodes."""
-    monos = [(a, b) for a in range(p + 1) for b in range(p + 1 - a)]
+    """Coefficients over ``_monomials(p)`` (one column per node) of the
+    nodal polynomial basis of total degree p on the given 2D nodes."""
     u = (nodes[:, 0] - center[0]) / scale
     v = (nodes[:, 1] - center[1]) / scale
-    V = np.column_stack([u**a * v**b for a, b in monos])
+    V = np.column_stack([u**a * v**b for a, b in _monomials(p)])
     try:
-        inv = np.linalg.inv(V)
+        return np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise ElementError(f"interior Lagrange nodes are degenerate: {exc}") from None
-    fns = []
-    for col in inv.T:
-        coeffs = np.zeros((p + 1, p + 1))
-        for (a, b), c in zip(monos, col):
-            coeffs[a, b] = c
-        fns.append(Polynomial2D(center, scale, coeffs))
-    return fns
 
 
 class _HighOrderBuilder:
     """Stages of the nodal-basis construction for r >= N-2.
 
-    Generators are ordered to match the node ordering: one per vertex (the
-    product of the N-2 distance functions of edges not meeting the vertex),
-    one per edge node (solved edge function), one per interior node
-    (normalized bubble).  The nodal basis is a coefficient matrix over
-    these generators.
+    Every generator is one term of a ``PowerTable``, ordered to match the
+    nodes.  With base_k the product of the distance functions of all edges
+    but k, the terms are: per vertex, the product of the N-2 distance
+    functions of edges not meeting it; per edge k, the r-N+2 terms
+    base_k t_k**l (t_k the edge coordinate) and one term
+    base_k pair**(r-N+2) / (lam_k + lam_q) per edge q not adjacent to k;
+    per interior node, a term bubble u**a v**b in centered coordinates.
+    Edge generators are combined by a per-edge solve, interior ones by the
+    nodal polynomials, and the nodal basis is a coefficient matrix over
+    the table.
     """
 
     def __init__(self, E: Polygon, r: int, pair_kind="midpoint"):
@@ -183,66 +184,62 @@ class _HighOrderBuilder:
         self.N = N
         self.lam = E.edge_distances()
         self.power = r - N + 2
-        self._pair_cache = {}
         self.nodes = _make_nodes(
             E, r, _triangle_lattice(_interior_triangle(E), r - N) if r >= N else np.empty((0, 2))
         )
+        self.table = self._table()
 
-    def pair_line(self, i, j):
-        key = (min(i, j), max(i, j))
-        if key not in self._pair_cache:
-            self._pair_cache[key] = self.E.pair_line(*key, kind=self.pair_kind)
-        return self._pair_cache[key]
+    def _table(self):
+        E, N, r = self.E, self.N, self.r
+        affines = list(self.lam)
 
-    def one_sided(self, k, q):
-        """Product factor that is 1 on edge k, vanishes on edge q."""
-        factors = [
-            AffineProduct([self.lam[m] for m in range(self.N) if m not in (k, q)])
+        def column(affine):
+            affines.append(affine)
+            return len(affines) - 1
+
+        # Factors of the one-sided term of each nonadjacent pair, shared by
+        # both orders of the pair: base_k times these is 1 on edge k and
+        # vanishes on edge q.
+        pair_factors = {}
+        for i, j in E.nonadjacent_pairs():
+            li, lj = self.lam[i], self.lam[j]
+            fac = {column(AffineScalar(li.grad + lj.grad, li.offset + lj.offset)): -1}
+            if self.power > 0:
+                fac[column(E.pair_line(i, j, kind=self.pair_kind))] = self.power
+            pair_factors[i, j] = pair_factors[j, i] = fac
+
+        terms = [
+            {m: 1 for m in range(N) if m not in ((k - 1) % N, k)} for k in range(N)
         ]
-        if self.power > 0:
-            factors.append(AffinePower(self.pair_line(k, q), self.power))
-        factors.append(OneSidedRatio(self.lam[k], self.lam[q]))
-        return ScalarProduct(factors)
+        for k in range(N):
+            base = {m: 1 for m in range(N) if m != k}
+            tau = E.tangents[k] / E.edge_lengths[k]
+            t = column(AffineScalar(tau, -(E.vertices[k] @ tau)))
+            terms.extend({**base, t: ell} for ell in range(self.power))
+            terms.extend(
+                {**base, **pair_factors[k, q]} for q in range(N) if (k, q) in pair_factors
+            )
+        if r >= N:
+            u, v = map(column, _centered_coordinates(E))
+            bubble = {m: 1 for m in range(N)}
+            terms.extend({**bubble, u: a, v: b} for a, b in _monomials(r - N))
 
-    def cell_generators(self):
-        """Interior nodal functions: bubble times nodal polynomial, unit at node."""
-        if self.r < self.N:
-            return []
-        pts = self.nodes.interior
-        bubble = AffineProduct(self.lam)
-        lag = _lagrange_2d(pts, self.r - self.N, self.E.centroid, self.E.diameter)
-        fns = []
-        for i, (pt, poly) in enumerate(zip(pts, lag)):
-            raw = ScalarProduct([bubble, poly])
-            fns.append(ScalarCombination([1.0 / raw(pt)], [raw]))
-        return fns
+        powers = np.zeros((len(terms), len(affines)), dtype=int)
+        for g, term in enumerate(terms):
+            for col, p in term.items():
+                powers[g, col] = p
+        return PowerTable(affines, powers)
 
-    def edge_generators(self, k):
-        """Solved edge functions for edge k: unit at their own node, zero at
-        the other nodes of edge k, and vanishing on every other edge."""
-        r, N, E = self.r, self.N, self.E
-        if r < 2:
-            return []
-        lam = self.lam
-        tnodes = np.arange(1, r) / r
-        pts = E.edge_point(k, tnodes).reshape(-1, 2)
-        adj = {(k - 1) % N, (k + 1) % N}
-        far = [q for q in range(N) if q != k and q not in adj]
-
-        base = AffineProduct([lam[m] for m in range(N) if m != k])
-        pair_fns = [self.one_sided(k, q) for q in far]
-        n_alpha = r - N + 2
-
+    def _edge_solve(self, k, tvals):
+        """Coefficients over the edge-k terms of the edge-k generators: unit
+        at their own node, zero at the other nodes of edge k."""
+        N, lam = self.N, self.lam
+        block = slice(N + k * (self.r - 1), N + (k + 1) * (self.r - 1))
+        pts = self.nodes.edges[k]
         # Rows are scaled by the two adjacent distance functions, which are
         # positive at the edge's interior nodes.
         row_scale = 1.0 / (lam[(k - 1) % N](pts) * lam[(k + 1) % N](pts))
-        cols = []
-        base_vals = base(pts)
-        for ell in range(n_alpha):
-            cols.append(base_vals * tnodes**ell)
-        for fn in pair_fns:
-            cols.append(fn(pts))
-        A = np.column_stack(cols) * row_scale[:, None]
+        A = tvals[block, block].T * row_scale[:, None]
         rhs = np.diag(row_scale)
 
         col_scale = np.abs(A).max(axis=0)
@@ -261,41 +258,31 @@ class _HighOrderBuilder:
                 "element may be badly shaped",
                 stacklevel=2,
             )
-
-        origin = E.vertices[k]
-        tau = E.tangents[k]
-        scale = E.edge_lengths[k]
-        fns = []
-        for j in range(r - 1):
-            alphas = sol[:n_alpha, j]
-            betas = sol[n_alpha:, j]
-            parts = [ScalarProduct([base, Polynomial1D(origin, tau, scale, alphas)])] if n_alpha else []
-            coeffs = [1.0] * len(parts) + list(betas)
-            fns.append(ScalarCombination(coeffs, parts + pair_fns))
-        return fns
-
-    def vertex_generator(self, k):
-        """Product of the N-2 distance functions of edges not meeting vertex k."""
-        skip = {(k - 1) % self.N, k}
-        return AffineProduct([self.lam[m] for m in range(self.N) if m not in skip])
+        return block, sol.T
 
     def build(self):
         N, r = self.N, self.r
         nodes = self.nodes
-        gens = (
-            [self.vertex_generator(k) for k in range(N)]
-            + [fn for k in range(N) for fn in self.edge_generators(k)]
-            + self.cell_generators()
-        )
         D = len(nodes)
-        if len(gens) != D:
-            raise ElementError(f"generator count {len(gens)} != dimension {D}")
+        if len(self.table) != D:
+            raise ElementError(f"generator count {len(self.table)} != dimension {D}")
 
-        gvals, _ = _generator_values(gens, nodes.all_points())
-
+        tvals, _ = self.table.value_grad(nodes.all_points())
         n_e = r - 1
         o_edge = N
         o_cell = N + N * n_e
+        # Generators as rows over the table terms.
+        gens = np.eye(D)
+        if n_e:
+            for k in range(N):
+                block, rows = self._edge_solve(k, tvals)
+                gens[block, block] = rows
+        if nodes.n_interior:
+            lag = _lagrange_2d(nodes.interior, r - N, self.E.centroid, self.E.diameter).T
+            raw = np.diag(lag @ tvals[o_cell:, o_cell:])
+            gens[o_cell:, o_cell:] = lag / raw[:, None]
+        gvals = gens @ tvals
+
         C = np.zeros((D, D))
         C[o_cell:, o_cell:] = np.eye(nodes.n_interior)
         # Edge rows: remove interior-node values with the cell functions.
@@ -314,32 +301,23 @@ class _HighOrderBuilder:
             vals = row @ gvals
             row -= vals[o_cell:] @ C[o_cell:]
             C[k] = row / (row @ gvals[:, k])
-        return DSElement(self.E, r, nodes, gens, C, pair_kind=self.pair_kind)
-
-
-def _generator_values(generators, pts):
-    """Values (G, M) and gradients (G, M, 2) of the generator fields at pts."""
-    gv = np.empty((len(generators), len(pts)))
-    gg = np.empty((len(generators), len(pts), 2))
-    for g, fn in enumerate(generators):
-        gv[g], gg[g] = fn.value_grad(pts)
-    return gv, gg
+        return DSElement(self.E, r, nodes, self.table, C @ gens, pair_kind=self.pair_kind)
 
 
 class DSElement:
     """A direct serendipity element: node set plus complete nodal basis.
 
-    The basis is stored as a coefficient matrix over shared generator
-    fields, ordered like the nodes (vertex, edge, interior).  Instances are
-    immutable after construction.
+    The basis is stored as a coefficient matrix over the terms of a
+    ``PowerTable``, rows ordered like the nodes (vertex, edge, interior).
+    Instances are immutable after construction.
     """
 
-    def __init__(self, polygon, r, nodes, generators, coeffs, *, pair_kind="midpoint",
+    def __init__(self, polygon, r, nodes, table, coeffs, *, pair_kind="midpoint",
                  background=None):
         self.polygon = polygon
         self.r = r
         self.nodes = nodes
-        self.generators = list(generators)
+        self.table = table
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.pair_kind = pair_kind
         self.background = background  # underlying element for the low-order path
@@ -350,7 +328,7 @@ class DSElement:
 
     @property
     def n_generators(self):
-        return len(self.generators)
+        return len(self.table)
 
     @property
     def background_order(self):
@@ -362,7 +340,7 @@ class DSElement:
         Returns ``(vals, grads)`` with shapes (dim, M) and (dim, M, 2).
         """
         pts = _as_points(pts)
-        gv, gg = _generator_values(self.generators, pts)
+        gv, gg = self.table.value_grad(pts)
         vals = self.coeffs @ gv
         grads = np.einsum("dg,gmk->dmk", self.coeffs, gg)
         return vals, grads
@@ -432,7 +410,7 @@ def build_low_order(E: Polygon, r: int, s=None, pair_kind="midpoint") -> DSEleme
 
     nodes = _make_nodes(E, r, np.empty((0, 2)))
     return DSElement(
-        E, r, nodes, base.generators, T @ base.coeffs,
+        E, r, nodes, base.table, T @ base.coeffs,
         pair_kind=pair_kind, background=base,
     )
 
@@ -451,7 +429,6 @@ class LowOrderSupplement:
     supp_nodes: tuple
     completion: tuple
     supplement: tuple
-    coords: np.ndarray
     batches: tuple  # (edge, node keys) per selection batch, sizes r+1 .. 1
 
     def all_functions(self):
@@ -466,6 +443,18 @@ def _node_coord(E, r, key):
     if j == r:
         return E.vertices[(a + 1) % E.n_edges]
     return E.edge_point(a, j / r)
+
+
+def _unit_product(lines, at):
+    """Value-only product of affine functions, scaled to 1 at the point ``at``."""
+    table = PowerTable(lines, np.ones((1, len(lines)), dtype=int))
+    scale = 1.0 / table.value_grad(at)[0][0, 0]
+    return lambda p: scale * table.value_grad(p)[0][0]
+
+
+def _combination(terms):
+    """Value-only linear combination: p -> sum of c * fn(p) over (c, fn) terms."""
+    return lambda p: sum(c * fn(p) for c, fn in terms)
 
 
 def build_low_order_supplement(E: Polygon, r: int, s=None, pair_kind="midpoint"):
@@ -506,7 +495,7 @@ def build_low_order_supplement(E: Polygon, r: int, s=None, pair_kind="midpoint")
             row = (a + 1) % N
         else:
             row = N + a * (r - 1) + (j - 1)
-        return ScalarCombination(elem.coeffs[row], elem.generators)
+        return lambda p: elem.eval_all(p)[0][row]
 
     supplement = [nodal_fn(key) for key in supp_nodes]
     supp_coords = np.array([_node_coord(E, r, key) for key in supp_nodes]).reshape(-1, 2)
@@ -530,30 +519,20 @@ def build_low_order_supplement(E: Polygon, r: int, s=None, pair_kind="midpoint")
             # Lines through the anchor and the other same-batch nodes kill
             # those nodes (and the anchor); the remaining larger batches are
             # killed by their edge distance functions.
-            factors = []
-            for m in range(len(keys)):
-                if m == ell:
-                    continue
-                line = signed_distance_line(anchor, coords[m])
-                factors.append(
-                    ScalarCombination([1.0 / line(coords[ell])], [AffinePower(line, 1)])
-                )
+            lines = [
+                signed_distance_line(anchor, coords[m])
+                for m in range(len(keys))
+                if m != ell
+            ]
             for later in range(k + 1, r + 2):
-                lam_m = lam[stage_edges[len(stages) - later]]
-                factors.append(
-                    ScalarCombination([1.0 / lam_m(coords[ell])], [AffinePower(lam_m, 1)])
-                )
-            phi = ScalarProduct(factors) if factors else Constant(1.0)
-            corr_fns = [phi]
-            corr_coeffs = [1.0]
+                lines.append(lam[stage_edges[len(stages) - later]])
+            phi = _unit_product(lines, coords[ell])
+            terms = [(1.0, phi)]
             if len(supp_nodes):
-                vals = phi(supp_coords)
-                corr_fns.extend(supplement)
-                corr_coeffs.extend(-vals)
+                terms.extend(zip(-phi(supp_coords), supplement))
             for prev_key, prev_fn in built_rows:
-                corr_fns.append(prev_fn)
-                corr_coeffs.append(-float(phi(_node_coord(E, r, prev_key)[None, :])[0]))
-            fn = ScalarCombination(corr_coeffs, corr_fns)
+                terms.append((-float(phi(_node_coord(E, r, prev_key)[None, :])[0]), prev_fn))
+            fn = _combination(terms)
             completion[key] = fn
             new_fns.append((key, fn))
         built_rows.extend(new_fns)
@@ -563,9 +542,6 @@ def build_low_order_supplement(E: Polygon, r: int, s=None, pair_kind="midpoint")
         supp_nodes=tuple(supp_nodes),
         completion=tuple(completion[key] for key in poly_nodes),
         supplement=tuple(supplement),
-        coords=np.array(
-            [_node_coord(E, r, key) for key in [*poly_nodes, *supp_nodes]]
-        ),
         batches=tuple((a, tuple(keys)) for a, keys in stages),
     )
 

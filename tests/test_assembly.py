@@ -14,11 +14,13 @@ from polyds.assembly import (
     manufactured_solution,
     solve,
 )
+from polyds.geometry import Polygon
 from polyds.mesh import build_topology, gen_hex_dominant_mesh, gen_square_mesh
-from polyds.mixed import mixed_interpolant, pressure_monomials
+from polyds.mixed import build_mixed_element, mixed_interpolant, pressure_monomials
 from polyds.quadrature import polygon_rule
+from polyds.serendipity import build_ds_element
 
-from helpers import sliver_mesh
+from helpers import random_convex_polygon, sliver_mesh
 
 ZERO = lambda x: np.zeros(len(x))
 
@@ -201,9 +203,10 @@ class TestMixed:
         for c in range(mesh.n_cells):
             E = mesh.polygon(c)
             rule = polygon_rule(E, system.quad_degree)
-            for k, q in enumerate(pressure_monomials(E, s)):
+            qs, _ = pressure_monomials(E, s).value_grad(rule.points)
+            for k, q in enumerate(qs):
                 want[dof.cell_pressure_dofs(c)[k]] = rule.weights @ (
-                    ex.div_u(rule.points) * q(rule.points)
+                    ex.div_u(rule.points) * q
                 )
         assert np.abs(got - want).max() < 1e-9 * (np.abs(want).max() + 1)
 
@@ -215,6 +218,39 @@ class TestMixed:
         b = solve(system, method="schur")
         assert np.abs(a.solution_u - b.solution_u).max() < 1e-8
         assert np.abs(a.solution_p - b.solution_p).max() < 1e-8
+
+
+class TestTranslationInvariance:
+    # Local matrices depend only on the shape of a cell, not on where it
+    # sits; reusing them across congruent cells relies on this.
+    SHIFT = np.array([3.7, -1.3])
+
+    def pair(self, N, seed):
+        E = random_convex_polygon(N, np.random.default_rng(seed))
+        return E, Polygon(E.vertices + self.SHIFT)
+
+    @staticmethod
+    def rel_diff(a, b):
+        return np.abs(a - b).max() / np.abs(a).max()
+
+    @pytest.mark.parametrize("N, r", [(3, 1), (4, 1), (5, 2), (6, 2), (6, 3),
+                                      (4, 4), (7, 5)])
+    def test_primal_stiffness(self, N, r):
+        local = []
+        for E in self.pair(N, 100 + 10 * N + r):
+            rule = polygon_rule(E, 2 * r + 4)
+            _, grads = build_ds_element(E, r).eval_all(rule.points)
+            local.append(np.einsum("imk,jmk,m->ij", grads, grads, rule.weights))
+        assert self.rel_diff(*local) <= 1e-10
+
+    @pytest.mark.parametrize("N, r", [(4, 1), (5, 1), (5, 2), (6, 2)])
+    def test_mixed_mass(self, N, r):
+        local = []
+        for E in self.pair(N, 200 + 10 * N + r):
+            rule = polygon_rule(E, 2 * r + 6)
+            vals, _ = build_mixed_element(E, r, r).eval_all(rule.points)
+            local.append(np.einsum("imk,jmk,m->ij", vals, vals, rule.weights))
+        assert self.rel_diff(*local) <= 1e-10
 
 
 class TestErrorsAndRates:

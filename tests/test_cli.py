@@ -60,6 +60,15 @@ class TestMeshCommands:
         assert code == 3
         assert "cell 0" in err
 
+    @pytest.mark.parametrize("payload", ['{"vertices": [0, 1, 2], "cells": [[0, 1, 2]]}',
+                                         '{"vertices": [], "cells": []}'])
+    def test_malformed_arrays_are_numerical_failure(self, tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        code, _, err = run(["mesh", "audit", "--mesh", str(path)], capsys)
+        assert code == 3
+        assert "vertices must have shape (M, 2)" in err
+
 
 class TestSolveCommand:
     def test_primal_hex_n10_matches_reference_magnitude(self, capsys):

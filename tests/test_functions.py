@@ -1,77 +1,72 @@
 import numpy as np
 
-from polyds.functions import (
-    AffinePower,
-    AffineProduct,
-    Constant,
-    OneSidedRatio,
-    Polynomial1D,
-    Polynomial2D,
-    RadialPoly,
-    ScalarCombination,
-    ScalarProduct,
-    divergence_fd,
-    gradient_fd,
-)
+from polyds.functions import PowerTable, divergence_fd, gradient_fd
 from polyds.geometry import AffineScalar
-from polyds.mixed import build_mixed_element
+from polyds.mixed import MixedElement, build_mixed_element
 
 from helpers import interior_points, random_convex_polygon
 
 
-def check_gradient(field, pts, h=1e-6, tol=2e-8):
-    _, grads = field.value_grad(pts)
-    fd = gradient_fd(field, pts, h)
-    scale = np.abs(grads).max() + 1.0
-    assert np.abs(grads - fd).max() <= tol * scale
+def check_gradient(table, pts, h=1e-6, tol=2e-8):
+    _, grads = table.value_grad(pts)
+    for g in range(len(table)):
+        fd = gradient_fd(lambda p: table.value_grad(p)[0][g], pts, h)
+        scale = np.abs(grads[g]).max() + 1.0
+        assert np.abs(grads[g] - fd).max() <= tol * scale
 
 
 def test_affine_product_gradient_at_zeros():
     # The product-rule form must stay exact where factors vanish.
     a = AffineScalar([1.0, 0.0], 0.0)   # x
     b = AffineScalar([0.0, 1.0], 0.0)   # y
-    f = AffineProduct([a, b])
+    f = PowerTable([a, b], [[1, 1]])
     pts = np.array([[0.0, 0.0], [0.0, 2.0], [3.0, 0.0], [1.0, 1.0]])
     vals, grads = f.value_grad(pts)
-    assert np.allclose(vals, [0.0, 0.0, 0.0, 1.0])
-    assert np.allclose(grads, [[0, 0], [2, 0], [0, 3], [1, 1]])
+    assert np.allclose(vals[0], [0.0, 0.0, 0.0, 1.0])
+    assert np.allclose(grads[0], [[0, 0], [2, 0], [0, 3], [1, 1]])
 
 
 def test_empty_product_is_one():
-    f = AffineProduct([])
-    vals, grads = f.value_grad(np.zeros((3, 2)))
-    assert np.allclose(vals, 1.0)
-    assert np.allclose(grads, 0.0)
+    for f in (PowerTable([], np.zeros((1, 0))),
+              PowerTable([AffineScalar([1.0, 2.0], 3.0)], [[0]])):
+        vals, grads = f.value_grad(np.zeros((3, 2)))
+        assert np.allclose(vals, 1.0)
+        assert np.allclose(grads, 0.0)
 
 
 def test_one_sided_ratio():
+    # lam_4 / (lam_1 + lam_4) is one term with powers (1, -1).
     rng = np.random.default_rng(1)
     E = random_convex_polygon(6, rng)
     lam = E.edge_distances()
-    S = OneSidedRatio(lam[1], lam[4])
+    total = AffineScalar(lam[1].grad + lam[4].grad, lam[1].offset + lam[4].offset)
+    S = PowerTable([lam[4], total], [[1, -1]])
     t = np.linspace(0, 1, 7)
-    assert np.allclose(S(E.edge_point(1, t).reshape(-1, 2)), 1.0, atol=1e-13)
-    assert np.allclose(S(E.edge_point(4, t).reshape(-1, 2)), 0.0, atol=1e-13)
+    assert np.allclose(S.value_grad(E.edge_point(1, t).reshape(-1, 2))[0], 1.0, atol=1e-13)
+    assert np.allclose(S.value_grad(E.edge_point(4, t).reshape(-1, 2))[0], 0.0, atol=1e-13)
     check_gradient(S, interior_points(E, rng, 50))
 
 
 def test_polynomial_fields_and_combinations():
+    # Powers of an edge coordinate t, of centered u, v and of a random
+    # affine, and products of them.
     rng = np.random.default_rng(2)
-    p1 = Polynomial1D([0.5, 0.0], [1.0, 1.0] / np.sqrt(2), 2.0, [1.0, -2.0, 3.0])
-    p2 = Polynomial2D([0.2, -0.1], 1.5, rng.standard_normal((3, 3)))
+    tau = np.array([1.0, 1.0]) / np.sqrt(2) / 2.0
+    t = AffineScalar(tau, -np.array([0.5, 0.0]) @ tau)
+    u = AffineScalar([1 / 1.5, 0.0], -0.2 / 1.5)
+    v = AffineScalar([0.0, 1 / 1.5], 0.1 / 1.5)
     a = AffineScalar(rng.standard_normal(2), 0.3)
-    combo = ScalarCombination([2.0, -1.0, 0.5], [p1, p2, AffinePower(a, 3)])
-    prod = ScalarProduct([p1, p2])
+    powers = [[ell, 0, 0, 0] for ell in range(4)]
+    powers += [[0, i, j, 0] for i in range(3) for j in range(3)]
+    powers += [[0, 0, 0, 3], [2, 1, 1, 0], [1, 2, 0, 2]]
+    table = PowerTable([t, u, v, a], powers)
     pts = rng.uniform(-1, 1, (40, 2))
-    check_gradient(p1, pts)
-    check_gradient(p2, pts)
-    check_gradient(combo, pts)
-    check_gradient(prod, pts)
-
-
-def test_combination_drops_zero_coefficients():
-    f = ScalarCombination([0.0, 1.0], [None, Constant(2.0)])
-    assert f(np.zeros((1, 2)))[0] == 2.0
+    vals, _ = table.value_grad(pts)
+    tv, uv, vv, av = (f(pts) for f in (t, u, v, a))
+    for g, (pt, pu, pv, pa) in enumerate(powers):
+        want = tv**pt * uv**pu * vv**pv * av**pa
+        assert np.allclose(vals[g], want, rtol=1e-13, atol=1e-13)
+    check_gradient(table, pts)
 
 
 def test_curl_is_divergence_free_and_fd_consistent():
@@ -91,12 +86,22 @@ def test_curl_is_divergence_free_and_fd_consistent():
 
 
 def test_radial_poly_divergence():
-    # (x p, y p) with p = x: divergence is 3x.
-    p = Polynomial2D([0.0, 0.0], 1.0, np.array([[0.0], [1.0]]))
-    f = RadialPoly([0.0, 0.0], p)
-    pts = np.random.default_rng(4).uniform(-2, 2, (25, 2))
-    vals, divs = f.value_div(pts)
-    assert np.allclose(divs, 3 * pts[:, 0], atol=1e-13)
-    assert np.allclose(vals, pts * pts[:, :1], atol=1e-13)
-    fd = divergence_fd(f, pts, 1e-6)
-    assert np.abs(fd - divs).max() < 1e-7
+    # The radial columns (x - c) p of a mixed element, read through unit
+    # rows.  For p = u = (x - c_x) / h the divergence is 3u.
+    rng = np.random.default_rng(4)
+    E = random_convex_polygon(5, rng)
+    elem = build_mixed_element(E, 1, 1)
+    nc = elem.ds.n_generators
+    width = elem.rows.shape[1]
+    radial = MixedElement(E, 1, 1, elem.ds, np.eye(width)[nc:nc + 3], elem.pressure, ())
+    pts = rng.uniform(-2, 2, (25, 2))
+    vals, divs = radial.eval_all(pts)
+    rel = pts - E.centroid
+    u = rel[:, 0] / E.diameter
+    # pressures in order 1, v, u
+    assert np.allclose(divs[0], 2.0, atol=1e-13)
+    assert np.allclose(divs[2], 3 * u, atol=1e-13)
+    assert np.allclose(vals[2], rel * u[:, None], atol=1e-13)
+    for i in range(3):
+        fd = divergence_fd(lambda p: radial.eval_all(p)[0][i], pts, 1e-6)
+        assert np.abs(fd - divs[i]).max() < 1e-7

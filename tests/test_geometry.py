@@ -58,7 +58,7 @@ class TestSignedDistanceLine:
 
 class TestEdgeDistances:
     def test_unit_square_bottom(self):
-        lam = UNIT_SQUARE.edge_distance(0)
+        lam = UNIT_SQUARE.edge_distances()[0]
         assert lam((0.5, 0.3)) == pytest.approx(0.3, abs=1e-15)
 
     def test_zero_at_edge_endpoints(self):
@@ -192,5 +192,5 @@ class TestPolygonValidation:
             assert np.hypot(*E.normals[i]) == pytest.approx(1.0, abs=1e-14)
             assert np.hypot(*E.tangents[i]) == pytest.approx(1.0, abs=1e-14)
             # outer normal: positive distance decreases along it
-            lam = E.edge_distance(i)
+            lam = E.edge_distances()[i]
             assert lam.grad @ E.normals[i] == pytest.approx(-1.0, abs=1e-13)

@@ -210,6 +210,17 @@ class TestRoundTrip:
         with pytest.raises(MeshError, match="degenerate cell 0"):
             import_mesh(path)
 
+    @pytest.mark.parametrize("payload, match", [
+        ('{"vertices": [0, 1, 2], "cells": [[0, 1, 2]]}', "shape"),
+        ('{"vertices": [], "cells": []}', "shape"),
+        ('{"vertices": [[0, 0], [1, 0], [0, 1]], "cells": []}', "no cells"),
+    ])
+    def test_malformed_arrays(self, tmp_path, payload, match):
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        with pytest.raises(MeshError, match=match):
+            import_mesh(path)
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
