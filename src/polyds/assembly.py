@@ -245,9 +245,8 @@ class SolveReport:
     """Solution plus solver diagnostics; ``residual`` is relative."""
 
     solution: np.ndarray
-    iterations: int
+    iterations: int  # always 0: the solve is direct
     residual: float
-    method: str
     solution_u: np.ndarray | None = None
     solution_p: np.ndarray | None = None
 
@@ -386,145 +385,51 @@ def _pressure_boundary_load(E, elem, mesh, c, g, quad_degree):
     return load
 
 
-def _pcg(A, b, tol, maxiter):
-    n = len(b)
-    if n == 0:
-        return np.zeros(0), 0, 0.0
+# Bound on the relative residual of an accepted solve.  Well-shaped meshes
+# solve to about 1e-12 or better; a mesh with a sliver edge of 1e-3 h
+# (a numerically singular system at r=4) still solves to about 4e-11.
+RESIDUAL_MAX = 1e-8
+
+
+def solve(system: SparseSystem) -> SolveReport:
+    """Solve an assembled system by sparse LU and verify the residual.
+
+    Primal (SPD) and mixed (saddle-point) systems take the same path:
+    SuperLU with its default COLAMD ordering, then the relative residual
+    ``||Ax - b|| / ||b||`` computed by multiplication.  A zero right-hand
+    side gives the zero solution with residual 0.  Raises ``SolveError``
+    when the factorization fails or the residual is non-finite or above
+    ``RESIDUAL_MAX``.
+    """
+    A, b = system.matrix, system.rhs
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), 0, 0.0
-    dinv = 1.0 / A.diagonal()
-    x = np.zeros(n)
-    res = b.copy()
-    z = dinv * res
-    p = z.copy()
-    rz = res @ z
-    for it in range(1, maxiter + 1):
-        Ap = A @ p
-        alpha = rz / (p @ Ap)
-        x += alpha * p
-        res -= alpha * Ap
-        if np.linalg.norm(res) <= tol * bnorm:
-            return x, it, float(np.linalg.norm(res) / bnorm)
-        z = dinv * res
-        rz_new = res @ z
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolveError(
-        f"conjugate gradients did not reach {tol:g} in {maxiter} iterations "
-        f"(residual {np.linalg.norm(res) / bnorm:.3e})"
-    )
-
-
-# Near-singular systems (sliver elements) defeat any iterative solver at
-# 1e-12; the direct fallback must still produce a usable residual.
-FALLBACK_RESIDUAL = 1e-8
-
-# Conjugate gradients ends in n steps in exact arithmetic, and the
-# well-posed primal systems need about 2n at most.  A run still going after
-# PCG_ITER_FACTOR * n steps is on a numerically singular system (sliver
-# cells), where its recursive residual may still drop below the tolerance
-# by chance while the true residual does not; the direct fallback takes over.
-PCG_ITER_FACTOR = 10
-
-
-def _equilibrated_lu(A, b):
-    """Direct solve with symmetric diagonal scaling and refinement."""
-    scale = 1.0 / np.sqrt(A.diagonal())
-    S = sp.diags(scale)
-    As = (S @ A @ S).tocsc()
-    bs = scale * b
-    lu = spla.splu(As)
-    y = lu.solve(bs)
-    for _ in range(2):
-        y = y + lu.solve(bs - As @ y)
-    return scale * y
-
-
-def solve(system: SparseSystem, method=None, tol=1e-12) -> SolveReport:
-    """Solve an assembled system and verify the residual by multiplication.
-
-    Primal systems use diagonally preconditioned conjugate gradients and
-    accept no ``method``; mixed saddle systems use a sparse direct
-    factorization (``method="schur"`` switches to conjugate gradients on the
-    pressure Schur complement).
-    """
-    if system.kind == "primal":
-        if method is not None:
-            raise ValueError(f"primal systems take no solver method, got {method!r}")
-        label = "pcg"
+        x, res = np.zeros(system.n), 0.0
+    else:
         try:
-            x, its, res = _pcg(system.matrix, system.rhs, tol,
-                               PCG_ITER_FACTOR * max(1, system.n))
-        except SolveError:
-            # Sliver elements can make the system numerically singular; a
-            # scaled direct factorization still yields the best available
-            # solution, reported with its verified residual.
-            try:
-                x = _equilibrated_lu(system.matrix, system.rhs)
-            except (RuntimeError, ValueError) as exc:
-                raise SolveError(f"direct fallback failed: {exc}") from None
-            bnorm = np.linalg.norm(system.rhs)
-            res = float(np.linalg.norm(system.matrix @ x - system.rhs) / bnorm)
-            its = 0
-            label = "lu-fallback"
-            if not np.isfinite(res) or res > FALLBACK_RESIDUAL:
-                raise SolveError(
-                    f"direct fallback residual {res:.3e} exceeds {FALLBACK_RESIDUAL:g}"
-                ) from None
-        full = system.boundary_values.copy()
-        full[system.dof_map.interior] = x
-        return SolveReport(solution=full, iterations=its, residual=res, method=label)
-
-    nu, npr = system.blocks
-    if method in (None, "lu"):
-        try:
-            lu = spla.splu(system.matrix.tocsc())
-            x = lu.solve(system.rhs)
+            x = spla.splu(A.tocsc()).solve(b)
         except RuntimeError as exc:
             raise SolveError(f"sparse factorization failed: {exc}") from None
-        its = 0
-        label = "lu"
-    elif method == "schur":
-        M = system.matrix[:nu, :nu].tocsc()
-        B = system.matrix[nu:, :nu].tocsr()
-        fu, fp = system.rhs[:nu], system.rhs[nu:]
-        Mlu = spla.splu(M)
-        S = spla.LinearOperator(
-            (npr, npr), matvec=lambda y: B @ Mlu.solve(B.T @ y)
-        )
-        rhs_s = B @ Mlu.solve(fu) - fp
-        y, info = spla.cg(S, rhs_s, rtol=tol, atol=0.0, maxiter=50 * max(1, npr))
-        if info != 0:
-            raise SolveError(f"Schur-complement CG failed (info={info})")
-        u = Mlu.solve(fu - B.T @ y)
-        x = np.concatenate([u, y])
-        its = -1
-        label = "schur"
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    rnorm = np.linalg.norm(system.matrix @ x - system.rhs)
-    scale = np.linalg.norm(system.rhs)
-    res = float(rnorm / scale) if scale else float(rnorm)
-    if not np.isfinite(res) or res > 1e-8:
-        raise SolveError(f"mixed solve residual too large: {res:.3e}")
-    return SolveReport(
-        solution=x,
-        iterations=its,
-        residual=res,
-        method=label,
-        solution_u=x[:nu],
-        solution_p=-x[nu:],
-    )
+        res = float(np.linalg.norm(A @ x - b) / bnorm)
+        if not np.isfinite(res) or res > RESIDUAL_MAX:
+            raise SolveError(f"solve residual {res:.3e} exceeds {RESIDUAL_MAX:g}")
+    if system.kind == "primal":
+        full = system.boundary_values.copy()
+        full[system.dof_map.interior] = x
+        return SolveReport(solution=full, iterations=0, residual=res)
+    nu, _ = system.blocks
+    return SolveReport(solution=x, iterations=0, residual=res,
+                       solution_u=x[:nu], solution_p=-x[nu:])
 
 
 def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
-                   quad_increment=2, per_element=None):
+                   per_element=None):
     """Global L2 / H1 (primal) or L2 flux, pressure, divergence (mixed)
-    errors, integrated at the assembly degree plus ``quad_increment``.
+    errors, integrated at the assembly degree plus 2.
 
     ``per_element`` collects (cell, centroid, scalar L2 error) rows.
     """
+    quad_increment = 2
     degree = system.quad_degree + quad_increment
     mesh = system.mesh
     if system.kind == "primal":

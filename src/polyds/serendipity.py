@@ -14,7 +14,6 @@ elements can be constructed and evaluated concurrently.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +38,11 @@ __all__ = [
 # Warn when the per-edge coefficient solve looks this ill conditioned;
 # usually a symptom of a badly shaped element (small sigma).
 CONDITION_WARN = 1e12
+
+# Warn when the built basis misses nodal duality by more than this.  Regular
+# cells reach about 1e-13; sliver cells can lose accuracy without any edge
+# system crossing CONDITION_WARN.
+DUALITY_WARN = 1e-8
 
 
 class ElementError(ValueError):
@@ -301,6 +305,13 @@ class _HighOrderBuilder:
             vals = row @ gvals
             row -= vals[o_cell:] @ C[o_cell:]
             C[k] = row / (row @ gvals[:, k])
+        duality = np.abs(C @ gvals - np.eye(D)).max()
+        if not np.isfinite(duality) or duality > DUALITY_WARN:
+            warnings.warn(
+                f"nodal duality residual {duality:.2e} exceeds {DUALITY_WARN:g}; "
+                "element may be badly shaped",
+                stacklevel=2,
+            )
         return DSElement(self.E, r, nodes, self.table, C @ gens, pair_kind=self.pair_kind)
 
 
@@ -345,24 +356,9 @@ class DSElement:
         grads = np.einsum("dg,gmk->dmk", self.coeffs, gg)
         return vals, grads
 
-    def duality_matrix(self):
-        vals, _ = self.eval_all(self.nodes.all_points())
-        return vals
-
     def duality_residual(self):
-        d = self.duality_matrix()
-        return float(np.abs(d - np.eye(self.dim)).max())
-
-    def debug_dump(self, path):
-        """Write node coordinates and the duality residual as JSON."""
-        payload = {
-            "r": self.r,
-            "dim": self.dim,
-            "nodes": self.nodes.all_points().tolist(),
-            "duality_residual": self.duality_residual(),
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+        vals, _ = self.eval_all(self.nodes.all_points())
+        return float(np.abs(vals - np.eye(self.dim)).max())
 
 
 def build_ds_element(E: Polygon, r: int, pair_kind="midpoint") -> DSElement:

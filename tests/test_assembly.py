@@ -110,12 +110,6 @@ class TestPrimal:
                 want += (r - N + 2) * (r - N + 1) // 2 if r >= N else 0
             assert system.dof_map.n_dofs == want
 
-    def test_solver_method_rejected(self):
-        system = assemble_primal(gen_square_mesh(2), 1, ZERO)
-        for method in ("schur", "lu", "bogus"):
-            with pytest.raises(ValueError, match="primal"):
-                solve(system, method=method)
-
     def test_zero_load_gives_zero_solution(self):
         mesh = gen_square_mesh(3)
         system = assemble_primal(mesh, 2, ZERO)
@@ -125,7 +119,7 @@ class TestPrimal:
     def test_solver_failure_reported(self):
         mesh = gen_square_mesh(3)
         system = assemble_primal(mesh, 2, manufactured_solution().f)
-        # poison the matrix so neither path can reach the tolerance
+        # poison the matrix so the solve cannot reach the tolerance
         system.matrix = sp.csr_matrix(np.diag([1.0, np.nan])[:: 1])
         system.rhs = np.ones(2)
         system.dof_map.interior = np.arange(2)
@@ -210,14 +204,32 @@ class TestMixed:
                 )
         assert np.abs(got - want).max() < 1e-9 * (np.abs(want).max() + 1)
 
-    def test_schur_matches_direct(self):
+    def test_matches_dense_solve(self):
         mesh = gen_square_mesh(2)
         ex = manufactured_solution()
         system = assemble_mixed(mesh, 1, 0, ex.f)
         a = solve(system)
-        b = solve(system, method="schur")
-        assert np.abs(a.solution_u - b.solution_u).max() < 1e-8
-        assert np.abs(a.solution_p - b.solution_p).max() < 1e-8
+        x = np.linalg.solve(system.matrix.toarray(), system.rhs)
+        nu, _ = system.blocks
+        assert np.abs(a.solution_u - x[:nu]).max() < 1e-8
+        assert np.abs(a.solution_p + x[nu:]).max() < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["primal", "mixed"])
+def test_reported_residual_is_true_residual(kind):
+    mesh = gen_hex_dominant_mesh(4)
+    f = manufactured_solution().f
+    if kind == "primal":
+        system = assemble_primal(mesh, 4, f)
+        report = solve(system)
+        x = report.solution[system.dof_map.interior]
+    else:
+        system = assemble_mixed(mesh, 1, 1, f)
+        report = solve(system)
+        x = np.concatenate([report.solution_u, -report.solution_p])
+    b = system.rhs
+    want = np.linalg.norm(system.matrix @ x - b) / np.linalg.norm(b)
+    assert report.residual == pytest.approx(want, rel=1e-6, abs=0.0)
 
 
 class TestTranslationInvariance:
@@ -337,7 +349,6 @@ class TestSliverRobustness:
             warnings.simplefilter("ignore")
             system = assemble_primal(mesh, 4, ex.f)
             report = solve(system)
-        assert report.method == "lu-fallback"
         assert report.residual < 1e-8
         bad = compute_errors(system, report, ex)
         collapsed = collapse_short_edges(mesh, 0.01)

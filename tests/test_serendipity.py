@@ -1,4 +1,4 @@
-import json
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from polyds.serendipity import (
     interpolate,
 )
 
-from helpers import interior_points, random_convex_polygon
+from helpers import interior_points, random_convex_polygon, sliver_mesh
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -365,15 +365,14 @@ class TestElement:
         rates = np.log(np.array(errs[:-1]) / errs[1:]) / np.log(np.array(hs[:-1]) / hs[1:])
         assert rates.min() > r + 1 - 0.5
 
-    def test_debug_dump(self, tmp_path):
-        E = regular_polygon(5)
-        elem = build_ds_element(E, 3)
-        path = tmp_path / "elem.json"
-        elem.debug_dump(path)
-        data = json.loads(path.read_text())
-        assert data["dim"] == 15
-        assert data["duality_residual"] < 1e-9
-        assert len(data["nodes"]) == 15
+    def test_duality_warning_on_sliver_only(self):
+        sliver = sliver_mesh(1e-3).polygon(1)
+        assert sliver.n_edges == 5
+        with pytest.warns(UserWarning, match="duality"):
+            build_ds_element(sliver, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_ds_element(regular_polygon(6), 4)
 
 
 class TestInterpolateEvaluate:
