@@ -18,14 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import Mesh
-from .mixed import build_mixed_element
+from .mixed import build_mixed_element, mixed_dimension
 from .quadrature import edge_rule, polygon_rule
-from .serendipity import build_ds_element
+from .serendipity import build_ds_element, ds_dimension
 
 __all__ = [
     "AssemblyError",
@@ -41,7 +40,6 @@ __all__ = [
     "solve",
     "compute_errors",
     "convergence_rate",
-    "export_matrix",
     "dump_element_errors",
 ]
 
@@ -112,7 +110,7 @@ class DofMap:
         at = self.cell_offset
         for c in range(mesh.n_cells):
             N = len(mesh.cells[c])
-            k = (r - N + 2) * (r - N + 1) // 2 if r >= N else 0
+            k = ds_dimension(N, r) - N * r
             self.cell_interior.append((at, k))
             at += k
         self.n_dofs = at
@@ -135,7 +133,7 @@ class DofMap:
         loop = mesh.cells[c]
         ids = list(loop)
         per_edge = r - 1
-        for k, (ei, _aligned) in enumerate(mesh.cell_edges[c]):
+        for k, ei in enumerate(mesh.cell_edges[c]):
             va, vb = loop[k], loop[(k + 1) % len(loop)]
             base = self.edge_offset + ei * per_edge
             if va < vb:
@@ -177,16 +175,16 @@ class MixedDofMap:
         self.s = s
         per_edge = r + 1
         self.cell_offset = mesh.n_edges * per_edge
+        self.p_per_cell = (s + 2) * (s + 1) // 2
+        n_div = self.p_per_cell - 1
         self.cell_blocks = []
         at = self.cell_offset
         for c in range(mesh.n_cells):
             N = len(mesh.cells[c])
-            n_div = (s + 2) * (s + 1) // 2 - 1
-            n_bub = (r - N + 3) * (r - N + 2) // 2 if r >= N - 1 else 0
+            n_bub = mixed_dimension(N, r, s) - N * (r + 1) - n_div
             self.cell_blocks.append((at, n_div, n_bub))
             at += n_div + n_bub
         self.n_flux = at
-        self.p_per_cell = (s + 2) * (s + 1) // 2
         self.n_pressure = mesh.n_cells * self.p_per_cell
 
     def cell_flux_dofs(self, c, layout):
@@ -200,7 +198,7 @@ class MixedDofMap:
         for i, lay in enumerate(layout):
             if lay[0] == "edge":
                 k, j = lay[1], lay[2]
-                ei, _ = mesh.cell_edges[c][k]
+                ei = mesh.cell_edges[c][k]
                 va, vb = loop[k], loop[(k + 1) % len(loop)]
                 base = ei * per_edge
                 if va < vb:
@@ -251,8 +249,8 @@ class SolveReport:
     solution_p: np.ndarray | None = None
 
 
-def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None, dirichlet=None,
-                    pair_kind="midpoint") -> SparseSystem:
+def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
+                    dirichlet=None) -> SparseSystem:
     """Stiffness matrix and load vector of the primal Poisson problem.
 
     ``dirichlet`` is the boundary data (callable on points); omitted means
@@ -269,7 +267,7 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None, dirichlet=None,
     for c in range(mesh.n_cells):
         E = mesh.polygon(c)
         try:
-            elem = build_ds_element(E, r, pair_kind=pair_kind)
+            elem = build_ds_element(E, r)
         except Exception as exc:
             raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
         elements.append(elem)
@@ -308,7 +306,7 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None, dirichlet=None,
 
 
 def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
-                   dirichlet_p=None, pair_kind="midpoint") -> SparseSystem:
+                   dirichlet_p=None) -> SparseSystem:
     """Saddle-point system of the mixed Poisson problem.
 
     Layout: ``[[M, B^T], [B, 0]]`` acting on (u, -p); pressure boundary
@@ -325,7 +323,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     for c in range(mesh.n_cells):
         E = mesh.polygon(c)
         try:
-            elem = build_mixed_element(E, r, s, pair_kind=pair_kind)
+            elem = build_mixed_element(E, r, s)
         except Exception as exc:
             raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
         elements.append(elem)
@@ -375,7 +373,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
 def _pressure_boundary_load(E, elem, mesh, c, g, quad_degree):
     """Integrals of g times each basis normal trace over boundary edges."""
     load = np.zeros(elem.dim)
-    for k, (ei, _) in enumerate(mesh.cell_edges[c]):
+    for k, ei in enumerate(mesh.cell_edges[c]):
         if not mesh.edges[ei].boundary:
             continue
         rule = edge_rule(E, k, quad_degree)
@@ -486,11 +484,6 @@ def convergence_rate(errors, h_values):
     if len(errors) != len(h) or len(errors) < 2:
         raise ValueError("need matching error/h sequences of length >= 2")
     return np.log(errors[:-1] / errors[1:]) / np.log(h[:-1] / h[1:])
-
-
-def export_matrix(system: SparseSystem, path):
-    """Matrix Market dump of the assembled matrix (diagnostics)."""
-    scipy.io.mmwrite(path, system.matrix.tocoo())
 
 
 def dump_element_errors(rows, path):

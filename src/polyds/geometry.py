@@ -183,48 +183,19 @@ class Polygon:
             if 2 <= j - i <= n - 2
         ]
 
-    def pair_line(self, i, j, kind="midpoint") -> AffineScalar:
-        """Unit-gradient affine function whose zero line crosses edges i and j.
+    def pair_line(self, i, j) -> AffineScalar:
+        """Unit-gradient affine function vanishing on the line through the
+        midpoints of the nonadjacent edges i and j.
 
-        ``midpoint`` (default) takes the line through the two edge midpoints.
-        ``simple`` uses the normalized difference of the two vertex-chord
-        distance functions; since that choice is not guaranteed to cross both
-        edges, it is verified at runtime and rejected if it does not.
+        The zero line crosses both edges by construction, as the
+        supplemental functions require.
         """
         n = self.n_edges
         sep = abs(i - j) % n
         if min(sep, n - sep) < 2:
             raise GeometryError(f"edges {i} and {j} are adjacent or equal")
         a, b = (i, j) if i < j else (j, i)
-        if kind == "midpoint":
-            lam = signed_distance_line(self.edge_midpoint(a), self.edge_midpoint(b))
-        elif kind == "simple":
-            v = self.vertices
-            la = signed_distance_line(v[(b + 1) % n], v[a])
-            lb = signed_distance_line(v[(a + 1) % n], v[b])
-            grad = la.grad - lb.grad
-            norm = math.hypot(grad[0], grad[1])
-            if norm <= 1e-14:
-                raise GeometryError(
-                    f"simple pair line for edges {a}, {b} is degenerate"
-                )
-            lam = AffineScalar(grad / norm, (la.offset - lb.offset) / norm)
-            self._check_pair_line(lam, a, b)
-        else:
-            raise GeometryError(f"unknown pair-line kind {kind!r}")
-        return lam
-
-    def _check_pair_line(self, lam, i, j):
-        # The zero set must intersect both closed edges: endpoint values of
-        # opposite sign, or a zero within tolerance.
-        tol = 1e-12 * self.diameter
-        for k in (i, j):
-            va = lam(self.vertices[k])
-            vb = lam(self.vertices[(k + 1) % self.n_edges])
-            if va * vb > tol * max(abs(va), abs(vb)):
-                raise GeometryError(
-                    f"pair line for edges {i}, {j} misses edge {k}"
-                )
+        return signed_distance_line(self.edge_midpoint(a), self.edge_midpoint(b))
 
     def shape_regularity(self) -> RegularityReport:
         """Measure sigma = rho / h from all vertex sub-triangles."""

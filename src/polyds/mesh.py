@@ -65,12 +65,12 @@ class Edge:
 class Mesh:
     """Conforming polygonal mesh (use :func:`build_topology` to create)."""
 
-    def __init__(self, vertices, cells, edges, cell_edges):
+    def __init__(self, vertices, cells, edges, cell_edges, polygons):
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = [list(map(int, loop)) for loop in cells]
         self.edges = edges
-        self.cell_edges = cell_edges  # per cell: list of (edge index, aligned flag)
-        self._polygons = [None] * len(self.cells)
+        self.cell_edges = cell_edges  # per cell: edge indices in loop order
+        self._polygons = tuple(polygons)
 
     @property
     def n_cells(self):
@@ -85,12 +85,10 @@ class Mesh:
         return len(self.edges)
 
     def polygon(self, c) -> Polygon:
-        if self._polygons[c] is None:
-            self._polygons[c] = Polygon(self.vertices[self.cells[c]])
         return self._polygons[c]
 
     def polygons(self):
-        return [self.polygon(c) for c in range(self.n_cells)]
+        return list(self._polygons)
 
     @property
     def h_max(self):
@@ -128,6 +126,7 @@ def build_topology(vertices, cells) -> Mesh:
     if len(cells) == 0:
         raise MeshError("mesh has no cells")
     nv = len(vertices)
+    polygons = []
     for ci, loop in enumerate(cells):
         if len(set(loop)) != len(loop):
             raise MeshError(f"degenerate cell {ci}: repeated vertex in loop {loop}")
@@ -138,7 +137,7 @@ def build_topology(vertices, cells) -> Mesh:
         if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) <= 0:
             raise MeshError(f"inverted cell {ci}: loop is clockwise")
         try:
-            Polygon(pts)
+            polygons.append(Polygon(pts))
         except GeometryError as exc:
             raise MeshError(f"degenerate cell {ci}: {exc}") from None
 
@@ -163,17 +162,14 @@ def build_topology(vertices, cells) -> Mesh:
         edge_ids[(a, b)] = len(edges) - 1
 
     cell_edges = []
-    for ci, loop in enumerate(cells):
+    for loop in cells:
         local = []
         for k in range(len(loop)):
             a, b = loop[k], loop[(k + 1) % len(loop)]
-            if (a, b) in edge_ids:
-                local.append((edge_ids[(a, b)], True))
-            else:
-                local.append((edge_ids[(b, a)], False))
+            local.append(edge_ids[(a, b)] if (a, b) in edge_ids else edge_ids[(b, a)])
         cell_edges.append(local)
 
-    mesh = Mesh(vertices, cells, edges, cell_edges)
+    mesh = Mesh(vertices, cells, edges, cell_edges, polygons)
 
     # Cells must tile the region enclosed by the boundary loop.
     boundary_area = 0.0

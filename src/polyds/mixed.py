@@ -203,11 +203,11 @@ class MixedElement:
         return vals, divs
 
 
-def build_mixed_element(E: Polygon, r: int, s: int, pair_kind="midpoint") -> MixedElement:
+def build_mixed_element(E: Polygon, r: int, s: int) -> MixedElement:
     """Assemble the four basis families for the index-(r, s) mixed space."""
     _check_rs(r, s)
     N = E.n_edges
-    ds = build_ds_element(E, r + 1, pair_kind=pair_kind)
+    ds = build_ds_element(E, r + 1)
     G = ds.n_generators
     pressure = pressure_monomials(E, s)
     n_rad = len(pressure)

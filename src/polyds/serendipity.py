@@ -4,9 +4,10 @@ For an N-gon and index r >= N-2 the local space is the polynomials of
 degree r plus one supplemental (rational) function per pair of nonadjacent
 edges; the nodal basis is a coefficient matrix over one ``PowerTable`` of
 products of integer powers of affine functions (edge distance functions,
-pair lines, one-sided edge ratios, edge and centered coordinates).  For
-1 <= r < N-2 the space is carved out of a higher-order space of background
-index s (default N-2) by restricting edge traces to degree r.
+pair lines, one-sided edge ratios, edge and centered coordinates); the
+pair line of two edges is the line through their midpoints.  For
+1 <= r < N-2 the space is carved out of the space of index s = N-2 by
+restricting edge traces to degree r.
 
 Element construction is pure and a built element is immutable, so distinct
 elements can be constructed and evaluated concurrently.
@@ -56,10 +57,6 @@ def ds_dimension(N: int, r: int) -> int:
     if r >= N - 2:
         return N * r + (r - N + 2) * (r - N + 1) // 2
     return N * r
-
-
-def _interior_dim(N, r):
-    return (r - N + 2) * (r - N + 1) // 2 if r >= N else 0
 
 
 @dataclass(frozen=True)
@@ -178,13 +175,12 @@ class _HighOrderBuilder:
     the table.
     """
 
-    def __init__(self, E: Polygon, r: int, pair_kind="midpoint"):
+    def __init__(self, E: Polygon, r: int):
         N = E.n_edges
         if r < max(1, N - 2):
             raise ElementError(f"high-order path requires r >= N-2 (r={r}, N={N})")
         self.E = E
         self.r = r
-        self.pair_kind = pair_kind
         self.N = N
         self.lam = E.edge_distances()
         self.power = r - N + 2
@@ -209,7 +205,7 @@ class _HighOrderBuilder:
             li, lj = self.lam[i], self.lam[j]
             fac = {column(AffineScalar(li.grad + lj.grad, li.offset + lj.offset)): -1}
             if self.power > 0:
-                fac[column(E.pair_line(i, j, kind=self.pair_kind))] = self.power
+                fac[column(E.pair_line(i, j))] = self.power
             pair_factors[i, j] = pair_factors[j, i] = fac
 
         terms = [
@@ -253,7 +249,7 @@ class _HighOrderBuilder:
         except np.linalg.LinAlgError as exc:
             raise ElementError(
                 f"singular edge system on edge {k}: {exc}; "
-                "check the pair-line choice and polygon shape"
+                "check the polygon shape"
             ) from None
         cond = np.linalg.cond(A / col_scale)
         if not np.isfinite(cond) or cond > CONDITION_WARN:
@@ -312,7 +308,7 @@ class _HighOrderBuilder:
                 "element may be badly shaped",
                 stacklevel=2,
             )
-        return DSElement(self.E, r, nodes, self.table, C @ gens, pair_kind=self.pair_kind)
+        return DSElement(self.E, r, nodes, self.table, C @ gens)
 
 
 class DSElement:
@@ -323,15 +319,12 @@ class DSElement:
     Instances are immutable after construction.
     """
 
-    def __init__(self, polygon, r, nodes, table, coeffs, *, pair_kind="midpoint",
-                 background=None):
+    def __init__(self, polygon, r, nodes, table, coeffs):
         self.polygon = polygon
         self.r = r
         self.nodes = nodes
         self.table = table
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.pair_kind = pair_kind
-        self.background = background  # underlying element for the low-order path
 
     @property
     def dim(self):
@@ -340,10 +333,6 @@ class DSElement:
     @property
     def n_generators(self):
         return len(self.table)
-
-    @property
-    def background_order(self):
-        return self.background.r if self.background is not None else None
 
     def eval_all(self, pts):
         """Values and gradients of every basis function.
@@ -361,29 +350,27 @@ class DSElement:
         return float(np.abs(vals - np.eye(self.dim)).max())
 
 
-def build_ds_element(E: Polygon, r: int, pair_kind="midpoint") -> DSElement:
+def build_ds_element(E: Polygon, r: int) -> DSElement:
     """Complete nodal basis of the degree-r space on E (either index range)."""
     if r < 1:
         raise ElementError(f"polynomial index must be >= 1, got {r}")
     if r >= E.n_edges - 2:
-        return _HighOrderBuilder(E, r, pair_kind).build()
-    return build_low_order(E, r, pair_kind=pair_kind)
+        return _HighOrderBuilder(E, r).build()
+    return build_low_order(E, r)
 
 
-def build_low_order(E: Polygon, r: int, s=None, pair_kind="midpoint") -> DSElement:
-    """Element of index r < N-2 carved from a background element of index s.
+def build_low_order(E: Polygon, r: int) -> DSElement:
+    """Element of index r < N-2 carved from the background element of
+    index s = N-2.
 
     Edge traces of the result are polynomials of degree at most r even
     though the background functions have degree-s traces.
     """
     N = E.n_edges
-    if s is None:
-        s = N - 2
-    if not 1 <= r < s < N:
-        raise ElementError(f"need 1 <= r < s < N, got r={r}, s={s}, N={N}")
-    if s < N - 2:
-        raise ElementError(f"background index s={s} must be at least N-2={N - 2}")
-    base = _HighOrderBuilder(E, s, pair_kind).build()
+    s = N - 2
+    if not 1 <= r < s:
+        raise ElementError(f"need 1 <= r < N-2, got r={r}, N={N}")
+    base = _HighOrderBuilder(E, s).build()
 
     # Values of the degree-r equispaced Lagrange basis at the degree-s nodes.
     lag = _lagrange_1d(np.arange(r + 1) / r)
@@ -405,10 +392,7 @@ def build_low_order(E: Polygon, r: int, s=None, pair_kind="midpoint") -> DSEleme
                 T[row, erow(a, ell)] = P[j, ell - 1]
 
     nodes = _make_nodes(E, r, np.empty((0, 2)))
-    return DSElement(
-        E, r, nodes, base.table, T @ base.coeffs,
-        pair_kind=pair_kind, background=base,
-    )
+    return DSElement(E, r, nodes, base.table, T @ base.coeffs)
 
 
 @dataclass(frozen=True)
@@ -453,7 +437,7 @@ def _combination(terms):
     return lambda p: sum(c * fn(p) for c, fn in terms)
 
 
-def build_low_order_supplement(E: Polygon, r: int, s=None, pair_kind="midpoint"):
+def build_low_order_supplement(E: Polygon, r: int):
     """Split the low-order nodes into a polynomial set and a supplement set.
 
     The polynomial set is picked edge by edge in descending batch size
@@ -463,9 +447,7 @@ def build_low_order_supplement(E: Polygon, r: int, s=None, pair_kind="midpoint")
     degree-r polynomials corrected to be nodal on the full node set.
     """
     N = E.n_edges
-    if not 1 <= r < N - 2:
-        raise ElementError(f"low-order supplement needs 1 <= r < N-2, got r={r}, N={N}")
-    elem = build_low_order(E, r, s, pair_kind=pair_kind)
+    elem = build_low_order(E, r)
 
     def canonical(a, j):
         # (a, 0) is the start vertex of edge a, i.e. the end vertex of a-1.

@@ -9,8 +9,6 @@ from polyds.assembly import (
     assemble_primal,
     compute_errors,
     convergence_rate,
-    dump_element_errors,
-    export_matrix,
     manufactured_solution,
     solve,
 )
@@ -321,20 +319,6 @@ class TestErrorsAndRates:
             hs.append(mesh.h_max)
         assert convergence_rate(errs_l2, hs)[-1] == pytest.approx(3.0, abs=0.25)
         assert convergence_rate(errs_h1, hs)[-1] == pytest.approx(2.0, abs=0.25)
-
-    def test_matrix_export_and_element_dump(self, tmp_path):
-        mesh = gen_square_mesh(2)
-        ex = manufactured_solution()
-        system = assemble_primal(mesh, 2, ex.f)
-        export_matrix(system, tmp_path / "A.mtx")
-        assert (tmp_path / "A.mtx").stat().st_size > 0
-        report = solve(system)
-        rows = []
-        compute_errors(system, report, ex, per_element=rows)
-        dump_element_errors(rows, tmp_path / "err.csv")
-        lines = (tmp_path / "err.csv").read_text().strip().splitlines()
-        assert lines[0] == "cell_id,centroid_x,centroid_y,L2_error"
-        assert len(lines) == mesh.n_cells + 1
 
 
 class TestSliverRobustness:

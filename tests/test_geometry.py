@@ -105,19 +105,14 @@ class TestLambdaPair:
 
     def test_zero_line_crosses_both_edges(self):
         rng = np.random.default_rng(5)
-        for kind in ("midpoint", "simple"):
-            for n in (4, 5, 6, 8):
-                E = random_convex_polygon(n, rng)
-                for i, j in E.nonadjacent_pairs():
-                    try:
-                        lam = E.pair_line(i, j, kind=kind)
-                    except GeometryError:
-                        assert kind == "simple"  # runtime-checked choice
-                        continue
-                    for k in (i, j):
-                        va = lam(E.vertices[k])
-                        vb = lam(E.vertices[(k + 1) % n])
-                        assert va * vb <= 1e-12 * E.diameter**2
+        for n in (4, 5, 6, 8):
+            E = random_convex_polygon(n, rng)
+            for i, j in E.nonadjacent_pairs():
+                lam = E.pair_line(i, j)
+                for k in (i, j):
+                    va = lam(E.vertices[k])
+                    vb = lam(E.vertices[(k + 1) % n])
+                    assert va * vb <= 1e-12 * E.diameter**2
 
     def test_adjacent_edges_rejected(self):
         with pytest.raises(GeometryError):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import polyds.mesh
+from polyds.geometry import Polygon
 from polyds.mesh import (
     MeshError,
     build_topology,
@@ -51,6 +53,20 @@ class TestTopology:
         verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
         with pytest.raises(MeshError, match="degenerate cell 0"):
             build_topology(verts, [[0, 1, 1, 2, 3]])
+
+    def test_each_cell_polygon_built_once(self, monkeypatch):
+        built = []
+
+        def counting_polygon(vertices):
+            built.append(1)
+            return Polygon(vertices)
+
+        monkeypatch.setattr(polyds.mesh, "Polygon", counting_polygon)
+        m = gen_square_mesh(4)
+        assert len(built) == 16
+        assert m.polygons() == [m.polygon(c) for c in range(16)]
+        assert m.h_max == pytest.approx(np.sqrt(2) / 4)
+        assert len(built) == 16
 
     def test_interior_edge_orientations(self):
         m = gen_square_mesh(3)

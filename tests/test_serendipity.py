@@ -64,21 +64,11 @@ class TestSupplement:
             vals, _ = elem.eval_all(pts)
             assert np.abs(vals[[4, 6]]).max() < 1e-14
 
-    def test_lowest_index_is_pair_line_free(self):
-        # At r = N-2 the pair-line exponent is zero, so the two pair-line
-        # choices give identical elements.
-        rng = np.random.default_rng(1)
-        E = random_convex_polygon(5, rng)
-        a = build_ds_element(E, 3, pair_kind="midpoint")
-        b = build_ds_element(E, 3, pair_kind="simple")
-        pts = interior_points(E, rng, 60)
-        assert np.abs(a.eval_all(pts)[0] - b.eval_all(pts)[0]).max() < 1e-13
-
     def test_requires_high_index(self):
         # Below r = N-2 there is no direct supplement: the element is cut
         # out of the background element of index N-2.
         elem = build_ds_element(regular_polygon(6), 2)
-        assert elem.background_order == 4
+        assert elem.n_generators == ds_dimension(6, 4)
         assert elem.dim == 6 * 2
 
 
@@ -180,7 +170,7 @@ class TestLowOrder:
         E = random_convex_polygon(6, rng)
         elem = build_low_order(E, 1)
         assert elem.dim == 6
-        assert elem.background_order == 4
+        assert elem.n_generators == ds_dimension(6, 4)
         t = np.linspace(0, 1, 12)
         for k in range(6):
             pts = E.edge_point(k, t).reshape(-1, 2)
@@ -200,7 +190,7 @@ class TestLowOrder:
     def test_pentagon_r2_s3_interpolates_quadratics(self):
         rng = np.random.default_rng(8)
         E = random_convex_polygon(5, rng)
-        elem = build_low_order(E, 2, s=3)
+        elem = build_low_order(E, 2)
         assert elem.dim == 10
         pts = interior_points(E, rng, 100)
         coef = rng.standard_normal(6)
@@ -215,9 +205,7 @@ class TestLowOrder:
         with pytest.raises(ElementError):
             build_low_order(E, 4)          # r >= N-2 has no background window
         with pytest.raises(ElementError):
-            build_low_order(E, 2, s=6)     # s must stay below N
-        with pytest.raises(ElementError):
-            build_low_order(E, 2, s=3)     # background below N-2
+            build_low_order(E, 0)          # r must be at least 1
 
 
 class TestLowOrderSupplement:
@@ -330,23 +318,6 @@ class TestElement:
                 pairs.append((4 + (r - 1) + (j - 1), 4 + 3 * (r - 1) + (r - 1 - j)))
             for i, k in pairs:
                 assert np.abs(vl[i] - vr[k]).max() < 1e-10
-
-    def test_low_order_and_background_traces_agree(self):
-        # For r = N-2 the direct construction and the one pulled from a
-        # higher background agree on every edge (their interiors differ;
-        # both extend the same degree-r edge data conformingly).
-        rng = np.random.default_rng(16)
-        for N in (4, 5, 6):
-            r = N - 2
-            E = random_convex_polygon(N, rng)
-            direct = build_ds_element(E, r)
-            lifted = build_low_order(E, r, s=N - 1)
-            t = np.linspace(0, 1, 15)
-            for k in range(N):
-                pts = E.edge_point(k, t).reshape(-1, 2)
-                vd, _ = direct.eval_all(pts)
-                vl, _ = lifted.eval_all(pts)
-                assert np.abs(vd - vl).max() < 1e-10
 
     def test_interpolation_rate_order_r_plus_1(self):
         rng = np.random.default_rng(17)
