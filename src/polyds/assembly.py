@@ -273,7 +273,7 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
         elements.append(elem)
         rule = polygon_rule(E, quad_degree)
         bvals, bgrads = elem.eval_all(rule.points)
-        local = np.einsum("imk,jmk,m->ij", bgrads, bgrads, rule.weights)
+        local = _gram(bgrads, rule.weights)
         load = bvals @ (rule.weights * np.asarray(f(rule.points)))
         gids = dof.cell_dofs(c)
         rows.append(np.repeat(gids, len(gids)))
@@ -330,7 +330,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         rule = polygon_rule(E, quad_degree)
         v, d = elem.eval_all(rule.points)
         wvals, _ = elem.pressure.value_grad(rule.points)
-        massloc = np.einsum("imk,jmk,m->ij", v, v, rule.weights)
+        massloc = _gram(v, rule.weights)
         divloc = wvals * rule.weights @ d.T  # (n_w, n_u)
         gids, signs = dof.cell_flux_dofs(c, elem.dof_layout)
         pids = dof.cell_pressure_dofs(c)
@@ -368,6 +368,13 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         blocks=(nu, npr),
         dof_map=dof,
     )
+
+
+def _gram(fields, weights):
+    """Weighted Gram matrix sum_m w_m f_i(x_m) . f_j(x_m) of (D, M, 2) vector
+    values, as one product of the sqrt(w)-scaled rows (weights are positive)."""
+    S = (fields * np.sqrt(weights)[:, None]).reshape(len(fields), -1)
+    return S @ S.T
 
 
 def _pressure_boundary_load(E, elem, mesh, c, g, quad_degree):

@@ -6,7 +6,9 @@ distance functions, pair lines, sums of two edge distances (power -1 gives
 the one-sided edge ratio), edge coordinates, and centered coordinates.
 Some powers are negative, so the fields are rational; a ``PowerTable``
 holds all of them and evaluates values (G, M) and gradients (G, M, 2) on
-(M, 2) point arrays in one vectorized pass.
+(M, 2) point arrays in one vectorized pass.  The pass is factor-major:
+each term keeps its F nonzero factors, and the F-step loops over the
+product run on contiguous (G, M) slices.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ class PowerTable:
 
     Powers are integers and may be negative; the empty product is 1.  The
     gradient is assembled from leave-one-out products of the factors, so
-    it stays exact on the zero lines of the factors.
+    it stays exact on the zero lines of the factors.  The factors of all
+    terms are stored factor-major: ``_index`` and ``_exps`` are (F, G),
+    with F the largest number of nonzero factors of one term.
     """
 
     __slots__ = ("grads", "offsets", "powers", "_index", "_exps", "_fgrads")
@@ -35,16 +39,17 @@ class PowerTable:
         self.powers = np.asarray(powers, dtype=int)
         if self.powers.ndim != 2 or self.powers.shape[1] != K:
             raise ValueError(f"powers must have shape (G, {K}), got {self.powers.shape}")
-        # Each term keeps only its nonzero factors, padded to a common width
-        # with the constant 1 (affine index K, power 0).
+        # Each term keeps only its nonzero factors, padded to a common count
+        # F with the constant 1 (affine index K, power 0).
+        G = len(self.powers)
         factors = [np.flatnonzero(row) for row in self.powers]
-        index = np.full((len(factors), max([1, *map(len, factors)])), K)
+        index = np.full((max([1, *map(len, factors)]), G), K)
         for g, ks in enumerate(factors):
-            index[g, : len(ks)] = ks
-        padded = np.hstack([self.powers, np.zeros((len(factors), 1), dtype=int)])
+            index[: len(ks), g] = ks
+        padded = np.hstack([self.powers, np.zeros((G, 1), dtype=int)])
         self._index = index
-        self._exps = np.take_along_axis(padded, index, axis=1).astype(float)
-        self._fgrads = np.vstack([self.grads, np.zeros((1, 2))])[index]
+        self._exps = padded[np.arange(G), index].astype(float)
+        self._fgrads = np.vstack([self.grads, np.zeros((1, 2))])[index.T]  # (G, F, 2)
 
     def __len__(self):
         return len(self.powers)
@@ -54,16 +59,19 @@ class PowerTable:
         pts = _as_points(pts)
         affine = np.ones((len(self.offsets) + 1, len(pts)))
         affine[:-1] = self.grads @ pts.T + self.offsets[:, None]
-        a = affine[self._index]  # (G, F, M)
+        a = affine[self._index]  # (F, G, M)
         exps = self._exps[:, :, None]
         lower = a ** (exps - 1.0)
         fac = lower * a
+        # Products of the factors ahead of and behind factor f.
         before = np.ones_like(fac)
-        before[:, 1:] = np.cumprod(fac[:, :-1], axis=1)
         after = np.ones_like(fac)
-        after[:, :-1] = np.cumprod(fac[:, :0:-1], axis=1)[:, ::-1]
-        vals = before[:, -1] * fac[:, -1]
-        grads = np.einsum("gfm,gfk->gmk", exps * lower * before * after, self._fgrads)
+        for f in range(1, len(fac)):
+            before[f] = before[f - 1] * fac[f - 1]
+            after[-f - 1] = after[-f] * fac[-f]
+        vals = before[-1] * fac[-1]
+        weights = exps * lower * before * after
+        grads = np.matmul(weights.transpose(1, 2, 0), self._fgrads)
         return vals, grads
 
 

@@ -315,6 +315,12 @@ def voronoi_cell(seed, all_seeds, bounding_square=((0.0, 0.0), (1.0, 1.0)),
     half-plane toward every other seed (restricted to ``cutoff`` distance
     when given).  The result is convex by construction.
     """
+    return Polygon(_voronoi_loop(seed, all_seeds, bounding_square, cutoff))
+
+
+def _voronoi_loop(seed, all_seeds, bounding_square=((0.0, 0.0), (1.0, 1.0)),
+                  cutoff=None):
+    """CCW vertex loop (K, 2) of the cell :func:`voronoi_cell` returns."""
     seed = np.asarray(seed, dtype=float)
     all_seeds = np.asarray(all_seeds, dtype=float)
     (x0, y0), (x1, y1) = bounding_square
@@ -334,7 +340,7 @@ def voronoi_cell(seed, all_seeds, bounding_square=((0.0, 0.0), (1.0, 1.0)),
     pts = _clean_loop(pts, scale)
     if len(pts) < 3:
         raise MeshError(f"degenerate Voronoi cell for seed {seed}")
-    return Polygon(pts)
+    return pts
 
 
 def hex_lattice_seeds(n: int):
@@ -353,16 +359,16 @@ def gen_hex_dominant_mesh(n: int) -> Mesh:
         raise ValueError("n must be >= 2")
     seeds = hex_lattice_seeds(n)
     spacing = 1.0 / n
-    polys = [
-        voronoi_cell(s, seeds, cutoff=3.0 * spacing + 1e-12) for s in seeds
+    loops = [
+        _voronoi_loop(s, seeds, cutoff=3.0 * spacing + 1e-12) for s in seeds
     ]
-    return _assemble_conforming(polys, merge_tol=1e-7 * spacing)
+    return _assemble_conforming(loops, merge_tol=1e-7 * spacing)
 
 
-def _assemble_conforming(polys, merge_tol):
-    """Merge per-cell polygons into one conforming mesh by fusing vertices
-    that coincide within tolerance."""
-    allpts = np.vstack([p.vertices for p in polys])
+def _assemble_conforming(loops, merge_tol):
+    """Merge per-cell vertex loops into one conforming mesh by fusing
+    vertices that coincide within tolerance."""
+    allpts = np.vstack(loops)
     tree = cKDTree(allpts)
     group = np.arange(len(allpts))
     for a, b in sorted(tree.query_pairs(merge_tol)):
@@ -379,8 +385,8 @@ def _assemble_conforming(polys, merge_tol):
         index[k] = reps[g]
     cells = []
     at = 0
-    for p in polys:
-        m = len(p.vertices)
+    for loop in loops:
+        m = len(loop)
         cells.append([int(index[at + k]) for k in range(m)])
         at += m
     return build_topology(np.asarray(verts), cells)

@@ -26,7 +26,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .functions import PowerTable
 from .geometry import Polygon, _as_points
-from .quadrature import edge_rule, polygon_rule
+from .quadrature import _segment_gauss, edge_rule, polygon_rule
 from .serendipity import DSElement, ElementError, _centered_coordinates, build_ds_element
 
 __all__ = [
@@ -132,24 +132,31 @@ def _constant_flux_data(ds: DSElement):
     return curl_rows, radial, const
 
 
-def _edge_flux_expansion(E: Polygon, k: int, r: int, pressure: PowerTable):
-    """Coefficients alpha_{0..r} (one row per pressure p) expanding the
-    normal flux of (x - c) p on edge k in the edge flux basis (constant
-    1/|e| plus Lagrange-derivative moments), found by matching
-    antiderivatives at the Lagrange points."""
-    c_k = float((E.vertices[k] - E.centroid) @ E.normals[k])
-    length = E.edge_lengths[k]
+def _edge_flux_expansion(E: Polygon, r: int, pressure: PowerTable):
+    """Coefficients alpha[k, p, 0..r] expanding the normal flux of (x - c) p
+    on edge k in the edge flux basis (constant 1/|e| plus
+    Lagrange-derivative moments), for every edge k and pressure p, found
+    by matching antiderivatives at the Lagrange points j / (r+1).
+
+    On edge k, (x - c) . n_k is a constant c_k, so the antiderivatives are
+    |e_k| c_k times integrals of p along the edge.  A Gauss rule exact for
+    the pressure degree on each Lagrange subinterval, summed cumulatively,
+    gives them exactly.
+    """
+    v = E.vertices
     deg = int(pressure.powers.sum(axis=1).max())
-    tfit = np.linspace(0.0, 1.0, deg + 1)
-    pts = E.edge_point(k, tfit).reshape(-1, 2)
-    gcoef = npoly.polyfit(tfit, length * c_k * pressure.value_grad(pts)[0].T, deg)
-    big = npoly.polyint(gcoef)
+    t, w = _segment_gauss(deg // 2 + 1)
     t_lag = np.arange(1, r + 2) / (r + 1)
-    big_vals = npoly.polyval(t_lag, big)  # (P, r+1)
-    alphas = np.empty((len(pressure), r + 1))
-    alphas[:, 0] = big_vals[:, -1]
-    alphas[:, 1:] = big_vals[:, :-1] - big_vals[:, -1:] * t_lag[:-1]
-    return alphas
+    tq = (np.arange(r + 1)[:, None] + t).ravel() / (r + 1)
+    pts = v[:, None] + tq[:, None] * (np.roll(v, -1, axis=0) - v)[:, None]
+    pvals = pressure.value_grad(pts.reshape(-1, 2))[0]
+    scale = E.edge_lengths * ((v - E.centroid) * E.normals).sum(axis=1) / (r + 1)
+    parts = pvals.reshape(len(pressure), len(v), r + 1, len(t)) @ w
+    big = np.cumsum(parts * scale[:, None], axis=2)  # (P, N, r+1) at t_lag
+    alphas = np.empty_like(big)
+    alphas[..., 0] = big[..., -1]
+    alphas[..., 1:] = big[..., :-1] - big[..., -1:] * t_lag[:-1]
+    return alphas.transpose(1, 0, 2)
 
 
 class MixedElement:
@@ -198,7 +205,7 @@ class MixedElement:
         gdivs[nc:nc + nr] = 2.0 * pv + np.einsum("mk,gmk->gm", rel, pg)
         gvals[nc + nr] = [1.0, 0.0]
         gvals[nc + nr + 1] = [0.0, 1.0]
-        vals = np.einsum("dg,gmk->dmk", self.rows, gvals)
+        vals = (self.rows @ gvals.reshape(len(gvals), -1)).reshape(self.dim, m, 2)
         divs = self.rows @ gdivs
         return vals, divs
 
@@ -230,13 +237,13 @@ def build_mixed_element(E: Polygon, r: int, s: int) -> MixedElement:
             layout.append(("edge", k, j))
 
     edge_row = {lay[1:]: rows[i] for i, lay in enumerate(layout)}
-    alphas = [_edge_flux_expansion(E, k, r, pressure) for k in range(N)]
+    alphas = _edge_flux_expansion(E, r, pressure)
     for i in range(1, n_rad):
         row = np.zeros(width)
         row[G + i] = 1.0
         for k in range(N):
             for j in range(r + 1):
-                row = row - alphas[k][i, j] * edge_row[(k, j)]
+                row = row - alphas[k, i, j] * edge_row[(k, j)]
         rows.append(row)
         layout.append(("div", i - 1))
 

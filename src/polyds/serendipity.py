@@ -36,13 +36,9 @@ __all__ = [
     "evaluate",
 ]
 
-# Warn when the per-edge coefficient solve looks this ill conditioned;
-# usually a symptom of a badly shaped element (small sigma).
-CONDITION_WARN = 1e12
-
 # Warn when the built basis misses nodal duality by more than this.  Regular
-# cells reach about 1e-13; sliver cells can lose accuracy without any edge
-# system crossing CONDITION_WARN.
+# cells reach about 1e-13; sliver cells lose accuracy while every edge
+# system still solves.
 DUALITY_WARN = 1e-8
 
 
@@ -251,13 +247,6 @@ class _HighOrderBuilder:
                 f"singular edge system on edge {k}: {exc}; "
                 "check the polygon shape"
             ) from None
-        cond = np.linalg.cond(A / col_scale)
-        if not np.isfinite(cond) or cond > CONDITION_WARN:
-            warnings.warn(
-                f"edge system on edge {k} has condition estimate {cond:.2e}; "
-                "element may be badly shaped",
-                stacklevel=2,
-            )
         return block, sol.T
 
     def build(self):
@@ -342,7 +331,7 @@ class DSElement:
         pts = _as_points(pts)
         gv, gg = self.table.value_grad(pts)
         vals = self.coeffs @ gv
-        grads = np.einsum("dg,gmk->dmk", self.coeffs, gg)
+        grads = (self.coeffs @ gg.reshape(len(gg), -1)).reshape(self.dim, len(pts), 2)
         return vals, grads
 
     def duality_residual(self):

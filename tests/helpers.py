@@ -1,6 +1,7 @@
-"""Shared test utilities: random convex polygons and crafted meshes."""
+"""Shared test utilities: random convex polygons, crafted meshes and oracles."""
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from polyds.geometry import GeometryError, Polygon
 from polyds.mesh import build_topology
@@ -88,3 +89,26 @@ def truncated_hexagon(eps=1e-6):
     d4 /= np.linalg.norm(d4)
     verts = np.vstack([base[:3], base[3] + eps * d2, base[3] + eps * d4, base[4:]])
     return build_topology(verts, [[0, 1, 2, 3, 4, 5]])
+
+
+def edge_flux_expansion_fit(E, k, r, pressure):
+    """Flux-expansion coefficients (P, r+1) of edge k by a polynomial fit
+    (oracle for ``polyds.mixed._edge_flux_expansion``).
+
+    The normal flux density |e| c_k p(x(t)) of each pressure p is fitted
+    exactly at deg+1 equispaced edge points, integrated symbolically and
+    evaluated at the Lagrange points.
+    """
+    c_k = float((E.vertices[k] - E.centroid) @ E.normals[k])
+    length = E.edge_lengths[k]
+    deg = int(pressure.powers.sum(axis=1).max())
+    tfit = np.linspace(0.0, 1.0, deg + 1)
+    pts = E.edge_point(k, tfit).reshape(-1, 2)
+    gcoef = npoly.polyfit(tfit, length * c_k * pressure.value_grad(pts)[0].T, deg)
+    big = npoly.polyint(gcoef)
+    t_lag = np.arange(1, r + 2) / (r + 1)
+    big_vals = npoly.polyval(t_lag, big)  # (P, r+1)
+    alphas = np.empty((len(pressure), r + 1))
+    alphas[:, 0] = big_vals[:, -1]
+    alphas[:, 1:] = big_vals[:, :-1] - big_vals[:, -1:] * t_lag[:-1]
+    return alphas

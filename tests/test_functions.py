@@ -26,6 +26,47 @@ def test_affine_product_gradient_at_zeros():
     assert np.allclose(grads[0], [[0, 0], [2, 0], [0, 3], [1, 1]])
 
 
+def explicit_value_grad(affines, powers, pts):
+    """Values prod_k a_k**p_k and gradients
+    sum_k p_k a_k**(p_k - 1) grad a_k prod_(j != k) a_j**p_j, term by term."""
+    A = np.array([a(pts) for a in affines])
+    vals, grads = [], []
+    for row in powers:
+        ks = np.flatnonzero(row)
+        vals.append(np.prod([A[k] ** row[k] for k in ks] or [np.ones(len(pts))], axis=0))
+        g = np.zeros((len(pts), 2))
+        for k in ks:
+            rest = np.prod([A[j] ** row[j] for j in ks if j != k] or [np.ones(len(pts))], axis=0)
+            g += (row[k] * A[k] ** (row[k] - 1) * rest)[:, None] * affines[k].grad
+        grads.append(g)
+    return np.array(vals), np.array(grads)
+
+
+def test_value_grad_matches_explicit_formulas():
+    # Terms with 0 to 6 nonzero factors (so most are padded) and powers in
+    # -2..3.  Factor 0 is x - 1/4 and never has a negative power; the points
+    # on its zero line x = 1/4 make it exactly 0 inside multi-factor terms.
+    rng = np.random.default_rng(5)
+    affines = [AffineScalar([1.0, 0.0], -0.25)]
+    affines += [AffineScalar(rng.uniform(-1, 1, 2), rng.uniform(2.5, 4.0)) for _ in range(7)]
+    powers = np.zeros((60, len(affines)), dtype=int)
+    for g, row in enumerate(powers):
+        ks = rng.choice(len(affines), size=g % 7, replace=False)
+        row[ks] = rng.choice([-2, -1, 1, 2, 3], size=len(ks))
+        if 0 in ks:
+            row[0] = 1 if g % 2 else rng.integers(1, 4)
+    assert any(row[0] == 1 and np.count_nonzero(row) > 1 for row in powers)
+    table = PowerTable(affines, powers)
+    pts = np.vstack([rng.uniform(-1, 1, (30, 2)),
+                     np.column_stack([np.full(10, 0.25), rng.uniform(-1, 1, 10)])])
+    vals, grads = table.value_grad(pts)
+    want_vals, want_grads = explicit_value_grad(affines, powers, pts)
+    assert np.all(vals[powers[:, 0] > 0, 30:] == 0.0)
+    for g in range(len(powers)):
+        for got, want in ((vals[g], want_vals[g]), (grads[g], want_grads[g])):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_empty_product_is_one():
     for f in (PowerTable([], np.zeros((1, 0))),
               PowerTable([AffineScalar([1.0, 2.0], 3.0)], [[0]])):

@@ -54,7 +54,8 @@ class TestTopology:
         with pytest.raises(MeshError, match="degenerate cell 0"):
             build_topology(verts, [[0, 1, 1, 2, 3]])
 
-    def test_each_cell_polygon_built_once(self, monkeypatch):
+    @pytest.mark.parametrize("gen", [gen_square_mesh, gen_hex_dominant_mesh])
+    def test_each_cell_polygon_built_once(self, monkeypatch, gen):
         built = []
 
         def counting_polygon(vertices):
@@ -62,10 +63,14 @@ class TestTopology:
             return Polygon(vertices)
 
         monkeypatch.setattr(polyds.mesh, "Polygon", counting_polygon)
-        m = gen_square_mesh(4)
+        m = gen(4)
         assert len(built) == 16
         assert m.polygons() == [m.polygon(c) for c in range(16)]
-        assert m.h_max == pytest.approx(np.sqrt(2) / 4)
+        cells = [m.vertices[loop] for loop in m.cells]
+        h = max(np.linalg.norm(v[:, None] - v[None], axis=-1).max() for v in cells)
+        assert m.h_max == pytest.approx(h)
+        if gen is gen_square_mesh:
+            assert h == pytest.approx(np.sqrt(2) / 4)
         assert len(built) == 16
 
     def test_interior_edge_orientations(self):

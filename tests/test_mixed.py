@@ -5,6 +5,7 @@ from numpy.polynomial import polynomial as npoly
 from polyds.functions import divergence_fd
 from polyds.geometry import Polygon
 from polyds.mixed import (
+    _edge_flux_expansion,
     build_mixed_element,
     constant_flux_coefficients,
     mixed_dimension,
@@ -14,7 +15,7 @@ from polyds.mixed import (
 from polyds.quadrature import edge_rule, polygon_rule
 from polyds.serendipity import build_ds_element, _lagrange_1d
 
-from helpers import interior_points, random_convex_polygon
+from helpers import edge_flux_expansion_fit, interior_points, random_convex_polygon
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -61,7 +62,7 @@ class TestDimension:
         for N in range(3, 9):
             for r in range(0, 5):
                 E = random_convex_polygon(N, rng)
-                for s in {max(r - 1, 0), r}:
+                for s in sorted({max(r - 1, 0), r}):
                     elem = build_mixed_element(E, r, s)
                     assert elem.dim == mixed_dimension(N, r, s)
 
@@ -171,6 +172,22 @@ class TestConstantFlux:
         for k in range(6):
             i = elem.layout_index(("edge", k, 0))
             assert np.var(divs[i]) < 1e-20 * (1 + divs[i].mean() ** 2)
+
+
+class TestEdgeFluxExpansion:
+    @pytest.mark.parametrize("N", [3, 4, 5, 6, 7])
+    def test_matches_polynomial_fit(self, N):
+        rng = np.random.default_rng(40 + N)
+        for r in range(4):
+            for s in sorted({max(r - 1, 0), r}):
+                E = random_convex_polygon(N, rng)
+                pressure = pressure_monomials(E, s)
+                alphas = _edge_flux_expansion(E, r, pressure)
+                assert alphas.shape == (N, len(pressure), r + 1)
+                for k in range(N):
+                    want = edge_flux_expansion_fit(E, k, r, pressure)
+                    scale = np.abs(want).max()
+                    assert np.abs(alphas[k] - want).max() <= 1e-12 * scale
 
 
 class TestDivergenceFns:
