@@ -6,9 +6,11 @@ form: H(div) flux space of index r with discontinuous per-cell pressures
 of degree s; pressure boundary data is natural and enters the right-hand
 side.
 
-Local matrices are computed independently per cell and merged in
-deterministic cell order, so assembled systems are reproducible bit for
-bit.
+Element construction, quadrature, basis evaluation and local matrices
+are computed once per translation class of cells and reused, moved, on
+every cell of the class; loads and error integrands are evaluated per
+cell.  Contributions are merged in deterministic cell order, so assembled
+systems are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -264,21 +266,24 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
     rows, cols, vals = [], [], []
     rhs = np.zeros(dof.n_dofs)
     elements = []
-    for c in range(mesh.n_cells):
+
+    def setup(c):
         E = mesh.polygon(c)
         try:
             elem = build_ds_element(E, r)
         except Exception as exc:
             raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
-        elements.append(elem)
         rule = polygon_rule(E, quad_degree)
         bvals, bgrads = elem.eval_all(rule.points)
-        local = _gram(bgrads, rule.weights)
-        load = bvals @ (rule.weights * np.asarray(f(rule.points)))
+        return elem, rule, bvals, _gram(bgrads, rule.weights).ravel()
+
+    for c, shift, (elem, rule, bvals, local) in _by_translation_class(mesh, setup):
+        elements.append(elem.translated(mesh.polygon(c), shift) if shift.any() else elem)
+        load = bvals @ (rule.weights * np.asarray(f(rule.points + shift)))
         gids = dof.cell_dofs(c)
         rows.append(np.repeat(gids, len(gids)))
         cols.append(np.tile(gids, len(gids)))
-        vals.append(local.ravel())
+        vals.append(local)
         np.add.at(rhs, gids, load)
     n = dof.n_dofs
     A = sp.coo_matrix(
@@ -320,18 +325,24 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     rhs_u = np.zeros(dof.n_flux)
     rhs_p = np.zeros(dof.n_pressure)
     elements = []
-    for c in range(mesh.n_cells):
+
+    def setup(c):
         E = mesh.polygon(c)
         try:
             elem = build_mixed_element(E, r, s)
         except Exception as exc:
             raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
-        elements.append(elem)
         rule = polygon_rule(E, quad_degree)
         v, d = elem.eval_all(rule.points)
         wvals, _ = elem.pressure.value_grad(rule.points)
-        massloc = _gram(v, rule.weights)
-        divloc = wvals * rule.weights @ d.T  # (n_w, n_u)
+        # Mass and divergence (n_w, n_u) blocks before the edge signs.
+        return elem, rule, wvals, _gram(v, rule.weights), wvals * rule.weights @ d.T
+
+    for c, shift, (elem, rule, wvals, massloc, divloc) in _by_translation_class(mesh, setup):
+        E = mesh.polygon(c)
+        if shift.any():
+            elem = elem.translated(E, shift)
+        elements.append(elem)
         gids, signs = dof.cell_flux_dofs(c, elem.dof_layout)
         pids = dof.cell_pressure_dofs(c)
         massloc = signs[:, None] * massloc * signs[None, :]
@@ -342,7 +353,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         brows.append(np.repeat(pids, len(gids)))
         bcols.append(np.tile(gids, len(pids)))
         bvals_.append(divloc.ravel())
-        np.add.at(rhs_p, pids, wvals @ (rule.weights * np.asarray(f(rule.points))))
+        np.add.at(rhs_p, pids, wvals @ (rule.weights * np.asarray(f(rule.points + shift))))
         if dirichlet_p is not None:
             load = _pressure_boundary_load(E, elem, mesh, c, dirichlet_p, quad_degree)
             np.add.at(rhs_u, gids, -signs * load)
@@ -368,6 +379,36 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         blocks=(nu, npr),
         dof_map=dof,
     )
+
+
+def _by_translation_class(mesh, setup):
+    """Yield ``(c, shift, data)`` for every cell c, in cell order.
+
+    ``data = setup(rep)`` is computed once per translation class, on its
+    lowest-numbered cell rep, and released after the last cell of the
+    class; ``shift`` moves rep onto c (zero for rep itself).
+    """
+    reps = _translation_representatives(mesh)
+    last = dict(zip(reps, range(len(reps))))
+    starts = np.array([E.vertices[0] for E in mesh.polygons()])
+    shifts = starts - starts[reps]
+    held = {}
+    for c, rep in enumerate(reps):
+        if rep == c:
+            held[rep] = setup(c)
+        yield c, shifts[c], held.pop(rep) if last[rep] == c else held[rep]
+
+
+def _translation_representatives(mesh):
+    """Lowest-numbered cell of the translation class of each cell.
+
+    Cells form one class when their vertex loops agree exactly relative to
+    their first vertex.  The key is not rounded: cells that are only nearly
+    translates of each other get elements of their own.
+    """
+    first = {}
+    return [first.setdefault((E.vertices - E.vertices[0]).tobytes(), c)
+            for c, E in enumerate(mesh.polygons())]
 
 
 def _gram(fields, weights):
@@ -438,45 +479,47 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
     degree = system.quad_degree + quad_increment
     mesh = system.mesh
     if system.kind == "primal":
+        def setup(c):
+            rule = polygon_rule(mesh.polygon(c), degree)
+            return (rule, *system.elements[c].eval_all(rule.points))
+
         total_l2 = total_h1 = 0.0
-        for c in range(mesh.n_cells):
-            E = mesh.polygon(c)
-            elem = system.elements[c]
-            rule = polygon_rule(E, degree)
+        for c, shift, (rule, vals, grads) in _by_translation_class(mesh, setup):
+            pts = rule.points + shift
             coeffs = report.solution[system.dof_map.cell_dofs(c)]
-            vals, grads = elem.eval_all(rule.points)
             ph = coeffs @ vals
             gh = np.einsum("d,dmk->mk", coeffs, grads)
-            dl2 = rule.weights @ (ph - exact.p(rule.points)) ** 2
-            dh1 = rule.weights @ ((gh - exact.grad_p(rule.points)) ** 2).sum(1)
+            dl2 = rule.weights @ (ph - exact.p(pts)) ** 2
+            dh1 = rule.weights @ ((gh - exact.grad_p(pts)) ** 2).sum(1)
             total_l2 += dl2
             total_h1 += dh1
             if per_element is not None:
-                per_element.append((c, *E.centroid, math.sqrt(max(dl2, 0.0))))
+                per_element.append((c, *mesh.polygon(c).centroid, math.sqrt(max(dl2, 0.0))))
         return {"L2_p": math.sqrt(total_l2), "H1_semi_p": math.sqrt(total_h1)}
+
+    def setup(c):
+        elem = system.elements[c]
+        rule = polygon_rule(mesh.polygon(c), degree)
+        return (elem, rule, *elem.eval_all(rule.points), elem.pressure.value_grad(rule.points)[0])
 
     dof = system.dof_map
     tot_p = tot_u = tot_d = 0.0
-    for c in range(mesh.n_cells):
-        E = mesh.polygon(c)
-        elem = system.elements[c]
-        rule = polygon_rule(E, degree)
+    for c, shift, (elem, rule, v, d, wvals) in _by_translation_class(mesh, setup):
+        pts = rule.points + shift
         gids, signs = dof.cell_flux_dofs(c, elem.dof_layout)
         ucoef = signs * report.solution_u[gids]
-        v, d = elem.eval_all(rule.points)
         uh = np.einsum("d,dmk->mk", ucoef, v)
         dh = ucoef @ d
         pcoef = report.solution_p[dof.cell_pressure_dofs(c)]
-        wvals, _ = elem.pressure.value_grad(rule.points)
         ph = pcoef @ wvals
-        dp = rule.weights @ (ph - exact.p(rule.points)) ** 2
-        du = rule.weights @ ((uh - exact.u(rule.points)) ** 2).sum(1)
-        dd = rule.weights @ (dh - exact.div_u(rule.points)) ** 2
+        dp = rule.weights @ (ph - exact.p(pts)) ** 2
+        du = rule.weights @ ((uh - exact.u(pts)) ** 2).sum(1)
+        dd = rule.weights @ (dh - exact.div_u(pts)) ** 2
         tot_p += dp
         tot_u += du
         tot_d += dd
         if per_element is not None:
-            per_element.append((c, *E.centroid, math.sqrt(max(dp, 0.0))))
+            per_element.append((c, *mesh.polygon(c).centroid, math.sqrt(max(dp, 0.0))))
     return {
         "L2_p": math.sqrt(tot_p),
         "L2_u": math.sqrt(tot_u),

@@ -13,6 +13,8 @@ product run on contiguous (G, M) slices.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .geometry import _as_points
@@ -27,7 +29,8 @@ class PowerTable:
     gradient is assembled from leave-one-out products of the factors, so
     it stays exact on the zero lines of the factors.  The factors of all
     terms are stored factor-major: ``_index`` and ``_exps`` are (F, G),
-    with F the largest number of nonzero factors of one term.
+    with F the largest number of nonzero factors of one term.  The arrays
+    are read-only, so translated tables can share them.
     """
 
     __slots__ = ("grads", "offsets", "powers", "_index", "_exps", "_fgrads")
@@ -36,7 +39,7 @@ class PowerTable:
         K = len(affines)
         self.grads = np.array([a.grad for a in affines], dtype=float).reshape(K, 2)
         self.offsets = np.array([a.offset for a in affines], dtype=float)
-        self.powers = np.asarray(powers, dtype=int)
+        self.powers = np.array(powers, dtype=int)
         if self.powers.ndim != 2 or self.powers.shape[1] != K:
             raise ValueError(f"powers must have shape (G, {K}), got {self.powers.shape}")
         # Each term keeps only its nonzero factors, padded to a common count
@@ -50,6 +53,16 @@ class PowerTable:
         self._index = index
         self._exps = padded[np.arange(G), index].astype(float)
         self._fgrads = np.vstack([self.grads, np.zeros((1, 2))])[index.T]  # (G, F, 2)
+        for name in self.__slots__:
+            getattr(self, name).flags.writeable = False
+
+    def translated(self, shift):
+        """The table of the fields moved by ``shift``: x -> f_g(x - shift).
+        Every array but ``offsets`` is shared."""
+        out = copy.copy(self)
+        out.offsets = self.offsets - self.grads @ shift
+        out.offsets.flags.writeable = False
+        return out
 
     def __len__(self):
         return len(self.powers)

@@ -307,19 +307,18 @@ def _clean_loop(pts, scale):
     return pts[good]
 
 
-def voronoi_cell(seed, all_seeds, bounding_square=((0.0, 0.0), (1.0, 1.0)),
-                 cutoff=None) -> Polygon:
+def voronoi_cell(seed, all_seeds, bounding_square=((0.0, 0.0), (1.0, 1.0))) -> Polygon:
     """Voronoi cell of ``seed``, clipped to an axis-aligned bounding square.
 
     The square is clipped successively against the perpendicular-bisector
-    half-plane toward every other seed (restricted to ``cutoff`` distance
-    when given).  The result is convex by construction.
+    half-plane toward the other seeds, nearest first, until the next seed
+    is too far away for its bisector to cut the cell.  The result is convex
+    by construction.
     """
-    return Polygon(_voronoi_loop(seed, all_seeds, bounding_square, cutoff))
+    return Polygon(_voronoi_loop(seed, all_seeds, bounding_square))
 
 
-def _voronoi_loop(seed, all_seeds, bounding_square=((0.0, 0.0), (1.0, 1.0)),
-                  cutoff=None):
+def _voronoi_loop(seed, all_seeds, bounding_square=((0.0, 0.0), (1.0, 1.0))):
     """CCW vertex loop (K, 2) of the cell :func:`voronoi_cell` returns."""
     seed = np.asarray(seed, dtype=float)
     all_seeds = np.asarray(all_seeds, dtype=float)
@@ -329,11 +328,14 @@ def _voronoi_loop(seed, all_seeds, bounding_square=((0.0, 0.0), (1.0, 1.0)),
     others = all_seeds[np.hypot(*(all_seeds - seed).T) > 1e-14 * scale]
     if len(others) != len(all_seeds) - 1:
         raise MeshError("seeds must be pairwise distinct and contain `seed`")
-    if cutoff is not None:
-        others = others[np.hypot(*(others - seed).T) <= cutoff]
-    for other in others:
-        mid = 0.5 * (seed + other)
-        normal = other - seed
+    dist = np.hypot(*(others - seed).T)
+    for k in np.argsort(dist, kind="stable"):
+        # The bisector toward a seed farther than twice the farthest cell
+        # vertex misses the cell, and so do those of all later seeds.
+        if dist[k] > 2.0 * np.hypot(*(pts - seed).T).max():
+            break
+        mid = 0.5 * (seed + others[k])
+        normal = others[k] - seed
         pts = _clip_halfplane(pts, mid, normal, 1e-14 * scale)
         if len(pts) == 0:
             raise MeshError(f"empty Voronoi cell for seed {seed}")
@@ -358,11 +360,8 @@ def gen_hex_dominant_mesh(n: int) -> Mesh:
     if n < 2:
         raise ValueError("n must be >= 2")
     seeds = hex_lattice_seeds(n)
-    spacing = 1.0 / n
-    loops = [
-        _voronoi_loop(s, seeds, cutoff=3.0 * spacing + 1e-12) for s in seeds
-    ]
-    return _assemble_conforming(loops, merge_tol=1e-7 * spacing)
+    loops = [_voronoi_loop(s, seeds) for s in seeds]
+    return _assemble_conforming(loops, merge_tol=1e-7 / n)
 
 
 def _assemble_conforming(loops, merge_tol):

@@ -177,8 +177,15 @@ class MixedElement:
         self.s = s
         self.ds = ds
         self.rows = np.asarray(rows, dtype=float)
+        self.rows.flags.writeable = False
         self.pressure = pressure
         self.dof_layout = tuple(dof_layout)
+
+    def translated(self, polygon, shift):
+        """This element moved by ``shift`` onto ``polygon``, the translate of
+        its own polygon; ``rows`` is shared."""
+        return MixedElement(polygon, self.r, self.s, self.ds.translated(polygon, shift),
+                            self.rows, self.pressure.translated(shift), self.dof_layout)
 
     @property
     def dim(self):

@@ -305,7 +305,7 @@ class DSElement:
 
     The basis is stored as a coefficient matrix over the terms of a
     ``PowerTable``, rows ordered like the nodes (vertex, edge, interior).
-    Instances are immutable after construction.
+    Instances are immutable after construction; ``coeffs`` is read-only.
     """
 
     def __init__(self, polygon, r, nodes, table, coeffs):
@@ -314,6 +314,15 @@ class DSElement:
         self.nodes = nodes
         self.table = table
         self.coeffs = np.asarray(coeffs, dtype=float)
+        self.coeffs.flags.writeable = False
+
+    def translated(self, polygon, shift):
+        """This element moved by ``shift`` onto ``polygon``, the translate of
+        its own polygon; the coefficient matrix is shared."""
+        nodes = NodeSet(self.nodes.vertices + shift,
+                        tuple(e + shift for e in self.nodes.edges),
+                        self.nodes.interior + shift)
+        return DSElement(polygon, self.r, nodes, self.table.translated(shift), self.coeffs)
 
     @property
     def dim(self):

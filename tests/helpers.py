@@ -1,10 +1,15 @@
 """Shared test utilities: random convex polygons, crafted meshes and oracles."""
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial import polynomial as npoly
 
+from polyds.assembly import DofMap, MixedDofMap
 from polyds.geometry import GeometryError, Polygon
-from polyds.mesh import build_topology
+from polyds.mesh import _clean_loop, _clip_halfplane, build_topology
+from polyds.mixed import build_mixed_element
+from polyds.quadrature import edge_rule, polygon_rule
+from polyds.serendipity import build_ds_element
 
 
 def random_convex_polygon(n, rng, min_sigma=0.15, max_tries=5000):
@@ -112,3 +117,73 @@ def edge_flux_expansion_fit(E, k, r, pressure):
     alphas[:, 0] = big_vals[:, -1]
     alphas[:, 1:] = big_vals[:, :-1] - big_vals[:, -1:] * t_lag[:-1]
     return alphas
+
+
+def voronoi_cell_full_clip(seed, all_seeds):
+    """Voronoi cell of ``seed`` in the unit square, clipped against the
+    bisector toward every other seed in index order (oracle for
+    ``polyds.mesh.voronoi_cell``, which stops early)."""
+    seed = np.asarray(seed, dtype=float)
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    for other in np.asarray(all_seeds, dtype=float):
+        if np.hypot(*(other - seed)) > 1e-14:
+            pts = _clip_halfplane(pts, 0.5 * (seed + other), other - seed, 1e-14)
+    return Polygon(_clean_loop(pts, 1.0))
+
+
+def _coo(rows, cols, vals, shape):
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=shape).tocsr()
+
+
+def assemble_per_cell(mesh, r, s, f, g):
+    """Global matrix and right-hand side with a fresh element built on every
+    cell (oracle for ``polyds.assembly``, which builds once per translation
+    class).  ``s is None`` gives the primal system with Dirichlet data g,
+    otherwise the mixed system with pressure boundary data g; quadrature
+    degrees are the assembly defaults.
+    """
+    if s is None:
+        dof = DofMap(mesh, r)
+        rows, cols, vals, rhs = [], [], [], np.zeros(dof.n_dofs)
+        for c in range(mesh.n_cells):
+            E = mesh.polygon(c)
+            rule = polygon_rule(E, 2 * r + 4)
+            v, grads = build_ds_element(E, r).eval_all(rule.points)
+            ids = dof.cell_dofs(c)
+            rows.append(np.repeat(ids, len(ids)))
+            cols.append(np.tile(ids, len(ids)))
+            vals.append(np.einsum("imk,jmk,m->ij", grads, grads, rule.weights).ravel())
+            np.add.at(rhs, ids, v @ (rule.weights * f(rule.points)))
+        A = _coo(rows, cols, vals, (dof.n_dofs, dof.n_dofs))
+        gvals = g(dof.dof_points()[dof.boundary])
+        keep = dof.interior
+        return A[keep][:, keep].tocsr(), rhs[keep] - A[keep][:, dof.boundary] @ gvals
+
+    dof = MixedDofMap(mesh, r, s)
+    mrows, mcols, mvals, brows, bcols, bvals = [], [], [], [], [], []
+    rhs_u, rhs_p = np.zeros(dof.n_flux), np.zeros(dof.n_pressure)
+    for c in range(mesh.n_cells):
+        E = mesh.polygon(c)
+        elem = build_mixed_element(E, r, s)
+        rule = polygon_rule(E, 2 * r + 6)
+        v, d = elem.eval_all(rule.points)
+        w, _ = elem.pressure.value_grad(rule.points)
+        ids, signs = dof.cell_flux_dofs(c, elem.dof_layout)
+        pids = dof.cell_pressure_dofs(c)
+        v, d = signs[:, None, None] * v, signs[:, None] * d
+        mrows.append(np.repeat(ids, len(ids)))
+        mcols.append(np.tile(ids, len(ids)))
+        mvals.append(np.einsum("imk,jmk,m->ij", v, v, rule.weights).ravel())
+        brows.append(np.repeat(pids, len(ids)))
+        bcols.append(np.tile(ids, len(pids)))
+        bvals.append(np.einsum("pm,im,m->pi", w, d, rule.weights).ravel())
+        np.add.at(rhs_p, pids, w @ (rule.weights * f(rule.points)))
+        for k, ei in enumerate(mesh.cell_edges[c]):
+            if mesh.edges[ei].boundary:
+                er = edge_rule(E, k, 2 * r + 6)
+                ev = signs[:, None, None] * elem.eval_all(er.points)[0]
+                np.add.at(rhs_u, ids, -(ev @ E.normals[k]) @ (er.weights * g(er.points)))
+    M = _coo(mrows, mcols, mvals, (dof.n_flux, dof.n_flux))
+    B = _coo(brows, bcols, bvals, (dof.n_pressure, dof.n_flux))
+    return sp.bmat([[M, B.T], [B, None]], format="csr"), np.concatenate([rhs_u, rhs_p])

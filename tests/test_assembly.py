@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from polyds import assembly
 from polyds.assembly import (
     Exact,
     SolveError,
@@ -13,12 +14,17 @@ from polyds.assembly import (
     solve,
 )
 from polyds.geometry import Polygon
-from polyds.mesh import build_topology, gen_hex_dominant_mesh, gen_square_mesh
+from polyds.mesh import (
+    build_topology,
+    gen_hex_dominant_mesh,
+    gen_square_mesh,
+    gen_trapezoid_mesh,
+)
 from polyds.mixed import build_mixed_element, mixed_interpolant, pressure_monomials
 from polyds.quadrature import polygon_rule
 from polyds.serendipity import build_ds_element
 
-from helpers import random_convex_polygon, sliver_mesh
+from helpers import assemble_per_cell, random_convex_polygon, sliver_mesh
 
 ZERO = lambda x: np.zeros(len(x))
 
@@ -261,6 +267,63 @@ class TestTranslationInvariance:
             vals, _ = build_mixed_element(E, r, r).eval_all(rule.points)
             local.append(np.einsum("imk,jmk,m->ij", vals, vals, rule.weights))
         assert self.rel_diff(*local) <= 1e-10
+
+
+class TestTranslationClasses:
+    # Assembly builds, evaluates and integrates once per class of cells
+    # that are translates of each other, and moves the result to the rest.
+    MESHES = {"square4": lambda: gen_square_mesh(4),
+              "hex4": lambda: gen_hex_dominant_mesh(4),
+              "hex8": lambda: gen_hex_dominant_mesh(8),
+              "trapezoid4": lambda: gen_trapezoid_mesh(4)}
+    BOUNDARY = staticmethod(lambda x: 1.0 + x[:, 0] - 2.0 * x[:, 1] ** 2)
+
+    @pytest.mark.parametrize("mesh_name", ["hex4", "trapezoid4"])
+    @pytest.mark.parametrize("r, s", [(2, None), (4, None), (1, 1)])
+    def test_reuse_matches_per_cell_oracle(self, mesh_name, r, s):
+        mesh = self.MESHES[mesh_name]()
+        f = manufactured_solution().f
+        if s is None:
+            system = assemble_primal(mesh, r, f, dirichlet=self.BOUNDARY)
+        else:
+            system = assemble_mixed(mesh, r, s, f, dirichlet_p=self.BOUNDARY)
+        A, b = assemble_per_cell(mesh, r, s, f, self.BOUNDARY)
+        assert np.array_equal(system.matrix.indptr, A.indptr)
+        assert np.array_equal(system.matrix.indices, A.indices)
+        assert np.abs(system.matrix.data - A.data).max() <= 1e-13 * np.abs(A.data).max()
+        assert np.abs(system.rhs - b).max() <= 1e-13 * np.abs(b).max()
+
+    @pytest.mark.parametrize("mesh_name, classes", [("square4", 1), ("hex8", 11)])
+    @pytest.mark.parametrize("kind", ["primal", "mixed"])
+    def test_one_build_per_class(self, monkeypatch, mesh_name, classes, kind):
+        calls = []
+        for name in ("build_ds_element", "build_mixed_element"):
+            build = getattr(assembly, name)
+            monkeypatch.setattr(assembly, name,
+                                lambda *args, build=build: calls.append(args) or build(*args))
+        mesh = self.MESHES[mesh_name]()
+        if kind == "primal":
+            system = assemble_primal(mesh, 2, ZERO)
+            direct = lambda E: build_ds_element(E, 2)
+        else:
+            system = assemble_mixed(mesh, 1, 1, ZERO)
+            direct = lambda E: build_mixed_element(E, 1, 1)
+        assert len(calls) == classes
+        for c, elem in enumerate(system.elements):
+            E = mesh.polygon(c)
+            assert elem.polygon is E
+            pts = polygon_rule(E, 8).points
+            for got, want in zip(elem.eval_all(pts), direct(E).eval_all(pts)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_shared_arrays_read_only(self):
+        mesh = gen_square_mesh(4)
+        elem = assemble_primal(mesh, 2, ZERO).elements[1]
+        mixed = assemble_mixed(mesh, 1, 1, ZERO).elements[1]
+        for shared in (elem.coeffs, elem.table.powers, elem.table.grads, mixed.rows,
+                       mixed.pressure.offsets):
+            with pytest.raises(ValueError):
+                shared[0] = 1.0
 
 
 class TestErrorsAndRates:

@@ -106,6 +106,7 @@ class TestSolveCommand:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "cell_id,centroid_x,centroid_y,L2_error"
         assert len(lines) == 10
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(9))
 
     def test_solve_from_mesh_file(self, tmp_path, capsys):
         mesh_path = tmp_path / "m.json"
