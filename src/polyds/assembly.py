@@ -295,8 +295,9 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
     if dirichlet is not None and len(dof.boundary):
         gvals[dof.boundary] = np.asarray(dirichlet(dof.dof_points()[dof.boundary]))
     keep = dof.interior
-    reduced = A[keep][:, keep].tocsr()
-    reduced_rhs = rhs[keep] - A[keep][:, dof.boundary] @ gvals[dof.boundary]
+    rows_kept = A[keep]
+    reduced = rows_kept[:, keep].tocsr()
+    reduced_rhs = rhs[keep] - rows_kept[:, dof.boundary] @ gvals[dof.boundary]
     return SparseSystem(
         matrix=reduced,
         rhs=reduced_rhs,

@@ -9,11 +9,14 @@ holds all of them and evaluates values (G, M) and gradients (G, M, 2) on
 (M, 2) point arrays in one vectorized pass.  The pass is factor-major:
 each term keeps its F nonzero factors, and the F-step loops over the
 product run on contiguous (G, M) slices.
+
+The terms and the affine functions are separate: ``with_affines`` gives
+the same terms over new (K, 2) gradient and (K,) offset arrays, sharing
+the term arrays, so one table of terms serves every cell of a shape
+(N, r), and ``translated`` is the special case of shifted offsets.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -37,8 +40,6 @@ class PowerTable:
 
     def __init__(self, affines, powers):
         K = len(affines)
-        self.grads = np.array([a.grad for a in affines], dtype=float).reshape(K, 2)
-        self.offsets = np.array([a.offset for a in affines], dtype=float)
         self.powers = np.array(powers, dtype=int)
         if self.powers.ndim != 2 or self.powers.shape[1] != K:
             raise ValueError(f"powers must have shape (G, {K}), got {self.powers.shape}")
@@ -52,27 +53,60 @@ class PowerTable:
         padded = np.hstack([self.powers, np.zeros((G, 1), dtype=int)])
         self._index = index
         self._exps = padded[np.arange(G), index].astype(float)
-        self._fgrads = np.vstack([self.grads, np.zeros((1, 2))])[index.T]  # (G, F, 2)
-        for name in self.__slots__:
+        for name in ("powers", "_index", "_exps"):
             getattr(self, name).flags.writeable = False
+        self._set_affines(np.array([a.grad for a in affines], dtype=float).reshape(K, 2),
+                          np.array([a.offset for a in affines], dtype=float))
+
+    def _set_affines(self, grads, offsets):
+        K = self.powers.shape[1]
+        grads = np.asarray(grads, dtype=float)
+        offsets = np.asarray(offsets, dtype=float)
+        if grads.shape != (K, 2) or offsets.shape != (K,):
+            raise ValueError(f"need ({K}, 2) gradients and ({K},) offsets, "
+                             f"got {grads.shape} and {offsets.shape}")
+        # ``translated`` keeps the gradients, and with them the factor gradients.
+        if getattr(self, "grads", None) is not grads:
+            padded = np.zeros((K + 1, 2))
+            padded[:K] = grads
+            self._fgrads = padded[self._index.T]  # (G, F, 2)
+            self._fgrads.flags.writeable = False
+        self.grads, self.offsets = grads, offsets
+        grads.flags.writeable = False
+        offsets.flags.writeable = False
+
+    def with_affines(self, grads, offsets):
+        """The same terms over new affine functions a_k(x) = grads[k] . x +
+        offsets[k], given as (K, 2) and (K,) arrays, which the table takes
+        over read-only.  The term arrays are shared."""
+        out = object.__new__(PowerTable)
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        out._set_affines(grads, offsets)
+        return out
 
     def translated(self, shift):
         """The table of the fields moved by ``shift``: x -> f_g(x - shift).
         Every array but ``offsets`` is shared."""
-        out = copy.copy(self)
-        out.offsets = self.offsets - self.grads @ shift
-        out.offsets.flags.writeable = False
-        return out
+        return self.with_affines(self.grads, self.offsets - self.grads @ shift)
 
     def __len__(self):
         return len(self.powers)
 
-    def value_grad(self, pts):
-        """Values (G, M) and gradients (G, M, 2) of every field at pts."""
+    def _factors(self, pts):
+        """Factor values (F, G, M) of every term at pts."""
         pts = _as_points(pts)
         affine = np.ones((len(self.offsets) + 1, len(pts)))
         affine[:-1] = self.grads @ pts.T + self.offsets[:, None]
-        a = affine[self._index]  # (F, G, M)
+        return affine[self._index]
+
+    def values(self, pts):
+        """Values (G, M) of every field at pts, without gradients."""
+        return np.multiply.reduce(self._factors(pts) ** self._exps[:, :, None], axis=0)
+
+    def value_grad(self, pts):
+        """Values (G, M) and gradients (G, M, 2) of every field at pts."""
+        a = self._factors(pts)
         exps = self._exps[:, :, None]
         lower = a ** (exps - 1.0)
         fac = lower * a

@@ -51,7 +51,7 @@ class AffineScalar:
     def __init__(self, grad, offset):
         self.grad = np.asarray(grad, dtype=float)
         self.offset = float(offset)
-        if self.grad.shape != (2,) or not np.all(np.isfinite(self.grad)):
+        if self.grad.shape != (2,) or not all(map(math.isfinite, self.grad)):
             raise GeometryError("affine gradient must be a finite 2-vector")
         if not math.isfinite(self.offset):
             raise GeometryError("affine offset must be finite")
@@ -116,27 +116,27 @@ class Polygon:
             raise GeometryError("vertices must have shape (N, 2)")
         if len(v) < 3:
             raise GeometryError("a polygon needs at least 3 vertices")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise GeometryError("vertices must be finite")
 
         self.vertices = v
         self.n_edges = len(v)
-        self.diameter = float(
-            np.sqrt(((v[:, None, :] - v[None, :, :]) ** 2).sum(-1)).max()
-        )
+        d = v[:, None, :] - v[None, :, :]
+        self.diameter = float(np.sqrt((d**2).sum(-1)).max())
 
-        edges = np.roll(v, -1, axis=0) - v
+        nxt = np.concatenate([v[1:], v[:1]])
+        edges = nxt - v
         self.edge_lengths = np.hypot(edges[:, 0], edges[:, 1])
-        if np.any(self.edge_lengths <= 1e-14 * self.diameter):
+        if (self.edge_lengths <= 1e-14 * self.diameter).any():
             raise GeometryError("repeated (or nearly repeated) vertices")
         self.tangents = edges / self.edge_lengths[:, None]
         # Outer normals of a CCW loop point to the right of each tangent.
         self.normals = np.column_stack([self.tangents[:, 1], -self.tangents[:, 0]])
 
-        prev = np.roll(edges, 1, axis=0)
+        prev = np.concatenate([edges[-1:], edges[:-1]])
         cross = prev[:, 0] * edges[:, 1] - prev[:, 1] * edges[:, 0]
         tol = CONVEXITY_RTOL * self.diameter**2
-        if np.any(cross <= tol):
+        if (cross <= tol).any():
             bad = int(np.argmin(cross))
             if cross.sum() <= 0:
                 raise GeometryError("vertex loop is not counterclockwise")
@@ -145,17 +145,13 @@ class Polygon:
                 f"(cross product {cross[bad]:.3e} <= {tol:.3e})"
             )
 
-        x, y = v[:, 0], v[:, 1]
-        xn, yn = np.roll(x, -1), np.roll(y, -1)
-        piece = x * yn - xn * y
+        piece = v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]
         self.area = float(piece.sum() / 2.0)
-        self.centroid = np.array(
-            [((x + xn) * piece).sum(), ((y + yn) * piece).sum()]
-        ) / (6.0 * self.area)
-        self._edge_fns = tuple(
-            signed_distance_line(v[i], v[(i + 1) % self.n_edges])
-            for i in range(self.n_edges)
-        )
+        self.centroid = ((v + nxt) * piece[:, None]).sum(axis=0) / (6.0 * self.area)
+        # Edge distance functions: lam_i(x) = edge_offsets[i] - normals[i] . x,
+        # zero on edge i and positive inside.
+        self.edge_offsets = (nxt * self.normals).sum(axis=1)
+        self._edge_fns = tuple(map(AffineScalar, -self.normals, self.edge_offsets))
 
     def __repr__(self):
         return f"Polygon({self.n_edges} vertices, h={self.diameter:.3g})"

@@ -132,12 +132,9 @@ def build_topology(vertices, cells) -> Mesh:
             raise MeshError(f"degenerate cell {ci}: repeated vertex in loop {loop}")
         if any(not 0 <= v < nv for v in loop):
             raise MeshError(f"cell {ci} references an unknown vertex")
-        pts = vertices[list(loop)]
-        x, y = pts[:, 0], pts[:, 1]
-        if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) <= 0:
-            raise MeshError(f"inverted cell {ci}: loop is clockwise")
         try:
-            polygons.append(Polygon(pts))
+            # Polygon rejects clockwise (inverted) loops too.
+            polygons.append(Polygon(vertices[list(loop)]))
         except GeometryError as exc:
             raise MeshError(f"degenerate cell {ci}: {exc}") from None
 
@@ -269,19 +266,24 @@ def gen_perturbed_quad_mesh(n: int, noise: float, seed=0) -> Mesh:
 
 
 def _clip_halfplane(pts, anchor, normal, tol):
-    """Sutherland-Hodgman clip of a convex loop against (x-anchor).n <= 0."""
-    dist = (pts - anchor) @ normal
+    """Sutherland-Hodgman clip of a convex loop against (x-anchor).n <= 0.
+
+    The loops have a handful of vertices, so the walk runs on Python
+    floats: for these sizes that is faster than masked array work.
+    """
+    dist = ((pts - anchor) @ normal).tolist()
+    loop = pts.tolist()
     out = []
-    m = len(pts)
+    m = len(loop)
     for k in range(m):
-        k2 = (k + 1) % m
-        da, db = dist[k], dist[k2]
+        da, db = dist[k], dist[k + 1 - m]
         if da <= tol:
-            out.append(pts[k])
+            out.append(loop[k])
         if (da < -tol and db > tol) or (da > tol and db < -tol):
             t = da / (da - db)
-            out.append(pts[k] + t * (pts[k2] - pts[k]))
-    return np.asarray(out) if out else np.empty((0, 2))
+            (xa, ya), (xb, yb) = loop[k], loop[k + 1 - m]
+            out.append((xa + t * (xb - xa), ya + t * (yb - ya)))
+    return np.array(out, dtype=float).reshape(-1, 2)
 
 
 def _clean_loop(pts, scale):

@@ -2,8 +2,9 @@
 
 Polygon rules triangulate by fanning from the centroid and apply a
 tensorized Gauss-Jacobi rule collapsed onto each triangle, which stays
-well conditioned at high degree.  Rules are immutable and construction
-is pure.
+well conditioned at high degree; all N fan triangles are mapped in one
+broadcast.  The reference rules are cached per degree and read-only.
+Rules are immutable and construction is pure.
 """
 
 from __future__ import annotations
@@ -97,17 +98,12 @@ def polygon_rule(polygon: Polygon, degree: int) -> QuadRule:
     """
     ref_pts, ref_wts = triangle_gauss(degree)
     c = polygon.centroid
-    v = polygon.vertices
-    n = polygon.n_edges
-    pts = []
-    wts = []
-    for i in range(n):
-        a = v[i] - c
-        b = v[(i + 1) % n] - c
-        jac = a[0] * b[1] - a[1] * b[0]  # 2 * triangle area, positive by CCW
-        pts.append(c + ref_pts[:, :1] * a + ref_pts[:, 1:] * b)
-        wts.append(ref_wts * jac)
-    return QuadRule(points=np.vstack(pts), weights=np.concatenate(wts))
+    a = polygon.vertices - c
+    b = np.concatenate([a[1:], a[:1]])
+    jac = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]  # 2 * triangle areas, positive by CCW
+    pts = c + ref_pts[:, :1] * a[:, None] + ref_pts[:, 1:] * b[:, None]  # (N, m, 2)
+    wts = ref_wts * jac[:, None]
+    return QuadRule(points=pts.reshape(-1, 2), weights=wts.ravel())
 
 
 def edge_rule(polygon: Polygon, i: int, degree: int) -> EdgeRule:

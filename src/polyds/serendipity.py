@@ -9,14 +9,26 @@ pair line of two edges is the line through their midpoints.  For
 1 <= r < N-2 the space is carved out of the space of index s = N-2 by
 restricting edge traces to degree r.
 
-Element construction is pure and a built element is immutable, so distinct
-elements can be constructed and evaluated concurrently.
+The terms of the table depend only on (N, r): ``_term_layout`` builds
+them once per (N, r), with the index arrays of the construction, and
+``_carving_matrix`` does the same for the low-order map.  Per cell, the
+builder computes the K affine functions as (K, 2) gradient and (K,)
+offset arrays from the polygon's arrays, solves the N edge systems in one
+stacked solve and applies the vertex and interior corrections as array
+operations.
+
+Element construction is pure (the cached layouts are read-only) and a
+built element is immutable, so distinct elements can be constructed and
+evaluated concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -60,18 +72,15 @@ class NodeSet:
     """Nodal points of one element, grouped and globally ordered.
 
     Ordering: the N vertices, then for each edge its r-1 interior points in
-    CCW order, then the interior (cell) points.
+    CCW order (``edges`` is (N, r-1, 2)), then the interior (cell) points.
     """
 
     vertices: np.ndarray
-    edges: tuple
+    edges: np.ndarray
     interior: np.ndarray
 
     def all_points(self):
-        parts = [self.vertices, *self.edges]
-        if len(self.interior):
-            parts.append(self.interior)
-        return np.vstack(parts)
+        return np.concatenate([self.vertices, self.edges.reshape(-1, 2), self.interior])
 
     @property
     def n_vertex(self):
@@ -79,7 +88,7 @@ class NodeSet:
 
     @property
     def n_per_edge(self):
-        return len(self.edges[0]) if self.edges else 0
+        return self.edges.shape[1]
 
     @property
     def n_interior(self):
@@ -90,13 +99,12 @@ class NodeSet:
 
 
 def _make_nodes(E: Polygon, r: int, interior):
-    edge_nodes = tuple(
-        E.edge_point(i, np.arange(1, r) / r).reshape(-1, 2)
-        for i in range(E.n_edges)
-    )
+    v = E.vertices
+    t = np.arange(1, r) / r
+    edges = np.concatenate([v[1:], v[:1]]) - v
     return NodeSet(
-        vertices=E.vertices.copy(),
-        edges=edge_nodes,
+        vertices=v.copy(),
+        edges=v[:, None] + t[:, None] * edges[:, None],
         interior=np.asarray(interior, dtype=float).reshape(-1, 2),
     )
 
@@ -156,19 +164,98 @@ def _lagrange_2d(nodes, p, center, scale):
         raise ElementError(f"interior Lagrange nodes are degenerate: {exc}") from None
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+class _TermLayout(NamedTuple):
+    """What the index-r construction on an N-gon shares across cells: the
+    generator terms and the index arrays of the per-cell array work."""
+
+    table: PowerTable  # the terms over zero affines; see _term_layout
+    pairs: np.ndarray  # (2, P): the nonadjacent edge pairs i < j
+    edge_terms: np.ndarray  # (N, r-1, r-1) term N + k(r-1) + l ...
+    edge_nodes: np.ndarray  # ... and node N + k(r-1) + j of edge k at [k, j, l]
+    incident: np.ndarray  # (N, N(r-1)): edge nodes on the two edges at vertex k
+    sides: tuple  # picks lam[k, j, m] for the edges m before and after edge k
+    eye: np.ndarray  # (D, D) identity
+
+
+@lru_cache(maxsize=None)
+def _term_layout(N: int, r: int) -> _TermLayout:
+    """Generator terms of the index-r space on an N-gon, r >= N-2.
+
+    The table's affine columns are, in order, the N edge distances lam_k,
+    the P pair sums lam_i + lam_j, then (if r > N-2) the P pair lines and
+    the N edge coordinates, then (if r >= N) the centered coordinates u
+    and v.  A cell's table is ``table.with_affines`` of its own affines.
+
+    With base_k the product of the edge distances of all edges but k, the
+    terms are, in node order: per vertex k, the product of the N-2 edge
+    distances of edges not meeting it; per edge k, base_k t_k**l for
+    l < r-N+2 (t_k the edge coordinate) and base_k pair**(r-N+2) /
+    (lam_k + lam_q) per edge q not adjacent to k; per interior node,
+    bubble u**a v**b.  All arrays are read-only.
+    """
+    power = r - N + 2
+    pairs = np.array([(i, j) for i, j in itertools.combinations(range(N), 2)
+                      if 2 <= j - i <= N - 2], dtype=int).reshape(-1, 2)
+    P = len(pairs)
+    pair_of = {}
+    for p, (i, j) in enumerate(pairs.tolist()):
+        pair_of[i, j] = pair_of[j, i] = p
+    lines, coords = N + P, N + 2 * P
+    K = N + P + (P + N if power > 0 else 0) + (2 if r >= N else 0)
+
+    rows = []
+    for k in range(N):
+        row = np.zeros(K, dtype=int)
+        row[:N] = 1
+        row[[(k - 1) % N, k]] = 0
+        rows.append(row)
+    for k in range(N):
+        base = np.zeros(K, dtype=int)
+        base[:N] = 1
+        base[k] = 0
+        for ell in range(power):
+            rows.append(base.copy())
+            rows[-1][coords + k] = ell
+        for q in range(N):
+            if (k, q) in pair_of:
+                rows.append(base.copy())
+                rows[-1][N + pair_of[k, q]] = -1
+                if power > 0:
+                    rows[-1][lines + pair_of[k, q]] = power
+    for a, b in _monomials(r - N) if r >= N else ():
+        rows.append(np.zeros(K, dtype=int))
+        rows[-1][:N] = 1
+        rows[-1][K - 2:] = a, b
+    table = PowerTable([AffineScalar((0.0, 0.0), 0.0)] * K, np.array(rows).reshape(-1, K))
+
+    n_e = r - 1
+    at = np.arange(N)
+    first = N + n_e * at[:, None, None]
+    edge_terms, edge_nodes = np.broadcast_arrays(first + np.arange(n_e),
+                                                 first + np.arange(n_e)[:, None])
+    incident = np.zeros((N, N, n_e), dtype=bool)
+    incident[at, at] = incident[at, at - 1] = True
+    sides = (at[:, None, None], np.arange(n_e)[:, None],
+             np.stack([at - 1, (at + 1) % N], axis=1)[:, None])
+    return _TermLayout(
+        table, _frozen(pairs.T.copy()), _frozen(edge_terms.copy()), _frozen(edge_nodes.copy()),
+        _frozen(incident.reshape(N, -1)), tuple(map(_frozen, sides)), _frozen(np.eye(len(rows))),
+    )
+
+
 class _HighOrderBuilder:
     """Stages of the nodal-basis construction for r >= N-2.
 
-    Every generator is one term of a ``PowerTable``, ordered to match the
-    nodes.  With base_k the product of the distance functions of all edges
-    but k, the terms are: per vertex, the product of the N-2 distance
-    functions of edges not meeting it; per edge k, the r-N+2 terms
-    base_k t_k**l (t_k the edge coordinate) and one term
-    base_k pair**(r-N+2) / (lam_k + lam_q) per edge q not adjacent to k;
-    per interior node, a term bubble u**a v**b in centered coordinates.
-    Edge generators are combined by a per-edge solve, interior ones by the
-    nodal polynomials, and the nodal basis is a coefficient matrix over
-    the table.
+    Every generator is one term of the ``PowerTable`` of ``_term_layout(N,
+    r)`` over this polygon's affines, ordered to match the nodes.  Edge
+    generators are combined by one stacked solve over all edges, interior
+    ones by the nodal polynomials, and the nodal basis is a coefficient
+    matrix over the table.
     """
 
     def __init__(self, E: Polygon, r: int):
@@ -178,76 +265,56 @@ class _HighOrderBuilder:
         self.E = E
         self.r = r
         self.N = N
-        self.lam = E.edge_distances()
-        self.power = r - N + 2
         self.nodes = _make_nodes(
             E, r, _triangle_lattice(_interior_triangle(E), r - N) if r >= N else np.empty((0, 2))
         )
-        self.table = self._table()
+        self.layout = _term_layout(N, r)
+        self.table = self.layout.table.with_affines(*self._affines())
 
-    def _table(self):
+    def _affines(self):
+        """Gradients (K, 2) and offsets (K,) of the affines of the term layout."""
         E, N, r = self.E, self.N, self.r
-        affines = list(self.lam)
-
-        def column(affine):
-            affines.append(affine)
-            return len(affines) - 1
-
-        # Factors of the one-sided term of each nonadjacent pair, shared by
-        # both orders of the pair: base_k times these is 1 on edge k and
-        # vanishes on edge q.
-        pair_factors = {}
-        for i, j in E.nonadjacent_pairs():
-            li, lj = self.lam[i], self.lam[j]
-            fac = {column(AffineScalar(li.grad + lj.grad, li.offset + lj.offset)): -1}
-            if self.power > 0:
-                fac[column(E.pair_line(i, j))] = self.power
-            pair_factors[i, j] = pair_factors[j, i] = fac
-
-        terms = [
-            {m: 1 for m in range(N) if m not in ((k - 1) % N, k)} for k in range(N)
-        ]
-        for k in range(N):
-            base = {m: 1 for m in range(N) if m != k}
-            tau = E.tangents[k] / E.edge_lengths[k]
-            t = column(AffineScalar(tau, -(E.vertices[k] @ tau)))
-            terms.extend({**base, t: ell} for ell in range(self.power))
-            terms.extend(
-                {**base, **pair_factors[k, q]} for q in range(N) if (k, q) in pair_factors
-            )
+        v = E.vertices
+        i, j = self.layout.pairs
+        grads = [-E.normals, -(E.normals[i] + E.normals[j])]
+        offsets = [E.edge_offsets, E.edge_offsets[i] + E.edge_offsets[j]]
+        if r > N - 2:
+            # Pair lines through the two edge midpoints, as Polygon.pair_line.
+            mids = 0.5 * (v + np.concatenate([v[1:], v[:1]]))
+            d = mids[j] - mids[i]
+            nu = d[:, ::-1] * (1.0, -1.0) / np.hypot(d[:, 0], d[:, 1])[:, None]
+            tau = E.tangents / E.edge_lengths[:, None]
+            grads += [-nu, tau]
+            offsets += [(mids[j] * nu).sum(axis=1), -(v * tau).sum(axis=1)]
         if r >= N:
-            u, v = map(column, _centered_coordinates(E))
-            bubble = {m: 1 for m in range(N)}
-            terms.extend({**bubble, u: a, v: b} for a, b in _monomials(r - N))
+            h = E.diameter
+            grads.append(np.eye(2) / h)
+            offsets.append(-E.centroid / h)
+        return np.concatenate(grads), np.concatenate(offsets)
 
-        powers = np.zeros((len(terms), len(affines)), dtype=int)
-        for g, term in enumerate(terms):
-            for col, p in term.items():
-                powers[g, col] = p
-        return PowerTable(affines, powers)
-
-    def _edge_solve(self, k, tvals):
-        """Coefficients over the edge-k terms of the edge-k generators: unit
-        at their own node, zero at the other nodes of edge k."""
-        N, lam = self.N, self.lam
-        block = slice(N + k * (self.r - 1), N + (k + 1) * (self.r - 1))
-        pts = self.nodes.edges[k]
+    def _edge_generators(self, tvals):
+        """Coefficients (N, r-1, r-1) over each edge's terms of its
+        generators, unit at their own node and zero at the other nodes of
+        the edge, from one stacked solve over all edges."""
+        E, lay = self.E, self.layout
+        A = tvals[lay.edge_terms, lay.edge_nodes]  # edge-k term l at edge-k node j
         # Rows are scaled by the two adjacent distance functions, which are
         # positive at the edge's interior nodes.
-        row_scale = 1.0 / (lam[(k - 1) % N](pts) * lam[(k + 1) % N](pts))
-        A = tvals[block, block].T * row_scale[:, None]
-        rhs = np.diag(row_scale)
-
-        col_scale = np.abs(A).max(axis=0)
+        lam = self.nodes.edges @ -E.normals.T + E.edge_offsets  # (N, r-1, N)
+        row_scale = 1.0 / lam[lay.sides].prod(axis=2)
+        A *= row_scale[:, :, None]
+        col_scale = np.abs(A).max(axis=1)
         col_scale[col_scale == 0] = 1.0
+        rhs = lay.eye[: self.r - 1, : self.r - 1] * row_scale[:, :, None]
         try:
-            sol = np.linalg.solve(A / col_scale, rhs) / col_scale[:, None]
+            sol = np.linalg.solve(A / col_scale[:, None, :], rhs)
         except np.linalg.LinAlgError as exc:
+            k = int(np.argmin(np.abs(np.linalg.det(A))))
             raise ElementError(
                 f"singular edge system on edge {k}: {exc}; "
                 "check the polygon shape"
             ) from None
-        return block, sol.T
+        return (sol / col_scale[:, :, None]).transpose(0, 2, 1)
 
     def build(self):
         N, r = self.N, self.r
@@ -256,42 +323,33 @@ class _HighOrderBuilder:
         if len(self.table) != D:
             raise ElementError(f"generator count {len(self.table)} != dimension {D}")
 
-        tvals, _ = self.table.value_grad(nodes.all_points())
-        n_e = r - 1
-        o_edge = N
-        o_cell = N + N * n_e
-        # Generators as rows over the table terms.
-        gens = np.eye(D)
-        if n_e:
-            for k in range(N):
-                block, rows = self._edge_solve(k, tvals)
-                gens[block, block] = rows
+        tvals = self.table.values(nodes.all_points())
+        lay = self.layout
+        o_cell = N + N * (r - 1)
+        # Generators as rows over the table terms; the edge block is block
+        # diagonal, one (r-1) block per edge.
+        gens = lay.eye.copy()
+        if r > 1:
+            gens[lay.edge_nodes, lay.edge_terms] = self._edge_generators(tvals)
         if nodes.n_interior:
             lag = _lagrange_2d(nodes.interior, r - N, self.E.centroid, self.E.diameter).T
             raw = np.diag(lag @ tvals[o_cell:, o_cell:])
             gens[o_cell:, o_cell:] = lag / raw[:, None]
         gvals = gens @ tvals
 
-        C = np.zeros((D, D))
-        C[o_cell:, o_cell:] = np.eye(nodes.n_interior)
         # Edge rows: remove interior-node values with the cell functions.
-        for row in range(o_edge, o_cell):
-            C[row, row] = 1.0
-            C[row, o_cell:] -= gvals[row, o_cell:]
+        C = lay.eye.copy()
+        C[N:o_cell, o_cell:] = -gvals[N:o_cell, o_cell:]
         # Vertex rows: remove edge-node values along the two incident edges,
         # then interior values, then normalize at the vertex itself.
-        for k in range(N):
-            row = np.zeros(D)
-            row[k] = 1.0
-            for a in ((k - 1) % N, k):
-                for j in range(n_e):
-                    col = o_edge + a * n_e + j
-                    row -= gvals[k, col] * C[col]
-            vals = row @ gvals
-            row -= vals[o_cell:] @ C[o_cell:]
-            C[k] = row / (row @ gvals[:, k])
-        duality = np.abs(C @ gvals - np.eye(D)).max()
-        if not np.isfinite(duality) or duality > DUALITY_WARN:
+        near = np.where(lay.incident, gvals[:N, N:o_cell], 0.0)
+        rows = C[:N] - near @ C[N:o_cell]
+        rows[:, o_cell:] -= rows @ gvals[:, o_cell:]
+        C[:N] = rows / (rows @ gvals[:, :N]).diagonal()[:, None]
+        residual = C @ gvals
+        residual.flat[:: D + 1] -= 1.0
+        duality = np.abs(residual).max()
+        if not duality <= DUALITY_WARN:
             warnings.warn(
                 f"nodal duality residual {duality:.2e} exceeds {DUALITY_WARN:g}; "
                 "element may be badly shaped",
@@ -319,8 +377,7 @@ class DSElement:
     def translated(self, polygon, shift):
         """This element moved by ``shift`` onto ``polygon``, the translate of
         its own polygon; the coefficient matrix is shared."""
-        nodes = NodeSet(self.nodes.vertices + shift,
-                        tuple(e + shift for e in self.nodes.edges),
+        nodes = NodeSet(self.nodes.vertices + shift, self.nodes.edges + shift,
                         self.nodes.interior + shift)
         return DSElement(polygon, self.r, nodes, self.table.translated(shift), self.coeffs)
 
@@ -369,14 +426,22 @@ def build_low_order(E: Polygon, r: int) -> DSElement:
     if not 1 <= r < s:
         raise ElementError(f"need 1 <= r < N-2, got r={r}, N={N}")
     base = _HighOrderBuilder(E, s).build()
+    nodes = _make_nodes(E, r, np.empty((0, 2)))
+    return DSElement(E, r, nodes, base.table, _carving_matrix(N, r) @ base.coeffs)
 
+
+@lru_cache(maxsize=None)
+def _carving_matrix(N: int, r: int):
+    """Read-only (N r, dim) map from the index-(N-2) nodal basis on an N-gon
+    to the index-r one, r < N-2: each new function is the background
+    combination with the degree-r Lagrange trace on its edges."""
+    s = N - 2
     # Values of the degree-r equispaced Lagrange basis at the degree-s nodes.
     lag = _lagrange_1d(np.arange(r + 1) / r)
     ts = np.arange(1, s) / s
     P = np.array([npoly.polyval(ts, c) for c in lag])  # (r+1, s-1)
 
-    n_low = N * r
-    T = np.zeros((n_low, base.dim))
+    T = np.zeros((N * r, ds_dimension(N, s)))
     erow = lambda a, ell: N + a * (s - 1) + (ell - 1)
     for k in range(N):
         T[k, k] = 1.0
@@ -388,9 +453,7 @@ def build_low_order(E: Polygon, r: int) -> DSElement:
             row = N + a * (r - 1) + (j - 1)
             for ell in range(1, s):
                 T[row, erow(a, ell)] = P[j, ell - 1]
-
-    nodes = _make_nodes(E, r, np.empty((0, 2)))
-    return DSElement(E, r, nodes, base.table, T @ base.coeffs)
+    return _frozen(T)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ import scipy.sparse as sp
 from numpy.polynomial import polynomial as npoly
 
 from polyds.assembly import DofMap, MixedDofMap
-from polyds.geometry import GeometryError, Polygon
+from polyds.functions import PowerTable
+from polyds.geometry import AffineScalar, GeometryError, Polygon
 from polyds.mesh import _clean_loop, _clip_halfplane, build_topology
 from polyds.mixed import build_mixed_element
 from polyds.quadrature import edge_rule, polygon_rule
-from polyds.serendipity import build_ds_element
+from polyds.serendipity import _centered_coordinates, build_ds_element
 
 
 def random_convex_polygon(n, rng, min_sigma=0.15, max_tries=5000):
@@ -129,6 +130,47 @@ def voronoi_cell_full_clip(seed, all_seeds):
         if np.hypot(*(other - seed)) > 1e-14:
             pts = _clip_halfplane(pts, 0.5 * (seed + other), other - seed, 1e-14)
     return Polygon(_clean_loop(pts, 1.0))
+
+
+def dict_built_table(E, r):
+    """Generator table of the index-r element on E, r >= N-2, built term by
+    term as {affine column: power} dicts over AffineScalar objects (oracle
+    for the array-built table of ``polyds.serendipity``).  Terms come in
+    node order; the affine columns are in order of first use."""
+    N = E.n_edges
+    lam = E.edge_distances()
+    power = r - N + 2
+    affines = list(lam)
+
+    def column(affine):
+        affines.append(affine)
+        return len(affines) - 1
+
+    pair_factors = {}
+    for i, j in E.nonadjacent_pairs():
+        fac = {column(AffineScalar(lam[i].grad + lam[j].grad, lam[i].offset + lam[j].offset)): -1}
+        if power > 0:
+            fac[column(E.pair_line(i, j))] = power
+        pair_factors[i, j] = pair_factors[j, i] = fac
+
+    terms = [{m: 1 for m in range(N) if m not in ((k - 1) % N, k)} for k in range(N)]
+    for k in range(N):
+        base = {m: 1 for m in range(N) if m != k}
+        tau = E.tangents[k] / E.edge_lengths[k]
+        t = column(AffineScalar(tau, -(E.vertices[k] @ tau)))
+        terms.extend({**base, t: ell} for ell in range(power))
+        terms.extend({**base, **pair_factors[k, q]} for q in range(N) if (k, q) in pair_factors)
+    if r >= N:
+        u, v = map(column, _centered_coordinates(E))
+        bubble = {m: 1 for m in range(N)}
+        terms.extend({**bubble, u: a, v: b}
+                     for a in range(r - N + 1) for b in range(r - N + 1 - a))
+
+    powers = np.zeros((len(terms), len(affines)), dtype=int)
+    for g, term in enumerate(terms):
+        for col, p in term.items():
+            powers[g, col] = p
+    return PowerTable(affines, powers)
 
 
 def _coo(rows, cols, vals, shape):

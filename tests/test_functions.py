@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from polyds.functions import PowerTable, divergence_fd, gradient_fd
 from polyds.geometry import AffineScalar
@@ -65,6 +66,23 @@ def test_value_grad_matches_explicit_formulas():
     for g in range(len(powers)):
         for got, want in ((vals[g], want_vals[g]), (grads[g], want_grads[g])):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    only = table.values(pts)
+    assert np.all(only[powers[:, 0] > 0, 30:] == 0.0)
+    assert np.all(np.abs(only - vals) <= 1e-15 * np.abs(vals))
+
+
+def test_with_affines_is_the_table_of_the_new_affines():
+    rng = np.random.default_rng(9)
+    powers = [[1, -1, 0], [2, 0, 1], [0, 1, 3]]
+    old = [AffineScalar(rng.uniform(-1, 1, 2), rng.uniform(2, 3)) for _ in range(3)]
+    new = [AffineScalar(rng.uniform(-1, 1, 2), rng.uniform(2, 3)) for _ in range(3)]
+    moved = PowerTable(old, powers).with_affines(np.array([a.grad for a in new]),
+                                                 np.array([a.offset for a in new]))
+    pts = rng.uniform(-1, 1, (10, 2))
+    for got, want in zip(moved.value_grad(pts), PowerTable(new, powers).value_grad(pts)):
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        moved.with_affines(np.zeros((2, 2)), np.zeros(2))
 
 
 def test_empty_product_is_one():

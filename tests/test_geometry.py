@@ -84,6 +84,18 @@ class TestEdgeDistances:
                     if k not in (i, (i + 1) % n):
                         assert lam(E.vertices[k]) > 0
 
+    def test_match_signed_distance_line(self):
+        # Polygon builds all N functions from its normals in one pass.
+        rng = np.random.default_rng(12)
+        for n in (3, 4, 5, 6, 7, 8):
+            E = random_convex_polygon(n, rng)
+            for i, lam in enumerate(E.edge_distances()):
+                ref = signed_distance_line(E.vertices[i], E.vertices[(i + 1) % n])
+                assert np.abs(lam.grad - ref.grad).max() <= 4e-16
+                assert abs(lam.offset - ref.offset) <= 4e-16 * max(1.0, abs(ref.offset))
+                assert lam.offset == E.edge_offsets[i]
+                assert np.array_equal(lam.grad, -E.normals[i])
+
 
 class TestLambdaPair:
     def test_square_opposite_edges_midline(self):

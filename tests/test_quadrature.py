@@ -84,6 +84,22 @@ class TestPolygonRule:
                     scale = max(abs(want), 1e-3 * E.area)
                     assert abs(val - want) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("degree", [1, 4, 9])
+    def test_exact_for_monomials_on_random_hexagon(self, degree):
+        # Reference by the divergence theorem: the integral of x^a y^b is
+        # the boundary integral of x^(a+1) y^b / (a+1) n_x, which Gauss
+        # rules along the edges give exactly.
+        E = random_convex_polygon(6, np.random.default_rng(degree))
+        rule = polygon_rule(E, degree)
+        for a in range(degree + 1):
+            for b in range(degree + 1 - a):
+                want = sum(
+                    edge_rule(E, i, a + b + 1).integrate(
+                        lambda p: p[:, 0] ** (a + 1) * p[:, 1] ** b / (a + 1)) * E.normals[i, 0]
+                    for i in range(6))
+                got = rule.integrate(lambda p: p[:, 0] ** a * p[:, 1] ** b)
+                assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (a, b)
+
     @pytest.mark.parametrize("n,r", [(4, 2), (5, 3), (6, 5)])
     def test_rational_integrand_settles_at_default_degree(self, n, r):
         # The supplemental factors are rational; at the default assembly

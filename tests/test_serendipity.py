@@ -8,6 +8,9 @@ from polyds.functions import gradient_fd
 from polyds.geometry import Polygon
 from polyds.serendipity import (
     ElementError,
+    _carving_matrix,
+    _HighOrderBuilder,
+    _term_layout,
     build_ds_element,
     build_low_order,
     build_low_order_supplement,
@@ -16,7 +19,7 @@ from polyds.serendipity import (
     interpolate,
 )
 
-from helpers import interior_points, random_convex_polygon, sliver_mesh
+from helpers import dict_built_table, interior_points, random_convex_polygon, sliver_mesh
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -28,6 +31,41 @@ def regular_polygon(n, rot=0.0):
 
 def monomials(r):
     return [(a, b) for a in range(r + 1) for b in range(r + 1 - a)]
+
+
+class TestTermLayout:
+    @pytest.mark.parametrize("N", range(3, 9))
+    def test_table_matches_dict_built_oracle(self, N):
+        rng = np.random.default_rng(N)
+        for r in range(max(1, N - 2), N + 3):
+            E = random_convex_polygon(N, rng)
+            pts = interior_points(E, rng, 25)
+            got = _HighOrderBuilder(E, r).table.value_grad(pts)
+            want = dict_built_table(E, r).value_grad(pts)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                scale = np.abs(w).reshape(len(w), -1).max(axis=1)
+                err = np.abs(g - w).reshape(len(w), -1).max(axis=1)
+                assert np.all(err <= 1e-13 * scale), (N, r, (err / scale).max())
+
+    def test_cell_tables_share_the_cached_layout(self):
+        rng = np.random.default_rng(2)
+        a, b = (_HighOrderBuilder(random_convex_polygon(5, rng), 4).table for _ in range(2))
+        template = _term_layout(5, 4).table
+        assert _term_layout(5, 4) is _term_layout(5, 4)
+        assert a.powers is template.powers and b.powers is template.powers
+        assert not np.array_equal(a.offsets, b.offsets)
+
+    @pytest.mark.parametrize("N, r", [(3, 1), (4, 2), (5, 3), (6, 7)])
+    def test_layout_arrays_read_only(self, N, r):
+        layout = _term_layout(N, r)
+        t = layout.table
+        arrays = [t.powers, t._index, t._exps, t._fgrads, t.grads, t.offsets,
+                  layout.pairs, layout.edge_terms, layout.edge_nodes, layout.incident,
+                  *layout.sides, layout.eye, _carving_matrix(6, 2), _carving_matrix(8, 5)]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 1
 
 
 class TestDimension:
