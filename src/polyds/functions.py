@@ -60,8 +60,6 @@ class PowerTable:
 
     def _set_affines(self, grads, offsets):
         K = self.powers.shape[1]
-        grads = np.asarray(grads, dtype=float)
-        offsets = np.asarray(offsets, dtype=float)
         if grads.shape != (K, 2) or offsets.shape != (K,):
             raise ValueError(f"need ({K}, 2) gradients and ({K},) offsets, "
                              f"got {grads.shape} and {offsets.shape}")
@@ -75,20 +73,24 @@ class PowerTable:
         grads.flags.writeable = False
         offsets.flags.writeable = False
 
-    def with_affines(self, grads, offsets):
-        """The same terms over new affine functions a_k(x) = grads[k] . x +
-        offsets[k], given as (K, 2) and (K,) arrays, which the table takes
-        over read-only.  The term arrays are shared."""
+    def _sharing_terms(self, grads, offsets):
+        """This table's terms over the given affine arrays, which it owns."""
         out = object.__new__(PowerTable)
         for name in self.__slots__:
             setattr(out, name, getattr(self, name))
         out._set_affines(grads, offsets)
         return out
 
+    def with_affines(self, grads, offsets):
+        """The same terms over new affine functions a_k(x) = grads[k] . x +
+        offsets[k], given as (K, 2) and (K,) arrays, which the table copies.
+        The term arrays are shared."""
+        return self._sharing_terms(np.array(grads, dtype=float), np.array(offsets, dtype=float))
+
     def translated(self, shift):
         """The table of the fields moved by ``shift``: x -> f_g(x - shift).
         Every array but ``offsets`` is shared."""
-        return self.with_affines(self.grads, self.offsets - self.grads @ shift)
+        return self._sharing_terms(self.grads, self.offsets - self.grads @ shift)
 
     def __len__(self):
         return len(self.powers)
@@ -99,10 +101,6 @@ class PowerTable:
         affine = np.ones((len(self.offsets) + 1, len(pts)))
         affine[:-1] = self.grads @ pts.T + self.offsets[:, None]
         return affine[self._index]
-
-    def values(self, pts):
-        """Values (G, M) of every field at pts, without gradients."""
-        return np.multiply.reduce(self._factors(pts) ** self._exps[:, :, None], axis=0)
 
     def value_grad(self, pts):
         """Values (G, M) and gradients (G, M, 2) of every field at pts."""

@@ -2,7 +2,8 @@
 
 Provides signed affine distance functions to lines and edges, the convex
 ``Polygon`` type with derived edge data (outer normals, tangents, lengths),
-pair lines between nonadjacent edges, and shape-regularity measurement.
+pair lines between nonadjacent edges (one at a time or as arrays), and
+shape-regularity measurement.
 
 All objects are immutable after construction and all operations are pure,
 so they are safe to share between threads.
@@ -22,6 +23,8 @@ __all__ = [
     "Polygon",
     "RegularityReport",
     "signed_distance_line",
+    "distance_lines",
+    "nonadjacent_pairs",
 ]
 
 # Consecutive-edge cross products below CONVEXITY_RTOL * h**2 mark a polygon
@@ -81,12 +84,24 @@ def signed_distance_line(y1, y2) -> AffineScalar:
     y1 = np.asarray(y1, dtype=float)
     y2 = np.asarray(y2, dtype=float)
     d = y2 - y1
-    length = math.hypot(d[0], d[1])
     scale = max(abs(y1).max(), abs(y2).max(), 1.0)
-    if length <= 1e-14 * scale:
+    if math.hypot(d[0], d[1]) <= 1e-14 * scale:
         raise GeometryError(f"coincident points {y1} and {y2} define no line")
-    nu = np.array([d[1], -d[0]]) / length
-    return AffineScalar(-nu, float(y2 @ nu))
+    grads, offsets = distance_lines(y1[None], y2[None])
+    return AffineScalar(grads[0], offsets[0])
+
+
+def distance_lines(y1, y2):
+    """Gradients (P, 2) and offsets (P,) of ``signed_distance_line(y1[p],
+    y2[p])`` for (P, 2) arrays of distinct points."""
+    d = y2 - y1
+    nu = d[:, ::-1] * (1.0, -1.0) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    return -nu, (y2 * nu).sum(axis=1)
+
+
+def nonadjacent_pairs(n):
+    """All index pairs (i, j), i < j, of nonadjacent edges of an n-gon."""
+    return [(i, j) for i, j in itertools.combinations(range(n), 2) if 2 <= j - i <= n - 2]
 
 
 @dataclass(frozen=True)
@@ -172,12 +187,7 @@ class Polygon:
 
     def nonadjacent_pairs(self):
         """All index pairs (i, j), i < j, of nonadjacent edges."""
-        n = self.n_edges
-        return [
-            (i, j)
-            for i, j in itertools.combinations(range(n), 2)
-            if 2 <= j - i <= n - 2
-        ]
+        return nonadjacent_pairs(self.n_edges)
 
     def pair_line(self, i, j) -> AffineScalar:
         """Unit-gradient affine function vanishing on the line through the
@@ -191,7 +201,13 @@ class Polygon:
         if min(sep, n - sep) < 2:
             raise GeometryError(f"edges {i} and {j} are adjacent or equal")
         a, b = (i, j) if i < j else (j, i)
-        return signed_distance_line(self.edge_midpoint(a), self.edge_midpoint(b))
+        grads, offsets = self.pair_lines([a], [b])
+        return AffineScalar(grads[0], offsets[0])
+
+    def pair_lines(self, i, j):
+        """Gradients (P, 2) and offsets (P,) of ``pair_line(i[p], j[p])``
+        for index arrays of nonadjacent pairs, i[p] < j[p]."""
+        return distance_lines(self.edge_midpoint(np.asarray(i)), self.edge_midpoint(np.asarray(j)))
 
     def shape_regularity(self) -> RegularityReport:
         """Measure sigma = rho / h from all vertex sub-triangles."""

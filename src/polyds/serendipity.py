@@ -24,7 +24,6 @@ evaluated concurrently.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +33,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .functions import PowerTable
-from .geometry import AffineScalar, Polygon, _as_points, signed_distance_line
+from .geometry import AffineScalar, Polygon, _as_points, nonadjacent_pairs, signed_distance_line
 
 __all__ = [
     "ElementError",
@@ -179,7 +178,6 @@ class _TermLayout(NamedTuple):
     edge_nodes: np.ndarray  # ... and node N + k(r-1) + j of edge k at [k, j, l]
     incident: np.ndarray  # (N, N(r-1)): edge nodes on the two edges at vertex k
     sides: tuple  # picks lam[k, j, m] for the edges m before and after edge k
-    eye: np.ndarray  # (D, D) identity
 
 
 @lru_cache(maxsize=None)
@@ -199,8 +197,7 @@ def _term_layout(N: int, r: int) -> _TermLayout:
     bubble u**a v**b.  All arrays are read-only.
     """
     power = r - N + 2
-    pairs = np.array([(i, j) for i, j in itertools.combinations(range(N), 2)
-                      if 2 <= j - i <= N - 2], dtype=int).reshape(-1, 2)
+    pairs = np.array(nonadjacent_pairs(N), dtype=int).reshape(-1, 2)
     P = len(pairs)
     pair_of = {}
     for p, (i, j) in enumerate(pairs.tolist()):
@@ -244,7 +241,7 @@ def _term_layout(N: int, r: int) -> _TermLayout:
              np.stack([at - 1, (at + 1) % N], axis=1)[:, None])
     return _TermLayout(
         table, _frozen(pairs.T.copy()), _frozen(edge_terms.copy()), _frozen(edge_nodes.copy()),
-        _frozen(incident.reshape(N, -1)), tuple(map(_frozen, sides)), _frozen(np.eye(len(rows))),
+        _frozen(incident.reshape(N, -1)), tuple(map(_frozen, sides)),
     )
 
 
@@ -274,22 +271,18 @@ class _HighOrderBuilder:
     def _affines(self):
         """Gradients (K, 2) and offsets (K,) of the affines of the term layout."""
         E, N, r = self.E, self.N, self.r
-        v = E.vertices
         i, j = self.layout.pairs
         grads = [-E.normals, -(E.normals[i] + E.normals[j])]
         offsets = [E.edge_offsets, E.edge_offsets[i] + E.edge_offsets[j]]
         if r > N - 2:
-            # Pair lines through the two edge midpoints, as Polygon.pair_line.
-            mids = 0.5 * (v + np.concatenate([v[1:], v[:1]]))
-            d = mids[j] - mids[i]
-            nu = d[:, ::-1] * (1.0, -1.0) / np.hypot(d[:, 0], d[:, 1])[:, None]
+            line_grads, line_offsets = E.pair_lines(i, j)
             tau = E.tangents / E.edge_lengths[:, None]
-            grads += [-nu, tau]
-            offsets += [(mids[j] * nu).sum(axis=1), -(v * tau).sum(axis=1)]
+            grads += [line_grads, tau]
+            offsets += [line_offsets, -(E.vertices * tau).sum(axis=1)]
         if r >= N:
-            h = E.diameter
-            grads.append(np.eye(2) / h)
-            offsets.append(-E.centroid / h)
+            uv = _centered_coordinates(E)
+            grads.append([a.grad for a in uv])
+            offsets.append([a.offset for a in uv])
         return np.concatenate(grads), np.concatenate(offsets)
 
     def _edge_generators(self, tvals):
@@ -305,14 +298,20 @@ class _HighOrderBuilder:
         A *= row_scale[:, :, None]
         col_scale = np.abs(A).max(axis=1)
         col_scale[col_scale == 0] = 1.0
-        rhs = lay.eye[: self.r - 1, : self.r - 1] * row_scale[:, :, None]
+        A /= col_scale[:, None, :]
+        rhs = np.eye(self.r - 1) * row_scale[:, :, None]
         try:
-            sol = np.linalg.solve(A / col_scale[:, None, :], rhs)
+            sol = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError as exc:
-            k = int(np.argmin(np.abs(np.linalg.det(A))))
+            where = "an edge"
+            for k in range(self.N):  # name the first edge whose own system fails
+                try:
+                    np.linalg.solve(A[k], rhs[k])
+                except np.linalg.LinAlgError:
+                    where = f"edge {k}"
+                    break
             raise ElementError(
-                f"singular edge system on edge {k}: {exc}; "
-                "check the polygon shape"
+                f"singular edge system on {where}: {exc}; check the polygon shape"
             ) from None
         return (sol / col_scale[:, :, None]).transpose(0, 2, 1)
 
@@ -323,12 +322,12 @@ class _HighOrderBuilder:
         if len(self.table) != D:
             raise ElementError(f"generator count {len(self.table)} != dimension {D}")
 
-        tvals = self.table.values(nodes.all_points())
+        tvals, _ = self.table.value_grad(nodes.all_points())
         lay = self.layout
         o_cell = N + N * (r - 1)
         # Generators as rows over the table terms; the edge block is block
         # diagonal, one (r-1) block per edge.
-        gens = lay.eye.copy()
+        gens = np.eye(D)
         if r > 1:
             gens[lay.edge_nodes, lay.edge_terms] = self._edge_generators(tvals)
         if nodes.n_interior:
@@ -338,7 +337,7 @@ class _HighOrderBuilder:
         gvals = gens @ tvals
 
         # Edge rows: remove interior-node values with the cell functions.
-        C = lay.eye.copy()
+        C = np.eye(D)
         C[N:o_cell, o_cell:] = -gvals[N:o_cell, o_cell:]
         # Vertex rows: remove edge-node values along the two incident edges,
         # then interior values, then normalize at the vertex itself.

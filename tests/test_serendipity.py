@@ -62,10 +62,22 @@ class TestTermLayout:
         t = layout.table
         arrays = [t.powers, t._index, t._exps, t._fgrads, t.grads, t.offsets,
                   layout.pairs, layout.edge_terms, layout.edge_nodes, layout.incident,
-                  *layout.sides, layout.eye, _carving_matrix(6, 2), _carving_matrix(8, 5)]
+                  *layout.sides, _carving_matrix(6, 2), _carving_matrix(8, 5)]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1
+
+    def test_singular_edge_system_names_its_edge(self):
+        builder = _HighOrderBuilder(UNIT_SQUARE, 3)
+        tvals, _ = builder.table.value_grad(builder.nodes.all_points())
+        first = 4 + 2 * np.arange(4)  # term and node of l = j = 0 on each edge
+        edge = lambda k: np.ix_([first[k], first[k] + 1], [first[k], first[k] + 1])
+        # Edge 2 loses a generator; edge 0 stays regular but so small that
+        # the determinant of its row-scaled system underflows to zero.
+        tvals[first[2], edge(2)[1]] = 0.0
+        tvals[edge(0)] *= 1e-200
+        with pytest.raises(ElementError, match="on edge 2:"):
+            builder._edge_generators(tvals)
 
 
 class TestDimension:
