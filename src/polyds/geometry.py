@@ -2,8 +2,9 @@
 
 Provides signed affine distance functions to lines and edges, the convex
 ``Polygon`` type with derived edge data (outer normals, tangents, lengths),
-pair lines between nonadjacent edges (one at a time or as arrays), and
-shape-regularity measurement.
+built one at a time or as a stack of polygons with equal vertex count
+(``polygon_stack``, one formula for both), pair lines between nonadjacent
+edges (one at a time or as arrays), and shape-regularity measurement.
 
 All objects are immutable after construction and all operations are pure,
 so they are safe to share between threads.
@@ -22,6 +23,7 @@ __all__ = [
     "AffineScalar",
     "Polygon",
     "RegularityReport",
+    "polygon_stack",
     "signed_distance_line",
     "distance_lines",
     "nonadjacent_pairs",
@@ -54,7 +56,7 @@ class AffineScalar:
     def __init__(self, grad, offset):
         self.grad = np.asarray(grad, dtype=float)
         self.offset = float(offset)
-        if self.grad.shape != (2,) or not all(map(math.isfinite, self.grad)):
+        if self.grad.shape != (2,) or not all(map(math.isfinite, self.grad.tolist())):
             raise GeometryError("affine gradient must be a finite 2-vector")
         if not math.isfinite(self.offset):
             raise GeometryError("affine offset must be finite")
@@ -104,6 +106,88 @@ def nonadjacent_pairs(n):
     return [(i, j) for i, j in itertools.combinations(range(n), 2) if 2 <= j - i <= n - 2]
 
 
+def polygon_stack(vertices):
+    """Polygons of C vertex loops of N vertices each, given as a (C, N, 2)
+    array.
+
+    Every formula and check of :class:`Polygon` runs once on the whole
+    stack, and ``Polygon(vertices[c])`` is the case C = 1, so each polygon
+    equals that one bit for bit.  Returns ``(polygons, None)``, or
+    ``(None, (c, message))`` for the first loop c that is not a valid
+    polygon, with the message of the ``GeometryError`` that ``Polygon``
+    raises for it.
+    """
+    v = np.array(vertices, dtype=float)
+    if v.ndim != 3 or v.shape[2] != 2:
+        raise GeometryError("vertices must have shape (C, N, 2)")
+    data, failure = _stacked_data(v)
+    if failure is not None:
+        return None, failure
+    polygons = []
+    for c in range(len(data["vertices"])):
+        E = object.__new__(Polygon)
+        E._take(data, c)
+        polygons.append(E)
+    return polygons, None
+
+
+def _stacked_data(v):
+    """Derived data of the loops v (C, N, 2) as stacked arrays, and the first
+    failing loop as ``(c, message)`` or None."""
+    if v.shape[1] < 3:
+        return None, (0, "a polygon needs at least 3 vertices")
+    # Loops with non-finite vertices fail the first check below; the
+    # arithmetic on them may overflow or give NaN on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = v[:, :, None, :] - v[:, None, :, :]
+        diameter = np.sqrt((d**2).sum(-1)).max(axis=(1, 2))
+        nxt = np.concatenate([v[:, 1:], v[:, :1]], axis=1)
+        edges = nxt - v
+        edge_lengths = np.hypot(edges[..., 0], edges[..., 1])
+        prev = np.concatenate([edges[:, -1:], edges[:, :-1]], axis=1)
+        cross = prev[..., 0] * edges[..., 1] - prev[..., 1] * edges[..., 0]
+        tol = CONVEXITY_RTOL * diameter**2
+    # Checks in order of precedence; a loop is named by the first it fails.
+    checks = (~np.isfinite(v).all(axis=(1, 2)),
+              (edge_lengths <= 1e-14 * diameter[:, None]).any(axis=1),
+              (cross <= tol[:, None]).any(axis=1))
+    failed = np.logical_or.reduce(checks)
+    if failed.any():
+        c = int(np.argmax(failed))
+        if checks[0][c]:
+            return None, (c, "vertices must be finite")
+        if checks[1][c]:
+            return None, (c, "repeated (or nearly repeated) vertices")
+        if cross[c].sum() <= 0:
+            return None, (c, "vertex loop is not counterclockwise")
+        bad = int(np.argmin(cross[c]))
+        return None, (c, f"polygon is not strictly convex at vertex {bad} "
+                         f"(cross product {cross[c, bad]:.3e} <= {tol[c]:.3e})")
+
+    tangents = edges / edge_lengths[..., None]
+    # Outer normals of a CCW loop point to the right of each tangent.
+    normals = np.stack([tangents[..., 1], -tangents[..., 0]], axis=-1)
+    piece = v[..., 0] * nxt[..., 1] - nxt[..., 0] * v[..., 1]
+    area = piece.sum(axis=1) / 2.0
+    # Edge distance functions: lam_i(x) = edge_offsets[i] - normals[i] . x,
+    # zero on edge i and positive inside.
+    edge_offsets = (nxt * normals).sum(axis=2)
+    C, N = edge_offsets.shape
+    fns = list(map(AffineScalar, -normals.reshape(-1, 2), edge_offsets.ravel().tolist()))
+    data = {
+        "vertices": v,
+        "diameter": diameter,
+        "edge_lengths": edge_lengths,
+        "tangents": tangents,
+        "normals": normals,
+        "area": area,
+        "centroid": ((v + nxt) * piece[..., None]).sum(axis=1) / (6.0 * area[:, None]),
+        "edge_offsets": edge_offsets,
+        "edge_fns": [tuple(fns[k:k + N]) for k in range(0, C * N, N)],
+    }
+    return data, None
+
+
 @dataclass(frozen=True)
 class RegularityReport:
     """Shape-regularity measurement of a polygon.
@@ -129,44 +213,23 @@ class Polygon:
         v = np.array(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise GeometryError("vertices must have shape (N, 2)")
-        if len(v) < 3:
-            raise GeometryError("a polygon needs at least 3 vertices")
-        if not np.isfinite(v).all():
-            raise GeometryError("vertices must be finite")
+        data, failure = _stacked_data(v[None])
+        if failure is not None:
+            raise GeometryError(failure[1])
+        self._take(data, 0)
 
-        self.vertices = v
-        self.n_edges = len(v)
-        d = v[:, None, :] - v[None, :, :]
-        self.diameter = float(np.sqrt((d**2).sum(-1)).max())
-
-        nxt = np.concatenate([v[1:], v[:1]])
-        edges = nxt - v
-        self.edge_lengths = np.hypot(edges[:, 0], edges[:, 1])
-        if (self.edge_lengths <= 1e-14 * self.diameter).any():
-            raise GeometryError("repeated (or nearly repeated) vertices")
-        self.tangents = edges / self.edge_lengths[:, None]
-        # Outer normals of a CCW loop point to the right of each tangent.
-        self.normals = np.column_stack([self.tangents[:, 1], -self.tangents[:, 0]])
-
-        prev = np.concatenate([edges[-1:], edges[:-1]])
-        cross = prev[:, 0] * edges[:, 1] - prev[:, 1] * edges[:, 0]
-        tol = CONVEXITY_RTOL * self.diameter**2
-        if (cross <= tol).any():
-            bad = int(np.argmin(cross))
-            if cross.sum() <= 0:
-                raise GeometryError("vertex loop is not counterclockwise")
-            raise GeometryError(
-                f"polygon is not strictly convex at vertex {bad} "
-                f"(cross product {cross[bad]:.3e} <= {tol:.3e})"
-            )
-
-        piece = v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]
-        self.area = float(piece.sum() / 2.0)
-        self.centroid = ((v + nxt) * piece[:, None]).sum(axis=0) / (6.0 * self.area)
-        # Edge distance functions: lam_i(x) = edge_offsets[i] - normals[i] . x,
-        # zero on edge i and positive inside.
-        self.edge_offsets = (nxt * self.normals).sum(axis=1)
-        self._edge_fns = tuple(map(AffineScalar, -self.normals, self.edge_offsets))
+    def _take(self, data, c):
+        """Set the attributes from row c of the stacked data."""
+        self.vertices = data["vertices"][c]
+        self.n_edges = self.vertices.shape[0]
+        self.diameter = float(data["diameter"][c])
+        self.edge_lengths = data["edge_lengths"][c]
+        self.tangents = data["tangents"][c]
+        self.normals = data["normals"][c]
+        self.area = float(data["area"][c])
+        self.centroid = data["centroid"][c]
+        self.edge_offsets = data["edge_offsets"][c]
+        self._edge_fns = data["edge_fns"][c]
 
     def __repr__(self):
         return f"Polygon({self.n_edges} vertices, h={self.diameter:.3g})"

@@ -7,20 +7,27 @@ perturbed quadrilaterals, and the hexagon-dominant Voronoi mesh of a
 staggered seed lattice.  ``collapse_short_edges`` removes sliver edges by
 merging vertices.
 
+Generation is array work over all cells at once: the Voronoi cells are
+clipped together, one bisector per cell and step; coinciding loop
+vertices are fused by label propagation; the edge table comes from
+integer keys of the directed edges; and the cell polygons are built per
+group of equal vertex count (``geometry.polygon_stack``).  The tests hold
+each step to the bits of a cell-by-cell construction.
+
 Meshes are immutable after construction; generators are deterministic
 given their arguments (and seed).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import GeometryError, Polygon
+from .geometry import Polygon, polygon_stack
 
 __all__ = [
     "MeshError",
@@ -47,7 +54,7 @@ class MeshError(ValueError):
 class Edge:
     """One mesh edge: vertex pair (a, b), owning cells, boundary flag.
 
-    ``a < b`` never holds in general; the stored direction a -> b is the
+    ``a < b`` need not hold; the stored direction a -> b is the
     traversal direction of the ``left`` cell.  ``right`` is None on the
     boundary.
     """
@@ -66,8 +73,8 @@ class Mesh:
     """Conforming polygonal mesh (use :func:`build_topology` to create)."""
 
     def __init__(self, vertices, cells, edges, cell_edges, polygons):
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.cells = [list(map(int, loop)) for loop in cells]
+        self.vertices = vertices
+        self.cells = cells  # per cell: vertex indices in CCW loop order
         self.edges = edges
         self.cell_edges = cell_edges  # per cell: edge indices in loop order
         self._polygons = tuple(polygons)
@@ -92,15 +99,11 @@ class Mesh:
 
     @property
     def h_max(self):
-        return max(p.diameter for p in self.polygons())
+        return max(p.diameter for p in self._polygons)
 
     @property
     def area(self):
-        return sum(p.area for p in self.polygons())
-
-    def edge_length(self, i):
-        e = self.edges[i]
-        return float(math.dist(self.vertices[e.a], self.vertices[e.b]))
+        return sum(p.area for p in self._polygons)
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,7 @@ def build_topology(vertices, cells) -> Mesh:
 
     Every interior edge must be shared by exactly two cells traversing it
     in opposite directions; cells must be valid CCW convex polygons.
+    Errors name the lowest-numbered offending cell.
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -126,54 +130,76 @@ def build_topology(vertices, cells) -> Mesh:
     if len(cells) == 0:
         raise MeshError("mesh has no cells")
     nv = len(vertices)
-    polygons = []
-    for ci, loop in enumerate(cells):
-        if len(set(loop)) != len(loop):
-            raise MeshError(f"degenerate cell {ci}: repeated vertex in loop {loop}")
-        if any(not 0 <= v < nv for v in loop):
-            raise MeshError(f"cell {ci} references an unknown vertex")
-        try:
-            # Polygon rejects clockwise (inverted) loops too.
-            polygons.append(Polygon(vertices[list(loop)]))
-        except GeometryError as exc:
-            raise MeshError(f"degenerate cell {ci}: {exc}") from None
+    sizes = np.array([len(loop) for loop in cells])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    flat = np.fromiter(itertools.chain.from_iterable(cells), dtype=np.int64,
+                       count=int(ends[-1]))
 
-    directed = {}
-    for ci, loop in enumerate(cells):
-        for k in range(len(loop)):
-            key = (loop[k], loop[(k + 1) % len(loop)])
-            if key in directed:
-                raise MeshError(
-                    f"nonconforming mesh: edge {key} traversed twice in the "
-                    f"same direction (cells {directed[key]} and {ci})"
-                )
-            directed[key] = ci
-
-    edges = []
-    edge_ids = {}
-    for (a, b), ci in directed.items():
-        if (a, b) in edge_ids or (b, a) in edge_ids:
+    # Cell checks and polygons, one stack per loop length.
+    polygons = [None] * len(cells)
+    failures = []  # (cell, message): the first bad cell of each check
+    for n in np.flatnonzero(np.bincount(sizes)).tolist():
+        ids = np.flatnonzero(sizes == n)
+        loops = flat[starts[ids, None] + np.arange(n)]
+        repeated = (loops[:, :, None] == loops[:, None, :]).sum(axis=(1, 2)) > n
+        unknown = ((loops < 0) | (loops >= nv)).any(axis=1)
+        if (repeated | unknown).any():
+            k = int(np.argmax(repeated | unknown))
+            ci = int(ids[k])
+            failures.append((ci, f"degenerate cell {ci}: repeated vertex in loop {cells[ci]}"
+                             if repeated[k] else f"cell {ci} references an unknown vertex"))
+        ok = ~(repeated | unknown)
+        if not ok.any():
             continue
-        mate = directed.get((b, a))
-        edges.append(Edge(a=a, b=b, left=ci, right=mate))
-        edge_ids[(a, b)] = len(edges) - 1
+        stack, failure = polygon_stack(vertices[loops[ok]])
+        if failure is not None:
+            ci = int(ids[ok][failure[0]])
+            failures.append((ci, f"degenerate cell {ci}: {failure[1]}"))
+        else:
+            for ci, E in zip(ids[ok].tolist(), stack):
+                polygons[ci] = E
+    if failures:
+        raise MeshError(min(failures)[1])
 
-    cell_edges = []
-    for loop in cells:
-        local = []
-        for k in range(len(loop)):
-            a, b = loop[k], loop[(k + 1) % len(loop)]
-            local.append(edge_ids[(a, b)] if (a, b) in edge_ids else edge_ids[(b, a)])
-        cell_edges.append(local)
+    # Directed edges a -> b of every loop, in cell and loop order.
+    cell_of = np.repeat(np.arange(len(cells)), sizes)
+    nxt = np.arange(1, len(flat) + 1)
+    nxt[ends - 1] = starts
+    a, b = flat, flat[nxt]
+    _, first, where = np.unique(a * nv + b, return_index=True, return_inverse=True)
+    again = np.flatnonzero(first[where] != np.arange(len(flat)))
+    if len(again):
+        p = again[0]
+        raise MeshError(
+            f"nonconforming mesh: edge {(int(a[p]), int(b[p]))} traversed twice in the "
+            f"same direction (cells {cell_of[first[where[p]]]} and {cell_of[p]})"
+        )
 
-    mesh = Mesh(vertices, cells, edges, cell_edges, polygons)
+    # One edge per vertex pair, in order of first traversal, stored in the
+    # direction of that traversal.  A second traversal of the pair runs the
+    # other way (the check above), and its cell is the right one.
+    pair = np.minimum(a, b) * nv + np.maximum(a, b)
+    _, ufirst, uwhere = np.unique(pair, return_index=True, return_inverse=True)
+    ulast = len(pair) - 1 - np.unique(pair[::-1], return_index=True)[1]
+    is_first = np.zeros(len(pair), dtype=bool)
+    is_first[ufirst] = True
+    pos = np.flatnonzero(is_first)  # the first traversal of each edge
+    rank = (np.cumsum(is_first) - 1)[ufirst]  # edge number of each pair
+    mate = np.empty_like(ulast)
+    mate[rank] = ulast
+    right = np.where(mate != pos, cell_of[mate], -1)
+    edges = [Edge(ea, eb, left, r if r >= 0 else None) for ea, eb, left, r in
+             zip(a[pos].tolist(), b[pos].tolist(), cell_of[pos].tolist(), right.tolist())]
+    loop_ids, edge_ids = flat.tolist(), rank[uwhere].tolist()
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    mesh = Mesh(vertices, [loop_ids[s:e] for s, e in bounds], edges,
+                [edge_ids[s:e] for s, e in bounds], polygons)
 
     # Cells must tile the region enclosed by the boundary loop.
-    boundary_area = 0.0
-    for e in mesh.edges:
-        if e.boundary:
-            pa, pb = vertices[e.a], vertices[e.b]
-            boundary_area += 0.5 * (pa[0] * pb[1] - pb[0] * pa[1])
+    on_boundary = pos[right < 0]
+    pa, pb = vertices[a[on_boundary]], vertices[b[on_boundary]]
+    boundary_area = float((0.5 * (pa[:, 0] * pb[:, 1] - pb[:, 0] * pa[:, 1])).sum())
     total = mesh.area
     if abs(total - boundary_area) > 1e-10 * abs(total):
         raise MeshError(
@@ -196,29 +222,26 @@ def mesh_stats(mesh: Mesh) -> MeshStats:
     )
 
 
-def _grid_mesh(n, ycoord):
-    """Quad mesh of [0,1]^2 with vertex heights from ``ycoord(i, j)``."""
-    vid = {}
-    verts = []
-    for j in range(n + 1):
-        for i in range(n + 1):
-            vid[(i, j)] = len(verts)
-            verts.append((i / n, ycoord(i, j)))
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            cells.append(
-                [vid[(i, j)], vid[(i + 1, j)], vid[(i + 1, j + 1)], vid[(i, j + 1)]]
-            )
-    return np.asarray(verts), cells
+def _grid_indices(n):
+    """Column and row index arrays i[j, i], j[j, i] of the (n+1)^2 grid."""
+    return np.meshgrid(np.arange(n + 1), np.arange(n + 1))
+
+
+def _grid_mesh(x, y):
+    """Quad mesh of the vertex grid with coordinates (x[j, i], y[j, i]);
+    vertex (i, j) gets the number j*(n+1) + i."""
+    n = len(x) - 1
+    corner = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    cells = corner[:, None] + [0, 1, n + 2, n + 1]
+    return build_topology(np.column_stack([x.ravel(), y.ravel()]), cells.tolist())
 
 
 def gen_square_mesh(n: int) -> Mesh:
     """n x n uniform squares tiling the unit square."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    verts, cells = _grid_mesh(n, lambda i, j: j / n)
-    return build_topology(verts, cells)
+    i, j = _grid_indices(n)
+    return _grid_mesh(i / n, j / n)
 
 
 def gen_trapezoid_mesh(n: int, slope=0.25) -> Mesh:
@@ -230,13 +253,9 @@ def gen_trapezoid_mesh(n: int, slope=0.25) -> Mesh:
     """
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
-
-    def ycoord(i, j):
-        amp = slope if j % 2 else 0.0
-        return (j + amp * (1 if (i + j) % 2 else -1)) / n
-
-    verts, cells = _grid_mesh(n, ycoord)
-    return build_topology(verts, cells)
+    i, j = _grid_indices(n)
+    amp = np.where(j % 2 == 1, slope, 0.0)
+    return _grid_mesh(i / n, (j + amp * np.where((i + j) % 2 == 1, 1, -1)) / n)
 
 
 def gen_perturbed_quad_mesh(n: int, noise: float, seed=0) -> Mesh:
@@ -250,63 +269,76 @@ def gen_perturbed_quad_mesh(n: int, noise: float, seed=0) -> Mesh:
     if not 0 <= noise < 0.5:
         raise ValueError("noise must be in [0, 0.5)")
     rng = np.random.default_rng(seed)
-    shifts = rng.uniform(-noise / n, noise / n, size=(n + 1, n + 1, 2))
-
-    def ycoord(i, j):
-        if 0 < i < n and 0 < j < n:
-            return j / n + shifts[i, j, 1]
-        return j / n
-
-    verts, cells = _grid_mesh(n, ycoord)
-    verts = verts.copy()
-    for j in range(1, n):
-        for i in range(1, n):
-            verts[j * (n + 1) + i, 0] += shifts[i, j, 0]
-    return build_topology(verts, cells)
+    shifts = rng.uniform(-noise / n, noise / n, size=(n + 1, n + 1, 2))  # [i, j]
+    i, j = _grid_indices(n)
+    x, y = i / n, j / n
+    x[1:n, 1:n] += shifts[1:n, 1:n, 0].T
+    y[1:n, 1:n] += shifts[1:n, 1:n, 1].T
+    return _grid_mesh(x, y)
 
 
-def _clip_halfplane(pts, anchor, normal, tol):
-    """Sutherland-Hodgman clip of a convex loop against (x-anchor).n <= 0.
-
-    The loops have a handful of vertices, so the walk runs on Python
-    floats: for these sizes that is faster than masked array work.
-    """
-    dist = ((pts - anchor) @ normal).tolist()
-    loop = pts.tolist()
-    out = []
-    m = len(loop)
-    for k in range(m):
-        da, db = dist[k], dist[k + 1 - m]
-        if da <= tol:
-            out.append(loop[k])
-        if (da < -tol and db > tol) or (da > tol and db < -tol):
-            t = da / (da - db)
-            (xa, ya), (xb, yb) = loop[k], loop[k + 1 - m]
-            out.append((xa + t * (xb - xa), ya + t * (yb - ya)))
-    return np.array(out, dtype=float).reshape(-1, 2)
+def _compact(pts, keep):
+    """The entries of each row of ``pts`` (C, V, 2) where ``keep`` (C, V),
+    in order: padded rows (C, V', 2) and their counts (C,)."""
+    counts = keep.sum(axis=1)
+    out = np.zeros((len(pts), counts.max(initial=0), 2))
+    rows, cols = np.nonzero(keep)
+    out[rows, (np.cumsum(keep, axis=1) - 1)[rows, cols]] = pts[rows, cols]
+    return out, counts
 
 
-def _clean_loop(pts, scale):
-    """Drop duplicate and collinear consecutive vertices from a convex loop."""
-    if len(pts) == 0:
-        return pts
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if math.dist(p, keep[-1]) > 1e-9 * scale:
-            keep.append(p)
-    if len(keep) > 1 and math.dist(keep[0], keep[-1]) <= 1e-9 * scale:
-        keep.pop()
-    pts = np.asarray(keep)
-    if len(pts) < 3:
-        return pts
-    good = []
-    m = len(pts)
-    for k in range(m):
-        u = pts[k] - pts[(k - 1) % m]
-        v = pts[(k + 1) % m] - pts[k]
-        if abs(u[0] * v[1] - u[1] * v[0]) > 1e-12 * scale**2:
-            good.append(k)
-    return pts[good]
+def _cyclic(counts, width, step):
+    """Index (C, width) of the loop neighbour ``step`` (+1 or -1) places on."""
+    k = np.arange(width)
+    if step > 0:
+        return np.where(k + 1 < counts[:, None], k + 1, 0)
+    return np.where(k > 0, k - 1, counts[:, None] - 1)
+
+
+def _clip_halfplanes(pts, counts, anchor, normal, tol):
+    """Sutherland-Hodgman clip of each convex loop pts[c] (padded, with
+    counts[c] vertices) against (x - anchor[c]) . normal[c] <= 0."""
+    # A stacked matmul runs one BLAS product per loop, which gives the bits
+    # of ``(pts[c] - anchor[c]) @ normal[c]``; a multiply-add written out
+    # elementwise differs in the last bit where BLAS fuses the two.
+    d = np.matmul(pts - anchor[:, None], normal[:, :, None])[..., 0]
+    nxt = _cyclic(counts, pts.shape[1], +1)
+    db = np.take_along_axis(d, nxt, axis=1)
+    valid = np.arange(pts.shape[1]) < counts[:, None]
+    inside = valid & (d <= tol)
+    cross = valid & (((d < -tol) & (db > tol)) | ((d > tol) & (db < -tol)))
+    t = np.divide(d, d - db, out=np.zeros_like(d), where=cross)
+    hit = pts + t[..., None] * (np.take_along_axis(pts, nxt[..., None], axis=1) - pts)
+    # Each vertex contributes itself if inside, then the crossing on its edge.
+    C, V = counts.shape[0], pts.shape[1]
+    return _compact(np.stack([pts, hit], axis=2).reshape(C, 2 * V, 2),
+                    np.stack([inside, cross], axis=2).reshape(C, 2 * V))
+
+
+def _clean_loops(pts, counts, scale):
+    """Drop duplicate and collinear consecutive vertices from convex loops
+    (padded (C, V, 2), with counts)."""
+    V = pts.shape[1]
+    near = 1e-9 * scale
+    # A vertex is a duplicate when it is near the last vertex kept.
+    keep = np.zeros(pts.shape[:2], dtype=bool)
+    keep[:, 0] = counts > 0
+    last = pts[:, 0].copy()
+    for k in range(1, V):
+        gap = pts[:, k] - last
+        far = (k < counts) & (np.hypot(gap[:, 0], gap[:, 1]) > near)
+        keep[:, k] = far
+        last[far] = pts[far, k]
+    gap = pts[:, 0] - last
+    closing = (keep.sum(axis=1) > 1) & (np.hypot(gap[:, 0], gap[:, 1]) <= near)
+    keep[closing, V - 1 - np.argmax(keep[closing, ::-1], axis=1)] = False
+    pts, counts = _compact(pts, keep)
+
+    u = pts - np.take_along_axis(pts, _cyclic(counts, pts.shape[1], -1)[..., None], axis=1)
+    v = np.take_along_axis(pts, _cyclic(counts, pts.shape[1], +1)[..., None], axis=1) - pts
+    turns = np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]) > 1e-12 * scale**2
+    valid = np.arange(pts.shape[1]) < counts[:, None]
+    return _compact(pts, valid & (turns | (counts[:, None] < 3)))
 
 
 def voronoi_cell(seed, all_seeds, bounding_square=((0.0, 0.0), (1.0, 1.0))) -> Polygon:
@@ -317,34 +349,99 @@ def voronoi_cell(seed, all_seeds, bounding_square=((0.0, 0.0), (1.0, 1.0))) -> P
     is too far away for its bisector to cut the cell.  The result is convex
     by construction.
     """
-    return Polygon(_voronoi_loop(seed, all_seeds, bounding_square))
+    pts, counts = _voronoi_loops(np.asarray(seed, dtype=float)[None], all_seeds,
+                                 bounding_square)
+    return Polygon(pts[0, :counts[0]])
 
 
-def _voronoi_loop(seed, all_seeds, bounding_square=((0.0, 0.0), (1.0, 1.0))):
-    """CCW vertex loop (K, 2) of the cell :func:`voronoi_cell` returns."""
-    seed = np.asarray(seed, dtype=float)
-    all_seeds = np.asarray(all_seeds, dtype=float)
+# Nearest seeds each cell is first clipped against; a cell that needs more
+# is clipped again with twice as many.
+_NEIGHBOURS = 16
+
+
+def _voronoi_loops(sites, seeds, bounding_square=((0.0, 0.0), (1.0, 1.0))):
+    """CCW vertex loops of the Voronoi cells of ``sites`` among ``seeds``
+    (the cells :func:`voronoi_cell` returns): padded (C, V, 2) and counts.
+
+    All cells are clipped together, one bisector per cell and step.  The
+    seeds are taken nearest first by their ``np.hypot`` distance, ties by
+    seed index.  A cell stops when the next seed is farther than twice its
+    farthest vertex: that bisector, and those of all later seeds, miss it.
+    """
+    sites = np.asarray(sites, dtype=float)
+    seeds = np.asarray(seeds, dtype=float)
     (x0, y0), (x1, y1) = bounding_square
-    pts = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    square = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
     scale = max(x1 - x0, y1 - y0)
-    others = all_seeds[np.hypot(*(all_seeds - seed).T) > 1e-14 * scale]
-    if len(others) != len(all_seeds) - 1:
-        raise MeshError("seeds must be pairwise distinct and contain `seed`")
-    dist = np.hypot(*(others - seed).T)
-    for k in np.argsort(dist, kind="stable"):
-        # The bisector toward a seed farther than twice the farthest cell
-        # vertex misses the cell, and so do those of all later seeds.
-        if dist[k] > 2.0 * np.hypot(*(pts - seed).T).max():
-            break
-        mid = 0.5 * (seed + others[k])
-        normal = others[k] - seed
-        pts = _clip_halfplane(pts, mid, normal, 1e-14 * scale)
-        if len(pts) == 0:
-            raise MeshError(f"empty Voronoi cell for seed {seed}")
-    pts = _clean_loop(pts, scale)
-    if len(pts) < 3:
-        raise MeshError(f"degenerate Voronoi cell for seed {seed}")
-    return pts
+    tol = 1e-14 * scale
+    tree = cKDTree(seeds)
+    # 1: seed not unique; 2: empty cell; 3: degenerate cell.
+    status = np.zeros(len(sites), dtype=int)
+    done = []
+    todo = np.arange(len(sites))
+    k = min(len(seeds), _NEIGHBOURS)
+    while len(todo):
+        site = sites[todo]
+        kd_dist, idx = tree.query(site, k=list(range(1, k + 1)))
+        gap = seeds[idx] - site[:, None]
+        dist = np.hypot(gap[..., 0], gap[..., 1])
+        order = np.lexsort((idx, dist), axis=-1)
+        idx = np.take_along_axis(idx, order, axis=1)
+        dist = np.take_along_axis(dist, order, axis=1)
+        status[todo[(dist <= tol).sum(axis=1) != 1]] = 1
+        # The first ``known`` candidates are the nearest seeds in clip order:
+        # every seed left out is at least ``bound`` away (the margin covers
+        # the last bits in which the tree's distances differ from hypot).
+        # ``reach[:, j]`` is the distance of the seed after j clips, or at
+        # j = known that lower bound; a cell that cannot stop there retries.
+        bound = kd_dist[:, -1] * (1 - 1e-12) if k < len(seeds) else np.full(len(todo), np.inf)
+        known = (dist[:, 1:] < bound[:, None]).sum(axis=1)
+        reach = np.where(np.arange(k) < known[:, None],
+                         np.column_stack([dist[:, 1:], bound]), bound[:, None])
+        pts = np.broadcast_to(square, (len(todo), 4, 2)).copy()
+        counts = np.full(len(todo), 4)
+        live = np.flatnonzero(status[todo] == 0)
+        retry = np.zeros(len(todo), dtype=bool)
+        for j in range(k):
+            q = pts[live]
+            gap = q - site[live, None]
+            far = np.where(np.arange(q.shape[1]) < counts[live, None],
+                           np.hypot(gap[..., 0], gap[..., 1]), 0.0).max(axis=1)
+            stop = reach[live, j] > 2.0 * far
+            retry[live[~stop & (j >= known[live])]] = True
+            live = live[~stop & (j < known[live])]
+            if not len(live):
+                break
+            other = seeds[idx[live, j + 1]]
+            q, m = _clip_halfplanes(pts[live], counts[live], 0.5 * (site[live] + other),
+                                    other - site[live], tol)
+            if q.shape[1] > pts.shape[1]:
+                pts = np.concatenate(
+                    [pts, np.zeros((len(todo), q.shape[1] - pts.shape[1], 2))], axis=1)
+            pts[live, :q.shape[1]] = q
+            counts[live] = m
+            status[todo[live[m == 0]]] = 2
+            live = live[m > 0]
+        done.append((todo[~retry], pts[~retry], counts[~retry]))
+        todo = todo[retry]
+        k = min(len(seeds), 2 * k)
+
+    width = max(p.shape[1] for _, p, _ in done)
+    pts = np.zeros((len(sites), width, 2))
+    counts = np.zeros(len(sites), dtype=int)
+    for cells, p, m in done:
+        pts[cells, :p.shape[1]] = p
+        counts[cells] = m
+    counts[status != 0] = 0
+    pts, counts = _clean_loops(pts, counts, scale)
+    status[(status == 0) & (counts < 3)] = 3
+    if status.any():
+        c = int(np.argmax(status != 0))
+        seed = sites[c]
+        raise MeshError({1: "seeds must be pairwise distinct and contain `seed`",
+                         2: f"empty Voronoi cell for seed {seed}",
+                         3: f"degenerate Voronoi cell for seed {seed}"}[status[c]])
+    return pts, counts
 
 
 def hex_lattice_seeds(n: int):
@@ -362,35 +459,39 @@ def gen_hex_dominant_mesh(n: int) -> Mesh:
     if n < 2:
         raise ValueError("n must be >= 2")
     seeds = hex_lattice_seeds(n)
-    loops = [_voronoi_loop(s, seeds) for s in seeds]
-    return _assemble_conforming(loops, merge_tol=1e-7 / n)
+    return _assemble_conforming(*_voronoi_loops(seeds, seeds), merge_tol=1e-7 / n)
 
 
-def _assemble_conforming(loops, merge_tol):
-    """Merge per-cell vertex loops into one conforming mesh by fusing
-    vertices that coincide within tolerance."""
-    allpts = np.vstack(loops)
-    tree = cKDTree(allpts)
-    group = np.arange(len(allpts))
-    for a, b in sorted(tree.query_pairs(merge_tol)):
-        ra, rb = group[a], group[b]
-        if ra != rb:
-            group[group == max(ra, rb)] = min(ra, rb)
-    reps = {}
-    verts = []
-    index = np.empty(len(allpts), dtype=int)
-    for k, g in enumerate(group):
-        if g not in reps:
-            reps[g] = len(verts)
-            verts.append(allpts[g])
-        index[k] = reps[g]
-    cells = []
-    at = 0
-    for loop in loops:
-        m = len(loop)
-        cells.append([int(index[at + k]) for k in range(m)])
-        at += m
-    return build_topology(np.asarray(verts), cells)
+def _assemble_conforming(pts, counts, merge_tol):
+    """Merge padded cell loops (C, V, 2) with counts into one conforming mesh
+    by fusing vertices that coincide within tolerance."""
+    verts, index = _fuse(pts[np.arange(pts.shape[1]) < counts[:, None]], merge_tol)
+    flat = index.tolist()
+    ends = np.cumsum(counts).tolist()
+    return build_topology(verts, [flat[e - m:e] for m, e in zip(counts.tolist(), ends)])
+
+
+def _fuse(points, merge_tol):
+    """Fused vertices of ``points`` (P, 2), and the vertex of each point.
+
+    Points within ``merge_tol`` of each other, directly or through a chain
+    of such points, become one vertex: the point of lowest index among
+    them.  Vertices keep the order of those points.
+    """
+    pairs = cKDTree(points).query_pairs(merge_tol, output_type="ndarray")
+    # Propagate labels to a fixed point, where each point is labelled with
+    # the lowest index of its cluster.
+    label = np.arange(len(points))
+    while True:
+        low = np.minimum(label[pairs[:, 0]], label[pairs[:, 1]])
+        new = label.copy()
+        np.minimum.at(new, pairs[:, 0], low)
+        np.minimum.at(new, pairs[:, 1], low)
+        if np.array_equal(new, label):
+            break
+        label = new
+    fused = label == np.arange(len(points))
+    return points[fused], (np.cumsum(fused) - 1)[label]
 
 
 def collapse_short_edges(mesh: Mesh, rel_tol: float) -> Mesh:
@@ -405,21 +506,20 @@ def collapse_short_edges(mesh: Mesh, rel_tol: float) -> Mesh:
         raise ValueError("rel_tol must be positive")
     current = mesh
     for _ in range(mesh.n_edges):
-        threshold = rel_tol * current.h_max
-        short = [
-            (current.edge_length(i), i)
-            for i in range(current.n_edges)
-            if current.edge_length(i) < threshold
-        ]
-        if not short:
+        ends = np.array([(e.a, e.b) for e in current.edges])
+        gap = current.vertices[ends[:, 0]] - current.vertices[ends[:, 1]]
+        lengths = np.hypot(gap[:, 0], gap[:, 1])
+        short = np.flatnonzero(lengths < rel_tol * current.h_max)
+        if not len(short):
             return current
-        short.sort()
+        # Shortest first, ties by edge index.
+        short = short[np.argsort(lengths[short], kind="stable")]
         incidence = np.zeros(current.n_vertices, dtype=int)
         for loop in current.cells:
             incidence[loop] += 1
         touched = set()
         mapping = np.arange(current.n_vertices)
-        for _, ei in short:
+        for ei in short.tolist():
             e = current.edges[ei]
             if e.a in touched or e.b in touched:
                 continue

@@ -1,13 +1,16 @@
 """Shared test utilities: random convex polygons, crafted meshes and oracles."""
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import polynomial as npoly
+from scipy.spatial import cKDTree
 
 from polyds.assembly import DofMap, MixedDofMap
 from polyds.functions import PowerTable
 from polyds.geometry import AffineScalar, GeometryError, Polygon
-from polyds.mesh import _clean_loop, _clip_halfplane, build_topology
+from polyds.mesh import MeshError, build_topology
 from polyds.mixed import build_mixed_element
 from polyds.quadrature import edge_rule, polygon_rule
 from polyds.serendipity import _centered_coordinates, build_ds_element
@@ -120,6 +123,70 @@ def edge_flux_expansion_fit(E, k, r, pressure):
     return alphas
 
 
+def _clip_halfplane(pts, anchor, normal, tol):
+    """Sutherland-Hodgman clip of one convex loop against (x-anchor).n <= 0,
+    walked vertex by vertex."""
+    dist = ((pts - anchor) @ normal).tolist()
+    loop = pts.tolist()
+    out = []
+    m = len(loop)
+    for k in range(m):
+        da, db = dist[k], dist[k + 1 - m]
+        if da <= tol:
+            out.append(loop[k])
+        if (da < -tol and db > tol) or (da > tol and db < -tol):
+            t = da / (da - db)
+            (xa, ya), (xb, yb) = loop[k], loop[k + 1 - m]
+            out.append((xa + t * (xb - xa), ya + t * (yb - ya)))
+    return np.array(out, dtype=float).reshape(-1, 2)
+
+
+def _clean_loop(pts, scale):
+    """Drop duplicate and collinear consecutive vertices from a convex loop."""
+    if len(pts) == 0:
+        return pts
+    keep = [pts[0]]
+    for p in pts[1:]:
+        if math.dist(p, keep[-1]) > 1e-9 * scale:
+            keep.append(p)
+    if len(keep) > 1 and math.dist(keep[0], keep[-1]) <= 1e-9 * scale:
+        keep.pop()
+    pts = np.asarray(keep)
+    if len(pts) < 3:
+        return pts
+    good = []
+    m = len(pts)
+    for k in range(m):
+        u = pts[k] - pts[(k - 1) % m]
+        v = pts[(k + 1) % m] - pts[k]
+        if abs(u[0] * v[1] - u[1] * v[0]) > 1e-12 * scale**2:
+            good.append(k)
+    return pts[good]
+
+
+def voronoi_loop_per_seed(seed, all_seeds):
+    """CCW loop of the Voronoi cell of ``seed`` in the unit square, clipped
+    seed by seed, nearest first, with the same early stop (oracle for the
+    batched clip of ``polyds.mesh``)."""
+    seed = np.asarray(seed, dtype=float)
+    all_seeds = np.asarray(all_seeds, dtype=float)
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    others = all_seeds[np.hypot(*(all_seeds - seed).T) > 1e-14]
+    if len(others) != len(all_seeds) - 1:
+        raise MeshError("seeds must be pairwise distinct and contain `seed`")
+    dist = np.hypot(*(others - seed).T)
+    for k in np.argsort(dist, kind="stable"):
+        if dist[k] > 2.0 * np.hypot(*(pts - seed).T).max():
+            break
+        pts = _clip_halfplane(pts, 0.5 * (seed + others[k]), others[k] - seed, 1e-14)
+        if len(pts) == 0:
+            raise MeshError(f"empty Voronoi cell for seed {seed}")
+    pts = _clean_loop(pts, 1.0)
+    if len(pts) < 3:
+        raise MeshError(f"degenerate Voronoi cell for seed {seed}")
+    return pts
+
+
 def voronoi_cell_full_clip(seed, all_seeds):
     """Voronoi cell of ``seed`` in the unit square, clipped against the
     bisector toward every other seed in index order (oracle for
@@ -130,6 +197,69 @@ def voronoi_cell_full_clip(seed, all_seeds):
         if np.hypot(*(other - seed)) > 1e-14:
             pts = _clip_halfplane(pts, 0.5 * (seed + other), other - seed, 1e-14)
     return Polygon(_clean_loop(pts, 1.0))
+
+
+def fuse_loops(loops, merge_tol):
+    """Vertices and cells of per-cell loops with coinciding points fused,
+    pair by pair, into the lowest index of each cluster (oracle for the
+    label propagation of ``polyds.mesh``)."""
+    allpts = np.vstack(loops)
+    group = np.arange(len(allpts))
+    for a, b in sorted(cKDTree(allpts).query_pairs(merge_tol)):
+        ra, rb = group[a], group[b]
+        if ra != rb:
+            group[group == max(ra, rb)] = min(ra, rb)
+    reps = {}
+    verts = []
+    index = []
+    for g in group.tolist():
+        if g not in reps:
+            reps[g] = len(verts)
+            verts.append(allpts[g])
+        index.append(reps[g])
+    ends = np.cumsum([len(loop) for loop in loops]).tolist()
+    return np.asarray(verts), [index[e - len(loop):e] for loop, e in zip(loops, ends)]
+
+
+def loop_grid(n, ycoord, xshift=None):
+    """Vertices and cells of the (n+1) x (n+1) grid built vertex by vertex:
+    vertex (i, j) is (i/n + xshift(i, j), ycoord(i, j)) (oracle for the
+    array-built grids of ``polyds.mesh``)."""
+    verts = []
+    for j in range(n + 1):
+        for i in range(n + 1):
+            x = i / n
+            if xshift is not None:
+                x += xshift(i, j)
+            verts.append((x, ycoord(i, j)))
+    cells = []
+    for j in range(n):
+        for i in range(n):
+            v = j * (n + 1) + i
+            cells.append([v, v + 1, v + n + 2, v + n + 1])
+    return np.asarray(verts), cells
+
+
+def dict_topology(cells):
+    """Edges as (a, b, left, right) tuples and per-cell edge indices, from a
+    dict of directed edges (oracle for ``polyds.mesh.build_topology``)."""
+    directed = {}
+    for ci, loop in enumerate(cells):
+        for k in range(len(loop)):
+            directed.setdefault((loop[k], loop[(k + 1) % len(loop)]), ci)
+    edges = []
+    edge_ids = {}
+    for (a, b), ci in directed.items():
+        if (a, b) in edge_ids or (b, a) in edge_ids:
+            continue
+        edges.append((a, b, ci, directed.get((b, a))))
+        edge_ids[(a, b)] = len(edges) - 1
+    cell_edges = []
+    for loop in cells:
+        pairs = [(loop[k], loop[(k + 1) % len(loop)]) for k in range(len(loop))]
+        cell_edges.append([edge_ids[p] if p in edge_ids else edge_ids[p[::-1]]
+                           for p in pairs])
+    return edges, cell_edges
 
 
 def dict_built_table(E, r):

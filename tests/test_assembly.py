@@ -293,6 +293,16 @@ class TestTranslationClasses:
         assert np.abs(system.matrix.data - A.data).max() <= 1e-13 * np.abs(A.data).max()
         assert np.abs(system.rhs - b).max() <= 1e-13 * np.abs(b).max()
 
+    @pytest.mark.parametrize("gen, n, classes", [
+        (gen_hex_dominant_mesh, 4, 11), (gen_hex_dominant_mesh, 8, 11),
+        (gen_hex_dominant_mesh, 16, 11), (gen_hex_dominant_mesh, 32, 11),
+        (gen_square_mesh, 16, 1), (gen_trapezoid_mesh, 16, 4),
+    ])
+    def test_class_count(self, gen, n, classes):
+        # The classes rest on exact vertex bytes, so a generator that moves a
+        # vertex by one bit in one cell splits its class.
+        assert len(set(assembly._translation_representatives(gen(n)))) == classes
+
     @pytest.mark.parametrize("mesh_name, classes", [("square4", 1), ("hex8", 11)])
     @pytest.mark.parametrize("kind", ["primal", "mixed"])
     def test_one_build_per_class(self, monkeypatch, mesh_name, classes, kind):

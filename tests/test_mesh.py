@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 import polyds.mesh
-from polyds.geometry import Polygon
+from polyds.geometry import Polygon, polygon_stack
 from polyds.mesh import (
     MeshError,
+    _clean_loops,
+    _fuse,
+    _voronoi_loops,
     build_topology,
     collapse_short_edges,
     export_mesh,
@@ -18,7 +21,29 @@ from polyds.mesh import (
     voronoi_cell,
 )
 
-from helpers import sliver_mesh, truncated_hexagon, voronoi_cell_full_clip
+from helpers import (
+    _clean_loop,
+    dict_topology,
+    fuse_loops,
+    loop_grid,
+    sliver_mesh,
+    truncated_hexagon,
+    voronoi_cell_full_clip,
+    voronoi_loop_per_seed,
+)
+
+
+def assert_same_mesh(mesh, verts, cells):
+    """``mesh`` has exactly these vertices and cells, and the edge table the
+    dict-built topology gives them."""
+    edges, cell_edges = dict_topology(cells)
+    assert np.array_equal(mesh.vertices, verts)
+    assert mesh.cells == cells
+    assert [(e.a, e.b, e.left, e.right) for e in mesh.edges] == edges
+    assert mesh.cell_edges == cell_edges
+
+
+POLYGON_ARRAYS = ("vertices", "edge_lengths", "tangents", "normals", "centroid", "edge_offsets")
 
 
 class TestTopology:
@@ -57,12 +82,19 @@ class TestTopology:
     @pytest.mark.parametrize("gen", [gen_square_mesh, gen_hex_dominant_mesh])
     def test_each_cell_polygon_built_once(self, monkeypatch, gen):
         built = []
+        init = Polygon.__init__
 
-        def counting_polygon(vertices):
-            built.append(1)
-            return Polygon(vertices)
+        def counting_stack(vertices):
+            polygons, failure = polygon_stack(vertices)
+            built.extend(polygons)
+            return polygons, failure
 
-        monkeypatch.setattr(polyds.mesh, "Polygon", counting_polygon)
+        def counting_init(self, vertices):
+            built.append(self)
+            init(self, vertices)
+
+        monkeypatch.setattr(polyds.mesh, "polygon_stack", counting_stack)
+        monkeypatch.setattr(Polygon, "__init__", counting_init)
         m = gen(4)
         assert len(built) == 16
         assert m.polygons() == [m.polygon(c) for c in range(16)]
@@ -72,6 +104,33 @@ class TestTopology:
         if gen is gen_square_mesh:
             assert h == pytest.approx(np.sqrt(2) / 4)
         assert len(built) == 16
+
+    @pytest.mark.parametrize("mesh", [gen_square_mesh(4), gen_trapezoid_mesh(4),
+                                      gen_perturbed_quad_mesh(6, 0.2, 1),
+                                      gen_hex_dominant_mesh(6)],
+                             ids=["square", "trapezoid", "pquad", "hex"])
+    def test_cell_polygons_equal_single_polygons(self, mesh):
+        for c, loop in enumerate(mesh.cells):
+            got, want = mesh.polygon(c), Polygon(mesh.vertices[loop])
+            for name in POLYGON_ARRAYS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert got.diameter == want.diameter
+            assert got.area == want.area
+            for f, g in zip(got.edge_distances(), want.edge_distances(), strict=True):
+                assert np.array_equal(f.grad, g.grad) and f.offset == g.offset
+
+    @pytest.mark.parametrize("bad_loop", [[1, 2, 2, 5, 4], [1, 2, 2, 4]],
+                             ids=["other-length", "same-length"])
+    def test_lowest_bad_cell_named(self, bad_loop):
+        # Cell 3 is clockwise, cell 1 repeats a vertex: cell 1 is named.
+        verts = gen_square_mesh(2).vertices
+        cells = [[0, 1, 4, 3], bad_loop, [3, 4, 7, 6], [4, 7, 8, 5]]
+        with pytest.raises(MeshError) as info:
+            build_topology(verts, cells)
+        assert str(info.value) == f"degenerate cell 1: repeated vertex in loop {bad_loop}"
+        cells[1] = [1, 2, 5, 4]
+        with pytest.raises(MeshError, match="^degenerate cell 3: vertex loop is not counterclockwise$"):
+            build_topology(verts, cells)
 
     def test_interior_edge_orientations(self):
         m = gen_square_mesh(3)
@@ -141,6 +200,43 @@ class TestGenerators:
         for n in (2, 3, 5, 9, 17, 32):
             assert mesh_stats(gen_hex_dominant_mesh(n)).sigma_min >= 0.2
 
+    @pytest.mark.parametrize("n", [*range(2, 18), 32])
+    def test_hex_matches_per_seed_construction(self, n):
+        seeds = hex_lattice_seeds(n)
+        verts, cells = fuse_loops([voronoi_loop_per_seed(s, seeds) for s in seeds], 1e-7 / n)
+        assert_same_mesh(gen_hex_dominant_mesh(n), verts, cells)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_perturbed_matches_loop_construction(self, seed):
+        n = 32
+        shifts = np.random.default_rng(seed).uniform(-0.2 / n, 0.2 / n, size=(n + 1, n + 1, 2))
+
+        def inner(i, j):
+            return 0 < i < n and 0 < j < n
+
+        verts, cells = loop_grid(n, lambda i, j: j / n + shifts[i, j, 1] if inner(i, j) else j / n,
+                                 lambda i, j: shifts[i, j, 0] if inner(i, j) else 0.0)
+        assert_same_mesh(gen_perturbed_quad_mesh(n, 0.2, seed), verts, cells)
+
+    def test_square_and_trapezoid_match_loop_construction(self):
+        n = 8
+        verts, cells = loop_grid(n, lambda i, j: j / n)
+        assert_same_mesh(gen_square_mesh(n), verts, cells)
+        verts, cells = loop_grid(
+            n, lambda i, j: (j + (0.25 if j % 2 else 0.0) * (1 if (i + j) % 2 else -1)) / n)
+        assert_same_mesh(gen_trapezoid_mesh(n), verts, cells)
+
+    def test_fusion_matches_pairwise_relabelling(self):
+        # Clusters of random size and shape, chains included, in random order.
+        rng = np.random.default_rng(3)
+        centers = rng.random((60, 2))
+        pts = np.vstack([c + rng.uniform(-2e-3, 2e-3, (rng.integers(1, 6), 2)) for c in centers])
+        pts = pts[rng.permutation(len(pts))]
+        verts, cells = fuse_loops([pts], 1.5e-3)
+        got, index = _fuse(pts, 1.5e-3)
+        assert np.array_equal(got, verts)
+        assert index.tolist() == cells[0]
+
     def test_generated_meshes_revalidate(self):
         for m in (gen_square_mesh(3), gen_trapezoid_mesh(4),
                   gen_perturbed_quad_mesh(4, 0.2, 1), gen_hex_dominant_mesh(5)):
@@ -174,6 +270,44 @@ class TestVoronoiCell:
             assert full.n_edges == cut.n_edges
             assert np.allclose(np.sort(full.vertices, axis=0),
                                np.sort(cut.vertices, axis=0), atol=1e-12)
+
+    def test_batched_clip_matches_per_seed_clip(self):
+        # A tight cluster far from a few lone seeds: the lone cells reach
+        # past their first 16 neighbours and are clipped again with more.
+        rng = np.random.default_rng(5)
+        seeds = np.vstack([0.85 + 0.1 * rng.random((40, 2)), rng.random((6, 2)) * 0.5])
+        pts, counts = _voronoi_loops(seeds, seeds)
+        for c, s in enumerate(seeds):
+            assert np.array_equal(pts[c, :counts[c]], voronoi_loop_per_seed(s, seeds))
+            assert np.array_equal(voronoi_cell(s, seeds).vertices, pts[c, :counts[c]])
+
+    def test_batched_clean_matches_per_loop_clean(self):
+        # Near-duplicate runs (chains closer than the tolerance step by
+        # step but not end to end), a last vertex near the first, and
+        # collinear midpoints.
+        rng = np.random.default_rng(11)
+        loops = []
+        for _ in range(200):
+            ang = np.sort(rng.uniform(0, 2 * np.pi, rng.integers(3, 7)))
+            loop = [np.array([np.cos(a), np.sin(a)]) for a in ang]
+            out = []
+            for k, p in enumerate(loop):
+                out.append(p)
+                kind = rng.integers(4)
+                if kind == 1:
+                    out.extend(p + 6e-10 * np.arange(1, rng.integers(2, 5))[:, None] * (1, 0))
+                elif kind == 2:
+                    out.append(0.5 * (p + loop[(k + 1) % len(loop)]))
+            if rng.random() < 0.3:
+                out.append(out[0] + (4e-10, -3e-10))
+            loops.append(np.array(out))
+        width = max(map(len, loops))
+        pts = np.zeros((len(loops), width, 2))
+        for c, loop in enumerate(loops):
+            pts[c, :len(loop)] = loop
+        got, counts = _clean_loops(pts, np.array([len(loop) for loop in loops]), 1.0)
+        for c, loop in enumerate(loops):
+            assert np.array_equal(got[c, :counts[c]], _clean_loop(loop, 1.0))
 
     def test_seed_validation(self):
         with pytest.raises(MeshError):
