@@ -8,15 +8,19 @@ side.
 
 Element construction, quadrature, basis evaluation and local matrices
 are computed once per translation class of cells and reused, moved, on
-every cell of the class; loads and error integrands are evaluated per
-cell.  Contributions are merged in deterministic cell order, so assembled
-systems are reproducible bit for bit.
+every cell of the class.  The rest is array work over blocks of
+consecutive cells with equal vertex count N: dof ids and edge signs are
+(C, D) arrays per N, loads and error integrands are evaluated once per
+block on the stacked moved points, and contributions are stored and
+summed in cell order, so assembled systems are reproducible bit for bit.
+``system.elements[c]`` is made when it is read.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +30,7 @@ import scipy.sparse.linalg as spla
 from .mesh import Mesh
 from .mixed import build_mixed_element, mixed_dimension
 from .quadrature import edge_rule, polygon_rule
-from .serendipity import build_ds_element, ds_dimension
+from .serendipity import _frozen, build_ds_element, ds_dimension
 
 __all__ = [
     "AssemblyError",
@@ -94,11 +98,56 @@ def manufactured_solution(kind="one-hump") -> Exact:
     )
 
 
+# Cells per block of array work in assembly and error integration.  A
+# block's stacked points and values, and the class data it holds, grow with
+# it; 64 cells amortize the per-block numpy calls and keep memory flat.
+CHUNK_CELLS = 64
+
+# Largest product, in multiply-adds, of the per-class products in a block.
+# OpenBLAS runs products of up to 2**18 multiply-adds on one thread; above
+# that a threaded product of these shapes costs more than the work: on a
+# 2-core host, (60, 24) @ (24, 768) took 16 ms threaded and 0.05 ms on one
+# thread.
+GEMM_BUDGET = 2**18
+
+
+def _size_groups(mesh):
+    """``{N: (cells, loops, edge_ids, forward)}`` for the cells with N
+    vertices, ascending: the (C, N) vertex loops, edge ids in loop order,
+    and whether loop edge k runs from the lower- to the higher-numbered
+    vertex; and the row of each cell in its group."""
+    sizes = np.fromiter(map(len, mesh.cells), dtype=int, count=mesh.n_cells)
+    groups = {}
+    row = np.empty(mesh.n_cells, dtype=int)
+    for N in np.unique(sizes).tolist():
+        cells = np.flatnonzero(sizes == N)
+        row[cells] = np.arange(len(cells))
+        loops = np.array([mesh.cells[c] for c in cells.tolist()]).reshape(len(cells), N)
+        edge_ids = np.array([mesh.cell_edges[c] for c in cells.tolist()]).reshape(len(cells), N)
+        groups[N] = (cells, loops, edge_ids, loops < np.roll(loops, -1, axis=1))
+    return groups, row
+
+
+def _cell_starts(groups, widths, offset=0):
+    """Start of each cell's block when the cells ``groups[N]`` take
+    ``widths[N]`` consecutive slots each, in cell order after ``offset``;
+    and the end."""
+    n = sum(map(len, groups.values()))
+    width = np.empty(n, dtype=int)
+    for N, cells in groups.items():
+        width[cells] = widths[N]
+    ends = offset + np.cumsum(width)
+    return ends - width, int(ends[-1])
+
+
 class DofMap:
     """Global numbering for the continuous scalar space of index r.
 
     Ordering: mesh vertices, then r-1 slots per mesh edge (ordered from the
-    lower- to the higher-numbered vertex), then per-cell interior blocks.
+    lower- to the higher-numbered vertex), then per-cell interior blocks in
+    cell order.  The ids of the cells with N vertices are one read-only
+    (C, D) array ``ids[N]``, row i for cell ``cells[N][i]`` (ascending),
+    in the element's node order (vertex, edge, cell).
     """
 
     def __init__(self, mesh: Mesh, r: int):
@@ -108,14 +157,17 @@ class DofMap:
         per_edge = r - 1
         self.edge_offset = nv
         self.cell_offset = nv + ne * per_edge
-        self.cell_interior = []
-        at = self.cell_offset
-        for c in range(mesh.n_cells):
-            N = len(mesh.cells[c])
-            k = ds_dimension(N, r) - N * r
-            self.cell_interior.append((at, k))
-            at += k
-        self.n_dofs = at
+        groups, self._row = _size_groups(mesh)
+        self.cells = {N: g[0] for N, g in groups.items()}
+        n_inner = {N: ds_dimension(N, r) - N * r for N in groups}
+        starts, self.n_dofs = _cell_starts(self.cells, n_inner, self.cell_offset)
+        j = np.arange(per_edge)
+        self.ids = {}
+        for N, (cells, loops, edge_ids, forward) in groups.items():
+            slots = np.where(forward[..., None], j, per_edge - 1 - j)
+            edge_dofs = self.edge_offset + edge_ids[..., None] * per_edge + slots
+            self.ids[N] = _frozen(np.hstack([loops, edge_dofs.reshape(len(cells), -1),
+                                             starts[cells, None] + np.arange(n_inner[N])]))
 
         boundary = set()
         for ei, e in enumerate(mesh.edges):
@@ -131,20 +183,7 @@ class DofMap:
 
     def cell_dofs(self, c):
         """Global dof ids in the element's node order (vertex, edge, cell)."""
-        mesh, r = self.mesh, self.r
-        loop = mesh.cells[c]
-        ids = list(loop)
-        per_edge = r - 1
-        for k, ei in enumerate(mesh.cell_edges[c]):
-            va, vb = loop[k], loop[(k + 1) % len(loop)]
-            base = self.edge_offset + ei * per_edge
-            if va < vb:
-                ids.extend(base + j for j in range(per_edge))
-            else:
-                ids.extend(base + (per_edge - 1 - j) for j in range(per_edge))
-        start, count = self.cell_interior[c]
-        ids.extend(range(start, start + count))
-        return np.asarray(ids, dtype=int)
+        return self.ids[len(self.mesh.cells[c])][self._row[c]]
 
     def dof_points(self):
         """Coordinates of vertex and edge dofs (used for boundary data)."""
@@ -165,10 +204,15 @@ class MixedDofMap:
     """Global numbering for the H(div) space and the pressure space.
 
     Flux ordering: r+1 slots per mesh edge (constant flux first), then
-    per-cell divergence and bubble blocks.  An interior edge is owned by
-    the direction from its lower- to higher-numbered vertex; the cell
-    whose CCW traversal opposes that direction takes the moment relabeling
-    j <-> r+1-j and a sign flip on the constant-flux slot.
+    per-cell divergence and bubble blocks in cell order.  An interior edge
+    is owned by the direction from its lower- to higher-numbered vertex;
+    the cell whose CCW traversal opposes that direction takes the moment
+    relabeling j <-> r+1-j and a sign flip on the constant-flux slot.
+    Like ``DofMap``, the flux ids and ``signs`` of the cells with N
+    vertices are (C, D) arrays ``ids[N]`` and ``signs[N]``, in the order
+    of the ``dof_layout`` of a ``MixedElement``: per edge its r+1 slots,
+    then the divergence and bubble functions.  Pressures are numbered
+    cell by cell.
     """
 
     def __init__(self, mesh: Mesh, r: int, s: int):
@@ -178,42 +222,26 @@ class MixedDofMap:
         per_edge = r + 1
         self.cell_offset = mesh.n_edges * per_edge
         self.p_per_cell = (s + 2) * (s + 1) // 2
-        n_div = self.p_per_cell - 1
-        self.cell_blocks = []
-        at = self.cell_offset
-        for c in range(mesh.n_cells):
-            N = len(mesh.cells[c])
-            n_bub = mixed_dimension(N, r, s) - N * (r + 1) - n_div
-            self.cell_blocks.append((at, n_div, n_bub))
-            at += n_div + n_bub
-        self.n_flux = at
+        groups, self._row = _size_groups(mesh)
+        self.cells = {N: g[0] for N, g in groups.items()}
+        n_inner = {N: mixed_dimension(N, r, s) - N * per_edge for N in groups}
+        starts, self.n_flux = _cell_starts(self.cells, n_inner, self.cell_offset)
         self.n_pressure = mesh.n_cells * self.p_per_cell
+        j = np.arange(per_edge)
+        self.ids, self.signs = {}, {}
+        for N, (cells, _, edge_ids, forward) in groups.items():
+            C = len(cells)
+            slots = np.where(forward[..., None], j, -j % per_edge)
+            edge_dofs = edge_ids[..., None] * per_edge + slots
+            self.ids[N] = _frozen(np.hstack([edge_dofs.reshape(C, -1),
+                                             starts[cells, None] + np.arange(n_inner[N])]))
+            flip = np.where(forward[..., None] | (j > 0), 1.0, -1.0)
+            self.signs[N] = _frozen(np.hstack([flip.reshape(C, -1), np.ones((C, n_inner[N]))]))
 
-    def cell_flux_dofs(self, c, layout):
-        """(global ids, signs) aligned with a MixedElement dof layout."""
-        mesh, r = self.mesh, self.r
-        loop = mesh.cells[c]
-        per_edge = r + 1
-        start, n_div, n_bub = self.cell_blocks[c]
-        ids = np.empty(len(layout), dtype=int)
-        signs = np.ones(len(layout))
-        for i, lay in enumerate(layout):
-            if lay[0] == "edge":
-                k, j = lay[1], lay[2]
-                ei = mesh.cell_edges[c][k]
-                va, vb = loop[k], loop[(k + 1) % len(loop)]
-                base = ei * per_edge
-                if va < vb:
-                    ids[i] = base + j
-                else:
-                    ids[i] = base + (0 if j == 0 else per_edge - j)
-                    if j == 0:
-                        signs[i] = -1.0
-            elif lay[0] == "div":
-                ids[i] = start + lay[1]
-            else:  # bubble
-                ids[i] = start + n_div + lay[1]
-        return ids, signs
+    def cell_flux_dofs(self, c):
+        """(global ids, signs) aligned with the cell element's dof layout."""
+        N, row = len(self.mesh.cells[c]), self._row[c]
+        return self.ids[N][row], self.signs[N][row]
 
     def cell_pressure_dofs(self, c):
         return np.arange(c * self.p_per_cell, (c + 1) * self.p_per_cell)
@@ -229,7 +257,7 @@ class SparseSystem:
     r: int
     kind: str  # "primal" | "mixed"
     quad_degree: int
-    elements: list
+    elements: Sequence  # elements[c]: the element on mesh.polygon(c)
     s: int | None = None
     blocks: tuple | None = None  # (n_flux, n_pressure) for mixed
     dof_map: object = None
@@ -263,9 +291,7 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
     if quad_degree is None:
         quad_degree = 2 * r + 4
     dof = DofMap(mesh, r)
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(dof.n_dofs)
-    elements = []
+    elements = _CellElements(mesh)
 
     def setup(c):
         E = mesh.polygon(c)
@@ -273,23 +299,25 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
             elem = build_ds_element(E, r)
         except Exception as exc:
             raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
+        elements.by_rep[c] = elem
         rule = polygon_rule(E, quad_degree)
         bvals, bgrads = elem.eval_all(rule.points)
-        return elem, rule, bvals, _gram(bgrads, rule.weights).ravel()
+        return rule, bvals.T, _gram(bgrads, rule.weights)
 
-    for c, shift, (elem, rule, bvals, local) in _by_translation_class(mesh, setup):
-        elements.append(elem.translated(mesh.polygon(c), shift) if shift.any() else elem)
-        load = bvals @ (rule.weights * np.asarray(f(rule.points + shift)))
-        gids = dof.cell_dofs(c)
-        rows.append(np.repeat(gids, len(gids)))
-        cols.append(np.tile(gids, len(gids)))
-        vals.append(local)
-        np.add.at(rhs, gids, load)
+    widths = {N: ids.shape[1] for N, ids in dof.ids.items()}
+    entries = _Entries(dof.cells, {N: d * d for N, d in widths.items()})
+    loads = _Entries(dof.cells, widths)
+    for N, span, cells, data, cls in _blocks(dof.cells, elements.reps, setup):
+        rules, bvals, local = zip(*data)
+        ids = dof.ids[N][span]
+        d = ids.shape[1]
+        entries.put(cells, np.stack(local)[cls], np.repeat(ids, d, axis=1), np.tile(ids, d))
+        pts, weights = _moved_rules(rules, cls, elements.shifts[cells])
+        fw = weights * np.asarray(f(pts)).reshape(weights.shape)
+        loads.put(cells, _per_class(fw, bvals, cls), ids)
     n = dof.n_dofs
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+    A = entries.coo((n, n)).tocsr()
+    rhs = loads.bincount(n)
 
     gvals = np.zeros(n)
     if dirichlet is not None and len(dof.boundary):
@@ -321,11 +349,8 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     if quad_degree is None:
         quad_degree = 2 * r + 6
     dof = MixedDofMap(mesh, r, s)
-    rows, cols, vals = [], [], []
-    brows, bcols, bvals_ = [], [], []
-    rhs_u = np.zeros(dof.n_flux)
-    rhs_p = np.zeros(dof.n_pressure)
-    elements = []
+    elements = _CellElements(mesh)
+    P = dof.p_per_cell
 
     def setup(c):
         E = mesh.polygon(c)
@@ -333,44 +358,43 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
             elem = build_mixed_element(E, r, s)
         except Exception as exc:
             raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
+        elements.by_rep[c] = elem
         rule = polygon_rule(E, quad_degree)
         v, d = elem.eval_all(rule.points)
         wvals, _ = elem.pressure.value_grad(rule.points)
         # Mass and divergence (n_w, n_u) blocks before the edge signs.
-        return elem, rule, wvals, _gram(v, rule.weights), wvals * rule.weights @ d.T
+        return rule, wvals.T, _gram(v, rule.weights), wvals * rule.weights @ d.T
 
-    for c, shift, (elem, rule, wvals, massloc, divloc) in _by_translation_class(mesh, setup):
-        E = mesh.polygon(c)
-        if shift.any():
-            elem = elem.translated(E, shift)
-        elements.append(elem)
-        gids, signs = dof.cell_flux_dofs(c, elem.dof_layout)
-        pids = dof.cell_pressure_dofs(c)
-        massloc = signs[:, None] * massloc * signs[None, :]
-        divloc = divloc * signs[None, :]
-        rows.append(np.repeat(gids, len(gids)))
-        cols.append(np.tile(gids, len(gids)))
-        vals.append(massloc.ravel())
-        brows.append(np.repeat(pids, len(gids)))
-        bcols.append(np.tile(gids, len(pids)))
-        bvals_.append(divloc.ravel())
-        np.add.at(rhs_p, pids, wvals @ (rule.weights * np.asarray(f(rule.points + shift))))
-        if dirichlet_p is not None:
-            load = _pressure_boundary_load(E, elem, mesh, c, dirichlet_p, quad_degree)
-            np.add.at(rhs_u, gids, -signs * load)
+    widths = {N: ids.shape[1] for N, ids in dof.ids.items()}
+    mass = _Entries(dof.cells, {N: d * d for N, d in widths.items()})
+    div = _Entries(dof.cells, {N: d * P for N, d in widths.items()})
+    rhs_p = np.zeros((mesh.n_cells, P))
+    for N, span, cells, data, cls in _blocks(dof.cells, elements.reps, setup):
+        rules, wvals, mass_local, div_local = zip(*data)
+        ids, signs = dof.ids[N][span], dof.signs[N][span]
+        d = ids.shape[1]
+        mass.put(cells, signs[:, :, None] * np.stack(mass_local)[cls] * signs[:, None, :],
+                 np.repeat(ids, d, axis=1), np.tile(ids, d))
+        pids = cells[:, None] * P + np.arange(P)
+        div.put(cells, np.stack(div_local)[cls] * signs[:, None, :],
+                np.repeat(pids, d, axis=1), np.tile(ids, P))
+        pts, weights = _moved_rules(rules, cls, elements.shifts[cells])
+        fw = weights * np.asarray(f(pts)).reshape(weights.shape)
+        rhs_p[cells] = _per_class(fw, wvals, cls)
     nu, npr = dof.n_flux, dof.n_pressure
-    M = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nu, nu),
-    ).tocsr()
-    B = sp.coo_matrix(
-        (np.concatenate(bvals_), (np.concatenate(brows), np.concatenate(bcols))),
-        shape=(npr, nu),
-    ).tocsr()
+    rhs_u = np.zeros(nu)
+    if dirichlet_p is not None:
+        for c in sorted({e.left for e in mesh.edges if e.boundary}):
+            gids, signs = dof.cell_flux_dofs(c)
+            load = _pressure_boundary_load(mesh.polygon(c), elements[c], mesh, c,
+                                           dirichlet_p, quad_degree)
+            np.add.at(rhs_u, gids, -signs * load)
+    M = mass.coo((nu, nu)).tocsr()
+    B = div.coo((npr, nu)).tocsr()
     K = sp.bmat([[M, B.T], [B, None]], format="csr")
     return SparseSystem(
         matrix=K,
-        rhs=np.concatenate([rhs_u, rhs_p]),
+        rhs=np.concatenate([rhs_u, rhs_p.ravel()]),
         mesh=mesh,
         r=r,
         s=s,
@@ -382,22 +406,97 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     )
 
 
-def _by_translation_class(mesh, setup):
-    """Yield ``(c, shift, data)`` for every cell c, in cell order.
+class _CellElements(Sequence):
+    """The element of every cell of a mesh, made when it is read: the
+    element of the cell's translation class (``by_rep``, keyed by the
+    class's lowest-numbered cell) moved onto the cell by ``shifts[c]``."""
 
-    ``data = setup(rep)`` is computed once per translation class, on its
-    lowest-numbered cell rep, and released after the last cell of the
-    class; ``shift`` moves rep onto c (zero for rep itself).
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self.reps = np.array(_translation_representatives(mesh))
+        starts = np.array([E.vertices[0] for E in mesh.polygons()])
+        self.shifts = _frozen(starts - starts[self.reps])
+        self.by_rep = {}
+
+    def __len__(self):
+        return len(self.reps)
+
+    def __getitem__(self, c):
+        elem, shift = self.by_rep[self.reps[c]], self.shifts[c]
+        return elem.translated(self.mesh.polygon(c), shift) if shift.any() else elem
+
+
+def _blocks(groups, reps, setup):
+    """Yield ``(N, span, cells, data, cls)`` for each block of at most
+    ``CHUNK_CELLS`` consecutive cells of each group ``groups[N]``: ``span``
+    slices the block out of the group, ``data`` lists ``setup(rep)`` for
+    the translation classes present, and ``cls`` (C,) indexes ``data``.
+
+    ``setup(rep)`` runs once per class, on its lowest-numbered cell
+    ``reps[c]``, and its result is released after the block that holds the
+    last cell of the class.
     """
-    reps = _translation_representatives(mesh)
-    last = dict(zip(reps, range(len(reps))))
-    starts = np.array([E.vertices[0] for E in mesh.polygons()])
-    shifts = starts - starts[reps]
+    last = dict(zip(reps.tolist(), range(len(reps))))
     held = {}
-    for c, rep in enumerate(reps):
-        if rep == c:
-            held[rep] = setup(c)
-        yield c, shifts[c], held.pop(rep) if last[rep] == c else held[rep]
+    for N, cells in groups.items():
+        for start in range(0, len(cells), CHUNK_CELLS):
+            span = slice(start, start + CHUNK_CELLS)
+            block = cells[span]
+            keys, cls = np.unique(reps[block], return_inverse=True)
+            keys = keys.tolist()
+            for rep in keys:
+                if rep not in held:
+                    held[rep] = setup(rep)
+            yield N, span, block, [held[rep] for rep in keys], cls
+            for rep in keys:
+                if last[rep] <= block[-1]:
+                    del held[rep]
+
+
+def _moved_rules(rules, cls, shifts):
+    """Every cell's rule, the rule of its class moved by its shift: the
+    points of all C cells stacked as (C * M, 2), and weights (C, M)."""
+    pts = np.stack([rule.points for rule in rules])[cls] + shifts[:, None]
+    return pts.reshape(-1, 2), np.stack([rule.weights for rule in rules])[cls]
+
+
+def _per_class(x, mats, cls):
+    """Rows x[i] @ mats[cls[i]]: products of the rows of one class, each
+    of at most ``GEMM_BUDGET`` multiply-adds."""
+    out = np.empty((len(x), mats[0].shape[1]))
+    step = max(1, GEMM_BUDGET // mats[0].size)
+    order = np.argsort(cls, kind="stable")
+    for k, sel in enumerate(np.split(order, np.cumsum(np.bincount(cls))[:-1])):
+        for i in range(0, len(sel), step):
+            rows = sel[i:i + step]
+            out[rows] = x[rows] @ mats[k]
+    return out
+
+
+class _Entries:
+    """Sparse entries or vector contributions stored in cell order, each
+    cell of group N taking ``widths[N]`` slots, whatever order the blocks
+    are filled in; sums over repeated ids then run in cell order."""
+
+    def __init__(self, groups, widths):
+        self.starts, n = _cell_starts(groups, widths)
+        self.rows = np.empty(n, dtype=int)
+        self.cols = np.empty(n, dtype=int)
+        self.vals = np.empty(n)
+
+    def put(self, cells, vals, rows, cols=None):
+        """Store the (C, W) entries (vals, rows, cols) of the given cells."""
+        at = self.starts[cells, None] + np.arange(rows.shape[1])
+        self.vals[at] = vals.reshape(rows.shape)
+        self.rows[at] = rows
+        if cols is not None:
+            self.cols[at] = cols
+
+    def coo(self, shape):
+        return sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=shape)
+
+    def bincount(self, n):
+        return np.bincount(self.rows, weights=self.vals, minlength=n)
 
 
 def _translation_representatives(mesh):
@@ -441,20 +540,27 @@ RESIDUAL_MAX = 1e-8
 def solve(system: SparseSystem) -> SolveReport:
     """Solve an assembled system by sparse LU and verify the residual.
 
-    Primal (SPD) and mixed (saddle-point) systems take the same path:
-    SuperLU with its default COLAMD ordering, then the relative residual
-    ``||Ax - b|| / ||b||`` computed by multiplication.  A zero right-hand
-    side gives the zero solution with residual 0.  Raises ``SolveError``
-    when the factorization fails or the residual is non-finite or above
-    ``RESIDUAL_MAX``.
+    The ordering depends on the kind of system.  The reduced primal matrix
+    is SPD, so SuperLU orders it symmetrically (minimum degree on A + A^T)
+    and keeps the pivots on the diagonal.  The mixed saddle-point matrix
+    keeps the default COLAMD ordering with partial pivoting.  Both then
+    check the relative residual ``||Ax - b|| / ||b||``, computed by
+    multiplication.  A zero right-hand side gives the zero solution with
+    residual 0.  Raises ``SolveError`` when the factorization fails or the
+    residual is non-finite or above ``RESIDUAL_MAX``.
     """
     A, b = system.matrix, system.rhs
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         x, res = np.zeros(system.n), 0.0
     else:
+        if system.kind == "primal":
+            ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
+        else:
+            ordering = {}
         try:
-            x = spla.splu(A.tocsc()).solve(b)
+            x = spla.splu(A.tocsc(), **ordering).solve(b)
         except RuntimeError as exc:
             raise SolveError(f"sparse factorization failed: {exc}") from None
         res = float(np.linalg.norm(A @ x - b) / bnorm)
@@ -474,58 +580,48 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
     """Global L2 / H1 (primal) or L2 flux, pressure, divergence (mixed)
     errors, integrated at the assembly degree plus 2.
 
-    ``per_element`` collects (cell, centroid, scalar L2 error) rows.
+    ``per_element`` collects (cell, centroid, scalar L2 error) rows, in
+    cell order.
     """
     quad_increment = 2
     degree = system.quad_degree + quad_increment
-    mesh = system.mesh
-    if system.kind == "primal":
-        def setup(c):
-            rule = polygon_rule(mesh.polygon(c), degree)
-            return (rule, *system.elements[c].eval_all(rule.points))
-
-        total_l2 = total_h1 = 0.0
-        for c, shift, (rule, vals, grads) in _by_translation_class(mesh, setup):
-            pts = rule.points + shift
-            coeffs = report.solution[system.dof_map.cell_dofs(c)]
-            ph = coeffs @ vals
-            gh = np.einsum("d,dmk->mk", coeffs, grads)
-            dl2 = rule.weights @ (ph - exact.p(pts)) ** 2
-            dh1 = rule.weights @ ((gh - exact.grad_p(pts)) ** 2).sum(1)
-            total_l2 += dl2
-            total_h1 += dh1
-            if per_element is not None:
-                per_element.append((c, *mesh.polygon(c).centroid, math.sqrt(max(dl2, 0.0))))
-        return {"L2_p": math.sqrt(total_l2), "H1_semi_p": math.sqrt(total_h1)}
+    mesh, dof, elements = system.mesh, system.dof_map, system.elements
+    primal = system.kind == "primal"
 
     def setup(c):
-        elem = system.elements[c]
         rule = polygon_rule(mesh.polygon(c), degree)
-        return (elem, rule, *elem.eval_all(rule.points), elem.pressure.value_grad(rule.points)[0])
+        elem = elements[c]
+        # Values and gradients (primal) or values and divergences (mixed).
+        vals, derivs = elem.eval_all(rule.points)
+        data = (rule, vals.reshape(len(vals), -1), derivs.reshape(len(derivs), -1))
+        return data if primal else (*data, elem.pressure.value_grad(rule.points)[0])
 
-    dof = system.dof_map
-    tot_p = tot_u = tot_d = 0.0
-    for c, shift, (elem, rule, v, d, wvals) in _by_translation_class(mesh, setup):
-        pts = rule.points + shift
-        gids, signs = dof.cell_flux_dofs(c, elem.dof_layout)
-        ucoef = signs * report.solution_u[gids]
-        uh = np.einsum("d,dmk->mk", ucoef, v)
-        dh = ucoef @ d
-        pcoef = report.solution_p[dof.cell_pressure_dofs(c)]
-        ph = pcoef @ wvals
-        dp = rule.weights @ (ph - exact.p(pts)) ** 2
-        du = rule.weights @ ((uh - exact.u(pts)) ** 2).sum(1)
-        dd = rule.weights @ (dh - exact.div_u(pts)) ** 2
-        tot_p += dp
-        tot_u += du
-        tot_d += dd
-        if per_element is not None:
-            per_element.append((c, *mesh.polygon(c).centroid, math.sqrt(max(dp, 0.0))))
-    return {
-        "L2_p": math.sqrt(tot_p),
-        "L2_u": math.sqrt(tot_u),
-        "L2_div_u": math.sqrt(tot_d),
-    }
+    # Squared errors of every cell, one row per norm.
+    sq = np.empty((2 if primal else 3, mesh.n_cells))
+    for N, span, cells, data, cls in _blocks(dof.cells, elements.reps, setup):
+        rules, *terms = zip(*data)
+        flat, weights = _moved_rules(rules, cls, elements.shifts[cells])
+        C, M = weights.shape
+        ids = dof.ids[N][span]
+        if primal:
+            ph, gh = (_per_class(report.solution[ids], t, cls) for t in terms)
+            gaps = [(ph - exact.p(flat).reshape(C, M)) ** 2,
+                    ((gh.reshape(C, M, 2) - exact.grad_p(flat).reshape(C, M, 2)) ** 2).sum(2)]
+        else:
+            ucoef = dof.signs[N][span] * report.solution_u[ids]
+            uh, dh = (_per_class(ucoef, t, cls) for t in terms[:2])
+            ph = _per_class(report.solution_p.reshape(mesh.n_cells, -1)[cells], terms[2], cls)
+            gaps = [(ph - exact.p(flat).reshape(C, M)) ** 2,
+                    ((uh.reshape(C, M, 2) - exact.u(flat).reshape(C, M, 2)) ** 2).sum(2),
+                    (dh - exact.div_u(flat).reshape(C, M)) ** 2]
+        for row, gap in zip(sq, gaps):
+            row[cells] = np.einsum("cm,cm->c", weights, gap)
+    if per_element is not None:
+        errs = np.sqrt(np.maximum(sq[0], 0.0)).tolist()
+        per_element.extend((c, *mesh.polygon(c).centroid.tolist(), errs[c])
+                           for c in range(mesh.n_cells))
+    names = ("L2_p", "H1_semi_p") if primal else ("L2_p", "L2_u", "L2_div_u")
+    return dict(zip(names, np.sqrt(sq.sum(axis=1)).tolist()))
 
 
 def convergence_rate(errors, h_values):

@@ -32,11 +32,12 @@ class PowerTable:
     gradient is assembled from leave-one-out products of the factors, so
     it stays exact on the zero lines of the factors.  The factors of all
     terms are stored factor-major: ``_index`` and ``_exps`` are (F, G),
-    with F the largest number of nonzero factors of one term.  The arrays
+    with F the largest number of nonzero factors of one term, and
+    ``_pow`` marks the factors whose power is neither 0 nor 1.  The arrays
     are read-only, so translated tables can share them.
     """
 
-    __slots__ = ("grads", "offsets", "powers", "_index", "_exps", "_fgrads")
+    __slots__ = ("grads", "offsets", "powers", "_index", "_exps", "_pow", "_fgrads")
 
     def __init__(self, affines, powers):
         K = len(affines)
@@ -53,7 +54,8 @@ class PowerTable:
         padded = np.hstack([self.powers, np.zeros((G, 1), dtype=int)])
         self._index = index
         self._exps = padded[np.arange(G), index].astype(float)
-        for name in ("powers", "_index", "_exps"):
+        self._pow = ((self._exps != 0.0) & (self._exps != 1.0))[:, :, None]
+        for name in ("powers", "_index", "_exps", "_pow"):
             getattr(self, name).flags.writeable = False
         self._set_affines(np.array([a.grad for a in affines], dtype=float).reshape(K, 2),
                           np.array([a.offset for a in affines], dtype=float))
@@ -106,7 +108,8 @@ class PowerTable:
         """Values (G, M) and gradients (G, M, 2) of every field at pts."""
         a = self._factors(pts)
         exps = self._exps[:, :, None]
-        lower = a ** (exps - 1.0)
+        # a**(p - 1) is 1 for p = 1, and for the padding (p = 0, a = 1).
+        lower = np.power(a, exps - 1.0, out=np.ones_like(a), where=self._pow)
         fac = lower * a
         # Products of the factors ahead of and behind factor f.
         before = np.ones_like(fac)

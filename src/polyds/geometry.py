@@ -172,8 +172,6 @@ def _stacked_data(v):
     # Edge distance functions: lam_i(x) = edge_offsets[i] - normals[i] . x,
     # zero on edge i and positive inside.
     edge_offsets = (nxt * normals).sum(axis=2)
-    C, N = edge_offsets.shape
-    fns = list(map(AffineScalar, -normals.reshape(-1, 2), edge_offsets.ravel().tolist()))
     data = {
         "vertices": v,
         "diameter": diameter,
@@ -183,7 +181,6 @@ def _stacked_data(v):
         "area": area,
         "centroid": ((v + nxt) * piece[..., None]).sum(axis=1) / (6.0 * area[:, None]),
         "edge_offsets": edge_offsets,
-        "edge_fns": [tuple(fns[k:k + N]) for k in range(0, C * N, N)],
     }
     return data, None
 
@@ -229,15 +226,14 @@ class Polygon:
         self.area = float(data["area"][c])
         self.centroid = data["centroid"][c]
         self.edge_offsets = data["edge_offsets"][c]
-        self._edge_fns = data["edge_fns"][c]
 
     def __repr__(self):
         return f"Polygon({self.n_edges} vertices, h={self.diameter:.3g})"
 
     def edge_distances(self):
         """All N edge distance functions (unit gradient, vanishing on their
-        edge, positive inside), indexed like the edges."""
-        return self._edge_fns
+        edge, positive inside), indexed like the edges, built on each call."""
+        return tuple(map(AffineScalar, -self.normals, self.edge_offsets.tolist()))
 
     def edge_midpoint(self, i):
         v = self.vertices

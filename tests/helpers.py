@@ -11,9 +11,9 @@ from polyds.assembly import DofMap, MixedDofMap
 from polyds.functions import PowerTable
 from polyds.geometry import AffineScalar, GeometryError, Polygon
 from polyds.mesh import MeshError, build_topology
-from polyds.mixed import build_mixed_element
+from polyds.mixed import build_mixed_element, mixed_dimension
 from polyds.quadrature import edge_rule, polygon_rule
-from polyds.serendipity import _centered_coordinates, build_ds_element
+from polyds.serendipity import _centered_coordinates, build_ds_element, ds_dimension
 
 
 def random_convex_polygon(n, rng, min_sigma=0.15, max_tries=5000):
@@ -308,6 +308,102 @@ def _coo(rows, cols, vals, shape):
                          shape=shape).tocsr()
 
 
+def scalar_dofs_per_cell(mesh, r):
+    """Each cell's global dof ids in its element's node order, and the dof
+    count, numbered cell by cell (oracle for ``DofMap``, which numbers
+    groups of cells with equal N as arrays)."""
+    per_edge = r - 1
+    edge_offset = mesh.n_vertices
+    at = edge_offset + mesh.n_edges * per_edge
+    out = []
+    for c, loop in enumerate(mesh.cells):
+        ids = list(loop)
+        for k, ei in enumerate(mesh.cell_edges[c]):
+            va, vb = loop[k], loop[(k + 1) % len(loop)]
+            base = edge_offset + ei * per_edge
+            if va < vb:
+                ids.extend(base + j for j in range(per_edge))
+            else:
+                ids.extend(base + (per_edge - 1 - j) for j in range(per_edge))
+        count = ds_dimension(len(loop), r) - len(loop) * r
+        ids.extend(range(at, at + count))
+        at += count
+        out.append(np.asarray(ids, dtype=int))
+    return out, at
+
+
+def flux_dofs_per_cell(mesh, r, s, layouts):
+    """Each cell's (global flux ids, signs) aligned with ``layouts[c]``, the
+    dof layout of its element, and the flux count, numbered cell by cell
+    (oracle for ``MixedDofMap``)."""
+    per_edge = r + 1
+    n_div = (s + 2) * (s + 1) // 2 - 1
+    at = mesh.n_edges * per_edge
+    out = []
+    for c, loop in enumerate(mesh.cells):
+        layout = layouts[c]
+        ids = np.empty(len(layout), dtype=int)
+        signs = np.ones(len(layout))
+        for i, lay in enumerate(layout):
+            if lay[0] == "edge":
+                k, j = lay[1], lay[2]
+                ei = mesh.cell_edges[c][k]
+                va, vb = loop[k], loop[(k + 1) % len(loop)]
+                base = ei * per_edge
+                if va < vb:
+                    ids[i] = base + j
+                else:
+                    ids[i] = base + (0 if j == 0 else per_edge - j)
+                    if j == 0:
+                        signs[i] = -1.0
+            elif lay[0] == "div":
+                ids[i] = at + lay[1]
+            else:  # bubble
+                ids[i] = at + n_div + lay[1]
+        at += mixed_dimension(len(loop), r, s) - len(loop) * per_edge
+        out.append((ids, signs))
+    return out, at
+
+
+def errors_per_cell(system, report, exact):
+    """Error norms and (cell, centroid, L2 error) rows integrated cell by
+    cell on each cell's own rule and element (oracle for
+    ``compute_errors``, which integrates blocks of cells as arrays)."""
+    mesh, elements = system.mesh, system.elements
+    degree = system.quad_degree + 2
+    if system.kind == "primal":
+        dofs, _ = scalar_dofs_per_cell(mesh, system.r)
+        names = ("L2_p", "H1_semi_p")
+    else:
+        dofs, _ = flux_dofs_per_cell(mesh, system.r, system.s,
+                                     [elem.dof_layout for elem in elements])
+        names = ("L2_p", "L2_u", "L2_div_u")
+    totals, rows = np.zeros(len(names)), []
+    for c in range(mesh.n_cells):
+        E, elem = mesh.polygon(c), elements[c]
+        rule = polygon_rule(E, degree)
+        pts, w = rule.points, rule.weights
+        if system.kind == "primal":
+            coeffs = report.solution[dofs[c]]
+            vals, grads = elem.eval_all(pts)
+            gh = np.einsum("d,dmk->mk", coeffs, grads)
+            sq = [w @ (coeffs @ vals - exact.p(pts)) ** 2,
+                  w @ ((gh - exact.grad_p(pts)) ** 2).sum(1)]
+        else:
+            ids, signs = dofs[c]
+            ucoef = signs * report.solution_u[ids]
+            v, d = elem.eval_all(pts)
+            P = system.dof_map.p_per_cell
+            ph = report.solution_p[c * P:(c + 1) * P] @ elem.pressure.value_grad(pts)[0]
+            uh = np.einsum("d,dmk->mk", ucoef, v)
+            sq = [w @ (ph - exact.p(pts)) ** 2,
+                  w @ ((uh - exact.u(pts)) ** 2).sum(1),
+                  w @ (ucoef @ d - exact.div_u(pts)) ** 2]
+        totals += sq
+        rows.append((c, *E.centroid, math.sqrt(max(sq[0], 0.0))))
+    return dict(zip(names, np.sqrt(totals).tolist())), rows
+
+
 def assemble_per_cell(mesh, r, s, f, g):
     """Global matrix and right-hand side with a fresh element built on every
     cell (oracle for ``polyds.assembly``, which builds once per translation
@@ -317,12 +413,13 @@ def assemble_per_cell(mesh, r, s, f, g):
     """
     if s is None:
         dof = DofMap(mesh, r)
+        dofs, _ = scalar_dofs_per_cell(mesh, r)
         rows, cols, vals, rhs = [], [], [], np.zeros(dof.n_dofs)
         for c in range(mesh.n_cells):
             E = mesh.polygon(c)
             rule = polygon_rule(E, 2 * r + 4)
             v, grads = build_ds_element(E, r).eval_all(rule.points)
-            ids = dof.cell_dofs(c)
+            ids = dofs[c]
             rows.append(np.repeat(ids, len(ids)))
             cols.append(np.tile(ids, len(ids)))
             vals.append(np.einsum("imk,jmk,m->ij", grads, grads, rule.weights).ravel())
@@ -335,13 +432,14 @@ def assemble_per_cell(mesh, r, s, f, g):
     dof = MixedDofMap(mesh, r, s)
     mrows, mcols, mvals, brows, bcols, bvals = [], [], [], [], [], []
     rhs_u, rhs_p = np.zeros(dof.n_flux), np.zeros(dof.n_pressure)
-    for c in range(mesh.n_cells):
+    elems = [build_mixed_element(E, r, s) for E in mesh.polygons()]
+    dofs, _ = flux_dofs_per_cell(mesh, r, s, [elem.dof_layout for elem in elems])
+    for c, elem in enumerate(elems):
         E = mesh.polygon(c)
-        elem = build_mixed_element(E, r, s)
         rule = polygon_rule(E, 2 * r + 6)
         v, d = elem.eval_all(rule.points)
         w, _ = elem.pressure.value_grad(rule.points)
-        ids, signs = dof.cell_flux_dofs(c, elem.dof_layout)
+        ids, signs = dofs[c]
         pids = dof.cell_pressure_dofs(c)
         v, d = signs[:, None, None] * v, signs[:, None] * d
         mrows.append(np.repeat(ids, len(ids)))

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,6 +19,7 @@ from polyds.geometry import Polygon
 from polyds.mesh import (
     build_topology,
     gen_hex_dominant_mesh,
+    gen_perturbed_quad_mesh,
     gen_square_mesh,
     gen_trapezoid_mesh,
 )
@@ -24,7 +27,14 @@ from polyds.mixed import build_mixed_element, mixed_interpolant, pressure_monomi
 from polyds.quadrature import polygon_rule
 from polyds.serendipity import build_ds_element
 
-from helpers import assemble_per_cell, random_convex_polygon, sliver_mesh
+from helpers import (
+    assemble_per_cell,
+    errors_per_cell,
+    flux_dofs_per_cell,
+    random_convex_polygon,
+    scalar_dofs_per_cell,
+    sliver_mesh,
+)
 
 ZERO = lambda x: np.zeros(len(x))
 
@@ -173,7 +183,7 @@ class TestMixed:
             E = mesh.polygon(c)
             elem = system.elements[c]
             rule = polygon_rule(E, system.quad_degree)
-            gids, signs = dof.cell_flux_dofs(c, elem.dof_layout)
+            gids, signs = dof.cell_flux_dofs(c)
             ucoef = signs * report.solution_u[gids]
             _, divs = elem.eval_all(rule.points)
             lhs = rule.weights @ (ucoef @ divs)
@@ -192,7 +202,7 @@ class TestMixed:
         for c in range(mesh.n_cells):
             elem = system.elements[c]
             co = mixed_interpolant(elem, ex.u, quad_degree=system.quad_degree)
-            gids, signs = dof.cell_flux_dofs(c, elem.dof_layout)
+            gids, signs = dof.cell_flux_dofs(c)
             u[gids] = signs * co
         nu, npr = system.blocks
         B = system.matrix[nu:, :nu]
@@ -326,6 +336,39 @@ class TestTranslationClasses:
             for got, want in zip(elem.eval_all(pts), direct(E).eval_all(pts)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_blocks_release_class_data(self, monkeypatch):
+        # Class data lives from its class's first block to its last, so
+        # memory stays flat however many classes a mesh has.
+        monkeypatch.setattr(assembly, "CHUNK_CELLS", 5)
+        mesh = gen_hex_dominant_mesh(8)
+        groups = assembly.DofMap(mesh, 1).cells
+        reps = np.array(assembly._translation_representatives(mesh))
+        refs = {}
+
+        class Data:
+            pass
+
+        def setup(rep):
+            assert rep not in refs
+            data = Data()
+            refs[rep] = weakref.ref(data)
+            return data
+
+        seen = []
+        for N, span, cells, data, cls in assembly._blocks(groups, reps, setup):
+            for rep, ref in refs.items():
+                done = set(np.flatnonzero(reps == rep).tolist()) <= set(seen)
+                assert (ref() is None) == done
+            assert np.array_equal(cells, groups[N][span]) and len(cells) <= 5
+            keys = np.unique(reps[cells])
+            assert all(d is refs[rep]() for d, rep in zip(data, keys.tolist(), strict=True))
+            assert np.array_equal(keys[cls], reps[cells])
+            seen.extend(cells.tolist())
+            del data
+        assert sorted(seen) == list(range(mesh.n_cells))
+        assert refs.keys() == set(reps.tolist())
+        assert all(ref() is None for ref in refs.values())
+
     def test_shared_arrays_read_only(self):
         mesh = gen_square_mesh(4)
         elem = assemble_primal(mesh, 2, ZERO).elements[1]
@@ -334,6 +377,39 @@ class TestTranslationClasses:
                        mixed.pressure.offsets):
             with pytest.raises(ValueError):
                 shared[0] = 1.0
+
+
+FAMILIES = {"square4": lambda: gen_square_mesh(4),
+            "trapezoid4": lambda: gen_trapezoid_mesh(4),
+            "pquad4": lambda: gen_perturbed_quad_mesh(4, 0.2, 1),
+            "hex4": lambda: gen_hex_dominant_mesh(4)}
+
+
+class TestDofMaps:
+    # The maps number groups of cells with equal N as arrays; the oracles
+    # number cell by cell.
+    @pytest.mark.parametrize("mesh_name", list(FAMILIES))
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_scalar_ids_match_per_cell_oracle(self, mesh_name, r):
+        mesh = FAMILIES[mesh_name]()
+        dof = assembly.DofMap(mesh, r)
+        want, n_dofs = scalar_dofs_per_cell(mesh, r)
+        assert dof.n_dofs == n_dofs
+        for c in range(mesh.n_cells):
+            assert np.array_equal(dof.cell_dofs(c), want[c])
+
+    @pytest.mark.parametrize("mesh_name", list(FAMILIES))
+    @pytest.mark.parametrize("r, s", [(1, 1), (2, 2)])
+    def test_flux_ids_and_signs_match_per_cell_oracle(self, mesh_name, r, s):
+        mesh = FAMILIES[mesh_name]()
+        dof = assembly.MixedDofMap(mesh, r, s)
+        layouts = [build_mixed_element(E, r, s).dof_layout for E in mesh.polygons()]
+        want, n_flux = flux_dofs_per_cell(mesh, r, s, layouts)
+        assert dof.n_flux == n_flux
+        for c in range(mesh.n_cells):
+            ids, signs = dof.cell_flux_dofs(c)
+            assert np.array_equal(ids, want[c][0])
+            assert np.array_equal(signs, want[c][1])
 
 
 class TestErrorsAndRates:
@@ -392,6 +468,27 @@ class TestErrorsAndRates:
             hs.append(mesh.h_max)
         assert convergence_rate(errs_l2, hs)[-1] == pytest.approx(3.0, abs=0.25)
         assert convergence_rate(errs_h1, hs)[-1] == pytest.approx(2.0, abs=0.25)
+
+
+    @pytest.mark.parametrize("mesh_name", ["hex4", "trapezoid4", "pquad4"])
+    @pytest.mark.parametrize("kind", ["primal", "mixed"])
+    def test_errors_match_per_cell_oracle(self, mesh_name, kind):
+        ex = manufactured_solution()
+        mesh = FAMILIES[mesh_name]()
+        if kind == "primal":
+            system = assemble_primal(mesh, 2, ex.f)
+        else:
+            system = assemble_mixed(mesh, 1, 1, ex.f)
+        report = solve(system)
+        rows = []
+        errs = compute_errors(system, report, ex, per_element=rows)
+        want, want_rows = errors_per_cell(system, report, ex)
+        assert errs.keys() == want.keys()
+        for name, value in want.items():
+            assert abs(errs[name] - value) <= 1e-12 * value
+        assert [row[0] for row in rows] == list(range(mesh.n_cells))
+        got, ref = np.array(rows)[:, 1:], np.array(want_rows)[:, 1:]
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
 class TestSliverRobustness:
