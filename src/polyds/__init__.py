@@ -10,7 +10,6 @@ from .geometry import (
     GeometryError,
     Polygon,
     RegularityReport,
-    signed_distance_line,
 )
 from .quadrature import EdgeRule, QuadRule, edge_rule, polygon_rule, triangle_gauss
 from .serendipity import (
@@ -19,7 +18,6 @@ from .serendipity import (
     NodeSet,
     build_ds_element,
     build_low_order,
-    build_low_order_supplement,
     ds_dimension,
     evaluate,
     interpolate,

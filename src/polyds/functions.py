@@ -10,10 +10,12 @@ holds all of them and evaluates values (G, M) and gradients (G, M, 2) on
 each term keeps its F nonzero factors, and the F-step loops over the
 product run on contiguous (G, M) slices.
 
-The terms and the affine functions are separate: ``with_affines`` gives
-the same terms over new (K, 2) gradient and (K,) offset arrays, sharing
-the term arrays, so one table of terms serves every cell of a shape
-(N, r), and ``translated`` is the special case of shifted offsets.
+Affine functions exist only as arrays: a table holds its K of them as a
+(K, 2) gradient and a (K,) offset array.  The terms and the affine
+functions are separate: ``with_affines`` gives the same terms over new
+arrays, sharing the term arrays, so one table of terms serves every cell
+of a shape (N, r), and ``translated`` is the special case of shifted
+offsets.
 """
 
 from __future__ import annotations
@@ -26,11 +28,14 @@ __all__ = ["PowerTable", "gradient_fd", "divergence_fd"]
 
 
 class PowerTable:
-    """G fields f_g(x) = prod_k a_k(x)**powers[g, k] over K affine functions.
+    """G fields f_g(x) = prod_k a_k(x)**powers[g, k] over K affine functions
+    a_k(x) = grads[k] . x + offsets[k].
 
-    Powers are integers and may be negative; the empty product is 1.  The
-    gradient is assembled from leave-one-out products of the factors, so
-    it stays exact on the zero lines of the factors.  The factors of all
+    ``powers`` is (G, K), ``grads`` (K, 2) and ``offsets`` (K,); the table
+    copies the affine arrays.  Powers are integers and may be negative;
+    the empty product is 1.  The gradient is assembled from leave-one-out
+    products of the factors, so it stays exact on the zero lines of the
+    factors.  The factors of all
     terms are stored factor-major: ``_index`` and ``_exps`` are (F, G),
     with F the largest number of nonzero factors of one term, and
     ``_pow`` marks the factors whose power is neither 0 nor 1.  The arrays
@@ -39,14 +44,13 @@ class PowerTable:
 
     __slots__ = ("grads", "offsets", "powers", "_index", "_exps", "_pow", "_fgrads")
 
-    def __init__(self, affines, powers):
-        K = len(affines)
+    def __init__(self, powers, grads, offsets):
         self.powers = np.array(powers, dtype=int)
-        if self.powers.ndim != 2 or self.powers.shape[1] != K:
-            raise ValueError(f"powers must have shape (G, {K}), got {self.powers.shape}")
+        if self.powers.ndim != 2:
+            raise ValueError(f"powers must have shape (G, K), got {self.powers.shape}")
         # Each term keeps only its nonzero factors, padded to a common count
         # F with the constant 1 (affine index K, power 0).
-        G = len(self.powers)
+        G, K = self.powers.shape
         factors = [np.flatnonzero(row) for row in self.powers]
         index = np.full((max([1, *map(len, factors)]), G), K)
         for g, ks in enumerate(factors):
@@ -57,8 +61,7 @@ class PowerTable:
         self._pow = ((self._exps != 0.0) & (self._exps != 1.0))[:, :, None]
         for name in ("powers", "_index", "_exps", "_pow"):
             getattr(self, name).flags.writeable = False
-        self._set_affines(np.array([a.grad for a in affines], dtype=float).reshape(K, 2),
-                          np.array([a.offset for a in affines], dtype=float))
+        self._set_affines(np.array(grads, dtype=float), np.array(offsets, dtype=float))
 
     def _set_affines(self, grads, offsets):
         K = self.powers.shape[1]
@@ -84,9 +87,8 @@ class PowerTable:
         return out
 
     def with_affines(self, grads, offsets):
-        """The same terms over new affine functions a_k(x) = grads[k] . x +
-        offsets[k], given as (K, 2) and (K,) arrays, which the table copies.
-        The term arrays are shared."""
+        """The same terms over new (K, 2) gradients and (K,) offsets, which
+        the table copies.  The term arrays are shared."""
         return self._sharing_terms(np.array(grads, dtype=float), np.array(offsets, dtype=float))
 
     def translated(self, shift):

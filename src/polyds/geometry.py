@@ -1,13 +1,15 @@
 """Planar geometry for convex polygonal elements.
 
-Provides signed affine distance functions to lines and edges, the convex
-``Polygon`` type with derived edge data (outer normals, tangents, lengths),
-built one at a time or as a stack of polygons with equal vertex count
-(``polygon_stack``, one formula for both), pair lines between nonadjacent
-edges (one at a time or as arrays), and shape-regularity measurement.
+Provides the convex ``Polygon`` type with derived edge data (outer
+normals, tangents, lengths, and the edge offsets that with the normals
+give the edge distance functions), built one at a time or as a stack of
+polygons with equal vertex count (``polygon_stack``, one formula for
+both), signed distance lines and the pair lines between nonadjacent edges
+as (P, 2) gradient and (P,) offset arrays, and shape-regularity
+measurement.
 
-All objects are immutable after construction and all operations are pure,
-so they are safe to share between threads.
+Polygons are immutable after construction (their arrays are read-only)
+and all operations are pure, so they are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "Polygon",
     "RegularityReport",
     "polygon_stack",
-    "signed_distance_line",
     "distance_lines",
     "nonadjacent_pairs",
 ]
@@ -49,7 +50,12 @@ def _as_points(pts):
 
 
 class AffineScalar:
-    """Linear polynomial a(x) = grad . x + offset with a constant gradient."""
+    """Linear polynomial a(x) = grad . x + offset with a constant gradient.
+
+    The library itself builds and evaluates affine functions only as
+    (K, 2) gradient and (K,) offset arrays; this one-function form serves
+    test oracles and instrumentation.
+    """
 
     __slots__ = ("grad", "offset")
 
@@ -76,26 +82,15 @@ class AffineScalar:
         return f"AffineScalar(grad={self.grad.tolist()}, offset={self.offset})"
 
 
-def signed_distance_line(y1, y2) -> AffineScalar:
-    """Unit-gradient linear function vanishing on the line through y1 and y2.
+def distance_lines(y1, y2):
+    """Gradients (P, 2) and offsets (P,) of the unit-gradient affine
+    functions vanishing on the lines through y1[p] and y2[p], for (P, 2)
+    arrays of distinct points.
 
     The sign convention puts negative values on the right of the travel
     direction y1 -> y2: with nu the unit normal pointing right of y2 - y1,
-    the returned function is x -> -(x - y2) . nu.
+    function p is x -> -(x - y2) . nu.
     """
-    y1 = np.asarray(y1, dtype=float)
-    y2 = np.asarray(y2, dtype=float)
-    d = y2 - y1
-    scale = max(abs(y1).max(), abs(y2).max(), 1.0)
-    if math.hypot(d[0], d[1]) <= 1e-14 * scale:
-        raise GeometryError(f"coincident points {y1} and {y2} define no line")
-    grads, offsets = distance_lines(y1[None], y2[None])
-    return AffineScalar(grads[0], offsets[0])
-
-
-def distance_lines(y1, y2):
-    """Gradients (P, 2) and offsets (P,) of ``signed_distance_line(y1[p],
-    y2[p])`` for (P, 2) arrays of distinct points."""
     d = y2 - y1
     nu = d[:, ::-1] * (1.0, -1.0) / np.hypot(d[:, 0], d[:, 1])[:, None]
     return -nu, (y2 * nu).sum(axis=1)
@@ -182,6 +177,8 @@ def _stacked_data(v):
         "centroid": ((v + nxt) * piece[..., None]).sum(axis=1) / (6.0 * area[:, None]),
         "edge_offsets": edge_offsets,
     }
+    for a in data.values():
+        a.flags.writeable = False
     return data, None
 
 
@@ -203,7 +200,10 @@ class Polygon:
 
     Derived per-edge data uses the convention that edge ``i`` runs from
     vertex ``i`` to vertex ``(i + 1) % N``; the shared vertex of edges
-    ``i - 1`` and ``i`` is vertex ``i``.  Instances are immutable.
+    ``i - 1`` and ``i`` is vertex ``i``.  Instances are immutable: every
+    array attribute is a read-only view.  Edge i's distance function
+    (unit gradient, zero on the edge, positive inside) is
+    ``edge_offsets[i] - normals[i] . x``.
     """
 
     def __init__(self, vertices):
@@ -230,11 +230,6 @@ class Polygon:
     def __repr__(self):
         return f"Polygon({self.n_edges} vertices, h={self.diameter:.3g})"
 
-    def edge_distances(self):
-        """All N edge distance functions (unit gradient, vanishing on their
-        edge, positive inside), indexed like the edges, built on each call."""
-        return tuple(map(AffineScalar, -self.normals, self.edge_offsets.tolist()))
-
     def edge_midpoint(self, i):
         v = self.vertices
         return 0.5 * (v[i] + v[(i + 1) % self.n_edges])
@@ -244,28 +239,15 @@ class Polygon:
         v = self.vertices
         return v[i] + np.multiply.outer(np.asarray(t, dtype=float), v[(i + 1) % self.n_edges] - v[i])
 
-    def nonadjacent_pairs(self):
-        """All index pairs (i, j), i < j, of nonadjacent edges."""
-        return nonadjacent_pairs(self.n_edges)
-
-    def pair_line(self, i, j) -> AffineScalar:
-        """Unit-gradient affine function vanishing on the line through the
-        midpoints of the nonadjacent edges i and j.
-
-        The zero line crosses both edges by construction, as the
-        supplemental functions require.
-        """
-        n = self.n_edges
-        sep = abs(i - j) % n
-        if min(sep, n - sep) < 2:
-            raise GeometryError(f"edges {i} and {j} are adjacent or equal")
-        a, b = (i, j) if i < j else (j, i)
-        grads, offsets = self.pair_lines([a], [b])
-        return AffineScalar(grads[0], offsets[0])
-
     def pair_lines(self, i, j):
-        """Gradients (P, 2) and offsets (P,) of ``pair_line(i[p], j[p])``
-        for index arrays of nonadjacent pairs, i[p] < j[p]."""
+        """Gradients (P, 2) and offsets (P,) of the pair lines of the
+        nonadjacent edges i[p] < j[p], given as index arrays.
+
+        Pair line p is the unit-gradient affine function vanishing on the
+        line through the midpoints of edges i[p] and j[p] (in the sign
+        convention of ``distance_lines``), so its zero line crosses both
+        edges, as the supplemental functions require.
+        """
         return distance_lines(self.edge_midpoint(np.asarray(i)), self.edge_midpoint(np.asarray(j)))
 
     def shape_regularity(self) -> RegularityReport:
@@ -289,10 +271,7 @@ class Polygon:
         pts = _as_points(pts)
         if tol is None:
             tol = 1e-12 * self.diameter
-        inside = np.ones(len(pts), dtype=bool)
-        for lam in self.edge_distances():
-            inside &= lam(pts) >= -tol
-        return inside
+        return (self.edge_offsets - pts @ self.normals.T >= -tol).all(axis=1)
 
     def scaled(self, factor, about=None):
         """A copy scaled by ``factor`` about ``about`` (default: centroid)."""

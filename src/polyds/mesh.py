@@ -124,7 +124,9 @@ def build_topology(vertices, cells) -> Mesh:
     in opposite directions; cells must be valid CCW convex polygons.
     Errors name the lowest-numbered offending cell.
     """
-    vertices = np.asarray(vertices, dtype=float)
+    # A read-only copy: the mesh's polygons were built from these values.
+    vertices = np.array(vertices, dtype=float)
+    vertices.flags.writeable = False
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError(f"vertices must have shape (M, 2), got {vertices.shape}")
     if len(cells) == 0:

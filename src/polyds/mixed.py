@@ -57,79 +57,69 @@ def pressure_monomials(E: Polygon, s: int) -> PowerTable:
     """Centered, scaled monomials u**a v**b up to total degree s on E,
     ordered by degree; the first is the constant."""
     powers = [(a, deg - a) for deg in range(s + 1) for a in range(deg + 1)]
-    return PowerTable(_centered_coordinates(E), powers)
+    return PowerTable(powers, *_centered_coordinates(E))
 
 
-def constant_flux_coefficients(E: Polygon, k: int):
-    """Cancellation constants for the constant-flux function of edge k.
+def constant_flux_coefficients(E: Polygon):
+    """Cancellation constants (N, N-2) of the constant-flux functions.
 
-    Entry m (0-based) belongs to edge k+3+m (mod N); the last entry belongs
-    to edge k itself and normalizes the flux.  All entries are strictly
-    positive on a strictly convex polygon.
+    Row k belongs to the constant-flux function of edge k: entry m belongs
+    to edge k+3+m (mod N), and the last entry to edge k itself, which
+    normalizes the flux.  With anchor vertex k+2, entry m is the anchor's
+    distance to edge k+3+m plus the length ratio of edges k+2+m and k+3+m
+    times entry m-1; the recurrence runs on all rows at once.  All entries
+    are strictly positive on a strictly convex polygon.
     """
     N = E.n_edges
-    lam = E.edge_distances()
-    lengths = E.edge_lengths
+    k = np.arange(N)
+    edge = (k[:, None] + np.arange(3, N + 1)) % N  # (N, N-2): edge of each entry
     anchor = E.vertices[(k + 2) % N]
-    out = []
-    prev = 0.0
-    for m in range(k + 3, k + N + 1):
-        em = m % N
-        dist = lam[em](anchor)  # distance of the anchor vertex to edge line em
-        prev = dist + (lengths[(m - 1) % N] / lengths[em]) * prev
-        out.append(prev)
-    return np.asarray(out)
-
-
-def _scalar_row_index(ds: DSElement, kind, k, j=0):
-    N = ds.polygon.n_edges
-    per_edge = ds.r - 1
-    if kind == "vertex":
-        return k
-    if kind == "edge":
-        return N + k * per_edge + (j - 1)
-    if kind == "interior":
-        return N + N * per_edge + k
-    raise KeyError(kind)
+    # Distances of the anchor vertex to the lines of the entries' edges.
+    dist = E.edge_offsets[edge] - (E.normals[edge] * anchor[:, None]).sum(axis=2)
+    ratio = E.edge_lengths[(edge - 1) % N] / E.edge_lengths[edge]
+    out = np.empty((N, N - 2))
+    prev = np.zeros(N)
+    for m in range(N - 2):
+        prev = out[:, m] = dist[:, m] + ratio[:, m] * prev
+    return out
 
 
 def _vertex_ramp_rows(ds: DSElement):
-    """Coefficient rows (over the scalar generators) of functions whose
-    trace ramps linearly 0 -> 1 along edge k-1 and 1 -> 0 along edge k for
-    each vertex k, and vanishes on every other edge."""
-    N = ds.polygon.n_edges
-    order = ds.r  # the scalar element has index r+1
-    rows = np.zeros((N, ds.n_generators))
-    for k in range(N):
-        rows[k] += ds.coeffs[_scalar_row_index(ds, "vertex", k)]
-        for j in range(1, order):
-            w = j / order
-            rows[k] += w * ds.coeffs[_scalar_row_index(ds, "edge", (k - 1) % N, j)]
-            rows[k] += (1.0 - w) * ds.coeffs[_scalar_row_index(ds, "edge", k, j)]
-    return rows
+    """Coefficient rows (N, generators) of functions whose trace ramps
+    linearly 0 -> 1 along edge k-1 and 1 -> 0 along edge k for each vertex
+    k, and vanishes on every other edge: one (N, dim) weight matrix on the
+    nodal basis, whose node j of edge k is basis function N + k (r-1) + j-1
+    (r the scalar index)."""
+    N, order = ds.polygon.n_edges, ds.r
+    k = np.arange(N)
+    w = np.arange(1, order) / order
+    weights = np.zeros((N, ds.dim))
+    weights[k, k] = 1.0
+    edge_node = N + (order - 1) * k[:, None] + np.arange(order - 1)  # (N, r-1)
+    weights[k[:, None], edge_node[k - 1]] = w
+    weights[k[:, None], edge_node] = 1.0 - w
+    return weights @ ds.coeffs
 
 
 def _constant_flux_data(ds: DSElement):
-    """Per-edge data for the constant-flux functions: a curl coefficient
-    row over the scalar generators, a coefficient for the radial field
-    x - c, and a constant vector part."""
+    """Data for the constant-flux functions of all N edges: curl coefficient
+    rows (N, generators) over the scalar generators, coefficients (N,) of
+    the radial field x - c, and constant vector parts (N, 2).
+
+    Row k of the curl rows combines the ramp of vertex m+1 with weight
+    -c[k, m-k-3] |e_m| for the edges m = k+3, ..., k+N-1 (mod N), all
+    scaled by 1 / (c[k, -1] |e_k|), with c the cancellation constants."""
     E = ds.polygon
     N = E.n_edges
     lengths = E.edge_lengths
-    ramps = _vertex_ramp_rows(ds)
-    curl_rows = np.zeros((N, ds.n_generators))
-    radial = np.empty(N)
-    const = np.empty((N, 2))
-    for k in range(N):
-        coeffs = constant_flux_coefficients(E, k)
-        scale = 1.0 / (coeffs[-1] * lengths[k])
-        row = np.zeros(ds.n_generators)
-        for m, cm in zip(range(k + 3, k + N), coeffs):
-            row -= cm * lengths[m % N] * ramps[(m + 1) % N]
-        curl_rows[k] = row * scale
-        radial[k] = scale
-        const[k] = (E.centroid - E.vertices[(k + 2) % N]) * scale
-    return curl_rows, radial, const
+    coeffs = constant_flux_coefficients(E)
+    scale = 1.0 / (coeffs[:, -1] * lengths)
+    k = np.arange(N)
+    m = (k[:, None] + np.arange(3, N)) % N  # (N, N-3)
+    weights = np.zeros((N, N))
+    weights[k[:, None], (m + 1) % N] = -coeffs[:, :-1] * lengths[m] * scale[:, None]
+    const = (E.centroid - E.vertices[(k + 2) % N]) * scale[:, None]
+    return weights @ _vertex_ramp_rows(ds), scale, const
 
 
 def _edge_flux_expansion(E: Polygon, r: int, pressure: PowerTable):
@@ -218,7 +208,14 @@ class MixedElement:
 
 
 def build_mixed_element(E: Polygon, r: int, s: int) -> MixedElement:
-    """Assemble the four basis families for the index-(r, s) mixed space."""
+    """Assemble the four basis families for the index-(r, s) mixed space.
+
+    The rows over the generators (curls, radial fields, constants) stack
+    as: the edge rows (N, r+1), per edge the constant-flux function and
+    the curls of the r scalar functions of its interior nodes; the
+    divergence rows, each a radial field minus its flux expansion in the
+    edge rows; and the curls of the scalar interior functions.
+    """
     _check_rs(r, s)
     N = E.n_edges
     ds = build_ds_element(E, r + 1)
@@ -227,44 +224,29 @@ def build_mixed_element(E: Polygon, r: int, s: int) -> MixedElement:
     n_rad = len(pressure)
     width = G + n_rad + 2
 
-    curl_rows, radial_c, const_c = _constant_flux_data(ds)
-    rows = []
-    layout = []
-    for k in range(N):
-        row = np.zeros(width)
-        row[:G] = curl_rows[k]
-        row[G] = radial_c[k]
-        row[G + n_rad:] = const_c[k]
-        rows.append(row)
-        layout.append(("edge", k, 0))
-        for j in range(1, r + 1):
-            row = np.zeros(width)
-            row[:G] = ds.coeffs[_scalar_row_index(ds, "edge", k, j)]
-            rows.append(row)
-            layout.append(("edge", k, j))
+    # The scalar element of index r+1 has N vertex and N r edge functions,
+    # as many as the mixed element has edge rows, then its interior ones.
+    n_edge = N * (r + 1)
+    edge = np.zeros((N, r + 1, width))
+    edge[:, 0, :G], edge[:, 0, G], edge[:, 0, G + n_rad:] = _constant_flux_data(ds)
+    edge[:, 1:, :G] = ds.coeffs[N:n_edge].reshape(N, r, G)
+    alphas = _edge_flux_expansion(E, r, pressure)[:, 1:]  # (N, n_rad-1, r+1)
+    # Explicit sizes: with s = 0 there are no divergence rows, and a -1
+    # cannot be resolved for an empty array.
+    div = -alphas.transpose(1, 0, 2).reshape(n_rad - 1, n_edge) @ edge.reshape(n_edge, width)
+    div[:, G + 1:G + n_rad] += np.eye(n_rad - 1)
+    # Interior functions exist only for r+1 >= N, where their curls are bubbles.
+    bubble = np.zeros((ds.dim - n_edge, width))
+    bubble[:, :G] = ds.coeffs[n_edge:]
 
-    edge_row = {lay[1:]: rows[i] for i, lay in enumerate(layout)}
-    alphas = _edge_flux_expansion(E, r, pressure)
-    for i in range(1, n_rad):
-        row = np.zeros(width)
-        row[G + i] = 1.0
-        for k in range(N):
-            for j in range(r + 1):
-                row = row - alphas[k, i, j] * edge_row[(k, j)]
-        rows.append(row)
-        layout.append(("div", i - 1))
-
-    if r >= N - 1:
-        for i in range(ds.nodes.n_interior):
-            row = np.zeros(width)
-            row[:G] = ds.coeffs[_scalar_row_index(ds, "interior", i)]
-            rows.append(row)
-            layout.append(("bubble", i))
-
+    layout = ([("edge", k, j) for k in range(N) for j in range(r + 1)]
+              + [("div", i) for i in range(n_rad - 1)]
+              + [("bubble", i) for i in range(len(bubble))])
     expected = mixed_dimension(N, r, s)
-    if len(rows) != expected:
-        raise ElementError(f"assembled {len(rows)} functions, expected {expected}")
-    return MixedElement(E, r, s, ds, np.array(rows), pressure, layout)
+    if len(layout) != expected:
+        raise ElementError(f"assembled {len(layout)} functions, expected {expected}")
+    rows = np.concatenate([edge.reshape(-1, width), div, bubble])
+    return MixedElement(E, r, s, ds, rows, pressure, layout)
 
 
 def _dof_functionals(elem: MixedElement, quad_degree=None):

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .functions import PowerTable
-from .geometry import AffineScalar, Polygon, _as_points, nonadjacent_pairs, signed_distance_line
+from .geometry import Polygon, _as_points, nonadjacent_pairs
 
 __all__ = [
     "ElementError",
@@ -41,7 +41,6 @@ __all__ = [
     "DSElement",
     "ds_dimension",
     "build_low_order",
-    "build_low_order_supplement",
     "build_ds_element",
     "interpolate",
     "evaluate",
@@ -145,10 +144,9 @@ def _monomials(p):
 
 
 def _centered_coordinates(E: Polygon):
-    """Affine u = (x - c_x) / h and v = (y - c_y) / h about the centroid c,
-    scaled by the diameter h."""
-    c, h = E.centroid, E.diameter
-    return AffineScalar([1.0 / h, 0.0], -c[0] / h), AffineScalar([0.0, 1.0 / h], -c[1] / h)
+    """Gradients (2, 2) and offsets (2,) of the affine u = (x - c_x) / h and
+    v = (y - c_y) / h about the centroid c, scaled by the diameter h."""
+    return np.eye(2) / E.diameter, -E.centroid / E.diameter
 
 
 def _lagrange_2d(nodes, p, center, scale):
@@ -172,7 +170,7 @@ class _TermLayout(NamedTuple):
     """What the index-r construction on an N-gon shares across cells: the
     generator terms and the index arrays of the per-cell array work."""
 
-    table: PowerTable  # the terms over zero affines; see _term_layout
+    table: PowerTable  # the terms over zero affine arrays; see _term_layout
     pairs: np.ndarray  # (2, P): the nonadjacent edge pairs i < j
     edge_terms: np.ndarray  # (N, r-1, r-1) term N + k(r-1) + l ...
     edge_nodes: np.ndarray  # ... and node N + k(r-1) + j of edge k at [k, j, l]
@@ -228,7 +226,7 @@ def _term_layout(N: int, r: int) -> _TermLayout:
         rows.append(np.zeros(K, dtype=int))
         rows[-1][:N] = 1
         rows[-1][K - 2:] = a, b
-    table = PowerTable([AffineScalar((0.0, 0.0), 0.0)] * K, np.array(rows).reshape(-1, K))
+    table = PowerTable(np.array(rows).reshape(-1, K), np.zeros((K, 2)), np.zeros(K))
 
     n_e = r - 1
     at = np.arange(N)
@@ -280,9 +278,9 @@ class _HighOrderBuilder:
             grads += [line_grads, tau]
             offsets += [line_offsets, -(E.vertices * tau).sum(axis=1)]
         if r >= N:
-            uv = _centered_coordinates(E)
-            grads.append([a.grad for a in uv])
-            offsets.append([a.offset for a in uv])
+            uv_grads, uv_offsets = _centered_coordinates(E)
+            grads.append(uv_grads)
+            offsets.append(uv_offsets)
         return np.concatenate(grads), np.concatenate(offsets)
 
     def _edge_generators(self, tvals):
@@ -453,135 +451,6 @@ def _carving_matrix(N: int, r: int):
             for ell in range(1, s):
                 T[row, erow(a, ell)] = P[j, ell - 1]
     return _frozen(T)
-
-
-@dataclass(frozen=True)
-class LowOrderSupplement:
-    """Node partition and explicit supplement for the low-order space.
-
-    ``poly_nodes`` lists the nodes whose basis functions are completed from
-    plain degree-r polynomials; ``supp_nodes`` lists the rest, carried by
-    the supplemental (non-polynomial) functions.  Nodes are (edge, j) pairs
-    with j in [1, r]; j == r means the end vertex of the edge.
-    """
-
-    poly_nodes: tuple
-    supp_nodes: tuple
-    completion: tuple
-    supplement: tuple
-    batches: tuple  # (edge, node keys) per selection batch, sizes r+1 .. 1
-
-    def all_functions(self):
-        fns = dict(zip(self.poly_nodes, self.completion))
-        fns.update(zip(self.supp_nodes, self.supplement))
-        order = sorted(fns)
-        return order, [fns[key] for key in order]
-
-
-def _node_coord(E, r, key):
-    a, j = key
-    if j == r:
-        return E.vertices[(a + 1) % E.n_edges]
-    return E.edge_point(a, j / r)
-
-
-def _unit_product(lines, at):
-    """Value-only product of affine functions, scaled to 1 at the point ``at``."""
-    table = PowerTable(lines, np.ones((1, len(lines)), dtype=int))
-    scale = 1.0 / table.value_grad(at)[0][0, 0]
-    return lambda p: scale * table.value_grad(p)[0][0]
-
-
-def _combination(terms):
-    """Value-only linear combination: p -> sum of c * fn(p) over (c, fn) terms."""
-    return lambda p: sum(c * fn(p) for c, fn in terms)
-
-
-def build_low_order_supplement(E: Polygon, r: int):
-    """Split the low-order nodes into a polynomial set and a supplement set.
-
-    The polynomial set is picked edge by edge in descending batch size
-    (r+1, r, ..., 1 nodes); a vertex node is never taken from an edge
-    chosen in an earlier batch.  The supplement functions are the nodal
-    functions of the remaining nodes; the completion functions are plain
-    degree-r polynomials corrected to be nodal on the full node set.
-    """
-    N = E.n_edges
-    elem = build_low_order(E, r)
-
-    def canonical(a, j):
-        # (a, 0) is the start vertex of edge a, i.e. the end vertex of a-1.
-        return ((a - 1) % N, r) if j == 0 else (a, j)
-
-    stages = []  # stage k: (edge, [node keys]) with k nodes, k = r+1 .. 1
-    stages.append((r % N, [canonical(r % N, j) for j in range(r + 1)]))
-    stages.append(((r - 1) % N, [canonical((r - 1) % N, j) for j in range(r)]))
-    for k in range(r - 1, 0, -1):
-        a = (k - 1) % N
-        stages.append((a, [canonical(a, j) for j in range(1, k + 1)]))
-
-    poly_nodes = [key for _, keys in stages for key in keys]
-    if len(set(poly_nodes)) != (r + 2) * (r + 1) // 2:
-        raise ElementError("polynomial node selection is infeasible")
-    all_keys = [(a, j) for a in range(N) for j in range(1, r + 1)]
-    supp_nodes = [key for key in all_keys if key not in set(poly_nodes)]
-
-    # Nodal functions (from the background construction) for the supplement.
-    def nodal_fn(key):
-        a, j = key
-        if j == r:
-            row = (a + 1) % N
-        else:
-            row = N + a * (r - 1) + (j - 1)
-        return lambda p: elem.eval_all(p)[0][row]
-
-    supplement = [nodal_fn(key) for key in supp_nodes]
-    supp_coords = np.array([_node_coord(E, r, key) for key in supp_nodes]).reshape(-1, 2)
-
-    lam = E.edge_distances()
-    stage_edges = [a for a, _ in stages]
-    stage_coords = [
-        np.array([_node_coord(E, r, key) for key in keys]) for _, keys in stages
-    ]
-    anchor = stage_coords[-1][0]  # the single node of the last (k=1) stage
-
-    completion = {}
-    built_rows = []  # (key, fn) in build order for cross-corrections
-    # Build in ascending batch size: k = 1 first.
-    for k in range(1, r + 2):
-        stage = len(stages) - k  # stages list is descending in k
-        _, keys = stages[stage]
-        coords = stage_coords[stage]
-        new_fns = []
-        for ell, key in enumerate(keys):
-            # Lines through the anchor and the other same-batch nodes kill
-            # those nodes (and the anchor); the remaining larger batches are
-            # killed by their edge distance functions.
-            lines = [
-                signed_distance_line(anchor, coords[m])
-                for m in range(len(keys))
-                if m != ell
-            ]
-            for later in range(k + 1, r + 2):
-                lines.append(lam[stage_edges[len(stages) - later]])
-            phi = _unit_product(lines, coords[ell])
-            terms = [(1.0, phi)]
-            if len(supp_nodes):
-                terms.extend(zip(-phi(supp_coords), supplement))
-            for prev_key, prev_fn in built_rows:
-                terms.append((-float(phi(_node_coord(E, r, prev_key)[None, :])[0]), prev_fn))
-            fn = _combination(terms)
-            completion[key] = fn
-            new_fns.append((key, fn))
-        built_rows.extend(new_fns)
-
-    return LowOrderSupplement(
-        poly_nodes=tuple(poly_nodes),
-        supp_nodes=tuple(supp_nodes),
-        completion=tuple(completion[key] for key in poly_nodes),
-        supplement=tuple(supplement),
-        batches=tuple((a, tuple(keys)) for a, keys in stages),
-    )
 
 
 def interpolate(elem: DSElement, f):

@@ -9,11 +9,14 @@ from scipy.spatial import cKDTree
 
 from polyds.assembly import DofMap, MixedDofMap
 from polyds.functions import PowerTable
-from polyds.geometry import AffineScalar, GeometryError, Polygon
+from polyds.geometry import AffineScalar, GeometryError, Polygon, nonadjacent_pairs
 from polyds.mesh import MeshError, build_topology
-from polyds.mixed import build_mixed_element, mixed_dimension
+from polyds.mixed import build_mixed_element, mixed_dimension, pressure_monomials
 from polyds.quadrature import edge_rule, polygon_rule
-from polyds.serendipity import _centered_coordinates, build_ds_element, ds_dimension
+from polyds.serendipity import build_ds_element, ds_dimension
+
+# The array attributes of a Polygon.
+POLYGON_ARRAYS = ("vertices", "edge_lengths", "tangents", "normals", "centroid", "edge_offsets")
 
 
 def random_convex_polygon(n, rng, min_sigma=0.15, max_tries=5000):
@@ -98,6 +101,86 @@ def truncated_hexagon(eps=1e-6):
     d4 /= np.linalg.norm(d4)
     verts = np.vstack([base[:3], base[3] + eps * d2, base[3] + eps * d4, base[4:]])
     return build_topology(verts, [[0, 1, 2, 3, 4, 5]])
+
+
+def edge_distances(E):
+    """The N edge distance functions of E as AffineScalar objects, read
+    from the polygon's ``normals`` and ``edge_offsets``."""
+    return [AffineScalar(g, o) for g, o in zip(-E.normals, E.edge_offsets)]
+
+
+def line_through(y1, y2):
+    """Unit-gradient AffineScalar vanishing on the line through y1 and y2,
+    negative on the right of the travel direction y1 -> y2, written out
+    component by component (oracle for ``polyds.geometry.distance_lines``)."""
+    (x1, z1), (x2, z2) = y1, y2
+    length = math.hypot(x2 - x1, z2 - z1)
+    nu = ((z2 - z1) / length, -(x2 - x1) / length)  # unit normal, right of travel
+    return AffineScalar((-nu[0], -nu[1]), x2 * nu[0] + z2 * nu[1])
+
+
+def constant_flux_coefficients_per_edge(E, k):
+    """Cancellation constants of the constant-flux function of edge k, by
+    the edge-by-edge recurrence with scalar loops (oracle for row k of
+    ``polyds.mixed.constant_flux_coefficients``)."""
+    N = E.n_edges
+    lam = edge_distances(E)
+    lengths = E.edge_lengths
+    anchor = E.vertices[(k + 2) % N]
+    out = []
+    prev = 0.0
+    for m in range(k + 3, k + N + 1):
+        em = m % N
+        prev = float(lam[em](anchor)) + (lengths[(m - 1) % N] / lengths[em]) * prev
+        out.append(prev)
+    return np.asarray(out)
+
+
+def mixed_rows_per_edge(E, r, s):
+    """Rows of the index-(r, s) mixed element on E, built edge by edge and
+    row by row with scalar loops (oracle for the stacked rows of
+    ``polyds.mixed.build_mixed_element``)."""
+    N = E.n_edges
+    ds = build_ds_element(E, r + 1)
+    G = ds.n_generators
+    pressure = pressure_monomials(E, s)
+    n_rad = len(pressure)
+    width = G + n_rad + 2
+    node = lambda k, j: N + k * r + (j - 1)  # scalar node j of edge k
+    ramps = np.zeros((N, G))
+    for k in range(N):
+        ramps[k] += ds.coeffs[k]
+        for j in range(1, r + 1):
+            w = j / (r + 1)
+            ramps[k] += w * ds.coeffs[node((k - 1) % N, j)]
+            ramps[k] += (1.0 - w) * ds.coeffs[node(k, j)]
+    edge_row = {}
+    for k in range(N):
+        c = constant_flux_coefficients_per_edge(E, k)
+        scale = 1.0 / (c[-1] * E.edge_lengths[k])
+        row = np.zeros(width)
+        for m, cm in zip(range(k + 3, k + N), c):
+            row[:G] -= cm * E.edge_lengths[m % N] * ramps[(m + 1) % N]
+        row[:G] *= scale
+        row[G] = scale
+        row[G + n_rad:] = (E.centroid - E.vertices[(k + 2) % N]) * scale
+        edge_row[k, 0] = row
+        for j in range(1, r + 1):
+            edge_row[k, j] = np.zeros(width)
+            edge_row[k, j][:G] = ds.coeffs[node(k, j)]
+    rows = [edge_row[k, j] for k in range(N) for j in range(r + 1)]
+    alphas = np.array([edge_flux_expansion_fit(E, k, r, pressure) for k in range(N)])
+    for i in range(1, n_rad):
+        row = np.zeros(width)
+        row[G + i] = 1.0
+        for k in range(N):
+            for j in range(r + 1):
+                row -= alphas[k, i, j] * edge_row[k, j]
+        rows.append(row)
+    for i in range(ds.nodes.n_interior):
+        rows.append(np.zeros(width))
+        rows[-1][:G] = ds.coeffs[N + N * r + i]
+    return np.array(rows)
 
 
 def edge_flux_expansion_fit(E, k, r, pressure):
@@ -264,11 +347,14 @@ def dict_topology(cells):
 
 def dict_built_table(E, r):
     """Generator table of the index-r element on E, r >= N-2, built term by
-    term as {affine column: power} dicts over AffineScalar objects (oracle
-    for the array-built table of ``polyds.serendipity``).  Terms come in
-    node order; the affine columns are in order of first use."""
+    term as {affine column: power} dicts over AffineScalar objects made
+    from the vertices (oracle for the array-built table of
+    ``polyds.serendipity``).  Terms come in node order; the affine columns
+    are in order of first use."""
     N = E.n_edges
-    lam = E.edge_distances()
+    v = E.vertices
+    lam = [line_through(v[i], v[(i + 1) % N]) for i in range(N)]
+    mid = [0.5 * (v[i] + v[(i + 1) % N]) for i in range(N)]
     power = r - N + 2
     affines = list(lam)
 
@@ -277,30 +363,32 @@ def dict_built_table(E, r):
         return len(affines) - 1
 
     pair_factors = {}
-    for i, j in E.nonadjacent_pairs():
+    for i, j in nonadjacent_pairs(N):
         fac = {column(AffineScalar(lam[i].grad + lam[j].grad, lam[i].offset + lam[j].offset)): -1}
         if power > 0:
-            fac[column(E.pair_line(i, j))] = power
+            fac[column(line_through(mid[i], mid[j]))] = power
         pair_factors[i, j] = pair_factors[j, i] = fac
 
     terms = [{m: 1 for m in range(N) if m not in ((k - 1) % N, k)} for k in range(N)]
     for k in range(N):
         base = {m: 1 for m in range(N) if m != k}
-        tau = E.tangents[k] / E.edge_lengths[k]
-        t = column(AffineScalar(tau, -(E.vertices[k] @ tau)))
+        tau = (v[(k + 1) % N] - v[k]) / math.dist(v[(k + 1) % N], v[k]) ** 2
+        t = column(AffineScalar(tau, -(v[k] @ tau)))
         terms.extend({**base, t: ell} for ell in range(power))
         terms.extend({**base, **pair_factors[k, q]} for q in range(N) if (k, q) in pair_factors)
     if r >= N:
-        u, v = map(column, _centered_coordinates(E))
+        c, h = E.centroid, E.diameter
+        u = column(AffineScalar((1.0 / h, 0.0), -c[0] / h))
+        w = column(AffineScalar((0.0, 1.0 / h), -c[1] / h))
         bubble = {m: 1 for m in range(N)}
-        terms.extend({**bubble, u: a, v: b}
+        terms.extend({**bubble, u: a, w: b}
                      for a in range(r - N + 1) for b in range(r - N + 1 - a))
 
     powers = np.zeros((len(terms), len(affines)), dtype=int)
     for g, term in enumerate(terms):
         for col, p in term.items():
             powers[g, col] = p
-    return PowerTable(affines, powers)
+    return PowerTable(powers, [a.grad for a in affines], [a.offset for a in affines])
 
 
 def _coo(rows, cols, vals, shape):

@@ -167,8 +167,7 @@ def test_criterion_4_mixed_structure():
         for _ in range(100):
             n = int(rng.integers(3, 9))
             E = random_convex_polygon(n, rng, MIN_SIGMA)
-            for k in range(n):
-                c_ok &= bool(np.all(constant_flux_coefficients(E, k) > 0))
+            c_ok &= bool(np.all(constant_flux_coefficients(E) > 0))
     elapsed = time.perf_counter() - t0
     ok = (worst_div < 1e-12 and worst_kron < 1e-10 and worst_trace < 1e-10
           and rank_ok and c_ok and elapsed < 120.0)

@@ -5,7 +5,13 @@ from polyds.functions import PowerTable, divergence_fd, gradient_fd
 from polyds.geometry import AffineScalar
 from polyds.mixed import MixedElement, build_mixed_element
 
-from helpers import interior_points, random_convex_polygon
+from helpers import edge_distances, interior_points, random_convex_polygon
+
+
+def table_of(affines, powers):
+    """The PowerTable of ``powers`` over the arrays of AffineScalar objects."""
+    return PowerTable(powers, np.reshape([a.grad for a in affines], (-1, 2)),
+                      [a.offset for a in affines])
 
 
 def check_gradient(table, pts, h=1e-6, tol=2e-8):
@@ -20,7 +26,7 @@ def test_affine_product_gradient_at_zeros():
     # The product-rule form must stay exact where factors vanish.
     a = AffineScalar([1.0, 0.0], 0.0)   # x
     b = AffineScalar([0.0, 1.0], 0.0)   # y
-    f = PowerTable([a, b], [[1, 1]])
+    f = table_of([a, b], [[1, 1]])
     pts = np.array([[0.0, 0.0], [0.0, 2.0], [3.0, 0.0], [1.0, 1.0]])
     vals, grads = f.value_grad(pts)
     assert np.allclose(vals[0], [0.0, 0.0, 0.0, 1.0])
@@ -57,7 +63,7 @@ def test_value_grad_matches_explicit_formulas():
         if 0 in ks:
             row[0] = 1 if g % 2 else rng.integers(1, 4)
     assert any(row[0] == 1 and np.count_nonzero(row) > 1 for row in powers)
-    table = PowerTable(affines, powers)
+    table = table_of(affines, powers)
     pts = np.vstack([rng.uniform(-1, 1, (30, 2)),
                      np.column_stack([np.full(10, 0.25), rng.uniform(-1, 1, 10)])])
     vals, grads = table.value_grad(pts)
@@ -75,21 +81,21 @@ def test_with_affines_is_the_table_of_the_new_affines():
     new = [AffineScalar(rng.uniform(-1, 1, 2), rng.uniform(2, 3)) for _ in range(3)]
     grads = np.array([a.grad for a in new])
     offsets = np.array([a.offset for a in new])
-    moved = PowerTable(old, powers).with_affines(grads, offsets)
+    moved = table_of(old, powers).with_affines(grads, offsets)
     pts = rng.uniform(-1, 1, (10, 2))
-    for got, want in zip(moved.value_grad(pts), PowerTable(new, powers).value_grad(pts)):
+    for got, want in zip(moved.value_grad(pts), table_of(new, powers).value_grad(pts)):
         assert np.array_equal(got, want)
     # The caller's arrays stay its own: writable, and not seen by the table.
     grads[:] = 0.0
     offsets[:] = 0.0
-    assert np.array_equal(moved.value_grad(pts)[0], PowerTable(new, powers).value_grad(pts)[0])
+    assert np.array_equal(moved.value_grad(pts)[0], table_of(new, powers).value_grad(pts)[0])
     with pytest.raises(ValueError):
         moved.with_affines(np.zeros((2, 2)), np.zeros(2))
 
 
 def test_empty_product_is_one():
-    for f in (PowerTable([], np.zeros((1, 0))),
-              PowerTable([AffineScalar([1.0, 2.0], 3.0)], [[0]])):
+    for f in (PowerTable(np.zeros((1, 0)), np.zeros((0, 2)), np.zeros(0)),
+              PowerTable([[0]], [[1.0, 2.0]], [3.0])):
         vals, grads = f.value_grad(np.zeros((3, 2)))
         assert np.allclose(vals, 1.0)
         assert np.allclose(grads, 0.0)
@@ -99,9 +105,9 @@ def test_one_sided_ratio():
     # lam_4 / (lam_1 + lam_4) is one term with powers (1, -1).
     rng = np.random.default_rng(1)
     E = random_convex_polygon(6, rng)
-    lam = E.edge_distances()
+    lam = edge_distances(E)
     total = AffineScalar(lam[1].grad + lam[4].grad, lam[1].offset + lam[4].offset)
-    S = PowerTable([lam[4], total], [[1, -1]])
+    S = table_of([lam[4], total], [[1, -1]])
     t = np.linspace(0, 1, 7)
     assert np.allclose(S.value_grad(E.edge_point(1, t).reshape(-1, 2))[0], 1.0, atol=1e-13)
     assert np.allclose(S.value_grad(E.edge_point(4, t).reshape(-1, 2))[0], 0.0, atol=1e-13)
@@ -120,7 +126,7 @@ def test_polynomial_fields_and_combinations():
     powers = [[ell, 0, 0, 0] for ell in range(4)]
     powers += [[0, i, j, 0] for i in range(3) for j in range(3)]
     powers += [[0, 0, 0, 3], [2, 1, 1, 0], [1, 2, 0, 2]]
-    table = PowerTable([t, u, v, a], powers)
+    table = table_of([t, u, v, a], powers)
     pts = rng.uniform(-1, 1, (40, 2))
     vals, _ = table.value_grad(pts)
     tv, uv, vv, av = (f(pts) for f in (t, u, v, a))

@@ -15,7 +15,13 @@ from polyds.mixed import (
 from polyds.quadrature import edge_rule, polygon_rule
 from polyds.serendipity import build_ds_element, _lagrange_1d
 
-from helpers import edge_flux_expansion_fit, interior_points, random_convex_polygon
+from helpers import (
+    constant_flux_coefficients_per_edge,
+    edge_flux_expansion_fit,
+    interior_points,
+    mixed_rows_per_edge,
+    random_convex_polygon,
+)
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -160,8 +166,18 @@ class TestConstantFlux:
         for _ in range(100):
             n = int(rng.integers(3, 9))
             E = random_convex_polygon(n, rng)
-            for k in range(n):
-                assert np.all(constant_flux_coefficients(E, k) > 0)
+            assert np.all(constant_flux_coefficients(E) > 0)
+
+    @pytest.mark.parametrize("N", range(3, 9))
+    def test_rows_match_per_edge_recurrence(self, N):
+        rng = np.random.default_rng(40 + N)
+        for _ in range(5):
+            E = random_convex_polygon(N, rng)
+            got = constant_flux_coefficients(E)
+            assert got.shape == (N, N - 2)
+            for k in range(N):
+                want = constant_flux_coefficients_per_edge(E, k)
+                assert np.abs(got[k] - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_divergence_spatially_constant(self):
         rng = np.random.default_rng(8)
@@ -395,6 +411,40 @@ class TestInterpolant:
         assert rates.min() > r + 1 - 0.5
 
 
+class TestRows:
+    @pytest.mark.parametrize("N", range(3, 8))
+    def test_rows_match_per_edge_oracle(self, N):
+        rng = np.random.default_rng(60 + N)
+        E = random_convex_polygon(N, rng)
+        for r in range(4):
+            for s in {max(r - 1, 0), r}:
+                got = build_mixed_element(E, r, s).rows
+                want = mixed_rows_per_edge(E, r, s)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (r, s)
+
+
+class TestLocalExactness:
+    @pytest.mark.parametrize("N", range(3, 8))
+    def test_curls_of_scalar_space_lie_in_flux_space(self, N):
+        # The local complex: curl maps the scalar space of index r+1 into
+        # the flux space of index r for both s.  Covers the empty
+        # divergence block (s = 0), r = 0 (no edge moments) and r >= N-1
+        # (bubbles).
+        rng = np.random.default_rng(50 + N)
+        E = random_convex_polygon(N, rng)
+        pts = interior_points(E, rng, 40)
+        for r in range(4):
+            _, grads = build_ds_element(E, r + 1).eval_all(pts)
+            curls = np.stack([grads[..., 1], -grads[..., 0]], axis=-1).reshape(len(grads), -1)
+            for s in {max(r - 1, 0), r}:
+                vals, _ = build_mixed_element(E, r, s).eval_all(pts)
+                basis = vals.reshape(len(vals), -1)
+                coef = np.linalg.lstsq(basis.T, curls.T, rcond=None)[0]
+                residual = np.linalg.norm(coef.T @ basis - curls, axis=1)
+                assert np.all(residual <= 1e-12 * np.linalg.norm(curls, axis=1)), (r, s)
+
+
 class TestImmutability:
     def test_queries_leave_objects_unchanged(self):
         # Evaluation and interpolation cache nothing on the objects they read.
@@ -406,8 +456,9 @@ class TestImmutability:
         before = [dict(vars(obj)) for obj in objects]
         arrays = [{k: v.copy() for k, v in snap.items() if isinstance(v, np.ndarray)}
                   for snap in before]
-        E.edge_distances()
         pts = np.array([[0.0, 0.0], [0.1, -0.2]])
+        E.contains(pts)
+        E.pair_lines([0], [2])
         ds.eval_all(pts)
         elem.eval_all(pts)
         mixed_interpolant(elem, lambda q: q)

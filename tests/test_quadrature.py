@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from polyds.geometry import Polygon
+from polyds.geometry import Polygon, nonadjacent_pairs
 from polyds.quadrature import edge_rule, polygon_rule, triangle_gauss
 
-from helpers import random_convex_polygon
+from helpers import edge_distances, random_convex_polygon
 
 
 def edge_ratio(a, b):
@@ -111,10 +111,10 @@ class TestPolygonRule:
         q = 2 * r + 4
         for _ in range(5):
             E = near_regular_polygon(n, rng)
-            lam = E.edge_distances()
+            lam = edge_distances(E)
             lo_rule = polygon_rule(E, q)
             hi_rule = polygon_rule(E, q + 4)
-            for (i, j) in E.nonadjacent_pairs():
+            for (i, j) in nonadjacent_pairs(n):
                 R = edge_ratio(lam[i], lam[j])
                 lo = lo_rule.integrate(lambda p: R(p) ** 2)
                 hi = hi_rule.integrate(lambda p: R(p) ** 2)
@@ -125,7 +125,7 @@ class TestPolygonRule:
 
         rng = np.random.default_rng(17)
         E = near_regular_polygon(8, rng)
-        lam = E.edge_distances()
+        lam = edge_distances(E)
         R = edge_ratio(lam[0], lam[3])
         diffs = []
         for q in (8, 16, 24, 32):

@@ -13,13 +13,18 @@ from polyds.serendipity import (
     _term_layout,
     build_ds_element,
     build_low_order,
-    build_low_order_supplement,
     ds_dimension,
     evaluate,
     interpolate,
 )
 
-from helpers import dict_built_table, interior_points, random_convex_polygon, sliver_mesh
+from helpers import (
+    dict_built_table,
+    edge_distances,
+    interior_points,
+    random_convex_polygon,
+    sliver_mesh,
+)
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -130,7 +135,7 @@ class TestCellBasis:
     def test_square_r4_single_bubble(self):
         elem = build_ds_element(UNIT_SQUARE, 4)
         assert elem.nodes.n_interior == 1
-        lam = UNIT_SQUARE.edge_distances()
+        lam = edge_distances(UNIT_SQUARE)
         node = elem.nodes.interior[0]
         want = np.prod([l(node) for l in lam])
         probe = np.array([[0.3, 0.7]])
@@ -256,36 +261,6 @@ class TestLowOrder:
             build_low_order(E, 4)          # r >= N-2 has no background window
         with pytest.raises(ElementError):
             build_low_order(E, 0)          # r must be at least 1
-
-
-class TestLowOrderSupplement:
-    def test_hexagon_r3_partition(self):
-        rng = np.random.default_rng(9)
-        E = random_convex_polygon(6, rng)
-        split = build_low_order_supplement(E, 3)
-        assert len(split.poly_nodes) == 10  # dim P_3
-        assert len(split.supp_nodes) == 18 - 10
-        # one batch per chosen edge, sizes 4, 3, 2, 1, distinct edges
-        sizes = [len(keys) for _, keys in split.batches]
-        assert sizes == [4, 3, 2, 1]
-        assert len({a for a, _ in split.batches}) == 4
-
-    def test_completed_basis_is_nodal(self):
-        rng = np.random.default_rng(10)
-        for (N, r) in [(5, 1), (6, 2), (6, 3), (7, 2)]:
-            E = random_convex_polygon(N, rng)
-            split = build_low_order_supplement(E, r)
-            keys, fns = split.all_functions()
-            assert len(keys) == N * r
-            from polyds.serendipity import _node_coord
-
-            pts = np.array([_node_coord(E, r, key) for key in keys])
-            vals = np.array([fn(pts) for fn in fns])
-            assert np.abs(vals - np.eye(len(keys))).max() < 1e-9
-
-    def test_needs_low_index(self):
-        with pytest.raises(ElementError):
-            build_low_order_supplement(regular_polygon(5), 3)
 
 
 class TestElement:
