@@ -9,8 +9,8 @@ side.
 Element construction, quadrature, basis evaluation and local matrices
 are computed once per translation class of cells and reused, moved, on
 every cell of the class.  The rest is array work over blocks of
-consecutive cells with equal vertex count N: dof ids and edge signs are
-(C, D) arrays per N, loads and error integrands are evaluated once per
+consecutive cells with equal vertex count N, in the groups of
+``Mesh.groups``: dof ids and edge signs are (C, D) arrays per N, loads and error integrands are evaluated once per
 block on the stacked moved points, and contributions are stored and
 summed in cell order, so assembled systems are reproducible bit for bit.
 ``system.elements[c]`` is made when it is read.
@@ -27,10 +27,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .geometry import _frozen
 from .mesh import Mesh
 from .mixed import build_mixed_element, mixed_dimension
 from .quadrature import edge_rule, polygon_rule
-from .serendipity import _frozen, build_ds_element, ds_dimension
+from .serendipity import build_ds_element, ds_dimension
 
 __all__ = [
     "AssemblyError",
@@ -111,21 +112,10 @@ CHUNK_CELLS = 64
 GEMM_BUDGET = 2**18
 
 
-def _size_groups(mesh):
-    """``{N: (cells, loops, edge_ids, forward)}`` for the cells with N
-    vertices, ascending: the (C, N) vertex loops, edge ids in loop order,
-    and whether loop edge k runs from the lower- to the higher-numbered
-    vertex; and the row of each cell in its group."""
-    sizes = np.fromiter(map(len, mesh.cells), dtype=int, count=mesh.n_cells)
-    groups = {}
-    row = np.empty(mesh.n_cells, dtype=int)
-    for N in np.unique(sizes).tolist():
-        cells = np.flatnonzero(sizes == N)
-        row[cells] = np.arange(len(cells))
-        loops = np.array([mesh.cells[c] for c in cells.tolist()]).reshape(len(cells), N)
-        edge_ids = np.array([mesh.cell_edges[c] for c in cells.tolist()]).reshape(len(cells), N)
-        groups[N] = (cells, loops, edge_ids, loops < np.roll(loops, -1, axis=1))
-    return groups, row
+def _forward(loops):
+    """Whether edge k of each (C, N) vertex loop runs from the lower- to
+    the higher-numbered vertex."""
+    return loops < np.roll(loops, -1, axis=1)
 
 
 def _cell_starts(groups, widths, offset=0):
@@ -157,46 +147,39 @@ class DofMap:
         per_edge = r - 1
         self.edge_offset = nv
         self.cell_offset = nv + ne * per_edge
-        groups, self._row = _size_groups(mesh)
-        self.cells = {N: g[0] for N, g in groups.items()}
-        n_inner = {N: ds_dimension(N, r) - N * r for N in groups}
+        self.cells = {N: cells for N, (cells, _, _) in mesh.groups.items()}
+        n_inner = {N: ds_dimension(N, r) - N * r for N in self.cells}
         starts, self.n_dofs = _cell_starts(self.cells, n_inner, self.cell_offset)
         j = np.arange(per_edge)
         self.ids = {}
-        for N, (cells, loops, edge_ids, forward) in groups.items():
-            slots = np.where(forward[..., None], j, per_edge - 1 - j)
+        for N, (cells, loops, edge_ids) in mesh.groups.items():
+            slots = np.where(_forward(loops)[..., None], j, per_edge - 1 - j)
             edge_dofs = self.edge_offset + edge_ids[..., None] * per_edge + slots
             self.ids[N] = _frozen(np.hstack([loops, edge_dofs.reshape(len(cells), -1),
                                              starts[cells, None] + np.arange(n_inner[N])]))
 
-        boundary = set()
-        for ei, e in enumerate(mesh.edges):
-            if e.boundary:
-                boundary.add(e.a)
-                boundary.add(e.b)
-                base = self.edge_offset + ei * per_edge
-                boundary.update(range(base, base + per_edge))
-        self.boundary = np.array(sorted(boundary), dtype=int)
+        # The vertices and edge slots of the boundary edges.
+        edges = np.flatnonzero(mesh.edge_cells[:, 1] < 0)
+        self.boundary = np.union1d(mesh.edges[edges],
+                                   self.edge_offset + edges[:, None] * per_edge + j)
         mask = np.zeros(self.n_dofs, dtype=bool)
         mask[self.boundary] = True
         self.interior = np.nonzero(~mask)[0]
 
     def cell_dofs(self, c):
         """Global dof ids in the element's node order (vertex, edge, cell)."""
-        return self.ids[len(self.mesh.cells[c])][self._row[c]]
+        N = len(self.mesh.cells[c])
+        return self.ids[N][np.searchsorted(self.cells[N], c)]
 
     def dof_points(self):
         """Coordinates of vertex and edge dofs (used for boundary data)."""
         mesh, r = self.mesh, self.r
         pts = np.zeros((self.n_dofs, 2))
         pts[: mesh.n_vertices] = mesh.vertices
-        per_edge = r - 1
-        for ei, e in enumerate(mesh.edges):
-            lo, hi = (e.a, e.b) if e.a < e.b else (e.b, e.a)
-            a, b = mesh.vertices[lo], mesh.vertices[hi]
-            base = self.edge_offset + ei * per_edge
-            for j in range(1, r):
-                pts[base + j - 1] = a + (j / r) * (b - a)
+        a = mesh.vertices[mesh.edges.min(axis=1), None]
+        b = mesh.vertices[mesh.edges.max(axis=1), None]
+        t = (np.arange(1, r) / r)[:, None]
+        pts[self.edge_offset:self.cell_offset] = (a + t * (b - a)).reshape(-1, 2)
         return pts
 
 
@@ -222,15 +205,14 @@ class MixedDofMap:
         per_edge = r + 1
         self.cell_offset = mesh.n_edges * per_edge
         self.p_per_cell = (s + 2) * (s + 1) // 2
-        groups, self._row = _size_groups(mesh)
-        self.cells = {N: g[0] for N, g in groups.items()}
-        n_inner = {N: mixed_dimension(N, r, s) - N * per_edge for N in groups}
+        self.cells = {N: cells for N, (cells, _, _) in mesh.groups.items()}
+        n_inner = {N: mixed_dimension(N, r, s) - N * per_edge for N in self.cells}
         starts, self.n_flux = _cell_starts(self.cells, n_inner, self.cell_offset)
         self.n_pressure = mesh.n_cells * self.p_per_cell
         j = np.arange(per_edge)
         self.ids, self.signs = {}, {}
-        for N, (cells, _, edge_ids, forward) in groups.items():
-            C = len(cells)
+        for N, (cells, loops, edge_ids) in mesh.groups.items():
+            C, forward = len(cells), _forward(loops)
             slots = np.where(forward[..., None], j, -j % per_edge)
             edge_dofs = edge_ids[..., None] * per_edge + slots
             self.ids[N] = _frozen(np.hstack([edge_dofs.reshape(C, -1),
@@ -240,7 +222,8 @@ class MixedDofMap:
 
     def cell_flux_dofs(self, c):
         """(global ids, signs) aligned with the cell element's dof layout."""
-        N, row = len(self.mesh.cells[c]), self._row[c]
+        N = len(self.mesh.cells[c])
+        row = np.searchsorted(self.cells[N], c)
         return self.ids[N][row], self.signs[N][row]
 
     def cell_pressure_dofs(self, c):
@@ -384,9 +367,12 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     nu, npr = dof.n_flux, dof.n_pressure
     rhs_u = np.zeros(nu)
     if dirichlet_p is not None:
-        for c in sorted({e.left for e in mesh.edges if e.boundary}):
+        open_edge = mesh.edge_cells[:, 1] < 0
+        for c in np.unique(mesh.edge_cells[open_edge, 0]).tolist():
+            group, _, edge_ids = mesh.groups[len(mesh.cells[c])]
+            on_boundary = open_edge[edge_ids[np.searchsorted(group, c)]]
             gids, signs = dof.cell_flux_dofs(c)
-            load = _pressure_boundary_load(mesh.polygon(c), elements[c], mesh, c,
+            load = _pressure_boundary_load(mesh.polygon(c), elements[c], on_boundary,
                                            dirichlet_p, quad_degree)
             np.add.at(rhs_u, gids, -signs * load)
     M = mass.coo((nu, nu)).tocsr()
@@ -518,12 +504,11 @@ def _gram(fields, weights):
     return S @ S.T
 
 
-def _pressure_boundary_load(E, elem, mesh, c, g, quad_degree):
-    """Integrals of g times each basis normal trace over boundary edges."""
+def _pressure_boundary_load(E, elem, on_boundary, g, quad_degree):
+    """Integrals of g times each basis normal trace over the edges k of E
+    with ``on_boundary[k]``."""
     load = np.zeros(elem.dim)
-    for k, ei in enumerate(mesh.cell_edges[c]):
-        if not mesh.edges[ei].boundary:
-            continue
+    for k in np.flatnonzero(on_boundary).tolist():
         rule = edge_rule(E, k, quad_degree)
         v, _ = elem.eval_all(rule.points)
         gv = np.asarray(g(rule.points))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import _as_points
 
-__all__ = ["PowerTable", "gradient_fd", "divergence_fd"]
+__all__ = ["PowerTable"]
 
 
 class PowerTable:
@@ -123,23 +123,3 @@ class PowerTable:
         weights = exps * lower * before * after
         grads = np.matmul(weights.transpose(1, 2, 0), self._fgrads)
         return vals, grads
-
-
-def gradient_fd(field, pts, h):
-    """Central finite-difference gradient of a scalar field (test oracle)."""
-    pts = _as_points(pts)
-    ex = np.array([h, 0.0])
-    ey = np.array([0.0, h])
-    gx = (field(pts + ex) - field(pts - ex)) / (2 * h)
-    gy = (field(pts + ey) - field(pts - ey)) / (2 * h)
-    return np.column_stack([gx, gy])
-
-
-def divergence_fd(field, pts, h):
-    """Central finite-difference divergence of a vector field (test oracle)."""
-    pts = _as_points(pts)
-    ex = np.array([h, 0.0])
-    ey = np.array([0.0, h])
-    dx = (field(pts + ex)[:, 0] - field(pts - ex)[:, 0]) / (2 * h)
-    dy = (field(pts + ey)[:, 1] - field(pts - ey)[:, 1]) / (2 * h)
-    return dx + dy

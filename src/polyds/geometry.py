@@ -49,6 +49,12 @@ def _as_points(pts):
     return a
 
 
+def _frozen(a):
+    """``a``, made read-only."""
+    a.flags.writeable = False
+    return a
+
+
 class AffineScalar:
     """Linear polynomial a(x) = grad . x + offset with a constant gradient.
 
@@ -265,17 +271,3 @@ class Polygon:
             best = min(best, 2.0 * area2 / per)
         rho = 2.0 * best
         return RegularityReport(h=self.diameter, rho=rho, sigma=rho / self.diameter)
-
-    def contains(self, pts, tol=None):
-        """Boolean mask of points inside the closed polygon (tolerance in h)."""
-        pts = _as_points(pts)
-        if tol is None:
-            tol = 1e-12 * self.diameter
-        return (self.edge_offsets - pts @ self.normals.T >= -tol).all(axis=1)
-
-    def scaled(self, factor, about=None):
-        """A copy scaled by ``factor`` about ``about`` (default: centroid)."""
-        if about is None:
-            about = self.centroid
-        about = np.asarray(about, dtype=float)
-        return Polygon(about + factor * (self.vertices - about))

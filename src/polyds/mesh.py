@@ -1,7 +1,10 @@
 """Polygonal meshes of the unit square: topology, generators, and repair.
 
 A mesh is a list of vertices plus CCW cell loops; ``build_topology``
-derives the shared-edge table and validates conformity and cell convexity.
+validates conformity and cell convexity and derives the topology as
+read-only integer arrays: the edges (a, b), their (left, right) cells,
+and per vertex count N the (C, N) vertex loops and edge ids of the cells
+with N vertices, the form in which assembly numbers its dofs.
 Generators cover structured squares, congruent trapezoids, randomly
 perturbed quadrilaterals, and the hexagon-dominant Voronoi mesh of a
 staggered seed lattice.  ``collapse_short_edges`` removes sliver edges by
@@ -14,8 +17,8 @@ integer keys of the directed edges; and the cell polygons are built per
 group of equal vertex count (``geometry.polygon_stack``).  The tests hold
 each step to the bits of a cell-by-cell construction.
 
-Meshes are immutable after construction; generators are deterministic
-given their arguments (and seed).
+Meshes are immutable after construction (their arrays are read-only);
+generators are deterministic given their arguments (and seed).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Polygon, polygon_stack
+from .geometry import Polygon, _frozen, polygon_stack
 
 __all__ = [
     "MeshError",
@@ -50,33 +53,28 @@ class MeshError(ValueError):
     """Nonconforming, inverted, or degenerate mesh input."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One mesh edge: vertex pair (a, b), owning cells, boundary flag.
+class Mesh:
+    """Conforming polygonal mesh (use :func:`build_topology` to create).
 
-    ``a < b`` need not hold; the stored direction a -> b is the
-    traversal direction of the ``left`` cell.  ``right`` is None on the
-    boundary.
+    ``cells[c]`` is the CCW vertex loop of cell c, a list of ints.  The
+    topology is read-only integer arrays:
+
+    - ``edges`` (E, 2): the vertices (a, b) of each edge, in the traversal
+      direction of its left cell;
+    - ``edge_cells`` (E, 2): the (left, right) cells of each edge, right
+      -1 on the boundary;
+    - ``groups``: for each vertex count N, ascending, ``(cells, loops,
+      edge_ids)`` of shapes (C,), (C, N) and (C, N): the cells with N
+      vertices, ascending, their vertex loops and their edges in loop
+      order (edge k runs from ``loops[i, k]`` to ``loops[i, k + 1]``).
     """
 
-    a: int
-    b: int
-    left: int
-    right: int | None
-
-    @property
-    def boundary(self):
-        return self.right is None
-
-
-class Mesh:
-    """Conforming polygonal mesh (use :func:`build_topology` to create)."""
-
-    def __init__(self, vertices, cells, edges, cell_edges, polygons):
+    def __init__(self, vertices, cells, edges, edge_cells, groups, polygons):
         self.vertices = vertices
-        self.cells = cells  # per cell: vertex indices in CCW loop order
+        self.cells = cells
         self.edges = edges
-        self.cell_edges = cell_edges  # per cell: edge indices in loop order
+        self.edge_cells = edge_cells
+        self.groups = groups
         self._polygons = tuple(polygons)
 
     @property
@@ -141,9 +139,12 @@ def build_topology(vertices, cells) -> Mesh:
     # Cell checks and polygons, one stack per loop length.
     polygons = [None] * len(cells)
     failures = []  # (cell, message): the first bad cell of each check
+    spans = {}  # N: cells, their loops and the positions of these in flat
     for n in np.flatnonzero(np.bincount(sizes)).tolist():
         ids = np.flatnonzero(sizes == n)
-        loops = flat[starts[ids, None] + np.arange(n)]
+        at = starts[ids, None] + np.arange(n)
+        loops = flat[at]
+        spans[n] = (ids, loops, at)
         repeated = (loops[:, :, None] == loops[:, None, :]).sum(axis=(1, 2)) > n
         unknown = ((loops < 0) | (loops >= nv)).any(axis=1)
         if (repeated | unknown).any():
@@ -191,12 +192,14 @@ def build_topology(vertices, cells) -> Mesh:
     mate = np.empty_like(ulast)
     mate[rank] = ulast
     right = np.where(mate != pos, cell_of[mate], -1)
-    edges = [Edge(ea, eb, left, r if r >= 0 else None) for ea, eb, left, r in
-             zip(a[pos].tolist(), b[pos].tolist(), cell_of[pos].tolist(), right.tolist())]
-    loop_ids, edge_ids = flat.tolist(), rank[uwhere].tolist()
-    bounds = list(zip(starts.tolist(), ends.tolist()))
-    mesh = Mesh(vertices, [loop_ids[s:e] for s, e in bounds], edges,
-                [edge_ids[s:e] for s, e in bounds], polygons)
+    edge_of = rank[uwhere]  # the edge id of each directed edge a -> b
+    loop_ids = flat.tolist()
+    mesh = Mesh(vertices, [loop_ids[s:e] for s, e in zip(starts.tolist(), ends.tolist())],
+                _frozen(np.column_stack([a[pos], b[pos]])),
+                _frozen(np.column_stack([cell_of[pos], right])),
+                {n: (_frozen(ids), _frozen(loops), _frozen(edge_of[at]))
+                 for n, (ids, loops, at) in spans.items()},
+                polygons)
 
     # Cells must tile the region enclosed by the boundary loop.
     on_boundary = pos[right < 0]
@@ -508,7 +511,7 @@ def collapse_short_edges(mesh: Mesh, rel_tol: float) -> Mesh:
         raise ValueError("rel_tol must be positive")
     current = mesh
     for _ in range(mesh.n_edges):
-        ends = np.array([(e.a, e.b) for e in current.edges])
+        ends = current.edges
         gap = current.vertices[ends[:, 0]] - current.vertices[ends[:, 1]]
         lengths = np.hypot(gap[:, 0], gap[:, 1])
         short = np.flatnonzero(lengths < rel_tol * current.h_max)
@@ -521,13 +524,12 @@ def collapse_short_edges(mesh: Mesh, rel_tol: float) -> Mesh:
             incidence[loop] += 1
         touched = set()
         mapping = np.arange(current.n_vertices)
-        for ei in short.tolist():
-            e = current.edges[ei]
-            if e.a in touched or e.b in touched:
+        for a, b in ends[short].tolist():
+            if a in touched or b in touched:
                 continue
-            keep, drop = (e.a, e.b) if (incidence[e.a], -e.a) >= (incidence[e.b], -e.b) else (e.b, e.a)
+            keep, drop = (a, b) if (incidence[a], -a) >= (incidence[b], -b) else (b, a)
             mapping[drop] = keep
-            touched.update((e.a, e.b))
+            touched.update((a, b))
         new_cells = []
         for ci, loop in enumerate(current.cells):
             new = []

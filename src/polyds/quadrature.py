@@ -30,11 +30,6 @@ class QuadRule:
     points: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, f):
-        """Integrate ``f`` given as callable on (M, 2) points or as values."""
-        vals = f(self.points) if callable(f) else np.asarray(f)
-        return float(self.weights @ vals)
-
 
 @dataclass(frozen=True)
 class EdgeRule:
@@ -48,10 +43,6 @@ class EdgeRule:
     weights: np.ndarray
     t: np.ndarray
     length: float
-
-    def integrate(self, f):
-        vals = f(self.points) if callable(f) else np.asarray(f)
-        return float(self.weights @ vals)
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .functions import PowerTable
-from .geometry import Polygon, _as_points, nonadjacent_pairs
+from .geometry import Polygon, _as_points, _frozen, nonadjacent_pairs
 
 __all__ = [
     "ElementError",
@@ -159,11 +159,6 @@ def _lagrange_2d(nodes, p, center, scale):
         return np.linalg.inv(V)
     except np.linalg.LinAlgError as exc:
         raise ElementError(f"interior Lagrange nodes are degenerate: {exc}") from None
-
-
-def _frozen(a):
-    a.flags.writeable = False
-    return a
 
 
 class _TermLayout(NamedTuple):

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 from numpy.polynomial import polynomial as npoly
 from scipy.spatial import cKDTree
 
-from polyds.assembly import DofMap, MixedDofMap
 from polyds.functions import PowerTable
 from polyds.geometry import AffineScalar, GeometryError, Polygon, nonadjacent_pairs
 from polyds.mesh import MeshError, build_topology
@@ -54,6 +53,50 @@ def near_regular_polygon(n, rng, jitter=0.05):
             continue
 
 
+def contains(poly, pts, tol=None):
+    """Boolean mask of points inside the closed polygon (tolerance in h)."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    if tol is None:
+        tol = 1e-12 * poly.diameter
+    return (poly.edge_offsets - pts @ poly.normals.T >= -tol).all(axis=1)
+
+
+def scaled(poly, factor, about=None):
+    """A copy of the polygon scaled by ``factor`` about ``about`` (default:
+    centroid)."""
+    if about is None:
+        about = poly.centroid
+    about = np.asarray(about, dtype=float)
+    return Polygon(about + factor * (poly.vertices - about))
+
+
+def integrate(rule, f):
+    """Integral by a polygon or edge rule of ``f``, given as a callable on
+    (M, 2) points or as values."""
+    vals = f(rule.points) if callable(f) else np.asarray(f)
+    return float(rule.weights @ vals)
+
+
+def gradient_fd(field, pts, h):
+    """Central finite-difference gradient of a scalar field."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    ex = np.array([h, 0.0])
+    ey = np.array([0.0, h])
+    gx = (field(pts + ex) - field(pts - ex)) / (2 * h)
+    gy = (field(pts + ey) - field(pts - ey)) / (2 * h)
+    return np.column_stack([gx, gy])
+
+
+def divergence_fd(field, pts, h):
+    """Central finite-difference divergence of a vector field."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    ex = np.array([h, 0.0])
+    ey = np.array([0.0, h])
+    dx = (field(pts + ex)[:, 0] - field(pts - ex)[:, 0]) / (2 * h)
+    dy = (field(pts + ey)[:, 1] - field(pts - ey)[:, 1]) / (2 * h)
+    return dx + dy
+
+
 def interior_points(poly, rng, count):
     """Random points strictly inside the polygon (rejection sampling)."""
     lo = poly.vertices.min(axis=0)
@@ -61,7 +104,7 @@ def interior_points(poly, rng, count):
     out = []
     while len(out) < count:
         cand = rng.uniform(lo, hi, size=(4 * count, 2))
-        cand = cand[poly.contains(cand, tol=-1e-9 * poly.diameter)]
+        cand = cand[contains(poly, cand, tol=-1e-9 * poly.diameter)]
         out.extend(cand.tolist())
     return np.asarray(out[:count])
 
@@ -402,11 +445,12 @@ def scalar_dofs_per_cell(mesh, r):
     groups of cells with equal N as arrays)."""
     per_edge = r - 1
     edge_offset = mesh.n_vertices
-    at = edge_offset + mesh.n_edges * per_edge
+    edges, cell_edges = dict_topology(mesh.cells)
+    at = edge_offset + len(edges) * per_edge
     out = []
     for c, loop in enumerate(mesh.cells):
         ids = list(loop)
-        for k, ei in enumerate(mesh.cell_edges[c]):
+        for k, ei in enumerate(cell_edges[c]):
             va, vb = loop[k], loop[(k + 1) % len(loop)]
             base = edge_offset + ei * per_edge
             if va < vb:
@@ -420,13 +464,36 @@ def scalar_dofs_per_cell(mesh, r):
     return out, at
 
 
+def scalar_boundary_per_edge(mesh, r):
+    """Boundary dof ids, interior dof ids, and the coordinates of every dof
+    (zero for cell dofs), edge by edge (oracle for ``DofMap.boundary``,
+    ``DofMap.interior`` and ``DofMap.dof_points``)."""
+    per_edge = r - 1
+    edge_offset = mesh.n_vertices
+    edges, _ = dict_topology(mesh.cells)
+    _, n = scalar_dofs_per_cell(mesh, r)
+    pts = np.zeros((n, 2))
+    pts[:edge_offset] = mesh.vertices
+    boundary = set()
+    for ei, (a, b, _, right) in enumerate(edges):
+        base = edge_offset + ei * per_edge
+        lo, hi = mesh.vertices[min(a, b)], mesh.vertices[max(a, b)]
+        for j in range(1, r):
+            pts[base + j - 1] = lo + (j / r) * (hi - lo)
+        if right is None:
+            boundary.update((a, b, *range(base, base + per_edge)))
+    interior = sorted(set(range(n)) - boundary)
+    return np.array(sorted(boundary), dtype=int), np.array(interior, dtype=int), pts
+
+
 def flux_dofs_per_cell(mesh, r, s, layouts):
     """Each cell's (global flux ids, signs) aligned with ``layouts[c]``, the
     dof layout of its element, and the flux count, numbered cell by cell
     (oracle for ``MixedDofMap``)."""
     per_edge = r + 1
     n_div = (s + 2) * (s + 1) // 2 - 1
-    at = mesh.n_edges * per_edge
+    edges, cell_edges = dict_topology(mesh.cells)
+    at = len(edges) * per_edge
     out = []
     for c, loop in enumerate(mesh.cells):
         layout = layouts[c]
@@ -435,7 +502,7 @@ def flux_dofs_per_cell(mesh, r, s, layouts):
         for i, lay in enumerate(layout):
             if lay[0] == "edge":
                 k, j = lay[1], lay[2]
-                ei = mesh.cell_edges[c][k]
+                ei = cell_edges[c][k]
                 va, vb = loop[k], loop[(k + 1) % len(loop)]
                 base = ei * per_edge
                 if va < vb:
@@ -500,9 +567,9 @@ def assemble_per_cell(mesh, r, s, f, g):
     degrees are the assembly defaults.
     """
     if s is None:
-        dof = DofMap(mesh, r)
-        dofs, _ = scalar_dofs_per_cell(mesh, r)
-        rows, cols, vals, rhs = [], [], [], np.zeros(dof.n_dofs)
+        dofs, n = scalar_dofs_per_cell(mesh, r)
+        boundary, interior, points = scalar_boundary_per_edge(mesh, r)
+        rows, cols, vals, rhs = [], [], [], np.zeros(n)
         for c in range(mesh.n_cells):
             E = mesh.polygon(c)
             rule = polygon_rule(E, 2 * r + 4)
@@ -512,23 +579,24 @@ def assemble_per_cell(mesh, r, s, f, g):
             cols.append(np.tile(ids, len(ids)))
             vals.append(np.einsum("imk,jmk,m->ij", grads, grads, rule.weights).ravel())
             np.add.at(rhs, ids, v @ (rule.weights * f(rule.points)))
-        A = _coo(rows, cols, vals, (dof.n_dofs, dof.n_dofs))
-        gvals = g(dof.dof_points()[dof.boundary])
-        keep = dof.interior
-        return A[keep][:, keep].tocsr(), rhs[keep] - A[keep][:, dof.boundary] @ gvals
+        A = _coo(rows, cols, vals, (n, n))
+        gvals = g(points[boundary])
+        return A[interior][:, interior].tocsr(), rhs[interior] - A[interior][:, boundary] @ gvals
 
-    dof = MixedDofMap(mesh, r, s)
-    mrows, mcols, mvals, brows, bcols, bvals = [], [], [], [], [], []
-    rhs_u, rhs_p = np.zeros(dof.n_flux), np.zeros(dof.n_pressure)
+    P = (s + 2) * (s + 1) // 2
     elems = [build_mixed_element(E, r, s) for E in mesh.polygons()]
-    dofs, _ = flux_dofs_per_cell(mesh, r, s, [elem.dof_layout for elem in elems])
+    dofs, n_flux = flux_dofs_per_cell(mesh, r, s, [elem.dof_layout for elem in elems])
+    n_pressure = mesh.n_cells * P
+    edges, cell_edges = dict_topology(mesh.cells)
+    mrows, mcols, mvals, brows, bcols, bvals = [], [], [], [], [], []
+    rhs_u, rhs_p = np.zeros(n_flux), np.zeros(n_pressure)
     for c, elem in enumerate(elems):
         E = mesh.polygon(c)
         rule = polygon_rule(E, 2 * r + 6)
         v, d = elem.eval_all(rule.points)
         w, _ = elem.pressure.value_grad(rule.points)
         ids, signs = dofs[c]
-        pids = dof.cell_pressure_dofs(c)
+        pids = np.arange(c * P, (c + 1) * P)
         v, d = signs[:, None, None] * v, signs[:, None] * d
         mrows.append(np.repeat(ids, len(ids)))
         mcols.append(np.tile(ids, len(ids)))
@@ -537,11 +605,11 @@ def assemble_per_cell(mesh, r, s, f, g):
         bcols.append(np.tile(ids, len(pids)))
         bvals.append(np.einsum("pm,im,m->pi", w, d, rule.weights).ravel())
         np.add.at(rhs_p, pids, w @ (rule.weights * f(rule.points)))
-        for k, ei in enumerate(mesh.cell_edges[c]):
-            if mesh.edges[ei].boundary:
+        for k, ei in enumerate(cell_edges[c]):
+            if edges[ei][3] is None:
                 er = edge_rule(E, k, 2 * r + 6)
                 ev = signs[:, None, None] * elem.eval_all(er.points)[0]
                 np.add.at(rhs_u, ids, -(ev @ E.normals[k]) @ (er.weights * g(er.points)))
-    M = _coo(mrows, mcols, mvals, (dof.n_flux, dof.n_flux))
-    B = _coo(brows, bcols, bvals, (dof.n_pressure, dof.n_flux))
+    M = _coo(mrows, mcols, mvals, (n_flux, n_flux))
+    B = _coo(brows, bcols, bvals, (n_pressure, n_flux))
     return sp.bmat([[M, B.T], [B, None]], format="csr"), np.concatenate([rhs_u, rhs_p])

@@ -32,6 +32,7 @@ from helpers import (
     errors_per_cell,
     flux_dofs_per_cell,
     random_convex_polygon,
+    scalar_boundary_per_edge,
     scalar_dofs_per_cell,
     sliver_mesh,
 )
@@ -397,6 +398,16 @@ class TestDofMaps:
         assert dof.n_dofs == n_dofs
         for c in range(mesh.n_cells):
             assert np.array_equal(dof.cell_dofs(c), want[c])
+
+    @pytest.mark.parametrize("mesh_name", list(FAMILIES))
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_boundary_and_dof_points_match_per_edge_oracle(self, mesh_name, r):
+        mesh = FAMILIES[mesh_name]()
+        dof = assembly.DofMap(mesh, r)
+        boundary, interior, points = scalar_boundary_per_edge(mesh, r)
+        assert np.array_equal(dof.boundary, boundary)
+        assert np.array_equal(dof.interior, interior)
+        assert np.array_equal(dof.dof_points(), points)
 
     @pytest.mark.parametrize("mesh_name", list(FAMILIES))
     @pytest.mark.parametrize("r, s", [(1, 1), (2, 2)])

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from polyds.functions import PowerTable, divergence_fd, gradient_fd
+from polyds.functions import PowerTable
 from polyds.geometry import AffineScalar
 from polyds.mixed import MixedElement, build_mixed_element
 
-from helpers import edge_distances, interior_points, random_convex_polygon
+from helpers import (
+    divergence_fd,
+    edge_distances,
+    gradient_fd,
+    interior_points,
+    random_convex_polygon,
+)
 
 
 def table_of(affines, powers):

@@ -34,14 +34,27 @@ from helpers import (
 )
 
 
+def assert_dict_topology(mesh):
+    """The topology arrays of ``mesh`` are those the dict-built topology
+    gives its cells."""
+    edges, cell_edges = dict_topology(mesh.cells)
+    assert mesh.edges.tolist() == [[a, b] for a, b, _, _ in edges]
+    assert mesh.edge_cells.tolist() == [[left, -1 if right is None else right]
+                                        for _, _, left, right in edges]
+    assert list(mesh.groups) == sorted({len(loop) for loop in mesh.cells})
+    for N, (cells, loops, edge_ids) in mesh.groups.items():
+        want = [c for c, loop in enumerate(mesh.cells) if len(loop) == N]
+        assert cells.tolist() == want
+        assert loops.tolist() == [mesh.cells[c] for c in want]
+        assert edge_ids.tolist() == [cell_edges[c] for c in want]
+
+
 def assert_same_mesh(mesh, verts, cells):
-    """``mesh`` has exactly these vertices and cells, and the edge table the
+    """``mesh`` has exactly these vertices and cells, and the topology the
     dict-built topology gives them."""
-    edges, cell_edges = dict_topology(cells)
     assert np.array_equal(mesh.vertices, verts)
     assert mesh.cells == cells
-    assert [(e.a, e.b, e.left, e.right) for e in mesh.edges] == edges
-    assert mesh.cell_edges == cell_edges
+    assert_dict_topology(mesh)
 
 
 class TestTopology:
@@ -49,15 +62,17 @@ class TestTopology:
         m = gen_square_mesh(2)
         assert m.n_cells == 4
         assert m.n_edges == 12
-        assert sum(1 for e in m.edges if not e.boundary) == 4
+        assert (m.edge_cells[:, 1] >= 0).sum() == 4
         assert m.n_vertices == 9
+        assert_dict_topology(m)
 
     def test_single_pentagon(self):
         ang = 2 * np.pi * np.arange(5) / 5
         verts = np.column_stack([np.cos(ang), np.sin(ang)])
         m = build_topology(verts, [[0, 1, 2, 3, 4]])
         assert m.n_edges == 5
-        assert all(e.boundary for e in m.edges)
+        assert (m.edge_cells[:, 1] < 0).all()
+        assert_dict_topology(m)
 
     def test_clockwise_cell_rejected(self):
         verts = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1)]
@@ -135,15 +150,24 @@ class TestTopology:
             m.vertices[0, 0] = 5.0
         with pytest.raises(ValueError):
             m.polygon(0).vertices[0, 0] = 5.0
+        arrays = [m.edges, m.edge_cells, *(a for group in m.groups.values() for a in group)]
+        assert len(arrays) == 5
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0
         # The caller's array is copied, not frozen.
         verts[0, 0] = 5.0
         assert m.vertices[0, 0] == 0.0
 
     def test_interior_edge_orientations(self):
         m = gen_square_mesh(3)
-        for e in m.edges:
-            if not e.boundary:
-                assert e.left != e.right
+        left, right = m.edge_cells[m.edge_cells[:, 1] >= 0].T
+        assert (left != right).all()
+        # The edge runs the other way round the right cell.
+        for (a, b), c in zip(m.edges[m.edge_cells[:, 1] >= 0].tolist(), right.tolist()):
+            loop = m.cells[c]
+            assert loop[(loop.index(b) + 1) % len(loop)] == a
+        assert_dict_topology(m)
 
 
 class TestGenerators:
@@ -340,6 +364,7 @@ class TestCollapse:
         after = mesh_stats(out)
         assert after.sigma_min > before.sigma_min
         assert after.n_vertices == before.n_vertices - 1
+        assert_dict_topology(out)
 
     def test_idempotent(self):
         m = sliver_mesh(1e-3)
@@ -359,6 +384,7 @@ class TestRoundTrip:
         back = import_mesh(path)
         assert np.array_equal(m.vertices, back.vertices)
         assert m.cells == back.cells
+        assert_dict_topology(back)
 
     def test_clockwise_cell_named(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from polyds.functions import divergence_fd
 from polyds.geometry import Polygon
 from polyds.mixed import (
     _edge_flux_expansion,
@@ -17,10 +16,12 @@ from polyds.serendipity import build_ds_element, _lagrange_1d
 
 from helpers import (
     constant_flux_coefficients_per_edge,
+    divergence_fd,
     edge_flux_expansion_fit,
     interior_points,
     mixed_rows_per_edge,
     random_convex_polygon,
+    scaled,
 )
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -398,7 +399,7 @@ class TestInterpolant:
         ])
         errs, hs = [], []
         for scale in (0.5, 0.25, 0.125):
-            E = base.scaled(scale / base.diameter, about=(0.35, 0.55))
+            E = scaled(base, scale / base.diameter, about=(0.35, 0.55))
             elem = build_mixed_element(E, r, r)
             co = mixed_interpolant(elem, grad)
             rule = polygon_rule(E, 2 * r + 8)
@@ -457,7 +458,7 @@ class TestImmutability:
         arrays = [{k: v.copy() for k, v in snap.items() if isinstance(v, np.ndarray)}
                   for snap in before]
         pts = np.array([[0.0, 0.0], [0.1, -0.2]])
-        E.contains(pts)
+        E.shape_regularity()
         E.pair_lines([0], [2])
         ds.eval_all(pts)
         elem.eval_all(pts)

@@ -6,7 +6,7 @@ import pytest
 from polyds.geometry import Polygon, nonadjacent_pairs
 from polyds.quadrature import edge_rule, polygon_rule, triangle_gauss
 
-from helpers import edge_distances, random_convex_polygon
+from helpers import edge_distances, integrate, random_convex_polygon
 
 
 def edge_ratio(a, b):
@@ -61,12 +61,12 @@ class TestPolygonRule:
     def test_unit_square_xy(self):
         E = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         rule = polygon_rule(E, 3)
-        assert rule.integrate(lambda p: p[:, 0] * p[:, 1]) == pytest.approx(0.25, rel=1e-14)
+        assert integrate(rule, lambda p: p[:, 0] * p[:, 1]) == pytest.approx(0.25, rel=1e-14)
 
     def test_pentagon_against_degree_doubling(self):
         E = random_convex_polygon(5, np.random.default_rng(1))
-        lo = polygon_rule(E, 4).integrate(lambda p: p[:, 0] ** 2)
-        hi = polygon_rule(E, 8).integrate(lambda p: p[:, 0] ** 2)
+        lo = integrate(polygon_rule(E, 4), lambda p: p[:, 0] ** 2)
+        hi = integrate(polygon_rule(E, 8), lambda p: p[:, 0] ** 2)
         assert lo == pytest.approx(hi, rel=1e-12)
 
     def test_monomial_exactness_sweep(self):
@@ -80,7 +80,7 @@ class TestPolygonRule:
             for a in range(degree + 1):
                 for b in range(degree + 1 - a):
                     f = lambda p: p[:, 0] ** a * p[:, 1] ** b
-                    val, want = rule.integrate(f), ref.integrate(f)
+                    val, want = integrate(rule, f), integrate(ref, f)
                     scale = max(abs(want), 1e-3 * E.area)
                     assert abs(val - want) <= 1e-12 * scale
 
@@ -94,10 +94,11 @@ class TestPolygonRule:
         for a in range(degree + 1):
             for b in range(degree + 1 - a):
                 want = sum(
-                    edge_rule(E, i, a + b + 1).integrate(
-                        lambda p: p[:, 0] ** (a + 1) * p[:, 1] ** b / (a + 1)) * E.normals[i, 0]
+                    integrate(edge_rule(E, i, a + b + 1),
+                              lambda p: p[:, 0] ** (a + 1) * p[:, 1] ** b / (a + 1))
+                    * E.normals[i, 0]
                     for i in range(6))
-                got = rule.integrate(lambda p: p[:, 0] ** a * p[:, 1] ** b)
+                got = integrate(rule, lambda p: p[:, 0] ** a * p[:, 1] ** b)
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (a, b)
 
     @pytest.mark.parametrize("n,r", [(4, 2), (5, 3), (6, 5)])
@@ -116,8 +117,8 @@ class TestPolygonRule:
             hi_rule = polygon_rule(E, q + 4)
             for (i, j) in nonadjacent_pairs(n):
                 R = edge_ratio(lam[i], lam[j])
-                lo = lo_rule.integrate(lambda p: R(p) ** 2)
-                hi = hi_rule.integrate(lambda p: R(p) ** 2)
+                lo = integrate(lo_rule, lambda p: R(p) ** 2)
+                hi = integrate(hi_rule, lambda p: R(p) ** 2)
                 assert abs(lo - hi) < 1e-10
 
     def test_rational_integrand_error_decays_with_degree(self):
@@ -129,8 +130,8 @@ class TestPolygonRule:
         R = edge_ratio(lam[0], lam[3])
         diffs = []
         for q in (8, 16, 24, 32):
-            lo = polygon_rule(E, q).integrate(lambda p: R(p) ** 2)
-            hi = polygon_rule(E, q + 4).integrate(lambda p: R(p) ** 2)
+            lo = integrate(polygon_rule(E, q), lambda p: R(p) ** 2)
+            hi = integrate(polygon_rule(E, q + 4), lambda p: R(p) ** 2)
             diffs.append(abs(lo - hi) + 1e-18)
         assert diffs[-1] < 1e-3 * diffs[0]
         assert diffs[-1] < 1e-12
@@ -146,7 +147,7 @@ class TestEdgeRule:
     def test_unit_square_bottom_x2(self):
         E = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
         rule = edge_rule(E, 0, 4)
-        assert rule.integrate(lambda p: p[:, 0] ** 2) == pytest.approx(1 / 3, rel=1e-14)
+        assert integrate(rule, lambda p: p[:, 0] ** 2) == pytest.approx(1 / 3, rel=1e-14)
 
     def test_lagrange_basis_integrals(self):
         # 1D analytic integration of an equispaced Lagrange basis polynomial.

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from polyds.functions import gradient_fd
 from polyds.geometry import Polygon
 from polyds.serendipity import (
     ElementError,
@@ -21,8 +20,10 @@ from polyds.serendipity import (
 from helpers import (
     dict_built_table,
     edge_distances,
+    gradient_fd,
     interior_points,
     random_convex_polygon,
+    scaled,
     sliver_mesh,
 )
 
@@ -352,7 +353,7 @@ class TestElement:
         errs = []
         hs = []
         for scale in (0.5, 0.25, 0.125):
-            E = base.scaled(scale / base.diameter, about=(0.4, 0.6))
+            E = scaled(base, scale / base.diameter, about=(0.4, 0.6))
             elem = build_ds_element(E, r)
             pts = interior_points(E, np.random.default_rng(1), 300)
             vals, _ = evaluate(elem, interpolate(elem, f), pts)
