@@ -4,7 +4,10 @@ Primal form: continuous scalar space of index r, Dirichlet data imposed by
 eliminating boundary rows/columns (the reduced matrix stays SPD).  Mixed
 form: H(div) flux space of index r with discontinuous per-cell pressures
 of degree s; pressure boundary data is natural and enters the right-hand
-side.
+side.  The mixed system is assembled as a saddle-point matrix and solved by
+hybridization: each cell's flux and pressure are eliminated locally, once
+per translation class, onto one SPD system of edge multipliers.  Both
+forms are factored with the same symmetric sparse LU.
 
 Element construction, quadrature, basis evaluation and local matrices
 are computed once per translation class of cells and reused, moved, on
@@ -232,7 +235,14 @@ class MixedDofMap:
 
 @dataclass
 class SparseSystem:
-    """Assembled linear system plus the data needed to interpret solutions."""
+    """Assembled linear system plus the data needed to interpret solutions.
+
+    For the mixed form ``matrix`` is the saddle-point matrix, which
+    ``solve`` checks its solution against, and ``class_blocks`` maps each
+    translation class (keyed like ``elements.by_rep``) to its local mass
+    (D, D) and divergence (P, D) blocks before the edge signs, which
+    ``solve`` condenses from.
+    """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -245,6 +255,7 @@ class SparseSystem:
     blocks: tuple | None = None  # (n_flux, n_pressure) for mixed
     dof_map: object = None
     boundary_values: np.ndarray | None = None
+    class_blocks: dict | None = None  # mixed: rep -> (mass, divergence)
 
     @property
     def n(self):
@@ -256,7 +267,7 @@ class SolveReport:
     """Solution plus solver diagnostics; ``residual`` is relative."""
 
     solution: np.ndarray
-    iterations: int  # always 0: the solve is direct
+    iterations: int  # refinement steps after the direct solve: 0 or 1
     residual: float
     solution_u: np.ndarray | None = None
     solution_p: np.ndarray | None = None
@@ -333,6 +344,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         quad_degree = 2 * r + 6
     dof = MixedDofMap(mesh, r, s)
     elements = _CellElements(mesh)
+    class_blocks = {}
     P = dof.p_per_cell
 
     def setup(c):
@@ -346,7 +358,8 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         v, d = elem.eval_all(rule.points)
         wvals, _ = elem.pressure.value_grad(rule.points)
         # Mass and divergence (n_w, n_u) blocks before the edge signs.
-        return rule, wvals.T, _gram(v, rule.weights), wvals * rule.weights @ d.T
+        class_blocks[c] = _frozen(_gram(v, rule.weights)), _frozen(wvals * rule.weights @ d.T)
+        return rule, wvals.T, *class_blocks[c]
 
     widths = {N: ids.shape[1] for N, ids in dof.ids.items()}
     mass = _Entries(dof.cells, {N: d * d for N, d in widths.items()})
@@ -389,6 +402,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         elements=elements,
         blocks=(nu, npr),
         dof_map=dof,
+        class_blocks=class_blocks,
     )
 
 
@@ -523,41 +537,164 @@ RESIDUAL_MAX = 1e-8
 
 
 def solve(system: SparseSystem) -> SolveReport:
-    """Solve an assembled system by sparse LU and verify the residual.
+    """Solve an assembled system and verify the residual.
 
-    The ordering depends on the kind of system.  The reduced primal matrix
-    is SPD, so SuperLU orders it symmetrically (minimum degree on A + A^T)
-    and keeps the pivots on the diagonal.  The mixed saddle-point matrix
-    keeps the default COLAMD ordering with partial pivoting.  Both then
-    check the relative residual ``||Ax - b|| / ||b||``, computed by
-    multiplication.  A zero right-hand side gives the zero solution with
-    residual 0.  Raises ``SolveError`` when the factorization fails or the
-    residual is non-finite or above ``RESIDUAL_MAX``.
+    The reduced primal matrix is SPD and is factored directly.  The mixed
+    saddle-point system is hybridized (``_Hybridized``) onto an SPD system
+    of edge multipliers, which is factored instead.  Both are factored by a
+    sparse LU ordered symmetrically (minimum degree on A + A^T) with the
+    pivots on the diagonal.  The relative residual ``||Ax - b|| / ||b||``
+    of the assembled ``matrix`` and ``rhs`` is then computed by
+    multiplication; above ``RESIDUAL_MAX``, one step of iterative
+    refinement with the same factors follows (``iterations`` 1).  A zero
+    right-hand side gives the zero solution with residual 0.  Raises
+    ``SolveError`` when a local block or the factorization fails, or the
+    final residual is non-finite or above ``RESIDUAL_MAX``.
     """
     A, b = system.matrix, system.rhs
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        x, res = np.zeros(system.n), 0.0
-    else:
-        if system.kind == "primal":
-            ordering = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                            options={"SymmetricMode": True})
-        else:
-            ordering = {}
-        try:
-            x = spla.splu(A.tocsc(), **ordering).solve(b)
-        except RuntimeError as exc:
-            raise SolveError(f"sparse factorization failed: {exc}") from None
+    x, res, steps = np.zeros(system.n), 0.0, 0
+    if bnorm != 0.0:
+        solver = _spd_factor(A).solve if system.kind == "primal" else _Hybridized(system)
+        x = solver(b)
         res = float(np.linalg.norm(A @ x - b) / bnorm)
+        if not res <= RESIDUAL_MAX:
+            # One step of iterative refinement.  The hybridized solve of
+            # high-order elements (hex r=5) loses accuracy to the scale of
+            # their basis functions; one step restores about 1e-12.
+            x = x + solver(b - A @ x)
+            res, steps = float(np.linalg.norm(A @ x - b) / bnorm), 1
         if not np.isfinite(res) or res > RESIDUAL_MAX:
             raise SolveError(f"solve residual {res:.3e} exceeds {RESIDUAL_MAX:g}")
     if system.kind == "primal":
         full = system.boundary_values.copy()
         full[system.dof_map.interior] = x
-        return SolveReport(solution=full, iterations=0, residual=res)
+        return SolveReport(solution=full, iterations=steps, residual=res)
     nu, _ = system.blocks
-    return SolveReport(solution=x, iterations=0, residual=res,
+    return SolveReport(solution=x, iterations=steps, residual=res,
                        solution_u=x[:nu], solution_p=-x[nu:])
+
+
+def _spd_factor(A):
+    """Sparse LU of an SPD matrix, ordered symmetrically (minimum degree on
+    A + A^T) with the pivots on the diagonal."""
+    try:
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolveError(f"sparse factorization failed: {exc}") from None
+
+
+def _local_inverses(mass, div):
+    """Inverses of K local saddle blocks [[M, B^T], [B, 0]], symmetrized,
+    from their stacked (K, D, D) mass and (K, P, D) divergence blocks.
+
+    The basis functions of one element differ in scale by up to 1e11 in
+    their mass (hex-dominant cells at r=5), so each block is inverted after
+    a symmetric diagonal scaling that gives the rows of M and of B unit
+    size.  Raises ``LinAlgError(reason, k)`` for the first block k that
+    cannot be inverted.
+    """
+    K, D = mass.shape[:2]
+    block = np.zeros((K, D + div.shape[1], D + div.shape[1]))
+    block[:, :D, :D], block[:, D:, :D], block[:, :D, D:] = mass, div, div.transpose(0, 2, 1)
+
+    def check(ok, reason):
+        if not ok.all():
+            raise np.linalg.LinAlgError(reason, int(np.argmin(ok)))
+
+    check(np.isfinite(block).all(axis=(1, 2)), "not finite")
+    diag = np.diagonal(mass, axis1=1, axis2=2)
+    check((diag > 0).all(axis=1), "mass diagonal entry <= 0")
+    rows = np.linalg.norm(div / np.sqrt(diag)[:, None], axis=2)
+    check(rows.all(axis=1), "zero divergence row")
+    scale = np.concatenate([1.0 / np.sqrt(diag), 1.0 / rows], axis=1)[:, :, None]
+    scaled = scale * block * scale.transpose(0, 2, 1)
+    # The sign is 0 exactly where the LU of ``inv`` would meet a zero pivot.
+    check(np.linalg.slogdet(scaled)[0] != 0, "singular")
+    inv = scale * np.linalg.inv(scaled) * scale.transpose(0, 2, 1)
+    check(np.isfinite(inv).all(axis=(1, 2)), "non-finite inverse")
+    return 0.5 * (inv + inv.transpose(0, 2, 1))
+
+
+class _Hybridized:
+    """The mixed saddle-point system, hybridized: called with a right-hand
+    side b, it returns the solution (u, -p).
+
+    Each cell gets its own copy of the flux dofs of its edges.  The flux
+    slots of an interior edge are tied together by one multiplier each,
+    with coefficient +1 in the edge's left cell and -1 in its right cell;
+    the slots of a boundary edge stay the cell's own.  With A_K the local
+    saddle block and C_K the multiplier coefficients of cell K, the
+    multipliers solve the SPD system  sum_K C_K (A_K^-1)_uu C_K^T lam =
+    sum_K C_K (A_K^-1 b_K)_u,  and each cell's (u, -p) is then A_K^-1 (b_K -
+    C_K^T lam).  A_K^-1 is computed once per translation class, in the
+    element's own coordinates; the edge signs enter through C_K and b_K.
+    The load b_K of a global flux dof goes to the left cell of its edge
+    (the only cell of a boundary edge), whose recovered value is also the
+    one kept.
+    """
+
+    def __init__(self, system: SparseSystem):
+        mesh, dof = system.mesh, system.dof_map
+        nu, _ = system.blocks
+        per_edge = dof.r + 1
+        # Multiplier of each flux slot of an interior edge; n_lam, a slot
+        # that is dropped, elsewhere.
+        inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
+        n_lam = len(inner) * per_edge
+        lam_of = np.full(nu, n_lam)
+        lam_of[(inner[:, None] * per_edge + np.arange(per_edge)).ravel()] = np.arange(n_lam)
+        widths = {N: N * per_edge for N in dof.cells}
+        schur = _Entries(dof.cells, {N: w * w for N, w in widths.items()})
+        self.groups = []
+        for N, (cells, _, edge_ids) in mesh.groups.items():
+            ids, signs, ne = dof.ids[N], dof.signs[N], widths[N]
+            mult = lam_of[ids[:, :ne]]
+            left = np.repeat(mesh.edge_cells[edge_ids, 0] == cells[:, None], per_edge, axis=1)
+            coef = np.where(mult == n_lam, 0.0, np.where(left, 1.0, -1.0)) * signs[:, :ne]
+            own = np.ones(ids.shape, dtype=bool)
+            own[:, :ne] = left
+            keys, cls = np.unique(system.elements.reps[cells], return_inverse=True)
+            blocks = [system.class_blocks[k] for k in keys.tolist()]
+            mass, div = (np.stack(part) for part in zip(*blocks))
+            try:
+                inv = _local_inverses(mass, div)
+            except np.linalg.LinAlgError as exc:
+                reason, k = exc.args
+                raise SolveError(f"local saddle block of cell {keys[k]}: {reason}") from None
+            schur.put(cells, coef[:, :, None] * inv[cls, :ne, :ne] * coef[:, None, :],
+                      np.repeat(mult, ne, axis=1), np.tile(mult, ne))
+            self.groups.append((cells, ids, signs, own, mult, coef, inv, cls))
+        self.nu, self.P, self.n_lam = nu, dof.p_per_cell, n_lam
+        self.loads = _Entries(dof.cells, widths)
+        self.lu = None
+        if n_lam:
+            keep = (schur.rows < n_lam) & (schur.cols < n_lam)
+            S = sp.csc_matrix((schur.vals[keep], (schur.rows[keep], schur.cols[keep])),
+                              shape=(n_lam, n_lam))
+            self.lu = _spd_factor(S)
+
+    def __call__(self, b):
+        nu, P, n_lam = self.nu, self.P, self.n_lam
+        rhs_u, rhs_p = b[:nu], b[nu:].reshape(-1, P)
+        local_loads = []
+        for cells, ids, signs, own, mult, coef, inv, cls in self.groups:
+            load = np.hstack([signs * np.where(own, rhs_u[ids], 0.0), rhs_p[cells]])
+            z = _per_class(load, inv, cls)
+            self.loads.put(cells, coef * z[:, :coef.shape[1]], mult)
+            local_loads.append(load)
+        lam = np.zeros(n_lam + 1)
+        if n_lam:
+            lam[:n_lam] = self.lu.solve(self.loads.bincount(n_lam + 1)[:n_lam])
+        x = np.empty(len(b))
+        for (cells, ids, signs, own, mult, coef, inv, cls), load in zip(self.groups, local_loads):
+            load[:, :coef.shape[1]] -= coef * lam[mult]
+            local = _per_class(load, inv, cls)
+            d = ids.shape[1]
+            x[ids[own]] = (signs * local[:, :d])[own]
+            x[nu + cells[:, None] * P + np.arange(P)] = local[:, d:]
+        return x
 
 
 def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,

@@ -15,10 +15,14 @@ families:
 * interior curl bubbles (zero normal trace, zero divergence), which
   exist only when r >= N-1.
 
-Construction is pure per element and built elements are immutable.
+Construction is pure per element and built elements are immutable.  The
+pressure terms depend on s alone: one read-only table per s
+(``_pressure_terms``) is moved onto each cell with ``with_affines``.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import legendre as nleg
@@ -53,11 +57,18 @@ def _check_rs(r, s):
         raise ValueError(f"divergence index s={s} must be r-1 or r and >= 0")
 
 
+@lru_cache(maxsize=None)
+def _pressure_terms(s: int) -> PowerTable:
+    """The terms u**a v**b of ``pressure_monomials`` over zero affine arrays,
+    read-only, shared by every cell."""
+    powers = [(a, deg - a) for deg in range(s + 1) for a in range(deg + 1)]
+    return PowerTable(powers, np.zeros((2, 2)), np.zeros(2))
+
+
 def pressure_monomials(E: Polygon, s: int) -> PowerTable:
     """Centered, scaled monomials u**a v**b up to total degree s on E,
     ordered by degree; the first is the constant."""
-    powers = [(a, deg - a) for deg in range(s + 1) for a in range(deg + 1)]
-    return PowerTable(powers, *_centered_coordinates(E))
+    return _pressure_terms(s).with_affines(*_centered_coordinates(E))
 
 
 def constant_flux_coefficients(E: Polygon):

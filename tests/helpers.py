@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.polynomial import polynomial as npoly
 from scipy.spatial import cKDTree
 
@@ -613,3 +614,12 @@ def assemble_per_cell(mesh, r, s, f, g):
     M = _coo(mrows, mcols, mvals, (n_flux, n_flux))
     B = _coo(brows, bcols, bvals, (n_pressure, n_flux))
     return sp.bmat([[M, B.T], [B, None]], format="csr"), np.concatenate([rhs_u, rhs_p])
+
+
+def saddle_solve(system):
+    """(u, p) of an assembled mixed system from one sparse LU of the whole
+    saddle-point matrix, COLAMD-ordered with partial pivoting (oracle for
+    ``polyds.assembly.solve``, which condenses the system cell by cell)."""
+    x = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+    nu, _ = system.blocks
+    return x[:nu], -x[nu:]

@@ -32,6 +32,7 @@ from helpers import (
     errors_per_cell,
     flux_dofs_per_cell,
     random_convex_polygon,
+    saddle_solve,
     scalar_boundary_per_edge,
     scalar_dofs_per_cell,
     sliver_mesh,
@@ -228,6 +229,97 @@ class TestMixed:
         nu, _ = system.blocks
         assert np.abs(a.solution_u - x[:nu]).max() < 1e-8
         assert np.abs(a.solution_p + x[nu:]).max() < 1e-8
+
+
+class TestHybridSolve:
+    # solve condenses the mixed system onto edge multipliers; the oracle
+    # factors the whole saddle-point matrix.
+    MESHES = {"square4": lambda: gen_square_mesh(4),
+              "trapezoid4": lambda: gen_trapezoid_mesh(4),
+              "pquad4": lambda: gen_perturbed_quad_mesh(4, 0.2, 1),
+              "hex8": lambda: gen_hex_dominant_mesh(8)}
+    BOUNDARY = staticmethod(lambda x: 1.0 + x[:, 0] - 2.0 * x[:, 1] ** 2)
+
+    @staticmethod
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    @pytest.mark.parametrize("mesh_name", list(MESHES))
+    @pytest.mark.parametrize("r, s", [(0, 0), (1, 1), (2, 2), (3, 3), (1, 0), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("with_data", [False, True])
+    def test_matches_saddle_point_oracle(self, mesh_name, r, s, with_data):
+        mesh = self.MESHES[mesh_name]()
+        g = self.BOUNDARY if with_data else None
+        system = assemble_mixed(mesh, r, s, manufactured_solution().f, dirichlet_p=g)
+        report = solve(system)
+        u, p = saddle_solve(system)
+        assert self.rel(report.solution_u, u) <= 1e-8
+        assert self.rel(report.solution_p, p) <= 1e-8
+        x = np.concatenate([report.solution_u, -report.solution_p])
+        b = system.rhs
+        assert np.linalg.norm(system.matrix @ x - b) <= assembly.RESIDUAL_MAX * np.linalg.norm(b)
+
+    def test_one_cell_mesh_has_no_multipliers(self):
+        verts = [(0, 0), (1, 0), (1.2, 0.7), (0.4, 1.1), (-0.1, 0.6)]
+        mesh = build_topology(verts, [[0, 1, 2, 3, 4]])
+        system = assemble_mixed(mesh, 2, 2, manufactured_solution().f,
+                                dirichlet_p=self.BOUNDARY)
+        report = solve(system)
+        u, p = saddle_solve(system)
+        assert self.rel(report.solution_u, u) <= 1e-10
+        assert self.rel(report.solution_p, p) <= 1e-10
+
+    def test_edited_matrix_fails_the_residual_check(self):
+        system = assemble_mixed(gen_hex_dominant_mesh(4), 1, 1, manufactured_solution().f)
+        K = system.matrix.tolil()
+        K[0, 0] *= 1.5
+        system.matrix = K.tocsr()
+        with pytest.raises(SolveError, match="residual"):
+            solve(system)
+
+    @pytest.mark.parametrize("corrupt, reason", [
+        (lambda m, b: (m, np.zeros_like(b)), "zero divergence row"),
+        (lambda m, b: (m, np.vstack([b[:1], b[:1], b[2:]])), "singular"),
+        (lambda m, b: (np.where(np.eye(len(m)) > 0, np.nan, m), b), "not finite"),
+        (lambda m, b: (-m, b), "mass diagonal entry <= 0"),
+    ])
+    def test_bad_class_block_names_the_cell(self, corrupt, reason):
+        system = assemble_mixed(gen_hex_dominant_mesh(4), 1, 1, manufactured_solution().f)
+        rep = sorted(system.class_blocks)[-1]
+        system.class_blocks[rep] = corrupt(*system.class_blocks[rep])
+        with pytest.raises(SolveError, match=f"cell {rep}: {reason}"):
+            solve(system)
+
+    def test_refinement_step_restores_the_residual(self, monkeypatch):
+        # A first solve that misses the residual bound gets one step of
+        # iterative refinement with the same factors.
+        system = assemble_mixed(gen_hex_dominant_mesh(4), 1, 1, manufactured_solution().f)
+        call = assembly._Hybridized.__call__
+        calls = []
+
+        def perturbed(self, b):
+            calls.append(b)
+            x = call(self, b)
+            return x * (1 + 1e-6) if len(calls) == 1 else x
+
+        monkeypatch.setattr(assembly._Hybridized, "__call__", perturbed)
+        report = solve(system)
+        assert len(calls) == 2 and report.iterations == 1
+        assert report.residual <= 1e-12
+
+    @pytest.mark.parametrize("n, r", [(8, 4), (4, 5)])
+    def test_high_order_hex_solves(self, n, r):
+        # The mass of the basis functions of one hex-dominant cell spans
+        # about 1e11 at r=5.  With the scaled local inverses r=4 needs no
+        # refinement (residual about 1e-10, against 1.4e-8 unscaled).
+        system = assemble_mixed(gen_hex_dominant_mesh(n), r, r, manufactured_solution().f,
+                                dirichlet_p=self.BOUNDARY)
+        report = solve(system)
+        assert report.residual <= assembly.RESIDUAL_MAX
+        if r == 4:
+            assert report.iterations == 0 and report.residual <= 1e-9
+        _, p = saddle_solve(system)
+        assert self.rel(report.solution_p, p) <= 1e-6
 
 
 @pytest.mark.parametrize("kind", ["primal", "mixed"])

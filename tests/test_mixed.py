@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from polyds.functions import PowerTable
 from polyds.geometry import Polygon
 from polyds.mixed import (
     _edge_flux_expansion,
+    _pressure_terms,
     build_mixed_element,
     constant_flux_coefficients,
     mixed_dimension,
@@ -12,7 +14,7 @@ from polyds.mixed import (
     pressure_monomials,
 )
 from polyds.quadrature import edge_rule, polygon_rule
-from polyds.serendipity import build_ds_element, _lagrange_1d
+from polyds.serendipity import _centered_coordinates, _lagrange_1d, build_ds_element
 
 from helpers import (
     constant_flux_coefficients_per_edge,
@@ -189,6 +191,25 @@ class TestConstantFlux:
         for k in range(6):
             i = elem.layout_index(("edge", k, 0))
             assert np.var(divs[i]) < 1e-20 * (1 + divs[i].mean() ** 2)
+
+
+class TestPressureMonomials:
+    @pytest.mark.parametrize("s", [0, 1, 3])
+    def test_cells_share_the_cached_terms(self, s):
+        rng = np.random.default_rng(50 + s)
+        E, F = random_convex_polygon(5, rng), random_convex_polygon(4, rng)
+        a, b = pressure_monomials(E, s), pressure_monomials(F, s)
+        template = _pressure_terms(s)
+        assert _pressure_terms(s) is template
+        for name in ("powers", "_index", "_exps", "_pow"):
+            assert getattr(a, name) is getattr(template, name)
+            assert getattr(b, name) is getattr(template, name)
+        # Bit for bit the table that a fresh build for E gives.
+        powers = [(i, deg - i) for deg in range(s + 1) for i in range(deg + 1)]
+        fresh = PowerTable(powers, *_centered_coordinates(E))
+        pts = interior_points(E, rng, 7)
+        for got, want in zip(a.value_grad(pts), fresh.value_grad(pts)):
+            assert np.array_equal(got, want)
 
 
 class TestEdgeFluxExpansion:
