@@ -9,21 +9,22 @@ hybridization: each cell's flux and pressure are eliminated locally, once
 per translation class, onto one SPD system of edge multipliers.  Both
 forms are factored with the same symmetric sparse LU.
 
-Element construction, quadrature, basis evaluation and local matrices
-are computed once per translation class of cells and reused, moved, on
-every cell of the class.  The rest is array work over blocks of
-consecutive cells with equal vertex count N, in the groups of
-``Mesh.groups``: dof ids and edge signs are (C, D) arrays per N, loads and error integrands are evaluated once per
-block on the stacked moved points, and contributions are stored and
-summed in cell order, so assembled systems are reproducible bit for bit.
-``system.elements[c]`` is made when it is read.
+Cells that are exact translates of each other form a translation class,
+and this module is the only one that knows about them.  Element
+construction, quadrature, basis evaluation and local matrices are computed
+once per class, on its lowest-numbered cell: the element of a cell c is
+the class element read at x - ``shifts[c]``.  The rest is array work over
+blocks of consecutive cells with equal vertex count N, in the groups of
+``Mesh.groups``: dof ids and edge signs are (C, D) arrays per N, loads and
+error integrands are evaluated once per block on the stacked moved points,
+and contributions are stored and summed in cell order, so assembled
+systems are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,11 +170,6 @@ class DofMap:
         mask[self.boundary] = True
         self.interior = np.nonzero(~mask)[0]
 
-    def cell_dofs(self, c):
-        """Global dof ids in the element's node order (vertex, edge, cell)."""
-        N = len(self.mesh.cells[c])
-        return self.ids[N][np.searchsorted(self.cells[N], c)]
-
     def dof_points(self):
         """Coordinates of vertex and edge dofs (used for boundary data)."""
         mesh, r = self.mesh, self.r
@@ -223,25 +219,21 @@ class MixedDofMap:
             flip = np.where(forward[..., None] | (j > 0), 1.0, -1.0)
             self.signs[N] = _frozen(np.hstack([flip.reshape(C, -1), np.ones((C, n_inner[N]))]))
 
-    def cell_flux_dofs(self, c):
-        """(global ids, signs) aligned with the cell element's dof layout."""
-        N = len(self.mesh.cells[c])
-        row = np.searchsorted(self.cells[N], c)
-        return self.ids[N][row], self.signs[N][row]
-
-    def cell_pressure_dofs(self, c):
-        return np.arange(c * self.p_per_cell, (c + 1) * self.p_per_cell)
-
 
 @dataclass
 class SparseSystem:
     """Assembled linear system plus the data needed to interpret solutions.
 
+    ``elements`` maps the representative of each translation class, its
+    lowest-numbered cell, to the element built on that cell's polygon.
+    ``reps`` (C,) and ``shifts`` (C, 2) are read-only: cell c is
+    ``mesh.polygon(reps[c])`` moved by ``shifts[c]``, so its basis at
+    points x is ``elements[reps[c]]`` at x - ``shifts[c]``.
+
     For the mixed form ``matrix`` is the saddle-point matrix, which
     ``solve`` checks its solution against, and ``class_blocks`` maps each
-    translation class (keyed like ``elements.by_rep``) to its local mass
-    (D, D) and divergence (P, D) blocks before the edge signs, which
-    ``solve`` condenses from.
+    class representative to its local mass (D, D) and divergence (P, D)
+    blocks before the edge signs, which ``solve`` condenses from.
     """
 
     matrix: sp.csr_matrix
@@ -250,12 +242,14 @@ class SparseSystem:
     r: int
     kind: str  # "primal" | "mixed"
     quad_degree: int
-    elements: Sequence  # elements[c]: the element on mesh.polygon(c)
+    elements: dict  # class representative -> its element
+    reps: np.ndarray  # (C,) class representative of each cell
+    shifts: np.ndarray  # (C, 2) move from the representative onto each cell
     s: int | None = None
     blocks: tuple | None = None  # (n_flux, n_pressure) for mixed
     dof_map: object = None
     boundary_values: np.ndarray | None = None
-    class_blocks: dict | None = None  # mixed: rep -> (mass, divergence)
+    class_blocks: dict | None = None  # mixed: representative -> (mass, divergence)
 
     @property
     def n(self):
@@ -285,7 +279,8 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
     if quad_degree is None:
         quad_degree = 2 * r + 4
     dof = DofMap(mesh, r)
-    elements = _CellElements(mesh)
+    reps, shifts = _translation_classes(mesh)
+    elements = {}
 
     def setup(c):
         E = mesh.polygon(c)
@@ -293,7 +288,7 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
             elem = build_ds_element(E, r)
         except Exception as exc:
             raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
-        elements.by_rep[c] = elem
+        elements[c] = elem
         rule = polygon_rule(E, quad_degree)
         bvals, bgrads = elem.eval_all(rule.points)
         return rule, bvals.T, _gram(bgrads, rule.weights)
@@ -301,12 +296,12 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
     widths = {N: ids.shape[1] for N, ids in dof.ids.items()}
     entries = _Entries(dof.cells, {N: d * d for N, d in widths.items()})
     loads = _Entries(dof.cells, widths)
-    for N, span, cells, data, cls in _blocks(dof.cells, elements.reps, setup):
+    for N, span, cells, data, cls in _blocks(dof.cells, reps, setup):
         rules, bvals, local = zip(*data)
         ids = dof.ids[N][span]
         d = ids.shape[1]
         entries.put(cells, np.stack(local)[cls], np.repeat(ids, d, axis=1), np.tile(ids, d))
-        pts, weights = _moved_rules(rules, cls, elements.shifts[cells])
+        pts, weights = _moved_rules(rules, cls, shifts[cells])
         fw = weights * np.asarray(f(pts)).reshape(weights.shape)
         loads.put(cells, _per_class(fw, bvals, cls), ids)
     n = dof.n_dofs
@@ -328,6 +323,8 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
         kind="primal",
         quad_degree=quad_degree,
         elements=elements,
+        reps=reps,
+        shifts=shifts,
         dof_map=dof,
         boundary_values=gvals,
     )
@@ -343,7 +340,8 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     if quad_degree is None:
         quad_degree = 2 * r + 6
     dof = MixedDofMap(mesh, r, s)
-    elements = _CellElements(mesh)
+    reps, shifts = _translation_classes(mesh)
+    elements = {}
     class_blocks = {}
     P = dof.p_per_cell
 
@@ -353,7 +351,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
             elem = build_mixed_element(E, r, s)
         except Exception as exc:
             raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
-        elements.by_rep[c] = elem
+        elements[c] = elem
         rule = polygon_rule(E, quad_degree)
         v, d = elem.eval_all(rule.points)
         wvals, _ = elem.pressure.value_grad(rule.points)
@@ -365,7 +363,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     mass = _Entries(dof.cells, {N: d * d for N, d in widths.items()})
     div = _Entries(dof.cells, {N: d * P for N, d in widths.items()})
     rhs_p = np.zeros((mesh.n_cells, P))
-    for N, span, cells, data, cls in _blocks(dof.cells, elements.reps, setup):
+    for N, span, cells, data, cls in _blocks(dof.cells, reps, setup):
         rules, wvals, mass_local, div_local = zip(*data)
         ids, signs = dof.ids[N][span], dof.signs[N][span]
         d = ids.shape[1]
@@ -374,7 +372,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         pids = cells[:, None] * P + np.arange(P)
         div.put(cells, np.stack(div_local)[cls] * signs[:, None, :],
                 np.repeat(pids, d, axis=1), np.tile(ids, P))
-        pts, weights = _moved_rules(rules, cls, elements.shifts[cells])
+        pts, weights = _moved_rules(rules, cls, shifts[cells])
         fw = weights * np.asarray(f(pts)).reshape(weights.shape)
         rhs_p[cells] = _per_class(fw, wvals, cls)
     nu, npr = dof.n_flux, dof.n_pressure
@@ -382,12 +380,14 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     if dirichlet_p is not None:
         open_edge = mesh.edge_cells[:, 1] < 0
         for c in np.unique(mesh.edge_cells[open_edge, 0]).tolist():
-            group, _, edge_ids = mesh.groups[len(mesh.cells[c])]
-            on_boundary = open_edge[edge_ids[np.searchsorted(group, c)]]
-            gids, signs = dof.cell_flux_dofs(c)
-            load = _pressure_boundary_load(mesh.polygon(c), elements[c], on_boundary,
-                                           dirichlet_p, quad_degree)
-            np.add.at(rhs_u, gids, -signs * load)
+            N, rep, shift = len(mesh.cells[c]), int(reps[c]), shifts[c]
+            group, _, edge_ids = mesh.groups[N]
+            row = np.searchsorted(group, c)
+            # The class element on its own polygon, against the data moved back.
+            load = _pressure_boundary_load(mesh.polygon(rep), elements[rep],
+                                           open_edge[edge_ids[row]],
+                                           lambda x: dirichlet_p(x + shift), quad_degree)
+            np.add.at(rhs_u, dof.ids[N][row], -dof.signs[N][row] * load)
     M = mass.coo((nu, nu)).tocsr()
     B = div.coo((npr, nu)).tocsr()
     K = sp.bmat([[M, B.T], [B, None]], format="csr")
@@ -400,30 +400,12 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         kind="mixed",
         quad_degree=quad_degree,
         elements=elements,
+        reps=reps,
+        shifts=shifts,
         blocks=(nu, npr),
         dof_map=dof,
         class_blocks=class_blocks,
     )
-
-
-class _CellElements(Sequence):
-    """The element of every cell of a mesh, made when it is read: the
-    element of the cell's translation class (``by_rep``, keyed by the
-    class's lowest-numbered cell) moved onto the cell by ``shifts[c]``."""
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-        self.reps = np.array(_translation_representatives(mesh))
-        starts = np.array([E.vertices[0] for E in mesh.polygons()])
-        self.shifts = _frozen(starts - starts[self.reps])
-        self.by_rep = {}
-
-    def __len__(self):
-        return len(self.reps)
-
-    def __getitem__(self, c):
-        elem, shift = self.by_rep[self.reps[c]], self.shifts[c]
-        return elem.translated(self.mesh.polygon(c), shift) if shift.any() else elem
 
 
 def _blocks(groups, reps, setup):
@@ -499,16 +481,19 @@ class _Entries:
         return np.bincount(self.rows, weights=self.vals, minlength=n)
 
 
-def _translation_representatives(mesh):
-    """Lowest-numbered cell of the translation class of each cell.
+def _translation_classes(mesh):
+    """Read-only (C,) representative of each cell's translation class, its
+    lowest-numbered cell, and (C, 2) shift that moves it onto the cell.
 
     Cells form one class when their vertex loops agree exactly relative to
     their first vertex.  The key is not rounded: cells that are only nearly
     translates of each other get elements of their own.
     """
-    first = {}
-    return [first.setdefault((E.vertices - E.vertices[0]).tobytes(), c)
-            for c, E in enumerate(mesh.polygons())]
+    first, polygons = {}, mesh.polygons()
+    reps = np.array([first.setdefault((E.vertices - E.vertices[0]).tobytes(), c)
+                     for c, E in enumerate(polygons)])
+    starts = np.array([E.vertices[0] for E in polygons])
+    return _frozen(reps), _frozen(starts - starts[reps])
 
 
 def _gram(fields, weights):
@@ -655,7 +640,7 @@ class _Hybridized:
             coef = np.where(mult == n_lam, 0.0, np.where(left, 1.0, -1.0)) * signs[:, :ne]
             own = np.ones(ids.shape, dtype=bool)
             own[:, :ne] = left
-            keys, cls = np.unique(system.elements.reps[cells], return_inverse=True)
+            keys, cls = np.unique(system.reps[cells], return_inverse=True)
             blocks = [system.class_blocks[k] for k in keys.tolist()]
             mass, div = (np.stack(part) for part in zip(*blocks))
             try:
@@ -720,9 +705,9 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
 
     # Squared errors of every cell, one row per norm.
     sq = np.empty((2 if primal else 3, mesh.n_cells))
-    for N, span, cells, data, cls in _blocks(dof.cells, elements.reps, setup):
+    for N, span, cells, data, cls in _blocks(dof.cells, system.reps, setup):
         rules, *terms = zip(*data)
-        flat, weights = _moved_rules(rules, cls, elements.shifts[cells])
+        flat, weights = _moved_rules(rules, cls, system.shifts[cells])
         C, M = weights.shape
         ids = dof.ids[N][span]
         if primal:

@@ -230,6 +230,8 @@ def cmd_solve(args):
     config = _config_from_args(args, [args.n] if args.n else [])
     config.validate()
     exact = manufactured_solution(config.exact)
+    if len(config.mesh_paths) > 1:
+        raise ConfigError("solve takes one --mesh; use convergence for several")
     if config.mesh_paths:
         mesh = import_mesh(config.mesh_paths[0])
     else:
@@ -250,8 +252,9 @@ def cmd_solve(args):
 
 def cmd_convergence(args):
     levels = _parse_levels(args.levels)
-    if len(levels) < 2 and not (args.mesh and len(args.mesh) >= 2):
-        raise ConfigError("convergence needs at least two levels")
+    # With --mesh, the levels are the meshes and --levels is not read.
+    if len(args.mesh or levels) < 2:
+        raise ConfigError("convergence needs at least two levels (--levels or --mesh)")
     config = _config_from_args(args, levels)
     result = run_study(config)
     print(study_markdown(result))

@@ -14,8 +14,7 @@ Affine functions exist only as arrays: a table holds its K of them as a
 (K, 2) gradient and a (K,) offset array.  The terms and the affine
 functions are separate: ``with_affines`` gives the same terms over new
 arrays, sharing the term arrays, so one table of terms serves every cell
-of a shape (N, r), and ``translated`` is the special case of shifted
-offsets.
+of a shape (N, r).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ class PowerTable:
     terms are stored factor-major: ``_index`` and ``_exps`` are (F, G),
     with F the largest number of nonzero factors of one term, and
     ``_pow`` marks the factors whose power is neither 0 nor 1.  The arrays
-    are read-only, so translated tables can share them.
+    are read-only, so tables over other affine functions can share them.
     """
 
     __slots__ = ("grads", "offsets", "powers", "_index", "_exps", "_pow", "_fgrads")
@@ -68,33 +67,22 @@ class PowerTable:
         if grads.shape != (K, 2) or offsets.shape != (K,):
             raise ValueError(f"need ({K}, 2) gradients and ({K},) offsets, "
                              f"got {grads.shape} and {offsets.shape}")
-        # ``translated`` keeps the gradients, and with them the factor gradients.
-        if getattr(self, "grads", None) is not grads:
-            padded = np.zeros((K + 1, 2))
-            padded[:K] = grads
-            self._fgrads = padded[self._index.T]  # (G, F, 2)
-            self._fgrads.flags.writeable = False
+        padded = np.zeros((K + 1, 2))
+        padded[:K] = grads
+        self._fgrads = padded[self._index.T]  # (G, F, 2)
+        self._fgrads.flags.writeable = False
         self.grads, self.offsets = grads, offsets
         grads.flags.writeable = False
         offsets.flags.writeable = False
 
-    def _sharing_terms(self, grads, offsets):
-        """This table's terms over the given affine arrays, which it owns."""
-        out = object.__new__(PowerTable)
-        for name in self.__slots__:
-            setattr(out, name, getattr(self, name))
-        out._set_affines(grads, offsets)
-        return out
-
     def with_affines(self, grads, offsets):
         """The same terms over new (K, 2) gradients and (K,) offsets, which
         the table copies.  The term arrays are shared."""
-        return self._sharing_terms(np.array(grads, dtype=float), np.array(offsets, dtype=float))
-
-    def translated(self, shift):
-        """The table of the fields moved by ``shift``: x -> f_g(x - shift).
-        Every array but ``offsets`` is shared."""
-        return self._sharing_terms(self.grads, self.offsets - self.grads @ shift)
+        out = object.__new__(PowerTable)
+        for name in ("powers", "_index", "_exps", "_pow"):
+            setattr(out, name, getattr(self, name))
+        out._set_affines(np.array(grads, dtype=float), np.array(offsets, dtype=float))
+        return out
 
     def __len__(self):
         return len(self.powers)

@@ -249,17 +249,22 @@ def gen_square_mesh(n: int) -> Mesh:
     return _grid_mesh(i / n, j / n)
 
 
-def gen_trapezoid_mesh(n: int, slope=0.25) -> Mesh:
+# Zigzag amplitude of the interior horizontal lines of the trapezoid mesh,
+# as a fraction of the grid spacing.
+TRAPEZOID_SLOPE = 0.25
+
+
+def gen_trapezoid_mesh(n: int) -> Mesh:
     """n x n congruent trapezoids (n even): interior horizontal lines zigzag.
 
     Every cell is congruent to the trapezoid with parallel vertical sides
-    of lengths (1 - 2*slope)/n and (1 + 2*slope)/n, so the shape-regularity
-    ratio is the same at every refinement level.
+    of lengths (1 - 2*s)/n and (1 + 2*s)/n, s = ``TRAPEZOID_SLOPE``, so the
+    shape-regularity ratio is the same at every refinement level.
     """
     if n < 2 or n % 2:
         raise ValueError("n must be even and >= 2")
     i, j = _grid_indices(n)
-    amp = np.where(j % 2 == 1, slope, 0.0)
+    amp = np.where(j % 2 == 1, TRAPEZOID_SLOPE, 0.0)
     return _grid_mesh(i / n, (j + amp * np.where((i + j) % 2 == 1, 1, -1)) / n)
 
 
@@ -346,16 +351,19 @@ def _clean_loops(pts, counts, scale):
     return _compact(pts, valid & (turns | (counts[:, None] < 3)))
 
 
-def voronoi_cell(seed, all_seeds, bounding_square=((0.0, 0.0), (1.0, 1.0))) -> Polygon:
-    """Voronoi cell of ``seed``, clipped to an axis-aligned bounding square.
+# The square, ((x0, y0), (x1, y1)), that every Voronoi cell is clipped to.
+BOUNDING_SQUARE = ((0.0, 0.0), (1.0, 1.0))
+
+
+def voronoi_cell(seed, all_seeds) -> Polygon:
+    """Voronoi cell of ``seed``, clipped to ``BOUNDING_SQUARE``.
 
     The square is clipped successively against the perpendicular-bisector
     half-plane toward the other seeds, nearest first, until the next seed
     is too far away for its bisector to cut the cell.  The result is convex
     by construction.
     """
-    pts, counts = _voronoi_loops(np.asarray(seed, dtype=float)[None], all_seeds,
-                                 bounding_square)
+    pts, counts = _voronoi_loops(np.asarray(seed, dtype=float)[None], all_seeds)
     return Polygon(pts[0, :counts[0]])
 
 
@@ -364,7 +372,7 @@ def voronoi_cell(seed, all_seeds, bounding_square=((0.0, 0.0), (1.0, 1.0))) -> P
 _NEIGHBOURS = 16
 
 
-def _voronoi_loops(sites, seeds, bounding_square=((0.0, 0.0), (1.0, 1.0))):
+def _voronoi_loops(sites, seeds):
     """CCW vertex loops of the Voronoi cells of ``sites`` among ``seeds``
     (the cells :func:`voronoi_cell` returns): padded (C, V, 2) and counts.
 
@@ -375,7 +383,7 @@ def _voronoi_loops(sites, seeds, bounding_square=((0.0, 0.0), (1.0, 1.0))):
     """
     sites = np.asarray(sites, dtype=float)
     seeds = np.asarray(seeds, dtype=float)
-    (x0, y0), (x1, y1) = bounding_square
+    (x0, y0), (x1, y1) = BOUNDING_SQUARE
     square = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
     scale = max(x1 - x0, y1 - y0)
     tol = 1e-14 * scale

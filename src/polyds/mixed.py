@@ -182,12 +182,6 @@ class MixedElement:
         self.pressure = pressure
         self.dof_layout = tuple(dof_layout)
 
-    def translated(self, polygon, shift):
-        """This element moved by ``shift`` onto ``polygon``, the translate of
-        its own polygon; ``rows`` is shared."""
-        return MixedElement(polygon, self.r, self.s, self.ds.translated(polygon, shift),
-                            self.rows, self.pressure.translated(shift), self.dof_layout)
-
     @property
     def dim(self):
         return len(self.rows)

@@ -366,13 +366,6 @@ class DSElement:
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.coeffs.flags.writeable = False
 
-    def translated(self, polygon, shift):
-        """This element moved by ``shift`` onto ``polygon``, the translate of
-        its own polygon; the coefficient matrix is shared."""
-        nodes = NodeSet(self.nodes.vertices + shift, self.nodes.edges + shift,
-                        self.nodes.interior + shift)
-        return DSElement(polygon, self.r, nodes, self.table.translated(shift), self.coeffs)
-
     @property
     def dim(self):
         return len(self.coeffs)

@@ -521,11 +521,33 @@ def flux_dofs_per_cell(mesh, r, s, layouts):
     return out, at
 
 
+def _cell_row(dof, c):
+    """Vertex count N of cell c and its row in the (C, D) arrays of ``dof``."""
+    N = len(dof.mesh.cells[c])
+    return N, np.searchsorted(dof.cells[N], c)
+
+
+def cell_dofs(dof, c):
+    """Global ids of cell c in its element's node order (vertex, edge, cell),
+    from a ``DofMap``."""
+    N, row = _cell_row(dof, c)
+    return dof.ids[N][row]
+
+
+def cell_flux_dofs(dof, c):
+    """(global flux ids, signs) of cell c aligned with its element's dof
+    layout, from a ``MixedDofMap``."""
+    N, row = _cell_row(dof, c)
+    return dof.ids[N][row], dof.signs[N][row]
+
+
 def errors_per_cell(system, report, exact):
     """Error norms and (cell, centroid, L2 error) rows integrated cell by
-    cell on each cell's own rule and element (oracle for
-    ``compute_errors``, which integrates blocks of cells as arrays)."""
-    mesh, elements = system.mesh, system.elements
+    cell on each cell's own rule, where the class element is read at the
+    points moved back by the cell's shift (oracle for ``compute_errors``,
+    which integrates blocks of cells as arrays)."""
+    mesh = system.mesh
+    elements = [system.elements[rep] for rep in system.reps.tolist()]
     degree = system.quad_degree + 2
     if system.kind == "primal":
         dofs, _ = scalar_dofs_per_cell(mesh, system.r)
@@ -539,18 +561,19 @@ def errors_per_cell(system, report, exact):
         E, elem = mesh.polygon(c), elements[c]
         rule = polygon_rule(E, degree)
         pts, w = rule.points, rule.weights
+        moved = pts - system.shifts[c]
         if system.kind == "primal":
             coeffs = report.solution[dofs[c]]
-            vals, grads = elem.eval_all(pts)
+            vals, grads = elem.eval_all(moved)
             gh = np.einsum("d,dmk->mk", coeffs, grads)
             sq = [w @ (coeffs @ vals - exact.p(pts)) ** 2,
                   w @ ((gh - exact.grad_p(pts)) ** 2).sum(1)]
         else:
             ids, signs = dofs[c]
             ucoef = signs * report.solution_u[ids]
-            v, d = elem.eval_all(pts)
+            v, d = elem.eval_all(moved)
             P = system.dof_map.p_per_cell
-            ph = report.solution_p[c * P:(c + 1) * P] @ elem.pressure.value_grad(pts)[0]
+            ph = report.solution_p[c * P:(c + 1) * P] @ elem.pressure.value_grad(moved)[0]
             uh = np.einsum("d,dmk->mk", ucoef, v)
             sq = [w @ (ph - exact.p(pts)) ** 2,
                   w @ ((uh - exact.u(pts)) ** 2).sum(1),

@@ -29,6 +29,8 @@ from polyds.serendipity import build_ds_element
 
 from helpers import (
     assemble_per_cell,
+    cell_dofs,
+    cell_flux_dofs,
     errors_per_cell,
     flux_dofs_per_cell,
     random_convex_polygon,
@@ -84,9 +86,10 @@ class TestPrimal:
         system = assemble_primal(mesh, 2, manufactured_solution().f)
         A = system.matrix
         assert abs(A - A.T).max() < 1e-12
-        for c, elem in enumerate(system.elements):
+        for c in range(mesh.n_cells):
+            elem = system.elements[system.reps[c]]
             rule = polygon_rule(mesh.polygon(c), system.quad_degree)
-            _, grads = elem.eval_all(rule.points)
+            _, grads = elem.eval_all(rule.points - system.shifts[c])
             local = np.einsum("imk,jmk,m->ij", grads, grads, rule.weights)
             assert np.abs(local @ np.ones(elem.dim)).max() < 1e-11
 
@@ -183,11 +186,11 @@ class TestMixed:
         dof = system.dof_map
         for c in range(mesh.n_cells):
             E = mesh.polygon(c)
-            elem = system.elements[c]
+            elem = system.elements[system.reps[c]]
             rule = polygon_rule(E, system.quad_degree)
-            gids, signs = dof.cell_flux_dofs(c)
+            gids, signs = cell_flux_dofs(dof, c)
             ucoef = signs * report.solution_u[gids]
-            _, divs = elem.eval_all(rule.points)
+            _, divs = elem.eval_all(rule.points - system.shifts[c])
             lhs = rule.weights @ (ucoef @ divs)
             rhs = rule.weights @ ex.f(rule.points)
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
@@ -202,9 +205,10 @@ class TestMixed:
         dof = system.dof_map
         u = np.zeros(dof.n_flux)
         for c in range(mesh.n_cells):
-            elem = system.elements[c]
-            co = mixed_interpolant(elem, ex.u, quad_degree=system.quad_degree)
-            gids, signs = dof.cell_flux_dofs(c)
+            elem, shift = system.elements[system.reps[c]], system.shifts[c]
+            co = mixed_interpolant(elem, lambda x: ex.u(x + shift),
+                                   quad_degree=system.quad_degree)
+            gids, signs = cell_flux_dofs(dof, c)
             u[gids] = signs * co
         nu, npr = system.blocks
         B = system.matrix[nu:, :nu]
@@ -215,7 +219,7 @@ class TestMixed:
             rule = polygon_rule(E, system.quad_degree)
             qs, _ = pressure_monomials(E, s).value_grad(rule.points)
             for k, q in enumerate(qs):
-                want[dof.cell_pressure_dofs(c)[k]] = rule.weights @ (
+                want[c * dof.p_per_cell + k] = rule.weights @ (
                     ex.div_u(rule.points) * q
                 )
         assert np.abs(got - want).max() < 1e-9 * (np.abs(want).max() + 1)
@@ -374,7 +378,8 @@ class TestTranslationInvariance:
 
 class TestTranslationClasses:
     # Assembly builds, evaluates and integrates once per class of cells
-    # that are translates of each other, and moves the result to the rest.
+    # that are translates of each other; a cell reads its class element at
+    # points moved back by its shift.
     MESHES = {"square4": lambda: gen_square_mesh(4),
               "hex4": lambda: gen_hex_dominant_mesh(4),
               "hex8": lambda: gen_hex_dominant_mesh(8),
@@ -404,7 +409,8 @@ class TestTranslationClasses:
     def test_class_count(self, gen, n, classes):
         # The classes rest on exact vertex bytes, so a generator that moves a
         # vertex by one bit in one cell splits its class.
-        assert len(set(assembly._translation_representatives(gen(n)))) == classes
+        reps, _ = assembly._translation_classes(gen(n))
+        assert len(set(reps.tolist())) == classes
 
     @pytest.mark.parametrize("mesh_name, classes", [("square4", 1), ("hex8", 11)])
     @pytest.mark.parametrize("kind", ["primal", "mixed"])
@@ -422,11 +428,14 @@ class TestTranslationClasses:
             system = assemble_mixed(mesh, 1, 1, ZERO)
             direct = lambda E: build_mixed_element(E, 1, 1)
         assert len(calls) == classes
-        for c, elem in enumerate(system.elements):
-            E = mesh.polygon(c)
-            assert elem.polygon is E
+        assert system.elements.keys() == set(system.reps.tolist())
+        for c in range(mesh.n_cells):
+            E, rep = mesh.polygon(c), system.reps[c]
+            elem = system.elements[rep]
+            assert elem.polygon is mesh.polygon(rep)
             pts = polygon_rule(E, 8).points
-            for got, want in zip(elem.eval_all(pts), direct(E).eval_all(pts)):
+            got_all = elem.eval_all(pts - system.shifts[c])
+            for got, want in zip(got_all, direct(E).eval_all(pts)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_blocks_release_class_data(self, monkeypatch):
@@ -435,7 +444,7 @@ class TestTranslationClasses:
         monkeypatch.setattr(assembly, "CHUNK_CELLS", 5)
         mesh = gen_hex_dominant_mesh(8)
         groups = assembly.DofMap(mesh, 1).cells
-        reps = np.array(assembly._translation_representatives(mesh))
+        reps, _ = assembly._translation_classes(mesh)
         refs = {}
 
         class Data:
@@ -464,10 +473,13 @@ class TestTranslationClasses:
 
     def test_shared_arrays_read_only(self):
         mesh = gen_square_mesh(4)
-        elem = assemble_primal(mesh, 2, ZERO).elements[1]
-        mixed = assemble_mixed(mesh, 1, 1, ZERO).elements[1]
+        primal = assemble_primal(mesh, 2, ZERO)
+        system = assemble_mixed(mesh, 1, 1, ZERO)
+        elem = primal.elements[primal.reps[1]]
+        mixed = system.elements[system.reps[1]]
         for shared in (elem.coeffs, elem.table.powers, elem.table.grads, mixed.rows,
-                       mixed.pressure.offsets):
+                       mixed.pressure.offsets, primal.reps, primal.shifts, system.reps,
+                       system.shifts):
             with pytest.raises(ValueError):
                 shared[0] = 1.0
 
@@ -489,7 +501,7 @@ class TestDofMaps:
         want, n_dofs = scalar_dofs_per_cell(mesh, r)
         assert dof.n_dofs == n_dofs
         for c in range(mesh.n_cells):
-            assert np.array_equal(dof.cell_dofs(c), want[c])
+            assert np.array_equal(cell_dofs(dof, c), want[c])
 
     @pytest.mark.parametrize("mesh_name", list(FAMILIES))
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -510,9 +522,48 @@ class TestDofMaps:
         want, n_flux = flux_dofs_per_cell(mesh, r, s, layouts)
         assert dof.n_flux == n_flux
         for c in range(mesh.n_cells):
-            ids, signs = dof.cell_flux_dofs(c)
+            ids, signs = cell_flux_dofs(dof, c)
             assert np.array_equal(ids, want[c][0])
             assert np.array_equal(signs, want[c][1])
+
+
+class TestDeRhamComplex:
+    # curl maps the global scalar space S_{r+1,h} into the global flux
+    # space V_h, and div V_h onto W_h: the dof maps must give both cells of
+    # an edge the same curl coefficients on its flux dofs.
+    @pytest.mark.parametrize("mesh_name", list(FAMILIES))
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_global_curl_matrix(self, mesh_name, r):
+        mesh = FAMILIES[mesh_name]()
+        scalar, flux = assembly.DofMap(mesh, r + 1), assembly.MixedDofMap(mesh, r, r)
+        ns, nu = scalar.n_dofs, flux.n_flux
+        # Row I of copy k: the curl coefficients on flux dof I given by the
+        # k-th cell that has I.
+        copies, count = np.zeros((2, nu, ns)), np.zeros(nu, dtype=int)
+        for c in range(mesh.n_cells):
+            E = mesh.polygon(c)
+            pts = polygon_rule(E, 2 * r + 8).points
+            _, grads = build_ds_element(E, r + 1).eval_all(pts)
+            curls = np.stack([grads[..., 1], -grads[..., 0]], axis=-1).reshape(len(grads), -1)
+            vals, _ = build_mixed_element(E, r, r).eval_all(pts)
+            local = np.linalg.lstsq(vals.reshape(len(vals), -1).T, curls.T, rcond=None)[0]
+            ids, signs = cell_flux_dofs(flux, c)
+            copies[count[ids][:, None], ids[:, None], cell_dofs(scalar, c)] = signs[:, None] * local
+            count[ids] += 1
+        inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
+        shared = (inner[:, None] * (r + 1) + np.arange(r + 1)).ravel()
+        assert np.array_equal(np.flatnonzero(count == 2), np.sort(shared))
+        assert count.min() == 1
+        gap = np.abs(copies[0, shared] - copies[1, shared]).max(axis=1)
+        assert np.all(gap <= 1e-12 * np.abs(copies[:, shared]).max(axis=(0, 2)))
+
+        curl = copies[0]
+        B = assemble_mixed(mesh, r, r, ZERO).matrix[nu:, :nu]
+        assert np.abs(B @ curl).max() <= 1e-12 * (abs(B) @ np.abs(curl)).max()
+        # Only the constants have zero curl.  Their singular value is the
+        # round-off of the scalar basis's partition of unity (up to 3e-13
+        # relative on hex4, r=2), above numpy's default rank tolerance.
+        assert np.linalg.matrix_rank(curl, tol=1e-10 * np.linalg.norm(curl, 2)) == ns - 1
 
 
 class TestErrorsAndRates:

@@ -121,6 +121,19 @@ class TestSolveCommand:
                             "--family", "square"], capsys)
         assert code == 2
 
+    def test_two_meshes_is_config_error(self, tmp_path, capsys):
+        paths = []
+        for n in (2, 4):
+            p = tmp_path / f"m{n}.json"
+            run(["mesh", "gen", "--family", "square", "--n", str(n),
+                 "--out", str(p)], capsys)
+            paths.append(str(p))
+        code, out, err = run(["solve", "--method", "primal", "--r", "1",
+                              "--mesh", paths[0], "--mesh", paths[1]], capsys)
+        assert code == 2
+        assert "one --mesh" in err
+        assert "L2_p" not in out
+
     def test_reduced_r0_is_config_error(self, capsys):
         code, _, _ = run(["solve", "--method", "mixed-reduced", "--r", "0",
                           "--family", "square", "--n", "4"], capsys)
@@ -144,6 +157,17 @@ class TestConvergenceCommand:
                             "--family", "square", "--levels", "4"], capsys)
         assert code == 2
         assert "two levels" in err
+
+    def test_single_mesh_is_config_error(self, tmp_path, capsys):
+        # The default --levels has three entries, but with --mesh the
+        # meshes are the levels.
+        path = tmp_path / "m.json"
+        run(["mesh", "gen", "--family", "square", "--n", "4", "--out", str(path)], capsys)
+        code, out, err = run(["convergence", "--method", "primal", "--r", "1",
+                              "--mesh", str(path)], capsys)
+        assert code == 2
+        assert "two levels" in err
+        assert "| level |" not in out
 
     def test_determinism_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
