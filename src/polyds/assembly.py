@@ -33,8 +33,9 @@ import scipy.sparse.linalg as spla
 
 from .geometry import _frozen
 from .mesh import Mesh
-from .mixed import build_mixed_element, mixed_dimension
-from .quadrature import edge_rule, polygon_rule
+from .mixed import build_mixed_element, edge_normal_traces, mixed_dimension
+# perfbench wraps ``edge_rule`` here, though assembly places its edge points itself.
+from .quadrature import _segment_gauss, edge_rule, polygon_rule
 from .serendipity import build_ds_element, ds_dimension
 
 __all__ = [
@@ -228,7 +229,9 @@ class SparseSystem:
     lowest-numbered cell, to the element built on that cell's polygon.
     ``reps`` (C,) and ``shifts`` (C, 2) are read-only: cell c is
     ``mesh.polygon(reps[c])`` moved by ``shifts[c]``, so its basis at
-    points x is ``elements[reps[c]]`` at x - ``shifts[c]``.
+    points x is ``elements[reps[c]]`` at x - ``shifts[c]``.  The indices
+    and, for the mixed form, the flux and pressure counts are those of
+    ``dof_map``: ``r`` (and ``s``), ``n_flux`` and ``n_pressure``.
 
     For the mixed form ``matrix`` is the saddle-point matrix, which
     ``solve`` checks its solution against, and ``class_blocks`` maps each
@@ -239,14 +242,11 @@ class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     mesh: Mesh
-    r: int
     kind: str  # "primal" | "mixed"
     quad_degree: int
     elements: dict  # class representative -> its element
     reps: np.ndarray  # (C,) class representative of each cell
     shifts: np.ndarray  # (C, 2) move from the representative onto each cell
-    s: int | None = None
-    blocks: tuple | None = None  # (n_flux, n_pressure) for mixed
     dof_map: object = None
     boundary_values: np.ndarray | None = None
     class_blocks: dict | None = None  # mixed: representative -> (mass, divergence)
@@ -319,7 +319,6 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
         matrix=reduced,
         rhs=reduced_rhs,
         mesh=mesh,
-        r=r,
         kind="primal",
         quad_degree=quad_degree,
         elements=elements,
@@ -378,16 +377,16 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     nu, npr = dof.n_flux, dof.n_pressure
     rhs_u = np.zeros(nu)
     if dirichlet_p is not None:
-        open_edge = mesh.edge_cells[:, 1] < 0
-        for c in np.unique(mesh.edge_cells[open_edge, 0]).tolist():
-            N, rep, shift = len(mesh.cells[c]), int(reps[c]), shifts[c]
-            group, _, edge_ids = mesh.groups[N]
-            row = np.searchsorted(group, c)
-            # The class element on its own polygon, against the data moved back.
-            load = _pressure_boundary_load(mesh.polygon(rep), elements[rep],
-                                           open_edge[edge_ids[row]],
-                                           lambda x: dirichlet_p(x + shift), quad_degree)
-            np.add.at(rhs_u, dof.ids[N][row], -dof.signs[N][row] * load)
+        # Only the r+1 flux functions of an edge have a normal trace on it.
+        t, w = _segment_gauss(quad_degree)
+        traces = w * edge_normal_traces(r, t)
+        for N, (_, loops, edge_ids) in mesh.groups.items():
+            row, k = np.nonzero(mesh.edge_cells[edge_ids, 1] < 0)
+            a, b = mesh.vertices[loops[row, k]], mesh.vertices[loops[row, (k + 1) % N]]
+            pts = a[:, None] + t[:, None] * (b - a)[:, None]  # (B, M, 2)
+            g = np.asarray(dirichlet_p(pts.reshape(-1, 2))).reshape(len(row), -1)
+            slots = row[:, None], k[:, None] * (r + 1) + np.arange(r + 1)
+            np.add.at(rhs_u, dof.ids[N][slots], -dof.signs[N][slots] * (g @ traces.T))
     M = mass.coo((nu, nu)).tocsr()
     B = div.coo((npr, nu)).tocsr()
     K = sp.bmat([[M, B.T], [B, None]], format="csr")
@@ -395,14 +394,11 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         matrix=K,
         rhs=np.concatenate([rhs_u, rhs_p.ravel()]),
         mesh=mesh,
-        r=r,
-        s=s,
         kind="mixed",
         quad_degree=quad_degree,
         elements=elements,
         reps=reps,
         shifts=shifts,
-        blocks=(nu, npr),
         dof_map=dof,
         class_blocks=class_blocks,
     )
@@ -503,18 +499,6 @@ def _gram(fields, weights):
     return S @ S.T
 
 
-def _pressure_boundary_load(E, elem, on_boundary, g, quad_degree):
-    """Integrals of g times each basis normal trace over the edges k of E
-    with ``on_boundary[k]``."""
-    load = np.zeros(elem.dim)
-    for k in np.flatnonzero(on_boundary).tolist():
-        rule = edge_rule(E, k, quad_degree)
-        v, _ = elem.eval_all(rule.points)
-        gv = np.asarray(g(rule.points))
-        load += np.einsum("imk,k,m->i", v, E.normals[k], rule.weights * gv)
-    return load
-
-
 # Bound on the relative residual of an accepted solve.  Well-shaped meshes
 # solve to about 1e-12 or better; a mesh with a sliver edge of 1e-3 h
 # (a numerically singular system at r=4) still solves to about 4e-11.
@@ -555,7 +539,7 @@ def solve(system: SparseSystem) -> SolveReport:
         full = system.boundary_values.copy()
         full[system.dof_map.interior] = x
         return SolveReport(solution=full, iterations=steps, residual=res)
-    nu, _ = system.blocks
+    nu = system.dof_map.n_flux
     return SolveReport(solution=x, iterations=steps, residual=res,
                        solution_u=x[:nu], solution_p=-x[nu:])
 
@@ -622,7 +606,7 @@ class _Hybridized:
 
     def __init__(self, system: SparseSystem):
         mesh, dof = system.mesh, system.dof_map
-        nu, _ = system.blocks
+        nu = dof.n_flux
         per_edge = dof.r + 1
         # Multiplier of each flux slot of an interior edge; n_lam, a slot
         # that is dropped, elsewhere.

@@ -1,6 +1,9 @@
 """Command-line harness: mesh generation/audit, single solves, and
 convergence studies with error/rate tables.
 
+solve runs one level of what convergence runs on a mesh ladder, by the
+same code; both check their arguments before they build any mesh.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -10,7 +13,6 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .assembly import (
     AssemblyError,
@@ -37,7 +39,6 @@ from .mesh import (
 )
 from .serendipity import ElementError
 
-FAMILIES = ("square", "trapezoid", "perturbed-quad", "hex-dominant")
 METHODS = ("primal", "mixed-reduced", "mixed-full")
 
 EXIT_CONFIG = 2
@@ -48,53 +49,8 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class StudyConfig:
-    method: str
-    r: int
-    family: str | None
-    levels: list
-    mesh_paths: list = field(default_factory=list)
-    quad_degree: int | None = None
-    seed: int = 0
-    noise: float = 0.2
-    exact: str = "one-hump"
-    out: str | None = None
-    dump_element_errors: str | None = None
-
-    def validate(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
-        if self.method == "primal" and self.r < 1:
-            raise ConfigError("primal form needs r >= 1")
-        if self.method == "mixed-full" and self.r < 0:
-            raise ConfigError("mixed form needs r >= 0")
-        if self.method == "mixed-reduced" and self.r < 1:
-            raise ConfigError("reduced mixed form needs r >= 1 (s = r-1 >= 0)")
-        if not self.mesh_paths:
-            if self.family is None:
-                raise ConfigError("give --family or --mesh")
-            if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
-                raise ConfigError("levels must be strictly increasing")
-
-    @property
-    def s(self):
-        return None if self.method == "primal" else (
-            self.r - 1 if self.method == "mixed-reduced" else self.r
-        )
-
-
-@dataclass
-class StudyResult:
-    norms: list
-    rows: list          # per level: dict with n, h, n_dofs, errors
-    rates: dict         # norm -> list of per-pair rates
-    stats: list         # per level MeshStats
-    seconds: list       # wall clock per level
-
-
 def make_mesh(family, n, seed=0, noise=0.2):
-    if family in ("hex", "hex-dominant"):
+    if family == "hex-dominant":
         return gen_hex_dominant_mesh(n)
     if family == "square":
         return gen_square_mesh(n)
@@ -105,68 +61,52 @@ def make_mesh(family, n, seed=0, noise=0.2):
     raise ConfigError(f"unknown mesh family {family!r}")
 
 
-def _run_level(config: StudyConfig, mesh, exact, per_element=None):
-    if config.method == "primal":
-        system = assemble_primal(mesh, config.r, exact.f, quad_degree=config.quad_degree)
+def _check_args(args):
+    """The checks that ``solve`` and ``convergence`` share: the index range
+    of the method, and a mesh source."""
+    if args.method == "primal" and args.r < 1:
+        raise ConfigError("primal form needs r >= 1")
+    if args.method == "mixed-full" and args.r < 0:
+        raise ConfigError("mixed form needs r >= 0")
+    if args.method == "mixed-reduced" and args.r < 1:
+        raise ConfigError("reduced mixed form needs r >= 1 (s = r-1 >= 0)")
+    if not args.mesh and args.family is None:
+        raise ConfigError("give --family or --mesh")
+
+
+def _solve_level(args, mesh, exact, per_element=None):
+    """Assemble and solve the problem of ``args`` on one mesh: its error
+    norms and its number of unknowns."""
+    if args.method == "primal":
+        system = assemble_primal(mesh, args.r, exact.f, quad_degree=args.quad_degree)
     else:
-        system = assemble_mixed(
-            mesh, config.r, config.s, exact.f, quad_degree=config.quad_degree
-        )
+        s = args.r - 1 if args.method == "mixed-reduced" else args.r
+        system = assemble_mixed(mesh, args.r, s, exact.f, quad_degree=args.quad_degree)
     report = solve(system)
-    errors = compute_errors(system, report, exact, per_element=per_element)
-    n_dofs = system.n
-    return errors, n_dofs
+    return compute_errors(system, report, exact, per_element=per_element), system.n
 
 
-def run_study(config: StudyConfig) -> StudyResult:
-    config.validate()
-    exact = manufactured_solution(config.exact)
-    meshes = []
-    if config.mesh_paths:
-        for path in config.mesh_paths:
-            meshes.append((path, import_mesh(path)))
-    else:
-        for n in config.levels:
-            meshes.append((n, make_mesh(config.family, n, config.seed, config.noise)))
-    rows = []
-    stats = []
-    seconds = []
-    for label, mesh in meshes:
-        t0 = time.perf_counter()
-        errors, n_dofs = _run_level(config, mesh, exact)
-        seconds.append(time.perf_counter() - t0)
-        rows.append({"level": label, "h": mesh.h_max, "n_dofs": n_dofs, **errors})
-        stats.append(mesh_stats(mesh))
-    norms = [k for k in rows[0] if k not in ("level", "h", "n_dofs")]
-    hs = [row["h"] for row in rows]
-    rates = {
-        norm: list(convergence_rate([row[norm] for row in rows], hs))
-        for norm in norms
-    } if len(rows) >= 2 else {norm: [] for norm in norms}
-    return StudyResult(norms=norms, rows=rows, rates=rates, stats=stats, seconds=seconds)
-
-
-def study_csv_rows(result: StudyResult):
+def study_csv_rows(rows, norms, rates):
     header = ["level", "h", "n_dofs"]
-    for norm in result.norms:
+    for norm in norms:
         header += [norm, f"rate_{norm}"]
     out = [header]
-    for i, row in enumerate(result.rows):
+    for i, row in enumerate(rows):
         line = [row["level"], f"{row['h']:.17g}", row["n_dofs"]]
-        for norm in result.norms:
+        for norm in norms:
             line.append(f"{row[norm]:.17g}")
-            line.append("" if i == 0 else f"{result.rates[norm][i - 1]:.6f}")
+            line.append("" if i == 0 else f"{rates[norm][i - 1]:.6f}")
         out.append(line)
     return out
 
 
-def study_markdown(result: StudyResult):
-    cells = [["level", "h"] + [x for n in result.norms for x in (n, "rate")]]
-    for i, row in enumerate(result.rows):
+def study_markdown(rows, norms, rates):
+    cells = [["level", "h"] + [x for n in norms for x in (n, "rate")]]
+    for i, row in enumerate(rows):
         line = [str(row["level"]), f"{row['h']:.4g}"]
-        for norm in result.norms:
+        for norm in norms:
             line.append(f"{row[norm]:.4e}")
-            line.append("--" if i == 0 else f"{result.rates[norm][i - 1]:.2f}")
+            line.append("--" if i == 0 else f"{rates[norm][i - 1]:.2f}")
         cells.append(line)
     widths = [max(len(r[c]) for r in cells) for c in range(len(cells[0]))]
     lines = []
@@ -198,72 +138,67 @@ def cmd_mesh(args):
         print(f"sigma: min={st.sigma_min:.4f} max={st.sigma_max:.4f} "
               f"avg={st.sigma_avg:.4f}")
         return 0
-    if args.action == "collapse":
-        before = mesh_stats(mesh)
-        collapsed = collapse_short_edges(mesh, args.rel_tol)
-        after = mesh_stats(collapsed)
-        export_mesh(collapsed, args.out)
-        print(f"sigma_min: {before.sigma_min:.4f} -> {after.sigma_min:.4f}")
-        print(f"vertices: {before.n_vertices} -> {after.n_vertices}")
-        print(f"wrote {args.out}")
-        return 0
-    raise ConfigError(f"unknown mesh action {args.action!r}")
-
-
-def _config_from_args(args, levels):
-    return StudyConfig(
-        method=args.method,
-        r=args.r,
-        family=args.family,
-        levels=levels,
-        mesh_paths=list(args.mesh or []),
-        quad_degree=args.quad_degree,
-        seed=args.seed,
-        noise=args.noise,
-        exact=args.exact,
-        out=args.out,
-        dump_element_errors=getattr(args, "dump_element_errors", None),
-    )
+    before = mesh_stats(mesh)
+    collapsed = collapse_short_edges(mesh, args.rel_tol)
+    after = mesh_stats(collapsed)
+    export_mesh(collapsed, args.out)
+    print(f"sigma_min: {before.sigma_min:.4f} -> {after.sigma_min:.4f}")
+    print(f"vertices: {before.n_vertices} -> {after.n_vertices}")
+    print(f"wrote {args.out}")
+    return 0
 
 
 def cmd_solve(args):
-    config = _config_from_args(args, [args.n] if args.n else [])
-    config.validate()
-    exact = manufactured_solution(config.exact)
-    if len(config.mesh_paths) > 1:
+    _check_args(args)
+    if args.mesh and len(args.mesh) > 1:
         raise ConfigError("solve takes one --mesh; use convergence for several")
-    if config.mesh_paths:
-        mesh = import_mesh(config.mesh_paths[0])
+    if args.mesh:
+        mesh = import_mesh(args.mesh[0])
+    elif not args.n:
+        raise ConfigError("give --n or --mesh")
     else:
-        if not args.n:
-            raise ConfigError("give --n or --mesh")
-        mesh = make_mesh(config.family, args.n, config.seed, config.noise)
-    per_element = [] if config.dump_element_errors else None
-    errors, n_dofs = _run_level(config, mesh, exact, per_element)
-    if config.dump_element_errors:
-        dump_element_errors(per_element, config.dump_element_errors)
+        mesh = make_mesh(args.family, args.n, args.seed, args.noise)
+    per_element = [] if args.dump_element_errors else None
+    errors, n_dofs = _solve_level(args, mesh, manufactured_solution(args.exact), per_element)
+    if per_element is not None:
+        dump_element_errors(per_element, args.dump_element_errors)
     for k, v in errors.items():
         print(f"{k} = {v:.10e}")
     print(f"n_dofs = {n_dofs}")
-    if config.out:
-        _write_csv(config.out, [list(errors.keys()), [f"{v:.17g}" for v in errors.values()]])
+    if args.out:
+        _write_csv(args.out, [list(errors.keys()), [f"{v:.17g}" for v in errors.values()]])
     return 0
 
 
 def cmd_convergence(args):
     levels = _parse_levels(args.levels)
     # With --mesh, the levels are the meshes and --levels is not read.
-    if len(args.mesh or levels) < 2:
+    labels = args.mesh or levels
+    if len(labels) < 2:
         raise ConfigError("convergence needs at least two levels (--levels or --mesh)")
-    config = _config_from_args(args, levels)
-    result = run_study(config)
-    print(study_markdown(result))
-    for st, sec in zip(result.stats, result.seconds):
-        print(f"# cells={st.n_cells} sigma=[{st.sigma_min:.3f},{st.sigma_max:.3f}] "
-              f"wall={sec:.2f}s")
-    if config.out:
-        _write_csv(config.out, study_csv_rows(result))
-        print(f"# wrote {config.out}")
+    _check_args(args)
+    if not args.mesh and any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError("levels must be strictly increasing")
+    exact = manufactured_solution(args.exact)
+    meshes = ([import_mesh(path) for path in args.mesh] if args.mesh
+              else [make_mesh(args.family, n, args.seed, args.noise) for n in levels])
+    rows, footer = [], []
+    for label, mesh in zip(labels, meshes):
+        t0 = time.perf_counter()
+        errors, n_dofs = _solve_level(args, mesh, exact)
+        seconds = time.perf_counter() - t0
+        rows.append({"level": label, "h": mesh.h_max, "n_dofs": n_dofs, **errors})
+        st = mesh_stats(mesh)
+        footer.append(f"# cells={st.n_cells} sigma=[{st.sigma_min:.3f},{st.sigma_max:.3f}] "
+                      f"wall={seconds:.2f}s")
+    norms = list(errors)
+    hs = [row["h"] for row in rows]
+    rates = {norm: convergence_rate([row[norm] for row in rows], hs) for norm in norms}
+    print(study_markdown(rows, norms, rates))
+    print("\n".join(footer))
+    if args.out:
+        _write_csv(args.out, study_csv_rows(rows, norms, rates))
+        print(f"# wrote {args.out}")
     return 0
 
 
@@ -334,7 +269,7 @@ def main(argv=None):
     except (AssemblyError, SolveError, MeshError, GeometryError, ElementError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -38,6 +38,7 @@ __all__ = [
     "mixed_dimension",
     "constant_flux_coefficients",
     "build_mixed_element",
+    "edge_normal_traces",
     "mixed_interpolant",
     "pressure_monomials",
 ]
@@ -133,6 +134,25 @@ def _constant_flux_data(ds: DSElement):
     return weights @ _vertex_ramp_rows(ds), scale, const
 
 
+def edge_normal_traces(r: int, t):
+    """Normal traces, times the edge length |e|, of the r+1 flux functions
+    of an edge at edge parameters t (M,) running from its first to its
+    second vertex: (r+1, M).
+
+    The other functions of the element have no normal trace on the edge.
+    The constant-flux function's trace is 1/|e|; moment function j's is
+    L_j'(t)/|e|, with L_j the Lagrange polynomial of the points i/(r+1),
+    i = 0..r+1, that is 1 at j/(r+1).  They depend on r alone.
+    """
+    nodes = np.arange(r + 2) / (r + 1)
+    out = np.ones((r + 1, len(t)))
+    for j in range(1, r + 1):
+        others = np.delete(nodes, j)
+        lagrange = npoly.polyfromroots(others) / np.prod(nodes[j] - others)
+        out[j] = npoly.polyval(t, npoly.polyder(lagrange))
+    return out
+
+
 def _edge_flux_expansion(E: Polygon, r: int, pressure: PowerTable):
     """Coefficients alpha[k, p, 0..r] expanding the normal flux of (x - c) p
     on edge k in the edge flux basis (constant 1/|e| plus
@@ -146,7 +166,7 @@ def _edge_flux_expansion(E: Polygon, r: int, pressure: PowerTable):
     """
     v = E.vertices
     deg = int(pressure.powers.sum(axis=1).max())
-    t, w = _segment_gauss(deg // 2 + 1)
+    t, w = _segment_gauss(deg)
     t_lag = np.arange(1, r + 2) / (r + 1)
     tq = (np.arange(r + 1)[:, None] + t).ravel() / (r + 1)
     pts = v[:, None] + tq[:, None] * (np.roll(v, -1, axis=0) - v)[:, None]

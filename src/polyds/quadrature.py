@@ -72,8 +72,10 @@ def triangle_gauss(degree: int):
 
 
 @lru_cache(maxsize=None)
-def _segment_gauss(m: int):
-    x, w = roots_legendre(m)
+def _segment_gauss(degree: int):
+    """Gauss-Legendre points t and weights w on [0, 1], exact for
+    polynomials of ``degree``; read-only."""
+    x, w = roots_legendre(max(1, (degree + 2) // 2))
     t = 0.5 * (x + 1.0)
     w = 0.5 * w
     t.flags.writeable = False
@@ -101,8 +103,7 @@ def edge_rule(polygon: Polygon, i: int, degree: int) -> EdgeRule:
     """Gauss-Legendre rule along edge i, exact for polynomials of ``degree``."""
     if not 0 <= i < polygon.n_edges:
         raise GeometryError(f"edge index {i} out of range")
-    m = max(1, (degree + 2) // 2)
-    t, w = _segment_gauss(m)
+    t, w = _segment_gauss(degree)
     a = polygon.vertices[i]
     b = polygon.vertices[(i + 1) % polygon.n_edges]
     length = float(math.dist(a, b))

@@ -550,10 +550,10 @@ def errors_per_cell(system, report, exact):
     elements = [system.elements[rep] for rep in system.reps.tolist()]
     degree = system.quad_degree + 2
     if system.kind == "primal":
-        dofs, _ = scalar_dofs_per_cell(mesh, system.r)
+        dofs, _ = scalar_dofs_per_cell(mesh, system.dof_map.r)
         names = ("L2_p", "H1_semi_p")
     else:
-        dofs, _ = flux_dofs_per_cell(mesh, system.r, system.s,
+        dofs, _ = flux_dofs_per_cell(mesh, system.dof_map.r, system.dof_map.s,
                                      [elem.dof_layout for elem in elements])
         names = ("L2_p", "L2_u", "L2_div_u")
     totals, rows = np.zeros(len(names)), []
@@ -644,5 +644,5 @@ def saddle_solve(system):
     saddle-point matrix, COLAMD-ordered with partial pivoting (oracle for
     ``polyds.assembly.solve``, which condenses the system cell by cell)."""
     x = spla.splu(system.matrix.tocsc()).solve(system.rhs)
-    nu, _ = system.blocks
+    nu = system.dof_map.n_flux
     return x[:nu], -x[nu:]

@@ -18,6 +18,10 @@ CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 ))
 
 
+# The two commands that solve, each with the arguments of a small mesh.
+SIZES = {"solve": ["--n", "4"], "convergence": ["--levels", "2,4"]}
+
+
 def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -135,9 +139,17 @@ class TestSolveCommand:
         assert "L2_p" not in out
 
     def test_reduced_r0_is_config_error(self, capsys):
-        code, _, _ = run(["solve", "--method", "mixed-reduced", "--r", "0",
-                          "--family", "square", "--n", "4"], capsys)
-        assert code == 2
+        # Each method's lowest index less one, in both solving commands.
+        cases = [("primal", "0", "primal form needs r >= 1"),
+                 ("mixed-full", "-1", "mixed form needs r >= 0"),
+                 ("mixed-reduced", "0", "reduced mixed form needs r >= 1 (s = r-1 >= 0)")]
+        for command, size in SIZES.items():
+            for method, r, message in cases:
+                code, out, err = run([command, "--method", method, "--r", r,
+                                      "--family", "square", *size], capsys)
+                assert code == 2
+                assert err == f"error: {message}\n"
+                assert out == ""
 
 
 class TestConvergenceCommand:
@@ -157,6 +169,13 @@ class TestConvergenceCommand:
                             "--family", "square", "--levels", "4"], capsys)
         assert code == 2
         assert "two levels" in err
+
+    def test_decreasing_levels_is_config_error(self, capsys):
+        code, out, err = run(["convergence", "--method", "primal", "--r", "1",
+                              "--family", "square", "--levels", "8,4"], capsys)
+        assert code == 2
+        assert err == "error: levels must be strictly increasing\n"
+        assert out == ""
 
     def test_single_mesh_is_config_error(self, tmp_path, capsys):
         # The default --levels has three entries, but with --mesh the
@@ -200,6 +219,25 @@ class TestConvergenceCommand:
                             "--mesh", paths[0], "--mesh", paths[1]], capsys)
         assert code == 0
         assert "| " in out
+
+
+@pytest.mark.parametrize("command", SIZES)
+def test_missing_family_and_mesh_is_config_error(capsys, command):
+    code, out, err = run([command, "--method", "primal", "--r", "1", *SIZES[command]], capsys)
+    assert code == 2
+    assert err == "error: give --family or --mesh\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("family", ["bogus", "hex"])
+@pytest.mark.parametrize("command", SIZES)
+def test_unknown_family_is_config_error(capsys, family, command):
+    # "hex" is no spelling of "hex-dominant".
+    code, out, err = run([command, "--method", "primal", "--r", "1",
+                          "--family", family, *SIZES[command]], capsys)
+    assert code == 2
+    assert err == f"error: unknown mesh family {family!r}\n"
+    assert out == ""
 
 
 def test_console_entry_point():
