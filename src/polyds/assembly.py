@@ -382,9 +382,11 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         traces = w * edge_normal_traces(r, t)
         for N, (_, loops, edge_ids) in mesh.groups.items():
             row, k = np.nonzero(mesh.edge_cells[edge_ids, 1] < 0)
+            if not len(row):  # a group of interior cells only
+                continue
             a, b = mesh.vertices[loops[row, k]], mesh.vertices[loops[row, (k + 1) % N]]
             pts = a[:, None] + t[:, None] * (b - a)[:, None]  # (B, M, 2)
-            g = np.asarray(dirichlet_p(pts.reshape(-1, 2))).reshape(len(row), -1)
+            g = np.asarray(dirichlet_p(pts.reshape(-1, 2))).reshape(len(row), len(t))
             slots = row[:, None], k[:, None] * (r + 1) + np.arange(r + 1)
             np.add.at(rhs_u, dof.ids[N][slots], -dof.signs[N][slots] * (g @ traces.T))
     M = mass.coo((nu, nu)).tocsr()

@@ -31,7 +31,13 @@ from numpy.polynomial import polynomial as npoly
 from .functions import PowerTable
 from .geometry import Polygon, _as_points
 from .quadrature import _segment_gauss, edge_rule, polygon_rule
-from .serendipity import DSElement, ElementError, _centered_coordinates, build_ds_element
+from .serendipity import (
+    DSElement,
+    ElementError,
+    _centered_coordinates,
+    _lagrange_1d,
+    build_ds_element,
+)
 
 __all__ = [
     "MixedElement",
@@ -144,12 +150,10 @@ def edge_normal_traces(r: int, t):
     L_j'(t)/|e|, with L_j the Lagrange polynomial of the points i/(r+1),
     i = 0..r+1, that is 1 at j/(r+1).  They depend on r alone.
     """
-    nodes = np.arange(r + 2) / (r + 1)
+    lagrange = _lagrange_1d(np.arange(r + 2) / (r + 1))
     out = np.ones((r + 1, len(t)))
     for j in range(1, r + 1):
-        others = np.delete(nodes, j)
-        lagrange = npoly.polyfromroots(others) / np.prod(nodes[j] - others)
-        out[j] = npoly.polyval(t, npoly.polyder(lagrange))
+        out[j] = npoly.polyval(t, npoly.polyder(lagrange[j]))
     return out
 
 

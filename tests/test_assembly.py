@@ -383,10 +383,22 @@ class TestTranslationClasses:
     MESHES = {"square4": lambda: gen_square_mesh(4),
               "hex4": lambda: gen_hex_dominant_mesh(4),
               "hex8": lambda: gen_hex_dominant_mesh(8),
-              "trapezoid4": lambda: gen_trapezoid_mesh(4)}
+              "trapezoid4": lambda: gen_trapezoid_mesh(4),
+              "split3": lambda: TestTranslationClasses.split_centre_grid()}
     BOUNDARY = staticmethod(lambda x: 1.0 + x[:, 0] - 2.0 * x[:, 1] ** 2)
 
-    @pytest.mark.parametrize("mesh_name", ["hex4", "trapezoid4"])
+    @staticmethod
+    def split_centre_grid():
+        # A 3x3 grid of squares with the centre square cut into two
+        # triangles: the triangle group has no boundary edge.
+        verts = [(i / 3, j / 3) for j in range(4) for i in range(4)]
+        v = lambda i, j: 4 * j + i
+        cells = [[v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)]
+                 for j in range(3) for i in range(3) if (i, j) != (1, 1)]
+        cells += [[v(1, 1), v(2, 1), v(2, 2)], [v(1, 1), v(2, 2), v(1, 2)]]
+        return build_topology(verts, cells)
+
+    @pytest.mark.parametrize("mesh_name", ["hex4", "trapezoid4", "split3"])
     @pytest.mark.parametrize("r, s", [(2, None), (4, None), (1, 1), (0, 0), (3, 2)])
     def test_reuse_matches_per_cell_oracle(self, mesh_name, r, s):
         mesh = self.MESHES[mesh_name]()
