@@ -36,7 +36,7 @@ from .mesh import Mesh
 from .mixed import build_mixed_element, edge_normal_traces, mixed_dimension
 # perfbench wraps ``edge_rule`` here, though assembly places its edge points itself.
 from .quadrature import _segment_gauss, edge_rule, polygon_rule
-from .serendipity import build_ds_element, ds_dimension
+from .serendipity import _edge_parameters, build_ds_element, ds_dimension
 
 __all__ = [
     "AssemblyError",
@@ -178,7 +178,7 @@ class DofMap:
         pts[: mesh.n_vertices] = mesh.vertices
         a = mesh.vertices[mesh.edges.min(axis=1), None]
         b = mesh.vertices[mesh.edges.max(axis=1), None]
-        t = (np.arange(1, r) / r)[:, None]
+        t = _edge_parameters(r)[1:-1, None]
         pts[self.edge_offset:self.cell_offset] = (a + t * (b - a)).reshape(-1, 2)
         return pts
 
@@ -352,8 +352,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
             raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
         elements[c] = elem
         rule = polygon_rule(E, quad_degree)
-        v, d = elem.eval_all(rule.points)
-        wvals, _ = elem.pressure.value_grad(rule.points)
+        v, d, wvals = elem.eval_all(rule.points)
         # Mass and divergence (n_w, n_u) blocks before the edge signs.
         class_blocks[c] = _frozen(_gram(v, rule.weights)), _frozen(wvals * rule.weights @ d.T)
         return rule, wvals.T, *class_blocks[c]
@@ -560,11 +559,11 @@ def _local_inverses(mass, div):
     """Inverses of K local saddle blocks [[M, B^T], [B, 0]], symmetrized,
     from their stacked (K, D, D) mass and (K, P, D) divergence blocks.
 
-    The basis functions of one element differ in scale by up to 1e11 in
-    their mass (hex-dominant cells at r=5), so each block is inverted after
-    a symmetric diagonal scaling that gives the rows of M and of B unit
-    size.  Raises ``LinAlgError(reason, k)`` for the first block k that
-    cannot be inverted.
+    The basis functions of one element differ in mass by up to 4e12
+    (hex-dominant cells at r=5, at every mesh size), so each block is
+    inverted after a symmetric diagonal scaling that gives the rows of M
+    and of B unit size.  Raises ``LinAlgError(reason, k)`` for the first
+    block k that cannot be inverted.
     """
     K, D = mass.shape[:2]
     block = np.zeros((K, D + div.shape[1], D + div.shape[1]))
@@ -684,10 +683,9 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
     def setup(c):
         rule = polygon_rule(mesh.polygon(c), degree)
         elem = elements[c]
-        # Values and gradients (primal) or values and divergences (mixed).
-        vals, derivs = elem.eval_all(rule.points)
-        data = (rule, vals.reshape(len(vals), -1), derivs.reshape(len(derivs), -1))
-        return data if primal else (*data, elem.pressure.value_grad(rule.points)[0])
+        # Values and gradients (primal), or values, divergences and pressures.
+        vals, derivs, *pressures = elem.eval_all(rule.points)
+        return rule, vals.reshape(len(vals), -1), derivs.reshape(len(derivs), -1), *pressures
 
     # Squared errors of every cell, one row per norm.
     sq = np.empty((2 if primal else 3, mesh.n_cells))

@@ -4,7 +4,7 @@ convergence studies with error/rate tables.
 solve runs one level of what convergence runs on a mesh ladder, by the
 same code; both check their arguments before they build any mesh.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration or file error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ def main(argv=None):
     except (AssemblyError, SolveError, MeshError, GeometryError, ElementError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

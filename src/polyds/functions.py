@@ -3,7 +3,7 @@
 Every generator of the direct serendipity and mixed elements is one
 product f_g(x) = prod_k a_k(x)**P[g, k] of affine functions a_k: edge
 distance functions, pair lines, sums of two edge distances (power -1 gives
-the one-sided edge ratio), edge coordinates, and centered coordinates.
+the one-sided edge ratio), edge coordinates, and frame coordinates.
 Some powers are negative, so the fields are rational; a ``PowerTable``
 holds all of them and evaluates values (G, M) and gradients (G, M, 2) on
 (M, 2) point arrays in one vectorized pass.  The pass is factor-major:

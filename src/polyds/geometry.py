@@ -240,11 +240,6 @@ class Polygon:
         v = self.vertices
         return 0.5 * (v[i] + v[(i + 1) % self.n_edges])
 
-    def edge_point(self, i, t):
-        """Point at normalized arclength t in [0, 1] along edge i."""
-        v = self.vertices
-        return v[i] + np.multiply.outer(np.asarray(t, dtype=float), v[(i + 1) % self.n_edges] - v[i])
-
     def pair_lines(self, i, j):
         """Gradients (P, 2) and offsets (P,) of the pair lines of the
         nonadjacent edges i[p] < j[p], given as index arrays.

@@ -3,8 +3,7 @@
 The flux space of index r (divergence index s = r-1 reduced, s = r full)
 is generated from the scalar space of index r+1: curls of its edge and
 interior functions give divergence-free basis functions, while radial
-fields (x - c) p(x) carry the divergence.  The basis comes in four
-families:
+fields x^ p(x^) carry the divergence.  The basis comes in four families:
 
 * one constant-flux function per edge: unit integrated flux across its
   own edge, zero across the others, constant divergence;
@@ -15,9 +14,11 @@ families:
 * interior curl bubbles (zero normal trace, zero divergence), which
   exist only when r >= N-1.
 
-Construction is pure per element and built elements are immutable.  The
-pressure terms depend on s alone: one read-only table per s
-(``_pressure_terms``) is moved onto each cell with ``with_affines``.
+Construction is pure per element and built elements are immutable.  Like
+the scalar element, the element is built on its cell's frame x^: a frame
+field u^ is the field u = u^ / h, with div u = div^ u^ / h**2.  The
+pressures are the monomials of the frame coordinates, one read-only table
+per s (``_pressure_terms``) that every cell reads as it is.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from .quadrature import _segment_gauss, edge_rule, polygon_rule
 from .serendipity import (
     DSElement,
     ElementError,
-    _centered_coordinates,
+    _edge_parameters,
+    _Frame,
     _lagrange_1d,
     build_ds_element,
 )
@@ -46,7 +48,6 @@ __all__ = [
     "build_mixed_element",
     "edge_normal_traces",
     "mixed_interpolant",
-    "pressure_monomials",
 ]
 
 
@@ -66,16 +67,11 @@ def _check_rs(r, s):
 
 @lru_cache(maxsize=None)
 def _pressure_terms(s: int) -> PowerTable:
-    """The terms u**a v**b of ``pressure_monomials`` over zero affine arrays,
-    read-only, shared by every cell."""
+    """The pressure basis of degree s: monomials u**a v**b of the frame
+    coordinates up to total degree s, ordered by degree (the first is the
+    constant); read-only, shared by every cell."""
     powers = [(a, deg - a) for deg in range(s + 1) for a in range(deg + 1)]
-    return PowerTable(powers, np.zeros((2, 2)), np.zeros(2))
-
-
-def pressure_monomials(E: Polygon, s: int) -> PowerTable:
-    """Centered, scaled monomials u**a v**b up to total degree s on E,
-    ordered by degree; the first is the constant."""
-    return _pressure_terms(s).with_affines(*_centered_coordinates(E))
+    return PowerTable(powers, np.eye(2), np.zeros(2))
 
 
 def constant_flux_coefficients(E: Polygon):
@@ -110,7 +106,7 @@ def _vertex_ramp_rows(ds: DSElement):
     (r the scalar index)."""
     N, order = ds.polygon.n_edges, ds.r
     k = np.arange(N)
-    w = np.arange(1, order) / order
+    w = _edge_parameters(order)[1:-1]
     weights = np.zeros((N, ds.dim))
     weights[k, k] = 1.0
     edge_node = N + (order - 1) * k[:, None] + np.arange(order - 1)  # (N, r-1)
@@ -120,23 +116,23 @@ def _vertex_ramp_rows(ds: DSElement):
 
 
 def _constant_flux_data(ds: DSElement):
-    """Data for the constant-flux functions of all N edges: curl coefficient
-    rows (N, generators) over the scalar generators, coefficients (N,) of
-    the radial field x - c, and constant vector parts (N, 2).
+    """Data for the constant-flux functions of all N edges on ``ds.frame``:
+    curl coefficient rows (N, generators) over the scalar generators,
+    coefficients (N,) of the radial field x^, and constant parts (N, 2).
 
     Row k of the curl rows combines the ramp of vertex m+1 with weight
     -c[k, m-k-3] |e_m| for the edges m = k+3, ..., k+N-1 (mod N), all
     scaled by 1 / (c[k, -1] |e_k|), with c the cancellation constants."""
-    E = ds.polygon
-    N = E.n_edges
-    lengths = E.edge_lengths
-    coeffs = constant_flux_coefficients(E)
+    F = ds.frame
+    N = F.n_edges
+    lengths = F.edge_lengths
+    coeffs = constant_flux_coefficients(F)
     scale = 1.0 / (coeffs[:, -1] * lengths)
     k = np.arange(N)
     m = (k[:, None] + np.arange(3, N)) % N  # (N, N-3)
     weights = np.zeros((N, N))
     weights[k[:, None], (m + 1) % N] = -coeffs[:, :-1] * lengths[m] * scale[:, None]
-    const = (E.centroid - E.vertices[(k + 2) % N]) * scale[:, None]
+    const = -F.vertices[(k + 2) % N] * scale[:, None]
     return weights @ _vertex_ramp_rows(ds), scale, const
 
 
@@ -150,32 +146,32 @@ def edge_normal_traces(r: int, t):
     L_j'(t)/|e|, with L_j the Lagrange polynomial of the points i/(r+1),
     i = 0..r+1, that is 1 at j/(r+1).  They depend on r alone.
     """
-    lagrange = _lagrange_1d(np.arange(r + 2) / (r + 1))
+    lagrange = _lagrange_1d(_edge_parameters(r + 1))
     out = np.ones((r + 1, len(t)))
     for j in range(1, r + 1):
         out[j] = npoly.polyval(t, npoly.polyder(lagrange[j]))
     return out
 
 
-def _edge_flux_expansion(E: Polygon, r: int, pressure: PowerTable):
-    """Coefficients alpha[k, p, 0..r] expanding the normal flux of (x - c) p
-    on edge k in the edge flux basis (constant 1/|e| plus
-    Lagrange-derivative moments), for every edge k and pressure p, found
-    by matching antiderivatives at the Lagrange points j / (r+1).
+def _edge_flux_expansion(F: _Frame, r: int, pressure: PowerTable):
+    """Coefficients alpha[k, p, 0..r] expanding the normal flux of x^ p on
+    edge k of the frame polygon F in the edge flux basis (constant 1/|e|
+    plus Lagrange-derivative moments), for every edge k and pressure p,
+    found by matching antiderivatives at the Lagrange points j / (r+1).
 
-    On edge k, (x - c) . n_k is a constant c_k, so the antiderivatives are
+    On edge k, x^ . n_k is the edge offset c_k, so the antiderivatives are
     |e_k| c_k times integrals of p along the edge.  A Gauss rule exact for
     the pressure degree on each Lagrange subinterval, summed cumulatively,
     gives them exactly.
     """
-    v = E.vertices
+    v = F.vertices
     deg = int(pressure.powers.sum(axis=1).max())
     t, w = _segment_gauss(deg)
-    t_lag = np.arange(1, r + 2) / (r + 1)
+    t_lag = _edge_parameters(r + 1)[1:]
     tq = (np.arange(r + 1)[:, None] + t).ravel() / (r + 1)
     pts = v[:, None] + tq[:, None] * (np.roll(v, -1, axis=0) - v)[:, None]
     pvals = pressure.value_grad(pts.reshape(-1, 2))[0]
-    scale = E.edge_lengths * ((v - E.centroid) * E.normals).sum(axis=1) / (r + 1)
+    scale = F.edge_lengths * F.edge_offsets / (r + 1)
     parts = pvals.reshape(len(pressure), len(v), r + 1, len(t)) @ w
     big = np.cumsum(parts * scale[:, None], axis=2)  # (P, N, r+1) at t_lag
     alphas = np.empty_like(big)
@@ -187,53 +183,52 @@ def _edge_flux_expansion(E: Polygon, r: int, pressure: PowerTable):
 class MixedElement:
     """Mixed element: ordered vector basis over a shared generator set.
 
-    The generators are the curls of the scalar element's table terms, the
-    radial fields (x - c) p for the pressure monomials p, and the two
-    constant fields; ``rows`` holds the coefficients of each basis function.
+    The generators are frame fields: the curls of the scalar element's
+    table terms, the radial fields x^ p for the pressures p of
+    ``_pressure_terms(s)``, and the two constant fields; ``rows`` holds the
+    coefficients of each basis function.
     Basis ordering: per edge (CCW) the constant-flux function followed by
     the r moment functions, then the interior divergence functions, then
     the curl bubbles.  ``dof_layout`` holds matching descriptors
     ``("edge", k, j)``, ``("div", i)``, and ``("bubble", i)``.
     """
 
-    def __init__(self, polygon, r, s, ds, rows, pressure, dof_layout):
+    def __init__(self, polygon, r, s, ds, rows, dof_layout):
         self.polygon = polygon
         self.r = r
         self.s = s
         self.ds = ds
         self.rows = np.asarray(rows, dtype=float)
         self.rows.flags.writeable = False
-        self.pressure = pressure
+        self.pressure = _pressure_terms(s)
         self.dof_layout = tuple(dof_layout)
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def layout_index(self, key):
-        return self.dof_layout.index(key)
-
     def eval_all(self, pts):
-        """Values and divergences of all basis functions: (D, M, 2), (D, M)."""
+        """Values and divergences of all basis functions and values of the
+        pressures at pts: (D, M, 2), (D, M) and (P, M)."""
         pts = _as_points(pts)
         m = len(pts)
+        x, h = self.ds.frame.points(pts), self.ds.frame.scale
         nc = self.ds.n_generators
         nr = len(self.pressure)
         gvals = np.empty((nc + nr + 2, m, 2))
         gdivs = np.zeros((nc + nr + 2, m))
-        _, grads = self.ds.table.value_grad(pts)
+        _, grads = self.ds.table.value_grad(x)
         gvals[:nc, :, 0] = grads[:, :, 1]
         gvals[:nc, :, 1] = -grads[:, :, 0]
-        # Radial fields (x - c) p have divergence 2 p + (x - c) . grad p.
-        pv, pg = self.pressure.value_grad(pts)
-        rel = pts - self.polygon.centroid
-        gvals[nc:nc + nr] = rel * pv[:, :, None]
-        gdivs[nc:nc + nr] = 2.0 * pv + np.einsum("mk,gmk->gm", rel, pg)
+        # A radial field x^ p, p homogeneous of degree d, has divergence (d + 2) p.
+        pv, _ = self.pressure.value_grad(x)
+        gvals[nc:nc + nr] = x * pv[:, :, None]
+        gdivs[nc:nc + nr] = (self.pressure.powers.sum(axis=1) + 2.0)[:, None] * pv
         gvals[nc + nr] = [1.0, 0.0]
         gvals[nc + nr + 1] = [0.0, 1.0]
-        vals = (self.rows @ gvals.reshape(len(gvals), -1)).reshape(self.dim, m, 2)
-        divs = self.rows @ gdivs
-        return vals, divs
+        vals = ((self.rows / h) @ gvals.reshape(len(gvals), -1)).reshape(self.dim, m, 2)
+        divs = (self.rows / h**2) @ gdivs
+        return vals, divs, pv
 
 
 def build_mixed_element(E: Polygon, r: int, s: int) -> MixedElement:
@@ -249,7 +244,7 @@ def build_mixed_element(E: Polygon, r: int, s: int) -> MixedElement:
     N = E.n_edges
     ds = build_ds_element(E, r + 1)
     G = ds.n_generators
-    pressure = pressure_monomials(E, s)
+    pressure = _pressure_terms(s)
     n_rad = len(pressure)
     width = G + n_rad + 2
 
@@ -259,7 +254,7 @@ def build_mixed_element(E: Polygon, r: int, s: int) -> MixedElement:
     edge = np.zeros((N, r + 1, width))
     edge[:, 0, :G], edge[:, 0, G], edge[:, 0, G + n_rad:] = _constant_flux_data(ds)
     edge[:, 1:, :G] = ds.coeffs[N:n_edge].reshape(N, r, G)
-    alphas = _edge_flux_expansion(E, r, pressure)[:, 1:]  # (N, n_rad-1, r+1)
+    alphas = _edge_flux_expansion(ds.frame, r, pressure)[:, 1:]  # (N, n_rad-1, r+1)
     # Explicit sizes: with s = 0 there are no divergence rows, and a -1
     # cannot be resolved for an empty array.
     div = -alphas.transpose(1, 0, 2).reshape(n_rad - 1, n_edge) @ edge.reshape(n_edge, width)
@@ -275,7 +270,7 @@ def build_mixed_element(E: Polygon, r: int, s: int) -> MixedElement:
     if len(layout) != expected:
         raise ElementError(f"assembled {len(layout)} functions, expected {expected}")
     rows = np.concatenate([edge.reshape(-1, width), div, bubble])
-    return MixedElement(E, r, s, ds, rows, pressure, layout)
+    return MixedElement(E, r, s, ds, rows, layout)
 
 
 def _dof_functionals(elem: MixedElement, quad_degree=None):
@@ -293,12 +288,13 @@ def _dof_functionals(elem: MixedElement, quad_degree=None):
             w = rule.weights * npoly.polyval(2.0 * rule.t - 1.0, leg)
             dofs.append(("edge", rule.points, w, E.normals[k]))
     rule = polygon_rule(E, quad_degree)
-    _, pgrads = elem.pressure.value_grad(rule.points)
+    # Frame gradients: h times the physical ones, a scale the moments ignore.
+    _, pgrads = elem.pressure.value_grad(elem.ds.frame.points(rule.points))
     for grad in pgrads[1:]:
         dofs.append(("moment", rule.points, rule.weights, grad))
     bubbles = [i for i, lay in enumerate(elem.dof_layout) if lay[0] == "bubble"]
     if bubbles:
-        vals, _ = elem.eval_all(rule.points)
+        vals = elem.eval_all(rule.points)[0]
         for i in bubbles:
             dofs.append(("moment", rule.points, rule.weights, vals[i]))
     return dofs

@@ -4,16 +4,22 @@ For an N-gon and index r >= N-2 the local space is the polynomials of
 degree r plus one supplemental (rational) function per pair of nonadjacent
 edges; the nodal basis is a coefficient matrix over one ``PowerTable`` of
 products of integer powers of affine functions (edge distance functions,
-pair lines, one-sided edge ratios, edge and centered coordinates); the
+pair lines, one-sided edge ratios, edge and frame coordinates); the
 pair line of two edges is the line through their midpoints.  For
 1 <= r < N-2 the space is carved out of the space of index s = N-2 by
 restricting edge traces to degree r.
+
+Each element is built on its cell's frame x^ = (x - c) / h, with c the
+centroid and h the diameter (``_frame``, the one place that chooses c and
+h), a similarity that leaves the space as it is.  Its polygon and nodes
+stay physical: ``eval_all`` maps the points once and divides the frame
+gradients by h.
 
 The terms of the table depend only on (N, r): ``_term_layout`` builds
 them once per (N, r), with the index arrays of the construction, and
 ``_carving_matrix`` does the same for the low-order map.  Per cell, the
 builder computes the K affine functions as (K, 2) gradient and (K,)
-offset arrays from the polygon's arrays, solves the N edge systems in one
+offset arrays from the frame's arrays, solves the N edge systems in one
 stacked solve and applies the vertex and interior corrections as array
 operations.
 
@@ -96,9 +102,39 @@ class NodeSet:
         return self.n_vertex + self.n_vertex * self.n_per_edge + self.n_interior
 
 
-def _make_nodes(E: Polygon, r: int, interior):
+def _edge_parameters(r: int):
+    """The parameters j / r, j = 0..r, of the index-r nodes along any edge."""
+    return np.arange(r + 1) / r
+
+
+class _Frame(NamedTuple):
+    """A polygon's frame x^ = (x - center) / scale, and the ``Polygon`` arrays
+    that the builders read, of the polygon moved there (centroid 0, diameter 1)."""
+    center: np.ndarray
+    scale: float
+    vertices: np.ndarray
+    normals: np.ndarray
+    tangents: np.ndarray
+    edge_lengths: np.ndarray
+    edge_offsets: np.ndarray
+    n_edges = property(lambda self: len(self.vertices))
+    edge_midpoint, pair_lines = Polygon.edge_midpoint, Polygon.pair_lines
+
+    def points(self, x):
+        return (x - self.center) / self.scale
+
+
+def _frame(E: Polygon) -> _Frame:
+    """E's frame: its centroid is the center and its diameter the scale."""
+    c, h = E.centroid, E.diameter
+    v, lengths, offsets = map(_frozen, ((E.vertices - c) / h, E.edge_lengths / h,
+                                        (E.edge_offsets - E.normals @ c) / h))
+    return _Frame(c, h, v, E.normals, E.tangents, lengths, offsets)
+
+
+def _make_nodes(E, r: int, interior):
     v = E.vertices
-    t = np.arange(1, r) / r
+    t = _edge_parameters(r)[1:-1]
     edges = np.concatenate([v[1:], v[:1]]) - v
     return NodeSet(
         vertices=v.copy(),
@@ -118,12 +154,10 @@ def _lagrange_1d(points):
     return out
 
 
-def _interior_triangle(E: Polygon):
-    """A spread-out triangle strictly inside E for the cell Lagrange nodes."""
-    N = E.n_edges
-    c = E.centroid
-    picks = [(m * N) // 3 for m in range(3)]
-    return np.array([c + 0.5 * (E.vertices[k] - c) for k in picks])
+def _interior_triangle(F: _Frame):
+    """A spread-out triangle strictly inside F for the cell Lagrange nodes."""
+    N = F.n_edges
+    return 0.5 * F.vertices[[(m * N) // 3 for m in range(3)]]
 
 
 def _triangle_lattice(tri, p):
@@ -143,17 +177,10 @@ def _monomials(p):
     return [(a, b) for a in range(p + 1) for b in range(p + 1 - a)]
 
 
-def _centered_coordinates(E: Polygon):
-    """Gradients (2, 2) and offsets (2,) of the affine u = (x - c_x) / h and
-    v = (y - c_y) / h about the centroid c, scaled by the diameter h."""
-    return np.eye(2) / E.diameter, -E.centroid / E.diameter
-
-
-def _lagrange_2d(nodes, p, center, scale):
+def _lagrange_2d(nodes, p):
     """Coefficients over ``_monomials(p)`` (one column per node) of the
-    nodal polynomial basis of total degree p on the given 2D nodes."""
-    u = (nodes[:, 0] - center[0]) / scale
-    v = (nodes[:, 1] - center[1]) / scale
+    nodal polynomial basis of total degree p on the given frame nodes."""
+    u, v = nodes.T
     V = np.column_stack([u**a * v**b for a, b in _monomials(p)])
     try:
         return np.linalg.inv(V)
@@ -179,7 +206,7 @@ def _term_layout(N: int, r: int) -> _TermLayout:
 
     The table's affine columns are, in order, the N edge distances lam_k,
     the P pair sums lam_i + lam_j, then (if r > N-2) the P pair lines and
-    the N edge coordinates, then (if r >= N) the centered coordinates u
+    the N edge coordinates, then (if r >= N) the frame coordinates u
     and v.  A cell's table is ``table.with_affines`` of its own affines.
 
     With base_k the product of the edge distances of all edges but k, the
@@ -242,10 +269,10 @@ class _HighOrderBuilder:
     """Stages of the nodal-basis construction for r >= N-2.
 
     Every generator is one term of the ``PowerTable`` of ``_term_layout(N,
-    r)`` over this polygon's affines, ordered to match the nodes.  Edge
-    generators are combined by one stacked solve over all edges, interior
-    ones by the nodal polynomials, and the nodal basis is a coefficient
-    matrix over the table.
+    r)`` over the affines of this polygon's frame, ordered to match the
+    nodes, which are frame points.  Edge generators are combined by one
+    stacked solve over all edges, interior ones by the nodal polynomials,
+    and the nodal basis is a coefficient matrix over the table.
     """
 
     def __init__(self, E: Polygon, r: int):
@@ -253,40 +280,40 @@ class _HighOrderBuilder:
         if r < max(1, N - 2):
             raise ElementError(f"high-order path requires r >= N-2 (r={r}, N={N})")
         self.E = E
+        self.F = _frame(E)
         self.r = r
         self.N = N
         self.nodes = _make_nodes(
-            E, r, _triangle_lattice(_interior_triangle(E), r - N) if r >= N else np.empty((0, 2))
+            self.F, r, _triangle_lattice(_interior_triangle(self.F), r - N) if r >= N else []
         )
         self.layout = _term_layout(N, r)
         self.table = self.layout.table.with_affines(*self._affines())
 
     def _affines(self):
         """Gradients (K, 2) and offsets (K,) of the affines of the term layout."""
-        E, N, r = self.E, self.N, self.r
+        F, N, r = self.F, self.N, self.r
         i, j = self.layout.pairs
-        grads = [-E.normals, -(E.normals[i] + E.normals[j])]
-        offsets = [E.edge_offsets, E.edge_offsets[i] + E.edge_offsets[j]]
+        grads = [-F.normals, -(F.normals[i] + F.normals[j])]
+        offsets = [F.edge_offsets, F.edge_offsets[i] + F.edge_offsets[j]]
         if r > N - 2:
-            line_grads, line_offsets = E.pair_lines(i, j)
-            tau = E.tangents / E.edge_lengths[:, None]
+            line_grads, line_offsets = F.pair_lines(i, j)
+            tau = F.tangents / F.edge_lengths[:, None]
             grads += [line_grads, tau]
-            offsets += [line_offsets, -(E.vertices * tau).sum(axis=1)]
+            offsets += [line_offsets, -(F.vertices * tau).sum(axis=1)]
         if r >= N:
-            uv_grads, uv_offsets = _centered_coordinates(E)
-            grads.append(uv_grads)
-            offsets.append(uv_offsets)
+            grads.append(np.eye(2))
+            offsets.append(np.zeros(2))
         return np.concatenate(grads), np.concatenate(offsets)
 
     def _edge_generators(self, tvals):
         """Coefficients (N, r-1, r-1) over each edge's terms of its
         generators, unit at their own node and zero at the other nodes of
         the edge, from one stacked solve over all edges."""
-        E, lay = self.E, self.layout
+        F, lay = self.F, self.layout
         A = tvals[lay.edge_terms, lay.edge_nodes]  # edge-k term l at edge-k node j
         # Rows are scaled by the two adjacent distance functions, which are
         # positive at the edge's interior nodes.
-        lam = self.nodes.edges @ -E.normals.T + E.edge_offsets  # (N, r-1, N)
+        lam = self.nodes.edges @ -F.normals.T + F.edge_offsets  # (N, r-1, N)
         row_scale = 1.0 / lam[lay.sides].prod(axis=2)
         A *= row_scale[:, :, None]
         col_scale = np.abs(A).max(axis=1)
@@ -324,7 +351,7 @@ class _HighOrderBuilder:
         if r > 1:
             gens[lay.edge_nodes, lay.edge_terms] = self._edge_generators(tvals)
         if nodes.n_interior:
-            lag = _lagrange_2d(nodes.interior, r - N, self.E.centroid, self.E.diameter).T
+            lag = _lagrange_2d(nodes.interior, r - N).T
             raw = np.diag(lag @ tvals[o_cell:, o_cell:])
             gens[o_cell:, o_cell:] = lag / raw[:, None]
         gvals = gens @ tvals
@@ -347,19 +374,24 @@ class _HighOrderBuilder:
                 "element may be badly shaped",
                 stacklevel=2,
             )
-        return DSElement(self.E, r, nodes, self.table, C @ gens)
+        F = self.F
+        nodes = NodeSet(self.E.vertices, F.center + F.scale * nodes.edges,
+                        F.center + F.scale * nodes.interior)
+        return DSElement(self.E, r, nodes, self.table, C @ gens, F)
 
 
 class DSElement:
     """A direct serendipity element: node set plus complete nodal basis.
 
     The basis is stored as a coefficient matrix over the terms of a
-    ``PowerTable``, rows ordered like the nodes (vertex, edge, interior).
-    Instances are immutable after construction; ``coeffs`` is read-only.
+    ``PowerTable`` on the polygon's ``frame``, rows ordered like the nodes
+    (vertex, edge, interior).  Instances are immutable after construction;
+    ``coeffs`` is read-only.
     """
 
-    def __init__(self, polygon, r, nodes, table, coeffs):
+    def __init__(self, polygon, r, nodes, table, coeffs, frame):
         self.polygon = polygon
+        self.frame = frame
         self.r = r
         self.nodes = nodes
         self.table = table
@@ -380,14 +412,10 @@ class DSElement:
         Returns ``(vals, grads)`` with shapes (dim, M) and (dim, M, 2).
         """
         pts = _as_points(pts)
-        gv, gg = self.table.value_grad(pts)
+        gv, gg = self.table.value_grad(self.frame.points(pts))
         vals = self.coeffs @ gv
-        grads = (self.coeffs @ gg.reshape(len(gg), -1)).reshape(self.dim, len(pts), 2)
-        return vals, grads
-
-    def duality_residual(self):
-        vals, _ = self.eval_all(self.nodes.all_points())
-        return float(np.abs(vals - np.eye(self.dim)).max())
+        grads = (self.coeffs / self.frame.scale) @ gg.reshape(len(gg), -1)
+        return vals, grads.reshape(self.dim, len(pts), 2)
 
 
 def build_ds_element(E: Polygon, r: int) -> DSElement:
@@ -412,7 +440,7 @@ def build_low_order(E: Polygon, r: int) -> DSElement:
         raise ElementError(f"need 1 <= r < N-2, got r={r}, N={N}")
     base = _HighOrderBuilder(E, s).build()
     nodes = _make_nodes(E, r, np.empty((0, 2)))
-    return DSElement(E, r, nodes, base.table, _carving_matrix(N, r) @ base.coeffs)
+    return DSElement(E, r, nodes, base.table, _carving_matrix(N, r) @ base.coeffs, base.frame)
 
 
 @lru_cache(maxsize=None)
@@ -422,9 +450,8 @@ def _carving_matrix(N: int, r: int):
     combination with the degree-r Lagrange trace on its edges."""
     s = N - 2
     # Values of the degree-r equispaced Lagrange basis at the degree-s nodes.
-    lag = _lagrange_1d(np.arange(r + 1) / r)
-    ts = np.arange(1, s) / s
-    P = np.array([npoly.polyval(ts, c) for c in lag])  # (r+1, s-1)
+    lag = _lagrange_1d(_edge_parameters(r))
+    P = np.array([npoly.polyval(_edge_parameters(s)[1:-1], c) for c in lag])  # (r+1, s-1)
 
     T = np.zeros((N * r, ds_dimension(N, s)))
     erow = lambda a, ell: N + a * (s - 1) + (ell - 1)

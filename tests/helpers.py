@@ -11,7 +11,7 @@ from scipy.spatial import cKDTree
 from polyds.functions import PowerTable
 from polyds.geometry import AffineScalar, GeometryError, Polygon, nonadjacent_pairs
 from polyds.mesh import MeshError, build_topology
-from polyds.mixed import build_mixed_element, mixed_dimension, pressure_monomials
+from polyds.mixed import _pressure_terms, build_mixed_element, mixed_dimension
 from polyds.quadrature import edge_rule, polygon_rule
 from polyds.serendipity import build_ds_element, ds_dimension
 
@@ -52,6 +52,37 @@ def near_regular_polygon(n, rng, jitter=0.05):
             return Polygon(np.column_stack([rad * np.cos(ang), rad * np.sin(ang)]))
         except GeometryError:
             continue
+
+
+def edge_point(poly, i, t):
+    """Point at normalized arclength t in [0, 1] along edge i."""
+    v = poly.vertices
+    return v[i] + np.multiply.outer(np.asarray(t, dtype=float), v[(i + 1) % poly.n_edges] - v[i])
+
+
+def frame_polygon(poly):
+    """The polygon moved and scaled to its own frame x^ = (x - c) / h, as a
+    new ``Polygon`` (oracle geometry for the frame arrays of the builders)."""
+    return Polygon((poly.vertices - poly.centroid) / poly.diameter)
+
+
+def pressure_monomials(poly, s):
+    """The pressures of degree s as functions of physical points: the
+    monomials u**a v**b of u = (x - c_x) / h and v = (y - c_y) / h, ordered
+    by degree (the first is the constant)."""
+    h = poly.diameter
+    return _pressure_terms(s).with_affines(np.eye(2) / h, -poly.centroid / h)
+
+
+def duality_residual(elem):
+    """Largest deviation of a scalar element's basis from nodal duality."""
+    vals, _ = elem.eval_all(elem.nodes.all_points())
+    return float(np.abs(vals - np.eye(elem.dim)).max())
+
+
+def layout_index(elem, key):
+    """Index of the basis function of a mixed element with this layout key."""
+    return elem.dof_layout.index(key)
 
 
 def contains(poly, pts, tol=None):
@@ -182,10 +213,11 @@ def constant_flux_coefficients_per_edge(E, k):
 
 def mixed_rows_per_edge(E, r, s):
     """Rows of the index-(r, s) mixed element on E, built edge by edge and
-    row by row with scalar loops (oracle for the stacked rows of
-    ``polyds.mixed.build_mixed_element``)."""
+    row by row with scalar loops on the frame polygon of E (oracle for the
+    stacked rows of ``polyds.mixed.build_mixed_element``)."""
     N = E.n_edges
     ds = build_ds_element(E, r + 1)
+    E = frame_polygon(E)
     G = ds.n_generators
     pressure = pressure_monomials(E, s)
     n_rad = len(pressure)
@@ -239,7 +271,7 @@ def edge_flux_expansion_fit(E, k, r, pressure):
     length = E.edge_lengths[k]
     deg = int(pressure.powers.sum(axis=1).max())
     tfit = np.linspace(0.0, 1.0, deg + 1)
-    pts = E.edge_point(k, tfit).reshape(-1, 2)
+    pts = edge_point(E, k, tfit).reshape(-1, 2)
     gcoef = npoly.polyfit(tfit, length * c_k * pressure.value_grad(pts)[0].T, deg)
     big = npoly.polyint(gcoef)
     t_lag = np.arange(1, r + 2) / (r + 1)
@@ -571,9 +603,9 @@ def errors_per_cell(system, report, exact):
         else:
             ids, signs = dofs[c]
             ucoef = signs * report.solution_u[ids]
-            v, d = elem.eval_all(moved)
+            v, d, q = elem.eval_all(moved)
             P = system.dof_map.p_per_cell
-            ph = report.solution_p[c * P:(c + 1) * P] @ elem.pressure.value_grad(moved)[0]
+            ph = report.solution_p[c * P:(c + 1) * P] @ q
             uh = np.einsum("d,dmk->mk", ucoef, v)
             sq = [w @ (ph - exact.p(pts)) ** 2,
                   w @ ((uh - exact.u(pts)) ** 2).sum(1),
@@ -617,8 +649,7 @@ def assemble_per_cell(mesh, r, s, f, g):
     for c, elem in enumerate(elems):
         E = mesh.polygon(c)
         rule = polygon_rule(E, 2 * r + 6)
-        v, d = elem.eval_all(rule.points)
-        w, _ = elem.pressure.value_grad(rule.points)
+        v, d, w = elem.eval_all(rule.points)
         ids, signs = dofs[c]
         pids = np.arange(c * P, (c + 1) * P)
         v, d = signs[:, None, None] * v, signs[:, None] * d

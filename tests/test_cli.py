@@ -64,6 +64,12 @@ class TestMeshCommands:
         assert code == 3
         assert "cell 0" in err
 
+    def test_missing_file_is_config_error(self, tmp_path, capsys):
+        code, out, err = run(["mesh", "audit", "--mesh", str(tmp_path / "missing.json")], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "missing.json" in err
+        assert out == ""
+
     @pytest.mark.parametrize("payload", ['{"vertices": [0, 1, 2], "cells": [[0, 1, 2]]}',
                                          '{"vertices": [], "cells": []}'])
     def test_malformed_arrays_are_numerical_failure(self, tmp_path, capsys, payload):
@@ -111,6 +117,18 @@ class TestSolveCommand:
         assert lines[0] == "cell_id,centroid_x,centroid_y,L2_error"
         assert len(lines) == 10
         assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(9))
+
+    def test_missing_mesh_file_is_config_error(self, tmp_path, capsys):
+        code, out, err = run(["solve", "--mesh", str(tmp_path / "missing.json")], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "missing.json" in err
+        assert out == ""
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        code, _, err = run(["solve", "--family", "square", "--n", "2",
+                            "--out", str(tmp_path / "no-such-dir" / "e.csv")], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "no-such-dir" in err
 
     def test_solve_from_mesh_file(self, tmp_path, capsys):
         mesh_path = tmp_path / "m.json"
@@ -187,6 +205,15 @@ class TestConvergenceCommand:
         assert code == 2
         assert "two levels" in err
         assert "| level |" not in out
+
+    def test_missing_mesh_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        run(["mesh", "gen", "--family", "square", "--n", "2", "--out", str(path)], capsys)
+        code, out, err = run(["convergence", "--mesh", str(path),
+                              "--mesh", str(tmp_path / "missing.json")], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "missing.json" in err
+        assert out == ""
 
     def test_determinism_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -8,6 +8,7 @@ from polyds.mixed import MixedElement, build_mixed_element
 from helpers import (
     divergence_fd,
     edge_distances,
+    edge_point,
     gradient_fd,
     interior_points,
     random_convex_polygon,
@@ -115,8 +116,8 @@ def test_one_sided_ratio():
     total = AffineScalar(lam[1].grad + lam[4].grad, lam[1].offset + lam[4].offset)
     S = table_of([lam[4], total], [[1, -1]])
     t = np.linspace(0, 1, 7)
-    assert np.allclose(S.value_grad(E.edge_point(1, t).reshape(-1, 2))[0], 1.0, atol=1e-13)
-    assert np.allclose(S.value_grad(E.edge_point(4, t).reshape(-1, 2))[0], 0.0, atol=1e-13)
+    assert np.allclose(S.value_grad(edge_point(E, 1, t).reshape(-1, 2))[0], 1.0, atol=1e-13)
+    assert np.allclose(S.value_grad(edge_point(E, 4, t).reshape(-1, 2))[0], 0.0, atol=1e-13)
     check_gradient(S, interior_points(E, rng, 50))
 
 
@@ -148,7 +149,7 @@ def test_curl_is_divergence_free_and_fd_consistent():
     E = random_convex_polygon(4, rng)
     elem = build_mixed_element(E, 3, 3)
     pts = interior_points(E, rng, 30)
-    vals, divs = elem.eval_all(pts)
+    vals, divs, _ = elem.eval_all(pts)
     curls = [i for i, lay in enumerate(elem.dof_layout)
              if lay[0] == "bubble" or (lay[0] == "edge" and lay[2] > 0)]
     assert any(elem.dof_layout[i][0] == "bubble" for i in curls)
@@ -159,22 +160,24 @@ def test_curl_is_divergence_free_and_fd_consistent():
 
 
 def test_radial_poly_divergence():
-    # The radial columns (x - c) p of a mixed element, read through unit
-    # rows.  For p = u = (x - c_x) / h the divergence is 3u.
+    # The radial columns x^ p of a mixed element, read through unit rows:
+    # the frame fields are (x - c) p / h**2 physically.  For
+    # p = u = (x - c_x) / h the divergence is 3u / h**2.
     rng = np.random.default_rng(4)
     E = random_convex_polygon(5, rng)
     elem = build_mixed_element(E, 1, 1)
     nc = elem.ds.n_generators
     width = elem.rows.shape[1]
-    radial = MixedElement(E, 1, 1, elem.ds, np.eye(width)[nc:nc + 3], elem.pressure, ())
+    radial = MixedElement(E, 1, 1, elem.ds, np.eye(width)[nc:nc + 3], ())
     pts = rng.uniform(-2, 2, (25, 2))
-    vals, divs = radial.eval_all(pts)
+    vals, divs, _ = radial.eval_all(pts)
     rel = pts - E.centroid
     u = rel[:, 0] / E.diameter
+    h2 = E.diameter**2
     # pressures in order 1, v, u
-    assert np.allclose(divs[0], 2.0, atol=1e-13)
-    assert np.allclose(divs[2], 3 * u, atol=1e-13)
-    assert np.allclose(vals[2], rel * u[:, None], atol=1e-13)
+    assert np.allclose(divs[0], 2.0 / h2, atol=1e-13)
+    assert np.allclose(divs[2], 3 * u / h2, atol=1e-13)
+    assert np.allclose(vals[2], rel * u[:, None] / h2, atol=1e-13)
     for i in range(3):
         fd = divergence_fd(lambda p: radial.eval_all(p)[0][i], pts, 1e-6)
         assert np.abs(fd - divs[i]).max() < 1e-7

@@ -11,17 +11,20 @@ from polyds.mixed import (
     constant_flux_coefficients,
     mixed_dimension,
     mixed_interpolant,
-    pressure_monomials,
 )
 from polyds.quadrature import edge_rule, polygon_rule
-from polyds.serendipity import _centered_coordinates, _lagrange_1d, build_ds_element
+from polyds.serendipity import _frame, _lagrange_1d, build_ds_element
 
 from helpers import (
     constant_flux_coefficients_per_edge,
     divergence_fd,
     edge_flux_expansion_fit,
+    edge_point,
+    frame_polygon,
     interior_points,
+    layout_index,
     mixed_rows_per_edge,
+    pressure_monomials,
     random_convex_polygon,
     scaled,
 )
@@ -35,7 +38,7 @@ def edge_flux_integrals(elem, degree=12):
     out = np.empty((elem.dim, E.n_edges))
     for k in range(E.n_edges):
         rule = edge_rule(E, k, degree)
-        vals, _ = elem.eval_all(rule.points)
+        vals, _, _ = elem.eval_all(rule.points)
         out[:, k] = (vals @ E.normals[k]) @ rule.weights
     return out
 
@@ -84,7 +87,7 @@ class TestCurl:
         ds = elem.ds  # index 3: two nodes per edge
         for k in range(5):
             rule = edge_rule(E, k, 8)
-            vals, _ = elem.eval_all(rule.points)
+            vals, _, _ = elem.eval_all(rule.points)
             _, grads = ds.eval_all(rule.points)
             for i in moment_rows(elem):
                 _, e, j = elem.dof_layout[i]
@@ -108,13 +111,13 @@ class TestBubbles:
         assert len(bubbles) == (r + 3 - 4) * (r + 2 - 4) // 2
         for k in range(4):
             rule = edge_rule(E, k, 2 * r + 4)
-            vals, _ = elem.eval_all(rule.points)
+            vals, _, _ = elem.eval_all(rule.points)
             for b in bubbles:
                 flux = vals[b] @ E.normals[k]
                 for m in range(r + 1):
                     mom = rule.weights @ (flux * rule.t**m)
                     assert abs(mom) < 1e-11
-        _, divs = elem.eval_all(interior_points(E, rng, 30))
+        _, divs, _ = elem.eval_all(interior_points(E, rng, 30))
         assert np.abs(divs[bubbles]).max() == 0.0
 
 
@@ -132,8 +135,8 @@ class TestEdgeMoments:
             for m in range(6):
                 if m == k:
                     continue
-                pts = E.edge_point(m, t).reshape(-1, 2)
-                vals, _ = elem.eval_all(pts)
+                pts = edge_point(E, m, t).reshape(-1, 2)
+                vals, _, _ = elem.eval_all(pts)
                 assert np.abs(vals[fam] @ E.normals[m]).max() < 1e-11
 
     def test_trace_is_lagrange_derivative(self):
@@ -144,10 +147,10 @@ class TestEdgeMoments:
         lag = _lagrange_1d(np.arange(r + 2) / (r + 1))
         t = np.linspace(0, 1, 15)
         for k in range(5):
-            pts = E.edge_point(k, t).reshape(-1, 2)
-            vals, _ = elem.eval_all(pts)
+            pts = edge_point(E, k, t).reshape(-1, 2)
+            vals, _, _ = elem.eval_all(pts)
             for j in range(1, r + 1):
-                got = vals[elem.layout_index(("edge", k, j))] @ E.normals[k]
+                got = vals[layout_index(elem, ("edge", k, j))] @ E.normals[k]
                 want = npoly.polyval(t, npoly.polyder(lag[j])) / E.edge_lengths[k]
                 assert np.abs(got - want).max() < 1e-11 * (np.abs(want).max() + 1)
 
@@ -161,7 +164,7 @@ class TestConstantFlux:
             for i in range(E.n_edges):
                 want = np.zeros(E.n_edges)
                 want[i] = 1.0
-                row = elem.layout_index(("edge", i, 0))
+                row = layout_index(elem, ("edge", i, 0))
                 assert np.abs(fluxes[row] - want).max() < 1e-12
 
     def test_cancellation_constants_positive(self):
@@ -187,9 +190,9 @@ class TestConstantFlux:
         E = random_convex_polygon(6, rng)
         elem = build_mixed_element(E, 2, 1)
         pts = interior_points(E, rng, 40)
-        _, divs = elem.eval_all(pts)
+        _, divs, _ = elem.eval_all(pts)
         for k in range(6):
-            i = elem.layout_index(("edge", k, 0))
+            i = layout_index(elem, ("edge", k, 0))
             assert np.var(divs[i]) < 1e-20 * (1 + divs[i].mean() ** 2)
 
 
@@ -198,18 +201,20 @@ class TestPressureMonomials:
     def test_cells_share_the_cached_terms(self, s):
         rng = np.random.default_rng(50 + s)
         E, F = random_convex_polygon(5, rng), random_convex_polygon(4, rng)
-        a, b = pressure_monomials(E, s), pressure_monomials(F, s)
+        a, b = build_mixed_element(E, s, s), build_mixed_element(F, s, s)
         template = _pressure_terms(s)
         assert _pressure_terms(s) is template
-        for name in ("powers", "_index", "_exps", "_pow"):
-            assert getattr(a, name) is getattr(template, name)
-            assert getattr(b, name) is getattr(template, name)
-        # Bit for bit the table that a fresh build for E gives.
+        assert a.pressure is template and b.pressure is template
+        # Bit for bit the frame monomials that a fresh table gives.
         powers = [(i, deg - i) for deg in range(s + 1) for i in range(deg + 1)]
-        fresh = PowerTable(powers, *_centered_coordinates(E))
+        fresh = PowerTable(powers, np.eye(2), np.zeros(2))
         pts = interior_points(E, rng, 7)
-        for got, want in zip(a.value_grad(pts), fresh.value_grad(pts)):
+        frame_pts = (pts - E.centroid) / E.diameter
+        for got, want in zip(template.value_grad(frame_pts), fresh.value_grad(frame_pts)):
             assert np.array_equal(got, want)
+        # The element returns them at physical points with its other values.
+        want = pressure_monomials(E, s).value_grad(pts)[0]
+        assert np.abs(a.eval_all(pts)[2] - want).max() <= 1e-14
 
 
 class TestEdgeFluxExpansion:
@@ -219,11 +224,12 @@ class TestEdgeFluxExpansion:
         for r in range(4):
             for s in sorted({max(r - 1, 0), r}):
                 E = random_convex_polygon(N, rng)
-                pressure = pressure_monomials(E, s)
-                alphas = _edge_flux_expansion(E, r, pressure)
+                alphas = _edge_flux_expansion(_frame(E), r, _pressure_terms(s))
+                F = frame_polygon(E)
+                pressure = pressure_monomials(F, s)
                 assert alphas.shape == (N, len(pressure), r + 1)
                 for k in range(N):
-                    want = edge_flux_expansion_fit(E, k, r, pressure)
+                    want = edge_flux_expansion_fit(F, k, r, pressure)
                     scale = np.abs(want).max()
                     assert np.abs(alphas[k] - want).max() <= 1e-12 * scale
 
@@ -242,13 +248,14 @@ class TestDivergenceFns:
         assert len(divs) == 5
         t = np.linspace(0, 1, 12)
         for k in range(6):
-            pts = E.edge_point(k, t).reshape(-1, 2)
-            vals, _ = elem.eval_all(pts)
+            pts = edge_point(E, k, t).reshape(-1, 2)
+            vals, _, _ = elem.eval_all(pts)
             assert np.abs(vals[divs] @ E.normals[k]).max() < 1e-10
 
     def test_divergence_matches_radial_term_up_to_constant(self):
-        # div psi_d equals div((x - c) p) minus the unique constant that
-        # makes the total divergence integral vanish (zero normal trace).
+        # div psi_d equals div((x - c) p / h**2), the radial field x^ p of
+        # the frame read physically, minus the unique constant that makes
+        # the total divergence integral vanish (zero normal trace).
         rng = np.random.default_rng(11)
         E = random_convex_polygon(5, rng)
         elem = build_mixed_element(E, 1, 1)
@@ -257,13 +264,13 @@ class TestDivergenceFns:
         assert len(rows) == len(ps) - 1
         pts = interior_points(E, rng, 50)
         rule = polygon_rule(E, 8)
-        _, divs = elem.eval_all(pts)
-        _, rule_divs = elem.eval_all(rule.points)
+        _, divs, _ = elem.eval_all(pts)
+        _, rule_divs, _ = elem.eval_all(rule.points)
         pvals, pgrads = ps.value_grad(pts)
         # The first pressure is the constant; each div function carries one
         # nonconstant pressure.
         for i, pv, pg in zip(rows, pvals[1:], pgrads[1:]):
-            radial_div = 2 * pv + np.einsum("mk,mk->m", pts - E.centroid, pg)
+            radial_div = (2 * pv + np.einsum("mk,mk->m", pts - E.centroid, pg)) / E.diameter**2
             assert np.var(divs[i] - radial_div) < 1e-24
             assert abs(rule.weights @ rule_divs[i]) < 1e-12
 
@@ -272,7 +279,7 @@ class TestDivergenceFns:
         E = random_convex_polygon(5, rng)
         elem = build_mixed_element(E, 1, 1)
         pts = interior_points(E, rng, 25)
-        _, divs = elem.eval_all(pts)
+        _, divs, _ = elem.eval_all(pts)
         for i in rows_of(elem, "div"):
             fd = divergence_fd(lambda p: elem.eval_all(p)[0][i], pts, 1e-6 * E.diameter)
             assert np.abs(fd - divs[i]).max() < 1e-5 * (np.abs(divs[i]).max() + 1)
@@ -285,7 +292,7 @@ class TestMixedElement:
         E = random_convex_polygon(N, rng)
         elem = build_mixed_element(E, r, s)
         pts = interior_points(E, rng, 40)
-        vals_all, _ = elem.eval_all(pts)
+        vals_all, _, _ = elem.eval_all(pts)
         for a in range(r + 1):
             for b in range(r + 1 - a):
                 for comp in (0, 1):
@@ -303,7 +310,7 @@ class TestMixedElement:
         r = s = 2
         elem = build_mixed_element(E, r, s)
         pts = interior_points(E, rng, 40)
-        vals_all, _ = elem.eval_all(pts)
+        vals_all, _, _ = elem.eval_all(pts)
         for a in range(r + 1):
             b = r - a
             def v(q, a=a, b=b):
@@ -319,7 +326,7 @@ class TestMixedElement:
             E = random_convex_polygon(N, rng)
             elem = build_mixed_element(E, r, s)
             rule = polygon_rule(E, 2 * r + 6)
-            _, divs = elem.eval_all(rule.points)
+            _, divs, _ = elem.eval_all(rule.points)
             qs, _ = pressure_monomials(E, s).value_grad(rule.points)
             mom = np.array(
                 [[rule.weights @ (divs[i] * q) for q in qs]
@@ -332,7 +339,7 @@ class TestMixedElement:
         E = random_convex_polygon(6, rng)
         elem = build_mixed_element(E, 2, 1)
         pts = interior_points(E, rng, 50)
-        _, divs = elem.eval_all(pts)
+        _, divs, _ = elem.eval_all(pts)
         for i, lay in enumerate(elem.dof_layout):
             if lay[0] == "bubble" or (lay[0] == "edge" and lay[2] > 0):
                 assert np.abs(divs[i]).max() < 1e-12
@@ -344,8 +351,8 @@ class TestMixedElement:
         elem = build_mixed_element(E, r, r)
         t = np.linspace(0, 1, 18)
         for k in range(5):
-            pts = E.edge_point(k, t).reshape(-1, 2)
-            vals, _ = elem.eval_all(pts)
+            pts = edge_point(E, k, t).reshape(-1, 2)
+            vals, _, _ = elem.eval_all(pts)
             for i in range(elem.dim):
                 tr = vals[i] @ E.normals[k]
                 coeffs = npoly.polyfit(t, tr, r)
@@ -365,18 +372,18 @@ class TestMixedElement:
         el = build_mixed_element(left, r, r)
         er = build_mixed_element(right, r, r)
         t = np.linspace(0, 1, 13)
-        pts_l = left.edge_point(1, t).reshape(-1, 2)       # (1,0) -> (1,1)
-        vl, _ = el.eval_all(pts_l)
-        vr, _ = er.eval_all(pts_l)
+        pts_l = edge_point(left, 1, t).reshape(-1, 2)       # (1,0) -> (1,1)
+        vl, _, _ = el.eval_all(pts_l)
+        vr, _, _ = er.eval_all(pts_l)
         nu_l, nu_r = left.normals[1], right.normals[3]
         # j = 0 pairs with j = 0 and a sign flip
-        i_l = el.layout_index(("edge", 1, 0))
-        i_r = er.layout_index(("edge", 3, 0))
+        i_l = layout_index(el, ("edge", 1, 0))
+        i_r = layout_index(er, ("edge", 3, 0))
         total = vl[i_l] @ nu_l + (-1.0) * (vr[i_r] @ nu_r)
         assert np.abs(total).max() < 1e-10
         for j in range(1, r + 1):
-            i_l = el.layout_index(("edge", 1, j))
-            i_r = er.layout_index(("edge", 3, r + 1 - j))
+            i_l = layout_index(el, ("edge", 1, j))
+            i_r = layout_index(er, ("edge", 3, r + 1 - j))
             total = vl[i_l] @ nu_l + vr[i_r] @ nu_r
             assert np.abs(total).max() < 1e-10
 
@@ -404,7 +411,7 @@ class TestInterpolant:
         qd = 2 * r + 10
         co = mixed_interpolant(elem, grad, quad_degree=qd)
         rule = polygon_rule(E, qd)
-        _, divs = elem.eval_all(rule.points)
+        _, divs, _ = elem.eval_all(rule.points)
         dh = co @ divs
         for q in pressure_monomials(E, s).value_grad(rule.points)[0]:
             resid = rule.weights @ ((dh - div(rule.points)) * q)
@@ -424,7 +431,7 @@ class TestInterpolant:
             elem = build_mixed_element(E, r, r)
             co = mixed_interpolant(elem, grad)
             rule = polygon_rule(E, 2 * r + 8)
-            vals, _ = elem.eval_all(rule.points)
+            vals, _, _ = elem.eval_all(rule.points)
             vh = np.einsum("d,dmk->mk", co, vals)
             err2 = rule.weights @ ((vh - grad(rule.points)) ** 2).sum(1)
             errs.append(np.sqrt(err2))
@@ -460,7 +467,7 @@ class TestLocalExactness:
             _, grads = build_ds_element(E, r + 1).eval_all(pts)
             curls = np.stack([grads[..., 1], -grads[..., 0]], axis=-1).reshape(len(grads), -1)
             for s in {max(r - 1, 0), r}:
-                vals, _ = build_mixed_element(E, r, s).eval_all(pts)
+                vals, _, _ = build_mixed_element(E, r, s).eval_all(pts)
                 basis = vals.reshape(len(vals), -1)
                 coef = np.linalg.lstsq(basis.T, curls.T, rcond=None)[0]
                 residual = np.linalg.norm(coef.T @ basis - curls, axis=1)
@@ -489,3 +496,26 @@ class TestImmutability:
             assert now.keys() == snap.keys()
             assert all(now[k] is snap[k] for k in snap)
             assert all(np.array_equal(now[k], a) for k, a in arrs.items())
+
+
+class TestFrameInvariance:
+    # Elements are built on their own frame, so moving and scaling a cell
+    # leaves every local matrix as it is.
+    @pytest.mark.parametrize("N", [3, 4, 6])
+    def test_local_matrices_unchanged_by_similarity(self, N):
+        rng = np.random.default_rng(70 + N)
+        E = random_convex_polygon(N, rng)
+        F = Polygon(0.37 * E.vertices + (3.1, -2.2))
+
+        def local_matrices(P, r):
+            """Primal stiffness, mixed mass and mixed divergence blocks."""
+            rule = polygon_rule(P, 2 * r + 6)
+            w = rule.weights
+            _, grads = build_ds_element(P, r).eval_all(rule.points)
+            vals, divs, pressures = build_mixed_element(P, r, r).eval_all(rule.points)
+            return (np.einsum("imk,jmk,m->ij", grads, grads, w),
+                    np.einsum("imk,jmk,m->ij", vals, vals, w), pressures * w @ divs.T)
+
+        for r in (1, 3):
+            for a, b in zip(local_matrices(E, r), local_matrices(F, r), strict=True):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max(), r
