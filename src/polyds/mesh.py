@@ -515,7 +515,7 @@ def collapse_short_edges(mesh: Mesh, rel_tol: float) -> Mesh:
     index), which disturbs the least topology.  Raises if a merge would
     break convexity of a neighboring cell.
     """
-    if rel_tol <= 0:
+    if not rel_tol > 0:  # also rejects NaN
         raise ValueError("rel_tol must be positive")
     current = mesh
     for _ in range(mesh.n_edges):
@@ -580,7 +580,10 @@ def import_mesh(path) -> Mesh:
             raise MeshError(f"cannot parse {path}: {exc}") from None
     try:
         vertices = np.asarray(payload["vertices"], dtype=float)
-        cells = [list(map(int, loop)) for loop in payload["cells"]]
+        cells = [list(loop) for loop in payload["cells"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise MeshError(f"bad mesh file {path}: {exc}") from None
+    for index in (i for loop in cells for i in loop):
+        if type(index) is not int:  # also rejects floats and booleans
+            raise MeshError(f"bad mesh file {path}: vertex index {index!r} is not an integer")
     return build_topology(vertices, cells)

@@ -16,12 +16,11 @@ stay physical: ``eval_all`` maps the points once and divides the frame
 gradients by h.
 
 The terms of the table depend only on (N, r): ``_term_layout`` builds
-them once per (N, r), with the index arrays of the construction, and
-``_carving_matrix`` does the same for the low-order map.  Per cell, the
-builder computes the K affine functions as (K, 2) gradient and (K,)
-offset arrays from the frame's arrays, solves the N edge systems in one
-stacked solve and applies the vertex and interior corrections as array
-operations.
+them once per (N, r), and ``_carving_matrix`` does the same for the
+low-order map.  Per cell, the builder computes the K affine functions as
+(K, 2) gradient and (K,) offset arrays from the frame's arrays, and the
+nodal basis is the dual of the nodes: one inverse of the matrix of
+generator values at the nodes.
 
 Element construction is pure (the cached layouts are read-only) and a
 built element is immutable, so distinct elements can be constructed and
@@ -52,9 +51,10 @@ __all__ = [
     "evaluate",
 ]
 
-# Warn when the built basis misses nodal duality by more than this.  Regular
-# cells reach about 1e-13; sliver cells lose accuracy while every edge
-# system still solves.
+# Warn when the built basis misses nodal duality by more than this, read at
+# the physical nodes as ``eval_all`` reads them.  Regular cells reach about
+# 1e-12; on sliver cells the rounding of the frame map is amplified by the
+# large coefficients, though the inverse is exact at the frame nodes.
 DUALITY_WARN = 1e-8
 
 
@@ -177,27 +177,11 @@ def _monomials(p):
     return [(a, b) for a in range(p + 1) for b in range(p + 1 - a)]
 
 
-def _lagrange_2d(nodes, p):
-    """Coefficients over ``_monomials(p)`` (one column per node) of the
-    nodal polynomial basis of total degree p on the given frame nodes."""
-    u, v = nodes.T
-    V = np.column_stack([u**a * v**b for a, b in _monomials(p)])
-    try:
-        return np.linalg.inv(V)
-    except np.linalg.LinAlgError as exc:
-        raise ElementError(f"interior Lagrange nodes are degenerate: {exc}") from None
-
-
 class _TermLayout(NamedTuple):
-    """What the index-r construction on an N-gon shares across cells: the
-    generator terms and the index arrays of the per-cell array work."""
+    """What the index-r construction on an N-gon shares across cells."""
 
     table: PowerTable  # the terms over zero affine arrays; see _term_layout
     pairs: np.ndarray  # (2, P): the nonadjacent edge pairs i < j
-    edge_terms: np.ndarray  # (N, r-1, r-1) term N + k(r-1) + l ...
-    edge_nodes: np.ndarray  # ... and node N + k(r-1) + j of edge k at [k, j, l]
-    incident: np.ndarray  # (N, N(r-1)): edge nodes on the two edges at vertex k
-    sides: tuple  # picks lam[k, j, m] for the edges m before and after edge k
 
 
 @lru_cache(maxsize=None)
@@ -249,30 +233,17 @@ def _term_layout(N: int, r: int) -> _TermLayout:
         rows[-1][:N] = 1
         rows[-1][K - 2:] = a, b
     table = PowerTable(np.array(rows).reshape(-1, K), np.zeros((K, 2)), np.zeros(K))
-
-    n_e = r - 1
-    at = np.arange(N)
-    first = N + n_e * at[:, None, None]
-    edge_terms, edge_nodes = np.broadcast_arrays(first + np.arange(n_e),
-                                                 first + np.arange(n_e)[:, None])
-    incident = np.zeros((N, N, n_e), dtype=bool)
-    incident[at, at] = incident[at, at - 1] = True
-    sides = (at[:, None, None], np.arange(n_e)[:, None],
-             np.stack([at - 1, (at + 1) % N], axis=1)[:, None])
-    return _TermLayout(
-        table, _frozen(pairs.T.copy()), _frozen(edge_terms.copy()), _frozen(edge_nodes.copy()),
-        _frozen(incident.reshape(N, -1)), tuple(map(_frozen, sides)),
-    )
+    return _TermLayout(table, _frozen(pairs.T.copy()))
 
 
 class _HighOrderBuilder:
-    """Stages of the nodal-basis construction for r >= N-2.
+    """The nodal-basis construction for r >= N-2.
 
     Every generator is one term of the ``PowerTable`` of ``_term_layout(N,
     r)`` over the affines of this polygon's frame, ordered to match the
-    nodes, which are frame points.  Edge generators are combined by one
-    stacked solve over all edges, interior ones by the nodal polynomials,
-    and the nodal basis is a coefficient matrix over the table.
+    nodes, which are frame points.  The nodal basis is the coefficient
+    matrix C = V^-1 over the table, with V[g, j] the value of generator g
+    at node j.
     """
 
     def __init__(self, E: Polygon, r: int):
@@ -305,67 +276,23 @@ class _HighOrderBuilder:
             offsets.append(np.zeros(2))
         return np.concatenate(grads), np.concatenate(offsets)
 
-    def _edge_generators(self, tvals):
-        """Coefficients (N, r-1, r-1) over each edge's terms of its
-        generators, unit at their own node and zero at the other nodes of
-        the edge, from one stacked solve over all edges."""
-        F, lay = self.F, self.layout
-        A = tvals[lay.edge_terms, lay.edge_nodes]  # edge-k term l at edge-k node j
-        # Rows are scaled by the two adjacent distance functions, which are
-        # positive at the edge's interior nodes.
-        lam = self.nodes.edges @ -F.normals.T + F.edge_offsets  # (N, r-1, N)
-        row_scale = 1.0 / lam[lay.sides].prod(axis=2)
-        A *= row_scale[:, :, None]
-        col_scale = np.abs(A).max(axis=1)
-        col_scale[col_scale == 0] = 1.0
-        A /= col_scale[:, None, :]
-        rhs = np.eye(self.r - 1) * row_scale[:, :, None]
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            where = "an edge"
-            for k in range(self.N):  # name the first edge whose own system fails
-                try:
-                    np.linalg.solve(A[k], rhs[k])
-                except np.linalg.LinAlgError:
-                    where = f"edge {k}"
-                    break
-            raise ElementError(
-                f"singular edge system on {where}: {exc}; check the polygon shape"
-            ) from None
-        return (sol / col_scale[:, :, None]).transpose(0, 2, 1)
-
     def build(self):
-        N, r = self.N, self.r
-        nodes = self.nodes
-        D = len(nodes)
+        D = len(self.nodes)
         if len(self.table) != D:
             raise ElementError(f"generator count {len(self.table)} != dimension {D}")
-
-        tvals, _ = self.table.value_grad(nodes.all_points())
-        lay = self.layout
-        o_cell = N + N * (r - 1)
-        # Generators as rows over the table terms; the edge block is block
-        # diagonal, one (r-1) block per edge.
-        gens = np.eye(D)
-        if r > 1:
-            gens[lay.edge_nodes, lay.edge_terms] = self._edge_generators(tvals)
-        if nodes.n_interior:
-            lag = _lagrange_2d(nodes.interior, r - N).T
-            raw = np.diag(lag @ tvals[o_cell:, o_cell:])
-            gens[o_cell:, o_cell:] = lag / raw[:, None]
-        gvals = gens @ tvals
-
-        # Edge rows: remove interior-node values with the cell functions.
-        C = np.eye(D)
-        C[N:o_cell, o_cell:] = -gvals[N:o_cell, o_cell:]
-        # Vertex rows: remove edge-node values along the two incident edges,
-        # then interior values, then normalize at the vertex itself.
-        near = np.where(lay.incident, gvals[:N, N:o_cell], 0.0)
-        rows = C[:N] - near @ C[N:o_cell]
-        rows[:, o_cell:] -= rows @ gvals[:, o_cell:]
-        C[:N] = rows / (rows @ gvals[:, :N]).diagonal()[:, None]
-        residual = C @ gvals
+        tvals, _ = self.table.value_grad(self.nodes.all_points())
+        # Each generator (row) is scaled by its largest value at the nodes; one
+        # that vanishes at every node keeps scale 1 and leaves V singular.
+        s = np.abs(tvals).max(axis=1)
+        s[s == 0] = 1.0
+        try:
+            C = np.linalg.inv(tvals / s[:, None]) / s
+        except np.linalg.LinAlgError as exc:
+            raise ElementError(f"singular nodal system: {exc}; check the polygon shape") from None
+        F = self.F
+        nodes = NodeSet(self.E.vertices, F.center + F.scale * self.nodes.edges,
+                        F.center + F.scale * self.nodes.interior)
+        residual = C @ self.table.value_grad(F.points(nodes.all_points()))[0]
         residual.flat[:: D + 1] -= 1.0
         duality = np.abs(residual).max()
         if not duality <= DUALITY_WARN:
@@ -374,10 +301,7 @@ class _HighOrderBuilder:
                 "element may be badly shaped",
                 stacklevel=2,
             )
-        F = self.F
-        nodes = NodeSet(self.E.vertices, F.center + F.scale * nodes.edges,
-                        F.center + F.scale * nodes.interior)
-        return DSElement(self.E, r, nodes, self.table, C @ gens, F)
+        return DSElement(self.E, self.r, nodes, self.table, C, F)
 
 
 class DSElement:

@@ -57,6 +57,16 @@ class TestMeshCommands:
         assert float(after) > float(before)
         assert import_mesh(dst).n_vertices == 9
 
+    def test_collapse_nan_tolerance_is_config_error(self, tmp_path, capsys):
+        src = tmp_path / "sliver.json"
+        dst = tmp_path / "fixed.json"
+        export_mesh(sliver_mesh(1e-3), src)
+        code, _, err = run(["mesh", "collapse", "--mesh", str(src),
+                            "--rel-tol", "nan", "--out", str(dst)], capsys)
+        assert code == 2
+        assert err.startswith("error: ") and "rel_tol" in err
+        assert not dst.exists()
+
     def test_bad_file_is_numerical_failure(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"vertices": [[0,0],[1,0],[1,1],[0,1]], "cells": [[0,3,2,1]]}')

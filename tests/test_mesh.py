@@ -372,8 +372,9 @@ class TestCollapse:
         assert collapse_short_edges(once, 0.01) is once
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            collapse_short_edges(gen_square_mesh(2), 0.0)
+        for rel_tol in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                collapse_short_edges(gen_square_mesh(2), rel_tol)
 
 
 class TestRoundTrip:
@@ -402,6 +403,10 @@ class TestRoundTrip:
         ('{"vertices": [0, 1, 2], "cells": [[0, 1, 2]]}', "shape"),
         ('{"vertices": [], "cells": []}', "shape"),
         ('{"vertices": [[0, 0], [1, 0], [0, 1]], "cells": []}', "no cells"),
+        ('{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1.9, 2, 3]]}',
+         "vertex index 1.9 is not an integer"),
+        ('{"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, true, 2, 3]]}',
+         "vertex index True is not an integer"),
     ])
     def test_malformed_arrays(self, tmp_path, payload, match):
         path = tmp_path / "bad.json"

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from polyds.assembly import AssemblyError, assemble_primal
 from polyds.geometry import Polygon
+from polyds.mesh import build_topology
 from polyds.serendipity import (
     ElementError,
     _carving_matrix,
@@ -72,23 +74,30 @@ class TestTermLayout:
         layout = _term_layout(N, r)
         t = layout.table
         arrays = [t.powers, t._index, t._exps, t._fgrads, t.grads, t.offsets,
-                  layout.pairs, layout.edge_terms, layout.edge_nodes, layout.incident,
-                  *layout.sides, _carving_matrix(6, 2), _carving_matrix(8, 5)]
+                  layout.pairs, _carving_matrix(6, 2), _carving_matrix(8, 5)]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1
 
-    def test_singular_edge_system_names_its_edge(self):
-        builder = _HighOrderBuilder(UNIT_SQUARE, 3)
-        tvals, _ = builder.table.value_grad(builder.nodes.all_points())
-        first = 4 + 2 * np.arange(4)  # term and node of l = j = 0 on each edge
-        edge = lambda k: np.ix_([first[k], first[k] + 1], [first[k], first[k] + 1])
-        # Edge 2 loses a generator; edge 0 stays regular but so small that
-        # the determinant of its row-scaled system underflows to zero.
-        tvals[first[2], edge(2)[1]] = 0.0
-        tvals[edge(0)] *= 1e-200
-        with pytest.raises(ElementError, match="on edge 2:"):
-            builder._edge_generators(tvals)
+    def test_singular_nodal_system(self, monkeypatch):
+        # With edge 0's distance function zeroed, every generator that has
+        # it as a factor vanishes at every node: the generator-at-node
+        # matrix is singular, and those rows keep scale 1 (no 0 / 0).
+        affines = _HighOrderBuilder._affines
+
+        def degenerate(self):
+            grads, offsets = affines(self)
+            grads[0], offsets[0] = 0.0, 0.0
+            return grads, offsets
+
+        monkeypatch.setattr(_HighOrderBuilder, "_affines", degenerate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ElementError, match="singular nodal system"):
+                build_ds_element(UNIT_SQUARE, 3)
+        mesh = build_topology(UNIT_SQUARE.vertices, [[0, 1, 2, 3]])
+        with pytest.raises(AssemblyError, match="on cell 0: singular nodal system"):
+            assemble_primal(mesh, 3, lambda x: np.ones(len(x)))
 
 
 class TestDimension:
@@ -375,6 +384,15 @@ class TestElement:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             build_ds_element(regular_polygon(6), 4)
+
+    def test_nodal_inverse_exact_at_frame_nodes_of_sliver(self):
+        # The sliver warns (previous test) because duality is read at the
+        # physical nodes; at the frame nodes the basis is the exact inverse.
+        builder = _HighOrderBuilder(sliver_mesh(1e-3).polygon(1), 4)
+        with pytest.warns(UserWarning, match="duality"):
+            elem = builder.build()
+        V, _ = builder.table.value_grad(builder.nodes.all_points())
+        assert np.abs(elem.coeffs @ V - np.eye(elem.dim)).max() <= 1e-10
 
 
 class TestInterpolateEvaluate:
