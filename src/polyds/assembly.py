@@ -19,6 +19,11 @@ blocks of consecutive cells with equal vertex count N, in the groups of
 error integrands are evaluated once per block on the stacked moved points,
 and contributions are stored and summed in cell order, so assembled
 systems are reproducible bit for bit.
+
+The primal form and its error integration build the classes that a block
+meets first one by one, then stack them: one rule broadcast over their
+polygons, one evaluation of their bases (``serendipity._eval_stacked``)
+and one batched Gram product.  The mixed form sets up class by class.
 """
 
 from __future__ import annotations
@@ -31,12 +36,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .functions import GEMM_BUDGET, _capped_matmul
 from .geometry import _frozen
 from .mesh import Mesh
 from .mixed import build_mixed_element, edge_normal_traces, mixed_dimension
 # perfbench wraps ``edge_rule`` here, though assembly places its edge points itself.
-from .quadrature import _segment_gauss, edge_rule, polygon_rule
-from .serendipity import _edge_parameters, build_ds_element, ds_dimension
+from .quadrature import _polygon_rules, _segment_gauss, edge_rule, polygon_rule
+from .serendipity import _edge_parameters, _eval_stacked, build_ds_element, ds_dimension
 
 __all__ = [
     "AssemblyError",
@@ -108,13 +114,6 @@ def manufactured_solution(kind="one-hump") -> Exact:
 # block's stacked points and values, and the class data it holds, grow with
 # it; 64 cells amortize the per-block numpy calls and keep memory flat.
 CHUNK_CELLS = 64
-
-# Largest product, in multiply-adds, of the per-class products in a block.
-# OpenBLAS runs products of up to 2**18 multiply-adds on one thread; above
-# that a threaded product of these shapes costs more than the work: on a
-# 2-core host, (60, 24) @ (24, 768) took 16 ms threaded and 0.05 ms on one
-# thread.
-GEMM_BUDGET = 2**18
 
 
 def _forward(loops):
@@ -282,26 +281,26 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
     reps, shifts = _translation_classes(mesh)
     elements = {}
 
-    def setup(c):
-        E = mesh.polygon(c)
-        try:
-            elem = build_ds_element(E, r)
-        except Exception as exc:
-            raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
-        elements[c] = elem
-        rule = polygon_rule(E, quad_degree)
-        bvals, bgrads = elem.eval_all(rule.points)
-        return rule, bvals.T, _gram(bgrads, rule.weights)
+    def setup(new):
+        polygons = [mesh.polygon(c) for c in new]
+        for c, E in zip(new, polygons):
+            try:
+                elements[c] = build_ds_element(E, r)
+            except Exception as exc:
+                raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
+        pts, weights = _polygon_rules(polygons, quad_degree)
+        bvals, bgrads = _eval_stacked([elements[c] for c in new], pts)
+        return list(zip(pts, weights, bvals.transpose(0, 2, 1), _gram(bgrads, weights)))
 
     widths = {N: ids.shape[1] for N, ids in dof.ids.items()}
     entries = _Entries(dof.cells, {N: d * d for N, d in widths.items()})
     loads = _Entries(dof.cells, widths)
     for N, span, cells, data, cls in _blocks(dof.cells, reps, setup):
-        rules, bvals, local = zip(*data)
+        points, weights, bvals, local = zip(*data)
         ids = dof.ids[N][span]
         d = ids.shape[1]
         entries.put(cells, np.stack(local)[cls], np.repeat(ids, d, axis=1), np.tile(ids, d))
-        pts, weights = _moved_rules(rules, cls, shifts[cells])
+        pts, weights = _moved_rules(points, weights, cls, shifts[cells])
         fw = weights * np.asarray(f(pts)).reshape(weights.shape)
         loads.put(cells, _per_class(fw, bvals, cls), ids)
     n = dof.n_dofs
@@ -355,14 +354,14 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         v, d, wvals = elem.eval_all(rule.points)
         # Mass and divergence (n_w, n_u) blocks before the edge signs.
         class_blocks[c] = _frozen(_gram(v, rule.weights)), _frozen(wvals * rule.weights @ d.T)
-        return rule, wvals.T, *class_blocks[c]
+        return rule.points, rule.weights, wvals.T, *class_blocks[c]
 
     widths = {N: ids.shape[1] for N, ids in dof.ids.items()}
     mass = _Entries(dof.cells, {N: d * d for N, d in widths.items()})
     div = _Entries(dof.cells, {N: d * P for N, d in widths.items()})
     rhs_p = np.zeros((mesh.n_cells, P))
-    for N, span, cells, data, cls in _blocks(dof.cells, reps, setup):
-        rules, wvals, mass_local, div_local = zip(*data)
+    for N, span, cells, data, cls in _blocks(dof.cells, reps, lambda new: list(map(setup, new))):
+        points, weights, wvals, mass_local, div_local = zip(*data)
         ids, signs = dof.ids[N][span], dof.signs[N][span]
         d = ids.shape[1]
         mass.put(cells, signs[:, :, None] * np.stack(mass_local)[cls] * signs[:, None, :],
@@ -370,7 +369,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         pids = cells[:, None] * P + np.arange(P)
         div.put(cells, np.stack(div_local)[cls] * signs[:, None, :],
                 np.repeat(pids, d, axis=1), np.tile(ids, P))
-        pts, weights = _moved_rules(rules, cls, shifts[cells])
+        pts, weights = _moved_rules(points, weights, cls, shifts[cells])
         fw = weights * np.asarray(f(pts)).reshape(weights.shape)
         rhs_p[cells] = _per_class(fw, wvals, cls)
     nu, npr = dof.n_flux, dof.n_pressure
@@ -408,12 +407,13 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
 def _blocks(groups, reps, setup):
     """Yield ``(N, span, cells, data, cls)`` for each block of at most
     ``CHUNK_CELLS`` consecutive cells of each group ``groups[N]``: ``span``
-    slices the block out of the group, ``data`` lists ``setup(rep)`` for
-    the translation classes present, and ``cls`` (C,) indexes ``data``.
+    slices the block out of the group, ``data`` lists the data of the
+    translation classes present, and ``cls`` (C,) indexes ``data``.
 
-    ``setup(rep)`` runs once per class, on its lowest-numbered cell
-    ``reps[c]``, and its result is released after the block that holds the
-    last cell of the class.
+    Each block calls ``setup(new)`` once with the ascending list of the
+    classes that it meets first, named by their lowest-numbered cells
+    ``reps[c]``, and ``setup`` returns their data in that order.  A class's
+    data is released after the block that holds the last cell of the class.
     """
     last = dict(zip(reps.tolist(), range(len(reps))))
     held = {}
@@ -423,20 +423,21 @@ def _blocks(groups, reps, setup):
             block = cells[span]
             keys, cls = np.unique(reps[block], return_inverse=True)
             keys = keys.tolist()
-            for rep in keys:
-                if rep not in held:
-                    held[rep] = setup(rep)
+            new = [rep for rep in keys if rep not in held]
+            if new:
+                held.update(zip(new, setup(new)))
             yield N, span, block, [held[rep] for rep in keys], cls
             for rep in keys:
                 if last[rep] <= block[-1]:
                     del held[rep]
 
 
-def _moved_rules(rules, cls, shifts):
-    """Every cell's rule, the rule of its class moved by its shift: the
-    points of all C cells stacked as (C * M, 2), and weights (C, M)."""
-    pts = np.stack([rule.points for rule in rules])[cls] + shifts[:, None]
-    return pts.reshape(-1, 2), np.stack([rule.weights for rule in rules])[cls]
+def _moved_rules(points, weights, cls, shifts):
+    """Every cell's rule, the rule (points, weights) of its class moved by
+    its shift: the points of all C cells stacked as (C * M, 2), and weights
+    (C, M)."""
+    pts = np.stack(points)[cls] + shifts[:, None]
+    return pts.reshape(-1, 2), np.stack(weights)[cls]
 
 
 def _per_class(x, mats, cls):
@@ -494,10 +495,11 @@ def _translation_classes(mesh):
 
 
 def _gram(fields, weights):
-    """Weighted Gram matrix sum_m w_m f_i(x_m) . f_j(x_m) of (D, M, 2) vector
-    values, as one product of the sqrt(w)-scaled rows (weights are positive)."""
-    S = (fields * np.sqrt(weights)[:, None]).reshape(len(fields), -1)
-    return S @ S.T
+    """Weighted Gram matrices sum_m w_m f_i(x_m) . f_j(x_m) of (..., D, M, 2)
+    vector values and (..., M) weights, as one capped product of the
+    sqrt(w)-scaled rows (weights are positive)."""
+    S = (fields * np.sqrt(weights)[..., None, :, None]).reshape(*fields.shape[:-2], -1)
+    return _capped_matmul(S, np.swapaxes(S, -1, -2))
 
 
 # Bound on the relative residual of an accepted solve.  Well-shaped meshes
@@ -580,8 +582,9 @@ def _local_inverses(mass, div):
     check(rows.all(axis=1), "zero divergence row")
     scale = np.concatenate([1.0 / np.sqrt(diag), 1.0 / rows], axis=1)[:, :, None]
     scaled = scale * block * scale.transpose(0, 2, 1)
-    # The sign is 0 exactly where the LU of ``inv`` would meet a zero pivot.
-    check(np.linalg.slogdet(scaled)[0] != 0, "singular")
+    # Numerical rank, from the eigenvalues of the symmetric scaled block: a
+    # block with two equal rows need not meet an exact zero pivot in ``inv``.
+    check(np.linalg.matrix_rank(scaled, hermitian=True) == len(scale[0]), "singular")
     inv = scale * np.linalg.inv(scaled) * scale.transpose(0, 2, 1)
     check(np.isfinite(inv).all(axis=(1, 2)), "non-finite inverse")
     return 0.5 * (inv + inv.transpose(0, 2, 1))
@@ -680,18 +683,25 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
     mesh, dof, elements = system.mesh, system.dof_map, system.elements
     primal = system.kind == "primal"
 
-    def setup(c):
-        rule = polygon_rule(mesh.polygon(c), degree)
-        elem = elements[c]
-        # Values and gradients (primal), or values, divergences and pressures.
-        vals, derivs, *pressures = elem.eval_all(rule.points)
-        return rule, vals.reshape(len(vals), -1), derivs.reshape(len(derivs), -1), *pressures
+    def setup(new):
+        # Rules and values with gradients (primal), or values, divergences and
+        # pressures (mixed), flattened to (D, M) or (D, 2 M) per class.
+        if primal:
+            pts, weights = _polygon_rules([mesh.polygon(c) for c in new], degree)
+            vals, grads = _eval_stacked([elements[c] for c in new], pts)
+            return list(zip(pts, weights, vals, grads.reshape(*vals.shape[:2], -1)))
+        out = []
+        for c in new:
+            rule = polygon_rule(mesh.polygon(c), degree)
+            vals, divs, pressures = elements[c].eval_all(rule.points)
+            out.append((rule.points, rule.weights, vals.reshape(len(vals), -1), divs, pressures))
+        return out
 
     # Squared errors of every cell, one row per norm.
     sq = np.empty((2 if primal else 3, mesh.n_cells))
     for N, span, cells, data, cls in _blocks(dof.cells, system.reps, setup):
-        rules, *terms = zip(*data)
-        flat, weights = _moved_rules(rules, cls, system.shifts[cells])
+        points, weights, *terms = zip(*data)
+        flat, weights = _moved_rules(points, weights, cls, system.shifts[cells])
         C, M = weights.shape
         ids = dof.ids[N][span]
         if primal:

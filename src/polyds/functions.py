@@ -14,7 +14,12 @@ Affine functions exist only as arrays: a table holds its K of them as a
 (K, 2) gradient and a (K,) offset array.  The terms and the affine
 functions are separate: ``with_affines`` gives the same terms over new
 arrays, sharing the term arrays, so one table of terms serves every cell
-of a shape (N, r).
+of a shape (N, r).  The affine arrays may carry a leading class axis,
+(C, K, 2) and (C, K): then one pass evaluates C cells' tables, each at its
+own points (C, M, 2), and one cell's table is the case without that axis.
+
+Products of the evaluated tables with coefficient matrices are split so
+that no one matrix product exceeds ``GEMM_BUDGET`` multiply-adds.
 """
 
 from __future__ import annotations
@@ -25,23 +30,44 @@ from .geometry import _as_points
 
 __all__ = ["PowerTable"]
 
+# Largest matrix product, in multiply-adds.  OpenBLAS runs products of up
+# to 2**18 multiply-adds on one thread; above that a threaded product of
+# these shapes costs more than the work: on a 2-core host, (60, 24) @
+# (24, 768) took 16 ms threaded and 0.05 ms on one thread.
+GEMM_BUDGET = 2**18
+
+
+def _capped_matmul(a, b):
+    """a @ b for (..., n, k) @ (..., k, m) stacks, in blocks of the columns
+    of b such that each matrix product takes at most ``GEMM_BUDGET``
+    multiply-adds."""
+    n, k = a.shape[-2:]
+    step = max(1, GEMM_BUDGET // (n * k))
+    if b.shape[-1] <= step:
+        return a @ b
+    out = np.empty((*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), n, b.shape[-1]))
+    for j in range(0, b.shape[-1], step):
+        out[..., j:j + step] = a @ b[..., j:j + step]
+    return out
+
 
 class PowerTable:
     """G fields f_g(x) = prod_k a_k(x)**powers[g, k] over K affine functions
     a_k(x) = grads[k] . x + offsets[k].
 
-    ``powers`` is (G, K), ``grads`` (K, 2) and ``offsets`` (K,); the table
-    copies the affine arrays.  Powers are integers and may be negative;
-    the empty product is 1.  The gradient is assembled from leave-one-out
-    products of the factors, so it stays exact on the zero lines of the
-    factors.  The factors of all
-    terms are stored factor-major: ``_index`` and ``_exps`` are (F, G),
-    with F the largest number of nonzero factors of one term, and
-    ``_pow`` marks the factors whose power is neither 0 nor 1.  The arrays
-    are read-only, so tables over other affine functions can share them.
+    ``powers`` is (G, K), ``grads`` (K, 2) and ``offsets`` (K,), or (C, K,
+    2) and (C, K) for the tables of C cells; the table copies the affine
+    arrays.  Powers are integers and may be negative; the empty product is
+    1.  The gradient is assembled from leave-one-out products of the
+    factors, so it stays exact on the zero lines of the factors.  The
+    factors of all terms are stored factor-major: ``_index`` and ``_exps``
+    are (F, G), with F the largest number of nonzero factors of one term,
+    and ``_pow`` marks the factors whose power is neither 0 nor 1.  The
+    arrays are read-only, so tables over other affine functions can share
+    them.
     """
 
-    __slots__ = ("grads", "offsets", "powers", "_index", "_exps", "_pow", "_fgrads")
+    __slots__ = ("grads", "offsets", "powers", "_index", "_exps", "_pow")
 
     def __init__(self, powers, grads, offsets):
         self.powers = np.array(powers, dtype=int)
@@ -64,20 +90,16 @@ class PowerTable:
 
     def _set_affines(self, grads, offsets):
         K = self.powers.shape[1]
-        if grads.shape != (K, 2) or offsets.shape != (K,):
-            raise ValueError(f"need ({K}, 2) gradients and ({K},) offsets, "
+        if grads.shape[-2:] != (K, 2) or offsets.shape != grads.shape[:-1]:
+            raise ValueError(f"need (..., {K}, 2) gradients and (..., {K}) offsets, "
                              f"got {grads.shape} and {offsets.shape}")
-        padded = np.zeros((K + 1, 2))
-        padded[:K] = grads
-        self._fgrads = padded[self._index.T]  # (G, F, 2)
-        self._fgrads.flags.writeable = False
         self.grads, self.offsets = grads, offsets
         grads.flags.writeable = False
         offsets.flags.writeable = False
 
     def with_affines(self, grads, offsets):
-        """The same terms over new (K, 2) gradients and (K,) offsets, which
-        the table copies.  The term arrays are shared."""
+        """The same terms over new (..., K, 2) gradients and (..., K) offsets,
+        which the table copies.  The term arrays are shared."""
         out = object.__new__(PowerTable)
         for name in ("powers", "_index", "_exps", "_pow"):
             setattr(out, name, getattr(self, name))
@@ -87,27 +109,51 @@ class PowerTable:
     def __len__(self):
         return len(self.powers)
 
+    @property
+    def n_factors(self):
+        """F, the largest number of nonzero factors of one term."""
+        return len(self._index)
+
     def _factors(self, pts):
-        """Factor values (F, G, M) of every term at pts."""
-        pts = _as_points(pts)
-        affine = np.ones((len(self.offsets) + 1, len(pts)))
-        affine[:-1] = self.grads @ pts.T + self.offsets[:, None]
-        return affine[self._index]
+        """Factor values a (..., F, G, M) of every term at pts (..., M, 2), and
+        a**(p - 1), which is 1 for p = 1 and for the padding (p = 0, a = 1)."""
+        pts = _as_points(pts) if self.offsets.ndim == 1 else np.asarray(pts, dtype=float)
+        affine = np.ones((*self.offsets.shape[:-1], self.offsets.shape[-1] + 1, pts.shape[-2]))
+        affine[..., :-1, :] = self.grads @ np.swapaxes(pts, -1, -2) + self.offsets[..., None]
+        a = affine[..., self._index, :]
+        return a, np.power(a, self._exps[:, :, None] - 1.0, out=np.ones_like(a), where=self._pow)
+
+    def values(self, pts):
+        """Values (..., G, M) of every field at pts (..., M, 2): those of
+        ``value_grad``, bit for bit, without the gradients."""
+        a, lower = self._factors(pts)
+        fac = lower * a
+        vals = fac[..., 0, :, :]
+        for f in range(1, fac.shape[-3]):
+            vals = vals * fac[..., f, :, :]
+        return vals
 
     def value_grad(self, pts):
-        """Values (G, M) and gradients (G, M, 2) of every field at pts."""
-        a = self._factors(pts)
-        exps = self._exps[:, :, None]
-        # a**(p - 1) is 1 for p = 1, and for the padding (p = 0, a = 1).
-        lower = np.power(a, exps - 1.0, out=np.ones_like(a), where=self._pow)
+        """Values (..., G, M) and gradients (..., G, M, 2) of every field at
+        pts (..., M, 2)."""
+        a, lower = self._factors(pts)
         fac = lower * a
-        # Products of the factors ahead of and behind factor f.
-        before = np.ones_like(fac)
-        after = np.ones_like(fac)
-        for f in range(1, len(fac)):
-            before[f] = before[f - 1] * fac[f - 1]
-            after[-f - 1] = after[-f] * fac[-f]
-        vals = before[-1] * fac[-1]
-        weights = exps * lower * before * after
-        grads = np.matmul(weights.transpose(1, 2, 0), self._fgrads)
+        # Products of the factors ahead of and behind factor f, written in
+        # place: the passes over these arrays are most of the work.
+        before = np.empty_like(fac)
+        after = np.empty_like(fac)
+        before[..., 0, :, :] = after[..., -1, :, :] = 1.0
+        for f in range(1, fac.shape[-3]):
+            np.multiply(before[..., f - 1, :, :], fac[..., f - 1, :, :], out=before[..., f, :, :])
+            np.multiply(after[..., -f, :, :], fac[..., -f, :, :], out=after[..., -f - 1, :, :])
+        vals = before[..., -1, :, :] * fac[..., -1, :, :]
+        # The weight p a**(p - 1) times the other factors, in place of lower.
+        weights = lower
+        weights *= self._exps[:, :, None]
+        weights *= before
+        weights *= after
+        # The gradient of each factor, (..., G, F, 2); the padding's is 0.
+        zero = np.zeros((*self.offsets.shape[:-1], 1, 2))
+        fgrads = np.concatenate([self.grads, zero], axis=-2)[..., self._index.T, :]
+        grads = np.matmul(np.moveaxis(weights, -3, -1), fgrads)
         return vals, grads

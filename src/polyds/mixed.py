@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial import legendre as nleg
 from numpy.polynomial import polynomial as npoly
 
-from .functions import PowerTable
+from .functions import PowerTable, _capped_matmul
 from .geometry import Polygon, _as_points
 from .quadrature import _segment_gauss, edge_rule, polygon_rule
 from .serendipity import (
@@ -170,7 +170,7 @@ def _edge_flux_expansion(F: _Frame, r: int, pressure: PowerTable):
     t_lag = _edge_parameters(r + 1)[1:]
     tq = (np.arange(r + 1)[:, None] + t).ravel() / (r + 1)
     pts = v[:, None] + tq[:, None] * (np.roll(v, -1, axis=0) - v)[:, None]
-    pvals = pressure.value_grad(pts.reshape(-1, 2))[0]
+    pvals = pressure.values(pts.reshape(-1, 2))
     scale = F.edge_lengths * F.edge_offsets / (r + 1)
     parts = pvals.reshape(len(pressure), len(v), r + 1, len(t)) @ w
     big = np.cumsum(parts * scale[:, None], axis=2)  # (P, N, r+1) at t_lag
@@ -221,13 +221,13 @@ class MixedElement:
         gvals[:nc, :, 0] = grads[:, :, 1]
         gvals[:nc, :, 1] = -grads[:, :, 0]
         # A radial field x^ p, p homogeneous of degree d, has divergence (d + 2) p.
-        pv, _ = self.pressure.value_grad(x)
+        pv = self.pressure.values(x)
         gvals[nc:nc + nr] = x * pv[:, :, None]
         gdivs[nc:nc + nr] = (self.pressure.powers.sum(axis=1) + 2.0)[:, None] * pv
         gvals[nc + nr] = [1.0, 0.0]
         gvals[nc + nr + 1] = [0.0, 1.0]
-        vals = ((self.rows / h) @ gvals.reshape(len(gvals), -1)).reshape(self.dim, m, 2)
-        divs = (self.rows / h**2) @ gdivs
+        vals = _capped_matmul(self.rows / h, gvals.reshape(len(gvals), -1)).reshape(self.dim, m, 2)
+        divs = _capped_matmul(self.rows / h**2, gdivs)
         return vals, divs, pv
 
 

@@ -2,9 +2,12 @@
 
 Polygon rules triangulate by fanning from the centroid and apply a
 tensorized Gauss-Jacobi rule collapsed onto each triangle, which stays
-well conditioned at high degree; all N fan triangles are mapped in one
-broadcast.  The reference rules are cached per degree and read-only.
-Rules are immutable and construction is pure.
+well conditioned at high degree.  The fan triangles of C polygons with N
+vertices each are mapped in one broadcast (``_polygon_rules``), which
+assembly calls once per block of cells; ``polygon_rule`` is its case C = 1.
+The reference rules are cached per degree and read-only; their Gauss
+points come from numpy's Gauss-Legendre rule and a Golub-Welsch
+Gauss-Jacobi rule.  Rules are immutable and construction is pure.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .geometry import GeometryError, Polygon
 
@@ -56,8 +58,8 @@ def triangle_gauss(degree: int):
     if not 1 <= degree <= MAX_DEGREE:
         raise ValueError(f"degree must be in [1, {MAX_DEGREE}], got {degree}")
     m = (degree + 2) // 2  # 2m - 1 >= degree
-    xj, wj = roots_jacobi(m, 1.0, 0.0)
-    xl, wl = roots_legendre(m)
+    xj, wj = _gauss_jacobi_10(m)
+    xl, wl = np.polynomial.legendre.leggauss(m)
     # Map both to [0, 1]; the Jacobi weight (1 - x) picks up a factor 1/2.
     u = 0.5 * (xj + 1.0)
     wu = 0.25 * wj
@@ -71,11 +73,25 @@ def triangle_gauss(degree: int):
     return pts, wts
 
 
+def _gauss_jacobi_10(m: int):
+    """Points and weights of the m-point Gauss rule on [-1, 1] for the weight
+    1 - x (Jacobi alpha = 1, beta = 0), by Golub-Welsch: the points are the
+    eigenvalues of the Jacobi matrix of the orthogonal polynomials, and the
+    weights the squared first components of its unit eigenvectors times the
+    weight's integral, 2."""
+    n = np.arange(m)
+    # Recurrence coefficients of the monic Jacobi(1, 0) polynomials.
+    diag = -1.0 / ((2 * n + 1) * (2 * n + 3))
+    off = np.sqrt(n[1:] * (n[1:] + 1.0)) / (2 * n[1:] + 1)
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 * vecs[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def _segment_gauss(degree: int):
     """Gauss-Legendre points t and weights w on [0, 1], exact for
     polynomials of ``degree``; read-only."""
-    x, w = roots_legendre(max(1, (degree + 2) // 2))
+    x, w = np.polynomial.legendre.leggauss(max(1, (degree + 2) // 2))
     t = 0.5 * (x + 1.0)
     w = 0.5 * w
     t.flags.writeable = False
@@ -89,14 +105,22 @@ def polygon_rule(polygon: Polygon, degree: int) -> QuadRule:
     The polygon is fanned into triangles (centroid, v_i, v_{i+1}); convexity
     guarantees every fan triangle is valid.
     """
+    pts, wts = _polygon_rules([polygon], degree)
+    return QuadRule(points=pts[0], weights=wts[0])
+
+
+def _polygon_rules(polygons, degree: int):
+    """Points (C, M, 2) and weights (C, M) of ``polygon_rule`` on C polygons
+    with N vertices each, M = N times the reference triangle's points."""
     ref_pts, ref_wts = triangle_gauss(degree)
-    c = polygon.centroid
-    a = polygon.vertices - c
-    b = np.concatenate([a[1:], a[:1]])
-    jac = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]  # 2 * triangle areas, positive by CCW
-    pts = c + ref_pts[:, :1] * a[:, None] + ref_pts[:, 1:] * b[:, None]  # (N, m, 2)
-    wts = ref_wts * jac[:, None]
-    return QuadRule(points=pts.reshape(-1, 2), weights=wts.ravel())
+    c = np.stack([E.centroid for E in polygons])[:, None]
+    a = np.stack([E.vertices for E in polygons]) - c
+    b = np.concatenate([a[:, 1:], a[:, :1]], axis=1)
+    jac = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]  # 2 * triangle areas, positive by CCW
+    # (C, N, m, 2): reference point m of fan triangle i of polygon c.
+    pts = c[:, None] + ref_pts[:, :1] * a[:, :, None] + ref_pts[:, 1:] * b[:, :, None]
+    wts = ref_wts * jac[..., None]
+    return pts.reshape(len(a), -1, 2), wts.reshape(len(a), -1)
 
 
 def edge_rule(polygon: Polygon, i: int, degree: int) -> EdgeRule:

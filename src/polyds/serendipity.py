@@ -20,7 +20,10 @@ them once per (N, r), and ``_carving_matrix`` does the same for the
 low-order map.  Per cell, the builder computes the K affine functions as
 (K, 2) gradient and (K,) offset arrays from the frame's arrays, and the
 nodal basis is the dual of the nodes: one inverse of the matrix of
-generator values at the nodes.
+generator values at the nodes.  Elements of one (N, r) share their terms,
+so ``_eval_stacked`` evaluates many of them in one stacked pass over
+their frames, affines and coefficients; ``eval_all`` is its case of one
+element.
 
 Element construction is pure (the cached layouts are read-only) and a
 built element is immutable, so distinct elements can be constructed and
@@ -37,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .functions import PowerTable
+from .functions import PowerTable, _capped_matmul
 from .geometry import Polygon, _as_points, _frozen, nonadjacent_pairs
 
 __all__ = [
@@ -280,7 +283,14 @@ class _HighOrderBuilder:
         D = len(self.nodes)
         if len(self.table) != D:
             raise ElementError(f"generator count {len(self.table)} != dimension {D}")
-        tvals, _ = self.table.value_grad(self.nodes.all_points())
+        F = self.F
+        nodes = NodeSet(self.E.vertices, F.center + F.scale * self.nodes.edges,
+                        F.center + F.scale * self.nodes.interior)
+        # One evaluation at the frame nodes, which give V, and at the physical
+        # nodes mapped as ``eval_all`` maps them, where duality is read.
+        vals = self.table.values(np.concatenate([self.nodes.all_points(),
+                                                 F.points(nodes.all_points())]))
+        tvals = vals[:, :D]
         # Each generator (row) is scaled by its largest value at the nodes; one
         # that vanishes at every node keeps scale 1 and leaves V singular.
         s = np.abs(tvals).max(axis=1)
@@ -289,10 +299,7 @@ class _HighOrderBuilder:
             C = np.linalg.inv(tvals / s[:, None]) / s
         except np.linalg.LinAlgError as exc:
             raise ElementError(f"singular nodal system: {exc}; check the polygon shape") from None
-        F = self.F
-        nodes = NodeSet(self.E.vertices, F.center + F.scale * self.nodes.edges,
-                        F.center + F.scale * self.nodes.interior)
-        residual = C @ self.table.value_grad(F.points(nodes.all_points()))[0]
+        residual = C @ vals[:, D:]
         residual.flat[:: D + 1] -= 1.0
         duality = np.abs(residual).max()
         if not duality <= DUALITY_WARN:
@@ -335,11 +342,42 @@ class DSElement:
 
         Returns ``(vals, grads)`` with shapes (dim, M) and (dim, M, 2).
         """
-        pts = _as_points(pts)
-        gv, gg = self.table.value_grad(self.frame.points(pts))
-        vals = self.coeffs @ gv
-        grads = (self.coeffs / self.frame.scale) @ gg.reshape(len(gg), -1)
-        return vals, grads.reshape(self.dim, len(pts), 2)
+        vals, grads = _eval_stacked([self], _as_points(pts)[None])
+        return vals[0], grads[0]
+
+
+# Largest factor array, in doubles (classes x F x G x M), of one pass of a
+# stacked evaluation.  A larger pass shares numpy's per-call overhead among
+# more classes, but its temporaries outgrow the cache.  On the perturbed-quad
+# n=32, r=2 solve (2-core host, two runs), 2**14 to 2**16 ran equally fast;
+# 2**12, and one pass per block of 64 classes, were 4-19% slower.
+EVAL_BUDGET = 2**14
+
+
+def _eval_stacked(elems, pts):
+    """Values (C, D, M) and gradients (C, D, M, 2) of the bases of C
+    elements with one term table (equal N and r), each at its own physical
+    points ``pts[c]`` (C, M, 2).
+
+    Their frames, affines and coefficients are stacked once, and the
+    table is evaluated in passes of at most ``EVAL_BUDGET`` factor entries.
+    """
+    C, M = pts.shape[:2]
+    table, D = elems[0].table, elems[0].dim
+    scale = np.array([e.frame.scale for e in elems])[:, None, None]
+    x = (pts - np.stack([e.frame.center for e in elems])[:, None]) / scale
+    affine_grads = np.stack([e.table.grads for e in elems])
+    affine_offsets = np.stack([e.table.offsets for e in elems])
+    coeffs = np.stack([e.coeffs for e in elems])
+    step = max(1, EVAL_BUDGET // (table.n_factors * len(table) * M))
+    vals, grads = np.empty((C, D, M)), np.empty((C, D, M, 2))
+    for i in range(0, C, step):
+        part = slice(i, i + step)
+        gv, gg = table.with_affines(affine_grads[part], affine_offsets[part]).value_grad(x[part])
+        vals[part] = _capped_matmul(coeffs[part], gv)
+        grads[part] = _capped_matmul(coeffs[part] / scale[part], gg.reshape(*gv.shape[:2], -1)
+                                     ).reshape(len(gv), D, M, 2)
+    return vals, grads
 
 
 def build_ds_element(E: Polygon, r: int) -> DSElement:

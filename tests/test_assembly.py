@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polyds import assembly
+from polyds import assembly, functions, serendipity
 from polyds.assembly import (
     Exact,
     SolveError,
@@ -463,11 +463,12 @@ class TestTranslationClasses:
         class Data:
             pass
 
-        def setup(rep):
-            assert rep not in refs
-            data = Data()
-            refs[rep] = weakref.ref(data)
-            return data
+        def setup(new):
+            # One call per block, with the classes that the block meets first.
+            assert new == sorted(new) and not refs.keys() & set(new)
+            out = [Data() for _ in new]
+            refs.update((rep, weakref.ref(data)) for rep, data in zip(new, out))
+            return out
 
         seen = []
         for N, span, cells, data, cls in assembly._blocks(groups, reps, setup):
@@ -495,6 +496,33 @@ class TestTranslationClasses:
                        system.shifts):
             with pytest.raises(ValueError):
                 shared[0] = 1.0
+
+
+class TestStackedBlocks:
+    # Primal assembly and error integration build a block's new classes one
+    # by one, then take their rules, basis values and Gram matrices in
+    # stacked array work.
+    def test_assembly_bytes_do_not_depend_on_the_evaluation_budget(self, monkeypatch):
+        mesh = gen_perturbed_quad_mesh(8, 0.2, 1)
+        f = manufactured_solution().f
+        out = []
+        for budget in (1, 10**12, 1, 10**12):  # one class per pass, all classes
+            monkeypatch.setattr(serendipity, "EVAL_BUDGET", budget)
+            system = assemble_primal(mesh, 2, f)
+            out.append((system.matrix.data.tobytes(), system.rhs.tobytes()))
+        assert out[0] == out[1] == out[2] == out[3]
+
+    @pytest.mark.parametrize("shape", [(20, 200, 2), (4, 12, 150, 2)])
+    def test_capped_gram_over_the_budget_equals_one_product(self, monkeypatch, shape):
+        rng = np.random.default_rng(6)
+        fields = rng.standard_normal(shape)
+        weights = rng.uniform(0.1, 1.0, shape[:-3] + shape[-2:-1])
+        want = assembly._gram(fields, weights)
+        S = (fields * np.sqrt(weights)[..., None, :, None]).reshape(*shape[:-2], -1)
+        assert np.array_equal(want, S @ np.swapaxes(S, -1, -2))
+        monkeypatch.setattr(functions, "GEMM_BUDGET", 5000)
+        got = assembly._gram(fields, weights)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 FAMILIES = {"square4": lambda: gen_square_mesh(4),

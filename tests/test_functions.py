@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from polyds.functions import PowerTable
+from polyds import functions
+from polyds.functions import PowerTable, _capped_matmul
 from polyds.geometry import AffineScalar
 from polyds.mixed import MixedElement, build_mixed_element
 
@@ -98,6 +99,36 @@ def test_with_affines_is_the_table_of_the_new_affines():
     assert np.array_equal(moved.value_grad(pts)[0], table_of(new, powers).value_grad(pts)[0])
     with pytest.raises(ValueError):
         moved.with_affines(np.zeros((2, 2)), np.zeros(2))
+
+
+def test_stacked_tables_match_one_table_per_class():
+    # A (C, K, 2) table at (C, M, 2) points is C one-cell tables, each at its
+    # own points; ``values`` gives value_grad's values bit for bit.
+    rng = np.random.default_rng(11)
+    powers = [[1, -1, 0, 2], [0, 0, 0, 0], [2, 1, 1, -2], [0, 3, 0, 1]]
+    grads = rng.uniform(-1, 1, (5, 4, 2))
+    offsets = rng.uniform(2, 3, (5, 4))
+    pts = rng.uniform(-1, 1, (5, 7, 2))
+    stacked = PowerTable(powers, grads, offsets)
+    vals, grads_all = stacked.value_grad(pts)
+    assert vals.shape == (5, 4, 7) and grads_all.shape == (5, 4, 7, 2)
+    assert np.array_equal(stacked.values(pts), vals)
+    for c in range(5):
+        one = stacked.with_affines(grads[c], offsets[c])
+        for got, want in zip((vals[c], grads_all[c]), one.value_grad(pts[c])):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(one.values(pts[c]), one.value_grad(pts[c])[0])
+
+
+@pytest.mark.parametrize("shapes", [((24, 60), (60, 700)), ((3, 8, 10), (3, 10, 301))])
+def test_capped_product_over_the_budget_equals_one_product(monkeypatch, shapes):
+    rng = np.random.default_rng(4)
+    a, b = (rng.standard_normal(shape) for shape in shapes)
+    want = a @ b
+    monkeypatch.setattr(functions, "GEMM_BUDGET", 1000)
+    got = _capped_matmul(a, b)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_empty_product_is_one():

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from polyds.geometry import Polygon, nonadjacent_pairs
-from polyds.quadrature import edge_rule, polygon_rule, triangle_gauss
+from polyds.quadrature import (
+    _gauss_jacobi_10,
+    _polygon_rules,
+    _segment_gauss,
+    edge_rule,
+    polygon_rule,
+    triangle_gauss,
+)
 
 from helpers import edge_distances, integrate, random_convex_polygon
 
@@ -42,6 +49,18 @@ class TestTriangleGauss:
                 val = w @ (pts[:, 0] ** a * pts[:, 1] ** b)
                 assert val == pytest.approx(ref_triangle_monomial(a, b), rel=1e-12)
 
+    @pytest.mark.parametrize("m", range(1, 32))
+    def test_gauss_rules_match_scipy(self, m):
+        # The Golub-Welsch Jacobi(1, 0) rule and numpy's Gauss-Legendre rule
+        # against scipy's, up to m = 31 points (degree 60).
+        special = pytest.importorskip("scipy.special")
+        for got, want in ((_gauss_jacobi_10(m), special.roots_jacobi(m, 1.0, 0.0)),
+                          (np.polynomial.legendre.leggauss(m), special.roots_legendre(m))):
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1.3e-14
+        t, w = _segment_gauss(2 * m - 1)
+        assert len(t) == m and np.abs(w.sum() - 1.0) <= 1e-14
+
     def test_degree_bounds(self):
         with pytest.raises(ValueError):
             triangle_gauss(0)
@@ -50,6 +69,16 @@ class TestTriangleGauss:
 
 
 class TestPolygonRule:
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("degree", [1, 8, 13])
+    def test_stacked_rules_equal_per_polygon_bit_for_bit(self, n, degree):
+        rng = np.random.default_rng(n)
+        polygons = [random_convex_polygon(n, rng) for _ in range(5)]
+        pts, wts = _polygon_rules(polygons, degree)
+        for E, p, w in zip(polygons, pts, wts, strict=True):
+            rule = polygon_rule(E, degree)
+            assert np.array_equal(p, rule.points) and np.array_equal(w, rule.weights)
+
     def test_weights_sum_to_area(self):
         rng = np.random.default_rng(0)
         for n in (3, 5, 8):

@@ -6,10 +6,13 @@ from numpy.polynomial import polynomial as npoly
 
 from polyds.assembly import AssemblyError, assemble_primal
 from polyds.geometry import Polygon
-from polyds.mesh import build_topology
+from polyds import serendipity
+from polyds.mesh import build_topology, gen_hex_dominant_mesh, gen_perturbed_quad_mesh
+from polyds.quadrature import _polygon_rules
 from polyds.serendipity import (
     ElementError,
     _carving_matrix,
+    _eval_stacked,
     _HighOrderBuilder,
     _term_layout,
     build_ds_element,
@@ -73,7 +76,7 @@ class TestTermLayout:
     def test_layout_arrays_read_only(self, N, r):
         layout = _term_layout(N, r)
         t = layout.table
-        arrays = [t.powers, t._index, t._exps, t._fgrads, t.grads, t.offsets,
+        arrays = [t.powers, t._index, t._exps, t.grads, t.offsets,
                   layout.pairs, _carving_matrix(6, 2), _carving_matrix(8, 5)]
         for a in arrays:
             with pytest.raises(ValueError):
@@ -393,6 +396,45 @@ class TestElement:
             elem = builder.build()
         V, _ = builder.table.value_grad(builder.nodes.all_points())
         assert np.abs(elem.coeffs @ V - np.eye(elem.dim)).max() <= 1e-10
+
+
+class TestStackedEvaluation:
+    # Assembly evaluates the elements of a block's new classes in one stacked
+    # evaluation; ``eval_all`` is the same evaluation of one element.
+    CASES = {"pquad": (lambda: gen_perturbed_quad_mesh(4, 0.2, 1), 4, 2),
+             "hexagon": (lambda: gen_hex_dominant_mesh(4), 6, 4),
+             "sliver": (lambda: sliver_mesh(1e-3), 5, 4),
+             "carved-hexagon": (lambda: gen_hex_dominant_mesh(4), 6, 2)}
+
+    @pytest.mark.parametrize("budget", [serendipity.EVAL_BUDGET, 10**9])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_one_element_eval_all(self, monkeypatch, case, budget):
+        make, N, r = self.CASES[case]
+        mesh = make()
+        polygons = [E for E in mesh.polygons() if E.n_edges == N]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the sliver cells warn on duality
+            elems = [build_ds_element(E, r) for E in polygons]
+        assert len(elems) >= 2
+        monkeypatch.setattr(serendipity, "EVAL_BUDGET", budget)
+        pts, _ = _polygon_rules(polygons, 2 * r + 6)
+        vals, grads = _eval_stacked(elems, pts)
+        for elem, p, v, g in zip(elems, pts, vals, grads, strict=True):
+            for got, want in zip((v, g), elem.eval_all(p)):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("N, r", [(3, 1), (4, 2), (5, 4), (6, 4), (6, 7), (8, 9)])
+    def test_values_only_build_matches_gradient_pass_build(self, N, r):
+        # The nodal inverse as computed from ``value_grad`` at the frame nodes
+        # alone, before the build evaluated values only.
+        E = random_convex_polygon(N, np.random.default_rng(N + r))
+        builder = _HighOrderBuilder(E, r)
+        V, _ = builder.table.value_grad(builder.nodes.all_points())
+        s = np.abs(V).max(axis=1)
+        s[s == 0] = 1.0
+        want = np.linalg.inv(V / s[:, None]) / s
+        got = builder.build().coeffs
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestInterpolateEvaluate:
