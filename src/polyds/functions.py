@@ -8,7 +8,7 @@ Some powers are negative, so the fields are rational; a ``PowerTable``
 holds all of them and evaluates values (G, M) and gradients (G, M, 2) on
 (M, 2) point arrays in one vectorized pass.  The pass is factor-major:
 each term keeps its F nonzero factors, and the F-step loops over the
-product run on contiguous (G, M) slices.
+product run on whole (G, M) slices.
 
 Affine functions exist only as arrays: a table holds its K of them as a
 (K, 2) gradient and a (K,) offset array.  The terms and the affine
@@ -115,19 +115,19 @@ class PowerTable:
         return len(self._index)
 
     def _factors(self, pts):
-        """Factor values a (..., F, G, M) of every term at pts (..., M, 2), and
+        """Factors a**p (..., F, G, M) of every term at pts (..., M, 2), and
         a**(p - 1), which is 1 for p = 1 and for the padding (p = 0, a = 1)."""
         pts = _as_points(pts) if self.offsets.ndim == 1 else np.asarray(pts, dtype=float)
         affine = np.ones((*self.offsets.shape[:-1], self.offsets.shape[-1] + 1, pts.shape[-2]))
         affine[..., :-1, :] = self.grads @ np.swapaxes(pts, -1, -2) + self.offsets[..., None]
         a = affine[..., self._index, :]
-        return a, np.power(a, self._exps[:, :, None] - 1.0, out=np.ones_like(a), where=self._pow)
+        lower = np.power(a, self._exps[:, :, None] - 1.0, out=np.ones_like(a), where=self._pow)
+        return np.multiply(a, lower, out=a), lower
 
     def values(self, pts):
         """Values (..., G, M) of every field at pts (..., M, 2): those of
         ``value_grad``, bit for bit, without the gradients."""
-        a, lower = self._factors(pts)
-        fac = lower * a
+        fac, _ = self._factors(pts)
         vals = fac[..., 0, :, :]
         for f in range(1, fac.shape[-3]):
             vals = vals * fac[..., f, :, :]
@@ -136,8 +136,7 @@ class PowerTable:
     def value_grad(self, pts):
         """Values (..., G, M) and gradients (..., G, M, 2) of every field at
         pts (..., M, 2)."""
-        a, lower = self._factors(pts)
-        fac = lower * a
+        fac, lower = self._factors(pts)
         # Products of the factors ahead of and behind factor f, written in
         # place: the passes over these arrays are most of the work.
         before = np.empty_like(fac)

@@ -347,10 +347,12 @@ class DSElement:
 
 
 # Largest factor array, in doubles (classes x F x G x M), of one pass of a
-# stacked evaluation.  A larger pass shares numpy's per-call overhead among
-# more classes, but its temporaries outgrow the cache.  On the perturbed-quad
-# n=32, r=2 solve (2-core host, two runs), 2**14 to 2**16 ran equally fast;
-# 2**12, and one pass per block of 64 classes, were 4-19% slower.
+# stacked evaluation; each temporary of the pass has that size, 128 KB.  A
+# larger pass shares numpy's per-call overhead among more classes, but each
+# class costs more: on quads at r=2 (2-core host), `value_grad` took 67 us
+# per class in passes of 3 classes and 108 us in passes of 5.  The whole
+# perturbed-quad n=32, r=2 solve ran equally fast from 2**14 to 2**16, and
+# 4-19% slower at 2**12 or with one pass per block of 64 classes.
 EVAL_BUDGET = 2**14
 
 
