@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from polyds import serendipity
 from polyds.assembly import AssemblyError, assemble_primal
 from polyds.geometry import Polygon
-from polyds import serendipity
 from polyds.mesh import build_topology, gen_hex_dominant_mesh, gen_perturbed_quad_mesh
 from polyds.quadrature import _polygon_rules
 from polyds.serendipity import (
@@ -425,8 +425,7 @@ class TestStackedEvaluation:
 
     @pytest.mark.parametrize("N, r", [(3, 1), (4, 2), (5, 4), (6, 4), (6, 7), (8, 9)])
     def test_values_only_build_matches_gradient_pass_build(self, N, r):
-        # The nodal inverse as computed from ``value_grad`` at the frame nodes
-        # alone, before the build evaluated values only.
+        # Oracle: the nodal inverse from ``value_grad`` at the frame nodes alone.
         E = random_convex_polygon(N, np.random.default_rng(N + r))
         builder = _HighOrderBuilder(E, r)
         V, _ = builder.table.value_grad(builder.nodes.all_points())
