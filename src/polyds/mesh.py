@@ -12,7 +12,9 @@ merging vertices.
 
 Generation is array work over all cells at once: the Voronoi cells are
 clipped together, one bisector per cell and step; coinciding loop
-vertices are fused by label propagation; the edge table comes from
+vertices are fused by label propagation; both neighbour searches, for the
+seeds near each cell and for the coinciding vertices, use a uniform grid
+of buckets; the edge table comes from
 integer keys of the directed edges; and the cell polygons are built per
 group of equal vertex count (``geometry.polygon_stack``).  The tests hold
 each step to the bits of a cell-by-cell construction.
@@ -28,7 +30,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Polygon, _frozen, polygon_stack
 
@@ -367,9 +368,82 @@ def voronoi_cell(seed, all_seeds) -> Polygon:
     return Polygon(pts[0, :counts[0]])
 
 
-# Nearest seeds each cell is first clipped against; a cell that needs more
-# is clipped again with twice as many.
+def _bucket_keys(cells):
+    """Integer bucket coordinates (P, 2), as floats, as the complex keys
+    column + 1j * row.  Numpy sorts complex numbers lexicographically, so
+    sorted keys run column by column, and row by row within a column."""
+    return cells[:, 0] + 1j * cells[:, 1]
+
+
+def _spread(lo, hi):
+    """Every index of the ranges [lo, hi) (R,): the range of each, and it."""
+    n = hi - lo
+    return np.repeat(np.arange(len(n)), n), np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+
+
+# Half-width, in buckets, of the square window of seeds each Voronoi cell
+# is first clipped against, and the number of seeds that window holds on
+# average, which sets the bucket side.  A cell that needs more seeds is
+# clipped again with a window twice as wide.
+_WINDOW = 2
 _NEIGHBOURS = 16
+
+
+class _SeedGrid:
+    """Seeds binned into a uniform grid of square buckets, to find the
+    seeds near each Voronoi site (the cell method: Bentley, Stanat &
+    Williams, Inf. Process. Lett. 6, 1977)."""
+
+    def __init__(self, seeds, min_side):
+        n = len(seeds)
+        # Padded with a seed at infinity, the window's filler.
+        self.seeds = np.concatenate([seeds, [[np.inf, np.inf]]])
+        self.origin = seeds.min(axis=0) if n else np.zeros(2)
+        extent = float(np.ptp(seeds, axis=0).max()) if n else 0.0
+        self.side = max(extent * np.sqrt(_NEIGHBOURS / max(n, 1)) / (2 * _WINDOW + 1), min_side)
+        keys = _bucket_keys(self._cells(seeds))
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+        # Per axis, the seed coordinates in ascending order, padded with
+        # -inf and inf, and the bucket line of each: the line is a monotone
+        # function of the coordinate, so the seeds below a line are a
+        # prefix of that order.
+        self.lines = []
+        for a in range(2):
+            coords = np.sort(seeds[:, a])
+            self.lines.append((np.concatenate([[-np.inf], coords, [np.inf]]),
+                               np.floor((coords - self.origin[a]) / self.side)))
+
+    def _cells(self, pts):
+        return np.floor((pts - self.origin) / self.side)
+
+    def window(self, sites, w):
+        """The seeds in the (2w + 1)^2 buckets around each site, nearest
+        first by ``np.hypot`` distance, ties by seed index, padded with the
+        seed at infinity: indices and distances (T, K); and a lower bound
+        (T,) of the distance from each site to every seed outside its
+        window."""
+        cells = self._cells(sites)
+        cols = cells[:, :1] + np.arange(-w, w + 1)
+        lo = np.searchsorted(self.keys, cols + 1j * (cells[:, 1:] - w), "left")
+        hi = np.searchsorted(self.keys, cols + 1j * (cells[:, 1:] + w), "right")
+        count = (hi - lo).sum(axis=1)
+        row, col = _spread(np.zeros_like(count), count)
+        idx = np.full((len(sites), max(count.max(initial=0), 1)), len(self.order))
+        idx[row, col] = self.order[_spread(lo.ravel(), hi.ravel())[1]]
+        gap = self.seeds[idx] - sites[:, None]
+        dist = np.hypot(gap[..., 0], gap[..., 1])
+        order = np.lexsort((idx, dist), axis=-1)
+        # A seed outside the window lies beyond one of its four edges, and
+        # the nearest seed coordinate beyond an edge bounds its distance:
+        # rounding is monotone, so fl(site - edge) <= |fl(seed - site)|,
+        # and hypot(dx, dy) >= |dx|.
+        bound = np.full(len(sites), np.inf)
+        for a, (coords, line) in enumerate(self.lines):
+            below = coords[np.searchsorted(line, cells[:, a] - w, "left")]
+            above = coords[np.searchsorted(line, cells[:, a] + w, "right") + 1]
+            bound = np.minimum(bound, np.minimum(sites[:, a] - below, above - sites[:, a]))
+        return np.take_along_axis(idx, order, axis=1), np.take_along_axis(dist, order, axis=1), bound
 
 
 def _voronoi_loops(sites, seeds):
@@ -382,32 +456,27 @@ def _voronoi_loops(sites, seeds):
     farthest vertex: that bisector, and those of all later seeds, miss it.
     """
     sites = np.asarray(sites, dtype=float)
-    seeds = np.asarray(seeds, dtype=float)
+    seeds = np.asarray(seeds, dtype=float).reshape(len(seeds), 2)
     (x0, y0), (x1, y1) = BOUNDING_SQUARE
     square = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
     scale = max(x1 - x0, y1 - y0)
     tol = 1e-14 * scale
-    tree = cKDTree(seeds)
+    # Buckets far wider than tol: seeds within tol of a site share its window.
+    grid = _SeedGrid(seeds, 1e-9 * scale)
     # 1: seed not unique; 2: empty cell; 3: degenerate cell.
     status = np.zeros(len(sites), dtype=int)
     done = []
     todo = np.arange(len(sites))
-    k = min(len(seeds), _NEIGHBOURS)
+    w = _WINDOW
     while len(todo):
         site = sites[todo]
-        kd_dist, idx = tree.query(site, k=list(range(1, k + 1)))
-        gap = seeds[idx] - site[:, None]
-        dist = np.hypot(gap[..., 0], gap[..., 1])
-        order = np.lexsort((idx, dist), axis=-1)
-        idx = np.take_along_axis(idx, order, axis=1)
-        dist = np.take_along_axis(dist, order, axis=1)
+        idx, dist, bound = grid.window(site, w)
+        k = idx.shape[1]
         status[todo[(dist <= tol).sum(axis=1) != 1]] = 1
         # The first ``known`` candidates are the nearest seeds in clip order:
-        # every seed left out is at least ``bound`` away (the margin covers
-        # the last bits in which the tree's distances differ from hypot).
-        # ``reach[:, j]`` is the distance of the seed after j clips, or at
-        # j = known that lower bound; a cell that cannot stop there retries.
-        bound = kd_dist[:, -1] * (1 - 1e-12) if k < len(seeds) else np.full(len(todo), np.inf)
+        # every seed left out is at least ``bound`` away.  ``reach[:, j]`` is
+        # the distance of the seed after j clips, or at j = known that lower
+        # bound; a cell that cannot stop there retries.
         known = (dist[:, 1:] < bound[:, None]).sum(axis=1)
         reach = np.where(np.arange(k) < known[:, None],
                          np.column_stack([dist[:, 1:], bound]), bound[:, None])
@@ -437,7 +506,7 @@ def _voronoi_loops(sites, seeds):
             live = live[m > 0]
         done.append((todo[~retry], pts[~retry], counts[~retry]))
         todo = todo[retry]
-        k = min(len(seeds), 2 * k)
+        w *= 2
 
     width = max(p.shape[1] for _, p, _ in done)
     pts = np.zeros((len(sites), width, 2))
@@ -491,15 +560,32 @@ def _fuse(points, merge_tol):
     of such points, become one vertex: the point of lowest index among
     them.  Vertices keep the order of those points.
     """
-    pairs = cKDTree(points).query_pairs(merge_tol, output_type="ndarray")
+    # Buckets of side 2 merge_tol, so that a pair within merge_tol, rounding
+    # included, lies in one bucket or in two adjacent ones.  Each point is
+    # compared with the points after it in its column's sorted order up to
+    # the bucket above its own, and with the three buckets of the next
+    # column: every adjacent pair of buckets once.
+    cells = np.floor(points / (2 * merge_tol))
+    keys = _bucket_keys(cells)
+    order = np.argsort(keys, kind="stable")
+    keys, (col, row) = keys[order], cells[order].T
+    lo = np.concatenate([np.arange(1, len(points) + 1),
+                         np.searchsorted(keys, col + 1 + 1j * (row - 1), "left")])
+    hi = np.concatenate([np.searchsorted(keys, col + 1j * (row + 1), "right"),
+                         np.searchsorted(keys, col + 1 + 1j * (row + 1), "right")])
+    first, second = _spread(lo, hi)
+    first, second = order[first % len(points)], order[second]
+    gap = points[first] - points[second]
+    near = gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1] <= merge_tol * merge_tol
+    first, second = first[near], second[near]
     # Propagate labels to a fixed point, where each point is labelled with
     # the lowest index of its cluster.
     label = np.arange(len(points))
     while True:
-        low = np.minimum(label[pairs[:, 0]], label[pairs[:, 1]])
+        low = np.minimum(label[first], label[second])
         new = label.copy()
-        np.minimum.at(new, pairs[:, 0], low)
-        np.minimum.at(new, pairs[:, 1], low)
+        np.minimum.at(new, first, low)
+        np.minimum.at(new, second, low)
         if np.array_equal(new, label):
             break
         label = new

@@ -347,8 +347,12 @@ class DSElement:
 
 
 # Largest factor array, in doubles (classes x F x G x M), of one pass of a
-# stacked evaluation; each temporary of the pass has that size, 128 KB.  A
-# larger pass shares numpy's per-call overhead among more classes, but each
+# stacked evaluation; each temporary of the pass has that size, 128 KB.
+# A class whose own F x G x M is larger runs alone in its pass, and that
+# pass's temporaries are larger: on the hex-dominant mesh at r=4 every
+# class is, and hexagons have 6 x 24 x 294 = 42,336 doubles (331 KB) with
+# the assembly rule and 6 x 24 x 384 = 55,296 (432 KB) with the error
+# rule.  A larger pass shares numpy's per-call overhead among more classes, but each
 # class costs more: on quads at r=2 (2-core host), `value_grad` took 67 us
 # per class in passes of 3 classes and 108 us in passes of 5.  The whole
 # perturbed-quad n=32, r=2 solve ran equally fast from 2**14 to 2**16, and

@@ -1,6 +1,8 @@
 """Shared test utilities: random convex polygons, crafted meshes and oracles."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -8,12 +10,18 @@ import scipy.sparse.linalg as spla
 from numpy.polynomial import polynomial as npoly
 from scipy.spatial import cKDTree
 
+import polyds
 from polyds.functions import PowerTable
 from polyds.geometry import AffineScalar, GeometryError, Polygon, nonadjacent_pairs
 from polyds.mesh import MeshError, build_topology
 from polyds.mixed import _pressure_terms, build_mixed_element, mixed_dimension
 from polyds.quadrature import edge_rule, polygon_rule
 from polyds.serendipity import build_ds_element, ds_dimension
+
+# Subprocesses import polyds from the same source tree as the tests do.
+SOURCE_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(polyds.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+))
 
 # The array attributes of a Polygon.
 POLYGON_ARRAYS = ("vertices", "edge_lengths", "tangents", "normals", "centroid", "edge_offsets")

@@ -1,21 +1,13 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import polyds
 from polyds.cli import main
 from polyds.mesh import export_mesh, import_mesh
 
-from helpers import sliver_mesh
-
-# Subprocesses import polyds from the same source tree as the tests do.
-CLI_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
-    filter(None, [str(Path(polyds.__file__).parents[1]), os.environ.get("PYTHONPATH")])
-))
+from helpers import SOURCE_ENV, sliver_mesh
 
 
 # The two commands that solve, each with the arguments of a small mesh.
@@ -281,7 +273,7 @@ def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "polyds.cli", "solve", "--method", "primal",
          "--r", "1", "--family", "square", "--n", "3"],
-        capture_output=True, text=True, timeout=120, env=CLI_ENV,
+        capture_output=True, text=True, timeout=120, env=SOURCE_ENV,
     )
     assert proc.returncode == 0
     assert "L2_p" in proc.stdout
@@ -291,6 +283,6 @@ def test_unknown_method_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "polyds.cli", "solve", "--method", "bogus",
          "--family", "square", "--n", "3"],
-        capture_output=True, text=True, timeout=60, env=CLI_ENV,
+        capture_output=True, text=True, timeout=60, env=SOURCE_ENV,
     )
     assert proc.returncode == 2

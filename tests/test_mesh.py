@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from polyds.mesh import (
 
 from helpers import (
     POLYGON_ARRAYS,
+    SOURCE_ENV,
     _clean_loop,
     dict_topology,
     fuse_loops,
@@ -258,21 +262,51 @@ class TestGenerators:
         assert_same_mesh(gen_trapezoid_mesh(n), verts, cells)
 
     def test_fusion_matches_pairwise_relabelling(self):
-        # Clusters of random size and shape, chains included, in random order.
+        tol = 1.5e-3
         rng = np.random.default_rng(3)
+        # Clusters of random size and shape, chains included, in random order.
         centers = rng.random((60, 2))
-        pts = np.vstack([c + rng.uniform(-2e-3, 2e-3, (rng.integers(1, 6), 2)) for c in centers])
-        pts = pts[rng.permutation(len(pts))]
-        verts, cells = fuse_loops([pts], 1.5e-3)
-        got, index = _fuse(pts, 1.5e-3)
-        assert np.array_equal(got, verts)
-        assert index.tolist() == cells[0]
+        clusters = np.vstack([c + rng.uniform(-2e-3, 2e-3, (rng.integers(1, 6), 2))
+                              for c in centers])
+        # Points on bucket boundaries (multiples of the tolerance, at least
+        # three apart), each with a partner on either side of the boundary;
+        # and pairs that straddle those points, diagonally too.
+        corners = 3 * tol * rng.integers(0, 200, (40, 2))
+        boundary = np.vstack([corners, corners + rng.uniform(-0.4, 0.4, corners.shape) * tol])
+        offsets = rng.uniform(0.1, 0.3, corners.shape) * rng.choice([-1, 1], corners.shape) * tol
+        straddling = np.vstack([corners + offsets, corners - offsets])
+        # A chain of steps below the tolerance across several buckets.
+        chain = 0.5 + np.arange(12)[:, None] * np.array([0.9, 0.2]) * tol
+        for pts in (clusters, boundary, straddling, np.vstack([chain, boundary])):
+            pts = pts[rng.permutation(len(pts))]
+            verts, cells = fuse_loops([pts], tol)
+            got, index = _fuse(pts, tol)
+            assert np.array_equal(got, verts)
+            assert index.tolist() == cells[0]
+        assert len(_fuse(chain, tol)[0]) == 1
+
+    def test_generation_leaves_scipy_spatial_unloaded(self):
+        # In a fresh interpreter: the tests' own oracles import scipy.spatial.
+        code = ("import sys, polyds; polyds.gen_hex_dominant_mesh(4); "
+                "print(sorted(m for m in ('scipy.spatial', 'scipy.special', 'scipy.constants') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=SOURCE_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_generated_meshes_revalidate(self):
         for m in (gen_square_mesh(3), gen_trapezoid_mesh(4),
                   gen_perturbed_quad_mesh(4, 0.2, 1), gen_hex_dominant_mesh(5)):
             rebuilt = build_topology(m.vertices, m.cells)
             assert rebuilt.n_edges == m.n_edges
+
+
+def cluster_and_lone_seeds():
+    """A tight cluster far from a few lone seeds: the lone cells reach past
+    their first window of buckets and are clipped again with a wider one."""
+    rng = np.random.default_rng(5)
+    return np.vstack([0.85 + 0.1 * rng.random((40, 2)), rng.random((6, 2)) * 0.5])
 
 
 class TestVoronoiCell:
@@ -302,15 +336,28 @@ class TestVoronoiCell:
             assert np.allclose(np.sort(full.vertices, axis=0),
                                np.sort(cut.vertices, axis=0), atol=1e-12)
 
-    def test_batched_clip_matches_per_seed_clip(self):
-        # A tight cluster far from a few lone seeds: the lone cells reach
-        # past their first 16 neighbours and are clipped again with more.
-        rng = np.random.default_rng(5)
-        seeds = np.vstack([0.85 + 0.1 * rng.random((40, 2)), rng.random((6, 2)) * 0.5])
-        pts, counts = _voronoi_loops(seeds, seeds)
+    @pytest.mark.parametrize("seeds", [
+        # Lattices, whose many equal distances order their seeds by index.
+        hex_lattice_seeds(2),
+        hex_lattice_seeds(3),
+        hex_lattice_seeds(16),
+        # Seeds in and around the square; some cells miss it.
+        np.random.default_rng(7).uniform(-0.5, 1.5, (60, 2)),
+        np.array([[0.3, 0.6]]),
+        cluster_and_lone_seeds(),
+    ], ids=["hex-2", "hex-3", "hex-16", "around", "single", "cluster"])
+    def test_batched_clip_matches_per_seed_clip(self, seeds):
+        loops = {}
         for c, s in enumerate(seeds):
-            assert np.array_equal(pts[c, :counts[c]], voronoi_loop_per_seed(s, seeds))
-            assert np.array_equal(voronoi_cell(s, seeds).vertices, pts[c, :counts[c]])
+            try:
+                loops[c] = voronoi_loop_per_seed(s, seeds)
+            except MeshError:
+                continue
+        assert loops
+        pts, counts = _voronoi_loops(seeds[list(loops)], seeds)
+        for (c, loop), p, m in zip(loops.items(), pts, counts):
+            assert np.array_equal(p[:m], loop)
+            assert np.array_equal(voronoi_cell(seeds[c], seeds).vertices, loop)
 
     def test_batched_clean_matches_per_loop_clean(self):
         # Near-duplicate runs (chains closer than the tolerance step by
@@ -343,6 +390,8 @@ class TestVoronoiCell:
     def test_seed_validation(self):
         with pytest.raises(MeshError):
             voronoi_cell((0.4, 0.4), [(0.25, 0.5), (0.75, 0.5)])
+        with pytest.raises(MeshError, match="pairwise distinct and contain `seed`"):
+            voronoi_cell((0.5, 0.5), [])
 
 
 class TestCollapse:
