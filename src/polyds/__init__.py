@@ -26,7 +26,6 @@ from .mixed import (
     MixedElement,
     build_mixed_element,
     mixed_dimension,
-    mixed_interpolant,
 )
 from .mesh import (
     Mesh,

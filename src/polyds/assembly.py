@@ -20,10 +20,10 @@ error integrands are evaluated once per block on the stacked moved points,
 and contributions are stored and summed in cell order, so assembled
 systems are reproducible bit for bit.
 
-The primal form and its error integration build the classes that a block
+Both forms and their error integration build the classes that a block
 meets first one by one, then stack them: one rule broadcast over their
-polygons, one evaluation of their bases (``serendipity._eval_stacked``)
-and one batched Gram product.  The mixed form sets up class by class.
+polygons, one evaluation of their bases (``serendipity._eval_stacked``, or
+``mixed._eval_mixed`` on top of it) and one batched Gram product.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import scipy.sparse.linalg as spla
 from .functions import GEMM_BUDGET, _capped_matmul
 from .geometry import _frozen
 from .mesh import Mesh
-from .mixed import build_mixed_element, edge_normal_traces, mixed_dimension
-# perfbench wraps ``edge_rule`` here, though assembly places its edge points itself.
+from .mixed import _eval_mixed, build_mixed_element, edge_normal_traces, mixed_dimension
+# perfbench wraps ``polygon_rule`` and ``edge_rule`` here, though assembly calls neither.
 from .quadrature import _polygon_rules, _segment_gauss, edge_rule, polygon_rule
 from .serendipity import _edge_parameters, _eval_stacked, build_ds_element, ds_dimension
 
@@ -282,14 +282,8 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
     elements = {}
 
     def setup(new):
-        polygons = [mesh.polygon(c) for c in new]
-        for c, E in zip(new, polygons):
-            try:
-                elements[c] = build_ds_element(E, r)
-            except Exception as exc:
-                raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
-        pts, weights = _polygon_rules(polygons, quad_degree)
-        bvals, bgrads = _eval_stacked([elements[c] for c in new], pts)
+        elems, pts, weights = _build(mesh, new, elements, quad_degree, build_ds_element, r)
+        bvals, bgrads = _eval_stacked(elems, pts, np.stack([e.coeffs for e in elems]))
         return list(zip(pts, weights, bvals.transpose(0, 2, 1), _gram(bgrads, weights)))
 
     widths = {N: ids.shape[1] for N, ids in dof.ids.items()}
@@ -343,24 +337,20 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     class_blocks = {}
     P = dof.p_per_cell
 
-    def setup(c):
-        E = mesh.polygon(c)
-        try:
-            elem = build_mixed_element(E, r, s)
-        except Exception as exc:
-            raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
-        elements[c] = elem
-        rule = polygon_rule(E, quad_degree)
-        v, d, wvals = elem.eval_all(rule.points)
+    def setup(new):
+        elems, pts, weights = _build(mesh, new, elements, quad_degree, build_mixed_element, r, s)
+        vals, divs, wvals = _eval_mixed(elems, pts)
         # Mass and divergence (n_w, n_u) blocks before the edge signs.
-        class_blocks[c] = _frozen(_gram(v, rule.weights)), _frozen(wvals * rule.weights @ d.T)
-        return rule.points, rule.weights, wvals.T, *class_blocks[c]
+        mass_local = _frozen(_gram(vals, weights))
+        div_local = _frozen(wvals * weights[:, None] @ divs.transpose(0, 2, 1))
+        class_blocks.update(zip(new, zip(mass_local, div_local)))
+        return list(zip(pts, weights, wvals.transpose(0, 2, 1), mass_local, div_local))
 
     widths = {N: ids.shape[1] for N, ids in dof.ids.items()}
     mass = _Entries(dof.cells, {N: d * d for N, d in widths.items()})
     div = _Entries(dof.cells, {N: d * P for N, d in widths.items()})
     rhs_p = np.zeros((mesh.n_cells, P))
-    for N, span, cells, data, cls in _blocks(dof.cells, reps, lambda new: list(map(setup, new))):
+    for N, span, cells, data, cls in _blocks(dof.cells, reps, setup):
         points, weights, wvals, mass_local, div_local = zip(*data)
         ids, signs = dof.ids[N][span], dof.signs[N][span]
         d = ids.shape[1]
@@ -430,6 +420,18 @@ def _blocks(groups, reps, setup):
             for rep in keys:
                 if last[rep] <= block[-1]:
                     del held[rep]
+
+
+def _build(mesh, new, elements, degree, build, *index):
+    """Build each class of ``new`` into ``elements`` as ``build(polygon, *index)``;
+    return those elements and the rules of ``degree`` on their polygons."""
+    polygons = [mesh.polygon(c) for c in new]
+    for c, E in zip(new, polygons):
+        try:
+            elements[c] = build(E, *index)
+        except Exception as exc:
+            raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
+    return [elements[c] for c in new], *_polygon_rules(polygons, degree)
 
 
 def _moved_rules(points, weights, cls, shifts):
@@ -686,16 +688,11 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
     def setup(new):
         # Rules and values with gradients (primal), or values, divergences and
         # pressures (mixed), flattened to (D, M) or (D, 2 M) per class.
-        if primal:
-            pts, weights = _polygon_rules([mesh.polygon(c) for c in new], degree)
-            vals, grads = _eval_stacked([elements[c] for c in new], pts)
-            return list(zip(pts, weights, vals, grads.reshape(*vals.shape[:2], -1)))
-        out = []
-        for c in new:
-            rule = polygon_rule(mesh.polygon(c), degree)
-            vals, divs, pressures = elements[c].eval_all(rule.points)
-            out.append((rule.points, rule.weights, vals.reshape(len(vals), -1), divs, pressures))
-        return out
+        elems = [elements[c] for c in new]
+        pts, weights = _polygon_rules([mesh.polygon(c) for c in new], degree)
+        terms = (_eval_stacked(elems, pts, np.stack([e.coeffs for e in elems])) if primal
+                 else _eval_mixed(elems, pts))
+        return list(zip(pts, weights, *(t.reshape(*t.shape[:2], -1) for t in terms)))
 
     # Squared errors of every cell, one row per norm.
     sq = np.empty((2 if primal else 3, mesh.n_cells))

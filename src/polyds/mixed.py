@@ -18,7 +18,9 @@ Construction is pure per element and built elements are immutable.  Like
 the scalar element, the element is built on its cell's frame x^: a frame
 field u^ is the field u = u^ / h, with div u = div^ u^ / h**2.  The
 pressures are the monomials of the frame coordinates, one read-only table
-per s (``_pressure_terms``) that every cell reads as it is.
+per s (``_pressure_terms``) that every cell reads as it is.  Elements of one
+(N, r, s) are evaluated together (``_eval_mixed``), their curls in the
+scalar elements' stacked pass; ``eval_all`` is its case of one element.
 """
 
 from __future__ import annotations
@@ -26,16 +28,17 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import legendre as nleg
 from numpy.polynomial import polynomial as npoly
 
 from .functions import PowerTable, _capped_matmul
 from .geometry import Polygon, _as_points
+# perfbench wraps ``polygon_rule`` and ``edge_rule`` here, though mixed calls neither.
 from .quadrature import _segment_gauss, edge_rule, polygon_rule
 from .serendipity import (
     DSElement,
     ElementError,
     _edge_parameters,
+    _eval_stacked,
     _Frame,
     _lagrange_1d,
     build_ds_element,
@@ -47,7 +50,6 @@ __all__ = [
     "constant_flux_coefficients",
     "build_mixed_element",
     "edge_normal_traces",
-    "mixed_interpolant",
 ]
 
 
@@ -208,27 +210,31 @@ class MixedElement:
         return len(self.rows)
 
     def eval_all(self, pts):
-        """Values and divergences of all basis functions and values of the
-        pressures at pts: (D, M, 2), (D, M) and (P, M)."""
-        pts = _as_points(pts)
-        m = len(pts)
-        x, h = self.ds.frame.points(pts), self.ds.frame.scale
-        nc = self.ds.n_generators
-        nr = len(self.pressure)
-        gvals = np.empty((nc + nr + 2, m, 2))
-        gdivs = np.zeros((nc + nr + 2, m))
-        _, grads = self.ds.table.value_grad(x)
-        gvals[:nc, :, 0] = grads[:, :, 1]
-        gvals[:nc, :, 1] = -grads[:, :, 0]
-        # A radial field x^ p, p homogeneous of degree d, has divergence (d + 2) p.
-        pv = self.pressure.values(x)
-        gvals[nc:nc + nr] = x * pv[:, :, None]
-        gdivs[nc:nc + nr] = (self.pressure.powers.sum(axis=1) + 2.0)[:, None] * pv
-        gvals[nc + nr] = [1.0, 0.0]
-        gvals[nc + nr + 1] = [0.0, 1.0]
-        vals = _capped_matmul(self.rows / h, gvals.reshape(len(gvals), -1)).reshape(self.dim, m, 2)
-        divs = _capped_matmul(self.rows / h**2, gdivs)
-        return vals, divs, pv
+        """Values (D, M, 2) and divergences (D, M) of the basis, and pressures (P, M), at pts."""
+        vals, divs, pvals = _eval_mixed([self], _as_points(pts)[None])
+        return vals[0], divs[0], pvals[0]
+
+
+def _eval_mixed(elems, pts):
+    """Values (C, D, M, 2) and divergences (C, D, M) of the bases of C mixed
+    elements of one (N, r, s), and their pressures (C, P, M), each at its own
+    physical points ``pts[c]`` (C, M, 2).  The curls are the rotated
+    gradients of the scalar combinations ``rows[:, :G]`` (``_eval_stacked``);
+    a radial field x^ p, p homogeneous of degree d, has divergence (d + 2) p."""
+    ds, pressure = [e.ds for e in elems], elems[0].pressure
+    (C, M), G, P = pts.shape[:2], ds[0].n_generators, len(pressure)
+    rows = np.stack([e.rows for e in elems])
+    h = np.array([d.frame.scale for d in ds])[:, None, None]
+    x = (pts - np.stack([d.frame.center for d in ds])[:, None]) / h
+    _, grads = _eval_stacked(ds, pts, rows[:, :, :G])
+    pvals = pressure.values(x.reshape(-1, 2)).reshape(P, C, M).swapaxes(0, 1)
+    fields = np.empty((C, P + 2, M, 2))  # the radial fields, then the two constant ones
+    fields[:, :P], fields[:, P:] = x[:, None] * pvals[..., None], np.eye(2)[:, None]
+    vals = _capped_matmul(rows[:, :, G:] / h, fields.reshape(C, P + 2, -1)).reshape(grads.shape)
+    vals[..., 0] += grads[..., 1]
+    vals[..., 1] -= grads[..., 0]
+    divs = _capped_matmul(rows[:, :, G:-2] * (pressure.powers.sum(axis=1) + 2.0) / h**2, pvals)
+    return vals, divs, pvals
 
 
 def build_mixed_element(E: Polygon, r: int, s: int) -> MixedElement:
@@ -271,59 +277,3 @@ def build_mixed_element(E: Polygon, r: int, s: int) -> MixedElement:
         raise ElementError(f"assembled {len(layout)} functions, expected {expected}")
     rows = np.concatenate([edge.reshape(-1, width), div, bubble])
     return MixedElement(E, r, s, ds, rows, layout)
-
-
-def _dof_functionals(elem: MixedElement, quad_degree=None):
-    """Unisolvent DoFs: edge flux moments against Legendre polynomials,
-    interior moments against pressure gradients, and bubble moments."""
-    E = elem.polygon
-    r, s = elem.r, elem.s
-    if quad_degree is None:
-        quad_degree = 2 * (r + 1) + 4
-    dofs = []
-    for k in range(E.n_edges):
-        rule = edge_rule(E, k, quad_degree)
-        for m in range(r + 1):
-            leg = nleg.leg2poly([0.0] * m + [1.0])
-            w = rule.weights * npoly.polyval(2.0 * rule.t - 1.0, leg)
-            dofs.append(("edge", rule.points, w, E.normals[k]))
-    rule = polygon_rule(E, quad_degree)
-    # Frame gradients: h times the physical ones, a scale the moments ignore.
-    _, pgrads = elem.pressure.value_grad(elem.ds.frame.points(rule.points))
-    for grad in pgrads[1:]:
-        dofs.append(("moment", rule.points, rule.weights, grad))
-    bubbles = [i for i, lay in enumerate(elem.dof_layout) if lay[0] == "bubble"]
-    if bubbles:
-        vals = elem.eval_all(rule.points)[0]
-        for i in bubbles:
-            dofs.append(("moment", rule.points, rule.weights, vals[i]))
-    return dofs
-
-
-def mixed_interpolant(elem: MixedElement, v_exact, quad_degree=None):
-    """Coefficients of the local interpolant of ``v_exact``.
-
-    Matches the edge flux moments against polynomials of degree r, the
-    interior moments against gradients of nonconstant pressures, and the
-    curl-bubble moments; this is exactly the DoF set of the space, so
-    members are reproduced and the divergence of the interpolant is the
-    pressure-space projection of the divergence of ``v_exact``.
-    """
-    dofs = _dof_functionals(elem, quad_degree)
-    A = np.empty((elem.dim, elem.dim))
-    b = np.empty(elem.dim)
-    cache = {}
-    for d, (kind, pts, w, extra) in enumerate(dofs):
-        if id(pts) not in cache:
-            cache[id(pts)] = (elem.eval_all(pts)[0], np.asarray(v_exact(pts)))
-        vals, target = cache[id(pts)]
-        if kind == "edge":
-            A[d] = np.einsum("imk,k,m->i", vals, extra, w)
-            b[d] = w @ (target @ extra)
-        else:
-            A[d] = np.einsum("imk,mk,m->i", vals, extra, w)
-            b[d] = w @ np.einsum("mk,mk->m", target, extra)
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise ElementError(f"singular interpolation system: {exc}") from None

@@ -21,9 +21,9 @@ low-order map.  Per cell, the builder computes the K affine functions as
 (K, 2) gradient and (K,) offset arrays from the frame's arrays, and the
 nodal basis is the dual of the nodes: one inverse of the matrix of
 generator values at the nodes.  Elements of one (N, r) share their terms,
-so ``_eval_stacked`` evaluates many of them in one stacked pass over
-their frames, affines and coefficients; ``eval_all`` is its case of one
-element.
+so ``_eval_stacked`` evaluates many of them in one stacked pass over their
+frames and affines, for their bases or for the curl rows of mixed elements
+(``mixed._eval_mixed``); ``eval_all`` is its case of one element.
 
 Element construction is pure (the cached layouts are read-only) and a
 built element is immutable, so distinct elements can be constructed and
@@ -342,7 +342,7 @@ class DSElement:
 
         Returns ``(vals, grads)`` with shapes (dim, M) and (dim, M, 2).
         """
-        vals, grads = _eval_stacked([self], _as_points(pts)[None])
+        vals, grads = _eval_stacked([self], _as_points(pts)[None], self.coeffs[None])
         return vals[0], grads[0]
 
 
@@ -360,22 +360,22 @@ class DSElement:
 EVAL_BUDGET = 2**14
 
 
-def _eval_stacked(elems, pts):
-    """Values (C, D, M) and gradients (C, D, M, 2) of the bases of C
-    elements with one term table (equal N and r), each at its own physical
-    points ``pts[c]`` (C, M, 2).
+def _eval_stacked(elems, pts, coeffs):
+    """Values (C, D, M) and gradients (C, D, M, 2) of the combinations
+    ``coeffs`` (C, D, G) of the generators of C elements with one term table
+    (equal N and r), each at its own physical points ``pts[c]`` (C, M, 2):
+    their bases, or the curl rows of mixed elements (``mixed._eval_mixed``).
 
-    Their frames, affines and coefficients are stacked once, and the
-    table is evaluated in passes of at most ``EVAL_BUDGET`` factor entries.
+    Their frames and affines are stacked once, and the table is evaluated
+    in passes of at most ``EVAL_BUDGET`` factor entries.
     """
     C, M = pts.shape[:2]
-    table, D = elems[0].table, elems[0].dim
+    table, D = elems[0].table, coeffs.shape[1]
     scale = np.array([e.frame.scale for e in elems])[:, None, None]
     x = (pts - np.stack([e.frame.center for e in elems])[:, None]) / scale
     affine_grads = np.stack([e.table.grads for e in elems])
     affine_offsets = np.stack([e.table.offsets for e in elems])
-    coeffs = np.stack([e.coeffs for e in elems])
-    step = max(1, EVAL_BUDGET // (table.n_factors * len(table) * M))
+    step = max(1, EVAL_BUDGET // (table.n_factors * len(table) * max(M, 1)))
     vals, grads = np.empty((C, D, M)), np.empty((C, D, M, 2))
     for i in range(0, C, step):
         part = slice(i, i + step)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.polynomial import legendre as nleg
 from numpy.polynomial import polynomial as npoly
 from scipy.spatial import cKDTree
 
@@ -16,7 +17,7 @@ from polyds.geometry import AffineScalar, GeometryError, Polygon, nonadjacent_pa
 from polyds.mesh import MeshError, build_topology
 from polyds.mixed import _pressure_terms, build_mixed_element, mixed_dimension
 from polyds.quadrature import edge_rule, polygon_rule
-from polyds.serendipity import build_ds_element, ds_dimension
+from polyds.serendipity import ElementError, build_ds_element, ds_dimension
 
 # Subprocesses import polyds from the same source tree as the tests do.
 SOURCE_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -288,6 +289,62 @@ def edge_flux_expansion_fit(E, k, r, pressure):
     alphas[:, 0] = big_vals[:, -1]
     alphas[:, 1:] = big_vals[:, :-1] - big_vals[:, -1:] * t_lag[:-1]
     return alphas
+
+
+def _dof_functionals(elem, quad_degree=None):
+    """Unisolvent DoFs: edge flux moments against Legendre polynomials,
+    interior moments against pressure gradients, and bubble moments."""
+    E = elem.polygon
+    r, s = elem.r, elem.s
+    if quad_degree is None:
+        quad_degree = 2 * (r + 1) + 4
+    dofs = []
+    for k in range(E.n_edges):
+        rule = edge_rule(E, k, quad_degree)
+        for m in range(r + 1):
+            leg = nleg.leg2poly([0.0] * m + [1.0])
+            w = rule.weights * npoly.polyval(2.0 * rule.t - 1.0, leg)
+            dofs.append(("edge", rule.points, w, E.normals[k]))
+    rule = polygon_rule(E, quad_degree)
+    # Frame gradients: h times the physical ones, a scale the moments ignore.
+    _, pgrads = elem.pressure.value_grad(elem.ds.frame.points(rule.points))
+    for grad in pgrads[1:]:
+        dofs.append(("moment", rule.points, rule.weights, grad))
+    bubbles = [i for i, lay in enumerate(elem.dof_layout) if lay[0] == "bubble"]
+    if bubbles:
+        vals = elem.eval_all(rule.points)[0]
+        for i in bubbles:
+            dofs.append(("moment", rule.points, rule.weights, vals[i]))
+    return dofs
+
+
+def mixed_interpolant(elem, v_exact, quad_degree=None):
+    """Coefficients of the local interpolant of ``v_exact``.
+
+    Matches the edge flux moments against polynomials of degree r, the
+    interior moments against gradients of nonconstant pressures, and the
+    curl-bubble moments; this is exactly the DoF set of the space, so
+    members are reproduced and the divergence of the interpolant is the
+    pressure-space projection of the divergence of ``v_exact``.
+    """
+    dofs = _dof_functionals(elem, quad_degree)
+    A = np.empty((elem.dim, elem.dim))
+    b = np.empty(elem.dim)
+    cache = {}
+    for d, (kind, pts, w, extra) in enumerate(dofs):
+        if id(pts) not in cache:
+            cache[id(pts)] = (elem.eval_all(pts)[0], np.asarray(v_exact(pts)))
+        vals, target = cache[id(pts)]
+        if kind == "edge":
+            A[d] = np.einsum("imk,k,m->i", vals, extra, w)
+            b[d] = w @ (target @ extra)
+        else:
+            A[d] = np.einsum("imk,mk,m->i", vals, extra, w)
+            b[d] = w @ np.einsum("mk,mk->m", target, extra)
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise ElementError(f"singular interpolation system: {exc}") from None
 
 
 def _clip_halfplane(pts, anchor, normal, tol):

@@ -22,7 +22,6 @@ from polyds.mixed import (
     build_mixed_element,
     constant_flux_coefficients,
     mixed_dimension,
-    mixed_interpolant,
 )
 from polyds.quadrature import edge_rule, polygon_rule
 from polyds.serendipity import build_ds_element, ds_dimension
@@ -31,6 +30,7 @@ from helpers import (
     duality_residual,
     edge_point,
     interior_points,
+    mixed_interpolant,
     pressure_monomials,
     random_convex_polygon,
     sliver_mesh,

@@ -23,7 +23,7 @@ from polyds.mesh import (
     gen_square_mesh,
     gen_trapezoid_mesh,
 )
-from polyds.mixed import build_mixed_element, mixed_interpolant
+from polyds.mixed import build_mixed_element
 from polyds.quadrature import polygon_rule
 from polyds.serendipity import build_ds_element
 
@@ -33,6 +33,7 @@ from helpers import (
     cell_flux_dofs,
     errors_per_cell,
     flux_dofs_per_cell,
+    mixed_interpolant,
     pressure_monomials,
     random_convex_polygon,
     saddle_solve,
@@ -499,18 +500,21 @@ class TestTranslationClasses:
 
 
 class TestStackedBlocks:
-    # Primal assembly and error integration build a block's new classes one
-    # by one, then take their rules, basis values and Gram matrices in
+    # Both forms' assembly and error integration build a block's new classes
+    # one by one, then take their rules, basis values and Gram matrices in
     # stacked array work.
     def test_assembly_bytes_do_not_depend_on_the_evaluation_budget(self, monkeypatch):
-        mesh = gen_perturbed_quad_mesh(8, 0.2, 1)
+        pquad, hexes = gen_perturbed_quad_mesh(8, 0.2, 1), gen_hex_dominant_mesh(4)
         f = manufactured_solution().f
-        out = []
-        for budget in (1, 10**12, 1, 10**12):  # one class per pass, all classes
-            monkeypatch.setattr(serendipity, "EVAL_BUDGET", budget)
-            system = assemble_primal(mesh, 2, f)
-            out.append((system.matrix.data.tobytes(), system.rhs.tobytes()))
-        assert out[0] == out[1] == out[2] == out[3]
+        for assemble in (lambda: assemble_primal(pquad, 2, f),
+                         lambda: assemble_mixed(pquad, 2, 1, f),
+                         lambda: assemble_mixed(hexes, 3, 3, f)):
+            out = []
+            for budget in (1, 10**12, 1, 10**12):  # one class per pass, all classes
+                monkeypatch.setattr(serendipity, "EVAL_BUDGET", budget)
+                system = assemble()
+                out.append((system.matrix.data.tobytes(), system.rhs.tobytes()))
+            assert out[0] == out[1] == out[2] == out[3]
 
     @pytest.mark.parametrize("shape", [(20, 200, 2), (4, 12, 150, 2)])
     def test_capped_gram_over_the_budget_equals_one_product(self, monkeypatch, shape):

@@ -10,7 +10,6 @@ from polyds.mixed import (
     build_mixed_element,
     constant_flux_coefficients,
     mixed_dimension,
-    mixed_interpolant,
 )
 from polyds.quadrature import edge_rule, polygon_rule
 from polyds.serendipity import _frame, _lagrange_1d, build_ds_element
@@ -23,6 +22,7 @@ from helpers import (
     frame_polygon,
     interior_points,
     layout_index,
+    mixed_interpolant,
     mixed_rows_per_edge,
     pressure_monomials,
     random_convex_polygon,

@@ -8,6 +8,7 @@ from polyds import serendipity
 from polyds.assembly import AssemblyError, assemble_primal
 from polyds.geometry import Polygon
 from polyds.mesh import build_topology, gen_hex_dominant_mesh, gen_perturbed_quad_mesh
+from polyds.mixed import _eval_mixed, build_mixed_element
 from polyds.quadrature import _polygon_rules
 from polyds.serendipity import (
     ElementError,
@@ -400,28 +401,46 @@ class TestElement:
 
 class TestStackedEvaluation:
     # Assembly evaluates the elements of a block's new classes in one stacked
-    # evaluation; ``eval_all`` is the same evaluation of one element.
-    CASES = {"pquad": (lambda: gen_perturbed_quad_mesh(4, 0.2, 1), 4, 2),
-             "hexagon": (lambda: gen_hex_dominant_mesh(4), 6, 4),
-             "sliver": (lambda: sliver_mesh(1e-3), 5, 4),
-             "carved-hexagon": (lambda: gen_hex_dominant_mesh(4), 6, 2)}
+    # evaluation: scalar elements (s None) directly, mixed ones through the
+    # scalar pass; ``eval_all`` is the same evaluation of one element.
+    CASES = {"pquad": (lambda: gen_perturbed_quad_mesh(4, 0.2, 1), 4, 2, None),
+             "hexagon": (lambda: gen_hex_dominant_mesh(4), 6, 4, None),
+             "sliver": (lambda: sliver_mesh(1e-3), 5, 4, None),
+             "carved-hexagon": (lambda: gen_hex_dominant_mesh(4), 6, 2, None),
+             "mixed-pquad": (lambda: gen_perturbed_quad_mesh(4, 0.2, 1), 4, 2, 1),
+             "mixed-carved-hexagon": (lambda: gen_hex_dominant_mesh(4), 6, 1, 1),
+             "mixed-hexagon": (lambda: gen_hex_dominant_mesh(4), 6, 3, 2)}
 
     @pytest.mark.parametrize("budget", [serendipity.EVAL_BUDGET, 10**9])
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_one_element_eval_all(self, monkeypatch, case, budget):
-        make, N, r = self.CASES[case]
+        make, N, r, s = self.CASES[case]
         mesh = make()
         polygons = [E for E in mesh.polygons() if E.n_edges == N]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the sliver cells warn on duality
-            elems = [build_ds_element(E, r) for E in polygons]
+            if s is None:
+                elems = [build_ds_element(E, r) for E in polygons]
+            else:
+                elems = [build_mixed_element(E, r, s) for E in polygons]
         assert len(elems) >= 2
         monkeypatch.setattr(serendipity, "EVAL_BUDGET", budget)
         pts, _ = _polygon_rules(polygons, 2 * r + 6)
-        vals, grads = _eval_stacked(elems, pts)
-        for elem, p, v, g in zip(elems, pts, vals, grads, strict=True):
-            for got, want in zip((v, g), elem.eval_all(p)):
+        if s is None:
+            stacked = _eval_stacked(elems, pts, np.stack([e.coeffs for e in elems]))
+        else:
+            stacked = _eval_mixed(elems, pts)
+        for elem, p, *terms in zip(elems, pts, *stacked, strict=True):
+            for got, want in zip(terms, elem.eval_all(p), strict=True):
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_zero_points_give_empty_arrays(self):
+        E, none = regular_polygon(6), np.empty((0, 2))
+        scalar, mixed = build_ds_element(E, 2), build_mixed_element(E, 1, 1)
+        D, Dm = scalar.dim, mixed.dim
+        got = [*scalar.eval_all(none), *evaluate(scalar, np.ones(D), none), *mixed.eval_all(none)]
+        assert [a.shape for a in got] == [(D, 0), (D, 0, 2), (0,), (0, 2),
+                                          (Dm, 0, 2), (Dm, 0), (3, 0)]
 
     @pytest.mark.parametrize("N, r", [(3, 1), (4, 2), (5, 4), (6, 4), (6, 7), (8, 9)])
     def test_values_only_build_matches_gradient_pass_build(self, N, r):
