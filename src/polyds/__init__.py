@@ -40,7 +40,6 @@ from .mesh import (
     gen_trapezoid_mesh,
     import_mesh,
     mesh_stats,
-    voronoi_cell,
 )
 from .assembly import (
     Exact,

@@ -41,7 +41,7 @@ from .geometry import _frozen
 from .mesh import Mesh
 from .mixed import _eval_mixed, build_mixed_element, edge_normal_traces, mixed_dimension
 # perfbench wraps ``polygon_rule`` and ``edge_rule`` here, though assembly calls neither.
-from .quadrature import _polygon_rules, _segment_gauss, edge_rule, polygon_rule
+from .quadrature import MAX_DEGREE, _polygon_rules, _segment_gauss, edge_rule, polygon_rule
 from .serendipity import _edge_parameters, _eval_stacked, build_ds_element, ds_dimension
 
 __all__ = [
@@ -675,13 +675,13 @@ class _Hybridized:
 def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
                    per_element=None):
     """Global L2 / H1 (primal) or L2 flux, pressure, divergence (mixed)
-    errors, integrated at the assembly degree plus 2.
+    errors, integrated at the assembly degree plus 2, capped at the highest
+    degree of the rules, ``quadrature.MAX_DEGREE``.
 
     ``per_element`` collects (cell, centroid, scalar L2 error) rows, in
     cell order.
     """
-    quad_increment = 2
-    degree = system.quad_degree + quad_increment
+    degree = min(system.quad_degree + 2, MAX_DEGREE)
     mesh, dof, elements = system.mesh, system.dof_map, system.elements
     primal = system.kind == "primal"
 

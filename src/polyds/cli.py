@@ -37,6 +37,7 @@ from .mesh import (
     import_mesh,
     mesh_stats,
 )
+from .quadrature import MAX_DEGREE
 from .serendipity import ElementError
 
 METHODS = ("primal", "mixed-reduced", "mixed-full")
@@ -63,13 +64,15 @@ def make_mesh(family, n, seed=0, noise=0.2):
 
 def _check_args(args):
     """The checks that ``solve`` and ``convergence`` share: the index range
-    of the method, and a mesh source."""
+    of the method, the quadrature degree, and a mesh source."""
     if args.method == "primal" and args.r < 1:
         raise ConfigError("primal form needs r >= 1")
     if args.method == "mixed-full" and args.r < 0:
         raise ConfigError("mixed form needs r >= 0")
     if args.method == "mixed-reduced" and args.r < 1:
         raise ConfigError("reduced mixed form needs r >= 1 (s = r-1 >= 0)")
+    if args.quad_degree is not None and not 1 <= args.quad_degree <= MAX_DEGREE:
+        raise ConfigError(f"--quad-degree must be in [1, {MAX_DEGREE}], got {args.quad_degree}")
     if not args.mesh and args.family is None:
         raise ConfigError("give --family or --mesh")
 

@@ -42,7 +42,6 @@ __all__ = [
     "gen_trapezoid_mesh",
     "gen_perturbed_quad_mesh",
     "gen_hex_dominant_mesh",
-    "voronoi_cell",
     "collapse_short_edges",
     "import_mesh",
     "export_mesh",
@@ -356,18 +355,6 @@ def _clean_loops(pts, counts, scale):
 BOUNDING_SQUARE = ((0.0, 0.0), (1.0, 1.0))
 
 
-def voronoi_cell(seed, all_seeds) -> Polygon:
-    """Voronoi cell of ``seed``, clipped to ``BOUNDING_SQUARE``.
-
-    The square is clipped successively against the perpendicular-bisector
-    half-plane toward the other seeds, nearest first, until the next seed
-    is too far away for its bisector to cut the cell.  The result is convex
-    by construction.
-    """
-    pts, counts = _voronoi_loops(np.asarray(seed, dtype=float)[None], all_seeds)
-    return Polygon(pts[0, :counts[0]])
-
-
 def _bucket_keys(cells):
     """Integer bucket coordinates (P, 2), as floats, as the complex keys
     column + 1j * row.  Numpy sorts complex numbers lexicographically, so
@@ -447,8 +434,8 @@ class _SeedGrid:
 
 
 def _voronoi_loops(sites, seeds):
-    """CCW vertex loops of the Voronoi cells of ``sites`` among ``seeds``
-    (the cells :func:`voronoi_cell` returns): padded (C, V, 2) and counts.
+    """CCW vertex loops of the Voronoi cells of ``sites`` among ``seeds``,
+    clipped to ``BOUNDING_SQUARE``: padded (C, V, 2) and counts.
 
     All cells are clipped together, one bisector per cell and step.  The
     seeds are taken nearest first by their ``np.hypot`` distance, ties by

@@ -18,9 +18,12 @@ Construction is pure per element and built elements are immutable.  Like
 the scalar element, the element is built on its cell's frame x^: a frame
 field u^ is the field u = u^ / h, with div u = div^ u^ / h**2.  The
 pressures are the monomials of the frame coordinates, one read-only table
-per s (``_pressure_terms``) that every cell reads as it is.  Elements of one
-(N, r, s) are evaluated together (``_eval_mixed``), their curls in the
-scalar elements' stacked pass; ``eval_all`` is its case of one element.
+per s (``_pressure_terms``) that every cell reads as it is.  The
+constant-flux functions combine vertex ramps, the index-1 functions
+carved from the scalar basis (``serendipity._carving_matrix``).
+Elements of one (N, r, s) are evaluated together (``_eval_mixed``),
+their curls in the scalar elements' stacked pass; ``eval_all`` is its
+case of one element.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .quadrature import _segment_gauss, edge_rule, polygon_rule
 from .serendipity import (
     DSElement,
     ElementError,
+    _carving_matrix,
     _edge_parameters,
     _eval_stacked,
     _Frame,
@@ -100,23 +104,6 @@ def constant_flux_coefficients(E: Polygon):
     return out
 
 
-def _vertex_ramp_rows(ds: DSElement):
-    """Coefficient rows (N, generators) of functions whose trace ramps
-    linearly 0 -> 1 along edge k-1 and 1 -> 0 along edge k for each vertex
-    k, and vanishes on every other edge: one (N, dim) weight matrix on the
-    nodal basis, whose node j of edge k is basis function N + k (r-1) + j-1
-    (r the scalar index)."""
-    N, order = ds.polygon.n_edges, ds.r
-    k = np.arange(N)
-    w = _edge_parameters(order)[1:-1]
-    weights = np.zeros((N, ds.dim))
-    weights[k, k] = 1.0
-    edge_node = N + (order - 1) * k[:, None] + np.arange(order - 1)  # (N, r-1)
-    weights[k[:, None], edge_node[k - 1]] = w
-    weights[k[:, None], edge_node] = 1.0 - w
-    return weights @ ds.coeffs
-
-
 def _constant_flux_data(ds: DSElement):
     """Data for the constant-flux functions of all N edges on ``ds.frame``:
     curl coefficient rows (N, generators) over the scalar generators,
@@ -124,7 +111,10 @@ def _constant_flux_data(ds: DSElement):
 
     Row k of the curl rows combines the ramp of vertex m+1 with weight
     -c[k, m-k-3] |e_m| for the edges m = k+3, ..., k+N-1 (mod N), all
-    scaled by 1 / (c[k, -1] |e_k|), with c the cancellation constants."""
+    scaled by 1 / (c[k, -1] |e_k|), with c the cancellation constants.
+    The ramp of vertex k is the index-1 function carved from ``ds``: its
+    trace runs linearly 0 -> 1 along edge k-1 and 1 -> 0 along edge k, and
+    vanishes on every other edge."""
     F = ds.frame
     N = F.n_edges
     lengths = F.edge_lengths
@@ -135,7 +125,7 @@ def _constant_flux_data(ds: DSElement):
     weights = np.zeros((N, N))
     weights[k[:, None], (m + 1) % N] = -coeffs[:, :-1] * lengths[m] * scale[:, None]
     const = -F.vertices[(k + 2) % N] * scale[:, None]
-    return weights @ _vertex_ramp_rows(ds), scale, const
+    return weights @ (_carving_matrix(N, 1, ds.r) @ ds.coeffs), scale, const
 
 
 def edge_normal_traces(r: int, t):

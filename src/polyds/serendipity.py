@@ -15,10 +15,13 @@ h), a similarity that leaves the space as it is.  Its polygon and nodes
 stay physical: ``eval_all`` maps the points once and divides the frame
 gradients by h.
 
-The terms of the table depend only on (N, r): ``_term_layout`` builds
-them once per (N, r), and ``_carving_matrix`` does the same for the
-low-order map.  Per cell, the builder computes the K affine functions as
-(K, 2) gradient and (K,) offset arrays from the frame's arrays, and the
+Every decision of the construction that depends only on (N, r) is one
+cached read-only table: the terms (``_term_layout``), the nodes as
+weights over the polygon's vertices (``_node_weights``), and the map that
+carves index r out of a background index s (``_carving_matrix``, per
+(N, r, s); the mixed element's vertex ramps are its index-1 case).  Per
+cell, ``_build_nodal`` computes the K affine functions as (K, 2) gradient
+and (K,) offset arrays and the nodes from the frame's arrays, and the
 nodal basis is the dual of the nodes: one inverse of the matrix of
 generator values at the nodes.  Elements of one (N, r) share their terms,
 so ``_eval_stacked`` evaluates many of them in one stacked pass over their
@@ -135,17 +138,6 @@ def _frame(E: Polygon) -> _Frame:
     return _Frame(c, h, v, E.normals, E.tangents, lengths, offsets)
 
 
-def _make_nodes(E, r: int, interior):
-    v = E.vertices
-    t = _edge_parameters(r)[1:-1]
-    edges = np.concatenate([v[1:], v[:1]]) - v
-    return NodeSet(
-        vertices=v.copy(),
-        edges=v[:, None] + t[:, None] * edges[:, None],
-        interior=np.asarray(interior, dtype=float).reshape(-1, 2),
-    )
-
-
 def _lagrange_1d(points):
     """Coefficient arrays of the 1D Lagrange basis on the given points."""
     points = np.asarray(points, dtype=float)
@@ -155,24 +147,6 @@ def _lagrange_1d(points):
         den = np.prod(tj - roots)
         out.append(npoly.polyfromroots(roots) / den)
     return out
-
-
-def _interior_triangle(F: _Frame):
-    """A spread-out triangle strictly inside F for the cell Lagrange nodes."""
-    N = F.n_edges
-    return 0.5 * F.vertices[[(m * N) // 3 for m in range(3)]]
-
-
-def _triangle_lattice(tri, p):
-    """Lagrange nodes of order p on a triangle (barycenter when p == 0)."""
-    if p == 0:
-        return tri.mean(axis=0).reshape(1, 2)
-    pts = []
-    for i in range(p + 1):
-        for j in range(p + 1 - i):
-            k = p - i - j
-            pts.append((i * tri[0] + j * tri[1] + k * tri[2]) / p)
-    return np.array(pts)
 
 
 def _monomials(p):
@@ -239,76 +213,89 @@ def _term_layout(N: int, r: int) -> _TermLayout:
     return _TermLayout(table, _frozen(pairs.T.copy()))
 
 
-class _HighOrderBuilder:
-    """The nodal-basis construction for r >= N-2.
+@lru_cache(maxsize=None)
+def _node_weights(N: int, r: int):
+    """Read-only (D, N) weights of the index-r nodes of an N-gon over its
+    vertices, in node order: the vertices, per edge k its r-1 points
+    (1 - t) v_k + t v_k+1, t = j / r, then (r >= N) the order-(r-N) Lagrange
+    lattice of the triangle on half of vertices 0, N//3 and 2N//3 (its
+    barycenter at r = N), inside the polygon when the centroid is 0."""
+    t = _edge_parameters(r)[1:-1]
+    k = np.arange(N)[:, None]
+    edges = np.zeros((N, r - 1, N))
+    edges[k, np.arange(r - 1), k] = 1.0 - t
+    edges[k, np.arange(r - 1), (k + 1) % N] = t
+    p = r - N
+    lattice = (np.array([(i, j, p - i - j) for i in range(p + 1) for j in range(p + 1 - i)]) / p
+               if p > 0 else np.full((int(p == 0), 3), 1 / 3))
+    interior = np.zeros((len(lattice), N))
+    interior[:, [0, N // 3, 2 * N // 3]] = 0.5 * lattice
+    return _frozen(np.concatenate([np.eye(N), edges.reshape(-1, N), interior]))
+
+
+def _node_set(points, N: int, r: int) -> NodeSet:
+    """The index-r nodes (D, 2) of an N-gon, in node order, as a ``NodeSet``
+    of read-only views."""
+    points = _frozen(points)
+    return NodeSet(points[:N], points[N:N * r].reshape(N, r - 1, 2), points[N * r:])
+
+
+def _affines(F: _Frame, r: int, pairs):
+    """Gradients (K, 2) and offsets (K,) on the frame F of the affines of
+    the term layout of index r with nonadjacent pairs ``pairs`` (2, P)."""
+    N = F.n_edges
+    i, j = pairs
+    grads = [-F.normals, -(F.normals[i] + F.normals[j])]
+    offsets = [F.edge_offsets, F.edge_offsets[i] + F.edge_offsets[j]]
+    if r > N - 2:
+        line_grads, line_offsets = F.pair_lines(i, j)
+        tau = F.tangents / F.edge_lengths[:, None]
+        grads += [line_grads, tau]
+        offsets += [line_offsets, -(F.vertices * tau).sum(axis=1)]
+    if r >= N:
+        grads.append(np.eye(2))
+        offsets.append(np.zeros(2))
+    return np.concatenate(grads), np.concatenate(offsets)
+
+
+def _build_nodal(E: Polygon, r: int) -> DSElement:
+    """The nodal basis of index r >= N-2 on E.
 
     Every generator is one term of the ``PowerTable`` of ``_term_layout(N,
-    r)`` over the affines of this polygon's frame, ordered to match the
-    nodes, which are frame points.  The nodal basis is the coefficient
-    matrix C = V^-1 over the table, with V[g, j] the value of generator g
-    at node j.
+    r)`` over the affines of E's frame, ordered to match the nodes.  The
+    basis is the coefficient matrix C = V^-1 over the table, with V[g, j]
+    the value of generator g at frame node j.  The physical nodes are the
+    frame nodes mapped back, except the vertices, which stay E's own.
     """
-
-    def __init__(self, E: Polygon, r: int):
-        N = E.n_edges
-        if r < max(1, N - 2):
-            raise ElementError(f"high-order path requires r >= N-2 (r={r}, N={N})")
-        self.E = E
-        self.F = _frame(E)
-        self.r = r
-        self.N = N
-        self.nodes = _make_nodes(
-            self.F, r, _triangle_lattice(_interior_triangle(self.F), r - N) if r >= N else []
+    N, F = E.n_edges, _frame(E)
+    layout = _term_layout(N, r)
+    table = layout.table.with_affines(*_affines(F, r, layout.pairs))
+    frame_nodes = _node_weights(N, r) @ F.vertices
+    points = F.center + F.scale * frame_nodes
+    points[:N] = E.vertices
+    D = len(points)
+    # One evaluation at the frame nodes, which give V, and at the physical
+    # nodes mapped as ``eval_all`` maps them, where duality is read.
+    vals = table.values(np.concatenate([frame_nodes, F.points(points)]))
+    tvals = vals[:, :D]
+    # Each generator (row) is scaled by its largest value at the nodes; one
+    # that vanishes at every node keeps scale 1 and leaves V singular.
+    s = np.abs(tvals).max(axis=1)
+    s[s == 0] = 1.0
+    try:
+        C = np.linalg.inv(tvals / s[:, None]) / s
+    except np.linalg.LinAlgError as exc:
+        raise ElementError(f"singular nodal system: {exc}; check the polygon shape") from None
+    residual = C @ vals[:, D:]
+    residual.flat[:: D + 1] -= 1.0
+    duality = np.abs(residual).max()
+    if not duality <= DUALITY_WARN:
+        warnings.warn(
+            f"nodal duality residual {duality:.2e} exceeds {DUALITY_WARN:g}; "
+            "element may be badly shaped",
+            stacklevel=2,
         )
-        self.layout = _term_layout(N, r)
-        self.table = self.layout.table.with_affines(*self._affines())
-
-    def _affines(self):
-        """Gradients (K, 2) and offsets (K,) of the affines of the term layout."""
-        F, N, r = self.F, self.N, self.r
-        i, j = self.layout.pairs
-        grads = [-F.normals, -(F.normals[i] + F.normals[j])]
-        offsets = [F.edge_offsets, F.edge_offsets[i] + F.edge_offsets[j]]
-        if r > N - 2:
-            line_grads, line_offsets = F.pair_lines(i, j)
-            tau = F.tangents / F.edge_lengths[:, None]
-            grads += [line_grads, tau]
-            offsets += [line_offsets, -(F.vertices * tau).sum(axis=1)]
-        if r >= N:
-            grads.append(np.eye(2))
-            offsets.append(np.zeros(2))
-        return np.concatenate(grads), np.concatenate(offsets)
-
-    def build(self):
-        D = len(self.nodes)
-        if len(self.table) != D:
-            raise ElementError(f"generator count {len(self.table)} != dimension {D}")
-        F = self.F
-        nodes = NodeSet(self.E.vertices, F.center + F.scale * self.nodes.edges,
-                        F.center + F.scale * self.nodes.interior)
-        # One evaluation at the frame nodes, which give V, and at the physical
-        # nodes mapped as ``eval_all`` maps them, where duality is read.
-        vals = self.table.values(np.concatenate([self.nodes.all_points(),
-                                                 F.points(nodes.all_points())]))
-        tvals = vals[:, :D]
-        # Each generator (row) is scaled by its largest value at the nodes; one
-        # that vanishes at every node keeps scale 1 and leaves V singular.
-        s = np.abs(tvals).max(axis=1)
-        s[s == 0] = 1.0
-        try:
-            C = np.linalg.inv(tvals / s[:, None]) / s
-        except np.linalg.LinAlgError as exc:
-            raise ElementError(f"singular nodal system: {exc}; check the polygon shape") from None
-        residual = C @ vals[:, D:]
-        residual.flat[:: D + 1] -= 1.0
-        duality = np.abs(residual).max()
-        if not duality <= DUALITY_WARN:
-            warnings.warn(
-                f"nodal duality residual {duality:.2e} exceeds {DUALITY_WARN:g}; "
-                "element may be badly shaped",
-                stacklevel=2,
-            )
-        return DSElement(self.E, self.r, nodes, self.table, C, F)
+    return DSElement(E, r, _node_set(points, N, r), table, C, F)
 
 
 class DSElement:
@@ -391,7 +378,7 @@ def build_ds_element(E: Polygon, r: int) -> DSElement:
     if r < 1:
         raise ElementError(f"polynomial index must be >= 1, got {r}")
     if r >= E.n_edges - 2:
-        return _HighOrderBuilder(E, r).build()
+        return _build_nodal(E, r)
     return build_low_order(E, r)
 
 
@@ -406,17 +393,17 @@ def build_low_order(E: Polygon, r: int) -> DSElement:
     s = N - 2
     if not 1 <= r < s:
         raise ElementError(f"need 1 <= r < N-2, got r={r}, N={N}")
-    base = _HighOrderBuilder(E, s).build()
-    nodes = _make_nodes(E, r, np.empty((0, 2)))
-    return DSElement(E, r, nodes, base.table, _carving_matrix(N, r) @ base.coeffs, base.frame)
+    base = _build_nodal(E, s)
+    nodes = _node_set(_node_weights(N, r) @ E.vertices, N, r)
+    return DSElement(E, r, nodes, base.table, _carving_matrix(N, r, s) @ base.coeffs, base.frame)
 
 
 @lru_cache(maxsize=None)
-def _carving_matrix(N: int, r: int):
-    """Read-only (N r, dim) map from the index-(N-2) nodal basis on an N-gon
-    to the index-r one, r < N-2: each new function is the background
-    combination with the degree-r Lagrange trace on its edges."""
-    s = N - 2
+def _carving_matrix(N: int, r: int, s: int):
+    """Read-only (N r, dim) map from the index-s nodal basis on an N-gon
+    to the vertex and edge functions of the index-r one, r <= s: each new
+    function is the background combination with the degree-r Lagrange
+    trace on its edges (the columns of the interior functions are zero)."""
     # Values of the degree-r equispaced Lagrange basis at the degree-s nodes.
     lag = _lagrange_1d(_edge_parameters(r))
     P = np.array([npoly.polyval(_edge_parameters(s)[1:-1], c) for c in lag])  # (r+1, s-1)

@@ -14,7 +14,7 @@ from scipy.spatial import cKDTree
 import polyds
 from polyds.functions import PowerTable
 from polyds.geometry import AffineScalar, GeometryError, Polygon, nonadjacent_pairs
-from polyds.mesh import MeshError, build_topology
+from polyds.mesh import MeshError, _voronoi_loops, build_topology
 from polyds.mixed import _pressure_terms, build_mixed_element, mixed_dimension
 from polyds.quadrature import edge_rule, polygon_rule
 from polyds.serendipity import ElementError, build_ds_element, ds_dimension
@@ -73,6 +73,43 @@ def frame_polygon(poly):
     """The polygon moved and scaled to its own frame x^ = (x - c) / h, as a
     new ``Polygon`` (oracle geometry for the frame arrays of the builders)."""
     return Polygon((poly.vertices - poly.centroid) / poly.diameter)
+
+
+def node_points(vertices, r):
+    """The index-r nodes of a polygon with these vertices, frame or physical,
+    formula by formula (oracle for ``polyds.serendipity._node_weights``):
+    the vertices, per edge v + t (w - v) for t = j / r, j = 1..r-1, then
+    (r >= N) the order-(r-N) Lagrange lattice of the triangle on half of
+    vertices 0, N//3 and 2N//3, or its barycenter when r = N."""
+    v = np.asarray(vertices, dtype=float)
+    N, p = len(v), r - len(v)
+    t = np.arange(1, r) / r
+    edges = v[:, None] + t[:, None] * (np.roll(v, -1, axis=0) - v)[:, None]
+    tri = 0.5 * v[[(m * N) // 3 for m in range(3)]]
+    if p > 0:
+        interior = np.array([(i * tri[0] + j * tri[1] + (p - i - j) * tri[2]) / p
+                             for i in range(p + 1) for j in range(p + 1 - i)])
+    elif p == 0:
+        interior = tri.mean(axis=0)[None]
+    else:
+        interior = np.empty((0, 2))
+    return np.concatenate([v, edges.reshape(-1, 2), interior])
+
+
+def vertex_ramp_weights(N, order):
+    """(N, dim) weights over the index-``order`` nodal basis of an N-gon of
+    the vertex ramps: the trace of ramp k runs linearly 0 -> 1 along edge
+    k-1 and 1 -> 0 along edge k, and vanishes on every other edge; node j
+    of edge k is basis function N + k (order-1) + j-1 (oracle for the
+    index-1 carving that the mixed element's constant fluxes read)."""
+    k = np.arange(N)
+    w = np.arange(1, order) / order
+    weights = np.zeros((N, ds_dimension(N, order)))
+    weights[k, k] = 1.0
+    edge_node = N + (order - 1) * k[:, None] + np.arange(order - 1)
+    weights[k[:, None], edge_node[k - 1]] = w
+    weights[k[:, None], edge_node] = 1.0 - w
+    return weights
 
 
 def pressure_monomials(poly, s):
@@ -411,10 +448,18 @@ def voronoi_loop_per_seed(seed, all_seeds):
     return pts
 
 
+def voronoi_cell(seed, all_seeds):
+    """Voronoi cell of ``seed`` among ``all_seeds``, clipped to
+    ``polyds.mesh.BOUNDING_SQUARE``: the one-site case of
+    ``polyds.mesh._voronoi_loops``, as a ``Polygon``."""
+    pts, counts = _voronoi_loops(np.asarray(seed, dtype=float)[None], all_seeds)
+    return Polygon(pts[0, :counts[0]])
+
+
 def voronoi_cell_full_clip(seed, all_seeds):
     """Voronoi cell of ``seed`` in the unit square, clipped against the
     bisector toward every other seed in index order (oracle for
-    ``polyds.mesh.voronoi_cell``, which stops early)."""
+    ``voronoi_cell``, which stops early)."""
     seed = np.asarray(seed, dtype=float)
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     for other in np.asarray(all_seeds, dtype=float):

@@ -4,8 +4,10 @@ import sys
 import numpy as np
 import pytest
 
+from polyds import cli
 from polyds.cli import main
 from polyds.mesh import export_mesh, import_mesh
+from polyds.quadrature import MAX_DEGREE
 
 from helpers import SOURCE_ENV, sliver_mesh
 
@@ -119,6 +121,15 @@ class TestSolveCommand:
         assert lines[0] == "cell_id,centroid_x,centroid_y,L2_error"
         assert len(lines) == 10
         assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(9))
+
+    def test_highest_quad_degree_solves(self, capsys):
+        # The error rule's degree, the assembly degree plus 2, is capped there.
+        code, out, err = run(["solve", "--method", "primal", "--r", "1", "--family", "square",
+                              "--n", "2", "--quad-degree", str(MAX_DEGREE)], capsys)
+        assert code == 0, err
+        norms = [float(l.split(" = ")[1]) for l in out.splitlines()
+                 if l.startswith(("L2_p", "H1_semi_p"))]
+        assert len(norms) == 2 and np.all(np.isfinite(norms))
 
     def test_missing_mesh_file_is_config_error(self, tmp_path, capsys):
         code, out, err = run(["solve", "--mesh", str(tmp_path / "missing.json")], capsys)
@@ -255,6 +266,21 @@ def test_missing_family_and_mesh_is_config_error(capsys, command):
     code, out, err = run([command, "--method", "primal", "--r", "1", *SIZES[command]], capsys)
     assert code == 2
     assert err == "error: give --family or --mesh\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("degree", [0, MAX_DEGREE + 1])
+@pytest.mark.parametrize("command", SIZES)
+def test_quad_degree_out_of_range_is_config_error(monkeypatch, capsys, degree, command):
+    # Rejected before any mesh is built.
+    def no_mesh(*args):
+        raise AssertionError("make_mesh was called")
+
+    monkeypatch.setattr(cli, "make_mesh", no_mesh)
+    code, out, err = run([command, "--method", "primal", "--r", "1", "--family", "square",
+                          *SIZES[command], "--quad-degree", str(degree)], capsys)
+    assert code == 2
+    assert err == f"error: --quad-degree must be in [1, {MAX_DEGREE}], got {degree}\n"
     assert out == ""
 
 

@@ -21,7 +21,6 @@ from polyds.mesh import (
     hex_lattice_seeds,
     import_mesh,
     mesh_stats,
-    voronoi_cell,
 )
 
 from helpers import (
@@ -33,6 +32,7 @@ from helpers import (
     loop_grid,
     sliver_mesh,
     truncated_hexagon,
+    voronoi_cell,
     voronoi_cell_full_clip,
     voronoi_loop_per_seed,
 )

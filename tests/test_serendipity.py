@@ -14,7 +14,8 @@ from polyds.serendipity import (
     ElementError,
     _carving_matrix,
     _eval_stacked,
-    _HighOrderBuilder,
+    _frame,
+    _node_weights,
     _term_layout,
     build_ds_element,
     build_low_order,
@@ -31,9 +32,11 @@ from helpers import (
     frame_polygon,
     gradient_fd,
     interior_points,
+    node_points,
     random_convex_polygon,
     scaled,
     sliver_mesh,
+    vertex_ramp_weights,
 )
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -48,6 +51,17 @@ def monomials(r):
     return [(a, b) for a in range(r + 1) for b in range(r + 1 - a)]
 
 
+def cell_table(E, r):
+    """The generator table of the index-r element on E, without the build."""
+    layout = _term_layout(E.n_edges, r)
+    return layout.table.with_affines(*serendipity._affines(_frame(E), r, layout.pairs))
+
+
+def frame_nodes(elem):
+    """The frame nodes at which the build inverts the generator values."""
+    return _node_weights(elem.polygon.n_edges, elem.r) @ elem.frame.vertices
+
+
 class TestTermLayout:
     @pytest.mark.parametrize("N", range(3, 9))
     def test_table_matches_dict_built_oracle(self, N):
@@ -57,7 +71,7 @@ class TestTermLayout:
             # The table's affines are the frame's: the oracle is built on
             # the frame polygon and both are read at frame points.
             pts = (interior_points(E, rng, 25) - E.centroid) / E.diameter
-            got = _HighOrderBuilder(E, r).table.value_grad(pts)
+            got = cell_table(E, r).value_grad(pts)
             want = dict_built_table(frame_polygon(E), r).value_grad(pts)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
@@ -67,7 +81,7 @@ class TestTermLayout:
 
     def test_cell_tables_share_the_cached_layout(self):
         rng = np.random.default_rng(2)
-        a, b = (_HighOrderBuilder(random_convex_polygon(5, rng), 4).table for _ in range(2))
+        a, b = (cell_table(random_convex_polygon(5, rng), 4) for _ in range(2))
         template = _term_layout(5, 4).table
         assert _term_layout(5, 4) is _term_layout(5, 4)
         assert a.powers is template.powers and b.powers is template.powers
@@ -78,23 +92,50 @@ class TestTermLayout:
         layout = _term_layout(N, r)
         t = layout.table
         arrays = [t.powers, t._index, t._exps, t.grads, t.offsets,
-                  layout.pairs, _carving_matrix(6, 2), _carving_matrix(8, 5)]
+                  layout.pairs, _carving_matrix(6, 2, 4), _carving_matrix(8, 5, 6),
+                  _node_weights(N, r), _node_weights(N, r + N)]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 1
+
+    @pytest.mark.parametrize("N", range(3, 9))
+    def test_node_weights_match_node_formulas(self, N):
+        E = random_convex_polygon(N, np.random.default_rng(N))
+        for r in range(1, 11):
+            for v in (E.vertices, frame_polygon(E).vertices):
+                want = node_points(v, r)
+                got = _node_weights(N, r) @ v
+                assert got.shape == want.shape == (ds_dimension(N, r), 2)
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(v).max(), (N, r)
+
+    @pytest.mark.parametrize("N, r", [(4, 2), (5, 5), (6, 2), (6, 8)])
+    def test_element_nodes_are_the_frame_nodes_mapped_back(self, N, r):
+        # Carved (r < N-2) and nodal elements alike; the vertices stay exact.
+        E = random_convex_polygon(N, np.random.default_rng(N + r))
+        nodes = build_ds_element(E, r).nodes
+        want = E.centroid + E.diameter * node_points(frame_polygon(E).vertices, r)
+        assert np.array_equal(nodes.vertices, E.vertices)
+        assert nodes.edges.shape == (N, r - 1, 2)
+        assert np.abs(nodes.all_points() - want).max() <= 1e-14
+        assert not any(a.flags.writeable for a in (nodes.vertices, nodes.edges, nodes.interior))
+
+    def test_index_one_carving_is_the_vertex_ramps(self):
+        for N in range(3, 9):
+            for s in range(1, 8):
+                assert np.array_equal(_carving_matrix(N, 1, s), vertex_ramp_weights(N, s)), (N, s)
 
     def test_singular_nodal_system(self, monkeypatch):
         # With edge 0's distance function zeroed, every generator that has
         # it as a factor vanishes at every node: the generator-at-node
         # matrix is singular, and those rows keep scale 1 (no 0 / 0).
-        affines = _HighOrderBuilder._affines
+        affines = serendipity._affines
 
-        def degenerate(self):
-            grads, offsets = affines(self)
+        def degenerate(F, r, pairs):
+            grads, offsets = affines(F, r, pairs)
             grads[0], offsets[0] = 0.0, 0.0
             return grads, offsets
 
-        monkeypatch.setattr(_HighOrderBuilder, "_affines", degenerate)
+        monkeypatch.setattr(serendipity, "_affines", degenerate)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ElementError, match="singular nodal system"):
@@ -392,10 +433,9 @@ class TestElement:
     def test_nodal_inverse_exact_at_frame_nodes_of_sliver(self):
         # The sliver warns (previous test) because duality is read at the
         # physical nodes; at the frame nodes the basis is the exact inverse.
-        builder = _HighOrderBuilder(sliver_mesh(1e-3).polygon(1), 4)
         with pytest.warns(UserWarning, match="duality"):
-            elem = builder.build()
-        V, _ = builder.table.value_grad(builder.nodes.all_points())
+            elem = build_ds_element(sliver_mesh(1e-3).polygon(1), 4)
+        V, _ = elem.table.value_grad(frame_nodes(elem))
         assert np.abs(elem.coeffs @ V - np.eye(elem.dim)).max() <= 1e-10
 
 
@@ -446,12 +486,12 @@ class TestStackedEvaluation:
     def test_values_only_build_matches_gradient_pass_build(self, N, r):
         # Oracle: the nodal inverse from ``value_grad`` at the frame nodes alone.
         E = random_convex_polygon(N, np.random.default_rng(N + r))
-        builder = _HighOrderBuilder(E, r)
-        V, _ = builder.table.value_grad(builder.nodes.all_points())
+        elem = build_ds_element(E, r)
+        V, _ = elem.table.value_grad(frame_nodes(elem))
         s = np.abs(V).max(axis=1)
         s[s == 0] = 1.0
         want = np.linalg.inv(V / s[:, None]) / s
-        got = builder.build().coeffs
+        got = elem.coeffs
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
