@@ -226,7 +226,7 @@ def _node_weights(N: int, r: int):
     edges[k, np.arange(r - 1), k] = 1.0 - t
     edges[k, np.arange(r - 1), (k + 1) % N] = t
     p = r - N
-    lattice = (np.array([(i, j, p - i - j) for i in range(p + 1) for j in range(p + 1 - i)]) / p
+    lattice = (np.array([(i, j, p - i - j) for i, j in _monomials(p)]) / p
                if p > 0 else np.full((int(p == 0), 3), 1 / 3))
     interior = np.zeros((len(lattice), N))
     interior[:, [0, N // 3, 2 * N // 3]] = 0.5 * lattice
