@@ -443,15 +443,23 @@ def _moved_rules(points, weights, cls, shifts):
 
 
 def _per_class(x, mats, cls):
-    """Rows x[i] @ mats[cls[i]]: products of the rows of one class, each
-    of at most ``GEMM_BUDGET`` multiply-adds."""
+    """Rows x[i] @ mats[cls[i]]: the rows that are alone in their class in
+    one batched product, and the rows of each other class in products of at
+    most ``GEMM_BUDGET`` multiply-adds."""
     out = np.empty((len(x), mats[0].shape[1]))
+    counts = np.bincount(cls)
+    alone = np.flatnonzero(counts[cls] == 1)
+    if len(alone):
+        out[alone] = (x[alone, None] @ np.stack([mats[k] for k in cls[alone]]))[:, 0]
+        if len(alone) == len(x):
+            return out
     step = max(1, GEMM_BUDGET // mats[0].size)
     order = np.argsort(cls, kind="stable")
-    for k, sel in enumerate(np.split(order, np.cumsum(np.bincount(cls))[:-1])):
-        for i in range(0, len(sel), step):
-            rows = sel[i:i + step]
-            out[rows] = x[rows] @ mats[k]
+    for k, sel in enumerate(np.split(order, np.cumsum(counts)[:-1])):
+        if len(sel) > 1:
+            for i in range(0, len(sel), step):
+                rows = sel[i:i + step]
+                out[rows] = x[rows] @ mats[k]
     return out
 
 

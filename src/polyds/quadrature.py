@@ -1,12 +1,13 @@
 """Quadrature over convex polygons and their edges.
 
-Polygon rules triangulate by fanning from the centroid and apply a
-tensorized Gauss-Jacobi rule collapsed onto each triangle, which stays
-well conditioned at high degree.  The fan triangles of C polygons with N
-vertices each are mapped in one broadcast (``_polygon_rules``), which
-assembly calls once per block of cells; ``polygon_rule`` is its case C = 1.
-The reference rules are cached per degree and read-only; their Gauss
-points come from numpy's Gauss-Legendre rule and a Golub-Welsch
+A quadrilateral takes a tensor Gauss-Legendre rule on the bilinear map of
+the unit square onto it.  Every other polygon is fanned from its centroid
+into triangles, each with a tensorized Gauss-Jacobi rule collapsed onto
+it, which stays well conditioned at high degree.  The rules of C polygons
+with N vertices each are mapped in one broadcast (``_polygon_rules``),
+which assembly calls once per block of cells; ``polygon_rule`` is its case
+C = 1.  The reference rules are cached per degree and read-only; their
+Gauss points come from numpy's Gauss-Legendre rule and a Golub-Welsch
 Gauss-Jacobi rule.  Rules are immutable and construction is pure.
 """
 
@@ -99,11 +100,31 @@ def _segment_gauss(degree: int):
     return t, w
 
 
-def polygon_rule(polygon: Polygon, degree: int) -> QuadRule:
-    """Composite rule over a convex polygon, exact for polynomials of ``degree``.
+@lru_cache(maxsize=None)
+def _square_gauss(degree: int):
+    """Tensor Gauss-Legendre rule on [0, 1]^2, exact for polynomials of
+    degree ``degree`` + 3 in each variable: the bilinear shape functions
+    (M, 4) of the corners (0, 0), (1, 0), (1, 1), (0, 1) at its points, and
+    its weights (M,); read-only."""
+    if not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree must be in [1, {MAX_DEGREE}], got {degree}")
+    t, w = _segment_gauss(degree + 3)
+    s, u = np.repeat(t, len(t)), np.tile(t, len(t))
+    shape = np.column_stack([(1 - s) * (1 - u), s * (1 - u), s * u, (1 - s) * u])
+    wts = np.outer(w, w).ravel()
+    shape.flags.writeable = False
+    wts.flags.writeable = False
+    return shape, wts
 
-    The polygon is fanned into triangles (centroid, v_i, v_{i+1}); convexity
-    guarantees every fan triangle is valid.
+
+def polygon_rule(polygon: Polygon, degree: int) -> QuadRule:
+    """Rule over a convex polygon, exact for polynomials of ``degree``.
+
+    A quadrilateral takes the tensor Gauss rule of the unit square mapped
+    bilinearly onto it, (``degree`` + 5) // 2 points squared, exact to
+    ``degree`` + 2.  Any other polygon is fanned into triangles (centroid,
+    v_i, v_{i+1}), which convexity keeps valid, with ``triangle_gauss`` on
+    each: N times ((``degree`` + 2) // 2) squared points.
     """
     pts, wts = _polygon_rules([polygon], degree)
     return QuadRule(points=pts[0], weights=wts[0])
@@ -111,10 +132,26 @@ def polygon_rule(polygon: Polygon, degree: int) -> QuadRule:
 
 def _polygon_rules(polygons, degree: int):
     """Points (C, M, 2) and weights (C, M) of ``polygon_rule`` on C polygons
-    with N vertices each, M = N times the reference triangle's points."""
+    with N vertices each: M = ((degree + 5) // 2)**2 for quads, else N times
+    the reference triangle's ((degree + 2) // 2)**2 points."""
+    v = np.stack([E.vertices for E in polygons])
+    if v.shape[1] == 4:
+        # The bilinear map takes the square's corners to v_0..v_3.  Its
+        # Jacobian is affine on the square, so the shape functions
+        # interpolate it from its corner values, twice the areas of the
+        # corner triangles: positive on a strictly convex quad.  A
+        # polynomial of degree p pulls back, times the Jacobian, to degree
+        # at most p + 1 in each variable: exact for p <= degree + 2.
+        shape, ref_wts = _square_gauss(degree)
+        e_next, e_prev = np.roll(v, -1, axis=1) - v, np.roll(v, 1, axis=1) - v
+        jac = e_next[..., 0] * e_prev[..., 1] - e_next[..., 1] * e_prev[..., 0]
+        # Sums over the corners, term by term, so that the rule of a polygon
+        # does not depend on the others in the stack.
+        pts = sum(shape[:, k, None] * v[:, None, k] for k in range(4))
+        return pts, ref_wts * sum(shape[:, k] * jac[:, k, None] for k in range(4))
     ref_pts, ref_wts = triangle_gauss(degree)
     c = np.stack([E.centroid for E in polygons])[:, None]
-    a = np.stack([E.vertices for E in polygons]) - c
+    a = v - c
     b = np.concatenate([a[:, 1:], a[:, :1]], axis=1)
     jac = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]  # 2 * triangle areas, positive by CCW
     # (C, N, m, 2): reference point m of fan triangle i of polygon c.

@@ -339,11 +339,13 @@ class DSElement:
 # pass's temporaries are larger: on the hex-dominant mesh at r=4 every
 # class is, and hexagons have 6 x 24 x 294 = 42,336 doubles (331 KB) with
 # the assembly rule and 6 x 24 x 384 = 55,296 (432 KB) with the error
-# rule.  A larger pass shares numpy's per-call overhead among more classes, but each
-# class costs more: on quads at r=2 (2-core host), `value_grad` took 67 us
-# per class in passes of 3 classes and 108 us in passes of 5.  The whole
-# perturbed-quad n=32, r=2 solve ran equally fast from 2**14 to 2**16, and
-# 4-19% slower at 2**12 or with one pass per block of 64 classes.
+# rule.  A larger pass shares numpy's per-call overhead among more classes,
+# but each class costs more.  Quads at r=2 have 4 x 8 x 36 = 1,152 doubles
+# with the assembly rule (14 classes a pass) and 4 x 8 x 49 = 1,568 with the
+# error rule (10).  Evaluating all 1024 classes of the perturbed-quad n=32
+# mesh (2-core host, best of 9, 3 processes) took 20-28 ms at 2**13, 21-26
+# ms at 2**14 and 22-30 ms at 2**15 with the assembly rule, and 32-41, 26-33
+# and 26-33 ms with the error rule; 2**12 and 2**16 were slower for both.
 EVAL_BUDGET = 2**14
 
 

@@ -16,7 +16,7 @@ from polyds.functions import PowerTable
 from polyds.geometry import AffineScalar, GeometryError, Polygon, nonadjacent_pairs
 from polyds.mesh import MeshError, _voronoi_loops, build_topology
 from polyds.mixed import _pressure_terms, build_mixed_element, mixed_dimension
-from polyds.quadrature import edge_rule, polygon_rule
+from polyds.quadrature import QuadRule, edge_rule, polygon_rule, triangle_gauss
 from polyds.serendipity import ElementError, build_ds_element, ds_dimension
 
 # Subprocesses import polyds from the same source tree as the tests do.
@@ -153,6 +153,19 @@ def integrate(rule, f):
     (M, 2) points or as values."""
     vals = f(rule.points) if callable(f) else np.asarray(f)
     return float(rule.weights @ vals)
+
+
+def fan_rule(poly, degree):
+    """Centroid-fan rule on any convex polygon: ``triangle_gauss`` of
+    ``degree`` on each triangle (centroid, v_i, v_i+1), in the arithmetic
+    of the library's fan, so its rules for N != 4 agree bit for bit."""
+    ref_pts, ref_wts = triangle_gauss(degree)
+    c = poly.centroid
+    a = poly.vertices - c
+    b = np.roll(a, -1, axis=0)
+    jac = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    pts = c + ref_pts[:, :1] * a[:, None] + ref_pts[:, 1:] * b[:, None]
+    return QuadRule(points=pts.reshape(-1, 2), weights=(ref_wts * jac[:, None]).ravel())
 
 
 def gradient_fd(field, pts, h):

@@ -528,6 +528,25 @@ class TestStackedBlocks:
         got = assembly._gram(fields, weights)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
+    @pytest.mark.parametrize("budget", [functions.GEMM_BUDGET, 50])
+    def test_per_class_equals_per_row_products(self, monkeypatch, budget):
+        # Classes of one row go through one batched product, the others
+        # through capped products of their rows; with a small budget each
+        # capped product holds one row.
+        monkeypatch.setattr(assembly, "GEMM_BUDGET", budget)
+        rng = np.random.default_rng(4)
+        cls = np.array([3, 0, 3, 1, 4, 3, 2, 0, 5, 3, 6])  # classes of 4, 2 and 1 rows
+        mats = tuple(rng.standard_normal((12, 7)) for _ in range(7))
+        x = rng.standard_normal((len(cls), 12))
+        want = np.array([x[i] @ mats[k] for i, k in enumerate(cls)])
+        for m in (mats, np.stack(mats)):
+            got = assembly._per_class(x, m, cls)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        # Every row alone in its class: only the batched product.
+        want = np.array([x[i] @ mats[i] for i in range(5)])
+        got = assembly._per_class(x[:5], mats, np.arange(5))
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
 
 FAMILIES = {"square4": lambda: gen_square_mesh(4),
             "trapezoid4": lambda: gen_trapezoid_mesh(4),
@@ -667,6 +686,25 @@ class TestErrorsAndRates:
             hs.append(mesh.h_max)
         assert convergence_rate(errs_l2, hs)[-1] == pytest.approx(3.0, abs=0.25)
         assert convergence_rate(errs_h1, hs)[-1] == pytest.approx(2.0, abs=0.25)
+
+    @pytest.mark.parametrize("kind,r", [("primal", 2), ("primal", 3), ("mixed", 1), ("mixed", 2)])
+    def test_perturbed_quad_rates(self, kind, r):
+        # Every cell its own shape; primal r and mixed-full (r, r) at the
+        # default degree.  The finest-pair rates are within 0.3 of optimal:
+        # r + 1 for L2_p and r for H1_semi_p (primal), r + 1 for all three
+        # mixed norms.
+        ex = manufactured_solution()
+        errs, hs = [], []
+        for n in (8, 16, 32):
+            mesh = gen_perturbed_quad_mesh(n, 0.2, 1)
+            system = assemble_primal(mesh, r, ex.f) if kind == "primal" else \
+                assemble_mixed(mesh, r, r, ex.f)
+            errs.append(compute_errors(system, solve(system), ex))
+            hs.append(mesh.h_max)
+        for name in errs[0]:
+            optimal = r if name == "H1_semi_p" else r + 1
+            rate = convergence_rate([e[name] for e in errs], hs)[-1]
+            assert rate >= optimal - 0.3, (name, rate)
 
 
     @pytest.mark.parametrize("mesh_name", ["hex4", "trapezoid4", "pquad4"])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from polyds.geometry import Polygon, nonadjacent_pairs
+from polyds.mesh import gen_perturbed_quad_mesh
+from polyds.mixed import MixedElement, build_mixed_element
 from polyds.quadrature import (
     _gauss_jacobi_10,
     _polygon_rules,
@@ -12,8 +14,9 @@ from polyds.quadrature import (
     polygon_rule,
     triangle_gauss,
 )
+from polyds.serendipity import build_ds_element
 
-from helpers import edge_distances, integrate, random_convex_polygon
+from helpers import contains, edge_distances, fan_rule, integrate, random_convex_polygon
 
 
 def edge_ratio(a, b):
@@ -24,6 +27,15 @@ def edge_ratio(a, b):
 def ref_triangle_monomial(a, b):
     # Closed form for x^a y^b over the reference triangle.
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+
+
+def boundary_monomial(E, a, b):
+    """Integral of x^a y^b over E by the divergence theorem: the boundary
+    integral of x^(a+1) y^b / (a+1) n_x, which Gauss rules along the edges
+    give exactly."""
+    return sum(integrate(edge_rule(E, i, a + b + 1),
+                         lambda p: p[:, 0] ** (a + 1) * p[:, 1] ** b / (a + 1)) * E.normals[i, 0]
+               for i in range(E.n_edges))
 
 
 class TestTriangleGauss:
@@ -115,18 +127,11 @@ class TestPolygonRule:
 
     @pytest.mark.parametrize("degree", [1, 4, 9])
     def test_exact_for_monomials_on_random_hexagon(self, degree):
-        # Reference by the divergence theorem: the integral of x^a y^b is
-        # the boundary integral of x^(a+1) y^b / (a+1) n_x, which Gauss
-        # rules along the edges give exactly.
         E = random_convex_polygon(6, np.random.default_rng(degree))
         rule = polygon_rule(E, degree)
         for a in range(degree + 1):
             for b in range(degree + 1 - a):
-                want = sum(
-                    integrate(edge_rule(E, i, a + b + 1),
-                              lambda p: p[:, 0] ** (a + 1) * p[:, 1] ** b / (a + 1))
-                    * E.normals[i, 0]
-                    for i in range(6))
+                want = boundary_monomial(E, a, b)
                 got = integrate(rule, lambda p: p[:, 0] ** a * p[:, 1] ** b)
                 assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (a, b)
 
@@ -164,6 +169,83 @@ class TestPolygonRule:
             diffs.append(abs(lo - hi) + 1e-18)
         assert diffs[-1] < 1e-3 * diffs[0]
         assert diffs[-1] < 1e-12
+
+
+def local_matrices(elem, rule):
+    """Local matrices of an element under a rule: stiffness and mass of a
+    scalar element, mass and divergence of a mixed one."""
+    w = rule.weights
+    if isinstance(elem, MixedElement):
+        vals, divs, pvals = elem.eval_all(rule.points)
+        return np.einsum("imk,m,jmk->ij", vals, w, vals), (pvals * w) @ divs.T
+    vals, grads = elem.eval_all(rule.points)
+    return np.einsum("imk,m,jmk->ij", grads, w, grads), (vals * w) @ vals.T
+
+
+class TestQuadrilateralRule:
+    # Quads take a tensor Gauss rule on the bilinear map of the unit square.
+    @pytest.mark.parametrize("degree", [1, 2, 5, 8, 13])
+    def test_exact_for_monomials_to_degree_plus_two(self, degree):
+        rng = np.random.default_rng(degree)
+        for _ in range(4):
+            E = random_convex_polygon(4, rng)
+            rule = polygon_rule(E, degree)
+            assert len(rule.weights) == ((degree + 5) // 2) ** 2
+            assert np.all(rule.weights > 0)
+            for a in range(degree + 3):
+                for b in range(degree + 3 - a):
+                    want = boundary_monomial(E, a, b)
+                    got = integrate(rule, lambda p: p[:, 0] ** a * p[:, 1] ** b)
+                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (a, b)
+
+    @pytest.mark.parametrize("vertices", [
+        [(0, 0), (1, 0), (1, 1), (0, 1)],
+        [(-1, 0), (0, -1e-3), (4, 0), (0, 1e-3)],  # a thin kite
+        [(0, 0), (2, 0), (1 + 1e-6, 1 + 1e-6), (0, 2)],  # a corner of nearly 180 degrees
+    ])
+    def test_weights_positive_and_sum_to_area(self, vertices):
+        E = Polygon(vertices)
+        for degree in (1, 8, 60):
+            rule = polygon_rule(E, degree)
+            assert np.all(rule.weights > 0)
+            assert abs(rule.weights.sum() - E.area) <= 1e-14 * E.area
+            assert np.all(contains(E, rule.points))
+
+    @pytest.mark.parametrize("degree", [0, 61])
+    def test_degree_bounds(self, degree):
+        E = random_convex_polygon(4, np.random.default_rng(0))
+        for rule in (lambda: polygon_rule(E, degree), lambda: _polygon_rules([E, E], degree)):
+            with pytest.raises(ValueError, match=r"degree must be in \[1, 60\]"):
+                rule()
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_other_polygons_keep_the_centroid_fan(self, n):
+        rng = np.random.default_rng(n)
+        polygons = [random_convex_polygon(n, rng) for _ in range(4)]
+        for degree in (1, 8, 12, 60):
+            pts, wts = _polygon_rules(polygons, degree)
+            for E, p, w in zip(polygons, pts, wts, strict=True):
+                want = fan_rule(E, degree)
+                assert np.array_equal(p, want.points) and np.array_equal(w, want.weights)
+
+    def test_local_matrices_no_less_accurate_than_the_fan(self):
+        # Against a fan of the assembly degree + 24: on every cell of a
+        # perturbed-quad mesh and on random quads, the primal (r = 1, 2, 4;
+        # degree 2r + 4) and mixed-full (r = 1, 2; degree 2r + 6) local
+        # matrices are within the fan's error, or at round-off.
+        rng = np.random.default_rng(11)
+        quads = gen_perturbed_quad_mesh(8, 0.2, 1).polygons()
+        quads += [random_convex_polygon(4, rng) for _ in range(20)]
+        cases = [(lambda E, r=r: build_ds_element(E, r), 2 * r + 4) for r in (1, 2, 4)]
+        cases += [(lambda E, r=r: build_mixed_element(E, r, r), 2 * r + 6) for r in (1, 2)]
+        for build, degree in cases:
+            for E in quads:
+                elem = build(E)
+                ref = local_matrices(elem, fan_rule(E, degree + 24))
+                fan, tensor = ([np.abs(g - w).max() / np.abs(w).max()
+                                for g, w in zip(local_matrices(elem, rule), ref)]
+                               for rule in (fan_rule(E, degree), polygon_rule(E, degree)))
+                assert all(t <= max(f, 1e-13) for t, f in zip(tensor, fan)), (degree, tensor, fan)
 
 
 class TestEdgeRule:
