@@ -11,7 +11,7 @@ from .geometry import (
     Polygon,
     RegularityReport,
 )
-from .quadrature import EdgeRule, QuadRule, edge_rule, polygon_rule, triangle_gauss
+from .quadrature import EdgeRule, QuadRule, edge_rule, polygon_rule
 from .serendipity import (
     DSElement,
     ElementError,

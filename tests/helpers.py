@@ -10,13 +10,14 @@ import scipy.sparse.linalg as spla
 from numpy.polynomial import legendre as nleg
 from numpy.polynomial import polynomial as npoly
 from scipy.spatial import cKDTree
+from scipy.special import roots_jacobi, roots_legendre
 
 import polyds
 from polyds.functions import PowerTable
 from polyds.geometry import AffineScalar, GeometryError, Polygon, nonadjacent_pairs
 from polyds.mesh import MeshError, _voronoi_loops, build_topology
 from polyds.mixed import _pressure_terms, build_mixed_element, mixed_dimension
-from polyds.quadrature import QuadRule, edge_rule, polygon_rule, triangle_gauss
+from polyds.quadrature import QuadRule, edge_rule, polygon_rule
 from polyds.serendipity import ElementError, build_ds_element, ds_dimension
 
 # Subprocesses import polyds from the same source tree as the tests do.
@@ -156,10 +157,17 @@ def integrate(rule, f):
 
 
 def fan_rule(poly, degree):
-    """Centroid-fan rule on any convex polygon: ``triangle_gauss`` of
-    ``degree`` on each triangle (centroid, v_i, v_i+1), in the arithmetic
-    of the library's fan, so its rules for N != 4 agree bit for bit."""
-    ref_pts, ref_wts = triangle_gauss(degree)
+    """Centroid-fan rule on any convex polygon, exact to ``degree``: on each
+    triangle (centroid, v_i, v_i+1) a collapsed tensor rule, Gauss-Legendre
+    along the edge and Gauss-Jacobi with weight (1 - x) towards it, which
+    absorbs the Jacobian of the collapse exactly."""
+    m = (degree + 2) // 2
+    xj, wj = roots_jacobi(m, 1.0, 0.0)
+    xl, wl = roots_legendre(m)
+    # On [0, 1] the Jacobi weight (1 - x) picks up a factor 1/2.
+    u, s = np.meshgrid(0.5 * (xj + 1.0), 0.5 * (xl + 1.0), indexing="ij")
+    ref_pts = np.column_stack([u.ravel(), (s * (1.0 - u)).ravel()])
+    ref_wts = np.outer(0.25 * wj, 0.5 * wl).ravel()
     c = poly.centroid
     a = poly.vertices - c
     b = np.roll(a, -1, axis=0)

@@ -706,6 +706,21 @@ class TestErrorsAndRates:
             rate = convergence_rate([e[name] for e in errs], hs)[-1]
             assert rate >= optimal - 0.3, (name, rate)
 
+    def test_hex_mixed_r4_flux_rate_at_default_degree(self):
+        # Hex-dominant mixed-full (4, 4) at the default degree 2r + 6 = 14,
+        # where the quadrature error of the pentagons and hexagons must stay
+        # below the discretization error: the finest-pair L2_u rate against
+        # h_max is within 0.3 of the optimal 5.
+        ex = manufactured_solution()
+        errs, hs = [], []
+        for n in (8, 16, 32):
+            mesh = gen_hex_dominant_mesh(n)
+            system = assemble_mixed(mesh, 4, 4, ex.f)
+            errs.append(compute_errors(system, solve(system), ex)["L2_u"])
+            hs.append(mesh.h_max)
+        rate = convergence_rate(errs, hs)[-1]
+        assert rate >= 4.7, (errs, rate)
+
 
     @pytest.mark.parametrize("mesh_name", ["hex4", "trapezoid4", "pquad4"])
     @pytest.mark.parametrize("kind", ["primal", "mixed"])

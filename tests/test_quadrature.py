@@ -3,17 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from polyds.assembly import _translation_classes
 from polyds.geometry import Polygon, nonadjacent_pairs
-from polyds.mesh import gen_perturbed_quad_mesh
+from polyds.mesh import gen_hex_dominant_mesh, gen_perturbed_quad_mesh
 from polyds.mixed import MixedElement, build_mixed_element
-from polyds.quadrature import (
-    _gauss_jacobi_10,
-    _polygon_rules,
-    _segment_gauss,
-    edge_rule,
-    polygon_rule,
-    triangle_gauss,
-)
+from polyds.quadrature import _polygon_rules, _segment_gauss, edge_rule, polygon_rule
 from polyds.serendipity import build_ds_element
 
 from helpers import contains, edge_distances, fan_rule, integrate, random_convex_polygon
@@ -38,50 +32,53 @@ def boundary_monomial(E, a, b):
                for i in range(E.n_edges))
 
 
+# The reference triangle (0,0), (1,0), (0,1), which the rule splits into
+# three quads.
+REF_TRIANGLE = Polygon([(0, 0), (1, 0), (0, 1)])
+
+
 class TestTriangleGauss:
     def test_constant(self):
-        pts, w = triangle_gauss(1)
+        w = polygon_rule(REF_TRIANGLE, 1).weights
         assert w.sum() == pytest.approx(0.5, abs=1e-15)
 
     def test_xy(self):
-        pts, w = triangle_gauss(2)
-        assert w @ (pts[:, 0] * pts[:, 1]) == pytest.approx(1 / 24, rel=1e-14)
+        rule = polygon_rule(REF_TRIANGLE, 2)
+        assert integrate(rule, lambda p: p[:, 0] * p[:, 1]) == pytest.approx(1 / 24, rel=1e-14)
 
     def test_degree10_x4y6(self):
-        pts, w = triangle_gauss(10)
-        val = w @ (pts[:, 0] ** 4 * pts[:, 1] ** 6)
+        rule = polygon_rule(REF_TRIANGLE, 10)
+        val = integrate(rule, lambda p: p[:, 0] ** 4 * p[:, 1] ** 6)
         assert val == pytest.approx(ref_triangle_monomial(4, 6), rel=1e-14)
 
     @pytest.mark.parametrize("degree", [1, 3, 7, 12, 20, 30])
     def test_monomial_exactness(self, degree):
-        pts, w = triangle_gauss(degree)
-        assert np.all(w > 0)
+        rule = polygon_rule(REF_TRIANGLE, degree)
+        assert np.all(rule.weights > 0)
         for a in range(degree + 1):
             for b in range(degree + 1 - a):
-                val = w @ (pts[:, 0] ** a * pts[:, 1] ** b)
+                val = integrate(rule, lambda p: p[:, 0] ** a * p[:, 1] ** b)
                 assert val == pytest.approx(ref_triangle_monomial(a, b), rel=1e-12)
 
     @pytest.mark.parametrize("m", range(1, 32))
     def test_gauss_rules_match_scipy(self, m):
-        # The Golub-Welsch Jacobi(1, 0) rule and numpy's Gauss-Legendre rule
-        # against scipy's, up to m = 31 points (degree 60).
+        # numpy's Gauss-Legendre rule against scipy's, up to m = 31 points
+        # (degree 60), and the segment rule's point count.
         special = pytest.importorskip("scipy.special")
-        for got, want in ((_gauss_jacobi_10(m), special.roots_jacobi(m, 1.0, 0.0)),
-                          (np.polynomial.legendre.leggauss(m), special.roots_legendre(m))):
-            for g, w in zip(got, want):
-                assert np.abs(g - w).max() <= 1.3e-14
+        for g, w in zip(np.polynomial.legendre.leggauss(m), special.roots_legendre(m)):
+            assert np.abs(g - w).max() <= 1.3e-14
         t, w = _segment_gauss(2 * m - 1)
         assert len(t) == m and np.abs(w.sum() - 1.0) <= 1e-14
 
     def test_degree_bounds(self):
         with pytest.raises(ValueError):
-            triangle_gauss(0)
+            polygon_rule(REF_TRIANGLE, 0)
         with pytest.raises(ValueError):
-            triangle_gauss(61)
+            polygon_rule(REF_TRIANGLE, 61)
 
 
 class TestPolygonRule:
-    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
     @pytest.mark.parametrize("degree", [1, 8, 13])
     def test_stacked_rules_equal_per_polygon_bit_for_bit(self, n, degree):
         rng = np.random.default_rng(n)
@@ -218,37 +215,114 @@ class TestQuadrilateralRule:
             with pytest.raises(ValueError, match=r"degree must be in \[1, 60\]"):
                 rule()
 
-    @pytest.mark.parametrize("n", [3, 5, 6])
-    def test_other_polygons_keep_the_centroid_fan(self, n):
-        rng = np.random.default_rng(n)
-        polygons = [random_convex_polygon(n, rng) for _ in range(4)]
-        for degree in (1, 8, 12, 60):
-            pts, wts = _polygon_rules(polygons, degree)
-            for E, p, w in zip(polygons, pts, wts, strict=True):
-                want = fan_rule(E, degree)
-                assert np.array_equal(p, want.points) and np.array_equal(w, want.weights)
-
     def test_local_matrices_no_less_accurate_than_the_fan(self):
-        # Against a fan of the assembly degree + 24: on every cell of a
-        # perturbed-quad mesh and on random quads, the primal (r = 1, 2, 4;
-        # degree 2r + 4) and mixed-full (r = 1, 2; degree 2r + 6) local
-        # matrices are within the fan's error, or at round-off.
+        # Against a fan of the assembly degree + 24, the local matrices are
+        # within the fan's error, or at round-off: the primal (r = 1, 2, 4;
+        # degree 2r + 4) and mixed-full (r = 1, 2; degree 2r + 6) ones on
+        # every cell of a perturbed-quad mesh and on random quads, and the
+        # primal r = 2, 4 and mixed (1, 1) ones on the classes of a
+        # hex-dominant mesh with N != 4 and on random N = 5..8.
         rng = np.random.default_rng(11)
         quads = gen_perturbed_quad_mesh(8, 0.2, 1).polygons()
         quads += [random_convex_polygon(4, rng) for _ in range(20)]
-        cases = [(lambda E, r=r: build_ds_element(E, r), 2 * r + 4) for r in (1, 2, 4)]
-        cases += [(lambda E, r=r: build_mixed_element(E, r, r), 2 * r + 6) for r in (1, 2)]
-        for build, degree in cases:
-            for E in quads:
-                elem = build(E)
-                ref = local_matrices(elem, fan_rule(E, degree + 24))
-                fan, tensor = ([np.abs(g - w).max() / np.abs(w).max()
-                                for g, w in zip(local_matrices(elem, rule), ref)]
-                               for rule in (fan_rule(E, degree), polygon_rule(E, degree)))
-                assert all(t <= max(f, 1e-13) for t, f in zip(tensor, fan)), (degree, tensor, fan)
+        hexes = gen_hex_dominant_mesh(16)
+        others = [hexes.polygon(c) for c in np.unique(_translation_classes(hexes)[0])]
+        others = [E for E in others if E.n_edges != 4]
+        others += [random_convex_polygon(n, rng) for n in (5, 6, 7, 8) for _ in range(5)]
+
+        def primal(r):
+            return lambda E: build_ds_element(E, r), 2 * r + 4
+
+        def mixed(r):
+            return lambda E: build_mixed_element(E, r, r), 2 * r + 6
+
+        for cells, cases in ((quads, [primal(1), primal(2), primal(4), mixed(1), mixed(2)]),
+                             (others, [primal(2), primal(4), mixed(1)])):
+            for build, degree in cases:
+                for E in cells:
+                    elem = build(E)
+                    ref = local_matrices(elem, fan_rule(E, degree + 24))
+                    fan, tensor = ([np.abs(g - w).max() / np.abs(w).max()
+                                    for g, w in zip(local_matrices(elem, rule), ref)]
+                                   for rule in (fan_rule(E, degree), polygon_rule(E, degree)))
+                    assert all(t <= max(f, 1e-13) for t, f in zip(tensor, fan)), \
+                        (E.n_edges, degree, tensor, fan)
+
+
+class TestSplitRule:
+    # Every polygon other than a quad is split into N quads (centroid,
+    # midpoint of edge i-1, v_i, midpoint of edge i), each with the tensor
+    # rule of (degree + 3) // 2 points per direction, exact to degree.
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
+    def test_other_polygons_are_split_into_quads(self, n):
+        # Piece i takes, bit for bit, the rule of the quad on its corners
+        # at degree - 2, which has the same points per direction.
+        rng = np.random.default_rng(n)
+        for E in [random_convex_polygon(n, rng) for _ in range(3)]:
+            v = E.vertices
+            mid = 0.5 * (v + np.roll(v, -1, axis=0))
+            pieces = [Polygon([E.centroid, mid[i - 1], v[i], mid[i]]) for i in range(n)]
+            for degree in (3, 8, 13, 60):
+                rule = polygon_rule(E, degree)
+                want = [polygon_rule(Q, degree - 2) for Q in pieces]
+                assert np.array_equal(rule.points, np.concatenate([w.points for w in want]))
+                assert np.array_equal(rule.weights, np.concatenate([w.weights for w in want]))
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 8])
+    @pytest.mark.parametrize("degree", [1, 2, 7, 8, 13])
+    def test_exact_for_monomials_to_degree(self, n, degree):
+        rng = np.random.default_rng(10 * n + degree)
+        for _ in range(2):
+            E = random_convex_polygon(n, rng)
+            rule = polygon_rule(E, degree)
+            assert len(rule.weights) == n * ((degree + 3) // 2) ** 2
+            assert np.all(rule.weights > 0)
+            for a in range(degree + 1):
+                for b in range(degree + 1 - a):
+                    want = boundary_monomial(E, a, b)
+                    got = integrate(rule, lambda p: p[:, 0] ** a * p[:, 1] ** b)
+                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (a, b)
+
+    @pytest.mark.parametrize("vertices", [
+        [(0, 0), (1, 0), (0.5, 1e-3)],  # a thin triangle
+        [(-1, 0), (0, -1e-3), (4, 0), (1, 1e-3), (0, 1e-3)],  # a thin pentagon
+        [(0, -1e-3), (3, -1e-3), (4, 0), (3, 1e-3), (0, 1e-3)],  # a thin pentagon, blunt
+        [(0, 0), (2, 0), (2, 2), (1, 2 + 1e-6), (0, 2)],  # a corner of nearly 180 degrees
+        [(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1e-6, 1)],  # a hexagon, the same
+    ])
+    def test_weights_positive_and_sum_to_area(self, vertices):
+        E = Polygon(vertices)
+        for degree in (1, 8, 60):
+            rule = polygon_rule(E, degree)
+            assert np.all(rule.weights > 0)
+            assert abs(rule.weights.sum() - E.area) <= 1e-14 * E.area
+            assert np.all(contains(E, rule.points))
+
+    def test_weights_positive_on_irregular_polygons(self):
+        rng = np.random.default_rng(5)
+        for n in (3, 5, 6, 7, 8):
+            for _ in range(10):
+                E = random_convex_polygon(n, rng, min_sigma=0.01)
+                for degree in (1, 60):
+                    w = polygon_rule(E, degree).weights
+                    assert np.all(w > 0) and abs(w.sum() - E.area) <= 1e-13 * E.area
 
 
 class TestEdgeRule:
+    @pytest.mark.parametrize("degree", [-3, 0, 61])
+    def test_degree_bounds(self, degree):
+        E = random_convex_polygon(5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"degree must be in \[1, 60\]"):
+            edge_rule(E, 0, degree)
+
+    def test_rules_are_read_only(self):
+        E = random_convex_polygon(6, np.random.default_rng(2))
+        rule, edge = polygon_rule(E, 8), edge_rule(E, 1, 8)
+        for a in (rule.points, rule.weights, edge.points, edge.weights, edge.t):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
     def test_weights_sum_to_length(self):
         E = random_convex_polygon(6, np.random.default_rng(3))
         for i in range(6):
