@@ -15,7 +15,6 @@ from .quadrature import EdgeRule, QuadRule, edge_rule, polygon_rule
 from .serendipity import (
     DSElement,
     ElementError,
-    NodeSet,
     build_ds_element,
     build_low_order,
     ds_dimension,

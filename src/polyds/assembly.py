@@ -191,9 +191,9 @@ class MixedDofMap:
     the cell whose CCW traversal opposes that direction takes the moment
     relabeling j <-> r+1-j and a sign flip on the constant-flux slot.
     Like ``DofMap``, the flux ids and ``signs`` of the cells with N
-    vertices are (C, D) arrays ``ids[N]`` and ``signs[N]``, in the order
-    of the ``dof_layout`` of a ``MixedElement``: per edge its r+1 slots,
-    then the divergence and bubble functions.  Pressures are numbered
+    vertices are (C, D) arrays ``ids[N]`` and ``signs[N]``, in the basis
+    order of a ``MixedElement``: per edge its r+1 slots, then the
+    divergence and bubble functions.  Pressures are numbered
     cell by cell.
     """
 

@@ -157,7 +157,7 @@ def cmd_solve(args):
         raise ConfigError("solve takes one --mesh; use convergence for several")
     if args.mesh:
         mesh = import_mesh(args.mesh[0])
-    elif not args.n:
+    elif args.n is None:
         raise ConfigError("give --n or --mesh")
     else:
         mesh = make_mesh(args.family, args.n, args.seed, args.noise)

@@ -119,8 +119,9 @@ def build_topology(vertices, cells) -> Mesh:
     """Derive and validate the edge table of a polygonal mesh.
 
     Every interior edge must be shared by exactly two cells traversing it
-    in opposite directions; cells must be valid CCW convex polygons.
-    Errors name the lowest-numbered offending cell.
+    in opposite directions; cells must be valid CCW convex polygons; every
+    vertex must belong to a cell.  Errors name the lowest-numbered
+    offending cell or vertex.
     """
     # A read-only copy: the mesh's polygons were built from these values.
     vertices = np.array(vertices, dtype=float)
@@ -164,6 +165,10 @@ def build_topology(vertices, cells) -> Mesh:
                 polygons[ci] = E
     if failures:
         raise MeshError(min(failures)[1])
+    # A vertex outside every cell would carry a dof that no cell touches.
+    unused = np.flatnonzero(np.bincount(flat, minlength=nv) == 0)
+    if len(unused):
+        raise MeshError(f"vertex {unused[0]} is used by no cell")
 
     # Directed edges a -> b of every loop, in cell and loop order.
     cell_of = np.repeat(np.arange(len(cells)), sizes)
@@ -278,6 +283,8 @@ def gen_perturbed_quad_mesh(n: int, noise: float, seed=0) -> Mesh:
         raise ValueError("n must be >= 2")
     if not 0 <= noise < 0.5:
         raise ValueError("noise must be in [0, 0.5)")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     shifts = rng.uniform(-noise / n, noise / n, size=(n + 1, n + 1, 2))  # [i, j]
     i, j = _grid_indices(n)

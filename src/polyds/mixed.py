@@ -39,7 +39,6 @@ from .geometry import Polygon, _as_points
 from .quadrature import _segment_gauss, edge_rule, polygon_rule
 from .serendipity import (
     DSElement,
-    ElementError,
     _carving_matrix,
     _edge_parameters,
     _eval_stacked,
@@ -181,11 +180,10 @@ class MixedElement:
     coefficients of each basis function.
     Basis ordering: per edge (CCW) the constant-flux function followed by
     the r moment functions, then the interior divergence functions, then
-    the curl bubbles.  ``dof_layout`` holds matching descriptors
-    ``("edge", k, j)``, ``("div", i)``, and ``("bubble", i)``.
+    the curl bubbles.
     """
 
-    def __init__(self, polygon, r, s, ds, rows, dof_layout):
+    def __init__(self, polygon, r, s, ds, rows):
         self.polygon = polygon
         self.r = r
         self.s = s
@@ -193,7 +191,6 @@ class MixedElement:
         self.rows = np.asarray(rows, dtype=float)
         self.rows.flags.writeable = False
         self.pressure = _pressure_terms(s)
-        self.dof_layout = tuple(dof_layout)
 
     @property
     def dim(self):
@@ -258,12 +255,5 @@ def build_mixed_element(E: Polygon, r: int, s: int) -> MixedElement:
     # Interior functions exist only for r+1 >= N, where their curls are bubbles.
     bubble = np.zeros((ds.dim - n_edge, width))
     bubble[:, :G] = ds.coeffs[n_edge:]
-
-    layout = ([("edge", k, j) for k in range(N) for j in range(r + 1)]
-              + [("div", i) for i in range(n_rad - 1)]
-              + [("bubble", i) for i in range(len(bubble))])
-    expected = mixed_dimension(N, r, s)
-    if len(layout) != expected:
-        raise ElementError(f"assembled {len(layout)} functions, expected {expected}")
     rows = np.concatenate([edge.reshape(-1, width), div, bubble])
-    return MixedElement(E, r, s, ds, rows, layout)
+    return MixedElement(E, r, s, ds, rows)

@@ -36,7 +36,6 @@ evaluated concurrently.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -48,7 +47,6 @@ from .geometry import Polygon, _as_points, _frozen, nonadjacent_pairs
 
 __all__ = [
     "ElementError",
-    "NodeSet",
     "DSElement",
     "ds_dimension",
     "build_low_order",
@@ -75,37 +73,6 @@ def ds_dimension(N: int, r: int) -> int:
     if r >= N - 2:
         return N * r + (r - N + 2) * (r - N + 1) // 2
     return N * r
-
-
-@dataclass(frozen=True)
-class NodeSet:
-    """Nodal points of one element, grouped and globally ordered.
-
-    Ordering: the N vertices, then for each edge its r-1 interior points in
-    CCW order (``edges`` is (N, r-1, 2)), then the interior (cell) points.
-    """
-
-    vertices: np.ndarray
-    edges: np.ndarray
-    interior: np.ndarray
-
-    def all_points(self):
-        return np.concatenate([self.vertices, self.edges.reshape(-1, 2), self.interior])
-
-    @property
-    def n_vertex(self):
-        return len(self.vertices)
-
-    @property
-    def n_per_edge(self):
-        return self.edges.shape[1]
-
-    @property
-    def n_interior(self):
-        return len(self.interior)
-
-    def __len__(self):
-        return self.n_vertex + self.n_vertex * self.n_per_edge + self.n_interior
 
 
 def _edge_parameters(r: int):
@@ -233,13 +200,6 @@ def _node_weights(N: int, r: int):
     return _frozen(np.concatenate([np.eye(N), edges.reshape(-1, N), interior]))
 
 
-def _node_set(points, N: int, r: int) -> NodeSet:
-    """The index-r nodes (D, 2) of an N-gon, in node order, as a ``NodeSet``
-    of read-only views."""
-    points = _frozen(points)
-    return NodeSet(points[:N], points[N:N * r].reshape(N, r - 1, 2), points[N * r:])
-
-
 def _affines(F: _Frame, r: int, pairs):
     """Gradients (K, 2) and offsets (K,) on the frame F of the affines of
     the term layout of index r with nonadjacent pairs ``pairs`` (2, P)."""
@@ -295,23 +255,25 @@ def _build_nodal(E: Polygon, r: int) -> DSElement:
             "element may be badly shaped",
             stacklevel=2,
         )
-    return DSElement(E, r, _node_set(points, N, r), table, C, F)
+    return DSElement(E, r, points, table, C, F)
 
 
 class DSElement:
-    """A direct serendipity element: node set plus complete nodal basis.
+    """A direct serendipity element: its nodes and complete nodal basis.
 
-    The basis is stored as a coefficient matrix over the terms of a
-    ``PowerTable`` on the polygon's ``frame``, rows ordered like the nodes
-    (vertex, edge, interior).  Instances are immutable after construction;
-    ``coeffs`` is read-only.
+    ``nodes`` is the (D, 2) array of physical nodes in node order: the N
+    vertices, then each edge's r-1 points in CCW order, then the interior
+    points.  The basis is stored as a coefficient matrix over the terms of
+    a ``PowerTable`` on the polygon's ``frame``, rows ordered like the
+    nodes.  Instances are immutable after construction; ``nodes`` and
+    ``coeffs`` are read-only.
     """
 
     def __init__(self, polygon, r, nodes, table, coeffs, frame):
         self.polygon = polygon
         self.frame = frame
         self.r = r
-        self.nodes = nodes
+        self.nodes = _frozen(nodes)
         self.table = table
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.coeffs.flags.writeable = False
@@ -396,8 +358,8 @@ def build_low_order(E: Polygon, r: int) -> DSElement:
     if not 1 <= r < s:
         raise ElementError(f"need 1 <= r < N-2, got r={r}, N={N}")
     base = _build_nodal(E, s)
-    nodes = _node_set(_node_weights(N, r) @ E.vertices, N, r)
-    return DSElement(E, r, nodes, base.table, _carving_matrix(N, r, s) @ base.coeffs, base.frame)
+    return DSElement(E, r, _node_weights(N, r) @ E.vertices, base.table,
+                     _carving_matrix(N, r, s) @ base.coeffs, base.frame)
 
 
 @lru_cache(maxsize=None)
@@ -426,9 +388,13 @@ def _carving_matrix(N: int, r: int, s: int):
 
 
 def interpolate(elem: DSElement, f):
-    """Nodal interpolation coefficients: f evaluated at the element nodes."""
-    pts = elem.nodes.all_points()
-    return np.asarray(f(pts), dtype=float)
+    """Nodal interpolation coefficients: f evaluated at the element nodes,
+    (D, 2) -> (D,)."""
+    vals = np.asarray(f(elem.nodes), dtype=float)
+    if vals.shape != (elem.dim,):
+        raise ValueError(f"f must map the {elem.dim} nodes to shape ({elem.dim},), "
+                         f"got shape {vals.shape}")
+    return vals
 
 
 def evaluate(elem: DSElement, coeffs, pts):

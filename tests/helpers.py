@@ -1,5 +1,6 @@
 """Shared test utilities: random convex polygons, crafted meshes and oracles."""
 
+import json
 import math
 import os
 from pathlib import Path
@@ -123,13 +124,31 @@ def pressure_monomials(poly, s):
 
 def duality_residual(elem):
     """Largest deviation of a scalar element's basis from nodal duality."""
-    vals, _ = elem.eval_all(elem.nodes.all_points())
+    vals, _ = elem.eval_all(elem.nodes)
     return float(np.abs(vals - np.eye(elem.dim)).max())
+
+
+def dof_layout(N, r, s):
+    """Descriptors of the index-(r, s) mixed basis on an N-gon, in basis
+    order: per edge k (CCW) ("edge", k, 0) for its constant-flux function
+    and ("edge", k, j), j = 1..r, for its moment functions, then ("div", i)
+    per nonconstant pressure, then ("bubble", i) per interior function of
+    the scalar space of index r+1."""
+    n_div = (s + 2) * (s + 1) // 2 - 1
+    n_bubble = ds_dimension(N, r + 1) - N * (r + 1)
+    return ([("edge", k, j) for k in range(N) for j in range(r + 1)]
+            + [("div", i) for i in range(n_div)]
+            + [("bubble", i) for i in range(n_bubble)])
+
+
+def element_layout(elem):
+    """``dof_layout`` of a mixed element."""
+    return dof_layout(elem.polygon.n_edges, elem.r, elem.s)
 
 
 def layout_index(elem, key):
     """Index of the basis function of a mixed element with this layout key."""
-    return elem.dof_layout.index(key)
+    return element_layout(elem).index(key)
 
 
 def contains(poly, pts, tol=None):
@@ -245,6 +264,13 @@ def truncated_hexagon(eps=1e-6):
     return build_topology(verts, [[0, 1, 2, 3, 4, 5]])
 
 
+def write_with_stray_vertex(mesh, path):
+    """Write ``mesh`` as mesh JSON with one more vertex, at (0.5, 0.501),
+    that no cell uses (``build_topology`` rejects such a file)."""
+    payload = {"vertices": mesh.vertices.tolist() + [[0.5, 0.501]], "cells": mesh.cells}
+    Path(path).write_text(json.dumps(payload))
+
+
 def edge_distances(E):
     """The N edge distance functions of E as AffineScalar objects, read
     from the polygon's ``normals`` and ``edge_offsets``."""
@@ -320,7 +346,7 @@ def mixed_rows_per_edge(E, r, s):
             for j in range(r + 1):
                 row -= alphas[k, i, j] * edge_row[k, j]
         rows.append(row)
-    for i in range(ds.nodes.n_interior):
+    for i in range(ds.dim - N * (r + 1)):
         rows.append(np.zeros(width))
         rows[-1][:G] = ds.coeffs[N + N * r + i]
     return np.array(rows)
@@ -368,7 +394,7 @@ def _dof_functionals(elem, quad_degree=None):
     _, pgrads = elem.pressure.value_grad(elem.ds.frame.points(rule.points))
     for grad in pgrads[1:]:
         dofs.append(("moment", rule.points, rule.weights, grad))
-    bubbles = [i for i, lay in enumerate(elem.dof_layout) if lay[0] == "bubble"]
+    bubbles = [i for i, lay in enumerate(element_layout(elem)) if lay[0] == "bubble"]
     if bubbles:
         vals = elem.eval_all(rule.points)[0]
         for i in bubbles:
@@ -650,17 +676,17 @@ def scalar_boundary_per_edge(mesh, r):
     return np.array(sorted(boundary), dtype=int), np.array(interior, dtype=int), pts
 
 
-def flux_dofs_per_cell(mesh, r, s, layouts):
-    """Each cell's (global flux ids, signs) aligned with ``layouts[c]``, the
-    dof layout of its element, and the flux count, numbered cell by cell
-    (oracle for ``MixedDofMap``)."""
+def flux_dofs_per_cell(mesh, r, s):
+    """Each cell's (global flux ids, signs) aligned with the ``dof_layout``
+    of its element, and the flux count, numbered cell by cell (oracle for
+    ``MixedDofMap``)."""
     per_edge = r + 1
     n_div = (s + 2) * (s + 1) // 2 - 1
     edges, cell_edges = dict_topology(mesh.cells)
     at = len(edges) * per_edge
     out = []
     for c, loop in enumerate(mesh.cells):
-        layout = layouts[c]
+        layout = dof_layout(len(loop), r, s)
         ids = np.empty(len(layout), dtype=int)
         signs = np.ones(len(layout))
         for i, lay in enumerate(layout):
@@ -716,8 +742,7 @@ def errors_per_cell(system, report, exact):
         dofs, _ = scalar_dofs_per_cell(mesh, system.dof_map.r)
         names = ("L2_p", "H1_semi_p")
     else:
-        dofs, _ = flux_dofs_per_cell(mesh, system.dof_map.r, system.dof_map.s,
-                                     [elem.dof_layout for elem in elements])
+        dofs, _ = flux_dofs_per_cell(mesh, system.dof_map.r, system.dof_map.s)
         names = ("L2_p", "L2_u", "L2_div_u")
     totals, rows = np.zeros(len(names)), []
     for c in range(mesh.n_cells):
@@ -772,7 +797,7 @@ def assemble_per_cell(mesh, r, s, f, g):
 
     P = (s + 2) * (s + 1) // 2
     elems = [build_mixed_element(E, r, s) for E in mesh.polygons()]
-    dofs, n_flux = flux_dofs_per_cell(mesh, r, s, [elem.dof_layout for elem in elems])
+    dofs, n_flux = flux_dofs_per_cell(mesh, r, s)
     n_pressure = mesh.n_cells * P
     edges, cell_edges = dict_topology(mesh.cells)
     mrows, mcols, mvals, brows, bcols, bvals = [], [], [], [], [], []

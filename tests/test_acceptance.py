@@ -27,6 +27,7 @@ from polyds.quadrature import edge_rule, polygon_rule
 from polyds.serendipity import build_ds_element, ds_dimension
 
 from helpers import (
+    dof_layout,
     duality_residual,
     edge_point,
     interior_points,
@@ -97,7 +98,7 @@ def test_criterion_2_polynomial_reproduction():
             E = elem.polygon
             pts = interior_points(E, rng, 200)
             vals, _ = elem.eval_all(pts)
-            nodes = elem.nodes.all_points()
+            nodes = elem.nodes
             for a in range(r + 1):
                 for b in range(r + 1 - a):
                     coeffs = nodes[:, 0] ** a * nodes[:, 1] ** b
@@ -141,9 +142,10 @@ def test_criterion_4_mixed_structure():
         for (N, r, s) in cases:
             E = random_convex_polygon(N, rng, MIN_SIGMA)
             elem = build_mixed_element(E, r, s)
+            layout = dof_layout(N, r, s)
             pts = interior_points(E, rng, 50)
             _, divs, _ = elem.eval_all(pts)
-            for i, lay in enumerate(elem.dof_layout):
+            for i, lay in enumerate(layout):
                 if lay[0] == "bubble" or (lay[0] == "edge" and lay[2] > 0):
                     worst_div = max(worst_div, np.abs(divs[i]).max())
             flux = np.zeros((elem.dim, N))
@@ -154,11 +156,11 @@ def test_criterion_4_mixed_structure():
                 flux[:, k] = np.einsum("imk,k,m->i", vals, E.normals[k], rule.weights)
                 pe = edge_point(E, k, t_samp).reshape(-1, 2)
                 vv, _, _ = elem.eval_all(pe)
-                for i, lay in enumerate(elem.dof_layout):
+                for i, lay in enumerate(layout):
                     if lay[0] == "div":
                         worst_trace = max(worst_trace,
                                           np.abs(vv[i] @ E.normals[k]).max())
-            for i, lay in enumerate(elem.dof_layout):
+            for i, lay in enumerate(layout):
                 if lay[0] == "edge" and lay[2] == 0:
                     want = np.zeros(N)
                     want[lay[1]] = 1.0

@@ -582,8 +582,7 @@ class TestDofMaps:
     def test_flux_ids_and_signs_match_per_cell_oracle(self, mesh_name, r, s):
         mesh = FAMILIES[mesh_name]()
         dof = assembly.MixedDofMap(mesh, r, s)
-        layouts = [build_mixed_element(E, r, s).dof_layout for E in mesh.polygons()]
-        want, n_flux = flux_dofs_per_cell(mesh, r, s, layouts)
+        want, n_flux = flux_dofs_per_cell(mesh, r, s)
         assert dof.n_flux == n_flux
         for c in range(mesh.n_cells):
             ids, signs = cell_flux_dofs(dof, c)

@@ -6,10 +6,10 @@ import pytest
 
 from polyds import cli
 from polyds.cli import main
-from polyds.mesh import export_mesh, import_mesh
+from polyds.mesh import export_mesh, gen_square_mesh, import_mesh
 from polyds.quadrature import MAX_DEGREE
 
-from helpers import SOURCE_ENV, sliver_mesh
+from helpers import SOURCE_ENV, sliver_mesh, write_with_stray_vertex
 
 
 # The two commands that solve, each with the arguments of a small mesh.
@@ -67,6 +67,17 @@ class TestMeshCommands:
         code, _, err = run(["mesh", "audit", "--mesh", str(path)], capsys)
         assert code == 3
         assert "cell 0" in err
+
+    def test_unused_vertex_is_numerical_failure(self, tmp_path, capsys):
+        # Named by the mesh check, not by a singular primal factorization.
+        path = tmp_path / "stray.json"
+        write_with_stray_vertex(gen_square_mesh(4), path)
+        for args in (["mesh", "audit"], ["solve", "--method", "primal", "--r", "1"],
+                     ["solve", "--method", "mixed-full", "--r", "1"]):
+            code, out, err = run([*args, "--mesh", str(path)], capsys)
+            assert code == 3
+            assert err == "numerical failure: vertex 25 is used by no cell\n"
+            assert out == ""
 
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         code, out, err = run(["mesh", "audit", "--mesh", str(tmp_path / "missing.json")], capsys)
@@ -155,6 +166,12 @@ class TestSolveCommand:
         code, _, err = run(["solve", "--method", "primal", "--r", "2",
                             "--family", "square"], capsys)
         assert code == 2
+
+    def test_size_zero_is_named_by_the_generator(self, capsys):
+        code, out, err = run(["solve", "--family", "square", "--n", "0"], capsys)
+        assert code == 2
+        assert err == "error: n must be >= 2\n"
+        assert out == ""
 
     def test_two_meshes_is_config_error(self, tmp_path, capsys):
         paths = []
@@ -282,6 +299,17 @@ def test_quad_degree_out_of_range_is_config_error(monkeypatch, capsys, degree, c
     assert code == 2
     assert err == f"error: --quad-degree must be in [1, {MAX_DEGREE}], got {degree}\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("args", [["solve", "--n", "4"], ["convergence", "--levels", "2,4"],
+                                  ["mesh", "gen", "--n", "4", "--out", "unwritten.json"]])
+def test_negative_seed_is_config_error(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([*args, "--family", "perturbed-quad", "--seed", "-1"], capsys)
+    assert code == 2
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert out == ""
+    assert not (tmp_path / "unwritten.json").exists()
 
 
 @pytest.mark.parametrize("family", ["bogus", "hex"])

@@ -35,6 +35,7 @@ from helpers import (
     voronoi_cell,
     voronoi_cell_full_clip,
     voronoi_loop_per_seed,
+    write_with_stray_vertex,
 )
 
 
@@ -95,6 +96,13 @@ class TestTopology:
         verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
         with pytest.raises(MeshError, match="degenerate cell 0"):
             build_topology(verts, [[0, 1, 1, 2, 3]])
+
+    def test_lowest_unused_vertex_named(self):
+        # Vertices 1 and 5 belong to no cell; an unused vertex would carry a
+        # primal dof whose matrix row is empty.
+        verts = [(0, 0), (0.5, 0.5), (1, 0), (1, 1), (0, 1), (2, 2)]
+        with pytest.raises(MeshError, match=r"^vertex 1 is used by no cell$"):
+            build_topology(verts, [[0, 2, 3, 4]])
 
     @pytest.mark.parametrize("gen", [gen_square_mesh, gen_hex_dominant_mesh])
     def test_each_cell_polygon_built_once(self, monkeypatch, gen):
@@ -198,6 +206,10 @@ class TestGenerators:
         b = gen_square_mesh(4)
         assert np.array_equal(a.vertices, b.vertices)
         assert a.cells == b.cells
+
+    def test_perturbed_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            gen_perturbed_quad_mesh(4, 0.2, seed=-1)
 
     def test_perturbed_deterministic_and_valid(self):
         a = gen_perturbed_quad_mesh(5, 0.2, seed=7)
@@ -440,6 +452,12 @@ class TestRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text('{"vertices": [[0,0],[1,0],[1,1],[0,1]], "cells": [[0,3,2,1]]}')
         with pytest.raises(MeshError, match="cell 0"):
+            import_mesh(path)
+
+    def test_unused_vertex_named(self, tmp_path):
+        path = tmp_path / "stray.json"
+        write_with_stray_vertex(gen_square_mesh(4), path)
+        with pytest.raises(MeshError, match=r"^vertex 25 is used by no cell$"):
             import_mesh(path)
 
     def test_duplicate_vertex_named(self, tmp_path):

@@ -17,8 +17,10 @@ from polyds.serendipity import _frame, _lagrange_1d, build_ds_element
 from helpers import (
     constant_flux_coefficients_per_edge,
     divergence_fd,
+    dof_layout,
     edge_flux_expansion_fit,
     edge_point,
+    element_layout,
     frame_polygon,
     interior_points,
     layout_index,
@@ -45,12 +47,12 @@ def edge_flux_integrals(elem, degree=12):
 
 def rows_of(elem, kind):
     """Basis indices whose layout entry has this kind."""
-    return [i for i, lay in enumerate(elem.dof_layout) if lay[0] == kind]
+    return [i for i, lay in enumerate(element_layout(elem)) if lay[0] == kind]
 
 
 def moment_rows(elem):
     """Indices of the flux-moment functions ("edge", k, j) with j >= 1."""
-    return [i for i, lay in enumerate(elem.dof_layout)
+    return [i for i, lay in enumerate(element_layout(elem))
             if lay[0] == "edge" and lay[2] > 0]
 
 
@@ -68,6 +70,26 @@ class TestDimension:
             mixed_dimension(4, 2, 0)
         with pytest.raises(ValueError):
             mixed_dimension(4, 0, -1)
+
+    def test_dof_layout_pinned(self):
+        # helpers.dof_layout, the descriptors of the basis order.
+        assert dof_layout(4, 1, 1) == [
+            ("edge", 0, 0), ("edge", 0, 1), ("edge", 1, 0), ("edge", 1, 1),
+            ("edge", 2, 0), ("edge", 2, 1), ("edge", 3, 0), ("edge", 3, 1),
+            ("div", 0), ("div", 1)]
+        assert dof_layout(6, 2, 1) == [
+            ("edge", 0, 0), ("edge", 0, 1), ("edge", 0, 2),
+            ("edge", 1, 0), ("edge", 1, 1), ("edge", 1, 2),
+            ("edge", 2, 0), ("edge", 2, 1), ("edge", 2, 2),
+            ("edge", 3, 0), ("edge", 3, 1), ("edge", 3, 2),
+            ("edge", 4, 0), ("edge", 4, 1), ("edge", 4, 2),
+            ("edge", 5, 0), ("edge", 5, 1), ("edge", 5, 2),
+            ("div", 0), ("div", 1)]
+        assert dof_layout(4, 3, 3)[-10:] == [("div", i) for i in range(9)] + [("bubble", 0)]
+        for N in range(3, 9):
+            for r in range(0, 5):
+                for s in sorted({max(r - 1, 0), r}):
+                    assert len(dof_layout(N, r, s)) == mixed_dimension(N, r, s)
 
     def test_matches_basis_count(self):
         rng = np.random.default_rng(0)
@@ -90,7 +112,7 @@ class TestCurl:
             vals, _, _ = elem.eval_all(rule.points)
             _, grads = ds.eval_all(rule.points)
             for i in moment_rows(elem):
-                _, e, j = elem.dof_layout[i]
+                _, e, j = element_layout(elem)[i]
                 lhs = vals[i] @ E.normals[k]
                 rhs = grads[5 + e * (ds.r - 1) + (j - 1)] @ E.tangents[k]
                 assert np.abs(lhs - rhs).max() < 1e-12 * (np.abs(rhs).max() + 1)
@@ -129,7 +151,7 @@ class TestEdgeMoments:
         fluxes = edge_flux_integrals(elem)
         t = np.linspace(0.05, 0.95, 12)
         for k in range(6):
-            fam = [i for i in moment_rows(elem) if elem.dof_layout[i][1] == k]
+            fam = [i for i in moment_rows(elem) if element_layout(elem)[i][1] == k]
             assert len(fam) == 2
             assert np.abs(fluxes[fam]).max() < 1e-11  # average flux vanishes
             for m in range(6):
@@ -340,7 +362,7 @@ class TestMixedElement:
         elem = build_mixed_element(E, 2, 1)
         pts = interior_points(E, rng, 50)
         _, divs, _ = elem.eval_all(pts)
-        for i, lay in enumerate(elem.dof_layout):
+        for i, lay in enumerate(element_layout(elem)):
             if lay[0] == "bubble" or (lay[0] == "edge" and lay[2] > 0):
                 assert np.abs(divs[i]).max() < 1e-12
 

@@ -108,16 +108,17 @@ class TestTermLayout:
                 assert got.shape == want.shape == (ds_dimension(N, r), 2)
                 assert np.abs(got - want).max() <= 1e-15 * np.abs(v).max(), (N, r)
 
-    @pytest.mark.parametrize("N, r", [(4, 2), (5, 5), (6, 2), (6, 8)])
+    @pytest.mark.parametrize("N, r", [(N, r) for N in range(3, 9) for r in range(1, 9)])
     def test_element_nodes_are_the_frame_nodes_mapped_back(self, N, r):
-        # Carved (r < N-2) and nodal elements alike; the vertices stay exact.
+        # Carved (r < N-2) and nodal elements alike: one read-only (D, 2)
+        # array in node order, whose vertices stay exact.
         E = random_convex_polygon(N, np.random.default_rng(N + r))
         nodes = build_ds_element(E, r).nodes
         want = E.centroid + E.diameter * node_points(frame_polygon(E).vertices, r)
-        assert np.array_equal(nodes.vertices, E.vertices)
-        assert nodes.edges.shape == (N, r - 1, 2)
-        assert np.abs(nodes.all_points() - want).max() <= 1e-14
-        assert not any(a.flags.writeable for a in (nodes.vertices, nodes.edges, nodes.interior))
+        assert nodes.shape == (ds_dimension(N, r), 2)
+        assert not nodes.flags.writeable
+        assert np.array_equal(nodes[:N], E.vertices)
+        assert np.abs(nodes - want).max() <= 1e-14
 
     def test_index_one_carving_is_the_vertex_ramps(self):
         for N in range(3, 9):
@@ -189,14 +190,14 @@ class TestSupplement:
 
 class TestCellBasis:
     def test_empty_below_n(self):
-        assert build_ds_element(UNIT_SQUARE, 3).nodes.n_interior == 0
-        assert build_ds_element(regular_polygon(5), 4).nodes.n_interior == 0
+        assert len(build_ds_element(UNIT_SQUARE, 3).nodes[4 * 3:]) == 0
+        assert len(build_ds_element(regular_polygon(5), 4).nodes[5 * 4:]) == 0
 
     def test_square_r4_single_bubble(self):
         elem = build_ds_element(UNIT_SQUARE, 4)
-        assert elem.nodes.n_interior == 1
+        assert len(elem.nodes[4 * 4:]) == 1
         lam = edge_distances(UNIT_SQUARE)
-        node = elem.nodes.interior[0]
+        node = elem.nodes[4 * 4]
         want = np.prod([l(node) for l in lam])
         probe = np.array([[0.3, 0.7]])
         got = elem.eval_all(probe)[0][-1, 0]
@@ -205,7 +206,7 @@ class TestCellBasis:
 
     def test_square_r6_nodal(self):
         elem = build_ds_element(UNIT_SQUARE, 6)
-        nodes = elem.nodes.interior
+        nodes = elem.nodes[4 * 6:]
         assert len(nodes) == 6  # dim P_2
         vals, _ = elem.eval_all(nodes)
         assert np.abs(vals[-6:] - np.eye(6)).max() < 1e-12
@@ -222,7 +223,7 @@ class TestEdgeBasis:
         E = random_convex_polygon(5, rng)
         r = 4
         elem = build_ds_element(E, r)
-        nodes = elem.nodes.all_points()
+        nodes = elem.nodes
         row = edge_row(5, r, 2, 1)
         vals = elem.eval_all(nodes)[0][row]
         want = np.zeros(len(nodes))
@@ -334,7 +335,7 @@ class TestElement:
         E = regular_polygon(5, rot=0.2)
         elem = build_ds_element(E, 6)
         assert elem.dim == 33
-        assert elem.nodes.n_interior == 3
+        assert len(elem.nodes[5 * 6:]) == 3
 
     def test_polynomial_reproduction(self):
         rng = np.random.default_rng(12)
@@ -514,3 +515,11 @@ class TestInterpolateEvaluate:
         v, g = evaluate(elem, coeffs, np.array([0.1, 0.2]))
         assert v == pytest.approx(0.3, abs=1e-12)
         assert np.allclose(g, [1.0, 1.0], atol=1e-11)
+
+    def test_callable_of_the_wrong_shape_rejected(self):
+        # f maps the (D, 2) nodes to (D,) values: a scalar, a column or one
+        # value per coordinate is refused.
+        elem = build_ds_element(UNIT_SQUARE, 2)
+        for f in (lambda p: 1.0, lambda p: p[:, :1], lambda p: p, lambda p: p[:-1, 0]):
+            with pytest.raises(ValueError, match=r"f must map the 8 nodes to shape \(8,\)"):
+                interpolate(elem, f)
