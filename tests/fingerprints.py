@@ -1,0 +1,101 @@
+"""Fingerprints of small assembled systems, and the script that writes them.
+
+Each case assembles and solves one small problem through the public
+pipeline (as ``polyds solve`` does, with the one-hump solution) and
+records figures that move with any change to the matrix, the right-hand
+side or the solution: the number of unknowns n, the stored entries nnz,
+the Frobenius norm of A, u^T A v and w^T b for fixed seeded vectors
+u, v, w, and the error norms.
+
+``tests/fingerprints.json`` holds the figures; ``test_fingerprints.py``
+compares against it.  The matrix and right-hand side figures must agree
+to ``RTOL`` relative.  The error norms carry the round-off of the solve,
+so each case stores its own relative tolerance ``error_rtol``: ten times
+the spread of its error norms between the library's solve and the same
+solve with the sparse LU ordered by COLAMD instead, and at least ``RTOL``.
+
+Regenerate the file (only for a change that moves the numbers by design)
+with
+
+    PYTHONPATH=src python tests/fingerprints.py
+"""
+
+import json
+import sys
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import scipy.sparse.linalg as spla
+
+from polyds import assembly
+from polyds.cli import make_mesh
+
+PATH = Path(__file__).with_name("fingerprints.json")
+
+# Relative tolerance of the matrix and right-hand side figures.
+RTOL = 1e-12
+
+# Seed of the vectors u, v and w.
+VECTOR_SEED = 20
+
+# name: (family, mesh n, mesh seed, method, r, s); s is None for primal.
+CASES = {
+    "hex4-primal-r1": ("hex-dominant", 4, 0, "primal", 1, None),
+    "hex4-primal-r4": ("hex-dominant", 4, 0, "primal", 4, None),
+    "hex4-primal-r6": ("hex-dominant", 4, 0, "primal", 6, None),
+    "pquad4-primal-r2": ("perturbed-quad", 4, 1, "primal", 2, None),
+    "trapezoid4-primal-r3": ("trapezoid", 4, 0, "primal", 3, None),
+    "hex4-mixed-r1-s1": ("hex-dominant", 4, 0, "mixed", 1, 1),
+    "hex4-mixed-r3-s2": ("hex-dominant", 4, 0, "mixed", 3, 2),
+    "pquad4-mixed-r2-s1": ("perturbed-quad", 4, 1, "mixed", 2, 1),
+}
+
+
+def fingerprint(case):
+    """The figures of one case of ``CASES``: a dict of n, nnz, frobenius,
+    uAv, wb and errors (name: norm)."""
+    family, n, seed, method, r, s = CASES[case]
+    exact = assembly.manufactured_solution()
+    mesh = make_mesh(family, n, seed)
+    if method == "primal":
+        system = assembly.assemble_primal(mesh, r, exact.f)
+    else:
+        system = assembly.assemble_mixed(mesh, r, s, exact.f)
+    errors = assembly.compute_errors(system, assembly.solve(system), exact)
+    A, b = system.matrix, system.rhs
+    u, v, w = np.random.default_rng(VECTOR_SEED).standard_normal((3, system.n))
+    return {
+        "n": system.n,
+        "nnz": A.nnz,
+        "frobenius": float(np.sqrt((A.data**2).sum())),
+        "uAv": float(u @ (A @ v)),
+        "wb": float(w @ b),
+        "errors": errors,
+    }
+
+
+def _colamd_factor(A):
+    """``assembly._spd_factor`` with the COLAMD column ordering."""
+    try:
+        return spla.splu(A.tocsc(), permc_spec="COLAMD")
+    except RuntimeError as exc:
+        raise assembly.SolveError(f"sparse factorization failed: {exc}") from None
+
+
+def main():
+    out = {"rtol": RTOL, "vector_seed": VECTOR_SEED, "cases": {}}
+    for case in CASES:
+        figures = fingerprint(case)
+        with mock.patch.object(assembly, "_spd_factor", _colamd_factor):
+            other = fingerprint(case)["errors"]
+        spread = max(abs(other[k] - x) / abs(x) for k, x in figures["errors"].items())
+        figures["error_rtol"] = float(max(10.0 * spread, RTOL))
+        out["cases"][case] = figures
+        print(f"{case}: n={figures['n']} spread={spread:.2e}", file=sys.stderr)
+    PATH.write_text(json.dumps(out, indent=1) + "\n")
+    print(f"wrote {PATH}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()
