@@ -266,6 +266,13 @@ class SolveReport:
     solution_p: np.ndarray | None = None
 
 
+def _default_degree(r, mixed):
+    """The degree of the assembly rules when none is given: 2r+4 for the
+    primal form and 2r+6 for the mixed forms, whose fluxes come from the
+    scalar space of index r+1."""
+    return 2 * r + (6 if mixed else 4)
+
+
 def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
                     dirichlet=None) -> SparseSystem:
     """Stiffness matrix and load vector of the primal Poisson problem.
@@ -276,7 +283,7 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
     if r < 1:
         raise AssemblyError("primal form needs r >= 1")
     if quad_degree is None:
-        quad_degree = 2 * r + 4
+        quad_degree = _default_degree(r, mixed=False)
     dof = DofMap(mesh, r)
     reps, shifts = _translation_classes(mesh)
     elements = {}
@@ -330,7 +337,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     data is natural and only contributes to the flux right-hand side.
     """
     if quad_degree is None:
-        quad_degree = 2 * r + 6
+        quad_degree = _default_degree(r, mixed=True)
     dof = MixedDofMap(mesh, r, s)
     reps, shifts = _translation_classes(mesh)
     elements = {}

@@ -2,7 +2,8 @@
 convergence studies with error/rate tables.
 
 solve runs one level of what convergence runs on a mesh ladder, by the
-same code; both check their arguments before they build any mesh.
+same code; both check their arguments before they build any mesh, and
+convergence checks that h decreases before it solves any level.
 
 Exit codes: 0 success, 2 configuration or file error, 3 numerical failure.
 """
@@ -17,6 +18,7 @@ import time
 from .assembly import (
     AssemblyError,
     SolveError,
+    _default_degree,
     assemble_mixed,
     assemble_primal,
     compute_errors,
@@ -64,7 +66,8 @@ def make_mesh(family, n, seed=0, noise=0.2):
 
 def _check_args(args):
     """The checks that ``solve`` and ``convergence`` share: the index range
-    of the method, the quadrature degree, and a mesh source."""
+    of the method, the quadrature degree (given, or the default of the
+    method and index), and a mesh source."""
     if args.method == "primal" and args.r < 1:
         raise ConfigError("primal form needs r >= 1")
     if args.method == "mixed-full" and args.r < 0:
@@ -73,6 +76,10 @@ def _check_args(args):
         raise ConfigError("reduced mixed form needs r >= 1 (s = r-1 >= 0)")
     if args.quad_degree is not None and not 1 <= args.quad_degree <= MAX_DEGREE:
         raise ConfigError(f"--quad-degree must be in [1, {MAX_DEGREE}], got {args.quad_degree}")
+    default = _default_degree(args.r, args.method != "primal")
+    if args.quad_degree is None and default > MAX_DEGREE:
+        raise ConfigError(f"--r {args.r} needs the default quadrature degree {default}, "
+                          f"above the highest, {MAX_DEGREE}")
     if not args.mesh and args.family is None:
         raise ConfigError("give --family or --mesh")
 
@@ -185,17 +192,23 @@ def cmd_convergence(args):
     exact = manufactured_solution(args.exact)
     meshes = ([import_mesh(path) for path in args.mesh] if args.mesh
               else [make_mesh(args.family, n, args.seed, args.noise) for n in levels])
+    # Rates divide by log(h_i / h_i+1), so h must decrease strictly.
+    hs = [mesh.h_max for mesh in meshes]
+    for i in range(1, len(hs)):
+        if not hs[i] < hs[i - 1]:
+            raise ConfigError(f"levels {i} ({labels[i - 1]}) and {i + 1} ({labels[i]}) have "
+                              f"h = {hs[i - 1]:.6g} and {hs[i]:.6g}; "
+                              "h must decrease strictly from level to level")
     rows, footer = [], []
-    for label, mesh in zip(labels, meshes):
+    for label, mesh, h in zip(labels, meshes, hs):
         t0 = time.perf_counter()
         errors, n_dofs = _solve_level(args, mesh, exact)
         seconds = time.perf_counter() - t0
-        rows.append({"level": label, "h": mesh.h_max, "n_dofs": n_dofs, **errors})
+        rows.append({"level": label, "h": h, "n_dofs": n_dofs, **errors})
         st = mesh_stats(mesh)
         footer.append(f"# cells={st.n_cells} sigma=[{st.sigma_min:.3f},{st.sigma_max:.3f}] "
                       f"wall={seconds:.2f}s")
     norms = list(errors)
-    hs = [row["h"] for row in rows]
     rates = {norm: convergence_rate([row[norm] for row in rows], hs) for norm in norms}
     print(study_markdown(rows, norms, rates))
     print("\n".join(footer))

@@ -10,13 +10,12 @@ holds all of them and evaluates values (G, M) and gradients (G, M, 2) on
 each term keeps its F nonzero factors, and the F-step loops over the
 product run on whole (G, M) slices.
 
-Affine functions exist only as arrays: a table holds its K of them as a
-(K, 2) gradient and a (K,) offset array.  The terms and the affine
-functions are separate: ``with_affines`` gives the same terms over new
-arrays, sharing the term arrays, so one table of terms serves every cell
-of a shape (N, r).  The affine arrays may carry a leading class axis,
-(C, K, 2) and (C, K): then one pass evaluates C cells' tables, each at its
-own points (C, M, 2), and one cell's table is the case without that axis.
+Affine functions exist only as arrays: K of them are a (K, 2) gradient
+and a (K,) offset array.  A table holds its terms only, and each
+evaluation takes the affine arrays as arguments, so one table serves every
+cell of a shape (N, r).  The affine arrays may carry a leading class axis,
+(C, K, 2) and (C, K): then one pass evaluates C cells' fields, each at its
+own points (C, M, 2), and one cell is the case without that axis.
 
 Products of the evaluated tables with coefficient matrices are split so
 that no one matrix product exceeds ``GEMM_BUDGET`` multiply-adds.
@@ -53,23 +52,21 @@ def _capped_matmul(a, b):
 
 class PowerTable:
     """G fields f_g(x) = prod_k a_k(x)**powers[g, k] over K affine functions
-    a_k(x) = grads[k] . x + offsets[k].
+    a_k(x) = grads[k] . x + offsets[k], given to each evaluation.
 
-    ``powers`` is (G, K), ``grads`` (K, 2) and ``offsets`` (K,), or (C, K,
-    2) and (C, K) for the tables of C cells; the table copies the affine
-    arrays.  Powers are integers and may be negative; the empty product is
-    1.  The gradient is assembled from leave-one-out products of the
-    factors, so it stays exact on the zero lines of the factors.  The
-    factors of all terms are stored factor-major: ``_index`` and ``_exps``
-    are (F, G), with F the largest number of nonzero factors of one term,
-    and ``_pow`` marks the factors whose power is neither 0 nor 1.  The
-    arrays are read-only, so tables over other affine functions can share
-    them.
+    ``powers`` is (G, K); ``grads`` and ``offsets`` are (K, 2) and (K,), or
+    (C, K, 2) and (C, K) for C cells.  Powers are integers and may be
+    negative; the empty product is 1.  The gradient is assembled from
+    leave-one-out products of the factors, so it stays exact on the zero
+    lines of the factors.  The factors of all terms are stored
+    factor-major: ``_index`` and ``_exps`` are (F, G), with F the largest
+    number of nonzero factors of one term, and ``_pow`` marks the factors
+    whose power is neither 0 nor 1.  The arrays are read-only.
     """
 
-    __slots__ = ("grads", "offsets", "powers", "_index", "_exps", "_pow")
+    __slots__ = ("powers", "_index", "_exps", "_pow")
 
-    def __init__(self, powers, grads, offsets):
+    def __init__(self, powers):
         self.powers = np.array(powers, dtype=int)
         if self.powers.ndim != 2:
             raise ValueError(f"powers must have shape (G, K), got {self.powers.shape}")
@@ -86,25 +83,6 @@ class PowerTable:
         self._pow = ((self._exps != 0.0) & (self._exps != 1.0))[:, :, None]
         for name in ("powers", "_index", "_exps", "_pow"):
             getattr(self, name).flags.writeable = False
-        self._set_affines(np.array(grads, dtype=float), np.array(offsets, dtype=float))
-
-    def _set_affines(self, grads, offsets):
-        K = self.powers.shape[1]
-        if grads.shape[-2:] != (K, 2) or offsets.shape != grads.shape[:-1]:
-            raise ValueError(f"need (..., {K}, 2) gradients and (..., {K}) offsets, "
-                             f"got {grads.shape} and {offsets.shape}")
-        self.grads, self.offsets = grads, offsets
-        grads.flags.writeable = False
-        offsets.flags.writeable = False
-
-    def with_affines(self, grads, offsets):
-        """The same terms over new (..., K, 2) gradients and (..., K) offsets,
-        which the table copies.  The term arrays are shared."""
-        out = object.__new__(PowerTable)
-        for name in ("powers", "_index", "_exps", "_pow"):
-            setattr(out, name, getattr(self, name))
-        out._set_affines(np.array(grads, dtype=float), np.array(offsets, dtype=float))
-        return out
 
     def __len__(self):
         return len(self.powers)
@@ -114,29 +92,35 @@ class PowerTable:
         """F, the largest number of nonzero factors of one term."""
         return len(self._index)
 
-    def _factors(self, pts):
+    def _factors(self, grads, offsets, pts):
         """Factors a**p (..., F, G, M) of every term at pts (..., M, 2), and
         a**(p - 1), which is 1 for p = 1 and for the padding (p = 0, a = 1)."""
-        pts = _as_points(pts) if self.offsets.ndim == 1 else np.asarray(pts, dtype=float)
-        affine = np.ones((*self.offsets.shape[:-1], self.offsets.shape[-1] + 1, pts.shape[-2]))
-        affine[..., :-1, :] = self.grads @ np.swapaxes(pts, -1, -2) + self.offsets[..., None]
+        K = self.powers.shape[1]
+        if grads.shape[-2:] != (K, 2) or offsets.shape != grads.shape[:-1]:
+            raise ValueError(f"need (..., {K}, 2) gradients and (..., {K}) offsets, "
+                             f"got {grads.shape} and {offsets.shape}")
+        pts = _as_points(pts) if offsets.ndim == 1 else np.asarray(pts, dtype=float)
+        affine = np.ones((*offsets.shape[:-1], K + 1, pts.shape[-2]))
+        affine[..., :-1, :] = grads @ np.swapaxes(pts, -1, -2) + offsets[..., None]
         a = affine[..., self._index, :]
         lower = np.power(a, self._exps[:, :, None] - 1.0, out=np.ones_like(a), where=self._pow)
         return np.multiply(a, lower, out=a), lower
 
-    def values(self, pts):
-        """Values (..., G, M) of every field at pts (..., M, 2): those of
+    def values(self, grads, offsets, pts):
+        """Values (..., G, M) of every field at pts (..., M, 2) over the
+        affines ``grads`` (..., K, 2) and ``offsets`` (..., K): those of
         ``value_grad``, bit for bit, without the gradients."""
-        fac, _ = self._factors(pts)
+        fac, _ = self._factors(grads, offsets, pts)
         vals = fac[..., 0, :, :]
         for f in range(1, fac.shape[-3]):
             vals = vals * fac[..., f, :, :]
         return vals
 
-    def value_grad(self, pts):
+    def value_grad(self, grads, offsets, pts):
         """Values (..., G, M) and gradients (..., G, M, 2) of every field at
-        pts (..., M, 2)."""
-        fac, lower = self._factors(pts)
+        pts (..., M, 2) over the affines ``grads`` (..., K, 2) and
+        ``offsets`` (..., K)."""
+        fac, lower = self._factors(grads, offsets, pts)
         # Products of the factors ahead of and behind factor f, written in
         # place: the passes over these arrays are most of the work.
         before = np.empty_like(fac)
@@ -152,7 +136,6 @@ class PowerTable:
         weights *= before
         weights *= after
         # The gradient of each factor, (..., G, F, 2); the padding's is 0.
-        zero = np.zeros((*self.offsets.shape[:-1], 1, 2))
-        fgrads = np.concatenate([self.grads, zero], axis=-2)[..., self._index.T, :]
-        grads = np.matmul(np.moveaxis(weights, -3, -1), fgrads)
-        return vals, grads
+        zero = np.zeros((*offsets.shape[:-1], 1, 2))
+        fgrads = np.concatenate([grads, zero], axis=-2)[..., self._index.T, :]
+        return vals, np.matmul(np.moveaxis(weights, -3, -1), fgrads)

@@ -253,16 +253,17 @@ class Polygon:
 
     def shape_regularity(self) -> RegularityReport:
         """Measure sigma = rho / h from all vertex sub-triangles."""
-        v = self.vertices
-        best = math.inf
-        for a, b, c in itertools.combinations(range(self.n_edges), 3):
-            pa, pb, pc = v[a], v[b], v[c]
-            u, w = pb - pa, pc - pa
-            area2 = abs(u[0] * w[1] - u[1] * w[0])
-            per = (
-                math.dist(pa, pb) + math.dist(pb, pc) + math.dist(pc, pa)
-            )
-            # Incircle diameter: 2 * area / semiperimeter.
-            best = min(best, 2.0 * area2 / per)
-        rho = 2.0 * best
+        rho = float(_regularity_rho(self.vertices[None])[0])
         return RegularityReport(h=self.diameter, rho=rho, sigma=rho / self.diameter)
+
+
+def _regularity_rho(v):
+    """rho (C,) of ``RegularityReport`` for C loops v (C, N, 2): twice the
+    smallest incircle diameter over the triangles of three vertices."""
+    a, b, c = np.array(list(itertools.combinations(range(v.shape[1]), 3))).T
+    pa, pb, pc = v[:, a], v[:, b], v[:, c]
+    u, w = pb - pa, pc - pa
+    area2 = np.abs(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0])
+    per = sum(np.hypot(d[..., 0], d[..., 1]) for d in (pb - pa, pc - pb, pa - pc))
+    # Incircle diameter: 2 * area / semiperimeter.
+    return 2.0 * (2.0 * area2 / per).min(axis=1)

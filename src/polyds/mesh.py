@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Polygon, _frozen, polygon_stack
+from .geometry import Polygon, _frozen, _regularity_rho, polygon_stack
 
 __all__ = [
     "MeshError",
@@ -220,7 +220,12 @@ def build_topology(vertices, cells) -> Mesh:
 
 
 def mesh_stats(mesh: Mesh) -> MeshStats:
-    sigmas = np.array([p.shape_regularity().sigma for p in mesh.polygons()])
+    """Counts, h_max and the spread of the cells' shape regularity sigma,
+    computed for each group of cells with equal vertex count at once."""
+    sigmas = np.empty(mesh.n_cells)
+    for cells, loops, _ in mesh.groups.values():
+        h = np.array([mesh.polygon(c).diameter for c in cells.tolist()])
+        sigmas[cells] = _regularity_rho(mesh.vertices[loops]) / h
     return MeshStats(
         n_cells=mesh.n_cells,
         n_edges=mesh.n_edges,

@@ -74,9 +74,10 @@ def _check_rs(r, s):
 def _pressure_terms(s: int) -> PowerTable:
     """The pressure basis of degree s: monomials u**a v**b of the frame
     coordinates up to total degree s, ordered by degree (the first is the
-    constant); read-only, shared by every cell."""
+    constant); read-only, shared by every cell.  Its affines are u and v:
+    gradients ``np.eye(2)`` and offsets ``np.zeros(2)``."""
     powers = [(a, deg - a) for deg in range(s + 1) for a in range(deg + 1)]
-    return PowerTable(powers, np.eye(2), np.zeros(2))
+    return PowerTable(powers)
 
 
 def constant_flux_coefficients(E: Polygon):
@@ -161,7 +162,7 @@ def _edge_flux_expansion(F: _Frame, r: int, pressure: PowerTable):
     t_lag = _edge_parameters(r + 1)[1:]
     tq = (np.arange(r + 1)[:, None] + t).ravel() / (r + 1)
     pts = v[:, None] + tq[:, None] * (np.roll(v, -1, axis=0) - v)[:, None]
-    pvals = pressure.values(pts.reshape(-1, 2))
+    pvals = pressure.values(np.eye(2), np.zeros(2), pts.reshape(-1, 2))
     scale = F.edge_lengths * F.edge_offsets / (r + 1)
     parts = pvals.reshape(len(pressure), len(v), r + 1, len(t)) @ w
     big = np.cumsum(parts * scale[:, None], axis=2)  # (P, N, r+1) at t_lag
@@ -214,7 +215,8 @@ def _eval_mixed(elems, pts):
     h = np.array([d.frame.scale for d in ds])[:, None, None]
     x = (pts - np.stack([d.frame.center for d in ds])[:, None]) / h
     _, grads = _eval_stacked(ds, pts, rows[:, :, :G])
-    pvals = pressure.values(x.reshape(-1, 2)).reshape(P, C, M).swapaxes(0, 1)
+    pvals = pressure.values(np.eye(2), np.zeros(2), x.reshape(-1, 2))
+    pvals = pvals.reshape(P, C, M).swapaxes(0, 1)
     fields = np.empty((C, P + 2, M, 2))  # the radial fields, then the two constant ones
     fields[:, :P], fields[:, P:] = x[:, None] * pvals[..., None], np.eye(2)[:, None]
     vals = _capped_matmul(rows[:, :, G:] / h, fields.reshape(C, P + 2, -1)).reshape(grads.shape)

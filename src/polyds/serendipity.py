@@ -124,7 +124,7 @@ def _monomials(p):
 class _TermLayout(NamedTuple):
     """What the index-r construction on an N-gon shares across cells."""
 
-    table: PowerTable  # the terms over zero affine arrays; see _term_layout
+    table: PowerTable  # the terms; see _term_layout
     pairs: np.ndarray  # (2, P): the nonadjacent edge pairs i < j
 
 
@@ -135,7 +135,7 @@ def _term_layout(N: int, r: int) -> _TermLayout:
     The table's affine columns are, in order, the N edge distances lam_k,
     the P pair sums lam_i + lam_j, then (if r > N-2) the P pair lines and
     the N edge coordinates, then (if r >= N) the frame coordinates u
-    and v.  A cell's table is ``table.with_affines`` of its own affines.
+    and v.  A cell evaluates the table over its own affines (``_affines``).
 
     With base_k the product of the edge distances of all edges but k, the
     terms are, in node order: per vertex k, the product of the N-2 edge
@@ -176,8 +176,7 @@ def _term_layout(N: int, r: int) -> _TermLayout:
         rows.append(np.zeros(K, dtype=int))
         rows[-1][:N] = 1
         rows[-1][K - 2:] = a, b
-    table = PowerTable(np.array(rows).reshape(-1, K), np.zeros((K, 2)), np.zeros(K))
-    return _TermLayout(table, _frozen(pairs.T.copy()))
+    return _TermLayout(PowerTable(np.array(rows).reshape(-1, K)), _frozen(pairs.T.copy()))
 
 
 @lru_cache(maxsize=None)
@@ -229,14 +228,14 @@ def _build_nodal(E: Polygon, r: int) -> DSElement:
     """
     N, F = E.n_edges, _frame(E)
     layout = _term_layout(N, r)
-    table = layout.table.with_affines(*_affines(F, r, layout.pairs))
+    affines = _affines(F, r, layout.pairs)
     frame_nodes = _node_weights(N, r) @ F.vertices
     points = F.center + F.scale * frame_nodes
     points[:N] = E.vertices
     D = len(points)
     # One evaluation at the frame nodes, which give V, and at the physical
     # nodes mapped as ``eval_all`` maps them, where duality is read.
-    vals = table.values(np.concatenate([frame_nodes, F.points(points)]))
+    vals = layout.table.values(*affines, np.concatenate([frame_nodes, F.points(points)]))
     tvals = vals[:, :D]
     # Each generator (row) is scaled by its largest value at the nodes; one
     # that vanishes at every node keeps scale 1 and leaves V singular.
@@ -255,7 +254,7 @@ def _build_nodal(E: Polygon, r: int) -> DSElement:
             "element may be badly shaped",
             stacklevel=2,
         )
-    return DSElement(E, r, points, table, C, F)
+    return DSElement(E, r, points, layout.table, affines, C, F)
 
 
 class DSElement:
@@ -264,17 +263,20 @@ class DSElement:
     ``nodes`` is the (D, 2) array of physical nodes in node order: the N
     vertices, then each edge's r-1 points in CCW order, then the interior
     points.  The basis is stored as a coefficient matrix over the terms of
-    a ``PowerTable`` on the polygon's ``frame``, rows ordered like the
-    nodes.  Instances are immutable after construction; ``nodes`` and
-    ``coeffs`` are read-only.
+    the ``PowerTable`` ``table``, which every element of its (N, r)
+    shares, evaluated over ``affines``: the (K, 2) gradients and (K,)
+    offsets of the polygon's affine functions on its ``frame``.  Rows are
+    ordered like the nodes.  Instances are immutable after construction;
+    ``nodes``, ``affines`` and ``coeffs`` are read-only.
     """
 
-    def __init__(self, polygon, r, nodes, table, coeffs, frame):
+    def __init__(self, polygon, r, nodes, table, affines, coeffs, frame):
         self.polygon = polygon
         self.frame = frame
         self.r = r
         self.nodes = _frozen(nodes)
         self.table = table
+        self.affines = tuple(map(_frozen, affines))
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.coeffs.flags.writeable = False
 
@@ -318,19 +320,19 @@ def _eval_stacked(elems, pts, coeffs):
     their bases, or the curl rows of mixed elements (``mixed._eval_mixed``).
 
     Their frames and affines are stacked once, and the table is evaluated
-    in passes of at most ``EVAL_BUDGET`` factor entries.
+    over slices of the stacks in passes of at most ``EVAL_BUDGET`` factor
+    entries.
     """
     C, M = pts.shape[:2]
     table, D = elems[0].table, coeffs.shape[1]
     scale = np.array([e.frame.scale for e in elems])[:, None, None]
     x = (pts - np.stack([e.frame.center for e in elems])[:, None]) / scale
-    affine_grads = np.stack([e.table.grads for e in elems])
-    affine_offsets = np.stack([e.table.offsets for e in elems])
+    affine_grads, affine_offsets = (np.stack(a) for a in zip(*(e.affines for e in elems)))
     step = max(1, EVAL_BUDGET // (table.n_factors * len(table) * max(M, 1)))
     vals, grads = np.empty((C, D, M)), np.empty((C, D, M, 2))
     for i in range(0, C, step):
         part = slice(i, i + step)
-        gv, gg = table.with_affines(affine_grads[part], affine_offsets[part]).value_grad(x[part])
+        gv, gg = table.value_grad(affine_grads[part], affine_offsets[part], x[part])
         vals[part] = _capped_matmul(coeffs[part], gv)
         grads[part] = _capped_matmul(coeffs[part] / scale[part], gg.reshape(*gv.shape[:2], -1)
                                      ).reshape(len(gv), D, M, 2)
@@ -358,7 +360,7 @@ def build_low_order(E: Polygon, r: int) -> DSElement:
     if not 1 <= r < s:
         raise ElementError(f"need 1 <= r < N-2, got r={r}, N={N}")
     base = _build_nodal(E, s)
-    return DSElement(E, r, _node_weights(N, r) @ E.vertices, base.table,
+    return DSElement(E, r, _node_weights(N, r) @ E.vertices, base.table, base.affines,
                      _carving_matrix(N, r, s) @ base.coeffs, base.frame)
 
 

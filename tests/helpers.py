@@ -114,12 +114,12 @@ def vertex_ramp_weights(N, order):
     return weights
 
 
-def pressure_monomials(poly, s):
-    """The pressures of degree s as functions of physical points: the
-    monomials u**a v**b of u = (x - c_x) / h and v = (y - c_y) / h, ordered
-    by degree (the first is the constant)."""
+def pressure_monomials(poly, s, pts):
+    """Values (P, M) and gradients (P, M, 2) at physical points pts (M, 2) of
+    the pressures of degree s: the monomials u**a v**b of u = (x - c_x) / h
+    and v = (y - c_y) / h, ordered by degree (the first is the constant)."""
     h = poly.diameter
-    return _pressure_terms(s).with_affines(np.eye(2) / h, -poly.centroid / h)
+    return _pressure_terms(s).value_grad(np.eye(2) / h, -poly.centroid / h, pts)
 
 
 def duality_residual(elem):
@@ -312,8 +312,7 @@ def mixed_rows_per_edge(E, r, s):
     ds = build_ds_element(E, r + 1)
     E = frame_polygon(E)
     G = ds.n_generators
-    pressure = pressure_monomials(E, s)
-    n_rad = len(pressure)
+    n_rad = len(_pressure_terms(s))
     width = G + n_rad + 2
     node = lambda k, j: N + k * r + (j - 1)  # scalar node j of edge k
     ramps = np.zeros((N, G))
@@ -338,7 +337,7 @@ def mixed_rows_per_edge(E, r, s):
             edge_row[k, j] = np.zeros(width)
             edge_row[k, j][:G] = ds.coeffs[node(k, j)]
     rows = [edge_row[k, j] for k in range(N) for j in range(r + 1)]
-    alphas = np.array([edge_flux_expansion_fit(E, k, r, pressure) for k in range(N)])
+    alphas = np.array([edge_flux_expansion_fit(E, k, r, s) for k in range(N)])
     for i in range(1, n_rad):
         row = np.zeros(width)
         row[G + i] = 1.0
@@ -352,24 +351,24 @@ def mixed_rows_per_edge(E, r, s):
     return np.array(rows)
 
 
-def edge_flux_expansion_fit(E, k, r, pressure):
-    """Flux-expansion coefficients (P, r+1) of edge k by a polynomial fit
-    (oracle for ``polyds.mixed._edge_flux_expansion``).
+def edge_flux_expansion_fit(E, k, r, s):
+    """Flux-expansion coefficients (P, r+1) of edge k for the pressures of
+    degree s by a polynomial fit (oracle for
+    ``polyds.mixed._edge_flux_expansion``).
 
     The normal flux density |e| c_k p(x(t)) of each pressure p is fitted
-    exactly at deg+1 equispaced edge points, integrated symbolically and
+    exactly at s+1 equispaced edge points, integrated symbolically and
     evaluated at the Lagrange points.
     """
     c_k = float((E.vertices[k] - E.centroid) @ E.normals[k])
     length = E.edge_lengths[k]
-    deg = int(pressure.powers.sum(axis=1).max())
-    tfit = np.linspace(0.0, 1.0, deg + 1)
+    tfit = np.linspace(0.0, 1.0, s + 1)
     pts = edge_point(E, k, tfit).reshape(-1, 2)
-    gcoef = npoly.polyfit(tfit, length * c_k * pressure.value_grad(pts)[0].T, deg)
+    gcoef = npoly.polyfit(tfit, length * c_k * pressure_monomials(E, s, pts)[0].T, s)
     big = npoly.polyint(gcoef)
     t_lag = np.arange(1, r + 2) / (r + 1)
     big_vals = npoly.polyval(t_lag, big)  # (P, r+1)
-    alphas = np.empty((len(pressure), r + 1))
+    alphas = np.empty((len(big_vals), r + 1))
     alphas[:, 0] = big_vals[:, -1]
     alphas[:, 1:] = big_vals[:, :-1] - big_vals[:, -1:] * t_lag[:-1]
     return alphas
@@ -391,7 +390,8 @@ def _dof_functionals(elem, quad_degree=None):
             dofs.append(("edge", rule.points, w, E.normals[k]))
     rule = polygon_rule(E, quad_degree)
     # Frame gradients: h times the physical ones, a scale the moments ignore.
-    _, pgrads = elem.pressure.value_grad(elem.ds.frame.points(rule.points))
+    _, pgrads = elem.pressure.value_grad(np.eye(2), np.zeros(2),
+                                         elem.ds.frame.points(rule.points))
     for grad in pgrads[1:]:
         dofs.append(("moment", rule.points, rule.weights, grad))
     bubbles = [i for i, lay in enumerate(element_layout(elem)) if lay[0] == "bubble"]
@@ -579,9 +579,10 @@ def dict_topology(cells):
 
 
 def dict_built_table(E, r):
-    """Generator table of the index-r element on E, r >= N-2, built term by
-    term as {affine column: power} dicts over AffineScalar objects made
-    from the vertices (oracle for the array-built table of
+    """Generator table of the index-r element on E, r >= N-2, and the
+    gradients (K, 2) and offsets (K,) of its affines, built term by term as
+    {affine column: power} dicts over AffineScalar objects made from the
+    vertices (oracle for the array-built table and affines of
     ``polyds.serendipity``).  Terms come in node order; the affine columns
     are in order of first use."""
     N = E.n_edges
@@ -621,7 +622,8 @@ def dict_built_table(E, r):
     for g, term in enumerate(terms):
         for col, p in term.items():
             powers[g, col] = p
-    return PowerTable(powers, [a.grad for a in affines], [a.offset for a in affines])
+    return (PowerTable(powers), np.array([a.grad for a in affines]),
+            np.array([a.offset for a in affines]))
 
 
 def _coo(rows, cols, vals, shape):

@@ -219,7 +219,7 @@ class TestMixed:
         for c in range(mesh.n_cells):
             E = mesh.polygon(c)
             rule = polygon_rule(E, system.quad_degree)
-            qs, _ = pressure_monomials(E, s).value_grad(rule.points)
+            qs, _ = pressure_monomials(E, s, rule.points)
             for k, q in enumerate(qs):
                 want[c * dof.p_per_cell + k] = rule.weights @ (
                     ex.div_u(rule.points) * q
@@ -492,8 +492,8 @@ class TestTranslationClasses:
         system = assemble_mixed(mesh, 1, 1, ZERO)
         elem = primal.elements[primal.reps[1]]
         mixed = system.elements[system.reps[1]]
-        for shared in (elem.coeffs, elem.table.powers, elem.table.grads, mixed.rows,
-                       mixed.pressure.offsets, primal.reps, primal.shifts, system.reps,
+        for shared in (elem.coeffs, elem.table.powers, *elem.affines, mixed.rows,
+                       mixed.pressure.powers, primal.reps, primal.shifts, system.reps,
                        system.shifts):
             with pytest.raises(ValueError):
                 shared[0] = 1.0

@@ -236,6 +236,23 @@ class TestConvergenceCommand:
         assert "two levels" in err
         assert "| level |" not in out
 
+    def test_equal_h_levels_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # Rejected once the meshes are built, before any solve: the rate
+        # between levels of equal h would be 0 / 0.
+        path = str(tmp_path / "sq4.json")
+        run(["mesh", "gen", "--family", "square", "--n", "4", "--out", path], capsys)
+
+        def no_solve(*args):
+            raise AssertionError("a level was solved")
+
+        monkeypatch.setattr(cli, "_solve_level", no_solve)
+        code, out, err = run(["convergence", "--method", "primal", "--r", "1",
+                              "--mesh", path, "--mesh", path], capsys)
+        assert code == 2
+        assert err == (f"error: levels 1 ({path}) and 2 ({path}) have h = 0.353553 and "
+                       "0.353553; h must decrease strictly from level to level\n")
+        assert out == ""
+
     def test_missing_mesh_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "a.json"
         run(["mesh", "gen", "--family", "square", "--n", "2", "--out", str(path)], capsys)
@@ -299,6 +316,32 @@ def test_quad_degree_out_of_range_is_config_error(monkeypatch, capsys, degree, c
     assert code == 2
     assert err == f"error: --quad-degree must be in [1, {MAX_DEGREE}], got {degree}\n"
     assert out == ""
+
+
+@pytest.mark.parametrize("method, r", [("primal", 29), ("mixed-full", 28), ("mixed-reduced", 28)])
+@pytest.mark.parametrize("command", SIZES)
+def test_default_quad_degree_above_highest_is_config_error(monkeypatch, capsys, method, r,
+                                                           command):
+    # The default degree (2r+4 primal, 2r+6 mixed) is 62 here; rejected
+    # before any mesh is built.
+    def no_mesh(*args):
+        raise AssertionError("make_mesh was called")
+
+    monkeypatch.setattr(cli, "make_mesh", no_mesh)
+    code, out, err = run([command, "--method", method, "--r", str(r), "--family", "square",
+                          *SIZES[command]], capsys)
+    assert code == 2
+    assert err == (f"error: --r {r} needs the default quadrature degree 62, "
+                   f"above the highest, {MAX_DEGREE}\n")
+    assert out == ""
+
+
+def test_given_quad_degree_lifts_the_default_degree_check():
+    args = cli.build_parser().parse_args(["solve", "--r", "29", "--family", "square", "--n", "2",
+                                          "--quad-degree", str(MAX_DEGREE)])
+    cli._check_args(args)
+    args = cli.build_parser().parse_args(["solve", "--r", "28", "--family", "square", "--n", "2"])
+    cli._check_args(args)
 
 
 @pytest.mark.parametrize("args", [["solve", "--n", "4"], ["convergence", "--levels", "2,4"],

@@ -17,16 +17,22 @@ from helpers import (
 )
 
 
+def arrays_of(affines):
+    """Gradients (K, 2) and offsets (K,) of AffineScalar objects."""
+    return np.reshape([a.grad for a in affines], (-1, 2)), np.array([a.offset for a in affines])
+
+
 def table_of(affines, powers):
-    """The PowerTable of ``powers`` over the arrays of AffineScalar objects."""
-    return PowerTable(powers, np.reshape([a.grad for a in affines], (-1, 2)),
-                      [a.offset for a in affines])
+    """``value_grad`` of the PowerTable of ``powers`` over the arrays of
+    AffineScalar objects, as a function of the points."""
+    table = PowerTable(powers)
+    return lambda pts: table.value_grad(*arrays_of(affines), pts)
 
 
 def check_gradient(table, pts, h=1e-6, tol=2e-8):
-    _, grads = table.value_grad(pts)
-    for g in range(len(table)):
-        fd = gradient_fd(lambda p: table.value_grad(p)[0][g], pts, h)
+    _, grads = table(pts)
+    for g in range(len(grads)):
+        fd = gradient_fd(lambda p: table(p)[0][g], pts, h)
         scale = np.abs(grads[g]).max() + 1.0
         assert np.abs(grads[g] - fd).max() <= tol * scale
 
@@ -37,7 +43,7 @@ def test_affine_product_gradient_at_zeros():
     b = AffineScalar([0.0, 1.0], 0.0)   # y
     f = table_of([a, b], [[1, 1]])
     pts = np.array([[0.0, 0.0], [0.0, 2.0], [3.0, 0.0], [1.0, 1.0]])
-    vals, grads = f.value_grad(pts)
+    vals, grads = f(pts)
     assert np.allclose(vals[0], [0.0, 0.0, 0.0, 1.0])
     assert np.allclose(grads[0], [[0, 0], [2, 0], [0, 3], [1, 1]])
 
@@ -75,7 +81,7 @@ def test_value_grad_matches_explicit_formulas():
     table = table_of(affines, powers)
     pts = np.vstack([rng.uniform(-1, 1, (30, 2)),
                      np.column_stack([np.full(10, 0.25), rng.uniform(-1, 1, 10)])])
-    vals, grads = table.value_grad(pts)
+    vals, grads = table(pts)
     want_vals, want_grads = explicit_value_grad(affines, powers, pts)
     assert np.all(vals[powers[:, 0] > 0, 30:] == 0.0)
     for g in range(len(powers)):
@@ -83,23 +89,28 @@ def test_value_grad_matches_explicit_formulas():
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_with_affines_is_the_table_of_the_new_affines():
+def test_one_table_reads_the_affine_arrays_it_is_given():
+    # One table over two sets of affine arrays is the table of each set; an
+    # evaluation keeps nothing of the arrays and leaves them writable.
     rng = np.random.default_rng(9)
     powers = [[1, -1, 0], [2, 0, 1], [0, 1, 3]]
     old = [AffineScalar(rng.uniform(-1, 1, 2), rng.uniform(2, 3)) for _ in range(3)]
     new = [AffineScalar(rng.uniform(-1, 1, 2), rng.uniform(2, 3)) for _ in range(3)]
-    grads = np.array([a.grad for a in new])
-    offsets = np.array([a.offset for a in new])
-    moved = table_of(old, powers).with_affines(grads, offsets)
+    grads, offsets = arrays_of(new)
+    table = PowerTable(powers)
     pts = rng.uniform(-1, 1, (10, 2))
-    for got, want in zip(moved.value_grad(pts), table_of(new, powers).value_grad(pts)):
+    table.value_grad(*arrays_of(old), pts)
+    for got, want in zip(table.value_grad(grads, offsets, pts), table_of(new, powers)(pts)):
         assert np.array_equal(got, want)
-    # The caller's arrays stay its own: writable, and not seen by the table.
+    # The caller's arrays stay its own: writable, and read afresh each time
+    # (every affine is now the constant 1).
     grads[:] = 0.0
-    offsets[:] = 0.0
-    assert np.array_equal(moved.value_grad(pts)[0], table_of(new, powers).value_grad(pts)[0])
+    offsets[:] = 1.0
+    assert np.array_equal(table.values(grads, offsets, pts), np.ones((3, 10)))
     with pytest.raises(ValueError):
-        moved.with_affines(np.zeros((2, 2)), np.zeros(2))
+        table.value_grad(np.zeros((2, 2)), np.zeros(2), pts)
+    with pytest.raises(ValueError):
+        table.values(grads, np.zeros(2), pts)
 
 
 def test_stacked_tables_match_one_table_per_class():
@@ -110,15 +121,15 @@ def test_stacked_tables_match_one_table_per_class():
     grads = rng.uniform(-1, 1, (5, 4, 2))
     offsets = rng.uniform(2, 3, (5, 4))
     pts = rng.uniform(-1, 1, (5, 7, 2))
-    stacked = PowerTable(powers, grads, offsets)
-    vals, grads_all = stacked.value_grad(pts)
+    table = PowerTable(powers)
+    vals, grads_all = table.value_grad(grads, offsets, pts)
     assert vals.shape == (5, 4, 7) and grads_all.shape == (5, 4, 7, 2)
-    assert np.array_equal(stacked.values(pts), vals)
+    assert np.array_equal(table.values(grads, offsets, pts), vals)
     for c in range(5):
-        one = stacked.with_affines(grads[c], offsets[c])
-        for got, want in zip((vals[c], grads_all[c]), one.value_grad(pts[c])):
+        one = grads[c], offsets[c], pts[c]
+        for got, want in zip((vals[c], grads_all[c]), table.value_grad(*one)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        assert np.array_equal(one.values(pts[c]), one.value_grad(pts[c])[0])
+        assert np.array_equal(table.values(*one), table.value_grad(*one)[0])
 
 
 @pytest.mark.parametrize("shapes", [((24, 60), (60, 700)), ((3, 8, 10), (3, 10, 301))])
@@ -133,9 +144,9 @@ def test_capped_product_over_the_budget_equals_one_product(monkeypatch, shapes):
 
 
 def test_empty_product_is_one():
-    for f in (PowerTable(np.zeros((1, 0)), np.zeros((0, 2)), np.zeros(0)),
-              PowerTable([[0]], [[1.0, 2.0]], [3.0])):
-        vals, grads = f.value_grad(np.zeros((3, 2)))
+    for powers, affines in ((np.zeros((1, 0)), (np.zeros((0, 2)), np.zeros(0))),
+                            ([[0]], (np.array([[1.0, 2.0]]), np.array([3.0])))):
+        vals, grads = PowerTable(powers).value_grad(*affines, np.zeros((3, 2)))
         assert np.allclose(vals, 1.0)
         assert np.allclose(grads, 0.0)
 
@@ -148,8 +159,8 @@ def test_one_sided_ratio():
     total = AffineScalar(lam[1].grad + lam[4].grad, lam[1].offset + lam[4].offset)
     S = table_of([lam[4], total], [[1, -1]])
     t = np.linspace(0, 1, 7)
-    assert np.allclose(S.value_grad(edge_point(E, 1, t).reshape(-1, 2))[0], 1.0, atol=1e-13)
-    assert np.allclose(S.value_grad(edge_point(E, 4, t).reshape(-1, 2))[0], 0.0, atol=1e-13)
+    assert np.allclose(S(edge_point(E, 1, t).reshape(-1, 2))[0], 1.0, atol=1e-13)
+    assert np.allclose(S(edge_point(E, 4, t).reshape(-1, 2))[0], 0.0, atol=1e-13)
     check_gradient(S, interior_points(E, rng, 50))
 
 
@@ -167,7 +178,7 @@ def test_polynomial_fields_and_combinations():
     powers += [[0, 0, 0, 3], [2, 1, 1, 0], [1, 2, 0, 2]]
     table = table_of([t, u, v, a], powers)
     pts = rng.uniform(-1, 1, (40, 2))
-    vals, _ = table.value_grad(pts)
+    vals, _ = table(pts)
     tv, uv, vv, av = (f(pts) for f in (t, u, v, a))
     for g, (pt, pu, pv, pa) in enumerate(powers):
         want = tv**pt * uv**pu * vv**pv * av**pa

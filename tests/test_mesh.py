@@ -1,3 +1,5 @@
+import itertools
+import math
 import subprocess
 import sys
 
@@ -189,6 +191,27 @@ class TestGenerators:
         assert st.sigma_min == pytest.approx(want, abs=1e-12)
         assert st.sigma_max == pytest.approx(want, abs=1e-12)
         assert st.sigma_min <= st.sigma_avg <= st.sigma_max
+
+    @pytest.mark.parametrize("make", [lambda: gen_hex_dominant_mesh(8),
+                                      lambda: gen_perturbed_quad_mesh(8, 0.2, 1),
+                                      lambda: collapse_short_edges(gen_hex_dominant_mesh(6), 0.05)])
+    def test_sigma_matches_the_vertex_triangle_loop(self, make):
+        # Oracle: each polygon's sigma from a Python loop over its vertex
+        # triangles (math.dist, where the library takes np.hypot).
+        mesh = make()
+        want = []
+        for E in mesh.polygons():
+            v, best = E.vertices, np.inf
+            for a, b, c in itertools.combinations(range(E.n_edges), 3):
+                u, w = v[b] - v[a], v[c] - v[a]
+                per = math.dist(v[a], v[b]) + math.dist(v[b], v[c]) + math.dist(v[c], v[a])
+                best = min(best, 2.0 * abs(u[0] * w[1] - u[1] * w[0]) / per)
+            want.append(2.0 * best / E.diameter)
+        got = np.array([E.shape_regularity().sigma for E in mesh.polygons()])
+        assert np.abs(got - want).max() <= 1e-15 * max(want)
+        # The stats are the per-polygon values, reduced in cell order.
+        st = mesh_stats(mesh)
+        assert (st.sigma_min, st.sigma_max, st.sigma_avg) == (got.min(), got.max(), got.mean())
 
     def test_trapezoid_constant_sigma_across_levels(self):
         st2 = mesh_stats(gen_trapezoid_mesh(2))

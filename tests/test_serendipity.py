@@ -51,12 +51,6 @@ def monomials(r):
     return [(a, b) for a in range(r + 1) for b in range(r + 1 - a)]
 
 
-def cell_table(E, r):
-    """The generator table of the index-r element on E, without the build."""
-    layout = _term_layout(E.n_edges, r)
-    return layout.table.with_affines(*serendipity._affines(_frame(E), r, layout.pairs))
-
-
 def frame_nodes(elem):
     """The frame nodes at which the build inverts the generator values."""
     return _node_weights(elem.polygon.n_edges, elem.r) @ elem.frame.vertices
@@ -68,11 +62,14 @@ class TestTermLayout:
         rng = np.random.default_rng(N)
         for r in range(max(1, N - 2), N + 3):
             E = random_convex_polygon(N, rng)
-            # The table's affines are the frame's: the oracle is built on
+            # The element's affines are the frame's: the oracle is built on
             # the frame polygon and both are read at frame points.
             pts = (interior_points(E, rng, 25) - E.centroid) / E.diameter
-            got = cell_table(E, r).value_grad(pts)
-            want = dict_built_table(frame_polygon(E), r).value_grad(pts)
+            layout = _term_layout(N, r)
+            affines = serendipity._affines(_frame(E), r, layout.pairs)
+            got = layout.table.value_grad(*affines, pts)
+            table, *affines = dict_built_table(frame_polygon(E), r)
+            want = table.value_grad(*affines, pts)
             for g, w in zip(got, want):
                 assert g.shape == w.shape
                 scale = np.abs(w).reshape(len(w), -1).max(axis=1)
@@ -81,17 +78,17 @@ class TestTermLayout:
 
     def test_cell_tables_share_the_cached_layout(self):
         rng = np.random.default_rng(2)
-        a, b = (cell_table(random_convex_polygon(5, rng), 4) for _ in range(2))
+        a, b = (build_ds_element(random_convex_polygon(5, rng), 4) for _ in range(2))
         template = _term_layout(5, 4).table
         assert _term_layout(5, 4) is _term_layout(5, 4)
-        assert a.powers is template.powers and b.powers is template.powers
-        assert not np.array_equal(a.offsets, b.offsets)
+        assert a.table is template and b.table is template
+        assert not np.array_equal(a.affines[1], b.affines[1])
 
     @pytest.mark.parametrize("N, r", [(3, 1), (4, 2), (5, 3), (6, 7)])
     def test_layout_arrays_read_only(self, N, r):
         layout = _term_layout(N, r)
         t = layout.table
-        arrays = [t.powers, t._index, t._exps, t.grads, t.offsets,
+        arrays = [t.powers, t._index, t._exps, t._pow,
                   layout.pairs, _carving_matrix(6, 2, 4), _carving_matrix(8, 5, 6),
                   _node_weights(N, r), _node_weights(N, r + N)]
         for a in arrays:
@@ -436,7 +433,7 @@ class TestElement:
         # physical nodes; at the frame nodes the basis is the exact inverse.
         with pytest.warns(UserWarning, match="duality"):
             elem = build_ds_element(sliver_mesh(1e-3).polygon(1), 4)
-        V, _ = elem.table.value_grad(frame_nodes(elem))
+        V, _ = elem.table.value_grad(*elem.affines, frame_nodes(elem))
         assert np.abs(elem.coeffs @ V - np.eye(elem.dim)).max() <= 1e-10
 
 
@@ -488,7 +485,7 @@ class TestStackedEvaluation:
         # Oracle: the nodal inverse from ``value_grad`` at the frame nodes alone.
         E = random_convex_polygon(N, np.random.default_rng(N + r))
         elem = build_ds_element(E, r)
-        V, _ = elem.table.value_grad(frame_nodes(elem))
+        V, _ = elem.table.value_grad(*elem.affines, frame_nodes(elem))
         s = np.abs(V).max(axis=1)
         s[s == 0] = 1.0
         want = np.linalg.inv(V / s[:, None]) / s
