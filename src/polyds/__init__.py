@@ -9,7 +9,6 @@ from .geometry import (
     AffineScalar,
     GeometryError,
     Polygon,
-    RegularityReport,
 )
 from .quadrature import EdgeRule, QuadRule, edge_rule, polygon_rule
 from .serendipity import (

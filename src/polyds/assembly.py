@@ -4,10 +4,12 @@ Primal form: continuous scalar space of index r, Dirichlet data imposed by
 eliminating boundary rows/columns (the reduced matrix stays SPD).  Mixed
 form: H(div) flux space of index r with discontinuous per-cell pressures
 of degree s; pressure boundary data is natural and enters the right-hand
-side.  The mixed system is assembled as a saddle-point matrix and solved by
-hybridization: each cell's flux and pressure are eliminated locally, once
-per translation class, onto one SPD system of edge multipliers.  Both
-forms are factored with the same symmetric sparse LU.
+side.  The mixed system is assembled as one saddle-point matrix, from one
+list of entries that holds each cell's signed mass block, its divergence
+block and that block's transpose, and solved by hybridization: each cell's
+flux and pressure are eliminated locally, once per translation class, onto
+one SPD system of edge multipliers.  Both forms are factored with the same
+symmetric sparse LU.
 
 Cells that are exact translates of each other form a translation class,
 and this module is the only one that knows about them.  Element
@@ -23,7 +25,9 @@ systems are reproducible bit for bit.
 Both forms and their error integration build the classes that a block
 meets first one by one, then stack them: one rule broadcast over their
 polygons, one evaluation of their bases (``serendipity._eval_stacked``, or
-``mixed._eval_mixed`` on top of it) and one batched Gram product.
+``mixed._eval_mixed`` on top of it) and one batched Gram product.  Error
+integration evaluates the exact p and its gradient in one call per block,
+and reads u = -grad p and div u = f from them.
 """
 
 from __future__ import annotations
@@ -72,12 +76,12 @@ class SolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class Exact:
-    """Manufactured solution bundle: scalar p, flux u = -grad p, data f."""
+    """Manufactured solution of -div grad p = f, as two callables on
+    points x (M, 2): ``p(x)`` returns the values (M,) and the gradients
+    (M, 2) of p, as ``PowerTable.value_grad`` does, and ``f(x)`` the data
+    (M,).  The flux is u = -grad p, so div u = f."""
 
     p: object
-    grad_p: object
-    u: object
-    div_u: object
     f: object
 
 
@@ -91,23 +95,14 @@ def manufactured_solution(kind="one-hump") -> Exact:
         raise ValueError(f"unknown exact solution {kind!r}")
 
     def p(x):
-        return np.sin(w * x[:, 0]) * np.sin(w * x[:, 1])
+        sx, sy = np.sin(w * x[:, 0]), np.sin(w * x[:, 1])
+        cx, cy = np.cos(w * x[:, 0]), np.cos(w * x[:, 1])
+        return sx * sy, np.column_stack([w * cx * sy, w * sx * cy])
 
-    def grad_p(x):
-        return np.column_stack(
-            [
-                w * np.cos(w * x[:, 0]) * np.sin(w * x[:, 1]),
-                w * np.sin(w * x[:, 0]) * np.cos(w * x[:, 1]),
-            ]
-        )
+    def f(x):
+        return 2.0 * w**2 * (np.sin(w * x[:, 0]) * np.sin(w * x[:, 1]))
 
-    return Exact(
-        p=p,
-        grad_p=grad_p,
-        u=lambda x: -grad_p(x),
-        div_u=lambda x: 2.0 * w**2 * p(x),
-        f=lambda x: 2.0 * w**2 * p(x),
-    )
+    return Exact(p=p, f=f)
 
 
 # Cells per block of array work in assembly and error integration.  A
@@ -353,23 +348,27 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         class_blocks.update(zip(new, zip(mass_local, div_local)))
         return list(zip(pts, weights, wvals.transpose(0, 2, 1), mass_local, div_local))
 
+    # Per cell: the signed mass block, the divergence block and its transpose.
+    nu, n = dof.n_flux, dof.n_flux + dof.n_pressure
     widths = {N: ids.shape[1] for N, ids in dof.ids.items()}
-    mass = _Entries(dof.cells, {N: d * d for N, d in widths.items()})
-    div = _Entries(dof.cells, {N: d * P for N, d in widths.items()})
+    entries = _Entries(dof.cells, {N: d * (d + 2 * P) for N, d in widths.items()})
     rhs_p = np.zeros((mesh.n_cells, P))
     for N, span, cells, data, cls in _blocks(dof.cells, reps, setup):
         points, weights, wvals, mass_local, div_local = zip(*data)
         ids, signs = dof.ids[N][span], dof.signs[N][span]
-        d = ids.shape[1]
-        mass.put(cells, signs[:, :, None] * np.stack(mass_local)[cls] * signs[:, None, :],
-                 np.repeat(ids, d, axis=1), np.tile(ids, d))
-        pids = cells[:, None] * P + np.arange(P)
-        div.put(cells, np.stack(div_local)[cls] * signs[:, None, :],
-                np.repeat(pids, d, axis=1), np.tile(ids, P))
+        C, d = ids.shape
+        pids = nu + cells[:, None] * P + np.arange(P)
+        mass = signs[:, :, None] * np.stack(mass_local)[cls] * signs[:, None, :]
+        div = np.stack(div_local)[cls] * signs[:, None, :]
+        entries.put(cells,
+                    np.hstack([mass.reshape(C, -1), div.reshape(C, -1),
+                               div.transpose(0, 2, 1).reshape(C, -1)]),
+                    np.hstack([np.repeat(ids, d, axis=1), np.repeat(pids, d, axis=1),
+                               np.repeat(ids, P, axis=1)]),
+                    np.hstack([np.tile(ids, d), np.tile(ids, P), np.tile(pids, d)]))
         pts, weights = _moved_rules(points, weights, cls, shifts[cells])
         fw = weights * np.asarray(f(pts)).reshape(weights.shape)
         rhs_p[cells] = _per_class(fw, wvals, cls)
-    nu, npr = dof.n_flux, dof.n_pressure
     rhs_u = np.zeros(nu)
     if dirichlet_p is not None:
         # Only the r+1 flux functions of an edge have a normal trace on it.
@@ -384,11 +383,8 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
             g = np.asarray(dirichlet_p(pts.reshape(-1, 2))).reshape(len(row), len(t))
             slots = row[:, None], k[:, None] * (r + 1) + np.arange(r + 1)
             np.add.at(rhs_u, dof.ids[N][slots], -dof.signs[N][slots] * (g @ traces.T))
-    M = mass.coo((nu, nu)).tocsr()
-    B = div.coo((npr, nu)).tocsr()
-    K = sp.bmat([[M, B.T], [B, None]], format="csr")
     return SparseSystem(
-        matrix=K,
+        matrix=entries.coo((n, n)).tocsr(),
         rhs=np.concatenate([rhs_u, rhs_p.ravel()]),
         mesh=mesh,
         kind="mixed",
@@ -501,13 +497,20 @@ def _translation_classes(mesh):
     lowest-numbered cell, and (C, 2) shift that moves it onto the cell.
 
     Cells form one class when their vertex loops agree exactly relative to
-    their first vertex.  The key is not rounded: cells that are only nearly
-    translates of each other get elements of their own.
+    their first vertex: one ``np.unique`` over the rows of these relative
+    loops per group of ``Mesh.groups``.  The key is not rounded: cells that
+    are only nearly translates of each other get elements of their own.  It
+    compares floats, so -0.0 and 0.0 are equal; two loops that differ only
+    in such signs are exact translates.
     """
-    first, polygons = {}, mesh.polygons()
-    reps = np.array([first.setdefault((E.vertices - E.vertices[0]).tobytes(), c)
-                     for c, E in enumerate(polygons)])
-    starts = np.array([E.vertices[0] for E in polygons])
+    reps = np.empty(mesh.n_cells, dtype=int)
+    starts = np.empty((mesh.n_cells, 2))
+    for cells, loops, _ in mesh.groups.values():
+        v = mesh.vertices[loops]
+        rel = (v - v[:, :1]).reshape(len(cells), -1)
+        _, first, inverse = np.unique(rel, axis=0, return_index=True, return_inverse=True)
+        reps[cells] = cells[first[inverse]]
+        starts[cells] = v[:, 0]
     return _frozen(reps), _frozen(starts - starts[reps])
 
 
@@ -716,17 +719,18 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
         flat, weights = _moved_rules(points, weights, cls, system.shifts[cells])
         C, M = weights.shape
         ids = dof.ids[N][span]
+        p, grad_p = exact.p(flat)
+        p, grad_p = p.reshape(C, M), grad_p.reshape(C, M, 2)
         if primal:
             ph, gh = (_per_class(report.solution[ids], t, cls) for t in terms)
-            gaps = [(ph - exact.p(flat).reshape(C, M)) ** 2,
-                    ((gh.reshape(C, M, 2) - exact.grad_p(flat).reshape(C, M, 2)) ** 2).sum(2)]
+            gaps = [(ph - p) ** 2, ((gh.reshape(C, M, 2) - grad_p) ** 2).sum(2)]
         else:
             ucoef = dof.signs[N][span] * report.solution_u[ids]
             uh, dh = (_per_class(ucoef, t, cls) for t in terms[:2])
             ph = _per_class(report.solution_p.reshape(mesh.n_cells, -1)[cells], terms[2], cls)
-            gaps = [(ph - exact.p(flat).reshape(C, M)) ** 2,
-                    ((uh.reshape(C, M, 2) - exact.u(flat).reshape(C, M, 2)) ** 2).sum(2),
-                    (dh - exact.div_u(flat).reshape(C, M)) ** 2]
+            # u = -grad p and div u = f.
+            gaps = [(ph - p) ** 2, ((uh.reshape(C, M, 2) + grad_p) ** 2).sum(2),
+                    (dh - exact.f(flat).reshape(C, M)) ** 2]
         for row, gap in zip(sq, gaps):
             row[cells] = np.einsum("cm,cm->c", weights, gap)
     if per_element is not None:

@@ -5,8 +5,8 @@ normals, tangents, lengths, and the edge offsets that with the normals
 give the edge distance functions), built one at a time or as a stack of
 polygons with equal vertex count (``polygon_stack``, one formula for
 both), signed distance lines and the pair lines between nonadjacent edges
-as (P, 2) gradient and (P,) offset arrays, and shape-regularity
-measurement.
+as (P, 2) gradient and (P,) offset arrays, and the shape-regularity
+formula that ``mesh.mesh_stats`` runs over groups of cells.
 
 Polygons are immutable after construction (their arrays are read-only)
 and all operations are pure, so they are safe to share between threads.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "GeometryError",
     "AffineScalar",
     "Polygon",
-    "RegularityReport",
     "polygon_stack",
     "distance_lines",
     "nonadjacent_pairs",
@@ -188,19 +186,6 @@ def _stacked_data(v):
     return data, None
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Shape-regularity measurement of a polygon.
-
-    sigma = rho / h, where h is the polygon diameter and rho is twice the
-    smallest incircle diameter over all triangles formed by polygon vertices.
-    """
-
-    h: float
-    rho: float
-    sigma: float
-
-
 class Polygon:
     """Closed, strictly convex polygon with CCW vertex ordering.
 
@@ -251,15 +236,11 @@ class Polygon:
         """
         return distance_lines(self.edge_midpoint(np.asarray(i)), self.edge_midpoint(np.asarray(j)))
 
-    def shape_regularity(self) -> RegularityReport:
-        """Measure sigma = rho / h from all vertex sub-triangles."""
-        rho = float(_regularity_rho(self.vertices[None])[0])
-        return RegularityReport(h=self.diameter, rho=rho, sigma=rho / self.diameter)
-
 
 def _regularity_rho(v):
-    """rho (C,) of ``RegularityReport`` for C loops v (C, N, 2): twice the
-    smallest incircle diameter over the triangles of three vertices."""
+    """rho (C,) of the shape regularity sigma = rho / h for C loops v
+    (C, N, 2), h the diameter: twice the smallest incircle diameter over
+    the triangles of three vertices."""
     a, b, c = np.array(list(itertools.combinations(range(v.shape[1]), 3))).T
     pa, pb, pc = v[:, a], v[:, b], v[:, c]
     u, w = pb - pa, pc - pa

@@ -92,9 +92,6 @@ class Mesh:
     def polygon(self, c) -> Polygon:
         return self._polygons[c]
 
-    def polygons(self):
-        return list(self._polygons)
-
     @property
     def h_max(self):
         return max(p.diameter for p in self._polygons)

@@ -15,7 +15,8 @@ from scipy.special import roots_jacobi, roots_legendre
 
 import polyds
 from polyds.functions import PowerTable
-from polyds.geometry import AffineScalar, GeometryError, Polygon, nonadjacent_pairs
+from polyds.geometry import (AffineScalar, GeometryError, Polygon, _regularity_rho,
+                             nonadjacent_pairs)
 from polyds.mesh import MeshError, _voronoi_loops, build_topology
 from polyds.mixed import _pressure_terms, build_mixed_element, mixed_dimension
 from polyds.quadrature import QuadRule, edge_rule, polygon_rule
@@ -28,6 +29,12 @@ SOURCE_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 
 # The array attributes of a Polygon.
 POLYGON_ARRAYS = ("vertices", "edge_lengths", "tangents", "normals", "centroid", "edge_offsets")
+
+
+def shape_regularity(E):
+    """Shape regularity sigma = rho / h of one polygon, from the stacked
+    formula that ``mesh_stats`` runs over groups of cells."""
+    return float(_regularity_rho(E.vertices[None])[0]) / E.diameter
 
 
 def random_convex_polygon(n, rng, min_sigma=0.15, max_tries=5000):
@@ -49,7 +56,7 @@ def random_convex_polygon(n, rng, min_sigma=0.15, max_tries=5000):
             poly = Polygon(pts)
         except GeometryError:
             continue
-        if poly.shape_regularity().sigma >= min_sigma:
+        if shape_regularity(poly) >= min_sigma:
             return poly
     raise RuntimeError(f"no {n}-gon with sigma >= {min_sigma} in {max_tries} tries")
 
@@ -756,8 +763,8 @@ def errors_per_cell(system, report, exact):
             coeffs = report.solution[dofs[c]]
             vals, grads = elem.eval_all(moved)
             gh = np.einsum("d,dmk->mk", coeffs, grads)
-            sq = [w @ (coeffs @ vals - exact.p(pts)) ** 2,
-                  w @ ((gh - exact.grad_p(pts)) ** 2).sum(1)]
+            p, grad_p = exact.p(pts)
+            sq = [w @ (coeffs @ vals - p) ** 2, w @ ((gh - grad_p) ** 2).sum(1)]
         else:
             ids, signs = dofs[c]
             ucoef = signs * report.solution_u[ids]
@@ -765,9 +772,10 @@ def errors_per_cell(system, report, exact):
             P = system.dof_map.p_per_cell
             ph = report.solution_p[c * P:(c + 1) * P] @ q
             uh = np.einsum("d,dmk->mk", ucoef, v)
-            sq = [w @ (ph - exact.p(pts)) ** 2,
-                  w @ ((uh - exact.u(pts)) ** 2).sum(1),
-                  w @ (ucoef @ d - exact.div_u(pts)) ** 2]
+            p, grad_p = exact.p(pts)
+            # u = -grad p and div u = f.
+            sq = [w @ (ph - p) ** 2, w @ ((uh + grad_p) ** 2).sum(1),
+                  w @ (ucoef @ d - exact.f(pts)) ** 2]
         totals += sq
         rows.append((c, *E.centroid, math.sqrt(max(sq[0], 0.0))))
     return dict(zip(names, np.sqrt(totals).tolist())), rows
@@ -798,7 +806,7 @@ def assemble_per_cell(mesh, r, s, f, g):
         return A[interior][:, interior].tocsr(), rhs[interior] - A[interior][:, boundary] @ gvals
 
     P = (s + 2) * (s + 1) // 2
-    elems = [build_mixed_element(E, r, s) for E in mesh.polygons()]
+    elems = [build_mixed_element(mesh.polygon(c), r, s) for c in range(mesh.n_cells)]
     dofs, n_flux = flux_dofs_per_cell(mesh, r, s)
     n_pressure = mesh.n_cells * P
     edges, cell_edges = dict_topology(mesh.cells)
@@ -826,6 +834,19 @@ def assemble_per_cell(mesh, r, s, f, g):
     M = _coo(mrows, mcols, mvals, (n_flux, n_flux))
     B = _coo(brows, bcols, bvals, (n_pressure, n_flux))
     return sp.bmat([[M, B.T], [B, None]], format="csr"), np.concatenate([rhs_u, rhs_p])
+
+
+def translation_classes_by_bytes(mesh):
+    """Representative (C,) and shift (C, 2) of each cell's translation
+    class, keyed cell by cell on the bytes of its polygon's vertices
+    relative to the first one (oracle for
+    ``polyds.assembly._translation_classes``, which compares these loops
+    as float rows, one ``np.unique`` per group of cells)."""
+    first, polygons = {}, [mesh.polygon(c) for c in range(mesh.n_cells)]
+    reps = np.array([first.setdefault((E.vertices - E.vertices[0]).tobytes(), c)
+                     for c, E in enumerate(polygons)])
+    starts = np.array([E.vertices[0] for E in polygons])
+    return reps, starts - starts[reps]
 
 
 def saddle_solve(system):

@@ -279,7 +279,7 @@ def test_criterion_8_patch_tests():
                   for a in range(r + 1) for b in range(r + 1 - a)}
         ex = poly_exact(coeffs)
         system = assemble_primal(mesh, r, ex.f, quad_degree=2 * (2 * r + 4),
-                                 dirichlet=ex.p)
+                                 dirichlet=lambda x: ex.p(x)[0])
         errs = compute_errors(system, solve(system), ex)
         worst_primal = max(worst_primal, errs["L2_p"])
     for (r, s) in [(1, 0), (1, 1), (2, 2), (3, 3)]:
@@ -287,7 +287,7 @@ def test_criterion_8_patch_tests():
                   for a in range(s + 1) for b in range(s + 1 - a)}
         ex = poly_exact(coeffs)
         system = assemble_mixed(mesh, r, s, ex.f, quad_degree=2 * (2 * r + 6),
-                                dirichlet_p=ex.p)
+                                dirichlet_p=lambda x: ex.p(x)[0])
         errs = compute_errors(system, solve(system), ex)
         worst_mixed = max(worst_mixed, errs["L2_p"], errs["L2_u"], errs["L2_div_u"])
     ok = worst_primal < 1e-9 and worst_mixed < 1e-9

@@ -18,6 +18,7 @@ from polyds.assembly import (
 from polyds.geometry import Polygon
 from polyds.mesh import (
     build_topology,
+    collapse_short_edges,
     gen_hex_dominant_mesh,
     gen_perturbed_quad_mesh,
     gen_square_mesh,
@@ -40,6 +41,7 @@ from helpers import (
     scalar_boundary_per_edge,
     scalar_dofs_per_cell,
     sliver_mesh,
+    translation_classes_by_bytes,
 )
 
 ZERO = lambda x: np.zeros(len(x))
@@ -69,8 +71,7 @@ def poly_exact(coeffs):
                 out += b * (b - 1) * c * x[:, 0]**a * x[:, 1]**(b - 2)
         return out
 
-    return Exact(p=p, grad_p=grad_p, u=lambda x: -grad_p(x),
-                 div_u=lambda x: -lap(x), f=lambda x: -lap(x))
+    return Exact(p=lambda x: (p(x), grad_p(x)), f=lambda x: -lap(x))
 
 
 class TestPrimal:
@@ -102,7 +103,7 @@ class TestPrimal:
                   for b in range(r + 1 - a)}
         ex = poly_exact(coeffs)
         system = assemble_primal(mesh, r, ex.f, quad_degree=2 * (2 * r + 4),
-                                 dirichlet=ex.p)
+                                 dirichlet=lambda x: ex.p(x)[0])
         report = solve(system)
         errs = compute_errors(system, report, ex)
         assert errs["L2_p"] < 1e-9
@@ -173,7 +174,7 @@ class TestMixed:
                   for b in range(s + 1 - a)}
         ex = poly_exact(coeffs)
         system = assemble_mixed(mesh, r, s, ex.f, quad_degree=2 * (2 * r + 6),
-                                dirichlet_p=ex.p)
+                                dirichlet_p=lambda x: ex.p(x)[0])
         report = solve(system)
         errs = compute_errors(system, report, ex)
         assert errs["L2_p"] < 1e-9
@@ -208,7 +209,7 @@ class TestMixed:
         u = np.zeros(dof.n_flux)
         for c in range(mesh.n_cells):
             elem, shift = system.elements[system.reps[c]], system.shifts[c]
-            co = mixed_interpolant(elem, lambda x: ex.u(x + shift),
+            co = mixed_interpolant(elem, lambda x: -ex.p(x + shift)[1],
                                    quad_degree=system.quad_degree)
             gids, signs = cell_flux_dofs(dof, c)
             u[gids] = signs * co
@@ -222,7 +223,7 @@ class TestMixed:
             qs, _ = pressure_monomials(E, s, rule.points)
             for k, q in enumerate(qs):
                 want[c * dof.p_per_cell + k] = rule.weights @ (
-                    ex.div_u(rule.points) * q
+                    ex.f(rule.points) * q
                 )
         assert np.abs(got - want).max() < 1e-9 * (np.abs(want).max() + 1)
 
@@ -425,6 +426,21 @@ class TestTranslationClasses:
         # vertex by one bit in one cell splits its class.
         reps, _ = assembly._translation_classes(gen(n))
         assert len(set(reps.tolist())) == classes
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_hex_dominant_mesh(16), lambda: gen_hex_dominant_mesh(64),
+        lambda: gen_perturbed_quad_mesh(32, 0.2, 1), lambda: gen_trapezoid_mesh(8),
+        lambda: gen_square_mesh(8),
+        lambda: collapse_short_edges(gen_hex_dominant_mesh(6), 0.05),
+    ], ids=["hex16", "hex64", "pquad32", "trapezoid8", "square8", "hex6-collapsed"])
+    def test_matches_byte_key_loop(self, make):
+        # One np.unique per group of cells gives the classes and shifts of
+        # the loop that keys each cell's polygon on its relative vertex bytes.
+        mesh = make()
+        reps, shifts = assembly._translation_classes(mesh)
+        want_reps, want_shifts = translation_classes_by_bytes(mesh)
+        assert np.array_equal(reps, want_reps)
+        assert shifts.tobytes() == want_shifts.tobytes()
 
     @pytest.mark.parametrize("mesh_name, classes", [("square4", 1), ("hex8", 11)])
     @pytest.mark.parametrize("kind", ["primal", "mixed"])
@@ -658,8 +674,7 @@ class TestErrorsAndRates:
         mesh = gen_square_mesh(2)
         system = assemble_primal(mesh, 1, ZERO)
         report = solve(system)
-        ex = Exact(p=ZERO, grad_p=lambda x: np.zeros((len(x), 2)),
-                   u=lambda x: np.zeros((len(x), 2)), div_u=ZERO, f=ZERO)
+        ex = Exact(p=lambda x: (np.zeros(len(x)), np.zeros((len(x), 2))), f=ZERO)
         errs = compute_errors(system, report, ex)
         assert errs["L2_p"] == 0.0
         assert errs["H1_semi_p"] == 0.0

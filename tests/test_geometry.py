@@ -7,12 +7,19 @@ from polyds.geometry import (
     AffineScalar,
     GeometryError,
     Polygon,
+    _regularity_rho,
     distance_lines,
     nonadjacent_pairs,
     polygon_stack,
 )
 
-from helpers import POLYGON_ARRAYS, edge_distances, interior_points, random_convex_polygon
+from helpers import (
+    POLYGON_ARRAYS,
+    edge_distances,
+    interior_points,
+    random_convex_polygon,
+    shape_regularity,
+)
 
 UNIT_SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -147,33 +154,34 @@ class TestLambdaPair:
 
 class TestShapeRegularity:
     def test_unit_square_exact(self):
-        rep = UNIT_SQUARE.shape_regularity()
-        assert rep.h == pytest.approx(math.sqrt(2), abs=1e-14)
-        assert rep.rho == pytest.approx(2 * (2 - math.sqrt(2)), abs=1e-14)
-        assert rep.sigma == pytest.approx(2 * (2 - math.sqrt(2)) / math.sqrt(2), abs=1e-14)
+        assert UNIT_SQUARE.diameter == pytest.approx(math.sqrt(2), abs=1e-14)
+        rho = _regularity_rho(UNIT_SQUARE.vertices[None])[0]
+        assert rho == pytest.approx(2 * (2 - math.sqrt(2)), abs=1e-14)
+        sigma = shape_regularity(UNIT_SQUARE)
+        assert sigma == pytest.approx(2 * (2 - math.sqrt(2)) / math.sqrt(2), abs=1e-14)
 
     def test_rigid_motion_and_scaling_invariance(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             E = random_convex_polygon(6, rng)
-            s0 = E.shape_regularity().sigma
+            s0 = shape_regularity(E)
             th = rng.uniform(0, 2 * np.pi)
             R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
             shift = rng.uniform(-5, 5, 2)
             c = rng.uniform(0.1, 10.0)
             moved = Polygon(c * (E.vertices @ R.T) + shift)
-            assert moved.shape_regularity().sigma == pytest.approx(s0, rel=1e-12)
+            assert shape_regularity(moved) == pytest.approx(s0, rel=1e-12)
 
     def test_needle_triangle_degenerates(self):
         for eps in (1e-2, 1e-4, 1e-6):
             tri = Polygon([(0, 0), (1, 0), (0.5, eps)])
-            assert tri.shape_regularity().sigma < 3 * eps
+            assert shape_regularity(tri) < 3 * eps
 
     def test_sigma_positive(self):
         rng = np.random.default_rng(21)
         for n in (3, 5, 8):
-            rep = random_convex_polygon(n, rng).shape_regularity()
-            assert 0 < rep.sigma < 1.2
+            sigma = shape_regularity(random_convex_polygon(n, rng))
+            assert 0 < sigma < 1.2
 
 
 class TestPolygonValidation:

@@ -28,6 +28,7 @@ from helpers import (
     mixed_rows_per_edge,
     pressure_monomials,
     random_convex_polygon,
+    shape_regularity,
     scaled,
 )
 
@@ -507,7 +508,7 @@ class TestImmutability:
         arrays = [{k: v.copy() for k, v in snap.items() if isinstance(v, np.ndarray)}
                   for snap in before]
         pts = np.array([[0.0, 0.0], [0.1, -0.2]])
-        E.shape_regularity()
+        shape_regularity(E)
         E.pair_lines([0], [2])
         ds.eval_all(pts)
         elem.eval_all(pts)

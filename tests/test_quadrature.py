@@ -223,7 +223,8 @@ class TestQuadrilateralRule:
         # primal r = 2, 4 and mixed (1, 1) ones on the classes of a
         # hex-dominant mesh with N != 4 and on random N = 5..8.
         rng = np.random.default_rng(11)
-        quads = gen_perturbed_quad_mesh(8, 0.2, 1).polygons()
+        mesh = gen_perturbed_quad_mesh(8, 0.2, 1)
+        quads = [mesh.polygon(c) for c in range(mesh.n_cells)]
         quads += [random_convex_polygon(4, rng) for _ in range(20)]
         hexes = gen_hex_dominant_mesh(16)
         others = [hexes.polygon(c) for c in np.unique(_translation_classes(hexes)[0])]

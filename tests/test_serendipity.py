@@ -454,7 +454,7 @@ class TestStackedEvaluation:
     def test_matches_one_element_eval_all(self, monkeypatch, case, budget):
         make, N, r, s = self.CASES[case]
         mesh = make()
-        polygons = [E for E in mesh.polygons() if E.n_edges == N]
+        polygons = [mesh.polygon(c) for c in mesh.groups[N][0]]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the sliver cells warn on duality
             if s is None:
