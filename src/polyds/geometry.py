@@ -49,7 +49,7 @@ def _as_points(pts):
 
 def _frozen(a):
     """``a``, made read-only."""
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -128,6 +128,19 @@ def polygon_stack(vertices):
         E._take(data, c)
         polygons.append(E)
     return polygons, None
+
+
+def _similar(E, c, h):
+    """E mapped by x -> (x - c) / h, c its centroid, with its attributes set
+    directly (no check runs again); its normals and tangents are E's own."""
+    F = object.__new__(Polygon)
+    F.vertices = _frozen((E.vertices - c) / h)
+    F.n_edges, F.diameter, F.area = E.n_edges, E.diameter / h, E.area / h**2
+    F.edge_lengths = _frozen(E.edge_lengths / h)
+    F.tangents, F.normals = E.tangents, E.normals
+    F.centroid = _frozen(np.zeros(2))
+    F.edge_offsets = _frozen((E.edge_offsets - E.normals @ c) / h)
+    return F
 
 
 def _stacked_data(v):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -56,30 +57,35 @@ class MeshError(ValueError):
 class Mesh:
     """Conforming polygonal mesh (use :func:`build_topology` to create).
 
-    ``cells[c]`` is the CCW vertex loop of cell c, a list of ints.  The
-    topology is read-only integer arrays:
+    ``cells[c]`` is the CCW vertex loop of cell c, a new list of ints on
+    each access.  The topology is read-only integer arrays:
 
     - ``edges`` (E, 2): the vertices (a, b) of each edge, in the traversal
       direction of its left cell;
     - ``edge_cells`` (E, 2): the (left, right) cells of each edge, right
       -1 on the boundary;
-    - ``groups``: for each vertex count N, ascending, ``(cells, loops,
-      edge_ids)`` of shapes (C,), (C, N) and (C, N): the cells with N
-      vertices, ascending, their vertex loops and their edges in loop
+    - ``groups``, read-only: for each vertex count N, ascending, ``(cells,
+      loops, edge_ids)`` of shapes (C,), (C, N) and (C, N): the cells with
+      N vertices, ascending, their vertex loops and their edges in loop
       order (edge k runs from ``loops[i, k]`` to ``loops[i, k + 1]``).
     """
 
     def __init__(self, vertices, cells, edges, edge_cells, groups, polygons):
         self.vertices = vertices
-        self.cells = cells
+        self._loops = tuple(map(tuple, cells))
         self.edges = edges
         self.edge_cells = edge_cells
-        self.groups = groups
+        self.groups = MappingProxyType(groups)
         self._polygons = tuple(polygons)
 
     @property
+    def cells(self):
+        """The cell loops, as new lists on each access."""
+        return [list(loop) for loop in self._loops]
+
+    @property
     def n_cells(self):
-        return len(self.cells)
+        return len(self._loops)
 
     @property
     def n_vertices(self):

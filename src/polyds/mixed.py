@@ -20,7 +20,8 @@ field u^ is the field u = u^ / h, with div u = div^ u^ / h**2.  The
 pressures are the monomials of the frame coordinates, one read-only table
 per s (``_pressure_terms``) that every cell reads as it is.  The
 constant-flux functions combine vertex ramps, the index-1 functions
-carved from the scalar basis (``serendipity._carving_matrix``).
+carved from the scalar basis (``serendipity._carving_matrix``), with
+fan areas from one cumulative sum (``_fan_areas``) as weights.
 Elements of one (N, r, s) are evaluated together (``_eval_mixed``),
 their curls in the scalar elements' stacked pass; ``eval_all`` is its
 case of one element.
@@ -42,7 +43,6 @@ from .serendipity import (
     _carving_matrix,
     _edge_parameters,
     _eval_stacked,
-    _Frame,
     _lagrange_1d,
     build_ds_element,
 )
@@ -50,7 +50,6 @@ from .serendipity import (
 __all__ = [
     "MixedElement",
     "mixed_dimension",
-    "constant_flux_coefficients",
     "build_mixed_element",
     "edge_normal_traces",
 ]
@@ -80,28 +79,22 @@ def _pressure_terms(s: int) -> PowerTable:
     return PowerTable(powers)
 
 
-def constant_flux_coefficients(E: Polygon):
-    """Cancellation constants (N, N-2) of the constant-flux functions.
+def _fan_areas(E: Polygon):
+    """Twice the fan areas (N, N-2) that weight the constant-flux functions.
 
-    Row k belongs to the constant-flux function of edge k: entry m belongs
-    to edge k+3+m (mod N), and the last entry to edge k itself, which
-    normalizes the flux.  With anchor vertex k+2, entry m is the anchor's
-    distance to edge k+3+m plus the length ratio of edges k+2+m and k+3+m
-    times entry m-1; the recurrence runs on all rows at once.  All entries
-    are strictly positive on a strictly convex polygon.
+    Row k belongs to edge k's function; its fan's apex is vertex k+2, and
+    entry m covers the fan's triangles on edges k+3, ..., k+3+m (mod N):
+    the cumulative sum of the apex's distance to each edge's line times
+    the edge's length.  The last entry is 2|E|.  Entry m over the length
+    of edge k+3+m is the paper's cancellation constant, positive on a
+    strictly convex polygon.
     """
     N = E.n_edges
     k = np.arange(N)
     edge = (k[:, None] + np.arange(3, N + 1)) % N  # (N, N-2): edge of each entry
-    anchor = E.vertices[(k + 2) % N]
-    # Distances of the anchor vertex to the lines of the entries' edges.
-    dist = E.edge_offsets[edge] - (E.normals[edge] * anchor[:, None]).sum(axis=2)
-    ratio = E.edge_lengths[(edge - 1) % N] / E.edge_lengths[edge]
-    out = np.empty((N, N - 2))
-    prev = np.zeros(N)
-    for m in range(N - 2):
-        prev = out[:, m] = dist[:, m] + ratio[:, m] * prev
-    return out
+    apex = E.vertices[(k + 2) % N]
+    dist = E.edge_offsets[edge] - (E.normals[edge] * apex[:, None]).sum(axis=2)
+    return np.cumsum(dist * E.edge_lengths[edge], axis=1)
 
 
 def _constant_flux_data(ds: DSElement):
@@ -109,21 +102,19 @@ def _constant_flux_data(ds: DSElement):
     curl coefficient rows (N, generators) over the scalar generators,
     coefficients (N,) of the radial field x^, and constant parts (N, 2).
 
-    Row k of the curl rows combines the ramp of vertex m+1 with weight
-    -c[k, m-k-3] |e_m| for the edges m = k+3, ..., k+N-1 (mod N), all
-    scaled by 1 / (c[k, -1] |e_k|), with c the cancellation constants.
-    The ramp of vertex k is the index-1 function carved from ``ds``: its
-    trace runs linearly 0 -> 1 along edge k-1 and 1 -> 0 along edge k, and
-    vanishes on every other edge."""
+    With A the fan areas (``_fan_areas``), row k of the curl rows combines
+    the ramp of vertex m+1 with weight -A[k, m-k-3] for the edges m = k+3,
+    ..., k+N-1 (mod N), all scaled by 1 / A[k, -1].  The ramp of vertex k
+    is the index-1 function carved from ``ds``: its trace runs linearly
+    0 -> 1 along edge k-1 and 1 -> 0 along edge k, and vanishes on every
+    other edge."""
     F = ds.frame
     N = F.n_edges
-    lengths = F.edge_lengths
-    coeffs = constant_flux_coefficients(F)
-    scale = 1.0 / (coeffs[:, -1] * lengths)
+    A = _fan_areas(F)
+    scale = 1.0 / A[:, -1]
     k = np.arange(N)
-    m = (k[:, None] + np.arange(3, N)) % N  # (N, N-3)
     weights = np.zeros((N, N))
-    weights[k[:, None], (m + 1) % N] = -coeffs[:, :-1] * lengths[m] * scale[:, None]
+    weights[k[:, None], (k[:, None] + np.arange(4, N + 1)) % N] = -A[:, :-1] * scale[:, None]
     const = -F.vertices[(k + 2) % N] * scale[:, None]
     return weights @ (_carving_matrix(N, 1, ds.r) @ ds.coeffs), scale, const
 
@@ -145,7 +136,7 @@ def edge_normal_traces(r: int, t):
     return out
 
 
-def _edge_flux_expansion(F: _Frame, r: int, pressure: PowerTable):
+def _edge_flux_expansion(F: Polygon, r: int, pressure: PowerTable):
     """Coefficients alpha[k, p, 0..r] expanding the normal flux of x^ p on
     edge k of the frame polygon F in the edge flux basis (constant 1/|e|
     plus Lagrange-derivative moments), for every edge k and pressure p,
@@ -212,8 +203,8 @@ def _eval_mixed(elems, pts):
     ds, pressure = [e.ds for e in elems], elems[0].pressure
     (C, M), G, P = pts.shape[:2], ds[0].n_generators, len(pressure)
     rows = np.stack([e.rows for e in elems])
-    h = np.array([d.frame.scale for d in ds])[:, None, None]
-    x = (pts - np.stack([d.frame.center for d in ds])[:, None]) / h
+    h = np.array([e.polygon.diameter for e in elems])[:, None, None]
+    x = (pts - np.stack([e.polygon.centroid for e in elems])[:, None]) / h
     _, grads = _eval_stacked(ds, pts, rows[:, :, :G])
     pvals = pressure.values(np.eye(2), np.zeros(2), x.reshape(-1, 2))
     pvals = pvals.reshape(P, C, M).swapaxes(0, 1)

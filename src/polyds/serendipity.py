@@ -10,9 +10,10 @@ pair line of two edges is the line through their midpoints.  For
 restricting edge traces to degree r.
 
 Each element is built on its cell's frame x^ = (x - c) / h, with c the
-centroid and h the diameter (``_frame``, the one place that chooses c and
-h), a similarity that leaves the space as it is.  Its polygon and nodes
-stay physical: ``eval_all`` maps the points once and divides the frame
+centroid and h the diameter, a similarity that leaves the space as it
+is: the frame is a ``Polygon``, the cell moved there (``_frame``, the one
+place that chooses c and h).  The element's polygon and nodes stay
+physical: ``eval_all`` maps the points once and divides the frame
 gradients by h.
 
 Every decision of the construction that depends only on (N, r) is one
@@ -43,7 +44,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .functions import PowerTable, _capped_matmul
-from .geometry import Polygon, _as_points, _frozen, nonadjacent_pairs
+from .geometry import Polygon, _as_points, _frozen, _similar, nonadjacent_pairs
 
 __all__ = [
     "ElementError",
@@ -80,29 +81,9 @@ def _edge_parameters(r: int):
     return np.arange(r + 1) / r
 
 
-class _Frame(NamedTuple):
-    """A polygon's frame x^ = (x - center) / scale, and the ``Polygon`` arrays
-    that the builders read, of the polygon moved there (centroid 0, diameter 1)."""
-    center: np.ndarray
-    scale: float
-    vertices: np.ndarray
-    normals: np.ndarray
-    tangents: np.ndarray
-    edge_lengths: np.ndarray
-    edge_offsets: np.ndarray
-    n_edges = property(lambda self: len(self.vertices))
-    edge_midpoint, pair_lines = Polygon.edge_midpoint, Polygon.pair_lines
-
-    def points(self, x):
-        return (x - self.center) / self.scale
-
-
-def _frame(E: Polygon) -> _Frame:
-    """E's frame: its centroid is the center and its diameter the scale."""
-    c, h = E.centroid, E.diameter
-    v, lengths, offsets = map(_frozen, ((E.vertices - c) / h, E.edge_lengths / h,
-                                        (E.edge_offsets - E.normals @ c) / h))
-    return _Frame(c, h, v, E.normals, E.tangents, lengths, offsets)
+def _frame(E: Polygon) -> Polygon:
+    """E moved to its frame: c its centroid, h its diameter."""
+    return _similar(E, E.centroid, E.diameter)
 
 
 def _lagrange_1d(points):
@@ -199,7 +180,7 @@ def _node_weights(N: int, r: int):
     return _frozen(np.concatenate([np.eye(N), edges.reshape(-1, N), interior]))
 
 
-def _affines(F: _Frame, r: int, pairs):
+def _affines(F: Polygon, r: int, pairs):
     """Gradients (K, 2) and offsets (K,) on the frame F of the affines of
     the term layout of index r with nonadjacent pairs ``pairs`` (2, P)."""
     N = F.n_edges
@@ -230,12 +211,13 @@ def _build_nodal(E: Polygon, r: int) -> DSElement:
     layout = _term_layout(N, r)
     affines = _affines(F, r, layout.pairs)
     frame_nodes = _node_weights(N, r) @ F.vertices
-    points = F.center + F.scale * frame_nodes
+    c, h = E.centroid, E.diameter
+    points = c + h * frame_nodes
     points[:N] = E.vertices
     D = len(points)
     # One evaluation at the frame nodes, which give V, and at the physical
     # nodes mapped as ``eval_all`` maps them, where duality is read.
-    vals = layout.table.values(*affines, np.concatenate([frame_nodes, F.points(points)]))
+    vals = layout.table.values(*affines, np.concatenate([frame_nodes, (points - c) / h]))
     tvals = vals[:, :D]
     # Each generator (row) is scaled by its largest value at the nodes; one
     # that vanishes at every node keeps scale 1 and leaves V singular.
@@ -310,6 +292,9 @@ class DSElement:
 # mesh (2-core host, best of 9, 3 processes) took 20-28 ms at 2**13, 21-26
 # ms at 2**14 and 22-30 ms at 2**15 with the assembly rule, and 32-41, 26-33
 # and 26-33 ms with the error rule; 2**12 and 2**16 were slower for both.
+# The budget, not ``assembly.CHUNK_CELLS``, bounds memory at high r on
+# meshes whose cells are all distinct: with one pass per block, primal r=6
+# on the perturbed-quad n=16 mesh peaked at 131.7 MB instead of 84.6 MB.
 EVAL_BUDGET = 2**14
 
 
@@ -325,8 +310,8 @@ def _eval_stacked(elems, pts, coeffs):
     """
     C, M = pts.shape[:2]
     table, D = elems[0].table, coeffs.shape[1]
-    scale = np.array([e.frame.scale for e in elems])[:, None, None]
-    x = (pts - np.stack([e.frame.center for e in elems])[:, None]) / scale
+    scale = np.array([e.polygon.diameter for e in elems])[:, None, None]
+    x = (pts - np.stack([e.polygon.centroid for e in elems])[:, None]) / scale
     affine_grads, affine_offsets = (np.stack(a) for a in zip(*(e.affines for e in elems)))
     step = max(1, EVAL_BUDGET // (table.n_factors * len(table) * max(M, 1)))
     vals, grads = np.empty((C, D, M)), np.empty((C, D, M, 2))

@@ -18,6 +18,12 @@ Regenerate the file (only for a change that moves the numbers by design)
 with
 
     PYTHONPATH=src python tests/fingerprints.py
+
+and print, for each case, the largest relative deviation of this host's
+matrix and right-hand side figures, and of its error norms, from the file,
+next to their tolerances (it writes nothing and exits 0) with
+
+    PYTHONPATH=src python tests/fingerprints.py --report
 """
 
 import json
@@ -83,13 +89,30 @@ def _colamd_factor(A):
         raise assembly.SolveError(f"sparse factorization failed: {exc}") from None
 
 
+def _deviation(got, want):
+    """Largest relative deviation of the figures ``got`` from ``want``."""
+    return max(abs(got[k] - x) / abs(x) for k, x in want.items())
+
+
+def report():
+    """Print each case's deviations from the stored figures, with their
+    tolerances."""
+    stored = json.loads(PATH.read_text())
+    for case in CASES:
+        want, got = stored["cases"][case], fingerprint(case)
+        system = _deviation(got, {k: want[k] for k in ("frobenius", "uAv", "wb")})
+        errors = _deviation(got["errors"], want["errors"])
+        print(f"{case}: A, b {system:.2e} (rtol {stored['rtol']:.2e}), "
+              f"errors {errors:.2e} (error_rtol {want['error_rtol']:.2e})")
+
+
 def main():
     out = {"rtol": RTOL, "vector_seed": VECTOR_SEED, "cases": {}}
     for case in CASES:
         figures = fingerprint(case)
         with mock.patch.object(assembly, "_spd_factor", _colamd_factor):
             other = fingerprint(case)["errors"]
-        spread = max(abs(other[k] - x) / abs(x) for k, x in figures["errors"].items())
+        spread = _deviation(other, figures["errors"])
         figures["error_rtol"] = float(max(10.0 * spread, RTOL))
         out["cases"][case] = figures
         print(f"{case}: n={figures['n']} spread={spread:.2e}", file=sys.stderr)
@@ -98,4 +121,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:] == ["--report"]:
+        report()
+    else:
+        main()

@@ -18,7 +18,7 @@ from polyds.functions import PowerTable
 from polyds.geometry import (AffineScalar, GeometryError, Polygon, _regularity_rho,
                              nonadjacent_pairs)
 from polyds.mesh import MeshError, _voronoi_loops, build_topology
-from polyds.mixed import _pressure_terms, build_mixed_element, mixed_dimension
+from polyds.mixed import _fan_areas, _pressure_terms, build_mixed_element, mixed_dimension
 from polyds.quadrature import QuadRule, edge_rule, polygon_rule
 from polyds.serendipity import ElementError, build_ds_element, ds_dimension
 
@@ -82,6 +82,15 @@ def frame_polygon(poly):
     """The polygon moved and scaled to its own frame x^ = (x - c) / h, as a
     new ``Polygon`` (oracle geometry for the frame arrays of the builders)."""
     return Polygon((poly.vertices - poly.centroid) / poly.diameter)
+
+
+def frame_arrays(poly):
+    """Vertices, edge lengths and edge offsets of the frame of ``poly``,
+    each by its own formula from the polygon's arrays (oracle for the
+    frame polygon of ``polyds.serendipity._frame``, bit for bit)."""
+    c, h = poly.centroid, poly.diameter
+    return ((poly.vertices - c) / h, poly.edge_lengths / h,
+            (poly.edge_offsets - poly.normals @ c) / h)
 
 
 def node_points(vertices, r):
@@ -294,10 +303,21 @@ def line_through(y1, y2):
     return AffineScalar((-nu[0], -nu[1]), x2 * nu[0] + z2 * nu[1])
 
 
+def constant_flux_coefficients(E):
+    """Cancellation constants (N, N-2) of the constant-flux functions:
+    the fan areas of ``polyds.mixed._fan_areas``, row k, entry m, over the
+    length of edge k+3+m (mod N)."""
+    N = E.n_edges
+    edge = (np.arange(N)[:, None] + np.arange(3, N + 1)) % N
+    return _fan_areas(E) / E.edge_lengths[edge]
+
+
 def constant_flux_coefficients_per_edge(E, k):
     """Cancellation constants of the constant-flux function of edge k, by
     the edge-by-edge recurrence with scalar loops (oracle for row k of
-    ``polyds.mixed.constant_flux_coefficients``)."""
+    ``constant_flux_coefficients``): entry m is the distance of vertex
+    k+2 to edge k+3+m plus the length ratio of edges k+2+m and k+3+m times
+    entry m-1."""
     N = E.n_edges
     lam = edge_distances(E)
     lengths = E.edge_lengths
@@ -398,7 +418,7 @@ def _dof_functionals(elem, quad_degree=None):
     rule = polygon_rule(E, quad_degree)
     # Frame gradients: h times the physical ones, a scale the moments ignore.
     _, pgrads = elem.pressure.value_grad(np.eye(2), np.zeros(2),
-                                         elem.ds.frame.points(rule.points))
+                                         (rule.points - E.centroid) / E.diameter)
     for grad in pgrads[1:]:
         dofs.append(("moment", rule.points, rule.weights, grad))
     bubbles = [i for i, lay in enumerate(element_layout(elem)) if lay[0] == "bubble"]

@@ -18,15 +18,12 @@ from polyds.assembly import (
     solve,
 )
 from polyds.mesh import collapse_short_edges, gen_hex_dominant_mesh, mesh_stats
-from polyds.mixed import (
-    build_mixed_element,
-    constant_flux_coefficients,
-    mixed_dimension,
-)
+from polyds.mixed import build_mixed_element, mixed_dimension
 from polyds.quadrature import edge_rule, polygon_rule
 from polyds.serendipity import build_ds_element, ds_dimension
 
 from helpers import (
+    constant_flux_coefficients,
     dof_layout,
     duality_residual,
     edge_point,

@@ -173,6 +173,23 @@ class TestTopology:
         verts[0, 0] = 5.0
         assert m.vertices[0, 0] == 0.0
 
+    def test_cells_and_groups_cannot_change_the_mesh(self, tmp_path):
+        m = gen_square_mesh(2)
+        cells = m.cells
+        export_mesh(m, tmp_path / "before.json")
+        m.cells[0].reverse()
+        cells[1].clear()
+        with pytest.raises(TypeError):
+            m.groups[7] = None
+        with pytest.raises(TypeError):
+            del m.groups[4]
+        assert m.cells == [[0, 1, 4, 3], [1, 2, 5, 4], [3, 4, 7, 6], [4, 5, 8, 7]]
+        assert list(m.groups) == [4] and m.groups[4][1].tolist() == m.cells
+        assert m.n_cells == 4
+        export_mesh(m, tmp_path / "after.json")
+        assert (tmp_path / "after.json").read_text() == (tmp_path / "before.json").read_text()
+        assert import_mesh(tmp_path / "after.json").cells == m.cells
+
     def test_interior_edge_orientations(self):
         m = gen_square_mesh(3)
         left, right = m.edge_cells[m.edge_cells[:, 1] >= 0].T

@@ -4,17 +4,19 @@ from numpy.polynomial import polynomial as npoly
 
 from polyds.functions import PowerTable
 from polyds.geometry import Polygon
+from polyds.mesh import gen_hex_dominant_mesh, gen_perturbed_quad_mesh
 from polyds.mixed import (
     _edge_flux_expansion,
+    _fan_areas,
     _pressure_terms,
     build_mixed_element,
-    constant_flux_coefficients,
     mixed_dimension,
 )
 from polyds.quadrature import edge_rule, polygon_rule
 from polyds.serendipity import _frame, _lagrange_1d, build_ds_element
 
 from helpers import (
+    constant_flux_coefficients,
     constant_flux_coefficients_per_edge,
     divergence_fd,
     dof_layout,
@@ -207,6 +209,24 @@ class TestConstantFlux:
             for k in range(N):
                 want = constant_flux_coefficients_per_edge(E, k)
                 assert np.abs(got[k] - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("N", range(3, 9))
+    def test_fan_areas_positive_and_end_at_twice_the_area(self, N):
+        rng = np.random.default_rng(80 + N)
+        for E in [random_convex_polygon(N, rng) for _ in range(5)]:
+            A = _fan_areas(E)
+            assert A.shape == (N, N - 2) and np.all(A > 0)
+            assert np.abs(A[:, -1] - 2 * E.area).max() <= 1e-14 * 2 * E.area
+
+    @pytest.mark.parametrize("mesh", [gen_hex_dominant_mesh(8),
+                                      gen_perturbed_quad_mesh(8, 0.2, 1)],
+                             ids=["hex", "pquad"])
+    def test_fan_areas_of_cell_frames(self, mesh):
+        for c in range(mesh.n_cells):
+            F = _frame(mesh.polygon(c))
+            A = _fan_areas(F)
+            assert np.all(A > 0)
+            assert np.abs(A[:, -1] - 2 * F.area).max() <= 1e-14 * 2 * F.area, c
 
     def test_divergence_spatially_constant(self):
         rng = np.random.default_rng(8)

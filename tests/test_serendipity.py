@@ -25,10 +25,12 @@ from polyds.serendipity import (
 )
 
 from helpers import (
+    POLYGON_ARRAYS,
     dict_built_table,
     duality_residual,
     edge_distances,
     edge_point,
+    frame_arrays,
     frame_polygon,
     gradient_fd,
     interior_points,
@@ -319,6 +321,29 @@ class TestLowOrder:
             build_low_order(E, 4)          # r >= N-2 has no background window
         with pytest.raises(ElementError):
             build_low_order(E, 0)          # r must be at least 1
+
+
+class TestFrame:
+    @pytest.mark.parametrize("N", range(3, 9))
+    def test_frame_is_the_read_only_polygon_of_the_frame_formulas(self, N):
+        rng = np.random.default_rng(60 + N)
+        for E in [random_convex_polygon(N, rng) for _ in range(3)]:
+            F = _frame(E)
+            assert type(F) is Polygon and F.n_edges == N
+            for got, want in zip((F.vertices, F.edge_lengths, F.edge_offsets),
+                                 frame_arrays(E), strict=True):
+                assert np.array_equal(got, want)
+            assert F.normals is E.normals and F.tangents is E.tangents
+            assert F.centroid.tolist() == [0.0, 0.0] and F.diameter == 1.0
+            assert F.area == E.area / E.diameter**2
+            for name in POLYGON_ARRAYS:
+                with pytest.raises(ValueError):
+                    getattr(F, name)[0] = 5.0
+            # It is the polygon of its own vertices, to round-off.
+            P = Polygon(F.vertices)
+            for name in POLYGON_ARRAYS:
+                assert np.abs(getattr(F, name) - getattr(P, name)).max() <= 1e-14, name
+            assert abs(F.area - P.area) <= 1e-14 and abs(F.diameter - P.diameter) <= 1e-14
 
 
 class TestElement:
