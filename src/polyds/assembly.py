@@ -17,7 +17,10 @@ construction, quadrature, basis evaluation and local matrices are computed
 once per class, on its lowest-numbered cell: the element of a cell c is
 the class element read at x - ``shifts[c]``.  The rest is array work over
 blocks of consecutive cells with equal vertex count N, in the groups of
-``Mesh.groups``: dof ids and edge signs are (C, D) arrays per N, loads and
+``Mesh.groups``.  One ``DofMap`` numbers the scalar space, or the flux
+space and its pressures: it holds the dof ids and edge signs as (C, D)
+arrays per N (``ids``, ``signs``), the counts ``n_dofs`` and
+``n_pressure``, and the ``boundary`` and ``interior`` slots.  Loads and
 error integrands are evaluated once per block on the stacked moved points,
 and contributions are stored and summed in cell order, so assembled
 systems are reproducible bit for bit.
@@ -52,7 +55,6 @@ __all__ = [
     "AssemblyError",
     "SolveError",
     "DofMap",
-    "MixedDofMap",
     "SparseSystem",
     "SolveReport",
     "Exact",
@@ -130,89 +132,60 @@ def _cell_starts(groups, widths, offset=0):
 
 
 class DofMap:
-    """Global numbering for the continuous scalar space of index r.
+    """Global numbering of the continuous scalar space of index r, or, given
+    s, of the H(div) flux space of index (r, s) and its pressures.
 
-    Ordering: mesh vertices, then r-1 slots per mesh edge (ordered from the
-    lower- to the higher-numbered vertex), then per-cell interior blocks in
-    cell order.  The ids of the cells with N vertices are one read-only
-    (C, D) array ``ids[N]``, row i for cell ``cells[N][i]`` (ascending),
-    in the element's node order (vertex, edge, cell).
+    Ordering: the mesh vertices (scalar space only), then per mesh edge its
+    slots, r-1 for the scalar space and r+1 for the flux space with the
+    constant flux first, then per-cell interior blocks in cell order.  An
+    edge's slots run from its lower- to its higher-numbered vertex; a cell
+    whose CCW traversal opposes that direction reads them in reverse,
+    except the constant-flux slot, which it reads in place with sign -1.
+    The ids and signs of the cells with N vertices are read-only (C, D)
+    arrays ``ids[N]`` and ``signs[N]``, row i for cell ``cells[N][i]``
+    (ascending), in the element's basis order (vertex, edge, cell); the
+    signs of the scalar space are all +1.  ``boundary`` holds the slots of
+    the boundary edges and both their ends, ``interior`` the rest; ``n_dofs``
+    counts the scalar or flux slots.  Pressures, ``p_per_cell`` per cell
+    (none for the scalar space), are numbered cell by cell after them.
     """
 
-    def __init__(self, mesh: Mesh, r: int):
-        self.mesh = mesh
-        self.r = r
-        nv, ne = mesh.n_vertices, mesh.n_edges
-        per_edge = r - 1
-        self.edge_offset = nv
-        self.cell_offset = nv + ne * per_edge
+    def __init__(self, mesh: Mesh, r: int, s: int | None = None):
+        self.mesh, self.r, self.s = mesh, r, s
+        flux = s is not None
+        per_edge, fixed = (r + 1, 1) if flux else (r - 1, 0)
+        self.edge_offset = 0 if flux else mesh.n_vertices
+        self.cell_offset = self.edge_offset + mesh.n_edges * per_edge
+        self.p_per_cell = (s + 2) * (s + 1) // 2 if flux else 0
+        self.n_pressure = mesh.n_cells * self.p_per_cell
         self.cells = {N: cells for N, (cells, _, _) in mesh.groups.items()}
-        n_inner = {N: ds_dimension(N, r) - N * r for N in self.cells}
+        n_inner = {N: (mixed_dimension(N, r, s) if flux else ds_dimension(N, r) - N)
+                   - N * per_edge for N in self.cells}
         starts, self.n_dofs = _cell_starts(self.cells, n_inner, self.cell_offset)
+        # An opposing cell reads the first ``fixed`` slots of an edge (the
+        # constant flux) in place with sign -1, and the rest reversed.
         j = np.arange(per_edge)
-        self.ids = {}
+        reverse = np.where(j < fixed, j, fixed + per_edge - 1 - j)
+        flip = np.where(j < fixed, -1.0, 1.0)
+        self.ids, self.signs = {}, {}
         for N, (cells, loops, edge_ids) in mesh.groups.items():
-            slots = np.where(_forward(loops)[..., None], j, per_edge - 1 - j)
+            C, forward = len(cells), _forward(loops)[..., None]
+            vertices = loops[:, :0 if flux else N]  # the flux space has no vertex slots
+            slots = np.where(forward, j, reverse)
             edge_dofs = self.edge_offset + edge_ids[..., None] * per_edge + slots
-            self.ids[N] = _frozen(np.hstack([loops, edge_dofs.reshape(len(cells), -1),
+            self.ids[N] = _frozen(np.hstack([vertices, edge_dofs.reshape(C, -1),
                                              starts[cells, None] + np.arange(n_inner[N])]))
+            self.signs[N] = _frozen(np.hstack([np.ones(vertices.shape),
+                                               np.where(forward, 1.0, flip).reshape(C, -1),
+                                               np.ones((C, n_inner[N]))]))
 
-        # The vertices and edge slots of the boundary edges.
+        # The slots of the boundary edges and, in the scalar space, both ends.
         edges = np.flatnonzero(mesh.edge_cells[:, 1] < 0)
-        self.boundary = np.union1d(mesh.edges[edges],
-                                   self.edge_offset + edges[:, None] * per_edge + j)
+        ends = mesh.edges[edges, :0 if flux else 2]
+        self.boundary = np.union1d(ends, self.edge_offset + edges[:, None] * per_edge + j)
         mask = np.zeros(self.n_dofs, dtype=bool)
         mask[self.boundary] = True
         self.interior = np.nonzero(~mask)[0]
-
-    def dof_points(self):
-        """Coordinates of vertex and edge dofs (used for boundary data)."""
-        mesh, r = self.mesh, self.r
-        pts = np.zeros((self.n_dofs, 2))
-        pts[: mesh.n_vertices] = mesh.vertices
-        a = mesh.vertices[mesh.edges.min(axis=1), None]
-        b = mesh.vertices[mesh.edges.max(axis=1), None]
-        t = _edge_parameters(r)[1:-1, None]
-        pts[self.edge_offset:self.cell_offset] = (a + t * (b - a)).reshape(-1, 2)
-        return pts
-
-
-class MixedDofMap:
-    """Global numbering for the H(div) space and the pressure space.
-
-    Flux ordering: r+1 slots per mesh edge (constant flux first), then
-    per-cell divergence and bubble blocks in cell order.  An interior edge
-    is owned by the direction from its lower- to higher-numbered vertex;
-    the cell whose CCW traversal opposes that direction takes the moment
-    relabeling j <-> r+1-j and a sign flip on the constant-flux slot.
-    Like ``DofMap``, the flux ids and ``signs`` of the cells with N
-    vertices are (C, D) arrays ``ids[N]`` and ``signs[N]``, in the basis
-    order of a ``MixedElement``: per edge its r+1 slots, then the
-    divergence and bubble functions.  Pressures are numbered
-    cell by cell.
-    """
-
-    def __init__(self, mesh: Mesh, r: int, s: int):
-        self.mesh = mesh
-        self.r = r
-        self.s = s
-        per_edge = r + 1
-        self.cell_offset = mesh.n_edges * per_edge
-        self.p_per_cell = (s + 2) * (s + 1) // 2
-        self.cells = {N: cells for N, (cells, _, _) in mesh.groups.items()}
-        n_inner = {N: mixed_dimension(N, r, s) - N * per_edge for N in self.cells}
-        starts, self.n_flux = _cell_starts(self.cells, n_inner, self.cell_offset)
-        self.n_pressure = mesh.n_cells * self.p_per_cell
-        j = np.arange(per_edge)
-        self.ids, self.signs = {}, {}
-        for N, (cells, loops, edge_ids) in mesh.groups.items():
-            C, forward = len(cells), _forward(loops)
-            slots = np.where(forward[..., None], j, -j % per_edge)
-            edge_dofs = edge_ids[..., None] * per_edge + slots
-            self.ids[N] = _frozen(np.hstack([edge_dofs.reshape(C, -1),
-                                             starts[cells, None] + np.arange(n_inner[N])]))
-            flip = np.where(forward[..., None] | (j > 0), 1.0, -1.0)
-            self.signs[N] = _frozen(np.hstack([flip.reshape(C, -1), np.ones((C, n_inner[N]))]))
 
 
 @dataclass
@@ -224,8 +197,9 @@ class SparseSystem:
     ``reps`` (C,) and ``shifts`` (C, 2) are read-only: cell c is
     ``mesh.polygon(reps[c])`` moved by ``shifts[c]``, so its basis at
     points x is ``elements[reps[c]]`` at x - ``shifts[c]``.  The indices
-    and, for the mixed form, the flux and pressure counts are those of
-    ``dof_map``: ``r`` (and ``s``), ``n_flux`` and ``n_pressure``.
+    and counts are those of ``dof_map``, one ``DofMap`` for both forms:
+    ``r`` (and ``s``), ``n_dofs`` scalar or flux slots and, for the mixed
+    form, ``n_pressure`` pressures after them.
 
     For the mixed form ``matrix`` is the saddle-point matrix, which
     ``solve`` checks its solution against, and ``class_blocks`` maps each
@@ -268,6 +242,29 @@ def _default_degree(r, mixed):
     return 2 * r + (6 if mixed else 4)
 
 
+def _point_data(name, data, x, shape):
+    """The user data ``data`` (argument ``name``) at the points x (M, 2) as
+    an array of ``shape``: a single value is constant data, else M values."""
+    vals = np.asarray(data(x), dtype=float)
+    if vals.size not in (1, len(x)):
+        raise ValueError(f"{name} returned shape {vals.shape} at {len(x)} points; "
+                         f"expected a single value or shape ({len(x)},)")
+    return np.broadcast_to(vals.ravel(), len(x)).reshape(shape)
+
+
+def _dof_points(dof):
+    """Coordinates of the vertex and edge slots of a scalar ``DofMap``, where
+    the Dirichlet data is read; the cell slots stay at 0."""
+    mesh = dof.mesh
+    pts = np.zeros((dof.n_dofs, 2))
+    pts[:dof.edge_offset] = mesh.vertices
+    a = mesh.vertices[mesh.edges.min(axis=1), None]
+    b = mesh.vertices[mesh.edges.max(axis=1), None]
+    t = _edge_parameters(dof.r)[1:-1, None]
+    pts[dof.edge_offset:dof.cell_offset] = (a + t * (b - a)).reshape(-1, 2)
+    return pts
+
+
 def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
                     dirichlet=None) -> SparseSystem:
     """Stiffness matrix and load vector of the primal Poisson problem.
@@ -297,7 +294,7 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
         d = ids.shape[1]
         entries.put(cells, np.stack(local)[cls], np.repeat(ids, d, axis=1), np.tile(ids, d))
         pts, weights = _moved_rules(points, weights, cls, shifts[cells])
-        fw = weights * np.asarray(f(pts)).reshape(weights.shape)
+        fw = weights * _point_data("f", f, pts, weights.shape)
         loads.put(cells, _per_class(fw, bvals, cls), ids)
     n = dof.n_dofs
     A = entries.coo((n, n)).tocsr()
@@ -305,7 +302,8 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
 
     gvals = np.zeros(n)
     if dirichlet is not None and len(dof.boundary):
-        gvals[dof.boundary] = np.asarray(dirichlet(dof.dof_points()[dof.boundary]))
+        points = _dof_points(dof)[dof.boundary]
+        gvals[dof.boundary] = _point_data("dirichlet", dirichlet, points, len(points))
     keep = dof.interior
     rows_kept = A[keep]
     reduced = rows_kept[:, keep].tocsr()
@@ -333,7 +331,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     """
     if quad_degree is None:
         quad_degree = _default_degree(r, mixed=True)
-    dof = MixedDofMap(mesh, r, s)
+    dof = DofMap(mesh, r, s)
     reps, shifts = _translation_classes(mesh)
     elements = {}
     class_blocks = {}
@@ -349,7 +347,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         return list(zip(pts, weights, wvals.transpose(0, 2, 1), mass_local, div_local))
 
     # Per cell: the signed mass block, the divergence block and its transpose.
-    nu, n = dof.n_flux, dof.n_flux + dof.n_pressure
+    nu, n = dof.n_dofs, dof.n_dofs + dof.n_pressure
     widths = {N: ids.shape[1] for N, ids in dof.ids.items()}
     entries = _Entries(dof.cells, {N: d * (d + 2 * P) for N, d in widths.items()})
     rhs_p = np.zeros((mesh.n_cells, P))
@@ -367,7 +365,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
                                np.repeat(ids, P, axis=1)]),
                     np.hstack([np.tile(ids, d), np.tile(ids, P), np.tile(pids, d)]))
         pts, weights = _moved_rules(points, weights, cls, shifts[cells])
-        fw = weights * np.asarray(f(pts)).reshape(weights.shape)
+        fw = weights * _point_data("f", f, pts, weights.shape)
         rhs_p[cells] = _per_class(fw, wvals, cls)
     rhs_u = np.zeros(nu)
     if dirichlet_p is not None:
@@ -380,7 +378,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
                 continue
             a, b = mesh.vertices[loops[row, k]], mesh.vertices[loops[row, (k + 1) % N]]
             pts = a[:, None] + t[:, None] * (b - a)[:, None]  # (B, M, 2)
-            g = np.asarray(dirichlet_p(pts.reshape(-1, 2))).reshape(len(row), len(t))
+            g = _point_data("dirichlet_p", dirichlet_p, pts.reshape(-1, 2), (len(row), len(t)))
             slots = row[:, None], k[:, None] * (r + 1) + np.arange(r + 1)
             np.add.at(rhs_u, dof.ids[N][slots], -dof.signs[N][slots] * (g @ traces.T))
     return SparseSystem(
@@ -562,7 +560,7 @@ def solve(system: SparseSystem) -> SolveReport:
         full = system.boundary_values.copy()
         full[system.dof_map.interior] = x
         return SolveReport(solution=full, iterations=steps, residual=res)
-    nu = system.dof_map.n_flux
+    nu = system.dof_map.n_dofs
     return SolveReport(solution=x, iterations=steps, residual=res,
                        solution_u=x[:nu], solution_p=-x[nu:])
 
@@ -630,14 +628,14 @@ class _Hybridized:
 
     def __init__(self, system: SparseSystem):
         mesh, dof = system.mesh, system.dof_map
-        nu = dof.n_flux
-        per_edge = dof.r + 1
-        # Multiplier of each flux slot of an interior edge; n_lam, a slot
-        # that is dropped, elsewhere.
-        inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
-        n_lam = len(inner) * per_edge
+        nu = dof.n_dofs
+        per_edge = dof.cell_offset // mesh.n_edges  # flux slots per edge
+        # Multiplier of each flux slot of an interior edge, in the map's
+        # order; n_lam, a slot that is dropped, elsewhere.
+        inner = dof.interior[dof.interior < dof.cell_offset]
+        n_lam = len(inner)
         lam_of = np.full(nu, n_lam)
-        lam_of[(inner[:, None] * per_edge + np.arange(per_edge)).ravel()] = np.arange(n_lam)
+        lam_of[inner] = np.arange(n_lam)
         widths = {N: N * per_edge for N in dof.cells}
         schur = _Entries(dof.cells, {N: w * w for N, w in widths.items()})
         self.groups = []
@@ -730,7 +728,7 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
             ph = _per_class(report.solution_p.reshape(mesh.n_cells, -1)[cells], terms[2], cls)
             # u = -grad p and div u = f.
             gaps = [(ph - p) ** 2, ((uh.reshape(C, M, 2) + grad_p) ** 2).sum(2),
-                    (dh - exact.f(flat).reshape(C, M)) ** 2]
+                    (dh - _point_data("exact.f", exact.f, flat, (C, M))) ** 2]
         for row, gap in zip(sq, gaps):
             row[cells] = np.einsum("cm,cm->c", weights, gap)
     if per_element is not None:

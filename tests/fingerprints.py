@@ -24,8 +24,18 @@ matrix and right-hand side figures, and of its error norms, from the file,
 next to their tolerances (it writes nothing and exits 0) with
 
     PYTHONPATH=src python tests/fingerprints.py --report
+
+A change that should keep every number bit for bit is checked with
+
+    PYTHONPATH=src python tests/fingerprints.py --digest
+
+which prints, for each case, the sha256 of the matrix's ``indptr``,
+``indices`` and ``data``, of the right-hand side and of the solution,
+and the ``repr`` of each error norm (it writes nothing and exits 0).  Run
+it at the parent commit and at the change, and diff the two outputs.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -58,9 +68,9 @@ CASES = {
 }
 
 
-def fingerprint(case):
-    """The figures of one case of ``CASES``: a dict of n, nnz, frobenius,
-    uAv, wb and errors (name: norm)."""
+def _solve(case):
+    """The assembled system, the solve report and the error norms of one
+    case of ``CASES``."""
     family, n, seed, method, r, s = CASES[case]
     exact = assembly.manufactured_solution()
     mesh = make_mesh(family, n, seed)
@@ -68,7 +78,14 @@ def fingerprint(case):
         system = assembly.assemble_primal(mesh, r, exact.f)
     else:
         system = assembly.assemble_mixed(mesh, r, s, exact.f)
-    errors = assembly.compute_errors(system, assembly.solve(system), exact)
+    report = assembly.solve(system)
+    return system, report, assembly.compute_errors(system, report, exact)
+
+
+def fingerprint(case):
+    """The figures of one case of ``CASES``: a dict of n, nnz, frobenius,
+    uAv, wb and errors (name: norm)."""
+    system, _, errors = _solve(case)
     A, b = system.matrix, system.rhs
     u, v, w = np.random.default_rng(VECTOR_SEED).standard_normal((3, system.n))
     return {
@@ -106,6 +123,20 @@ def report():
               f"errors {errors:.2e} (error_rtol {want['error_rtol']:.2e})")
 
 
+def digest():
+    """Print each case's sha256 of the matrix, right-hand side and solution,
+    and the ``repr`` of its error norms."""
+    for case in CASES:
+        system, report, errors = _solve(case)
+        A = system.matrix
+        parts = {"matrix": (A.indptr, A.indices, A.data), "rhs": (system.rhs,),
+                 "solution": (report.solution,)}
+        hashes = (f"{name} {hashlib.sha256(b''.join(a.tobytes() for a in arrays)).hexdigest()}"
+                  for name, arrays in parts.items())
+        norms = (f"{name}={norm!r}" for name, norm in errors.items())
+        print(f"{case}:", *hashes, *norms)
+
+
 def main():
     out = {"rtol": RTOL, "vector_seed": VECTOR_SEED, "cases": {}}
     for case in CASES:
@@ -123,5 +154,7 @@ def main():
 if __name__ == "__main__":
     if sys.argv[1:] == ["--report"]:
         report()
+    elif sys.argv[1:] == ["--digest"]:
+        digest()
     else:
         main()

@@ -660,8 +660,8 @@ def _coo(rows, cols, vals, shape):
 
 def scalar_dofs_per_cell(mesh, r):
     """Each cell's global dof ids in its element's node order, and the dof
-    count, numbered cell by cell (oracle for ``DofMap``, which numbers
-    groups of cells with equal N as arrays)."""
+    count, numbered cell by cell (oracle for the scalar ``DofMap``, which
+    numbers groups of cells with equal N as arrays)."""
     per_edge = r - 1
     edge_offset = mesh.n_vertices
     edges, cell_edges = dict_topology(mesh.cells)
@@ -685,8 +685,9 @@ def scalar_dofs_per_cell(mesh, r):
 
 def scalar_boundary_per_edge(mesh, r):
     """Boundary dof ids, interior dof ids, and the coordinates of every dof
-    (zero for cell dofs), edge by edge (oracle for ``DofMap.boundary``,
-    ``DofMap.interior`` and ``DofMap.dof_points``)."""
+    (zero for cell dofs), edge by edge (oracle for ``boundary`` and
+    ``interior`` of the scalar ``DofMap``, and for
+    ``polyds.assembly._dof_points``)."""
     per_edge = r - 1
     edge_offset = mesh.n_vertices
     edges, _ = dict_topology(mesh.cells)
@@ -708,7 +709,7 @@ def scalar_boundary_per_edge(mesh, r):
 def flux_dofs_per_cell(mesh, r, s):
     """Each cell's (global flux ids, signs) aligned with the ``dof_layout``
     of its element, and the flux count, numbered cell by cell (oracle for
-    ``MixedDofMap``)."""
+    the flux ``DofMap``)."""
     per_edge = r + 1
     n_div = (s + 2) * (s + 1) // 2 - 1
     edges, cell_edges = dict_topology(mesh.cells)
@@ -739,6 +740,18 @@ def flux_dofs_per_cell(mesh, r, s):
     return out, at
 
 
+def flux_boundary_per_edge(mesh, r, s):
+    """Boundary and interior flux ids, edge by edge (oracle for ``boundary``
+    and ``interior`` of the flux ``DofMap``)."""
+    per_edge = r + 1
+    edges, _ = dict_topology(mesh.cells)
+    _, n = flux_dofs_per_cell(mesh, r, s)
+    boundary = [ei * per_edge + j for ei, (_, _, _, right) in enumerate(edges)
+                if right is None for j in range(per_edge)]
+    interior = sorted(set(range(n)) - set(boundary))
+    return np.array(boundary, dtype=int), np.array(interior, dtype=int)
+
+
 def _cell_row(dof, c):
     """Vertex count N of cell c and its row in the (C, D) arrays of ``dof``."""
     N = len(dof.mesh.cells[c])
@@ -746,15 +759,9 @@ def _cell_row(dof, c):
 
 
 def cell_dofs(dof, c):
-    """Global ids of cell c in its element's node order (vertex, edge, cell),
-    from a ``DofMap``."""
-    N, row = _cell_row(dof, c)
-    return dof.ids[N][row]
-
-
-def cell_flux_dofs(dof, c):
-    """(global flux ids, signs) of cell c aligned with its element's dof
-    layout, from a ``MixedDofMap``."""
+    """(global ids, signs) of cell c from a ``DofMap``, in its element's
+    basis order: node order (vertex, edge, cell) for the scalar space, the
+    dof layout for the flux space."""
     N, row = _cell_row(dof, c)
     return dof.ids[N][row], dof.signs[N][row]
 
@@ -874,5 +881,5 @@ def saddle_solve(system):
     saddle-point matrix, COLAMD-ordered with partial pivoting (oracle for
     ``polyds.assembly.solve``, which condenses the system cell by cell)."""
     x = spla.splu(system.matrix.tocsc()).solve(system.rhs)
-    nu = system.dof_map.n_flux
+    nu = system.dof_map.n_dofs
     return x[:nu], -x[nu:]

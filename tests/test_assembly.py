@@ -31,8 +31,8 @@ from polyds.serendipity import build_ds_element
 from helpers import (
     assemble_per_cell,
     cell_dofs,
-    cell_flux_dofs,
     errors_per_cell,
+    flux_boundary_per_edge,
     flux_dofs_per_cell,
     mixed_interpolant,
     pressure_monomials,
@@ -154,7 +154,7 @@ class TestMixed:
     def test_divergence_block_full_rank(self):
         mesh = gen_square_mesh(2)
         system = assemble_mixed(mesh, 1, 0, ZERO)
-        nu, npr = system.dof_map.n_flux, system.dof_map.n_pressure
+        nu, npr = system.dof_map.n_dofs, system.dof_map.n_pressure
         B = system.matrix[nu:, :nu].toarray()
         assert B.shape[0] == npr
         assert np.linalg.matrix_rank(B, tol=1e-12) == npr
@@ -162,7 +162,7 @@ class TestMixed:
     def test_mass_block_spd(self):
         mesh = gen_square_mesh(2)
         system = assemble_mixed(mesh, 1, 1, ZERO)
-        nu = system.dof_map.n_flux
+        nu = system.dof_map.n_dofs
         M = system.matrix[:nu, :nu].toarray()
         assert np.abs(M - M.T).max() < 1e-13
         np.linalg.cholesky(M)
@@ -191,7 +191,7 @@ class TestMixed:
             E = mesh.polygon(c)
             elem = system.elements[system.reps[c]]
             rule = polygon_rule(E, system.quad_degree)
-            gids, signs = cell_flux_dofs(dof, c)
+            gids, signs = cell_dofs(dof, c)
             ucoef = signs * report.solution_u[gids]
             _, divs, _ = elem.eval_all(rule.points - system.shifts[c])
             lhs = rule.weights @ (ucoef @ divs)
@@ -206,14 +206,14 @@ class TestMixed:
         ex = manufactured_solution()
         system = assemble_mixed(mesh, r, s, ex.f, quad_degree=2 * r + 10)
         dof = system.dof_map
-        u = np.zeros(dof.n_flux)
+        u = np.zeros(dof.n_dofs)
         for c in range(mesh.n_cells):
             elem, shift = system.elements[system.reps[c]], system.shifts[c]
             co = mixed_interpolant(elem, lambda x: -ex.p(x + shift)[1],
                                    quad_degree=system.quad_degree)
-            gids, signs = cell_flux_dofs(dof, c)
+            gids, signs = cell_dofs(dof, c)
             u[gids] = signs * co
-        nu, npr = system.dof_map.n_flux, system.dof_map.n_pressure
+        nu, npr = system.dof_map.n_dofs, system.dof_map.n_pressure
         B = system.matrix[nu:, :nu]
         got = B @ u
         want = np.zeros(npr)
@@ -233,7 +233,7 @@ class TestMixed:
         system = assemble_mixed(mesh, 1, 0, ex.f)
         a = solve(system)
         x = np.linalg.solve(system.matrix.toarray(), system.rhs)
-        nu = system.dof_map.n_flux
+        nu = system.dof_map.n_dofs
         assert np.abs(a.solution_u - x[:nu]).max() < 1e-8
         assert np.abs(a.solution_p + x[nu:]).max() < 1e-8
 
@@ -344,6 +344,45 @@ def test_reported_residual_is_true_residual(kind):
     b = system.rhs
     want = np.linalg.norm(system.matrix @ x - b) / np.linalg.norm(b)
     assert report.residual == pytest.approx(want, rel=1e-6, abs=0.0)
+
+
+class TestPointData:
+    # Every place that reads user data on points takes a single value as
+    # constant data, or one value per point in any shape.
+    @staticmethod
+    def outputs(site, data):
+        """The arrays that the data of ``site`` enters, on a 2x2 square mesh."""
+        mesh, ex = gen_square_mesh(2), manufactured_solution()
+        if site == "f-primal":
+            return (assemble_primal(mesh, 1, data).rhs,)
+        if site == "f-mixed":
+            return (assemble_mixed(mesh, 1, 0, data).rhs,)
+        if site == "dirichlet":
+            system = assemble_primal(mesh, 2, ZERO, dirichlet=data)
+            return system.rhs, system.boundary_values
+        if site == "dirichlet_p":
+            return (assemble_mixed(mesh, 1, 1, ZERO, dirichlet_p=data).rhs,)
+        system = assemble_mixed(mesh, 1, 0, ex.f)
+        errors = compute_errors(system, solve(system), Exact(ex.p, data))
+        return (np.array(list(errors.values())),)
+
+    SITES = {"f-primal": "f", "f-mixed": "f", "dirichlet": "dirichlet",
+             "dirichlet_p": "dirichlet_p", "exact.f": "exact.f"}
+
+    @pytest.mark.parametrize("site", list(SITES))
+    @pytest.mark.parametrize("constant", [lambda x: 1.5, lambda x: np.array([1.5]),
+                                          lambda x: np.full((len(x), 1), 1.5)],
+                             ids=["float", "one-value", "column"])
+    def test_constant_equals_full_array(self, site, constant):
+        got = self.outputs(site, constant)
+        want = self.outputs(site, lambda x: np.full(len(x), 1.5))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+    @pytest.mark.parametrize("site", list(SITES))
+    def test_wrong_shape_names_the_argument(self, site):
+        with pytest.raises(ValueError, match=rf"^{self.SITES[site]} returned shape "
+                                             r"\((\d+), 2\) at \1 points; .* shape \(\1,\)"):
+            self.outputs(site, lambda x: np.ones((len(x), 2)))
 
 
 class TestTranslationInvariance:
@@ -581,7 +620,9 @@ class TestDofMaps:
         want, n_dofs = scalar_dofs_per_cell(mesh, r)
         assert dof.n_dofs == n_dofs
         for c in range(mesh.n_cells):
-            assert np.array_equal(cell_dofs(dof, c), want[c])
+            ids, signs = cell_dofs(dof, c)
+            assert np.array_equal(ids, want[c])
+            assert np.array_equal(signs, np.ones(len(ids)))
 
     @pytest.mark.parametrize("mesh_name", list(FAMILIES))
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -591,19 +632,45 @@ class TestDofMaps:
         boundary, interior, points = scalar_boundary_per_edge(mesh, r)
         assert np.array_equal(dof.boundary, boundary)
         assert np.array_equal(dof.interior, interior)
-        assert np.array_equal(dof.dof_points(), points)
+        assert np.array_equal(assembly._dof_points(dof), points)
 
     @pytest.mark.parametrize("mesh_name", list(FAMILIES))
     @pytest.mark.parametrize("r, s", [(1, 1), (2, 2)])
     def test_flux_ids_and_signs_match_per_cell_oracle(self, mesh_name, r, s):
         mesh = FAMILIES[mesh_name]()
-        dof = assembly.MixedDofMap(mesh, r, s)
+        dof = assembly.DofMap(mesh, r, s)
         want, n_flux = flux_dofs_per_cell(mesh, r, s)
-        assert dof.n_flux == n_flux
+        assert dof.n_dofs == n_flux
         for c in range(mesh.n_cells):
-            ids, signs = cell_flux_dofs(dof, c)
+            ids, signs = cell_dofs(dof, c)
             assert np.array_equal(ids, want[c][0])
             assert np.array_equal(signs, want[c][1])
+
+    @pytest.mark.parametrize("mesh_name", list(FAMILIES))
+    @pytest.mark.parametrize("r, s", [(0, 0), (1, 1), (2, 1)])
+    def test_flux_boundary_matches_per_edge_oracle(self, mesh_name, r, s):
+        mesh = FAMILIES[mesh_name]()
+        dof = assembly.DofMap(mesh, r, s)
+        boundary, interior = flux_boundary_per_edge(mesh, r, s)
+        assert np.array_equal(dof.boundary, boundary)
+        assert np.array_equal(dof.interior, interior)
+
+    @pytest.mark.parametrize("mesh_name", ["hex4", "pquad4", "trapezoid4"])
+    @pytest.mark.parametrize("r", [0, 1, 2, 3])
+    def test_flux_moments_take_the_scalar_edge_slots(self, mesh_name, r):
+        # The de Rham numbering: on every edge of every cell, the r moment
+        # slots of the flux space of index r are the r edge slots of the
+        # scalar space of index r+1, moved up by one per edge for the
+        # constant-flux slot, and carry sign +1.
+        mesh = FAMILIES[mesh_name]()
+        scalar, flux = assembly.DofMap(mesh, r + 1), assembly.DofMap(mesh, r, r)
+        for N, (cells, _, edge_ids) in mesh.groups.items():
+            C = len(cells)
+            edge = scalar.ids[N][:, N:N + N * r].reshape(C, N, r) - scalar.edge_offset
+            ids, signs = (a[:, :N * (r + 1)].reshape(C, N, r + 1)[:, :, 1:]
+                          for a in (flux.ids[N], flux.signs[N]))
+            assert np.array_equal(ids, edge + edge_ids[..., None] + 1)
+            assert np.array_equal(signs, np.ones_like(signs))
 
 
 class TestDeRhamComplex:
@@ -614,8 +681,8 @@ class TestDeRhamComplex:
     @pytest.mark.parametrize("r", [0, 1, 2])
     def test_global_curl_matrix(self, mesh_name, r):
         mesh = FAMILIES[mesh_name]()
-        scalar, flux = assembly.DofMap(mesh, r + 1), assembly.MixedDofMap(mesh, r, r)
-        ns, nu = scalar.n_dofs, flux.n_flux
+        scalar, flux = assembly.DofMap(mesh, r + 1), assembly.DofMap(mesh, r, r)
+        ns, nu = scalar.n_dofs, flux.n_dofs
         # Row I of copy k: the curl coefficients on flux dof I given by the
         # k-th cell that has I.
         copies, count = np.zeros((2, nu, ns)), np.zeros(nu, dtype=int)
@@ -626,8 +693,8 @@ class TestDeRhamComplex:
             curls = np.stack([grads[..., 1], -grads[..., 0]], axis=-1).reshape(len(grads), -1)
             vals, _, _ = build_mixed_element(E, r, r).eval_all(pts)
             local = np.linalg.lstsq(vals.reshape(len(vals), -1).T, curls.T, rcond=None)[0]
-            ids, signs = cell_flux_dofs(flux, c)
-            copies[count[ids][:, None], ids[:, None], cell_dofs(scalar, c)] = signs[:, None] * local
+            (ids, signs), (scalar_ids, _) = cell_dofs(flux, c), cell_dofs(scalar, c)
+            copies[count[ids][:, None], ids[:, None], scalar_ids] = signs[:, None] * local
             count[ids] += 1
         inner = np.flatnonzero(mesh.edge_cells[:, 1] >= 0)
         shared = (inner[:, None] * (r + 1) + np.arange(r + 1)).ravel()
