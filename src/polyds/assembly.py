@@ -6,9 +6,11 @@ form: H(div) flux space of index r with discontinuous per-cell pressures
 of degree s; pressure boundary data is natural and enters the right-hand
 side.  The mixed system is assembled as one saddle-point matrix, from one
 list of entries that holds each cell's signed mass block, its divergence
-block and that block's transpose, and solved by hybridization: each cell's
-flux and pressure are eliminated locally, once per translation class, onto
-one SPD system of edge multipliers.  Both forms are factored with the same
+block and that block's transpose, and solved by hybridization
+(``_Hybridized``): three sparse operators on each cell's own copy of its
+slots, ``gather``, ``tie`` (the edge multipliers) and the block-diagonal
+``inverse`` of the local saddle blocks, leave one SPD system tie inverse
+tie^T of edge multipliers.  Both forms are factored with the same
 symmetric sparse LU.
 
 Cells that are exact translates of each other form a translation class,
@@ -81,7 +83,7 @@ class Exact:
     """Manufactured solution of -div grad p = f, as two callables on
     points x (M, 2): ``p(x)`` returns the values (M,) and the gradients
     (M, 2) of p, as ``PowerTable.value_grad`` does, and ``f(x)`` the data
-    (M,).  The flux is u = -grad p, so div u = f."""
+    (M,), or one value (one gradient) for all.  u = -grad p, div u = f."""
 
     p: object
     f: object
@@ -242,14 +244,15 @@ def _default_degree(r, mixed):
     return 2 * r + (6 if mixed else 4)
 
 
-def _point_data(name, data, x, shape):
-    """The user data ``data`` (argument ``name``) at the points x (M, 2) as
-    an array of ``shape``: a single value is constant data, else M values."""
-    vals = np.asarray(data(x), dtype=float)
-    if vals.size not in (1, len(x)):
-        raise ValueError(f"{name} returned shape {vals.shape} at {len(x)} points; "
-                         f"expected a single value or shape ({len(x)},)")
-    return np.broadcast_to(vals.ravel(), len(x)).reshape(shape)
+def _point_data(name, vals, shape, width=()):
+    """``vals``, returned by the user data ``name`` at M = prod(shape) points,
+    as ``shape`` + ``width``: one value (of shape ``width``) is constant data."""
+    vals, M, k = np.asarray(vals, dtype=float), math.prod(shape), math.prod(width)
+    if vals.size not in (k, M * k) or vals.shape[vals.ndim - len(width):] != width:
+        one = f" of shape {width}" if width else ""
+        raise ValueError(f"{name} returned shape {vals.shape} at {M} points; "
+                         f"expected a single value{one} or shape {(M, *width)}")
+    return np.broadcast_to(vals.reshape(-1, *width), (M, *width)).reshape(*shape, *width)
 
 
 def _dof_points(dof):
@@ -294,7 +297,7 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
         d = ids.shape[1]
         entries.put(cells, np.stack(local)[cls], np.repeat(ids, d, axis=1), np.tile(ids, d))
         pts, weights = _moved_rules(points, weights, cls, shifts[cells])
-        fw = weights * _point_data("f", f, pts, weights.shape)
+        fw = weights * _point_data("f", f(pts), weights.shape)
         loads.put(cells, _per_class(fw, bvals, cls), ids)
     n = dof.n_dofs
     A = entries.coo((n, n)).tocsr()
@@ -303,7 +306,7 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
     gvals = np.zeros(n)
     if dirichlet is not None and len(dof.boundary):
         points = _dof_points(dof)[dof.boundary]
-        gvals[dof.boundary] = _point_data("dirichlet", dirichlet, points, len(points))
+        gvals[dof.boundary] = _point_data("dirichlet", dirichlet(points), (len(points),))
     keep = dof.interior
     rows_kept = A[keep]
     reduced = rows_kept[:, keep].tocsr()
@@ -365,7 +368,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
                                np.repeat(ids, P, axis=1)]),
                     np.hstack([np.tile(ids, d), np.tile(ids, P), np.tile(pids, d)]))
         pts, weights = _moved_rules(points, weights, cls, shifts[cells])
-        fw = weights * _point_data("f", f, pts, weights.shape)
+        fw = weights * _point_data("f", f(pts), weights.shape)
         rhs_p[cells] = _per_class(fw, wvals, cls)
     rhs_u = np.zeros(nu)
     if dirichlet_p is not None:
@@ -378,7 +381,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
                 continue
             a, b = mesh.vertices[loops[row, k]], mesh.vertices[loops[row, (k + 1) % N]]
             pts = a[:, None] + t[:, None] * (b - a)[:, None]  # (B, M, 2)
-            g = _point_data("dirichlet_p", dirichlet_p, pts.reshape(-1, 2), (len(row), len(t)))
+            g = _point_data("dirichlet_p", dirichlet_p(pts.reshape(-1, 2)), (len(row), len(t)))
             slots = row[:, None], k[:, None] * (r + 1) + np.arange(r + 1)
             np.add.at(rhs_u, dof.ids[N][slots], -dof.signs[N][slots] * (g @ traces.T))
     return SparseSystem(
@@ -530,16 +533,18 @@ def solve(system: SparseSystem) -> SolveReport:
     """Solve an assembled system and verify the residual.
 
     The reduced primal matrix is SPD and is factored directly.  The mixed
-    saddle-point system is hybridized (``_Hybridized``) onto an SPD system
-    of edge multipliers, which is factored instead.  Both are factored by a
-    sparse LU ordered symmetrically (minimum degree on A + A^T) with the
-    pivots on the diagonal.  The relative residual ``||Ax - b|| / ||b||``
-    of the assembled ``matrix`` and ``rhs`` is then computed by
-    multiplication; above ``RESIDUAL_MAX``, one step of iterative
-    refinement with the same factors follows (``iterations`` 1).  A zero
-    right-hand side gives the zero solution with residual 0.  Raises
-    ``SolveError`` when a local block or the factorization fails, or the
-    final residual is non-finite or above ``RESIDUAL_MAX``.
+    saddle-point system is hybridized (``_Hybridized``): its multiplier
+    matrix tie inverse tie^T is SPD and is factored instead, where ``tie``
+    ties the cells' own copies of the interior edge slots and ``inverse``
+    is the block diagonal of the inverse local saddle blocks.  Both are
+    factored by a sparse LU ordered symmetrically (minimum degree on
+    A + A^T) with the pivots on the diagonal.  The relative residual
+    ``||Ax - b|| / ||b||`` of the assembled ``matrix`` and ``rhs`` is then
+    computed by multiplication; above ``RESIDUAL_MAX``, one step of
+    iterative refinement with the same factors follows (``iterations`` 1).
+    A zero right-hand side gives the zero solution with residual 0.
+    Raises ``SolveError`` when a local block or the factorization fails, or
+    the final residual is non-finite or above ``RESIDUAL_MAX``.
     """
     A, b = system.matrix, system.rhs
     bnorm = float(np.linalg.norm(b))
@@ -575,15 +580,15 @@ def _spd_factor(A):
         raise SolveError(f"sparse factorization failed: {exc}") from None
 
 
-def _local_inverses(mass, div):
+def _local_inverses(mass, div, cells):
     """Inverses of K local saddle blocks [[M, B^T], [B, 0]], symmetrized,
     from their stacked (K, D, D) mass and (K, P, D) divergence blocks.
 
     The basis functions of one element differ in mass by up to 4e12
     (hex-dominant cells at r=5, at every mesh size), so each block is
     inverted after a symmetric diagonal scaling that gives the rows of M
-    and of B unit size.  Raises ``LinAlgError(reason, k)`` for the first
-    block k that cannot be inverted.
+    and of B unit size.  Raises ``SolveError`` naming the cell ``cells[k]``
+    of the first block k that cannot be inverted.
     """
     K, D = mass.shape[:2]
     block = np.zeros((K, D + div.shape[1], D + div.shape[1]))
@@ -591,7 +596,7 @@ def _local_inverses(mass, div):
 
     def check(ok, reason):
         if not ok.all():
-            raise np.linalg.LinAlgError(reason, int(np.argmin(ok)))
+            raise SolveError(f"local saddle block of cell {cells[np.argmin(ok)]}: {reason}")
 
     check(np.isfinite(block).all(axis=(1, 2)), "not finite")
     diag = np.diagonal(mass, axis1=1, axis2=2)
@@ -612,80 +617,68 @@ class _Hybridized:
     """The mixed saddle-point system, hybridized: called with a right-hand
     side b, it returns the solution (u, -p).
 
-    Each cell gets its own copy of the flux dofs of its edges.  The flux
-    slots of an interior edge are tied together by one multiplier each,
-    with coefficient +1 in the edge's left cell and -1 in its right cell;
-    the slots of a boundary edge stay the cell's own.  With A_K the local
-    saddle block and C_K the multiplier coefficients of cell K, the
-    multipliers solve the SPD system  sum_K C_K (A_K^-1)_uu C_K^T lam =
-    sum_K C_K (A_K^-1 b_K)_u,  and each cell's (u, -p) is then A_K^-1 (b_K -
-    C_K^T lam).  A_K^-1 is computed once per translation class, in the
-    element's own coordinates; the edge signs enter through C_K and b_K.
-    The load b_K of a global flux dof goes to the left cell of its edge
-    (the only cell of a boundary edge), whose recovered value is also the
-    one kept.
+    The broken space gives each cell its own copy of its D flux and P
+    pressure slots, numbered cell by cell.  ``gather`` (broken x n) reads
+    each global slot into the one copy that owns it, times its edge sign:
+    the copy in the left cell of its edge (the only cell of a boundary
+    edge); cell and pressure slots are always owned.  ``tie`` (multipliers
+    x broken) ties the two copies of each flux slot of an interior edge,
+    with coefficient +1 in the left cell and -1 in the right cell, times
+    the edge sign.  ``inverse`` is block diagonal: each cell's inverse local
+    saddle block, computed once per translation class in the element's own
+    coordinates.  With z = inverse gather b, the multipliers solve the SPD
+    system (tie inverse tie^T) lam = tie z, and the copies are z - inverse
+    tie^T lam.
     """
 
     def __init__(self, system: SparseSystem):
         mesh, dof = system.mesh, system.dof_map
-        nu = dof.n_dofs
-        per_edge = dof.cell_offset // mesh.n_edges  # flux slots per edge
-        # Multiplier of each flux slot of an interior edge, in the map's
-        # order; n_lam, a slot that is dropped, elsewhere.
-        inner = dof.interior[dof.interior < dof.cell_offset]
-        n_lam = len(inner)
-        lam_of = np.full(nu, n_lam)
-        lam_of[inner] = np.arange(n_lam)
-        widths = {N: N * per_edge for N in dof.cells}
-        schur = _Entries(dof.cells, {N: w * w for N, w in widths.items()})
-        self.groups = []
+        nu, P = dof.n_dofs, dof.p_per_cell
+        n, per_edge = nu + dof.n_pressure, dof.cell_offset // mesh.n_edges
+        widths = {N: ids.shape[1] + P for N, ids in dof.ids.items()}
+        starts, n_broken = _cell_starts(dof.cells, widths)
+        firsts, nnz = _cell_starts(dof.cells, {N: w * w for N, w in widths.items()})
+        # Per broken slot: its global slot, edge sign and whether it owns the
+        # global slot; and the CSR arrays of ``inverse``, in cell order.
+        col, sign = np.empty(n_broken, dtype=int), np.empty(n_broken)
+        own = np.ones(n_broken, dtype=bool)
+        indptr, indices, data = np.full(n_broken + 1, nnz), np.empty(nnz, dtype=int), np.empty(nnz)
         for N, (cells, _, edge_ids) in mesh.groups.items():
-            ids, signs, ne = dof.ids[N], dof.signs[N], widths[N]
-            mult = lam_of[ids[:, :ne]]
-            left = np.repeat(mesh.edge_cells[edge_ids, 0] == cells[:, None], per_edge, axis=1)
-            coef = np.where(mult == n_lam, 0.0, np.where(left, 1.0, -1.0)) * signs[:, :ne]
-            own = np.ones(ids.shape, dtype=bool)
-            own[:, :ne] = left
+            C, w = len(cells), widths[N]
+            at = starts[cells, None] + np.arange(w)
+            col[at] = np.hstack([dof.ids[N], nu + cells[:, None] * P + np.arange(P)])
+            sign[at] = np.hstack([dof.signs[N], np.ones((C, P))])
+            left = mesh.edge_cells[edge_ids, 0] == cells[:, None]
+            own[at[:, :N * per_edge]] = np.repeat(left, per_edge, axis=1)
             keys, cls = np.unique(system.reps[cells], return_inverse=True)
             blocks = [system.class_blocks[k] for k in keys.tolist()]
             mass, div = (np.stack(part) for part in zip(*blocks))
-            try:
-                inv = _local_inverses(mass, div)
-            except np.linalg.LinAlgError as exc:
-                reason, k = exc.args
-                raise SolveError(f"local saddle block of cell {keys[k]}: {reason}") from None
-            schur.put(cells, coef[:, :, None] * inv[cls, :ne, :ne] * coef[:, None, :],
-                      np.repeat(mult, ne, axis=1), np.tile(mult, ne))
-            self.groups.append((cells, ids, signs, own, mult, coef, inv, cls))
-        self.nu, self.P, self.n_lam = nu, dof.p_per_cell, n_lam
-        self.loads = _Entries(dof.cells, widths)
-        self.lu = None
-        if n_lam:
-            keep = (schur.rows < n_lam) & (schur.cols < n_lam)
-            S = sp.csc_matrix((schur.vals[keep], (schur.rows[keep], schur.cols[keep])),
-                              shape=(n_lam, n_lam))
-            self.lu = _spd_factor(S)
+            inv = _local_inverses(mass, div, keys)
+            entries = firsts[cells, None] + np.arange(w * w)  # each cell a dense (w, w) block
+            indptr[at] = entries[:, ::w]
+            indices[entries] = np.tile(at, w)
+            data[entries] = inv[cls].reshape(C, -1)
+        # One multiplier per flux slot of an interior edge, in global order.
+        inner = dof.interior[dof.interior < dof.cell_offset]
+        lam = np.full(n, -1)
+        lam[inner] = np.arange(len(inner))
+        tie_t = _selection(lam[col] >= 0, lam[col], np.where(own, sign, -sign), len(inner))
+        self.gather, self.tie = _selection(own, col, sign, n), tie_t.T.tocsr()
+        self.inverse = sp.csr_matrix((data, indices, indptr), shape=(n_broken, n_broken))
+        self.lu = _spd_factor(self.tie @ self.inverse @ tie_t) if len(inner) else None
 
     def __call__(self, b):
-        nu, P, n_lam = self.nu, self.P, self.n_lam
-        rhs_u, rhs_p = b[:nu], b[nu:].reshape(-1, P)
-        local_loads = []
-        for cells, ids, signs, own, mult, coef, inv, cls in self.groups:
-            load = np.hstack([signs * np.where(own, rhs_u[ids], 0.0), rhs_p[cells]])
-            z = _per_class(load, inv, cls)
-            self.loads.put(cells, coef * z[:, :coef.shape[1]], mult)
-            local_loads.append(load)
-        lam = np.zeros(n_lam + 1)
-        if n_lam:
-            lam[:n_lam] = self.lu.solve(self.loads.bincount(n_lam + 1)[:n_lam])
-        x = np.empty(len(b))
-        for (cells, ids, signs, own, mult, coef, inv, cls), load in zip(self.groups, local_loads):
-            load[:, :coef.shape[1]] -= coef * lam[mult]
-            local = _per_class(load, inv, cls)
-            d = ids.shape[1]
-            x[ids[own]] = (signs * local[:, :d])[own]
-            x[nu + cells[:, None] * P + np.arange(P)] = local[:, d:]
-        return x
+        z = self.inverse @ (self.gather @ b)
+        if self.lu is not None:
+            z -= self.inverse @ (self.tie.T @ self.lu.solve(self.tie @ z))
+        return self.gather.T @ z
+
+
+def _selection(keep, cols, vals, n):
+    """CSR matrix of len(keep) rows and n columns whose row i holds vals[i]
+    in column cols[i] where keep[i], and is empty elsewhere."""
+    indptr = np.concatenate([[0], np.cumsum(keep)])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(len(keep), n))
 
 
 def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
@@ -718,7 +711,7 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
         C, M = weights.shape
         ids = dof.ids[N][span]
         p, grad_p = exact.p(flat)
-        p, grad_p = p.reshape(C, M), grad_p.reshape(C, M, 2)
+        p, grad_p = _point_data("exact.p", p, (C, M)), _point_data("exact.p", grad_p, (C, M), (2,))
         if primal:
             ph, gh = (_per_class(report.solution[ids], t, cls) for t in terms)
             gaps = [(ph - p) ** 2, ((gh.reshape(C, M, 2) - grad_p) ** 2).sum(2)]
@@ -728,7 +721,7 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
             ph = _per_class(report.solution_p.reshape(mesh.n_cells, -1)[cells], terms[2], cls)
             # u = -grad p and div u = f.
             gaps = [(ph - p) ** 2, ((uh.reshape(C, M, 2) + grad_p) ** 2).sum(2),
-                    (dh - _point_data("exact.f", exact.f, flat, (C, M))) ** 2]
+                    (dh - _point_data("exact.f", exact.f(flat), (C, M))) ** 2]
         for row, gap in zip(sq, gaps):
             row[cells] = np.einsum("cm,cm->c", weights, gap)
     if per_element is not None:

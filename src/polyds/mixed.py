@@ -43,6 +43,7 @@ from .serendipity import (
     _carving_matrix,
     _edge_parameters,
     _eval_stacked,
+    _frame_points,
     _lagrange_1d,
     build_ds_element,
 )
@@ -203,8 +204,7 @@ def _eval_mixed(elems, pts):
     ds, pressure = [e.ds for e in elems], elems[0].pressure
     (C, M), G, P = pts.shape[:2], ds[0].n_generators, len(pressure)
     rows = np.stack([e.rows for e in elems])
-    h = np.array([e.polygon.diameter for e in elems])[:, None, None]
-    x = (pts - np.stack([e.polygon.centroid for e in elems])[:, None]) / h
+    x, h = _frame_points([e.polygon for e in elems], pts)
     _, grads = _eval_stacked(ds, pts, rows[:, :, :G])
     pvals = pressure.values(np.eye(2), np.zeros(2), x.reshape(-1, 2))
     pvals = pvals.reshape(P, C, M).swapaxes(0, 1)

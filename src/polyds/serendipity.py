@@ -11,10 +11,10 @@ restricting edge traces to degree r.
 
 Each element is built on its cell's frame x^ = (x - c) / h, with c the
 centroid and h the diameter, a similarity that leaves the space as it
-is: the frame is a ``Polygon``, the cell moved there (``_frame``, the one
-place that chooses c and h).  The element's polygon and nodes stay
-physical: ``eval_all`` maps the points once and divides the frame
-gradients by h.
+is: the frame is a ``Polygon``, the cell moved there (``_frame``), and
+``_frame_points`` moves points there; they are the one place that chooses
+c and h.  The element's polygon and nodes stay physical: ``eval_all`` maps
+the points once and divides the frame gradients by h.
 
 Every decision of the construction that depends only on (N, r) is one
 cached read-only table: the terms (``_term_layout``), the nodes as
@@ -84,6 +84,13 @@ def _edge_parameters(r: int):
 def _frame(E: Polygon) -> Polygon:
     """E moved to its frame: c its centroid, h its diameter."""
     return _similar(E, E.centroid, E.diameter)
+
+
+def _frame_points(polygons, pts):
+    """Points pts (C, M, 2) of C polygons moved to their frames, x^ = (x - c)
+    / h with c and h as in ``_frame``; and h (C, 1, 1)."""
+    h = np.array([E.diameter for E in polygons])[:, None, None]
+    return (pts - np.array([E.centroid for E in polygons])[:, None]) / h, h
 
 
 def _lagrange_1d(points):
@@ -211,13 +218,13 @@ def _build_nodal(E: Polygon, r: int) -> DSElement:
     layout = _term_layout(N, r)
     affines = _affines(F, r, layout.pairs)
     frame_nodes = _node_weights(N, r) @ F.vertices
-    c, h = E.centroid, E.diameter
-    points = c + h * frame_nodes
+    points = E.centroid + E.diameter * frame_nodes
     points[:N] = E.vertices
     D = len(points)
     # One evaluation at the frame nodes, which give V, and at the physical
     # nodes mapped as ``eval_all`` maps them, where duality is read.
-    vals = layout.table.values(*affines, np.concatenate([frame_nodes, (points - c) / h]))
+    moved, _ = _frame_points([E], points[None])
+    vals = layout.table.values(*affines, np.concatenate([frame_nodes, moved[0]]))
     tvals = vals[:, :D]
     # Each generator (row) is scaled by its largest value at the nodes; one
     # that vanishes at every node keeps scale 1 and leaves V singular.
@@ -310,8 +317,7 @@ def _eval_stacked(elems, pts, coeffs):
     """
     C, M = pts.shape[:2]
     table, D = elems[0].table, coeffs.shape[1]
-    scale = np.array([e.polygon.diameter for e in elems])[:, None, None]
-    x = (pts - np.stack([e.polygon.centroid for e in elems])[:, None]) / scale
+    x, scale = _frame_points([e.polygon for e in elems], pts)
     affine_grads, affine_offsets = (np.stack(a) for a in zip(*(e.affines for e in elems)))
     step = max(1, EVAL_BUDGET // (table.n_factors * len(table) * max(M, 1)))
     vals, grads = np.empty((C, D, M)), np.empty((C, D, M, 2))

@@ -14,6 +14,7 @@ from scipy.spatial import cKDTree
 from scipy.special import roots_jacobi, roots_legendre
 
 import polyds
+from polyds.assembly import _local_inverses
 from polyds.functions import PowerTable
 from polyds.geometry import (AffineScalar, GeometryError, Polygon, _regularity_rho,
                              nonadjacent_pairs)
@@ -883,3 +884,34 @@ def saddle_solve(system):
     x = spla.splu(system.matrix.tocsc()).solve(system.rhs)
     nu = system.dof_map.n_dofs
     return x[:nu], -x[nu:]
+
+
+def multiplier_matrix_per_cell(system):
+    """The multiplier matrix of the hybridized mixed solve, summed cell by
+    cell in cell order: cell K adds c_i (A_K^-1)_ij c_j for its flux slots
+    i, j of interior edges, where A_K^-1 is the inverse of its class's
+    local saddle block and c is +1 in the left cell of the edge and -1 in
+    the right cell, times the edge sign (oracle for
+    ``polyds.assembly._Hybridized``, which forms tie inverse tie^T)."""
+    mesh, dof = system.mesh, system.dof_map
+    per_edge = dof.cell_offset // mesh.n_edges
+    inner = dof.interior[dof.interior < dof.cell_offset]
+    lam_of = dict(zip(inner.tolist(), range(len(inner))))
+    inverses = {}
+    rows, cols, vals = [], [], []
+    for c in range(mesh.n_cells):
+        N, row = _cell_row(dof, c)
+        rep = int(system.reps[c])
+        if rep not in inverses:
+            mass, div = system.class_blocks[rep]
+            inverses[rep] = _local_inverses(mass[None], div[None], [rep])[0]
+        ids, signs = cell_dofs(dof, c)
+        left = mesh.edge_cells[mesh.groups[N][2][row], 0] == c
+        slots = [i for i in range(N * per_edge) if int(ids[i]) in lam_of]
+        coef = np.array([(1.0 if left[i // per_edge] else -1.0) * signs[i] for i in slots])
+        mult = [lam_of[int(ids[i])] for i in slots]
+        rows.append(np.repeat(mult, len(mult)))
+        cols.append(np.tile(mult, len(mult)))
+        vals.append((coef[:, None] * inverses[rep][np.ix_(slots, slots)] * coef[None, :]).ravel())
+    return _coo(rows, cols, vals, (len(inner), len(inner)))
+

@@ -15,6 +15,7 @@ from polyds.assembly import (
     manufactured_solution,
     solve,
 )
+from polyds.cli import make_mesh
 from polyds.geometry import Polygon
 from polyds.mesh import (
     build_topology,
@@ -28,6 +29,7 @@ from polyds.mixed import build_mixed_element
 from polyds.quadrature import polygon_rule
 from polyds.serendipity import build_ds_element
 
+from fingerprints import CASES
 from helpers import (
     assemble_per_cell,
     cell_dofs,
@@ -35,6 +37,7 @@ from helpers import (
     flux_boundary_per_edge,
     flux_dofs_per_cell,
     mixed_interpolant,
+    multiplier_matrix_per_cell,
     pressure_monomials,
     random_convex_polygon,
     saddle_solve,
@@ -266,15 +269,52 @@ class TestHybridSolve:
         b = system.rhs
         assert np.linalg.norm(system.matrix @ x - b) <= assembly.RESIDUAL_MAX * np.linalg.norm(b)
 
-    def test_one_cell_mesh_has_no_multipliers(self):
+    @staticmethod
+    def one_cell_mesh():
         verts = [(0, 0), (1, 0), (1.2, 0.7), (0.4, 1.1), (-0.1, 0.6)]
-        mesh = build_topology(verts, [[0, 1, 2, 3, 4]])
+        return build_topology(verts, [[0, 1, 2, 3, 4]])
+
+    def test_one_cell_mesh_has_no_multipliers(self):
+        mesh = self.one_cell_mesh()
         system = assemble_mixed(mesh, 2, 2, manufactured_solution().f,
                                 dirichlet_p=self.BOUNDARY)
         report = solve(system)
         u, p = saddle_solve(system)
         assert self.rel(report.solution_u, u) <= 1e-10
         assert self.rel(report.solution_p, p) <= 1e-10
+
+    @pytest.mark.parametrize("case", [c for c in sorted(CASES) if CASES[c][3] == "mixed"])
+    def test_multiplier_matrix_matches_per_cell_oracle(self, monkeypatch, case):
+        # The factored matrix tie inverse tie^T equals, bit for bit, the sum
+        # of each cell's signed local block in cell order: every entry sums
+        # at most two cells' terms, and a + b = b + a.
+        family, n, seed, _, r, s = CASES[case]
+        system = assemble_mixed(make_mesh(family, n, seed), r, s, manufactured_solution().f)
+        factor, factored = assembly._spd_factor, []
+        monkeypatch.setattr(assembly, "_spd_factor", lambda A: factored.append(A) or factor(A))
+        solve(system)
+        (got,) = factored
+        assert np.array_equal(got.toarray(), multiplier_matrix_per_cell(system).toarray())
+        assert np.array_equal(got.toarray(), got.T.toarray())
+
+    @pytest.mark.parametrize("mesh_name, r, s", [("hex4", 1, 1), ("hex4", 3, 2),
+                                                 ("pquad4", 2, 1), ("one-cell", 2, 2)])
+    def test_gather_owns_each_slot_once(self, mesh_name, r, s):
+        # gather^T gather = I: each global slot has exactly one owning copy,
+        # with sign +-1; each multiplier ties two copies.
+        mesh = {"hex4": lambda: make_mesh("hex-dominant", 4, 0),
+                "pquad4": lambda: make_mesh("perturbed-quad", 4, 1),
+                "one-cell": self.one_cell_mesh}[mesh_name]()
+        system = assemble_mixed(mesh, r, s, manufactured_solution().f)
+        hybrid = assembly._Hybridized(system)
+        gather, tie = hybrid.gather, hybrid.tie
+        assert np.array_equal((gather.T @ gather).toarray(), np.eye(system.n))
+        assert np.array_equal(np.abs(gather.data), np.ones(gather.nnz))
+        dof = system.dof_map
+        n_lam = np.count_nonzero(dof.interior < dof.cell_offset)
+        assert tie.shape == (n_lam, gather.shape[0]) and (n_lam == 0) == (mesh_name == "one-cell")
+        assert np.array_equal(np.diff(tie.indptr), np.full(n_lam, 2))
+        assert np.array_equal(np.abs(tie.data), np.ones(tie.nnz))
 
     def test_edited_matrix_fails_the_residual_check(self):
         system = assemble_mixed(gen_hex_dominant_mesh(4), 1, 1, manufactured_solution().f)
@@ -383,6 +423,38 @@ class TestPointData:
         with pytest.raises(ValueError, match=rf"^{self.SITES[site]} returned shape "
                                              r"\((\d+), 2\) at \1 points; .* shape \(\1,\)"):
             self.outputs(site, lambda x: np.ones((len(x), 2)))
+
+
+class TestExactP:
+    # compute_errors reads Exact.p as it reads f: a single value of p, or
+    # one gradient 2-vector, is constant.
+    @staticmethod
+    def errors(kind, p):
+        mesh, ex = gen_square_mesh(2), manufactured_solution()
+        system = (assemble_primal(mesh, 1, ex.f) if kind == "primal"
+                  else assemble_mixed(mesh, 1, 0, ex.f))
+        return compute_errors(system, solve(system), Exact(p, ex.f))
+
+    @pytest.mark.parametrize("kind", ["primal", "mixed"])
+    @pytest.mark.parametrize("constant", [lambda x: (0.5, [1.0, -2.0]),
+                                          lambda x: (np.array([0.5]), np.array([[1.0, -2.0]])),
+                                          lambda x: (0.5, np.tile([1.0, -2.0], (len(x), 1)))],
+                             ids=["floats", "one-row", "constant-p"])
+    def test_constant_equals_full_arrays(self, kind, constant):
+        full = lambda x: (np.full(len(x), 0.5), np.tile([1.0, -2.0], (len(x), 1)))
+        assert self.errors(kind, constant) == self.errors(kind, full)
+
+    @pytest.mark.parametrize("p, message", [
+        (lambda x: (np.ones((len(x), 2)), np.zeros((len(x), 2))),
+         r"\((\d+), 2\) at \1 points; expected a single value or shape \(\1,\)"),
+        (lambda x: (np.ones(len(x)), np.zeros((len(x) + 1, 2))),
+         r"\(\d+, 2\) at (\d+) points; .* of shape \(2,\) or shape \(\1, 2\)"),
+        (lambda x: (np.ones(len(x)), np.zeros((len(x), 3))),
+         r"\((\d+), 3\) at \1 points; .* of shape \(2,\) or shape \(\1, 2\)"),
+    ], ids=["values", "gradient-count", "gradient-width"])
+    def test_wrong_shape_names_exact_p(self, p, message):
+        with pytest.raises(ValueError, match=rf"^exact\.p returned shape {message}$"):
+            self.errors("mixed", p)
 
 
 class TestTranslationInvariance:
