@@ -4,14 +4,15 @@ Primal form: continuous scalar space of index r, Dirichlet data imposed by
 eliminating boundary rows/columns (the reduced matrix stays SPD).  Mixed
 form: H(div) flux space of index r with discontinuous per-cell pressures
 of degree s; pressure boundary data is natural and enters the right-hand
-side.  The mixed system is assembled as one saddle-point matrix, from one
-list of entries that holds each cell's signed mass block, its divergence
-block and that block's transpose, and solved by hybridization
-(``_Hybridized``): three sparse operators on each cell's own copy of its
-slots, ``gather``, ``tie`` (the edge multipliers) and the block-diagonal
-``inverse`` of the local saddle blocks, leave one SPD system tie inverse
-tie^T of edge multipliers.  Both forms are factored with the same
-symmetric sparse LU.
+side.  Both are assembled on the broken space of their ``DofMap``, each
+cell its own copy of its slots: with Q the signed selection in which each
+copy reads its global slot and B the block diagonal of the cells' class
+blocks (stiffness, or saddle block [[M, B^T], [B, 0]]), the matrix is
+Q^T B Q and the right-hand side Q^T of the cells' own loads.  The primal
+form keeps Q's interior columns, and its boundary values enter the loads
+as -B g.  The mixed system is hybridized on the same broken space
+(``_Hybridized``).  Both forms are factored with the same symmetric sparse
+LU.
 
 Cells that are exact translates of each other form a translation class,
 and this module is the only one that knows about them.  Element
@@ -20,12 +21,10 @@ once per class, on its lowest-numbered cell: the element of a cell c is
 the class element read at x - ``shifts[c]``.  The rest is array work over
 blocks of consecutive cells with equal vertex count N, in the groups of
 ``Mesh.groups``.  One ``DofMap`` numbers the scalar space, or the flux
-space and its pressures: it holds the dof ids and edge signs as (C, D)
-arrays per N (``ids``, ``signs``), the counts ``n_dofs`` and
-``n_pressure``, and the ``boundary`` and ``interior`` slots.  Loads and
-error integrands are evaluated once per block on the stacked moved points,
-and contributions are stored and summed in cell order, so assembled
-systems are reproducible bit for bit.
+space and its pressures, and lays out the broken space.  Loads and error
+integrands are evaluated once per block on the stacked moved points.
+Every entry of Q^T B Q and of Q^T loads is summed over the cells that hold
+it in cell order, so assembled systems are reproducible bit for bit.
 
 Both forms and their error integration build the classes that a block
 meets first one by one, then stack them: one rule broadcast over their
@@ -150,6 +149,13 @@ class DofMap:
     the boundary edges and both their ends, ``interior`` the rest; ``n_dofs``
     counts the scalar or flux slots.  Pressures, ``p_per_cell`` per cell
     (none for the scalar space), are numbered cell by cell after them.
+
+    The broken space gives each cell its own copy of its slots, then of its
+    pressures, numbered cell by cell from ``starts[c]`` (``n_broken`` in
+    all).  Copy i reads global slot ``col[i]`` times ``sign[i]``; ``own[i]``
+    marks the copy in the lowest-numbered cell that holds the slot (an
+    edge's left cell).  ``indptr`` and ``indices`` are the CSR arrays of one
+    dense block per cell over its copies (``_block_diagonal``).
     """
 
     def __init__(self, mesh: Mesh, r: int, s: int | None = None):
@@ -158,12 +164,17 @@ class DofMap:
         per_edge, fixed = (r + 1, 1) if flux else (r - 1, 0)
         self.edge_offset = 0 if flux else mesh.n_vertices
         self.cell_offset = self.edge_offset + mesh.n_edges * per_edge
-        self.p_per_cell = (s + 2) * (s + 1) // 2 if flux else 0
-        self.n_pressure = mesh.n_cells * self.p_per_cell
+        P = self.p_per_cell = (s + 2) * (s + 1) // 2 if flux else 0
+        self.n_pressure = mesh.n_cells * P
         self.cells = {N: cells for N, (cells, _, _) in mesh.groups.items()}
-        n_inner = {N: (mixed_dimension(N, r, s) if flux else ds_dimension(N, r) - N)
-                   - N * per_edge for N in self.cells}
+        dims = {N: mixed_dimension(N, r, s) if flux else ds_dimension(N, r) for N in self.cells}
+        n_inner = {N: D - N * per_edge - (0 if flux else N) for N, D in dims.items()}
         starts, self.n_dofs = _cell_starts(self.cells, n_inner, self.cell_offset)
+        widths = {N: D + P for N, D in dims.items()}
+        self.starts, self.n_broken = _cell_starts(self.cells, widths)
+        firsts, nnz = _cell_starts(self.cells, {N: w * w for N, w in widths.items()})
+        self.col, self.sign = np.empty(self.n_broken, dtype=int), np.empty(self.n_broken)
+        self.indptr, self.indices = np.full(self.n_broken + 1, nnz), np.empty(nnz, dtype=int)
         # An opposing cell reads the first ``fixed`` slots of an edge (the
         # constant flux) in place with sign -1, and the rest reversed.
         j = np.arange(per_edge)
@@ -171,23 +182,29 @@ class DofMap:
         flip = np.where(j < fixed, -1.0, 1.0)
         self.ids, self.signs = {}, {}
         for N, (cells, loops, edge_ids) in mesh.groups.items():
-            C, forward = len(cells), _forward(loops)[..., None]
+            C, w, forward = len(cells), widths[N], _forward(loops)[..., None]
             vertices = loops[:, :0 if flux else N]  # the flux space has no vertex slots
             slots = np.where(forward, j, reverse)
             edge_dofs = self.edge_offset + edge_ids[..., None] * per_edge + slots
-            self.ids[N] = _frozen(np.hstack([vertices, edge_dofs.reshape(C, -1),
-                                             starts[cells, None] + np.arange(n_inner[N])]))
-            self.signs[N] = _frozen(np.hstack([np.ones(vertices.shape),
-                                               np.where(forward, 1.0, flip).reshape(C, -1),
-                                               np.ones((C, n_inner[N]))]))
+            at = self.starts[cells, None] + np.arange(w)
+            self.col[at] = np.hstack([vertices, edge_dofs.reshape(C, -1),
+                                      starts[cells, None] + np.arange(n_inner[N]),
+                                      self.n_dofs + cells[:, None] * P + np.arange(P)])
+            self.sign[at] = np.hstack([np.ones(vertices.shape),
+                                       np.where(forward, 1.0, flip).reshape(C, -1),
+                                       np.ones((C, n_inner[N] + P))])
+            self.ids[N], self.signs[N] = (_frozen(a[at[:, :w - P]]) for a in (self.col, self.sign))
+            block = firsts[cells, None] + np.arange(w * w)  # row-major (w, w)
+            self.indptr[at] = block[:, ::w]
+            self.indices[block] = np.tile(at, w)
+        self.own = np.zeros(self.n_broken, dtype=bool)
+        self.own[np.unique(self.col, return_index=True)[1]] = True
 
         # The slots of the boundary edges and, in the scalar space, both ends.
         edges = np.flatnonzero(mesh.edge_cells[:, 1] < 0)
         ends = mesh.edges[edges, :0 if flux else 2]
         self.boundary = np.union1d(ends, self.edge_offset + edges[:, None] * per_edge + j)
-        mask = np.zeros(self.n_dofs, dtype=bool)
-        mask[self.boundary] = True
-        self.interior = np.nonzero(~mask)[0]
+        self.interior = np.setdiff1d(np.arange(self.n_dofs), self.boundary)
 
 
 @dataclass
@@ -203,10 +220,13 @@ class SparseSystem:
     ``r`` (and ``s``), ``n_dofs`` scalar or flux slots and, for the mixed
     form, ``n_pressure`` pressures after them.
 
-    For the mixed form ``matrix`` is the saddle-point matrix, which
-    ``solve`` checks its solution against, and ``class_blocks`` maps each
-    class representative to its local mass (D, D) and divergence (P, D)
-    blocks before the edge signs, which ``solve`` condenses from.
+    ``class_blocks`` maps each class representative to its local blocks
+    before the edge signs: the stiffness (D, D) for the primal form, the
+    mass (D, D) and divergence (P, D) blocks for the mixed form.  With Q
+    and B of the broken space (module docstring), the primal ``matrix`` is
+    Q^T B Q restricted to the ``interior`` slots, and the mixed ``matrix``
+    is the saddle-point matrix Q^T B Q, which ``solve`` checks its solution
+    against and condenses from the mixed ``class_blocks``.
     """
 
     matrix: sp.csr_matrix
@@ -219,7 +239,7 @@ class SparseSystem:
     shifts: np.ndarray  # (C, 2) move from the representative onto each cell
     dof_map: object = None
     boundary_values: np.ndarray | None = None
-    class_blocks: dict | None = None  # mixed: representative -> (mass, divergence)
+    class_blocks: dict | None = None  # representative -> its local blocks
 
     @property
     def n(self):
@@ -281,48 +301,33 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
         quad_degree = _default_degree(r, mixed=False)
     dof = DofMap(mesh, r)
     reps, shifts = _translation_classes(mesh)
-    elements = {}
+    elements, class_blocks = {}, {}
 
     def setup(new):
         elems, pts, weights = _build(mesh, new, elements, quad_degree, build_ds_element, r)
         bvals, bgrads = _eval_stacked(elems, pts, np.stack([e.coeffs for e in elems]))
-        return list(zip(pts, weights, bvals.transpose(0, 2, 1), _gram(bgrads, weights)))
+        class_blocks.update(zip(new, map(_frozen, _gram(bgrads, weights))))
+        return list(zip(pts, weights, bvals.transpose(0, 2, 1)))
 
-    widths = {N: ids.shape[1] for N, ids in dof.ids.items()}
-    entries = _Entries(dof.cells, {N: d * d for N, d in widths.items()})
-    loads = _Entries(dof.cells, widths)
+    loads = np.empty(dof.n_broken)
     for N, span, cells, data, cls in _blocks(dof.cells, reps, setup):
-        points, weights, bvals, local = zip(*data)
-        ids = dof.ids[N][span]
-        d = ids.shape[1]
-        entries.put(cells, np.stack(local)[cls], np.repeat(ids, d, axis=1), np.tile(ids, d))
+        points, weights, bvals = zip(*data)
         pts, weights = _moved_rules(points, weights, cls, shifts[cells])
         fw = weights * _point_data("f", f(pts), weights.shape)
-        loads.put(cells, _per_class(fw, bvals, cls), ids)
-    n = dof.n_dofs
-    A = entries.coo((n, n)).tocsr()
-    rhs = loads.bincount(n)
+        at = dof.starts[cells, None] + np.arange(dof.ids[N].shape[1])
+        loads[at] = _per_class(fw, bvals, cls)
+    B = _block_diagonal(dof, reps, lambda keys: np.stack([class_blocks[k] for k in keys]))
 
-    gvals = np.zeros(n)
+    gvals = np.zeros(dof.n_dofs)
     if dirichlet is not None and len(dof.boundary):
         points = _dof_points(dof)[dof.boundary]
         gvals[dof.boundary] = _point_data("dirichlet", dirichlet(points), (len(points),))
-    keep = dof.interior
-    rows_kept = A[keep]
-    reduced = rows_kept[:, keep].tocsr()
-    reduced_rhs = rhs[keep] - rows_kept[:, dof.boundary] @ gvals[dof.boundary]
+    # Q restricted to the interior slots: the boundary values move to the right.
+    interior = _selection(dof, dof.interior, dof.sign)
     return SparseSystem(
-        matrix=reduced,
-        rhs=reduced_rhs,
-        mesh=mesh,
-        kind="primal",
-        quad_degree=quad_degree,
-        elements=elements,
-        reps=reps,
-        shifts=shifts,
-        dof_map=dof,
-        boundary_values=gvals,
-    )
+        matrix=_galerkin(interior, B), rhs=interior.T @ (loads - B @ (dof.sign * gvals[dof.col])),
+        mesh=mesh, kind="primal", quad_degree=quad_degree, elements=elements, reps=reps,
+        shifts=shifts, dof_map=dof, boundary_values=gvals, class_blocks=class_blocks)
 
 
 def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
@@ -336,8 +341,7 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         quad_degree = _default_degree(r, mixed=True)
     dof = DofMap(mesh, r, s)
     reps, shifts = _translation_classes(mesh)
-    elements = {}
-    class_blocks = {}
+    elements, class_blocks = {}, {}
     P = dof.p_per_cell
 
     def setup(new):
@@ -347,55 +351,35 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         mass_local = _frozen(_gram(vals, weights))
         div_local = _frozen(wvals * weights[:, None] @ divs.transpose(0, 2, 1))
         class_blocks.update(zip(new, zip(mass_local, div_local)))
-        return list(zip(pts, weights, wvals.transpose(0, 2, 1), mass_local, div_local))
+        return list(zip(pts, weights, wvals.transpose(0, 2, 1)))
 
-    # Per cell: the signed mass block, the divergence block and its transpose.
-    nu, n = dof.n_dofs, dof.n_dofs + dof.n_pressure
-    widths = {N: ids.shape[1] for N, ids in dof.ids.items()}
-    entries = _Entries(dof.cells, {N: d * (d + 2 * P) for N, d in widths.items()})
-    rhs_p = np.zeros((mesh.n_cells, P))
+    # Each cell's own loads: its pressure loads after its flux slots.
+    loads = np.zeros(dof.n_broken)
     for N, span, cells, data, cls in _blocks(dof.cells, reps, setup):
-        points, weights, wvals, mass_local, div_local = zip(*data)
-        ids, signs = dof.ids[N][span], dof.signs[N][span]
-        C, d = ids.shape
-        pids = nu + cells[:, None] * P + np.arange(P)
-        mass = signs[:, :, None] * np.stack(mass_local)[cls] * signs[:, None, :]
-        div = np.stack(div_local)[cls] * signs[:, None, :]
-        entries.put(cells,
-                    np.hstack([mass.reshape(C, -1), div.reshape(C, -1),
-                               div.transpose(0, 2, 1).reshape(C, -1)]),
-                    np.hstack([np.repeat(ids, d, axis=1), np.repeat(pids, d, axis=1),
-                               np.repeat(ids, P, axis=1)]),
-                    np.hstack([np.tile(ids, d), np.tile(ids, P), np.tile(pids, d)]))
+        points, weights, wvals = zip(*data)
         pts, weights = _moved_rules(points, weights, cls, shifts[cells])
         fw = weights * _point_data("f", f(pts), weights.shape)
-        rhs_p[cells] = _per_class(fw, wvals, cls)
-    rhs_u = np.zeros(nu)
+        at = dof.starts[cells, None] + dof.ids[N].shape[1] + np.arange(P)
+        loads[at] = _per_class(fw, wvals, cls)
     if dirichlet_p is not None:
         # Only the r+1 flux functions of an edge have a normal trace on it.
         t, w = _segment_gauss(quad_degree)
         traces = w * edge_normal_traces(r, t)
-        for N, (_, loops, edge_ids) in mesh.groups.items():
+        for N, (cells, loops, edge_ids) in mesh.groups.items():
             row, k = np.nonzero(mesh.edge_cells[edge_ids, 1] < 0)
             if not len(row):  # a group of interior cells only
                 continue
             a, b = mesh.vertices[loops[row, k]], mesh.vertices[loops[row, (k + 1) % N]]
             pts = a[:, None] + t[:, None] * (b - a)[:, None]  # (B, M, 2)
             g = _point_data("dirichlet_p", dirichlet_p(pts.reshape(-1, 2)), (len(row), len(t)))
-            slots = row[:, None], k[:, None] * (r + 1) + np.arange(r + 1)
-            np.add.at(rhs_u, dof.ids[N][slots], -dof.signs[N][slots] * (g @ traces.T))
+            loads[dof.starts[cells[row], None] + k[:, None] * (r + 1) + np.arange(r + 1)] = \
+                -(g @ traces.T)
+    B = _block_diagonal(dof, reps, lambda keys: _saddle(*_stacked(class_blocks, keys)))
+    Q = _selection(dof, np.arange(dof.n_dofs + dof.n_pressure), dof.sign)
     return SparseSystem(
-        matrix=entries.coo((n, n)).tocsr(),
-        rhs=np.concatenate([rhs_u, rhs_p.ravel()]),
-        mesh=mesh,
-        kind="mixed",
-        quad_degree=quad_degree,
-        elements=elements,
-        reps=reps,
-        shifts=shifts,
-        dof_map=dof,
-        class_blocks=class_blocks,
-    )
+        matrix=_galerkin(Q, B), rhs=Q.T @ loads, mesh=mesh, kind="mixed",
+        quad_degree=quad_degree, elements=elements, reps=reps, shifts=shifts, dof_map=dof,
+        class_blocks=class_blocks)
 
 
 def _blocks(groups, reps, setup):
@@ -465,32 +449,6 @@ def _per_class(x, mats, cls):
                 rows = sel[i:i + step]
                 out[rows] = x[rows] @ mats[k]
     return out
-
-
-class _Entries:
-    """Sparse entries or vector contributions stored in cell order, each
-    cell of group N taking ``widths[N]`` slots, whatever order the blocks
-    are filled in; sums over repeated ids then run in cell order."""
-
-    def __init__(self, groups, widths):
-        self.starts, n = _cell_starts(groups, widths)
-        self.rows = np.empty(n, dtype=int)
-        self.cols = np.empty(n, dtype=int)
-        self.vals = np.empty(n)
-
-    def put(self, cells, vals, rows, cols=None):
-        """Store the (C, W) entries (vals, rows, cols) of the given cells."""
-        at = self.starts[cells, None] + np.arange(rows.shape[1])
-        self.vals[at] = vals.reshape(rows.shape)
-        self.rows[at] = rows
-        if cols is not None:
-            self.cols[at] = cols
-
-    def coo(self, shape):
-        return sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=shape)
-
-    def bincount(self, n):
-        return np.bincount(self.rows, weights=self.vals, minlength=n)
 
 
 def _translation_classes(mesh):
@@ -580,6 +538,21 @@ def _spd_factor(A):
         raise SolveError(f"sparse factorization failed: {exc}") from None
 
 
+def _saddle(mass, div):
+    """Local saddle blocks [[M, B^T], [B, 0]] of stacked (K, D, D) mass and
+    (K, P, D) divergence blocks."""
+    K, D = mass.shape[:2]
+    block = np.zeros((K, D + div.shape[1], D + div.shape[1]))
+    block[:, :D, :D], block[:, D:, :D], block[:, :D, D:] = mass, div, div.transpose(0, 2, 1)
+    return block
+
+
+def _stacked(class_blocks, keys):
+    """The (K, D, D) mass and (K, P, D) divergence blocks of the classes
+    ``keys``, stacked."""
+    return [np.stack(part) for part in zip(*(class_blocks[k] for k in keys))]
+
+
 def _local_inverses(mass, div, cells):
     """Inverses of K local saddle blocks [[M, B^T], [B, 0]], symmetrized,
     from their stacked (K, D, D) mass and (K, P, D) divergence blocks.
@@ -590,9 +563,7 @@ def _local_inverses(mass, div, cells):
     and of B unit size.  Raises ``SolveError`` naming the cell ``cells[k]``
     of the first block k that cannot be inverted.
     """
-    K, D = mass.shape[:2]
-    block = np.zeros((K, D + div.shape[1], D + div.shape[1]))
-    block[:, :D, :D], block[:, D:, :D], block[:, :D, D:] = mass, div, div.transpose(0, 2, 1)
+    block = _saddle(mass, div)
 
     def check(ok, reason):
         if not ok.all():
@@ -617,54 +588,25 @@ class _Hybridized:
     """The mixed saddle-point system, hybridized: called with a right-hand
     side b, it returns the solution (u, -p).
 
-    The broken space gives each cell its own copy of its D flux and P
-    pressure slots, numbered cell by cell.  ``gather`` (broken x n) reads
-    each global slot into the one copy that owns it, times its edge sign:
-    the copy in the left cell of its edge (the only cell of a boundary
-    edge); cell and pressure slots are always owned.  ``tie`` (multipliers
-    x broken) ties the two copies of each flux slot of an interior edge,
-    with coefficient +1 in the left cell and -1 in the right cell, times
-    the edge sign.  ``inverse`` is block diagonal: each cell's inverse local
-    saddle block, computed once per translation class in the element's own
-    coordinates.  With z = inverse gather b, the multipliers solve the SPD
-    system (tie inverse tie^T) lam = tie z, and the copies are z - inverse
-    tie^T lam.
+    Three operators on the broken space of the ``DofMap``: ``gather`` is Q
+    at the owning copies (broken x n); ``tie`` (multipliers x broken) ties
+    the two copies of each flux slot of an interior edge, with coefficient
+    +1 in the left cell and -1 in the right cell, times the edge sign; and
+    the block-diagonal ``inverse`` holds each cell's inverse local saddle
+    block, computed once per translation class.  With z = inverse gather b,
+    the multipliers solve the SPD system (tie inverse tie^T) lam = tie z,
+    and the copies are z - inverse tie^T lam.
     """
 
     def __init__(self, system: SparseSystem):
-        mesh, dof = system.mesh, system.dof_map
-        nu, P = dof.n_dofs, dof.p_per_cell
-        n, per_edge = nu + dof.n_pressure, dof.cell_offset // mesh.n_edges
-        widths = {N: ids.shape[1] + P for N, ids in dof.ids.items()}
-        starts, n_broken = _cell_starts(dof.cells, widths)
-        firsts, nnz = _cell_starts(dof.cells, {N: w * w for N, w in widths.items()})
-        # Per broken slot: its global slot, edge sign and whether it owns the
-        # global slot; and the CSR arrays of ``inverse``, in cell order.
-        col, sign = np.empty(n_broken, dtype=int), np.empty(n_broken)
-        own = np.ones(n_broken, dtype=bool)
-        indptr, indices, data = np.full(n_broken + 1, nnz), np.empty(nnz, dtype=int), np.empty(nnz)
-        for N, (cells, _, edge_ids) in mesh.groups.items():
-            C, w = len(cells), widths[N]
-            at = starts[cells, None] + np.arange(w)
-            col[at] = np.hstack([dof.ids[N], nu + cells[:, None] * P + np.arange(P)])
-            sign[at] = np.hstack([dof.signs[N], np.ones((C, P))])
-            left = mesh.edge_cells[edge_ids, 0] == cells[:, None]
-            own[at[:, :N * per_edge]] = np.repeat(left, per_edge, axis=1)
-            keys, cls = np.unique(system.reps[cells], return_inverse=True)
-            blocks = [system.class_blocks[k] for k in keys.tolist()]
-            mass, div = (np.stack(part) for part in zip(*blocks))
-            inv = _local_inverses(mass, div, keys)
-            entries = firsts[cells, None] + np.arange(w * w)  # each cell a dense (w, w) block
-            indptr[at] = entries[:, ::w]
-            indices[entries] = np.tile(at, w)
-            data[entries] = inv[cls].reshape(C, -1)
+        dof = system.dof_map
+        everything, own = np.arange(dof.n_dofs + dof.n_pressure), dof.own
         # One multiplier per flux slot of an interior edge, in global order.
         inner = dof.interior[dof.interior < dof.cell_offset]
-        lam = np.full(n, -1)
-        lam[inner] = np.arange(len(inner))
-        tie_t = _selection(lam[col] >= 0, lam[col], np.where(own, sign, -sign), len(inner))
-        self.gather, self.tie = _selection(own, col, sign, n), tie_t.T.tocsr()
-        self.inverse = sp.csr_matrix((data, indices, indptr), shape=(n_broken, n_broken))
+        tie_t = _selection(dof, inner, np.where(own, dof.sign, -dof.sign))
+        self.gather, self.tie = _selection(dof, everything, own * dof.sign), tie_t.T.tocsr()
+        self.inverse = _block_diagonal(dof, system.reps, lambda keys: _local_inverses(
+            *_stacked(system.class_blocks, keys), keys))
         self.lu = _spd_factor(self.tie @ self.inverse @ tie_t) if len(inner) else None
 
     def __call__(self, b):
@@ -674,11 +616,38 @@ class _Hybridized:
         return self.gather.T @ z
 
 
-def _selection(keep, cols, vals, n):
-    """CSR matrix of len(keep) rows and n columns whose row i holds vals[i]
-    in column cols[i] where keep[i], and is empty elsewhere."""
+def _selection(dof, slots, vals):
+    """CSR matrix from the broken space of ``dof`` to the ascending global
+    ``slots``: row i holds vals[i] in the column of the slot ``dof.col[i]``,
+    and is empty where that slot is none of them or vals[i] is 0."""
+    to = np.full(dof.n_dofs + dof.n_pressure, -1)
+    to[slots] = np.arange(len(slots))
+    cols = to[dof.col]
+    keep = (cols >= 0) & (vals != 0)
     indptr = np.concatenate([[0], np.cumsum(keep)])
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(len(keep), n))
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(len(keep), len(slots)))
+
+
+def _block_diagonal(dof, reps, blocks):
+    """The broken x broken CSR matrix of ``dof`` that holds each cell's
+    class block: ``blocks(keys)`` returns the stacked (K, w, w) blocks of a
+    group's classes, named by their ascending representatives ``keys``."""
+    data = np.empty(len(dof.indices))
+    for cells in dof.cells.values():
+        keys, cls = np.unique(reps[cells], return_inverse=True)
+        local = blocks(keys.tolist())[cls].reshape(len(cells), -1)
+        data[dof.indptr[dof.starts[cells], None] + np.arange(local.shape[1])] = local
+    return sp.csr_matrix((data, dof.indices, dof.indptr), shape=(dof.n_broken, dof.n_broken))
+
+
+def _galerkin(Q, B):
+    """Q^T B Q, with sorted indices.  Row g of Q^T lists the copies of slot
+    g in cell order, and a sparse product sums each entry over them in that
+    order, so the result equals each cell's signed block summed cell by
+    cell.  The product does not store exact zeros."""
+    A = Q.T.tocsr() @ (B @ Q)
+    A.sort_indices()
+    return A
 
 
 def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,

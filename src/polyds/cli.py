@@ -147,12 +147,15 @@ def cmd_mesh(args):
         print(f"h_max={st.h_max:.6g}")
         print(f"sigma: min={st.sigma_min:.4f} max={st.sigma_max:.4f} "
               f"avg={st.sigma_avg:.4f}")
+        print(f"shortest edge / diameter: min={st.edge_ratio_min:.4g}")
+        print(f"flattest interior angle: max={st.angle_max:.2f} deg")
         return 0
     before = mesh_stats(mesh)
     collapsed = collapse_short_edges(mesh, args.rel_tol)
     after = mesh_stats(collapsed)
     export_mesh(collapsed, args.out)
     print(f"sigma_min: {before.sigma_min:.4f} -> {after.sigma_min:.4f}")
+    print(f"edge_ratio_min: {before.edge_ratio_min:.4g} -> {after.edge_ratio_min:.4g}")
     print(f"vertices: {before.n_vertices} -> {after.n_vertices}")
     print(f"wrote {args.out}")
     return 0

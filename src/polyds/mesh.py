@@ -116,6 +116,8 @@ class MeshStats:
     sigma_min: float
     sigma_max: float
     sigma_avg: float
+    edge_ratio_min: float  # the smallest ratio of a cell's shortest edge to its diameter
+    angle_max: float  # the flattest interior angle, in degrees (180: a flat vertex)
 
 
 def build_topology(vertices, cells) -> Mesh:
@@ -223,12 +225,18 @@ def build_topology(vertices, cells) -> Mesh:
 
 
 def mesh_stats(mesh: Mesh) -> MeshStats:
-    """Counts, h_max and the spread of the cells' shape regularity sigma,
-    computed for each group of cells with equal vertex count at once."""
-    sigmas = np.empty(mesh.n_cells)
+    """Counts, h_max, the spread of the cells' shape regularity sigma, their
+    shortest edge ratio and flattest angle, computed for each group of cells
+    with equal vertex count at once."""
+    sigmas, ratios, angles = np.empty((3, mesh.n_cells))
     for cells, loops, _ in mesh.groups.values():
+        v = mesh.vertices[loops]
         h = np.array([mesh.polygon(c).diameter for c in cells.tolist()])
-        sigmas[cells] = _regularity_rho(mesh.vertices[loops]) / h
+        sigmas[cells] = _regularity_rho(v) / h
+        z = (np.roll(v, -1, axis=1) - v) @ np.array([1.0, 1.0j])  # edge k leaves vertex k
+        ratios[cells] = np.abs(z).min(axis=1) / h
+        # An interior angle is 180 degrees less the turn from edge k-1 to edge k.
+        angles[cells] = 180.0 - np.degrees(np.angle(z / np.roll(z, 1, axis=1))).min(axis=1)
     return MeshStats(
         n_cells=mesh.n_cells,
         n_edges=mesh.n_edges,
@@ -237,6 +245,8 @@ def mesh_stats(mesh: Mesh) -> MeshStats:
         sigma_min=float(sigmas.min()),
         sigma_max=float(sigmas.max()),
         sigma_avg=float(sigmas.mean()),
+        edge_ratio_min=float(ratios.min()),
+        angle_max=float(angles.max()),
     )
 
 

@@ -915,3 +915,49 @@ def multiplier_matrix_per_cell(system):
         vals.append((coef[:, None] * inverses[rep][np.ix_(slots, slots)] * coef[None, :]).ravel())
     return _coo(rows, cols, vals, (len(inner), len(inner)))
 
+
+def matrix_per_cell(system):
+    """The assembled matrix as a dense sum, with ``np.add.at`` in cell
+    order, of each cell's signed class block sign_i block_ij sign_j over its
+    slots; the block is ``class_blocks[reps[c]]``, in the mixed form the
+    saddle block [[M, B^T], [B, 0]] over the cell's flux slots and then its
+    pressures (sign +1).  The primal sum is restricted to the interior
+    slots (oracle for the Q^T B Q products of ``polyds.assembly``)."""
+    dof = system.dof_map
+    P = dof.p_per_cell
+    n = dof.n_dofs + dof.n_pressure
+    out = np.zeros((n, n))
+    for c in range(system.mesh.n_cells):
+        ids, signs = cell_dofs(dof, c)
+        block = system.class_blocks[int(system.reps[c])]
+        if system.kind == "mixed":
+            mass, div = block
+            block = np.block([[mass, div.T], [div, np.zeros((P, P))]])
+            ids = np.concatenate([ids, dof.n_dofs + c * P + np.arange(P)])
+            signs = np.concatenate([signs, np.ones(P)])
+        np.add.at(out, (ids[:, None], ids), signs[:, None] * block * signs)
+    if system.kind == "primal":
+        out = out[np.ix_(dof.interior, dof.interior)]
+    return out
+
+
+def pressure_supercloseness(system, report, exact):
+    """||P_s p - p_h|| of a solved mixed system: P_s p is the L2 projection
+    of the exact pressure onto each cell's own pressure basis, the class
+    element's read at the points moved back by the cell's shift, and the
+    norm is integrated on each cell's rule at the error degree of
+    ``compute_errors``."""
+    mesh = system.mesh
+    degree = min(system.quad_degree + 2, polyds.quadrature.MAX_DEGREE)
+    ph = report.solution_p.reshape(mesh.n_cells, -1)
+    classes, total = {}, 0.0
+    for c, rep in enumerate(system.reps.tolist()):
+        if rep not in classes:
+            rule = polygon_rule(mesh.polygon(rep), degree)
+            q = system.elements[rep].eval_all(rule.points)[2]  # (P, M)
+            classes[rep] = rule, q * rule.weights, q @ (q * rule.weights).T
+        rule, wq, gram = classes[rep]
+        p, _ = exact.p(rule.points + system.shifts[c])
+        gap = np.linalg.solve(gram, wq @ p) - ph[c]
+        total += gap @ gram @ gap
+    return math.sqrt(total)

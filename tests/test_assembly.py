@@ -36,9 +36,11 @@ from helpers import (
     errors_per_cell,
     flux_boundary_per_edge,
     flux_dofs_per_cell,
+    matrix_per_cell,
     mixed_interpolant,
     multiplier_matrix_per_cell,
     pressure_monomials,
+    pressure_supercloseness,
     random_convex_polygon,
     saddle_solve,
     scalar_boundary_per_edge,
@@ -48,6 +50,14 @@ from helpers import (
 )
 
 ZERO = lambda x: np.zeros(len(x))
+
+
+def above(A, tol):
+    """A copy of the sparse matrix A without its entries of size <= tol."""
+    A = A.copy()
+    A.data[np.abs(A.data) <= tol] = 0.0
+    A.eliminate_zeros()
+    return A
 
 
 def poly_exact(coeffs):
@@ -369,6 +379,16 @@ class TestHybridSolve:
         assert self.rel(report.solution_p, p) <= 1e-6
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_matrix_matches_cell_order_sum(case):
+    # Q^T B Q sums every entry over the cells that hold it in cell order,
+    # bit for bit as np.add.at does.
+    family, n, seed, method, r, s = CASES[case]
+    mesh, f = make_mesh(family, n, seed), manufactured_solution().f
+    system = assemble_primal(mesh, r, f) if s is None else assemble_mixed(mesh, r, s, f)
+    assert np.array_equal(system.matrix.toarray(), matrix_per_cell(system))
+
+
 @pytest.mark.parametrize("kind", ["primal", "mixed"])
 def test_reported_residual_is_true_residual(kind):
     mesh = gen_hex_dominant_mesh(4)
@@ -522,9 +542,17 @@ class TestTranslationClasses:
         else:
             system = assemble_mixed(mesh, r, s, f, dirichlet_p=self.BOUNDARY)
         A, b = assemble_per_cell(mesh, r, s, f, self.BOUNDARY)
-        assert np.array_equal(system.matrix.indptr, A.indptr)
-        assert np.array_equal(system.matrix.indices, A.indices)
-        assert np.abs(system.matrix.data - A.data).max() <= 1e-13 * np.abs(A.data).max()
+        K, tol = system.matrix, 1e-13 * np.abs(A.data).max()
+        if s is not None:
+            # The mixed matrix stores no exact zeros (the curls are
+            # divergence-free), and the oracle computes its blocks in
+            # another order: an entry at round-off (at most 1.2e-16 here)
+            # can be zero in one of the two only.  Compare the entries
+            # above the tolerance of the values.
+            K, A = (above(M, tol) for M in (K, A))
+        assert np.array_equal(K.indptr, A.indptr)
+        assert np.array_equal(K.indices, A.indices)
+        assert np.abs(K.data - A.data).max() <= tol
         assert np.abs(system.rhs - b).max() <= 1e-13 * np.abs(b).max()
 
     @pytest.mark.parametrize("gen, n, classes", [
@@ -858,6 +886,24 @@ class TestErrorsAndRates:
             optimal = r if name == "H1_semi_p" else r + 1
             rate = convergence_rate([e[name] for e in errs], hs)[-1]
             assert rate >= optimal - 0.3, (name, rate)
+
+    @pytest.mark.parametrize("family", ["hex-dominant", "perturbed-quad"])
+    @pytest.mark.parametrize("r, s", [(1, 1), (2, 1), (2, 2)])
+    def test_pressure_supercloseness_rate(self, family, r, s):
+        # p_h is superclose to the L2 projection P_s p of the exact pressure
+        # onto each cell's pressure basis: ||P_s p - p_h|| falls like
+        # h^(s+2), one order faster than L2_p.  It rests on the commuting
+        # projection of the flux space, so it sees flux errors that the
+        # L2_p rate does not.  Finest-pair rates (h = h_max): 3.74, 4.06,
+        # 4.39 (hex) and 3.83, 4.23, 4.06 (pquad, seed 1).
+        ex = manufactured_solution()
+        errs, hs = [], []
+        for n in (4, 8, 16):
+            mesh = make_mesh(family, n, 1)
+            system = assemble_mixed(mesh, r, s, ex.f)
+            errs.append(pressure_supercloseness(system, solve(system), ex))
+            hs.append(mesh.h_max)
+        assert convergence_rate(errs, hs)[-1] >= s + 1.8
 
     def test_hex_mixed_r4_flux_rate_at_default_degree(self):
         # Hex-dominant mixed-full (4, 4) at the default degree 2r + 6 = 14,

@@ -40,6 +40,15 @@ class TestMeshCommands:
         stats = dict(tok.split("=") for tok in line.split(": ")[1].split())
         assert 0.0 < float(stats["min"]) <= float(stats["max"]) < 1.0
 
+    def test_audit_reports_short_edges_and_flat_vertices(self, tmp_path, capsys):
+        path = tmp_path / "sliver.json"
+        export_mesh(sliver_mesh(1e-3), path)
+        code, out, _ = run(["mesh", "audit", "--mesh", str(path)], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[3] == "shortest edge / diameter: min=0.001"
+        assert lines[4] == "flattest interior angle: max=134.97 deg"
+
     def test_collapse_reports_improvement(self, tmp_path, capsys):
         src = tmp_path / "sliver.json"
         dst = tmp_path / "fixed.json"

@@ -468,6 +468,23 @@ class TestCollapse:
         assert after.n_vertices == before.n_vertices - 1
         assert_dict_topology(out)
 
+    def test_audit_measures_on_sliver_and_flat_vertex(self):
+        # The sliver edge is 1e-3 of the largest diameter, and the two
+        # pentagons that hold it (about 0.707 across) have angles of 135
+        # degrees at its ends; collapsing it leaves four near-squares.
+        st = mesh_stats(sliver_mesh(1e-3))
+        assert st.edge_ratio_min == pytest.approx(1e-3, rel=1e-3)
+        assert st.angle_max == pytest.approx(135.0, abs=0.05)
+        after = mesh_stats(collapse_short_edges(sliver_mesh(1e-3), 0.01))
+        assert after.edge_ratio_min > 0.7
+        assert after.angle_max == pytest.approx(90.0, abs=0.1)
+        # A unit square with a fifth vertex raised 1e-3 above its top edge.
+        flat = mesh_stats(build_topology([(0, 0), (1, 0), (1, 1), (0.5, 1.001), (0, 1)],
+                                         [[0, 1, 2, 3, 4]]))
+        assert flat.angle_max == pytest.approx(180.0 - 2.0 * math.degrees(math.atan(2e-3)),
+                                               abs=1e-9)
+        assert flat.edge_ratio_min == pytest.approx(math.hypot(0.5, 0.001) / math.sqrt(2))
+
     def test_idempotent(self):
         m = sliver_mesh(1e-3)
         once = collapse_short_edges(m, 0.01)
