@@ -26,12 +26,14 @@ integrands are evaluated once per block on the stacked moved points.
 Every entry of Q^T B Q and of Q^T loads is summed over the cells that hold
 it in cell order, so assembled systems are reproducible bit for bit.
 
-Both forms and their error integration build the classes that a block
-meets first one by one, then stack them: one rule broadcast over their
-polygons, one evaluation of their bases (``serendipity._eval_stacked``, or
-``mixed._eval_mixed`` on top of it) and one batched Gram product.  Error
-integration evaluates the exact p and its gradient in one call per block,
-and reads u = -grad p and div u = f from them.
+Both forms and their error integration run one block pipeline, ``_blocks``:
+it makes the rules of the classes that a block meets first in one
+broadcast over their polygons, and moves them onto the block's cells.  Its
+caller's ``setup`` builds those classes one by one (assembly only),
+evaluates their bases in one stacked pass (``serendipity._eval_stacked``,
+or ``mixed._eval_mixed`` on top of it) and forms their local blocks in one
+batched Gram product.  Error integration evaluates the exact p and its
+gradient in one call per block, and reads u = -grad p and div u = f.
 """
 
 from __future__ import annotations
@@ -303,16 +305,15 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
     reps, shifts = _translation_classes(mesh)
     elements, class_blocks = {}, {}
 
-    def setup(new):
-        elems, pts, weights = _build(mesh, new, elements, quad_degree, build_ds_element, r)
+    def setup(new, pts, weights):
+        elems = _build(mesh, new, elements, build_ds_element, r)
         bvals, bgrads = _eval_stacked(elems, pts, np.stack([e.coeffs for e in elems]))
         class_blocks.update(zip(new, map(_frozen, _gram(bgrads, weights))))
-        return list(zip(pts, weights, bvals.transpose(0, 2, 1)))
+        return (bvals.transpose(0, 2, 1),)
 
     loads = np.empty(dof.n_broken)
-    for N, span, cells, data, cls in _blocks(dof.cells, reps, setup):
-        points, weights, bvals = zip(*data)
-        pts, weights = _moved_rules(points, weights, cls, shifts[cells])
+    blocks = _blocks(mesh, dof.cells, reps, shifts, quad_degree, setup)
+    for N, span, cells, pts, weights, (bvals,), cls in blocks:
         fw = weights * _point_data("f", f(pts), weights.shape)
         at = dof.starts[cells, None] + np.arange(dof.ids[N].shape[1])
         loads[at] = _per_class(fw, bvals, cls)
@@ -344,20 +345,19 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     elements, class_blocks = {}, {}
     P = dof.p_per_cell
 
-    def setup(new):
-        elems, pts, weights = _build(mesh, new, elements, quad_degree, build_mixed_element, r, s)
+    def setup(new, pts, weights):
+        elems = _build(mesh, new, elements, build_mixed_element, r, s)
         vals, divs, wvals = _eval_mixed(elems, pts)
         # Mass and divergence (n_w, n_u) blocks before the edge signs.
         mass_local = _frozen(_gram(vals, weights))
         div_local = _frozen(wvals * weights[:, None] @ divs.transpose(0, 2, 1))
         class_blocks.update(zip(new, zip(mass_local, div_local)))
-        return list(zip(pts, weights, wvals.transpose(0, 2, 1)))
+        return (wvals.transpose(0, 2, 1),)
 
     # Each cell's own loads: its pressure loads after its flux slots.
     loads = np.zeros(dof.n_broken)
-    for N, span, cells, data, cls in _blocks(dof.cells, reps, setup):
-        points, weights, wvals = zip(*data)
-        pts, weights = _moved_rules(points, weights, cls, shifts[cells])
+    blocks = _blocks(mesh, dof.cells, reps, shifts, quad_degree, setup)
+    for N, span, cells, pts, weights, (wvals,), cls in blocks:
         fw = weights * _point_data("f", f(pts), weights.shape)
         at = dof.starts[cells, None] + dof.ids[N].shape[1] + np.arange(P)
         loads[at] = _per_class(fw, wvals, cls)
@@ -382,16 +382,19 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         class_blocks=class_blocks)
 
 
-def _blocks(groups, reps, setup):
-    """Yield ``(N, span, cells, data, cls)`` for each block of at most
-    ``CHUNK_CELLS`` consecutive cells of each group ``groups[N]``: ``span``
-    slices the block out of the group, ``data`` lists the data of the
-    translation classes present, and ``cls`` (C,) indexes ``data``.
+def _blocks(mesh, groups, reps, shifts, degree, setup):
+    """Yield ``(N, span, cells, pts, weights, terms, cls)`` for each block of
+    at most ``CHUNK_CELLS`` consecutive cells of each group ``groups[N]``:
+    ``span`` slices the block out of the group, ``pts`` (C * M, 2) and
+    ``weights`` (C, M) are each cell's class rule of ``degree`` moved by
+    ``shifts[c]``, and ``cls`` (C,) indexes the classes present in each
+    entry of ``terms``.
 
-    Each block calls ``setup(new)`` once with the ascending list of the
-    classes that it meets first, named by their lowest-numbered cells
-    ``reps[c]``, and ``setup`` returns their data in that order.  A class's
-    data is released after the block that holds the last cell of the class.
+    The classes that a block meets first, ascending and named by their
+    lowest-numbered cells ``reps[c]``, get their rules from one
+    ``_polygon_rules`` call, then one ``setup(new, pts, weights)`` call,
+    which returns a tuple of arrays stacked over them.  A class's rule and
+    data are released after the block that holds the last cell of the class.
     """
     last = dict(zip(reps.tolist(), range(len(reps))))
     held = {}
@@ -403,31 +406,25 @@ def _blocks(groups, reps, setup):
             keys = keys.tolist()
             new = [rep for rep in keys if rep not in held]
             if new:
-                held.update(zip(new, setup(new)))
-            yield N, span, block, [held[rep] for rep in keys], cls
+                rules = _polygon_rules([mesh.polygon(c) for c in new], degree)
+                held.update(zip(new, zip(*rules, *setup(new, *rules))))
+            pts, weights, *terms = zip(*(held[rep] for rep in keys))
+            pts = np.stack(pts)[cls] + shifts[block, None]
+            yield N, span, block, pts.reshape(-1, 2), np.stack(weights)[cls], terms, cls
             for rep in keys:
                 if last[rep] <= block[-1]:
                     del held[rep]
 
 
-def _build(mesh, new, elements, degree, build, *index):
-    """Build each class of ``new`` into ``elements`` as ``build(polygon, *index)``;
-    return those elements and the rules of ``degree`` on their polygons."""
-    polygons = [mesh.polygon(c) for c in new]
-    for c, E in zip(new, polygons):
+def _build(mesh, new, elements, build, *index):
+    """Build each class of ``new`` into ``elements`` as ``build(polygon, *index)``
+    and return those elements; a failure names the class's cell."""
+    for c in new:
         try:
-            elements[c] = build(E, *index)
+            elements[c] = build(mesh.polygon(c), *index)
         except Exception as exc:
             raise AssemblyError(f"element construction failed on cell {c}: {exc}") from exc
-    return [elements[c] for c in new], *_polygon_rules(polygons, degree)
-
-
-def _moved_rules(points, weights, cls, shifts):
-    """Every cell's rule, the rule (points, weights) of its class moved by
-    its shift: the points of all C cells stacked as (C * M, 2), and weights
-    (C, M)."""
-    pts = np.stack(points)[cls] + shifts[:, None]
-    return pts.reshape(-1, 2), np.stack(weights)[cls]
+    return [elements[c] for c in new]
 
 
 def _per_class(x, mats, cls):
@@ -663,20 +660,18 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
     mesh, dof, elements = system.mesh, system.dof_map, system.elements
     primal = system.kind == "primal"
 
-    def setup(new):
-        # Rules and values with gradients (primal), or values, divergences and
+    def setup(new, pts, weights):
+        # Values with gradients (primal), or values, divergences and
         # pressures (mixed), flattened to (D, M) or (D, 2 M) per class.
         elems = [elements[c] for c in new]
-        pts, weights = _polygon_rules([mesh.polygon(c) for c in new], degree)
         terms = (_eval_stacked(elems, pts, np.stack([e.coeffs for e in elems])) if primal
                  else _eval_mixed(elems, pts))
-        return list(zip(pts, weights, *(t.reshape(*t.shape[:2], -1) for t in terms)))
+        return tuple(t.reshape(*t.shape[:2], -1) for t in terms)
 
     # Squared errors of every cell, one row per norm.
     sq = np.empty((2 if primal else 3, mesh.n_cells))
-    for N, span, cells, data, cls in _blocks(dof.cells, system.reps, setup):
-        points, weights, *terms = zip(*data)
-        flat, weights = _moved_rules(points, weights, cls, system.shifts[cells])
+    blocks = _blocks(mesh, dof.cells, system.reps, system.shifts, degree, setup)
+    for N, span, cells, flat, weights, terms, cls in blocks:
         C, M = weights.shape
         ids = dof.ids[N][span]
         p, grad_p = exact.p(flat)

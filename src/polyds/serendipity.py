@@ -11,10 +11,10 @@ restricting edge traces to degree r.
 
 Each element is built on its cell's frame x^ = (x - c) / h, with c the
 centroid and h the diameter, a similarity that leaves the space as it
-is: the frame is a ``Polygon``, the cell moved there (``_frame``), and
-``_frame_points`` moves points there; they are the one place that chooses
-c and h.  The element's polygon and nodes stay physical: ``eval_all`` maps
-the points once and divides the frame gradients by h.
+is: the frame is a ``Polygon``, the cell moved there by ``_frame``, the
+one place that chooses c and h; ``_frame_points`` and ``_build_nodal`` map
+points with that c and h.  The element's polygon and nodes stay physical:
+``eval_all`` maps the points once and divides the frame gradients by h.
 
 Every decision of the construction that depends only on (N, r) is one
 cached read-only table: the terms (``_term_layout``), the nodes as
@@ -222,9 +222,9 @@ def _build_nodal(E: Polygon, r: int) -> DSElement:
     points[:N] = E.vertices
     D = len(points)
     # One evaluation at the frame nodes, which give V, and at the physical
-    # nodes mapped as ``eval_all`` maps them, where duality is read.
-    moved, _ = _frame_points([E], points[None])
-    vals = layout.table.values(*affines, np.concatenate([frame_nodes, moved[0]]))
+    # nodes mapped as ``_frame_points`` maps them, where duality is read.
+    moved = (points - E.centroid) / E.diameter
+    vals = layout.table.values(*affines, np.concatenate([frame_nodes, moved]))
     tvals = vals[:, :D]
     # Each generator (row) is scaled by its largest value at the nodes; one
     # that vanishes at every node keeps scale 1 and leaves V singular.

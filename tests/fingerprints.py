@@ -21,7 +21,9 @@ with
 
 and print, for each case, the largest relative deviation of this host's
 matrix and right-hand side figures, and of its error norms, from the file,
-next to their tolerances (it writes nothing and exits 0) with
+next to their tolerances, and the spread of its error norms under the
+COLAMD and the MMD_ATA orderings, the round-off that ``error_rtol`` must
+cover (it writes nothing and exits 0), with
 
     PYTHONPATH=src python tests/fingerprints.py --report
 
@@ -98,12 +100,18 @@ def fingerprint(case):
     }
 
 
-def _colamd_factor(A):
-    """``assembly._spd_factor`` with the COLAMD column ordering."""
-    try:
-        return spla.splu(A.tocsc(), permc_spec="COLAMD")
-    except RuntimeError as exc:
-        raise assembly.SolveError(f"sparse factorization failed: {exc}") from None
+def _spread(case, errors, ordering):
+    """Largest relative deviation from ``errors`` of the error norms of one
+    case solved with the sparse LU ordered by ``ordering`` (a ``permc_spec``
+    of ``splu``) in place of ``assembly._spd_factor``'s."""
+    def factor(A):
+        try:
+            return spla.splu(A.tocsc(), permc_spec=ordering)
+        except RuntimeError as exc:
+            raise assembly.SolveError(f"sparse factorization failed: {exc}") from None
+
+    with mock.patch.object(assembly, "_spd_factor", factor):
+        return _deviation(fingerprint(case)["errors"], errors)
 
 
 def _deviation(got, want):
@@ -113,14 +121,17 @@ def _deviation(got, want):
 
 def report():
     """Print each case's deviations from the stored figures, with their
-    tolerances."""
+    tolerances, and the spread of its error norms under two other LU
+    orderings."""
     stored = json.loads(PATH.read_text())
     for case in CASES:
         want, got = stored["cases"][case], fingerprint(case)
         system = _deviation(got, {k: want[k] for k in ("frobenius", "uAv", "wb")})
         errors = _deviation(got["errors"], want["errors"])
+        spreads = (f"{o} {_spread(case, got['errors'], o):.2e}" for o in ("COLAMD", "MMD_ATA"))
         print(f"{case}: A, b {system:.2e} (rtol {stored['rtol']:.2e}), "
-              f"errors {errors:.2e} (error_rtol {want['error_rtol']:.2e})")
+              f"errors {errors:.2e} (error_rtol {want['error_rtol']:.2e}; spread",
+              ", ".join(spreads) + ")")
 
 
 def digest():
@@ -141,9 +152,7 @@ def main():
     out = {"rtol": RTOL, "vector_seed": VECTOR_SEED, "cases": {}}
     for case in CASES:
         figures = fingerprint(case)
-        with mock.patch.object(assembly, "_spd_factor", _colamd_factor):
-            other = fingerprint(case)["errors"]
-        spread = _deviation(other, figures["errors"])
+        spread = _spread(case, figures["errors"], "COLAMD")
         figures["error_rtol"] = float(max(10.0 * spread, RTOL))
         out["cases"][case] = figures
         print(f"{case}: n={figures['n']} spread={spread:.2e}", file=sys.stderr)

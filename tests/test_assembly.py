@@ -26,7 +26,7 @@ from polyds.mesh import (
     gen_trapezoid_mesh,
 )
 from polyds.mixed import build_mixed_element
-from polyds.quadrature import polygon_rule
+from polyds.quadrature import _polygon_rules, polygon_rule
 from polyds.serendipity import build_ds_element
 
 from fingerprints import CASES
@@ -613,33 +613,60 @@ class TestTranslationClasses:
         monkeypatch.setattr(assembly, "CHUNK_CELLS", 5)
         mesh = gen_hex_dominant_mesh(8)
         groups = assembly.DofMap(mesh, 1).cells
-        reps, _ = assembly._translation_classes(mesh)
+        reps, shifts = assembly._translation_classes(mesh)
         refs = {}
 
         class Data:
             pass
 
-        def setup(new):
-            # One call per block, with the classes that the block meets first.
+        def setup(new, pts, weights):
+            # One call per block, with the classes that the block meets
+            # first and their rules.
             assert new == sorted(new) and not refs.keys() & set(new)
-            out = [Data() for _ in new]
+            assert len(pts) == len(weights) == len(new)
+            out = np.array([Data() for _ in new])
             refs.update((rep, weakref.ref(data)) for rep, data in zip(new, out))
-            return out
+            return (out,)
 
         seen = []
-        for N, span, cells, data, cls in assembly._blocks(groups, reps, setup):
+        blocks = assembly._blocks(mesh, groups, reps, shifts, 2, setup)
+        for N, span, cells, pts, weights, terms, cls in blocks:
             for rep, ref in refs.items():
                 done = set(np.flatnonzero(reps == rep).tolist()) <= set(seen)
                 assert (ref() is None) == done
             assert np.array_equal(cells, groups[N][span]) and len(cells) <= 5
             keys = np.unique(reps[cells])
+            (data,) = terms
             assert all(d is refs[rep]() for d, rep in zip(data, keys.tolist(), strict=True))
             assert np.array_equal(keys[cls], reps[cells])
             seen.extend(cells.tolist())
-            del data
+            del terms, data
         assert sorted(seen) == list(range(mesh.n_cells))
         assert refs.keys() == set(reps.tolist())
         assert all(ref() is None for ref in refs.values())
+
+    @pytest.mark.parametrize("mesh_name", ["hex8", "pquad4"])
+    def test_blocks_move_each_class_rule(self, monkeypatch, mesh_name):
+        # Every cell's rule is its class's rule moved by its shift, bit for
+        # bit, and agrees with the rule on the cell's own polygon to
+        # round-off.
+        monkeypatch.setattr(assembly, "CHUNK_CELLS", 5)
+        mesh = (gen_hex_dominant_mesh(8) if mesh_name == "hex8"
+                else gen_perturbed_quad_mesh(4, 0.2, 1))
+        groups = assembly.DofMap(mesh, 1).cells
+        reps, shifts = assembly._translation_classes(mesh)
+        degree, seen = 6, []
+        blocks = assembly._blocks(mesh, groups, reps, shifts, degree, lambda *args: ())
+        for N, span, cells, pts, weights, terms, cls in blocks:
+            assert terms == [] and pts.shape == (weights.size, 2)
+            for c, x, w in zip(cells.tolist(), pts.reshape(*weights.shape, 2), weights):
+                points, wts = _polygon_rules([mesh.polygon(reps[c])], degree)
+                assert np.array_equal(x, points[0] + shifts[c]) and np.array_equal(w, wts[0])
+                own = polygon_rule(mesh.polygon(c), degree)
+                assert np.abs(x - own.points).max() <= 1e-14 * np.abs(own.points).max()
+                assert np.abs(w - own.weights).max() <= 1e-14 * own.weights.max()
+            seen.extend(cells.tolist())
+        assert sorted(seen) == list(range(mesh.n_cells))
 
     def test_shared_arrays_read_only(self):
         mesh = gen_square_mesh(4)
