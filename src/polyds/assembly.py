@@ -28,12 +28,13 @@ it in cell order, so assembled systems are reproducible bit for bit.
 
 Both forms and their error integration run one block pipeline, ``_blocks``:
 it makes the rules of the classes that a block meets first in one
-broadcast over their polygons, and moves them onto the block's cells.  Its
-caller's ``setup`` builds those classes one by one (assembly only),
-evaluates their bases in one stacked pass (``serendipity._eval_stacked``,
-or ``mixed._eval_mixed`` on top of it) and forms their local blocks in one
-batched Gram product.  Error integration evaluates the exact p and its
-gradient in one call per block, and reads u = -grad p and div u = f.
+broadcast over their polygons, and moves them onto the block's cells.
+Both forms assemble through ``_local_system``: each form's ``local`` builds
+a block's new classes one by one, evaluates their bases in one stacked pass
+(``serendipity._eval_stacked``, or ``mixed._eval_mixed`` on top of it) and
+forms their (w, w) class blocks in one batched Gram product.  Error
+integration evaluates the exact p and its gradient in one call per block,
+and reads u = -grad p and div u = f.
 """
 
 from __future__ import annotations
@@ -122,13 +123,12 @@ def _forward(loops):
     return loops < np.roll(loops, -1, axis=1)
 
 
-def _cell_starts(groups, widths, offset=0):
-    """Start of each cell's block when the cells ``groups[N]`` take
+def _cell_starts(mesh, widths, offset=0):
+    """Start of each cell's block when the cells with N vertices take
     ``widths[N]`` consecutive slots each, in cell order after ``offset``;
     and the end."""
-    n = sum(map(len, groups.values()))
-    width = np.empty(n, dtype=int)
-    for N, cells in groups.items():
+    width = np.empty(mesh.n_cells, dtype=int)
+    for N, (cells, _, _) in mesh.groups.items():
         width[cells] = widths[N]
     ends = offset + np.cumsum(width)
     return ends - width, int(ends[-1])
@@ -144,20 +144,19 @@ class DofMap:
     edge's slots run from its lower- to its higher-numbered vertex; a cell
     whose CCW traversal opposes that direction reads them in reverse,
     except the constant-flux slot, which it reads in place with sign -1.
-    The ids and signs of the cells with N vertices are read-only (C, D)
-    arrays ``ids[N]`` and ``signs[N]``, row i for cell ``cells[N][i]``
-    (ascending), in the element's basis order (vertex, edge, cell); the
-    signs of the scalar space are all +1.  ``boundary`` holds the slots of
-    the boundary edges and both their ends, ``interior`` the rest; ``n_dofs``
-    counts the scalar or flux slots.  Pressures, ``p_per_cell`` per cell
-    (none for the scalar space), are numbered cell by cell after them.
+    ``boundary`` holds the slots of the boundary edges and both their ends,
+    ``interior`` the rest; ``n_dofs`` counts the scalar or flux slots.
+    Pressures, ``p_per_cell`` per cell (none for the scalar space), are
+    numbered cell by cell after them.
 
-    The broken space gives each cell its own copy of its slots, then of its
-    pressures, numbered cell by cell from ``starts[c]`` (``n_broken`` in
-    all).  Copy i reads global slot ``col[i]`` times ``sign[i]``; ``own[i]``
-    marks the copy in the lowest-numbered cell that holds the slot (an
-    edge's left cell).  ``indptr`` and ``indices`` are the CSR arrays of one
-    dense block per cell over its copies (``_block_diagonal``).
+    The broken space gives each cell its own copy of its slots, in the
+    element's basis order (vertex, edge, cell), then of its pressures,
+    numbered cell by cell from ``starts[c]`` (``n_broken`` in all).  Copy i
+    reads global slot ``col[i]`` times ``sign[i]``, which is +1 in the
+    scalar space and for pressures; ``own[i]`` marks the copy in the
+    lowest-numbered cell that holds the slot (an edge's left cell).
+    ``indptr`` and ``indices`` are the CSR arrays of one dense block per
+    cell over its copies (``_block_diagonal``).
     """
 
     def __init__(self, mesh: Mesh, r: int, s: int | None = None):
@@ -168,13 +167,12 @@ class DofMap:
         self.cell_offset = self.edge_offset + mesh.n_edges * per_edge
         P = self.p_per_cell = (s + 2) * (s + 1) // 2 if flux else 0
         self.n_pressure = mesh.n_cells * P
-        self.cells = {N: cells for N, (cells, _, _) in mesh.groups.items()}
-        dims = {N: mixed_dimension(N, r, s) if flux else ds_dimension(N, r) for N in self.cells}
+        dims = {N: mixed_dimension(N, r, s) if flux else ds_dimension(N, r) for N in mesh.groups}
         n_inner = {N: D - N * per_edge - (0 if flux else N) for N, D in dims.items()}
-        starts, self.n_dofs = _cell_starts(self.cells, n_inner, self.cell_offset)
+        starts, self.n_dofs = _cell_starts(mesh, n_inner, self.cell_offset)
         widths = {N: D + P for N, D in dims.items()}
-        self.starts, self.n_broken = _cell_starts(self.cells, widths)
-        firsts, nnz = _cell_starts(self.cells, {N: w * w for N, w in widths.items()})
+        self.starts, self.n_broken = _cell_starts(mesh, widths)
+        firsts, nnz = _cell_starts(mesh, {N: w * w for N, w in widths.items()})
         self.col, self.sign = np.empty(self.n_broken, dtype=int), np.empty(self.n_broken)
         self.indptr, self.indices = np.full(self.n_broken + 1, nnz), np.empty(nnz, dtype=int)
         # An opposing cell reads the first ``fixed`` slots of an edge (the
@@ -182,7 +180,6 @@ class DofMap:
         j = np.arange(per_edge)
         reverse = np.where(j < fixed, j, fixed + per_edge - 1 - j)
         flip = np.where(j < fixed, -1.0, 1.0)
-        self.ids, self.signs = {}, {}
         for N, (cells, loops, edge_ids) in mesh.groups.items():
             C, w, forward = len(cells), widths[N], _forward(loops)[..., None]
             vertices = loops[:, :0 if flux else N]  # the flux space has no vertex slots
@@ -195,7 +192,6 @@ class DofMap:
             self.sign[at] = np.hstack([np.ones(vertices.shape),
                                        np.where(forward, 1.0, flip).reshape(C, -1),
                                        np.ones((C, n_inner[N] + P))])
-            self.ids[N], self.signs[N] = (_frozen(a[at[:, :w - P]]) for a in (self.col, self.sign))
             block = firsts[cells, None] + np.arange(w * w)  # row-major (w, w)
             self.indptr[at] = block[:, ::w]
             self.indices[block] = np.tile(at, w)
@@ -222,13 +218,14 @@ class SparseSystem:
     ``r`` (and ``s``), ``n_dofs`` scalar or flux slots and, for the mixed
     form, ``n_pressure`` pressures after them.
 
-    ``class_blocks`` maps each class representative to its local blocks
-    before the edge signs: the stiffness (D, D) for the primal form, the
-    mass (D, D) and divergence (P, D) blocks for the mixed form.  With Q
-    and B of the broken space (module docstring), the primal ``matrix`` is
-    Q^T B Q restricted to the ``interior`` slots, and the mixed ``matrix``
-    is the saddle-point matrix Q^T B Q, which ``solve`` checks its solution
-    against and condenses from the mixed ``class_blocks``.
+    ``class_blocks`` maps each class representative to its read-only (w, w)
+    local block before the edge signs: the stiffness (D, D) for the primal
+    form, and for the mixed form the saddle block [[M, B^T], [B, 0]] of the
+    mass M (D, D) and the divergence B (P, D).  With Q and B of the broken
+    space (module docstring), the primal ``matrix`` is Q^T B Q restricted to
+    the ``interior`` slots, and the mixed ``matrix`` is the saddle-point
+    matrix Q^T B Q, which ``solve`` checks its solution against and
+    condenses from the mixed ``class_blocks``.
     """
 
     matrix: sp.csr_matrix
@@ -241,7 +238,7 @@ class SparseSystem:
     shifts: np.ndarray  # (C, 2) move from the representative onto each cell
     dof_map: object = None
     boundary_values: np.ndarray | None = None
-    class_blocks: dict | None = None  # representative -> its local blocks
+    class_blocks: dict | None = None  # representative -> its local block
 
     @property
     def n(self):
@@ -301,24 +298,14 @@ def assemble_primal(mesh: Mesh, r: int, f, quad_degree=None,
         raise AssemblyError("primal form needs r >= 1")
     if quad_degree is None:
         quad_degree = _default_degree(r, mixed=False)
-    dof = DofMap(mesh, r)
-    reps, shifts = _translation_classes(mesh)
-    elements, class_blocks = {}, {}
+    dof, elements = DofMap(mesh, r), {}
 
-    def setup(new, pts, weights):
+    def local(new, pts, weights):
         elems = _build(mesh, new, elements, build_ds_element, r)
         bvals, bgrads = _eval_stacked(elems, pts, np.stack([e.coeffs for e in elems]))
-        class_blocks.update(zip(new, map(_frozen, _gram(bgrads, weights))))
-        return (bvals.transpose(0, 2, 1),)
+        return _gram(bgrads, weights), bvals
 
-    loads = np.empty(dof.n_broken)
-    blocks = _blocks(mesh, dof.cells, reps, shifts, quad_degree, setup)
-    for N, span, cells, pts, weights, (bvals,), cls in blocks:
-        fw = weights * _point_data("f", f(pts), weights.shape)
-        at = dof.starts[cells, None] + np.arange(dof.ids[N].shape[1])
-        loads[at] = _per_class(fw, bvals, cls)
-    B = _block_diagonal(dof, reps, lambda keys: np.stack([class_blocks[k] for k in keys]))
-
+    reps, shifts, class_blocks, loads, B = _local_system(mesh, dof, quad_degree, f, local)
     gvals = np.zeros(dof.n_dofs)
     if dirichlet is not None and len(dof.boundary):
         points = _dof_points(dof)[dof.boundary]
@@ -340,27 +327,23 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     """
     if quad_degree is None:
         quad_degree = _default_degree(r, mixed=True)
-    dof = DofMap(mesh, r, s)
-    reps, shifts = _translation_classes(mesh)
-    elements, class_blocks = {}, {}
+    dof, elements = DofMap(mesh, r, s), {}
     P = dof.p_per_cell
 
-    def setup(new, pts, weights):
+    def local(new, pts, weights):
         elems = _build(mesh, new, elements, build_mixed_element, r, s)
         vals, divs, wvals = _eval_mixed(elems, pts)
-        # Mass and divergence (n_w, n_u) blocks before the edge signs.
-        mass_local = _frozen(_gram(vals, weights))
-        div_local = _frozen(wvals * weights[:, None] @ divs.transpose(0, 2, 1))
-        class_blocks.update(zip(new, zip(mass_local, div_local)))
-        return (wvals.transpose(0, 2, 1),)
+        # Saddle blocks [[M, B^T], [B, 0]] of the mass M and the divergence
+        # B (P, D), before the edge signs.
+        D = vals.shape[1]
+        block = np.zeros((len(new), D + P, D + P))
+        block[:, :D, :D] = _gram(vals, weights)
+        block[:, D:, :D] = wvals * weights[:, None] @ divs.transpose(0, 2, 1)
+        block[:, :D, D:] = block[:, D:, :D].transpose(0, 2, 1)
+        return block, wvals
 
     # Each cell's own loads: its pressure loads after its flux slots.
-    loads = np.zeros(dof.n_broken)
-    blocks = _blocks(mesh, dof.cells, reps, shifts, quad_degree, setup)
-    for N, span, cells, pts, weights, (wvals,), cls in blocks:
-        fw = weights * _point_data("f", f(pts), weights.shape)
-        at = dof.starts[cells, None] + dof.ids[N].shape[1] + np.arange(P)
-        loads[at] = _per_class(fw, wvals, cls)
+    reps, shifts, class_blocks, loads, B = _local_system(mesh, dof, quad_degree, f, local)
     if dirichlet_p is not None:
         # Only the r+1 flux functions of an edge have a normal trace on it.
         t, w = _segment_gauss(quad_degree)
@@ -374,7 +357,6 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
             g = _point_data("dirichlet_p", dirichlet_p(pts.reshape(-1, 2)), (len(row), len(t)))
             loads[dof.starts[cells[row], None] + k[:, None] * (r + 1) + np.arange(r + 1)] = \
                 -(g @ traces.T)
-    B = _block_diagonal(dof, reps, lambda keys: _saddle(*_stacked(class_blocks, keys)))
     Q = _selection(dof, np.arange(dof.n_dofs + dof.n_pressure), dof.sign)
     return SparseSystem(
         matrix=_galerkin(Q, B), rhs=Q.T @ loads, mesh=mesh, kind="mixed",
@@ -382,13 +364,36 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
         class_blocks=class_blocks)
 
 
-def _blocks(mesh, groups, reps, shifts, degree, setup):
-    """Yield ``(N, span, cells, pts, weights, terms, cls)`` for each block of
-    at most ``CHUNK_CELLS`` consecutive cells of each group ``groups[N]``:
-    ``span`` slices the block out of the group, ``pts`` (C * M, 2) and
-    ``weights`` (C, M) are each cell's class rule of ``degree`` moved by
-    ``shifts[c]``, and ``cls`` (C,) indexes the classes present in each
-    entry of ``terms``.
+def _local_system(mesh, dof, degree, f, local):
+    """The translation classes ``reps, shifts`` of ``mesh``, the read-only
+    (w, w) block of each class, the cells' own loads on the broken space of
+    ``dof`` and the block diagonal B of the blocks.  ``local(new, pts,
+    weights)`` returns the (K, w, w) blocks and the (K, T, M) test values of
+    the classes ``new`` at their rules of ``degree``; a cell's loads, f
+    against its class's test functions, fill the last T of its w slots."""
+    reps, shifts = _translation_classes(mesh)
+    class_blocks = {}
+
+    def setup(new, pts, weights):
+        blocks, tests = local(new, pts, weights)
+        class_blocks.update(zip(new, map(_frozen, blocks)))
+        return (tests.transpose(0, 2, 1),)
+
+    loads = np.zeros(dof.n_broken)
+    ends = np.append(dof.starts[1:], dof.n_broken)
+    for cells, pts, weights, (tests,), cls in _blocks(mesh, reps, shifts, degree, setup):
+        fw = weights * _point_data("f", f(pts), weights.shape)
+        loads[ends[cells, None] + np.arange(-tests[0].shape[1], 0)] = _per_class(fw, tests, cls)
+    B = _block_diagonal(dof, reps, lambda keys: np.stack([class_blocks[k] for k in keys]))
+    return reps, shifts, class_blocks, loads, B
+
+
+def _blocks(mesh, reps, shifts, degree, setup):
+    """Yield ``(cells, pts, weights, terms, cls)`` for each block of at most
+    ``CHUNK_CELLS`` consecutive cells of each group of ``Mesh.groups``:
+    ``pts`` (C * M, 2) and ``weights`` (C, M) are each cell's class rule of
+    ``degree`` moved by ``shifts[c]``, and ``cls`` (C,) indexes the classes
+    present in each entry of ``terms``.
 
     The classes that a block meets first, ascending and named by their
     lowest-numbered cells ``reps[c]``, get their rules from one
@@ -398,10 +403,9 @@ def _blocks(mesh, groups, reps, shifts, degree, setup):
     """
     last = dict(zip(reps.tolist(), range(len(reps))))
     held = {}
-    for N, cells in groups.items():
+    for cells, _, _ in mesh.groups.values():
         for start in range(0, len(cells), CHUNK_CELLS):
-            span = slice(start, start + CHUNK_CELLS)
-            block = cells[span]
+            block = cells[start:start + CHUNK_CELLS]
             keys, cls = np.unique(reps[block], return_inverse=True)
             keys = keys.tolist()
             new = [rep for rep in keys if rep not in held]
@@ -410,7 +414,7 @@ def _blocks(mesh, groups, reps, shifts, degree, setup):
                 held.update(zip(new, zip(*rules, *setup(new, *rules))))
             pts, weights, *terms = zip(*(held[rep] for rep in keys))
             pts = np.stack(pts)[cls] + shifts[block, None]
-            yield N, span, block, pts.reshape(-1, 2), np.stack(weights)[cls], terms, cls
+            yield block, pts.reshape(-1, 2), np.stack(weights)[cls], terms, cls
             for rep in keys:
                 if last[rep] <= block[-1]:
                     del held[rep]
@@ -535,24 +539,10 @@ def _spd_factor(A):
         raise SolveError(f"sparse factorization failed: {exc}") from None
 
 
-def _saddle(mass, div):
-    """Local saddle blocks [[M, B^T], [B, 0]] of stacked (K, D, D) mass and
-    (K, P, D) divergence blocks."""
-    K, D = mass.shape[:2]
-    block = np.zeros((K, D + div.shape[1], D + div.shape[1]))
-    block[:, :D, :D], block[:, D:, :D], block[:, :D, D:] = mass, div, div.transpose(0, 2, 1)
-    return block
-
-
-def _stacked(class_blocks, keys):
-    """The (K, D, D) mass and (K, P, D) divergence blocks of the classes
-    ``keys``, stacked."""
-    return [np.stack(part) for part in zip(*(class_blocks[k] for k in keys))]
-
-
-def _local_inverses(mass, div, cells):
-    """Inverses of K local saddle blocks [[M, B^T], [B, 0]], symmetrized,
-    from their stacked (K, D, D) mass and (K, P, D) divergence blocks.
+def _local_inverses(block, P, cells):
+    """Inverses of K stacked local saddle blocks [[M, B^T], [B, 0]] (K, w, w)
+    of P pressures each, symmetrized.  The mass M (D, D) and the divergence
+    B (P, D) are read as views of the blocks.
 
     The basis functions of one element differ in mass by up to 4e12
     (hex-dominant cells at r=5, at every mesh size), so each block is
@@ -560,7 +550,8 @@ def _local_inverses(mass, div, cells):
     and of B unit size.  Raises ``SolveError`` naming the cell ``cells[k]``
     of the first block k that cannot be inverted.
     """
-    block = _saddle(mass, div)
+    D = block.shape[1] - P
+    mass, div = block[:, :D, :D], block[:, D:, :D]
 
     def check(ok, reason):
         if not ok.all():
@@ -603,7 +594,7 @@ class _Hybridized:
         tie_t = _selection(dof, inner, np.where(own, dof.sign, -dof.sign))
         self.gather, self.tie = _selection(dof, everything, own * dof.sign), tie_t.T.tocsr()
         self.inverse = _block_diagonal(dof, system.reps, lambda keys: _local_inverses(
-            *_stacked(system.class_blocks, keys), keys))
+            np.stack([system.class_blocks[k] for k in keys]), dof.p_per_cell, keys))
         self.lu = _spd_factor(self.tie @ self.inverse @ tie_t) if len(inner) else None
 
     def __call__(self, b):
@@ -630,7 +621,7 @@ def _block_diagonal(dof, reps, blocks):
     class block: ``blocks(keys)`` returns the stacked (K, w, w) blocks of a
     group's classes, named by their ascending representatives ``keys``."""
     data = np.empty(len(dof.indices))
-    for cells in dof.cells.values():
+    for cells, _, _ in dof.mesh.groups.values():
         keys, cls = np.unique(reps[cells], return_inverse=True)
         local = blocks(keys.tolist())[cls].reshape(len(cells), -1)
         data[dof.indptr[dof.starts[cells], None] + np.arange(local.shape[1])] = local
@@ -668,21 +659,24 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
                  else _eval_mixed(elems, pts))
         return tuple(t.reshape(*t.shape[:2], -1) for t in terms)
 
+    # Each broken slot's coefficient: its global slot's value times its sign.
+    x = report.solution if primal else np.concatenate([report.solution_u, report.solution_p])
+    coef = dof.sign * x[dof.col]
     # Squared errors of every cell, one row per norm.
     sq = np.empty((2 if primal else 3, mesh.n_cells))
-    blocks = _blocks(mesh, dof.cells, system.reps, system.shifts, degree, setup)
-    for N, span, cells, flat, weights, terms, cls in blocks:
+    blocks = _blocks(mesh, system.reps, system.shifts, degree, setup)
+    for cells, flat, weights, terms, cls in blocks:
         C, M = weights.shape
-        ids = dof.ids[N][span]
+        D = terms[0][0].shape[0]
+        rows = coef[dof.starts[cells, None] + np.arange(D + dof.p_per_cell)]
         p, grad_p = exact.p(flat)
         p, grad_p = _point_data("exact.p", p, (C, M)), _point_data("exact.p", grad_p, (C, M), (2,))
         if primal:
-            ph, gh = (_per_class(report.solution[ids], t, cls) for t in terms)
+            ph, gh = (_per_class(rows, t, cls) for t in terms)
             gaps = [(ph - p) ** 2, ((gh.reshape(C, M, 2) - grad_p) ** 2).sum(2)]
         else:
-            ucoef = dof.signs[N][span] * report.solution_u[ids]
-            uh, dh = (_per_class(ucoef, t, cls) for t in terms[:2])
-            ph = _per_class(report.solution_p.reshape(mesh.n_cells, -1)[cells], terms[2], cls)
+            uh, dh = (_per_class(rows[:, :D], t, cls) for t in terms[:2])
+            ph = _per_class(rows[:, D:], terms[2], cls)
             # u = -grad p and div u = f.
             gaps = [(ph - p) ** 2, ((uh.reshape(C, M, 2) + grad_p) ** 2).sum(2),
                     (dh - _point_data("exact.f", exact.f(flat), (C, M))) ** 2]

@@ -754,17 +754,21 @@ def flux_boundary_per_edge(mesh, r, s):
 
 
 def _cell_row(dof, c):
-    """Vertex count N of cell c and its row in the (C, D) arrays of ``dof``."""
+    """Vertex count N of cell c, its row in the group ``mesh.groups[N]``
+    and its broken slots before its pressures, from ``starts``."""
     N = len(dof.mesh.cells[c])
-    return N, np.searchsorted(dof.cells[N], c)
+    end = dof.starts[c + 1] if c + 1 < dof.mesh.n_cells else dof.n_broken
+    return N, np.searchsorted(dof.mesh.groups[N][0], c), np.arange(dof.starts[c],
+                                                                  end - dof.p_per_cell)
 
 
 def cell_dofs(dof, c):
-    """(global ids, signs) of cell c from a ``DofMap``, in its element's
-    basis order: node order (vertex, edge, cell) for the scalar space, the
-    dof layout for the flux space."""
-    N, row = _cell_row(dof, c)
-    return dof.ids[N][row], dof.signs[N][row]
+    """(global ids, signs) of cell c from a ``DofMap``, read from ``col``
+    and ``sign`` at its broken slots, in its element's basis order: node
+    order (vertex, edge, cell) for the scalar space, the dof layout for the
+    flux space."""
+    _, _, at = _cell_row(dof, c)
+    return dof.col[at], dof.sign[at]
 
 
 def errors_per_cell(system, report, exact):
@@ -900,11 +904,11 @@ def multiplier_matrix_per_cell(system):
     inverses = {}
     rows, cols, vals = [], [], []
     for c in range(mesh.n_cells):
-        N, row = _cell_row(dof, c)
+        N, row, _ = _cell_row(dof, c)
         rep = int(system.reps[c])
         if rep not in inverses:
-            mass, div = system.class_blocks[rep]
-            inverses[rep] = _local_inverses(mass[None], div[None], [rep])[0]
+            block = system.class_blocks[rep]
+            inverses[rep] = _local_inverses(block[None], dof.p_per_cell, [rep])[0]
         ids, signs = cell_dofs(dof, c)
         left = mesh.edge_cells[mesh.groups[N][2][row], 0] == c
         slots = [i for i in range(N * per_edge) if int(ids[i]) in lam_of]
@@ -931,8 +935,6 @@ def matrix_per_cell(system):
         ids, signs = cell_dofs(dof, c)
         block = system.class_blocks[int(system.reps[c])]
         if system.kind == "mixed":
-            mass, div = block
-            block = np.block([[mass, div.T], [div, np.zeros((P, P))]])
             ids = np.concatenate([ids, dof.n_dofs + c * P + np.arange(P)])
             signs = np.concatenate([signs, np.ones(P)])
         np.add.at(out, (ids[:, None], ids), signs[:, None] * block * signs)

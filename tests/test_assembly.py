@@ -25,7 +25,7 @@ from polyds.mesh import (
     gen_square_mesh,
     gen_trapezoid_mesh,
 )
-from polyds.mixed import build_mixed_element
+from polyds.mixed import build_mixed_element, mixed_dimension
 from polyds.quadrature import _polygon_rules, polygon_rule
 from polyds.serendipity import build_ds_element
 
@@ -343,7 +343,11 @@ class TestHybridSolve:
     def test_bad_class_block_names_the_cell(self, corrupt, reason):
         system = assemble_mixed(gen_hex_dominant_mesh(4), 1, 1, manufactured_solution().f)
         rep = sorted(system.class_blocks)[-1]
-        system.class_blocks[rep] = corrupt(*system.class_blocks[rep])
+        block, P = system.class_blocks[rep], system.dof_map.p_per_cell
+        D = len(block) - P
+        # The mass and the divergence are corrupted, B and B^T together.
+        m, b = corrupt(block[:D, :D], block[D:, :D])
+        system.class_blocks[rep] = np.block([[m, b.T], [b, np.zeros((P, P))]])
         with pytest.raises(SolveError, match=f"cell {rep}: {reason}"):
             solve(system)
 
@@ -387,6 +391,24 @@ def test_matrix_matches_cell_order_sum(case):
     mesh, f = make_mesh(family, n, seed), manufactured_solution().f
     system = assemble_primal(mesh, r, f) if s is None else assemble_mixed(mesh, r, s, f)
     assert np.array_equal(system.matrix.toarray(), matrix_per_cell(system))
+
+
+@pytest.mark.parametrize("mesh_name", ["hex4", "pquad4"])
+@pytest.mark.parametrize("r, s", [(1, 1), (2, 1), (1, 0)])
+def test_mixed_class_blocks_are_saddle_blocks(mesh_name, r, s):
+    # Each mixed class block is one read-only array [[M, B^T], [B, 0]]
+    # over the flux slots and then the pressures of its class.
+    mesh = FAMILIES[mesh_name]()
+    system = assemble_mixed(mesh, r, s, manufactured_solution().f)
+    P = system.dof_map.p_per_cell
+    assert system.class_blocks.keys() == set(system.reps.tolist())
+    for rep, block in system.class_blocks.items():
+        D = mixed_dimension(len(mesh.cells[rep]), r, s)
+        assert isinstance(block, np.ndarray) and block.shape == (D + P, D + P)
+        assert np.array_equal(block[D:, D:], np.zeros((P, P)))
+        assert np.array_equal(block[D:, :D], block[:D, D:].T)
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("kind", ["primal", "mixed"])
@@ -607,12 +629,18 @@ class TestTranslationClasses:
             for got, want in zip(got_all, direct(E).eval_all(pts)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @staticmethod
+    def is_group_run(mesh, cells):
+        """Whether ``cells`` are consecutive cells of one group."""
+        group = mesh.groups[len(mesh.cells[cells[0]])][0]
+        start = np.searchsorted(group, cells[0])
+        return np.array_equal(cells, group[start:start + len(cells)])
+
     def test_blocks_release_class_data(self, monkeypatch):
         # Class data lives from its class's first block to its last, so
         # memory stays flat however many classes a mesh has.
         monkeypatch.setattr(assembly, "CHUNK_CELLS", 5)
         mesh = gen_hex_dominant_mesh(8)
-        groups = assembly.DofMap(mesh, 1).cells
         reps, shifts = assembly._translation_classes(mesh)
         refs = {}
 
@@ -629,12 +657,12 @@ class TestTranslationClasses:
             return (out,)
 
         seen = []
-        blocks = assembly._blocks(mesh, groups, reps, shifts, 2, setup)
-        for N, span, cells, pts, weights, terms, cls in blocks:
+        blocks = assembly._blocks(mesh, reps, shifts, 2, setup)
+        for cells, pts, weights, terms, cls in blocks:
             for rep, ref in refs.items():
                 done = set(np.flatnonzero(reps == rep).tolist()) <= set(seen)
                 assert (ref() is None) == done
-            assert np.array_equal(cells, groups[N][span]) and len(cells) <= 5
+            assert self.is_group_run(mesh, cells) and len(cells) <= 5
             keys = np.unique(reps[cells])
             (data,) = terms
             assert all(d is refs[rep]() for d, rep in zip(data, keys.tolist(), strict=True))
@@ -653,12 +681,12 @@ class TestTranslationClasses:
         monkeypatch.setattr(assembly, "CHUNK_CELLS", 5)
         mesh = (gen_hex_dominant_mesh(8) if mesh_name == "hex8"
                 else gen_perturbed_quad_mesh(4, 0.2, 1))
-        groups = assembly.DofMap(mesh, 1).cells
         reps, shifts = assembly._translation_classes(mesh)
         degree, seen = 6, []
-        blocks = assembly._blocks(mesh, groups, reps, shifts, degree, lambda *args: ())
-        for N, span, cells, pts, weights, terms, cls in blocks:
+        blocks = assembly._blocks(mesh, reps, shifts, degree, lambda *args: ())
+        for cells, pts, weights, terms, cls in blocks:
             assert terms == [] and pts.shape == (weights.size, 2)
+            assert self.is_group_run(mesh, cells) and len(cells) <= 5
             for c, x, w in zip(cells.tolist(), pts.reshape(*weights.shape, 2), weights):
                 points, wts = _polygon_rules([mesh.polygon(reps[c])], degree)
                 assert np.array_equal(x, points[0] + shifts[c]) and np.array_equal(w, wts[0])
@@ -793,9 +821,10 @@ class TestDofMaps:
         scalar, flux = assembly.DofMap(mesh, r + 1), assembly.DofMap(mesh, r, r)
         for N, (cells, _, edge_ids) in mesh.groups.items():
             C = len(cells)
-            edge = scalar.ids[N][:, N:N + N * r].reshape(C, N, r) - scalar.edge_offset
-            ids, signs = (a[:, :N * (r + 1)].reshape(C, N, r + 1)[:, :, 1:]
-                          for a in (flux.ids[N], flux.signs[N]))
+            at = scalar.starts[cells, None] + N + np.arange(N * r)
+            edge = scalar.col[at].reshape(C, N, r) - scalar.edge_offset
+            at = flux.starts[cells, None] + np.arange(N * (r + 1))
+            ids, signs = (a[at].reshape(C, N, r + 1)[:, :, 1:] for a in (flux.col, flux.sign))
             assert np.array_equal(ids, edge + edge_ids[..., None] + 1)
             assert np.array_equal(signs, np.ones_like(signs))
 
@@ -948,15 +977,19 @@ class TestErrorsAndRates:
         assert rate >= 4.7, (errs, rate)
 
 
+    # Primal r=3 and mixed (2, 1) have two moment slots per edge, which an
+    # opposing cell reads reversed; a mixed cell also reads the constant
+    # flux of such an edge with sign -1.
     @pytest.mark.parametrize("mesh_name", ["hex4", "trapezoid4", "pquad4"])
-    @pytest.mark.parametrize("kind", ["primal", "mixed"])
+    @pytest.mark.parametrize("kind", ["primal", "mixed", "primal-r3", "mixed-r2-s1"])
     def test_errors_match_per_cell_oracle(self, mesh_name, kind):
         ex = manufactured_solution()
         mesh = FAMILIES[mesh_name]()
-        if kind == "primal":
-            system = assemble_primal(mesh, 2, ex.f)
-        else:
-            system = assemble_mixed(mesh, 1, 1, ex.f)
+        assemble = {"primal": lambda: assemble_primal(mesh, 2, ex.f),
+                    "mixed": lambda: assemble_mixed(mesh, 1, 1, ex.f),
+                    "primal-r3": lambda: assemble_primal(mesh, 3, ex.f),
+                    "mixed-r2-s1": lambda: assemble_mixed(mesh, 2, 1, ex.f)}
+        system = assemble[kind]()
         report = solve(system)
         rows = []
         errs = compute_errors(system, report, ex, per_element=rows)
