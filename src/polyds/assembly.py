@@ -7,7 +7,7 @@ of degree s; pressure boundary data is natural and enters the right-hand
 side.  Both are assembled on the broken space of their ``DofMap``, each
 cell its own copy of its slots: with Q the signed selection in which each
 copy reads its global slot and B the block diagonal of the cells' class
-blocks (stiffness, or saddle block [[M, B^T], [B, 0]]), the matrix is
+blocks (stiffness, or saddle block [[M, -B^T], [-B, 0]]), the matrix is
 Q^T B Q and the right-hand side Q^T of the cells' own loads.  The primal
 form keeps Q's interior columns, and its boundary values enter the loads
 as -B g.  The mixed system is hybridized on the same broken space
@@ -39,7 +39,6 @@ and reads u = -grad p and div u = f.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -68,7 +67,6 @@ __all__ = [
     "solve",
     "compute_errors",
     "convergence_rate",
-    "dump_element_errors",
 ]
 
 
@@ -220,12 +218,13 @@ class SparseSystem:
 
     ``class_blocks`` maps each class representative to its read-only (w, w)
     local block before the edge signs: the stiffness (D, D) for the primal
-    form, and for the mixed form the saddle block [[M, B^T], [B, 0]] of the
-    mass M (D, D) and the divergence B (P, D).  With Q and B of the broken
-    space (module docstring), the primal ``matrix`` is Q^T B Q restricted to
-    the ``interior`` slots, and the mixed ``matrix`` is the saddle-point
-    matrix Q^T B Q, which ``solve`` checks its solution against and
-    condenses from the mixed ``class_blocks``.
+    form, and for the mixed form the saddle block [[M, -B^T], [-B, 0]] of
+    the mass M (D, D) and the divergence B (P, D).  With Q and B of the
+    broken space (module docstring), the primal ``matrix`` is Q^T B Q
+    restricted to the ``interior`` slots, and the mixed ``matrix`` is the
+    symmetric saddle-point matrix Q^T B Q acting on (u, p), which ``solve``
+    checks its solution against and condenses from the mixed
+    ``class_blocks``.
     """
 
     matrix: sp.csr_matrix
@@ -247,13 +246,15 @@ class SparseSystem:
 
 @dataclass
 class SolveReport:
-    """Solution plus solver diagnostics; ``residual`` is relative."""
+    """Solution plus solver diagnostics; ``residual`` is relative.
+
+    ``solution`` holds the primal values of all ``n_dofs`` slots, boundary
+    values included, or the mixed (u, p): the ``n_dofs`` flux slots, then
+    the ``n_pressure`` pressures."""
 
     solution: np.ndarray
     iterations: int  # refinement steps after the direct solve: 0 or 1
     residual: float
-    solution_u: np.ndarray | None = None
-    solution_p: np.ndarray | None = None
 
 
 def _default_degree(r, mixed):
@@ -322,8 +323,9 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
                    dirichlet_p=None) -> SparseSystem:
     """Saddle-point system of the mixed Poisson problem.
 
-    Layout: ``[[M, B^T], [B, 0]]`` acting on (u, -p); pressure boundary
-    data is natural and only contributes to the flux right-hand side.
+    Layout: ``[[M, -B^T], [-B, 0]]`` acting on (u, p), with right-hand
+    side (-<g, v.n>, -(f, q)); pressure boundary data g is natural and only
+    contributes to the flux right-hand side.
     """
     if quad_degree is None:
         quad_degree = _default_degree(r, mixed=True)
@@ -333,14 +335,14 @@ def assemble_mixed(mesh: Mesh, r: int, s: int, f, quad_degree=None,
     def local(new, pts, weights):
         elems = _build(mesh, new, elements, build_mixed_element, r, s)
         vals, divs, wvals = _eval_mixed(elems, pts)
-        # Saddle blocks [[M, B^T], [B, 0]] of the mass M and the divergence
-        # B (P, D), before the edge signs.
-        D = vals.shape[1]
+        # Saddle blocks [[M, -B^T], [-B, 0]] of the mass M and the divergence
+        # B (P, D), before the edge signs: the pressures are tested by -q.
+        D, tests = vals.shape[1], -wvals
         block = np.zeros((len(new), D + P, D + P))
         block[:, :D, :D] = _gram(vals, weights)
-        block[:, D:, :D] = wvals * weights[:, None] @ divs.transpose(0, 2, 1)
+        block[:, D:, :D] = tests * weights[:, None] @ divs.transpose(0, 2, 1)
         block[:, :D, D:] = block[:, D:, :D].transpose(0, 2, 1)
-        return block, wvals
+        return block, tests
 
     # Each cell's own loads: its pressure loads after its flux slots.
     reps, shifts, class_blocks, loads, B = _local_system(mesh, dof, quad_degree, f, local)
@@ -523,10 +525,8 @@ def solve(system: SparseSystem) -> SolveReport:
     if system.kind == "primal":
         full = system.boundary_values.copy()
         full[system.dof_map.interior] = x
-        return SolveReport(solution=full, iterations=steps, residual=res)
-    nu = system.dof_map.n_dofs
-    return SolveReport(solution=x, iterations=steps, residual=res,
-                       solution_u=x[:nu], solution_p=-x[nu:])
+        x = full
+    return SolveReport(solution=x, iterations=steps, residual=res)
 
 
 def _spd_factor(A):
@@ -540,9 +540,9 @@ def _spd_factor(A):
 
 
 def _local_inverses(block, P, cells):
-    """Inverses of K stacked local saddle blocks [[M, B^T], [B, 0]] (K, w, w)
-    of P pressures each, symmetrized.  The mass M (D, D) and the divergence
-    B (P, D) are read as views of the blocks.
+    """Inverses of K stacked local saddle blocks [[M, -B^T], [-B, 0]]
+    (K, w, w) of P pressures each, symmetrized.  The mass M (D, D) and the
+    divergence -B (P, D) are read as views of the blocks.
 
     The basis functions of one element differ in mass by up to 4e12
     (hex-dominant cells at r=5, at every mesh size), so each block is
@@ -574,7 +574,7 @@ def _local_inverses(block, P, cells):
 
 class _Hybridized:
     """The mixed saddle-point system, hybridized: called with a right-hand
-    side b, it returns the solution (u, -p).
+    side b, it returns the solution (u, p).
 
     Three operators on the broken space of the ``DofMap``: ``gather`` is Q
     at the owning copies (broken x n); ``tie`` (multipliers x broken) ties
@@ -660,8 +660,7 @@ def compute_errors(system: SparseSystem, report: SolveReport, exact: Exact,
         return tuple(t.reshape(*t.shape[:2], -1) for t in terms)
 
     # Each broken slot's coefficient: its global slot's value times its sign.
-    x = report.solution if primal else np.concatenate([report.solution_u, report.solution_p])
-    coef = dof.sign * x[dof.col]
+    coef = dof.sign * report.solution[dof.col]
     # Squared errors of every cell, one row per norm.
     sq = np.empty((2 if primal else 3, mesh.n_cells))
     blocks = _blocks(mesh, system.reps, system.shifts, degree, setup)
@@ -697,12 +696,3 @@ def convergence_rate(errors, h_values):
     if len(errors) != len(h) or len(errors) < 2:
         raise ValueError("need matching error/h sequences of length >= 2")
     return np.log(errors[:-1] / errors[1:]) / np.log(h[:-1] / h[1:])
-
-
-def dump_element_errors(rows, path):
-    """CSV dump: cell_id, centroid_x, centroid_y, L2_error."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_id", "centroid_x", "centroid_y", "L2_error"])
-        for cid, cx, cy, err in rows:
-            writer.writerow([cid, f"{cx:.17g}", f"{cy:.17g}", f"{err:.17g}"])

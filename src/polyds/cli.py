@@ -23,7 +23,6 @@ from .assembly import (
     assemble_primal,
     compute_errors,
     convergence_rate,
-    dump_element_errors,
     manufactured_solution,
     solve,
 )
@@ -174,7 +173,8 @@ def cmd_solve(args):
     per_element = [] if args.dump_element_errors else None
     errors, n_dofs = _solve_level(args, mesh, manufactured_solution(args.exact), per_element)
     if per_element is not None:
-        dump_element_errors(per_element, args.dump_element_errors)
+        _write_csv(args.dump_element_errors, [("cell_id", "centroid_x", "centroid_y", "L2_error")]
+                   + [(c, f"{x:.17g}", f"{y:.17g}", f"{e:.17g}") for c, x, y, e in per_element])
     for k, v in errors.items():
         print(f"{k} = {v:.10e}")
     print(f"n_dofs = {n_dofs}")
@@ -184,13 +184,13 @@ def cmd_solve(args):
 
 
 def cmd_convergence(args):
-    levels = _parse_levels(args.levels)
     # With --mesh, the levels are the meshes and --levels is not read.
+    levels = [] if args.mesh else _parse_levels(args.levels)
     labels = args.mesh or levels
     if len(labels) < 2:
         raise ConfigError("convergence needs at least two levels (--levels or --mesh)")
     _check_args(args)
-    if not args.mesh and any(b <= a for a, b in zip(levels, levels[1:])):
+    if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigError("levels must be strictly increasing")
     exact = manufactured_solution(args.exact)
     meshes = ([import_mesh(path) for path in args.mesh] if args.mesh
@@ -222,8 +222,6 @@ def cmd_convergence(args):
 
 
 def _parse_levels(text):
-    if not text:
-        return []
     try:
         return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:

@@ -799,10 +799,10 @@ def errors_per_cell(system, report, exact):
             sq = [w @ (coeffs @ vals - p) ** 2, w @ ((gh - grad_p) ** 2).sum(1)]
         else:
             ids, signs = dofs[c]
-            ucoef = signs * report.solution_u[ids]
+            ucoef = signs * report.solution[ids]
             v, d, q = elem.eval_all(moved)
-            P = system.dof_map.p_per_cell
-            ph = report.solution_p[c * P:(c + 1) * P] @ q
+            P, nu = system.dof_map.p_per_cell, system.dof_map.n_dofs
+            ph = report.solution[nu + c * P:nu + (c + 1) * P] @ q
             uh = np.einsum("d,dmk->mk", ucoef, v)
             p, grad_p = exact.p(pts)
             # u = -grad p and div u = f.
@@ -817,8 +817,8 @@ def assemble_per_cell(mesh, r, s, f, g):
     """Global matrix and right-hand side with a fresh element built on every
     cell (oracle for ``polyds.assembly``, which builds once per translation
     class).  ``s is None`` gives the primal system with Dirichlet data g,
-    otherwise the mixed system with pressure boundary data g; quadrature
-    degrees are the assembly defaults.
+    otherwise the mixed system [[M, -B^T], [-B, 0]] on (u, p) with
+    pressure boundary data g; quadrature degrees are the assembly defaults.
     """
     if s is None:
         dofs, n = scalar_dofs_per_cell(mesh, r)
@@ -865,7 +865,7 @@ def assemble_per_cell(mesh, r, s, f, g):
                 np.add.at(rhs_u, ids, -(ev @ E.normals[k]) @ (er.weights * g(er.points)))
     M = _coo(mrows, mcols, mvals, (n_flux, n_flux))
     B = _coo(brows, bcols, bvals, (n_pressure, n_flux))
-    return sp.bmat([[M, B.T], [B, None]], format="csr"), np.concatenate([rhs_u, rhs_p])
+    return sp.bmat([[M, -B.T], [-B, None]], format="csr"), np.concatenate([rhs_u, -rhs_p])
 
 
 def translation_classes_by_bytes(mesh):
@@ -887,7 +887,7 @@ def saddle_solve(system):
     ``polyds.assembly.solve``, which condenses the system cell by cell)."""
     x = spla.splu(system.matrix.tocsc()).solve(system.rhs)
     nu = system.dof_map.n_dofs
-    return x[:nu], -x[nu:]
+    return x[:nu], x[nu:]
 
 
 def multiplier_matrix_per_cell(system):
@@ -924,7 +924,7 @@ def matrix_per_cell(system):
     """The assembled matrix as a dense sum, with ``np.add.at`` in cell
     order, of each cell's signed class block sign_i block_ij sign_j over its
     slots; the block is ``class_blocks[reps[c]]``, in the mixed form the
-    saddle block [[M, B^T], [B, 0]] over the cell's flux slots and then its
+    saddle block [[M, -B^T], [-B, 0]] over the cell's flux slots and then its
     pressures (sign +1).  The primal sum is restricted to the interior
     slots (oracle for the Q^T B Q products of ``polyds.assembly``)."""
     dof = system.dof_map
@@ -951,7 +951,7 @@ def pressure_supercloseness(system, report, exact):
     ``compute_errors``."""
     mesh = system.mesh
     degree = min(system.quad_degree + 2, polyds.quadrature.MAX_DEGREE)
-    ph = report.solution_p.reshape(mesh.n_cells, -1)
+    ph = report.solution[system.dof_map.n_dofs:].reshape(mesh.n_cells, -1)
     classes, total = {}, 0.0
     for c, rep in enumerate(system.reps.tolist()):
         if rep not in classes:

@@ -205,7 +205,7 @@ class TestMixed:
             elem = system.elements[system.reps[c]]
             rule = polygon_rule(E, system.quad_degree)
             gids, signs = cell_dofs(dof, c)
-            ucoef = signs * report.solution_u[gids]
+            ucoef = signs * report.solution[gids]
             _, divs, _ = elem.eval_all(rule.points - system.shifts[c])
             lhs = rule.weights @ (ucoef @ divs)
             rhs = rule.weights @ ex.f(rule.points)
@@ -227,7 +227,7 @@ class TestMixed:
             gids, signs = cell_dofs(dof, c)
             u[gids] = signs * co
         nu, npr = system.dof_map.n_dofs, system.dof_map.n_pressure
-        B = system.matrix[nu:, :nu]
+        B = -system.matrix[nu:, :nu]  # the pressure rows hold -B
         got = B @ u
         want = np.zeros(npr)
         for c in range(mesh.n_cells):
@@ -246,9 +246,7 @@ class TestMixed:
         system = assemble_mixed(mesh, 1, 0, ex.f)
         a = solve(system)
         x = np.linalg.solve(system.matrix.toarray(), system.rhs)
-        nu = system.dof_map.n_dofs
-        assert np.abs(a.solution_u - x[:nu]).max() < 1e-8
-        assert np.abs(a.solution_p + x[nu:]).max() < 1e-8
+        assert np.abs(a.solution - x).max() < 1e-8
 
 
 class TestHybridSolve:
@@ -273,10 +271,10 @@ class TestHybridSolve:
         system = assemble_mixed(mesh, r, s, manufactured_solution().f, dirichlet_p=g)
         report = solve(system)
         u, p = saddle_solve(system)
-        assert self.rel(report.solution_u, u) <= 1e-8
-        assert self.rel(report.solution_p, p) <= 1e-8
-        x = np.concatenate([report.solution_u, -report.solution_p])
-        b = system.rhs
+        nu = system.dof_map.n_dofs
+        assert self.rel(report.solution[:nu], u) <= 1e-8
+        assert self.rel(report.solution[nu:], p) <= 1e-8
+        x, b = report.solution, system.rhs
         assert np.linalg.norm(system.matrix @ x - b) <= assembly.RESIDUAL_MAX * np.linalg.norm(b)
 
     @staticmethod
@@ -290,8 +288,9 @@ class TestHybridSolve:
                                 dirichlet_p=self.BOUNDARY)
         report = solve(system)
         u, p = saddle_solve(system)
-        assert self.rel(report.solution_u, u) <= 1e-10
-        assert self.rel(report.solution_p, p) <= 1e-10
+        nu = system.dof_map.n_dofs
+        assert self.rel(report.solution[:nu], u) <= 1e-10
+        assert self.rel(report.solution[nu:], p) <= 1e-10
 
     @pytest.mark.parametrize("case", [c for c in sorted(CASES) if CASES[c][3] == "mixed"])
     def test_multiplier_matrix_matches_per_cell_oracle(self, monkeypatch, case):
@@ -380,7 +379,7 @@ class TestHybridSolve:
         if r == 4:
             assert report.iterations == 0 and report.residual <= 1e-9
         _, p = saddle_solve(system)
-        assert self.rel(report.solution_p, p) <= 1e-6
+        assert self.rel(report.solution[system.dof_map.n_dofs:], p) <= 1e-6
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -396,7 +395,7 @@ def test_matrix_matches_cell_order_sum(case):
 @pytest.mark.parametrize("mesh_name", ["hex4", "pquad4"])
 @pytest.mark.parametrize("r, s", [(1, 1), (2, 1), (1, 0)])
 def test_mixed_class_blocks_are_saddle_blocks(mesh_name, r, s):
-    # Each mixed class block is one read-only array [[M, B^T], [B, 0]]
+    # Each mixed class block is one read-only array [[M, -B^T], [-B, 0]]
     # over the flux slots and then the pressures of its class.
     mesh = FAMILIES[mesh_name]()
     system = assemble_mixed(mesh, r, s, manufactured_solution().f)
@@ -422,7 +421,7 @@ def test_reported_residual_is_true_residual(kind):
     else:
         system = assemble_mixed(mesh, 1, 1, f)
         report = solve(system)
-        x = np.concatenate([report.solution_u, -report.solution_p])
+        x = report.solution
     b = system.rhs
     want = np.linalg.norm(system.matrix @ x - b) / np.linalg.norm(b)
     assert report.residual == pytest.approx(want, rel=1e-6, abs=0.0)

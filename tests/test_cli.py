@@ -1,5 +1,7 @@
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +95,19 @@ class TestMeshCommands:
         assert code == 2
         assert err.startswith("error: ") and "missing.json" in err
         assert out == ""
+
+    @pytest.mark.parametrize("args, message", [
+        (["gen"], "mesh gen needs --out"),
+        (["audit"], "mesh audit needs --mesh"),
+        (["collapse", "--out", "fixed.json"], "mesh collapse needs --mesh"),
+        (["collapse", "--mesh", "hex.json"], "mesh collapse needs --out"),
+    ])
+    def test_missing_path_exits_2(self, capsys, args, message):
+        # Checked before any file is read or written.
+        with pytest.raises(SystemExit) as info:
+            main(["mesh", *args])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith(f"polyds: error: {message}\n")
 
     @pytest.mark.parametrize("payload", ['{"vertices": [0, 1, 2], "cells": [[0, 1, 2]]}',
                                          '{"vertices": [], "cells": []}'])
@@ -271,6 +286,23 @@ class TestConvergenceCommand:
         assert err.startswith("error: ") and "missing.json" in err
         assert out == ""
 
+    def test_malformed_levels_is_config_error(self, capsys):
+        code, out, err = run(["convergence", "--method", "primal", "--r", "1",
+                              "--family", "square", "--levels", "4,x"], capsys)
+        assert code == 2
+        assert err == "error: bad levels '4,x'\n"
+        assert out == ""
+
+    def test_levels_are_not_read_with_meshes(self, tmp_path, capsys):
+        paths = []
+        for n in (2, 4):
+            paths.append(str(tmp_path / f"m{n}.json"))
+            run(["mesh", "gen", "--family", "square", "--n", str(n), "--out", paths[-1]], capsys)
+        code, out, err = run(["convergence", "--method", "primal", "--r", "1", "--mesh", paths[0],
+                              "--mesh", paths[1], "--levels", "4,x"], capsys)
+        assert code == 0, err
+        assert out.count(".json |") == 2
+
     def test_determinism_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -392,3 +424,13 @@ def test_unknown_method_exits_2():
         capture_output=True, text=True, timeout=60, env=SOURCE_ENV,
     )
     assert proc.returncode == 2
+
+
+def test_readme_library_example():
+    # Read with the regex of the CI step that runs it from README.md.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r'## Library example\s+```python\n(.*?)```', readme, re.S)[1]
+    names = {}
+    exec(example, names)
+    dof = names["system"].dof_map
+    assert names["u"].shape == (dof.n_dofs,) and names["p"].shape == (dof.n_pressure,)

@@ -495,6 +495,55 @@ class TestCollapse:
             with pytest.raises(ValueError):
                 collapse_short_edges(gen_square_mesh(2), rel_tol)
 
+    # The unit square with a roof of two short edges E1-E2-E3 (0.014 long)
+    # in its middle: vertices A B C D E1 E2 E3 F, F the midpoint of the top.
+    ROOF = [(0, 0), (1, 0), (1, 1), (0, 1), (0.49, 0.5), (0.5, 0.51), (0.51, 0.5), (0.5, 1)]
+
+    def test_edge_of_a_merged_vertex_waits_for_the_next_round(self, monkeypatch):
+        # Both roof edges are short, but they share E2: the first merge
+        # touches E2, so the second edge is skipped and merged in round 2.
+        mesh = build_topology(self.ROOF, [[0, 1, 6, 5, 4], [0, 4, 3], [1, 2, 6],
+                                          [3, 4, 5, 7], [5, 6, 2, 7]])
+        rounds = []
+        real = polyds.mesh.build_topology
+        monkeypatch.setattr(polyds.mesh, "build_topology",
+                            lambda *args: rounds.append(1) or real(*args))
+        out = collapse_short_edges(mesh, 0.05)
+        assert len(rounds) == 2
+        assert out.n_vertices == 6
+        assert out.cells == [[0, 1, 4], [0, 4, 3], [1, 2, 4], [3, 4, 5], [4, 2, 5]]
+
+    def test_merge_of_a_loops_last_and_first_vertex(self):
+        # The loop of the cell D E1 E2 F starts at E2, so the short edge
+        # E1-E2 closes it: its merged ends are its last and first vertex.
+        out = collapse_short_edges(build_topology(self.ROOF, [
+            [0, 1, 6, 5, 4], [0, 4, 3], [1, 2, 6], [5, 7, 3, 4], [5, 6, 2, 7]]), 0.05)
+        assert out.n_vertices == 6
+        assert out.cells == [[0, 1, 4], [0, 4, 3], [1, 2, 4], [4, 5, 3], [4, 2, 5]]
+
+    def test_collapse_that_eliminates_a_cell(self):
+        # The triangle E1 E3 E2 has only short edges.
+        mesh = build_topology(self.ROOF, [[0, 1, 6, 4], [4, 6, 5], [0, 4, 3], [1, 2, 6],
+                                          [3, 4, 5, 7], [5, 6, 2, 7]])
+        with pytest.raises(MeshError) as info:
+            collapse_short_edges(mesh, 0.05)
+        assert info.type is MeshError
+        assert str(info.value) == "collapse would eliminate cell 1"
+
+    def test_collapse_that_breaks_the_mesh(self):
+        # The short edge K-X (0.03 long) keeps K, the lower-numbered of two
+        # ends in two cells each.  X moves onto K, and the cell T P X R S,
+        # whose angle at P is 177.7 degrees, turns concave there.
+        vertices = [(0, 0), (0, -1), (0.5, -1), (1, -1), (1.001, -0.03), (1, 0), (1, 1),
+                    (0, 1), (0.5, -0.01)]  # T U V Y K X R S P
+        mesh = build_topology(vertices, [[0, 8, 5, 6, 7], [0, 1, 2, 8], [8, 2, 4, 5],
+                                         [2, 3, 4]])
+        with pytest.raises(MeshError) as info:
+            collapse_short_edges(mesh, 0.05)
+        assert info.type is MeshError
+        assert str(info.value).startswith("short-edge collapse broke the mesh: degenerate "
+                                           "cell 0: polygon is not strictly convex at vertex 1")
+
 
 class TestRoundTrip:
     def test_bit_identical(self, tmp_path):
