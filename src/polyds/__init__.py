@@ -5,12 +5,8 @@ H(div)-conforming mixed companions, conforming global assembly of the
 primal and mixed Poisson problems, and a convergence harness.
 """
 
-from .geometry import (
-    AffineScalar,
-    GeometryError,
-    Polygon,
-)
-from .quadrature import EdgeRule, QuadRule, edge_rule, polygon_rule
+from .geometry import GeometryError, Polygon
+from .quadrature import QuadRule, polygon_rule
 from .serendipity import (
     DSElement,
     ElementError,

@@ -5,8 +5,8 @@ normals, tangents, lengths, and the edge offsets that with the normals
 give the edge distance functions), built one at a time or as a stack of
 polygons with equal vertex count (``polygon_stack``, one formula for
 both), signed distance lines and the pair lines between nonadjacent edges
-as (P, 2) gradient and (P,) offset arrays, and the shape-regularity
-formula that ``mesh.mesh_stats`` runs over groups of cells.
+as (P, 2) gradient and (P,) offset arrays, and the shape-regularity and
+corner-angle formulas that ``mesh`` runs over groups of cells.
 
 Polygons are immutable after construction (their arrays are read-only)
 and all operations are pure, so they are safe to share between threads.
@@ -261,3 +261,10 @@ def _regularity_rho(v):
     per = sum(np.hypot(d[..., 0], d[..., 1]) for d in (pb - pa, pc - pb, pa - pc))
     # Incircle diameter: 2 * area / semiperimeter.
     return 2.0 * (2.0 * area2 / per).min(axis=1)
+
+
+def _corner_turns(v):
+    """Turning angles (C, N) of C loops v (C, N, 2): at vertex k, from edge
+    k - 1 to edge k, which leaves it; the interior angle is pi less."""
+    z = (np.roll(v, -1, axis=1) - v).view(complex)[..., 0]  # edge k as x + iy
+    return np.angle(z / np.roll(z, 1, axis=1))

@@ -1,7 +1,7 @@
 """Polygonal meshes of the unit square: topology, generators, and repair.
 
 A mesh is a list of vertices plus CCW cell loops; ``build_topology``
-validates conformity and cell convexity and derives the topology as
+validates conformity, convexity and winding and derives the topology as
 read-only integer arrays: the edges (a, b), their (left, right) cells,
 and per vertex count N the (C, N) vertex loops and edge ids of the cells
 with N vertices, the form in which assembly numbers its dofs.
@@ -32,7 +32,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .geometry import Polygon, _frozen, _regularity_rho, polygon_stack
+from .geometry import Polygon, _corner_turns, _frozen, _regularity_rho, polygon_stack
 
 __all__ = [
     "MeshError",
@@ -102,10 +102,6 @@ class Mesh:
     def h_max(self):
         return max(p.diameter for p in self._polygons)
 
-    @property
-    def area(self):
-        return sum(p.area for p in self._polygons)
-
 
 @dataclass(frozen=True)
 class MeshStats:
@@ -125,8 +121,11 @@ def build_topology(vertices, cells) -> Mesh:
 
     Every interior edge must be shared by exactly two cells traversing it
     in opposite directions; cells must be valid CCW convex polygons; every
-    vertex must belong to a cell.  Errors name the lowest-numbered
-    offending cell or vertex.
+    vertex must belong to a cell; the cells' angles at a vertex must sum to
+    at most 2 pi, and so to 2 pi at an interior vertex.  Not caught: an
+    overlap of cells that share no vertex, such as two overlapping
+    components or a strip of cells wound twice around a hole.  Errors name
+    the lowest-numbered offending cell or vertex.
     """
     # A read-only copy: the mesh's polygons were built from these values.
     vertices = np.array(vertices, dtype=float)
@@ -189,6 +188,17 @@ def build_topology(vertices, cells) -> Mesh:
             f"same direction (cells {cell_of[first[where[p]]]} and {cell_of[p]})"
         )
 
+    # Cells wind once around each vertex: their angles there sum to at most
+    # 2 pi, up to rounding.  At an interior vertex they close around it, to
+    # a multiple of 2 pi, so only 2 pi passes.
+    angles = np.zeros(nv)
+    for _, loops, _ in spans.values():
+        np.add.at(angles, loops, np.pi - _corner_turns(vertices[loops]))
+    over = np.flatnonzero(angles > 2.0 * np.pi + 1e-9)
+    if len(over):
+        raise MeshError(f"cells overlap at vertex {over[0]}: their angles there sum to "
+                        f"{angles[over[0]] / np.pi:.6g} pi, more than 2 pi")
+
     # One edge per vertex pair, in order of first traversal, stored in the
     # direction of that traversal.  A second traversal of the pair runs the
     # other way (the check above), and its cell is the right one.
@@ -204,24 +214,12 @@ def build_topology(vertices, cells) -> Mesh:
     right = np.where(mate != pos, cell_of[mate], -1)
     edge_of = rank[uwhere]  # the edge id of each directed edge a -> b
     loop_ids = flat.tolist()
-    mesh = Mesh(vertices, [loop_ids[s:e] for s, e in zip(starts.tolist(), ends.tolist())],
+    return Mesh(vertices, [loop_ids[s:e] for s, e in zip(starts.tolist(), ends.tolist())],
                 _frozen(np.column_stack([a[pos], b[pos]])),
                 _frozen(np.column_stack([cell_of[pos], right])),
                 {n: (_frozen(ids), _frozen(loops), _frozen(edge_of[at]))
                  for n, (ids, loops, at) in spans.items()},
                 polygons)
-
-    # Cells must tile the region enclosed by the boundary loop.
-    on_boundary = pos[right < 0]
-    pa, pb = vertices[a[on_boundary]], vertices[b[on_boundary]]
-    boundary_area = float((0.5 * (pa[:, 0] * pb[:, 1] - pb[:, 0] * pa[:, 1])).sum())
-    total = mesh.area
-    if abs(total - boundary_area) > 1e-10 * abs(total):
-        raise MeshError(
-            f"cells do not tile the domain: cell area {total!r} vs "
-            f"boundary area {boundary_area!r}"
-        )
-    return mesh
 
 
 def mesh_stats(mesh: Mesh) -> MeshStats:
@@ -235,8 +233,8 @@ def mesh_stats(mesh: Mesh) -> MeshStats:
         sigmas[cells] = _regularity_rho(v) / h
         z = (np.roll(v, -1, axis=1) - v) @ np.array([1.0, 1.0j])  # edge k leaves vertex k
         ratios[cells] = np.abs(z).min(axis=1) / h
-        # An interior angle is 180 degrees less the turn from edge k-1 to edge k.
-        angles[cells] = 180.0 - np.degrees(np.angle(z / np.roll(z, 1, axis=1))).min(axis=1)
+        # An interior angle is 180 degrees less the turn at its corner.
+        angles[cells] = 180.0 - np.degrees(_corner_turns(v)).min(axis=1)
     return MeshStats(
         n_cells=mesh.n_cells,
         n_edges=mesh.n_edges,
@@ -625,9 +623,7 @@ def collapse_short_edges(mesh: Mesh, rel_tol: float) -> Mesh:
             return current
         # Shortest first, ties by edge index.
         short = short[np.argsort(lengths[short], kind="stable")]
-        incidence = np.zeros(current.n_vertices, dtype=int)
-        for loop in current.cells:
-            incidence[loop] += 1
+        incidence = np.bincount(np.concatenate(current.cells), minlength=current.n_vertices)
         touched = set()
         mapping = np.arange(current.n_vertices)
         for a, b in ends[short].tolist():

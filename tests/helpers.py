@@ -288,6 +288,30 @@ def write_with_stray_vertex(mesh, path):
     Path(path).write_text(json.dumps(payload))
 
 
+def fan(radii):
+    """Vertices and cells of the triangles [0, k + 1, k + 2] around vertex 0
+    at the origin, whose outer vertex k + 1 lies at angle k * 90 degrees
+    and radius ``radii[k]``: a fan of len(radii) - 1 quarter turns."""
+    corners = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    verts = [(0, 0)] + [(r * corners[k % 4][0], r * corners[k % 4][1])
+                        for k, r in enumerate(radii)]
+    return verts, [[0, k + 1, k + 2] for k in range(len(radii) - 1)]
+
+
+def double_cover():
+    """Vertices and cells of eight triangles that wind twice around vertex 0:
+    the closed fan of radii 1, 1, 1, 1, 2, 2, 2, 2.  Every interior edge is
+    traversed once each way and every cell is convex."""
+    verts, cells = fan([1, 1, 1, 1, 2, 2, 2, 2])
+    return verts, cells + [[0, 8, 1]]
+
+
+def write_double_cover(path):
+    """Write ``double_cover`` as mesh JSON."""
+    verts, cells = double_cover()
+    Path(path).write_text(json.dumps({"vertices": verts, "cells": cells}))
+
+
 def edge_distances(E):
     """The N edge distance functions of E as AffineScalar objects, read
     from the polygon's ``normals`` and ``edge_offsets``."""

@@ -11,7 +11,7 @@ from polyds.cli import main
 from polyds.mesh import export_mesh, gen_square_mesh, import_mesh
 from polyds.quadrature import MAX_DEGREE
 
-from helpers import SOURCE_ENV, sliver_mesh, write_with_stray_vertex
+from helpers import SOURCE_ENV, sliver_mesh, write_double_cover, write_with_stray_vertex
 
 
 # The two commands that solve, each with the arguments of a small mesh.
@@ -89,6 +89,15 @@ class TestMeshCommands:
             assert code == 3
             assert err == "numerical failure: vertex 25 is used by no cell\n"
             assert out == ""
+
+    def test_overlapping_mesh_is_numerical_failure(self, tmp_path, capsys):
+        path = tmp_path / "overlap.json"
+        write_double_cover(path)
+        code, out, err = run(["mesh", "audit", "--mesh", str(path)], capsys)
+        assert code == 3
+        assert err == ("numerical failure: cells overlap at vertex 0: their angles there "
+                       "sum to 4 pi, more than 2 pi\n")
+        assert out == ""
 
     def test_missing_file_is_config_error(self, tmp_path, capsys):
         code, out, err = run(["mesh", "audit", "--mesh", str(tmp_path / "missing.json")], capsys)

@@ -30,6 +30,8 @@ from helpers import (
     SOURCE_ENV,
     _clean_loop,
     dict_topology,
+    double_cover,
+    fan,
     fuse_loops,
     loop_grid,
     shape_regularity,
@@ -38,8 +40,13 @@ from helpers import (
     voronoi_cell,
     voronoi_cell_full_clip,
     voronoi_loop_per_seed,
+    write_double_cover,
     write_with_stray_vertex,
 )
+
+
+def total_area(mesh):
+    return sum(mesh.polygon(c).area for c in range(mesh.n_cells))
 
 
 def assert_dict_topology(mesh):
@@ -94,6 +101,33 @@ class TestTopology:
         cells = [[0, 1, 2, 3], [0, 1, 2, 3]]
         with pytest.raises(MeshError, match="nonconforming"):
             build_topology(verts, cells)
+
+    def test_double_cover_rejected(self):
+        # Conforming, with convex cells, yet the cells wind twice around
+        # vertex 0: summed, their areas equal the boundary's, 9.5.
+        verts, cells = double_cover()
+        assert sum(Polygon([verts[i] for i in loop]).area for loop in cells) == 9.5
+        with pytest.raises(MeshError, match=r"^cells overlap at vertex 0: their angles there "
+                                            r"sum to 4 pi, more than 2 pi$"):
+            build_topology(verts, cells)
+
+    def test_fan_around_a_boundary_vertex(self):
+        # Vertex 0 is on the boundary: three quarter turns around it pass,
+        # and six, which wrap 1.5 turns, do not.
+        assert build_topology(*fan([1, 1, 1, 1])).n_cells == 3
+        with pytest.raises(MeshError, match=r"^cells overlap at vertex 0: their angles there "
+                                            r"sum to 3 pi, more than 2 pi$"):
+            build_topology(*fan([1, 1, 1, 1, 2, 2, 2]))
+
+    def test_lowest_overlap_vertex_named(self):
+        # Two double covers, 10 apart: the first one's centre is renumbered
+        # to vertex 8, the second one's is vertex 9.
+        verts, cells = double_cover()
+        both = verts[1:] + verts[:1] + [(x + 10, y) for x, y in verts]
+        cells = [[(i - 1) % 9 for i in loop] for loop in cells] + [
+            [9 + i for i in loop] for loop in cells]
+        with pytest.raises(MeshError, match=r"^cells overlap at vertex 8: "):
+            build_topology(both, cells)
 
     def test_duplicate_vertex_in_loop(self):
         verts = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -258,7 +292,7 @@ class TestGenerators:
         assert np.array_equal(a.vertices, b.vertices)
         c = gen_perturbed_quad_mesh(5, 0.2, seed=8)
         assert not np.array_equal(a.vertices, c.vertices)
-        assert a.area == pytest.approx(1.0, rel=1e-12)
+        assert total_area(a) == pytest.approx(1.0, rel=1e-12)
 
     def test_h_scaling(self):
         for gen in (gen_square_mesh, gen_trapezoid_mesh):
@@ -273,7 +307,7 @@ class TestGenerators:
         m = gen_hex_dominant_mesh(6)
         assert m.n_cells == 36
         assert {len(c) for c in m.cells} == {4, 5, 6}
-        assert m.area == pytest.approx(1.0, rel=1e-12)
+        assert total_area(m) == pytest.approx(1.0, rel=1e-12)
 
     def test_hex_sigma_matches_staggered_construction(self):
         # Constant stats across levels; magnitudes from the quarter-spacing
@@ -347,6 +381,15 @@ class TestGenerators:
                               timeout=120, env=SOURCE_ENV)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 32])
+    def test_every_family_passes_the_checks(self, n):
+        meshes = [gen_square_mesh(n), gen_hex_dominant_mesh(n),
+                  *(gen_perturbed_quad_mesh(n, 0.2, seed) for seed in range(4))]
+        if n % 2 == 0:
+            meshes.append(gen_trapezoid_mesh(n))
+        for m in meshes:
+            assert total_area(m) == pytest.approx(1.0, rel=1e-12)
 
     def test_generated_meshes_revalidate(self):
         for m in (gen_square_mesh(3), gen_trapezoid_mesh(4),
@@ -565,6 +608,12 @@ class TestRoundTrip:
         path = tmp_path / "stray.json"
         write_with_stray_vertex(gen_square_mesh(4), path)
         with pytest.raises(MeshError, match=r"^vertex 25 is used by no cell$"):
+            import_mesh(path)
+
+    def test_double_cover_named(self, tmp_path):
+        path = tmp_path / "overlap.json"
+        write_double_cover(path)
+        with pytest.raises(MeshError, match=r"^cells overlap at vertex 0: "):
             import_mesh(path)
 
     def test_duplicate_vertex_named(self, tmp_path):
